@@ -142,8 +142,8 @@ fn main() {
         fmt_us(t)
     );
     println!("----------------------------------------------------------------------------");
-    println!("(verdicts: paper's Figure 5 gives the complexity class per column; see");
-    println!(" EXPERIMENTS.md for the full paper-vs-measured discussion)");
+    println!("(verdicts: paper's Figure 5 gives the complexity class per column; the");
+    println!(" timings above are measured, not the paper's)");
     println!();
 }
 

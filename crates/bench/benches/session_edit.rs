@@ -9,7 +9,8 @@
 //!    `Session::apply`, which maintains the `IncrementalIndex` in O(edit)
 //!    and extracts the verdict from per-constraint caches;
 //! 2. **rebuild per edit** — apply the same edit to a twin tree, then do
-//!    what the one-shot API would: build a fresh `DocIndex` and check Σ.
+//!    what the one-shot API does: `CompiledSpec::check_document`, a fresh
+//!    index build over the twin tree.
 //!
 //! Verdict identity between the two paths is asserted before timing.  The
 //! headline number (asserted ≥ 50×) is the per-edit speedup; everything is
@@ -22,7 +23,6 @@
 use std::time::Duration;
 
 use xic_bench::{fmt_us, min_time};
-use xic_constraints::{DocIndex, IndexPlan};
 use xic_engine::{CompiledSpec, Session};
 use xic_gen::{
     catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
@@ -63,7 +63,6 @@ fn main() {
         },
     )
     .expect("catalogue DTD is satisfiable");
-    let plan = IndexPlan::for_set(&sigma);
     let spec = CompiledSpec::compile(dtd, sigma).expect("generated spec compiles");
 
     // A deterministic edit stream over elements that carry attributes:
@@ -104,7 +103,7 @@ fn main() {
         for op in &ops {
             let verdict = session.apply(doc, std::slice::from_ref(op)).unwrap();
             twin.apply_edit(op).unwrap();
-            let rebuilt = DocIndex::build(spec.dtd(), &twin, &plan).check_all(spec.sigma());
+            let rebuilt = spec.check_document(&twin);
             assert_eq!(
                 verdict.violations(),
                 rebuilt.as_slice(),
@@ -164,7 +163,7 @@ fn main() {
         let mut twin = tree.clone();
         for op in &ops {
             twin.apply_edit(op).unwrap();
-            let verdict = DocIndex::build(spec.dtd(), &twin, &plan).check_all(spec.sigma());
+            let verdict = spec.check_document(&twin);
             std::hint::black_box(verdict);
         }
     });

@@ -1,8 +1,8 @@
 //! # xic-bench — the benchmark harness
 //!
-//! One Criterion bench target per experiment of DESIGN.md §6 (E2–E12), plus
-//! `figure5_table` which regenerates the paper's Figure 5 as a table of
-//! measured verdicts and timings.  The benches are deliberately configured
+//! One Criterion bench target per experiment E2–E12 (the workloads of
+//! [`xic_gen::workloads`]), plus `figure5_table` which regenerates the
+//! paper's Figure 5 as a table of measured verdicts and timings.  The benches are deliberately configured
 //! with small sample counts so that `cargo bench --workspace` completes in
 //! minutes while still exposing the scaling *shape* that stands in for the
 //! paper's complexity claims.

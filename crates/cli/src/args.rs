@@ -2,7 +2,7 @@
 //!
 //! The tool needs only subcommands, `--name value` options and boolean
 //! `--flag`s, so a small hand-rolled parser keeps the dependency set to the
-//! workspace crates (see DESIGN.md §4).
+//! workspace crates.
 
 use std::collections::{HashMap, HashSet};
 

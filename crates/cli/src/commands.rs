@@ -23,7 +23,7 @@ use xic_dtd::{analyze, parse_dtd, Dtd};
 use xic_engine::journal::{inspect_log, read_delta_log, write_delta_log};
 use xic_engine::{
     BatchDelta, BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusReplica, CorpusSession,
-    Engine, EngineMetrics, Limits, SessionError, SpecId,
+    DocHandle, Engine, EngineMetrics, Limits, SessionError, SpecId,
 };
 use xic_server::{Client, ClientError, Server, ServerConfig};
 use xic_telemetry::RegistrySnapshot;
@@ -673,12 +673,102 @@ fn load_manifest(manifest_path: &str) -> Result<Vec<BatchDoc>, CliError> {
     Ok(docs)
 }
 
-/// Drives a [`CorpusSession`] from an edit script: the shared engine
-/// behind `xic batch --session` and `xic journal record`.
+/// The session surface the shared `--script` grammar drives: a local
+/// [`CorpusSession`] (`xic batch --session`, `xic journal record`), a wire
+/// [`Client`] (`xic connect`) or a multi-process [`Coordinator`]
+/// (`xic coord`) — one grammar, one runner, three transports.
+trait ScriptTarget {
+    /// How the target addresses an open document.
+    type Handle: Copy;
+    fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<Self::Handle, CliError>;
+    fn apply(&mut self, ctx: &str, handle: Self::Handle, op: &EditOp) -> Result<(), CliError>;
+    fn close_doc(&mut self, ctx: &str, handle: Self::Handle) -> Result<(), CliError>;
+    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError>;
+}
+
+impl ScriptTarget for CorpusSession<'_> {
+    type Handle = DocHandle;
+
+    fn open_doc(&mut self, _ctx: &str, label: &str, source: &str) -> Result<DocHandle, CliError> {
+        // A local open error names the document, not the script line.
+        CorpusSession::open_source(self, label, source).map_err(|e| session_error(label, &e))
+    }
+
+    fn apply(&mut self, ctx: &str, handle: DocHandle, op: &EditOp) -> Result<(), CliError> {
+        CorpusSession::apply(self, handle, std::slice::from_ref(op))
+            .map_err(|e| session_error(ctx, &e))
+    }
+
+    fn close_doc(&mut self, _ctx: &str, handle: DocHandle) -> Result<(), CliError> {
+        CorpusSession::close(self, handle)
+            .map(|_| ())
+            .map_err(|e| CliError::Document(e.to_string()))
+    }
+
+    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError> {
+        // `try_commit` honors the session deadline; an aborted commit keeps
+        // its progress staged, but a script cannot retry on its own, so the
+        // rejection surfaces as exit 3.
+        self.try_commit()
+            .map_err(|e| CliError::Resource(format!("{ctx}: {e}")))
+    }
+}
+
+impl ScriptTarget for Client {
+    type Handle = u64;
+
+    fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError> {
+        Client::open_doc(self, label, source).map_err(|e| client_error(ctx, e))
+    }
+
+    fn apply(&mut self, ctx: &str, handle: u64, op: &EditOp) -> Result<(), CliError> {
+        Client::apply(self, handle, std::slice::from_ref(op))
+            .map(|_| ())
+            .map_err(|e| client_error(ctx, e))
+    }
+
+    fn close_doc(&mut self, ctx: &str, handle: u64) -> Result<(), CliError> {
+        Client::close_doc(self, handle)
+            .map(|_| ())
+            .map_err(|e| client_error(ctx, e))
+    }
+
+    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError> {
+        Client::commit(self).map_err(|e| client_error(ctx, e))
+    }
+}
+
+impl ScriptTarget for Coordinator {
+    type Handle = u64;
+
+    fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError> {
+        Coordinator::open_doc(self, label, source).map_err(|e| coord_error(ctx, e))
+    }
+
+    fn apply(&mut self, ctx: &str, handle: u64, op: &EditOp) -> Result<(), CliError> {
+        Coordinator::apply(self, handle, std::slice::from_ref(op)).map_err(|e| coord_error(ctx, e))
+    }
+
+    fn close_doc(&mut self, ctx: &str, handle: u64) -> Result<(), CliError> {
+        Coordinator::close_doc(self, handle)
+            .map(|_| ())
+            .map_err(|e| coord_error(ctx, e))
+    }
+
+    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError> {
+        Coordinator::commit(self).map_err(|e| coord_error(ctx, e))
+    }
+}
+
+/// Drives an edit script against a [`ScriptTarget`]: the one runner behind
+/// `xic batch --session`, `xic journal record`, `xic connect --script` and
+/// `xic coord --script`, so the same script produces the same delta stream
+/// on every transport.
 ///
-/// The manifest documents (if any) are opened first; the script then
-/// issues one directive per line (blank lines and `#` comments skipped;
-/// `<node>` is a node id as printed in JSON witnesses):
+/// The manifest documents `docs` (if any) are opened first, under their
+/// manifest labels; the script then issues one directive per line (blank
+/// lines and `#` comments skipped; `<node>` is a node id as printed in JSON
+/// witnesses):
 ///
 /// ```text
 /// open   <label> <path>            # parse a document and open it
@@ -695,25 +785,24 @@ fn load_manifest(manifest_path: &str) -> Result<Vec<BatchDoc>, CliError> {
 /// This script syntax is the human-readable twin of the binary journal:
 /// `xic journal record` turns a run of it into a delta log, and
 /// `xic journal inspect` renders op records back in the same syntax.
-fn run_session_script<'s>(
-    spec: &'s CompiledSpec,
+fn run_script<T: ScriptTarget>(
+    spec: &CompiledSpec,
+    target: &mut T,
     docs: Vec<BatchDoc>,
     script_path: &str,
-    limits: Limits,
-) -> Result<(CorpusSession<'s>, Vec<BatchDelta>), CliError> {
+) -> Result<Vec<BatchDelta>, CliError> {
     let script = read_file(script_path)?;
     let base = Path::new(script_path)
         .parent()
         .map(Path::to_path_buf)
         .unwrap_or_default();
 
-    let mut corpus = CorpusSession::with_limits(spec, limits);
+    let mut handles: HashMap<String, T::Handle> = HashMap::new();
     for doc in docs {
-        corpus
-            .open_source(&doc.label, &doc.content)
-            .map_err(|e| session_error(&doc.label, &e))?;
+        let handle = target.open_doc(&doc.label, &doc.label, &doc.content)?;
+        handles.insert(doc.label, handle);
     }
-    let mut pending = corpus.num_docs() > 0;
+    let mut pending = !handles.is_empty();
     let mut deltas: Vec<BatchDelta> = Vec::new();
 
     for (lineno, line) in script.lines().enumerate() {
@@ -722,16 +811,12 @@ fn run_session_script<'s>(
             continue;
         }
         let err = |msg: String| CliError::Usage(format!("{script_path}:{}: {msg}", lineno + 1));
+        let ctx = format!("{script_path}:{}", lineno + 1);
         let mut words = line.split_whitespace();
         let directive = words.next().expect("non-empty line has a first word");
         match directive {
             "commit" => {
-                // `try_commit` honors the session deadline; an aborted
-                // commit keeps its progress staged, but a script cannot
-                // retry on its own, so the rejection surfaces as exit 3.
-                let delta = corpus.try_commit().map_err(|e| {
-                    CliError::Resource(format!("{script_path}:{}: {e}", lineno + 1))
-                })?;
+                let delta = target.commit(&ctx)?;
                 deltas.push(delta);
                 pending = false;
                 continue;
@@ -744,9 +829,8 @@ fn run_session_script<'s>(
                     .next()
                     .ok_or_else(|| err("`open` expects a path".into()))?;
                 let content = read_file(&base.join(path).to_string_lossy())?;
-                corpus
-                    .open_source(label, &content)
-                    .map_err(|e| session_error(label, &e))?;
+                let handle = target.open_doc(&ctx, label, &content)?;
+                handles.insert(label.to_string(), handle);
                 pending = true;
                 continue;
             }
@@ -756,8 +840,8 @@ fn run_session_script<'s>(
         let label = words
             .next()
             .ok_or_else(|| err(format!("`{directive}` expects a document label")))?;
-        let handle = corpus
-            .handle_by_label(label)
+        let &handle = handles
+            .get(label)
             .ok_or_else(|| err(format!("no open document labelled `{label}`")))?;
         let mut node_arg = |what: &str| -> Result<NodeId, CliError> {
             let word = words
@@ -803,28 +887,22 @@ fn run_session_script<'s>(
                 element: node_arg("target")?,
             },
             "close" => {
-                corpus
-                    .close(handle)
-                    .map_err(|e| CliError::Document(e.to_string()))?;
+                target.close_doc(&ctx, handle)?;
+                handles.remove(label);
                 pending = true;
                 continue;
             }
             other => return Err(err(format!("unknown directive `{other}`"))),
         };
-        corpus
-            .apply(handle, std::slice::from_ref(&op))
-            .map_err(|e| session_error(&format!("{script_path}:{}: {label}", lineno + 1), &e))?;
+        target.apply(&format!("{ctx}: {label}"), handle, &op)?;
         pending = true;
     }
     if pending {
-        let delta = corpus
-            .try_commit()
-            .map_err(|e| CliError::Resource(format!("{script_path}: final commit: {e}")))?;
+        let delta = target.commit(&format!("{script_path}: final commit"))?;
         deltas.push(delta);
     }
-    Ok((corpus, deltas))
+    Ok(deltas)
 }
-
 /// How a delta stream should be presented: the command identity, extra
 /// JSON fields, and text-mode options (see [`render_delta_stream`]).
 struct DeltaStreamView<'a> {
@@ -941,7 +1019,7 @@ fn render_delta_stream(
 
 /// `xic batch --session SCRIPT` — replay an edit script over a corpus
 /// session and report the [`BatchDelta`] of every commit (see
-/// [`run_session_script`] for the directive syntax).  With `--format json`
+/// [`run_script`] for the directive syntax).  With `--format json`
 /// the outcome is one object carrying the `deltas` stream and the final
 /// per-document `reports`.
 #[allow(clippy::too_many_arguments)]
@@ -954,7 +1032,8 @@ fn batch_session(
     quiet: bool,
     metrics: bool,
 ) -> Result<CommandOutcome, CliError> {
-    let (corpus, deltas) = run_session_script(spec, docs, script_path, limits)?;
+    let mut corpus = CorpusSession::with_limits(spec, limits);
+    let deltas = run_script(spec, &mut corpus, docs, script_path)?;
     let final_report = corpus.report();
     Ok(render_delta_stream(
         &DeltaStreamView {
@@ -1009,7 +1088,8 @@ fn journal_record(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     };
     let script_path = args.require("script")?;
     let log_path = args.require("log")?;
-    let (corpus, deltas) = run_session_script(&spec, docs, script_path, limits_from_args(args)?)?;
+    let mut corpus = CorpusSession::with_limits(&spec, limits_from_args(args)?);
+    let deltas = run_script(&spec, &mut corpus, docs, script_path)?;
     let receipt = write_delta_log(log_path, spec.id(), &deltas)
         .map_err(|e| CliError::Journal(format!("{log_path}: {e}")))?;
     let final_report = corpus.report();
@@ -1354,179 +1434,6 @@ fn dial(args: &ParsedArgs, spec: SpecId, session: &str) -> Result<Client, CliErr
     }
 }
 
-/// The session surface the shared `--script` grammar drives: a wire
-/// [`Client`] (`xic connect`) or a multi-process [`Coordinator`]
-/// (`xic coord`) — one grammar, one runner, two transports.
-trait ScriptTarget {
-    fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError>;
-    fn apply(&mut self, ctx: &str, handle: u64, op: &EditOp) -> Result<(), CliError>;
-    fn close_doc(&mut self, ctx: &str, handle: u64) -> Result<(), CliError>;
-    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError>;
-}
-
-impl ScriptTarget for Client {
-    fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError> {
-        Client::open_doc(self, label, source).map_err(|e| client_error(ctx, e))
-    }
-
-    fn apply(&mut self, ctx: &str, handle: u64, op: &EditOp) -> Result<(), CliError> {
-        Client::apply(self, handle, std::slice::from_ref(op))
-            .map(|_| ())
-            .map_err(|e| client_error(ctx, e))
-    }
-
-    fn close_doc(&mut self, ctx: &str, handle: u64) -> Result<(), CliError> {
-        Client::close_doc(self, handle)
-            .map(|_| ())
-            .map_err(|e| client_error(ctx, e))
-    }
-
-    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError> {
-        Client::commit(self).map_err(|e| client_error(ctx, e))
-    }
-}
-
-impl ScriptTarget for Coordinator {
-    fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError> {
-        Coordinator::open_doc(self, label, source).map_err(|e| coord_error(ctx, e))
-    }
-
-    fn apply(&mut self, ctx: &str, handle: u64, op: &EditOp) -> Result<(), CliError> {
-        Coordinator::apply(self, handle, std::slice::from_ref(op)).map_err(|e| coord_error(ctx, e))
-    }
-
-    fn close_doc(&mut self, ctx: &str, handle: u64) -> Result<(), CliError> {
-        Coordinator::close_doc(self, handle)
-            .map(|_| ())
-            .map_err(|e| coord_error(ctx, e))
-    }
-
-    fn commit(&mut self, ctx: &str) -> Result<BatchDelta, CliError> {
-        Coordinator::commit(self).map_err(|e| coord_error(ctx, e))
-    }
-}
-
-/// Drives the shared `--script` directive syntax (see
-/// [`run_session_script`]) against a remote session: every directive
-/// becomes one request and every `commit` collects the acknowledged
-/// [`BatchDelta`].  A trailing commit is implied, exactly as in the local
-/// runner, so the same script produces the same delta stream either way.
-fn run_remote_script(
-    spec: &CompiledSpec,
-    client: &mut impl ScriptTarget,
-    script_path: &str,
-) -> Result<Vec<BatchDelta>, CliError> {
-    let script = read_file(script_path)?;
-    let base = Path::new(script_path)
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_default();
-
-    let mut handles: HashMap<String, u64> = HashMap::new();
-    let mut deltas: Vec<BatchDelta> = Vec::new();
-    let mut pending = false;
-
-    for (lineno, line) in script.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |msg: String| CliError::Usage(format!("{script_path}:{}: {msg}", lineno + 1));
-        let ctx = format!("{script_path}:{}", lineno + 1);
-        let mut words = line.split_whitespace();
-        let directive = words.next().expect("non-empty line has a first word");
-        match directive {
-            "commit" => {
-                let delta = client.commit(&ctx)?;
-                deltas.push(delta);
-                pending = false;
-                continue;
-            }
-            "open" => {
-                let label = words
-                    .next()
-                    .ok_or_else(|| err("`open` expects a label".into()))?;
-                let path = words
-                    .next()
-                    .ok_or_else(|| err("`open` expects a path".into()))?;
-                let content = read_file(&base.join(path).to_string_lossy())?;
-                let handle = client.open_doc(&ctx, label, &content)?;
-                handles.insert(label.to_string(), handle);
-                pending = true;
-                continue;
-            }
-            _ => {}
-        }
-        // Everything else targets a document opened by this script.
-        let label = words
-            .next()
-            .ok_or_else(|| err(format!("`{directive}` expects a document label")))?;
-        let &handle = handles.get(label).ok_or_else(|| {
-            err(format!(
-                "no document labelled `{label}` opened by this script"
-            ))
-        })?;
-        let mut node_arg = |what: &str| -> Result<NodeId, CliError> {
-            let word = words
-                .next()
-                .ok_or_else(|| err(format!("`{directive}` expects a {what} node id")))?;
-            word.parse::<u32>()
-                .map(NodeId)
-                .map_err(|_| err(format!("`{word}` is not a node id")))
-        };
-        let op = match directive {
-            "set" => {
-                let element = node_arg("target")?;
-                let attr_name = words
-                    .next()
-                    .ok_or_else(|| err("`set` expects an attribute name".into()))?;
-                let attr = spec
-                    .dtd()
-                    .attr_by_name(attr_name)
-                    .ok_or_else(|| err(format!("unknown attribute `{attr_name}`")))?;
-                let value = words.collect::<Vec<_>>().join(" ");
-                EditOp::SetAttr {
-                    element,
-                    attr,
-                    value,
-                }
-            }
-            "add" => {
-                let parent = node_arg("parent")?;
-                let ty_name = words
-                    .next()
-                    .ok_or_else(|| err("`add` expects an element type".into()))?;
-                let ty = spec
-                    .dtd()
-                    .type_by_name(ty_name)
-                    .ok_or_else(|| err(format!("unknown element type `{ty_name}`")))?;
-                EditOp::AddElement { parent, ty }
-            }
-            "text" => EditOp::AddText {
-                parent: node_arg("parent")?,
-                value: words.collect::<Vec<_>>().join(" "),
-            },
-            "remove" => EditOp::RemoveSubtree {
-                element: node_arg("target")?,
-            },
-            "close" => {
-                client.close_doc(&ctx, handle)?;
-                handles.remove(label);
-                pending = true;
-                continue;
-            }
-            other => return Err(err(format!("unknown directive `{other}`"))),
-        };
-        client.apply(&format!("{ctx}: {label}"), handle, &op)?;
-        pending = true;
-    }
-    if pending {
-        let delta = client.commit(&format!("{script_path}: final commit"))?;
-        deltas.push(delta);
-    }
-    Ok(deltas)
-}
-
 /// `xic connect` — talk to a running service.  Exactly one of four actions
 /// runs per invocation: `--shutdown` drains the server, `--stats` prints
 /// its metrics registry, `--script` drives an edit script against the
@@ -1614,7 +1521,7 @@ pub fn connect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
                     .into(),
             )
         })?;
-        let deltas = run_remote_script(spec, &mut client, script_path)?;
+        let deltas = run_script(spec, &mut client, Vec::new(), script_path)?;
         // `--shard K` subscribes the local replica to one touch-graph
         // component: it receives and applies only shard-K deltas and
         // reconstructs the shard projection of the session's report.
@@ -1722,7 +1629,7 @@ pub fn coord(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let num_groups = coordinator.num_groups();
     let num_shards = spec.shard_plan().num_shards();
 
-    let deltas = run_remote_script(&spec, &mut coordinator, script_path)?;
+    let deltas = run_script(&spec, &mut coordinator, Vec::new(), script_path)?;
 
     // The merged stream must satisfy every replica invariant: replay it
     // through a stock subscriber and render that reconstruction.

@@ -1,11 +1,11 @@
-//! `IncrementalIndex` — `T ⊨ Σ` maintained under point edits in O(edit).
+//! `IncrementalIndex` — the workspace's `T ⊨ Σ` index, maintained under
+//! point edits in O(edit).
 //!
-//! [`crate::DocIndex`] answers the checking problem for a *frozen* document:
-//! one pass builds every index the plan names, and checking is O(1) probes.
-//! A long-lived session needs the same answers while the document *changes*.
-//! Rebuilding after every edit costs O(document); this module maintains the
-//! answers under [`xic_xml::EditEffect`] deltas at a cost proportional to
-//! the edit instead.
+//! Every satisfaction check runs on this index: one-shot checks
+//! ([`crate::check_document`]) build it and read the verdict once, batch
+//! validation builds one per document over a shared layout, and long-lived
+//! sessions keep it exact under [`xic_xml::EditEffect`] deltas at a cost
+//! proportional to the edit instead of rebuilding in O(document).
 //!
 //! The machinery splits along a `(D, Σ)` / `T` boundary:
 //!
@@ -22,8 +22,8 @@
 //!   which doubles as the inclusion target multiset; per key slot, a
 //!   **clash-witness order** (every tuple with ≥ 2 carriers indexed by its
 //!   second-smallest carrier, so "the first key clash" in
-//!   [`xic_xml::XmlTree::elements`] order — the exact witness a fresh
-//!   [`crate::DocIndex`] build reports — is a single `first_key_value`
+//!   [`xic_xml::XmlTree::elements`] order — the exact witness a
+//!   document-order scan reports — is a single `first_key_value`
 //!   lookup); per inclusion constraint, the **source states** (sources
 //!   bucketed by tuple, plus ordered sets of sources with missing attributes
 //!   and of *dangling* sources whose tuple is absent from the target slot —
@@ -34,14 +34,19 @@
 //!   verdict extraction re-renders violations for those while reusing the
 //!   cached answer for everything else.
 //!
-//! The invariant, enforced by `tests/session_agreement.rs` and
-//! `tests/corpus_agreement.rs`, is *witness identity*: after any edit
-//! sequence, [`IncrementalIndex::check_all`] equals
-//! `DocIndex::build(..).check_all(..)` on the edited tree — same violations,
-//! same witnesses, same order.
+//! Values are interned ([`xic_xml::ValuePool`]), so tuples are short
+//! integer slices hashed with a multiply-rotate hasher; violations resolve
+//! their witness tuples back to strings only when they are rendered.
+//!
+//! The invariant, enforced by `tests/satisfaction_agreement.rs`,
+//! `tests/session_agreement.rs` and `tests/corpus_agreement.rs`, is
+//! *witness identity*: after any edit sequence,
+//! [`IncrementalIndex::check_all`] equals the independent reference
+//! checker's [`crate::SatisfactionChecker::check_all`] on the edited tree —
+//! same violations, same witnesses, same order.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use xic_dtd::{AttrId, Dtd, ElemId};
@@ -50,8 +55,55 @@ use xic_xml::{EditEffect, NodeId, ValueId, XmlTree};
 
 use crate::classes::ConstraintSet;
 use crate::constraint::{Constraint, InclusionSpec};
-use crate::index::TupleHasher;
 use crate::satisfy::Violation;
+
+/// A multiply-rotate hasher (FxHash-style) for the interned-tuple maps.
+///
+/// Tuple keys are short slices of `u32` symbols drawn from a dense pool, so
+/// the DoS-resistant SipHash default is pure overhead on this hot path; a
+/// two-instruction mix per word is both faster and well distributed here.
+#[derive(Debug, Default, Clone)]
+struct TupleHasher {
+    hash: u64,
+}
+
+impl TupleHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for TupleHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
 
 type TupleMap<V> = HashMap<Box<[ValueId]>, V, BuildHasherDefault<TupleHasher>>;
 
@@ -108,9 +160,8 @@ enum Check {
 ///
 /// Deriving the layout walks Σ once and the document never; it is therefore
 /// computed **per specification**, not per document.  `xic-engine` stores
-/// one on every `CompiledSpec` (next to the [`crate::IndexPlan`] it
-/// mirrors), and every document opened against that spec shares it through
-/// [`IncrementalIndex::with_layout`].
+/// one on every `CompiledSpec`, and every document checked or opened against
+/// that spec shares it through [`IncrementalIndex::with_layout`].
 #[derive(Debug)]
 pub struct IncrementalLayout {
     checks: Vec<(Check, String)>,
@@ -176,7 +227,6 @@ impl IncrementalLayout {
 
         // Touch maps: which constraints can change verdict when a type's
         // extension changes, or when a (type, attribute) value changes.
-        // This is the IndexPlan touch-graph restricted to Σ's own slots.
         let mut checks_of_ty: HashMap<ElemId, Vec<usize>> = HashMap::new();
         let mut checks_of_attr: HashMap<(ElemId, AttrId), Vec<usize>> = HashMap::new();
         let touch = |map: &mut HashMap<ElemId, Vec<usize>>,
@@ -447,17 +497,18 @@ pub struct IncrementalIndex {
 
 impl IncrementalIndex {
     /// Standalone build: derives a fresh layout for `(D, Σ)`, then populates
-    /// it from `tree`.  Single-document callers use this; corpus-scale
-    /// callers derive the layout once and use
-    /// [`IncrementalIndex::with_layout`].
+    /// it from `tree`.  One-shot and single-document callers use this;
+    /// callers checking many documents against one spec derive the layout
+    /// once and use [`IncrementalIndex::with_layout`].
     pub fn build(dtd: &Dtd, sigma: &ConstraintSet, tree: &XmlTree) -> IncrementalIndex {
         IncrementalIndex::with_layout(Arc::new(IncrementalLayout::new(dtd, sigma)), tree)
     }
 
-    /// Populates per-document state over a shared, precomputed layout in one
-    /// traversal-order pass (every constraint starts dirty, so the first
-    /// verdict is computed, not assumed).  No layout derivation happens
-    /// here: the `Arc` is the only thing cloned.
+    /// Populates per-document state over a shared, precomputed layout in
+    /// traversal order — every slot first, then every inclusion source
+    /// (every constraint starts dirty, so the first verdict is computed, not
+    /// assumed).  No layout derivation happens here: the `Arc` is the only
+    /// thing cloned.
     pub fn with_layout(layout: Arc<IncrementalLayout>, tree: &XmlTree) -> IncrementalIndex {
         let (builds, build_ns, _) = instruments();
         let timer = xic_telemetry::global().start_timer();
@@ -487,9 +538,63 @@ impl IncrementalIndex {
             cache: vec![None; n],
             rechecked: 0,
         };
+        let layout = Arc::clone(&index.layout);
+        let mut tuple: Vec<ValueId> = Vec::new();
+        // Every slot's carriers first: elements arrive in ascending id
+        // order, so a tuple's second carrier is the one that brings its set
+        // to two, and no presence notification can fire while no source is
+        // filed yet.
         for node in tree.elements() {
-            if let Some(ty) = tree.element_type(node) {
-                index.insert_element(tree, node, ty);
+            let Some(ty) = tree.element_type(node) else {
+                continue;
+            };
+            for &si in layout.slots_of_ty.get(&ty).into_iter().flatten() {
+                let spec = &layout.slots[si];
+                if !tree.attr_value_ids(node, &spec.attrs, &mut tuple) {
+                    continue;
+                }
+                let slot = &mut index.slots[si];
+                let set = match slot.carriers.get_mut(tuple.as_slice()) {
+                    Some(set) => set,
+                    None => slot.carriers.entry(tuple.as_slice().into()).or_default(),
+                };
+                set.insert(node);
+                if spec.track_clash && set.len() == 2 {
+                    slot.clashes.insert(node, tuple.as_slice().into());
+                }
+            }
+        }
+        // Then every source, against the now-complete target slots.
+        if !layout.sources.is_empty() {
+            for node in tree.elements() {
+                let Some(ty) = tree.element_type(node) else {
+                    continue;
+                };
+                for &qi in layout.sources_of_ty.get(&ty).into_iter().flatten() {
+                    let spec = &layout.sources[qi];
+                    let src = &mut index.sources[qi];
+                    if !tree.attr_value_ids(node, &spec.from_attrs, &mut tuple) {
+                        src.missing.insert(node);
+                        continue;
+                    }
+                    if !index.slots[spec.target]
+                        .carriers
+                        .contains_key(tuple.as_slice())
+                    {
+                        src.dangling.insert(node);
+                    }
+                    match src.by_tuple.get_mut(tuple.as_slice()) {
+                        Some(set) => {
+                            set.insert(node);
+                        }
+                        None => {
+                            src.by_tuple
+                                .entry(tuple.as_slice().into())
+                                .or_default()
+                                .insert(node);
+                        }
+                    }
+                }
             }
         }
         index
@@ -790,8 +895,9 @@ impl IncrementalIndex {
     // ------------------------------------------------------------------
 
     /// `T ⊨ Σ`: every violation, in Σ order — identical (violations,
-    /// witnesses and all) to a from-scratch [`crate::DocIndex`] rebuild on
-    /// the current tree.  Only dirty constraints are recomputed.
+    /// witnesses and all) to a from-scratch
+    /// [`crate::SatisfactionChecker`] pass over the current tree.  Only
+    /// dirty constraints are recomputed.
     pub fn check_all(&mut self, tree: &XmlTree) -> Vec<Violation> {
         self.check_all_where(tree, |_| true)
     }
@@ -855,7 +961,7 @@ impl IncrementalIndex {
     }
 
     /// The first clash of a key slot: `(first carrier, second occurrence,
-    /// shared tuple)`, exactly as a full [`crate::DocIndex`] scan reports it.
+    /// shared tuple)`, exactly as a full document-order scan reports it.
     fn key_clash(&self, si: usize) -> Option<(NodeId, NodeId, &[ValueId])> {
         let slot = &self.slots[si];
         debug_assert!(
@@ -994,15 +1100,83 @@ fn resolve_tuple(tree: &XmlTree, tuple: &[ValueId]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classes::example_sigma1;
-    use crate::index::DocIndex;
-    use crate::satisfy::IndexPlan;
-    use xic_dtd::example_d1;
+    use crate::classes::{example_sigma1, example_sigma3};
+    use crate::satisfy::SatisfactionChecker;
+    use xic_dtd::{example_d1, example_d3};
     use xic_xml::EditOp;
 
+    /// The independent from-scratch oracle.
     fn rebuild(dtd: &Dtd, sigma: &ConstraintSet, tree: &XmlTree) -> Vec<Violation> {
-        let plan = IndexPlan::for_set(sigma);
-        DocIndex::build(dtd, tree, &plan).check_all(sigma)
+        SatisfactionChecker::new(dtd, tree).check_all(sigma)
+    }
+
+    /// The Figure 1 tree: both teachers named "Joe", every subject
+    /// taught_by "Joe".  It conforms to D1 but violates Σ1.
+    fn figure1(dtd: &Dtd) -> XmlTree {
+        let teachers = dtd.type_by_name("teachers").unwrap();
+        let teacher = dtd.type_by_name("teacher").unwrap();
+        let teach = dtd.type_by_name("teach").unwrap();
+        let research = dtd.type_by_name("research").unwrap();
+        let subject = dtd.type_by_name("subject").unwrap();
+        let name = dtd.attr_by_name("name").unwrap();
+        let taught_by = dtd.attr_by_name("taught_by").unwrap();
+        let mut t = XmlTree::new(teachers);
+        for teacher_name in ["Joe", "Joe"] {
+            let te = t.add_element(t.root(), teacher);
+            t.set_attr(te, name, teacher_name);
+            let th = t.add_element(te, teach);
+            for s in ["XML", "DB"] {
+                let sn = t.add_element(th, subject);
+                t.set_attr(sn, taught_by, teacher_name);
+                t.add_text(sn, s);
+            }
+            let r = t.add_element(te, research);
+            t.add_text(r, "Web DB");
+        }
+        t
+    }
+
+    #[test]
+    fn cold_build_agrees_with_the_reference_checker_on_the_paper_example() {
+        let d1 = example_d1();
+        let t = figure1(&d1);
+        let sigma1 = example_sigma1(&d1);
+        let fast = IncrementalIndex::build(&d1, &sigma1, &t).check_all(&t);
+        assert_eq!(fast, rebuild(&d1, &sigma1, &t));
+        assert!(!fast.is_empty());
+    }
+
+    #[test]
+    fn cold_build_agrees_on_multiattribute_slots_of_d3() {
+        let d3 = example_d3();
+        let school = d3.type_by_name("school").unwrap();
+        let enroll = d3.type_by_name("enroll").unwrap();
+        let dept = d3.attr_by_name("dept").unwrap();
+        let course_no = d3.attr_by_name("course_no").unwrap();
+        let student_id = d3.attr_by_name("student_id").unwrap();
+        let mut t = XmlTree::new(school);
+        let en = t.add_element(t.root(), enroll);
+        t.set_attr(en, student_id, "s1");
+        t.set_attr(en, dept, "physics");
+        t.set_attr(en, course_no, "999");
+        t.add_text(en, "enrolled");
+        let sigma3 = example_sigma3(&d3);
+        let fast = IncrementalIndex::build(&d3, &sigma3, &t).check_all(&t);
+        assert_eq!(fast, rebuild(&d3, &sigma3, &t));
+        assert!(fast
+            .iter()
+            .any(|v| matches!(v, Violation::InclusionViolation { .. })));
+    }
+
+    #[test]
+    fn empty_document_satisfies_everything() {
+        let d3 = example_d3();
+        let school = d3.type_by_name("school").unwrap();
+        let t = XmlTree::new(school);
+        let sigma3 = example_sigma3(&d3);
+        let mut index = IncrementalIndex::build(&d3, &sigma3, &t);
+        assert!(index.satisfies_all(&t));
+        assert!(index.check_all(&t).is_empty());
     }
 
     /// Drives one op through tree + index and asserts verdict identity with
@@ -1253,8 +1427,8 @@ mod tests {
     /// unchanged neighbours) — every step is checked against a rebuild.
     #[test]
     fn multiattribute_edits_agree_with_rebuild() {
-        let d3 = xic_dtd::example_d3();
-        let sigma3 = crate::classes::example_sigma3(&d3);
+        let d3 = example_d3();
+        let sigma3 = example_sigma3(&d3);
         let school = d3.type_by_name("school").unwrap();
         let course = d3.type_by_name("course").unwrap();
         let enroll = d3.type_by_name("enroll").unwrap();

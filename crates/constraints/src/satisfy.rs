@@ -3,9 +3,13 @@
 //!
 //! Two notions of equality are used, exactly as in the paper: string-value
 //! equality when comparing attribute values, node identity when comparing
-//! elements.  Satisfaction is checked with hash indexes over the attribute
-//! tuples of each element type, so checking Σ over a document is linear in
-//! the document for unary constraints.
+//! elements.
+//!
+//! This module holds the [`Violation`] type every checker reports, the
+//! one-shot entry points [`check_document`] / [`document_satisfies`] (which
+//! run on [`crate::IncrementalIndex`], the workspace's one `T ⊨ Σ` index),
+//! and [`SatisfactionChecker`], the independent string-valued reference
+//! implementation the index is tested against.
 
 use std::collections::{HashMap, HashSet};
 
@@ -14,6 +18,7 @@ use xic_xml::{NodeId, XmlTree};
 
 use crate::classes::ConstraintSet;
 use crate::constraint::{Constraint, InclusionSpec, KeySpec};
+use crate::incremental::IncrementalIndex;
 
 /// The reason a constraint is violated by a document, with witness nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,91 +100,17 @@ impl Violation {
 /// The retained **reference** satisfaction checker: string-valued tuples,
 /// lazily built per-(type, attribute-list) indexes.
 ///
-/// The production path is [`crate::DocIndex`], which interns values and
-/// builds every index in one pass; this checker keeps the seed algorithm
-/// alive as the differential-testing baseline (`tests/docindex_agreement`)
-/// and as the ad-hoc single-constraint checker used by the witness search.
+/// The production path is [`crate::IncrementalIndex`], which interns values
+/// and builds every index in one pass; this checker keeps the seed
+/// algorithm alive as the independent differential-testing oracle
+/// (`tests/satisfaction_agreement.rs`, `tests/session_agreement.rs`) and as
+/// the ad-hoc single-constraint checker used by the bounded witness search.
 /// Its caches hand out borrows — not clones — of their entries.
 pub struct SatisfactionChecker<'a> {
     dtd: &'a Dtd,
     tree: &'a XmlTree,
     ext_cache: HashMap<ElemId, Vec<NodeId>>,
     tuple_cache: HashMap<(ElemId, Vec<AttrId>), HashSet<Vec<String>>>,
-}
-
-/// The extension lists, key slots and tuple indexes that checking a fixed
-/// constraint set will consult, computed once per specification so that
-/// per-document indexes ([`crate::DocIndex`], or the reference checker's
-/// [`SatisfactionChecker::prewarm`]) can be built in a single pass over the
-/// tree.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IndexPlan {
-    ext_types: Vec<ElemId>,
-    key_slots: Vec<(ElemId, Vec<AttrId>)>,
-    tuple_slots: Vec<(ElemId, Vec<AttrId>)>,
-}
-
-impl IndexPlan {
-    /// Derives the plan for a constraint set: which `ext(τ)` lists, which
-    /// key slots `(τ, X̄)` and which `(τ, X̄)` tuple sets its satisfaction
-    /// check touches.
-    pub fn for_set(sigma: &ConstraintSet) -> IndexPlan {
-        let mut ext_types = Vec::new();
-        let mut key_slots: Vec<(ElemId, Vec<AttrId>)> = Vec::new();
-        let mut tuple_slots: Vec<(ElemId, Vec<AttrId>)> = Vec::new();
-        let push_ext = |v: &mut Vec<ElemId>, ty: ElemId| {
-            if !v.contains(&ty) {
-                v.push(ty);
-            }
-        };
-        let push_slot = |v: &mut Vec<(ElemId, Vec<AttrId>)>, ty: ElemId, attrs: &[AttrId]| {
-            if !v.iter().any(|(t, a)| *t == ty && a == attrs) {
-                v.push((ty, attrs.to_vec()));
-            }
-        };
-        for c in sigma.iter() {
-            match c {
-                Constraint::Key(k) | Constraint::NotKey(k) => {
-                    push_ext(&mut ext_types, k.ty);
-                    push_slot(&mut key_slots, k.ty, &k.attrs);
-                }
-                Constraint::Inclusion(i) | Constraint::NotInclusion(i) => {
-                    push_ext(&mut ext_types, i.from_ty);
-                    push_ext(&mut ext_types, i.to_ty);
-                    push_slot(&mut tuple_slots, i.to_ty, &i.to_attrs);
-                }
-                Constraint::ForeignKey(i) => {
-                    push_ext(&mut ext_types, i.from_ty);
-                    push_ext(&mut ext_types, i.to_ty);
-                    // The key slot's tuple → first-carrier map already holds
-                    // exactly the target tuple set, so a separate tuple slot
-                    // would double the build work; inclusion checks probe
-                    // the key slot instead (see `DocIndex`).
-                    push_slot(&mut key_slots, i.to_ty, &i.to_attrs);
-                }
-            }
-        }
-        IndexPlan {
-            ext_types,
-            key_slots,
-            tuple_slots,
-        }
-    }
-
-    /// The element types whose extensions the check reads.
-    pub fn ext_types(&self) -> &[ElemId] {
-        &self.ext_types
-    }
-
-    /// The key slots `(τ, X̄)` the check probes for clashes.
-    pub fn key_slots(&self) -> &[(ElemId, Vec<AttrId>)] {
-        &self.key_slots
-    }
-
-    /// The `(τ, X̄)` tuple indexes the check reads.
-    pub fn tuple_slots(&self) -> &[(ElemId, Vec<AttrId>)] {
-        &self.tuple_slots
-    }
 }
 
 impl<'a> SatisfactionChecker<'a> {
@@ -190,25 +121,6 @@ impl<'a> SatisfactionChecker<'a> {
             tree,
             ext_cache: HashMap::new(),
             tuple_cache: HashMap::new(),
-        }
-    }
-
-    /// Builds every index named by `plan` in one document-order pass over the
-    /// tree, instead of one full traversal per `ext(τ)` the lazy path pays.
-    pub fn prewarm(&mut self, plan: &IndexPlan) {
-        let tree = self.tree;
-        let mut lists: HashMap<ElemId, Vec<NodeId>> =
-            plan.ext_types.iter().map(|&ty| (ty, Vec::new())).collect();
-        for node in tree.elements() {
-            if let Some(ty) = tree.element_type(node) {
-                if let Some(list) = lists.get_mut(&ty) {
-                    list.push(node);
-                }
-            }
-        }
-        self.ext_cache.extend(lists);
-        for (ty, attrs) in &plan.tuple_slots {
-            tuples_entry(&mut self.tuple_cache, &mut self.ext_cache, tree, *ty, attrs);
         }
     }
 
@@ -381,17 +293,15 @@ fn tuples_entry<'c>(
     }
 }
 
-/// One-shot check of a full constraint set against a document, through the
-/// interned-value [`crate::DocIndex`] fast path.
+/// One-shot check of a full constraint set against a document: builds an
+/// [`IncrementalIndex`] for `(D, Σ)` over the tree and reads its verdict.
 pub fn check_document(dtd: &Dtd, tree: &XmlTree, sigma: &ConstraintSet) -> Vec<Violation> {
-    let plan = IndexPlan::for_set(sigma);
-    crate::index::DocIndex::build(dtd, tree, &plan).check_all(sigma)
+    IncrementalIndex::build(dtd, sigma, tree).check_all(tree)
 }
 
 /// One-shot `T ⊨ Σ`.
 pub fn document_satisfies(dtd: &Dtd, tree: &XmlTree, sigma: &ConstraintSet) -> bool {
-    let plan = IndexPlan::for_set(sigma);
-    crate::index::DocIndex::build(dtd, tree, &plan).satisfies_all(sigma)
+    IncrementalIndex::build(dtd, sigma, tree).satisfies_all(tree)
 }
 
 #[cfg(test)]

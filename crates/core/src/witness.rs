@@ -15,7 +15,7 @@
 //! The cardinality system constrains *counts*, and a count vector can fail to
 //! be realizable as a tree when a recursive component is populated without
 //! any occurrence connecting it to the root (a "floating cycle"; see
-//! DESIGN.md).  The top-down expansion only ever creates nodes reachable from
+//! [`floating_components`]).  The top-down expansion only ever creates nodes reachable from
 //! the root, so after expansion any unconsumed budget reveals exactly this
 //! situation and the synthesizer reports [`WitnessError::NotRealizable`]; the
 //! consistency checker then adds a connectivity cut and re-solves.  Every

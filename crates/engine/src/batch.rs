@@ -2,10 +2,10 @@
 //!
 //! A `std::thread` worker pool pulls `(index, document)` jobs from a shared
 //! channel, validates each document against the spec's precompiled automata
-//! and satisfaction plan, and sends `(index, report)` results back.  Reports
-//! are re-assembled **by input index**, so the aggregate report — including
-//! its rendered form — is byte-identical whatever the thread count or
-//! completion order.
+//! and `T ⊨ Σ` index layout, and sends `(index, report)` results back.
+//! Reports are re-assembled **by input index**, so the aggregate report —
+//! including its rendered form — is byte-identical whatever the thread
+//! count or completion order.
 //!
 //! **Fault containment.**  Per-document work runs under
 //! [`std::panic::catch_unwind`]: a document whose validation panics is
@@ -331,8 +331,8 @@ impl BatchEngine {
     }
 
     /// Validates already-parsed trees against the spec: `T ⊨ D` with the
-    /// precompiled automata, `T ⊨ Σ` through a single-pass
-    /// [`xic_constraints::DocIndex`] — the cold half of
+    /// precompiled automata, `T ⊨ Σ` through
+    /// [`CompiledSpec::check_document`] — the cold half of
     /// [`BatchEngine::validate_batch`] without the parse.  Runs
     /// sequentially (resident trees have no parse cost to amortize over
     /// workers) and reports in input order, so it doubles as the
@@ -361,8 +361,10 @@ impl BatchEngine {
     }
 
     /// Validates every document against the spec: parse (interning values),
-    /// `T ⊨ D` with the precompiled automata, `T ⊨ Σ` through a single-pass
-    /// [`xic_constraints::DocIndex`].
+    /// `T ⊨ D` with the precompiled automata, `T ⊨ Σ` through
+    /// [`CompiledSpec::check_document`] (one
+    /// [`xic_constraints::IncrementalIndex`] build over the spec's shared
+    /// layout).
     ///
     /// One [`ValuePool`] is threaded through each worker's documents (one
     /// pool total on the sequential path), so values repeated across the

@@ -7,10 +7,10 @@
 //!
 //! * [`CompiledSpec`] — parses and validates a `(DTD, Σ)` pair **once**,
 //!   precomputing the [`xic_dtd::SimpleDtd`] rewriting, the per-element
-//!   Glushkov automata, the constraint-class classification, the
-//!   satisfaction [`xic_constraints::IndexPlan`], and (for the decidable
-//!   unary classes) the cardinality system Ψ(D,Σ) — all behind a cheap
-//!   content-hash [`SpecId`];
+//!   Glushkov automata, the constraint-class classification, the layout of
+//!   the `T ⊨ Σ` index ([`xic_constraints::IncrementalLayout`]), and (for
+//!   the decidable unary classes) the cardinality system Ψ(D,Σ) — all
+//!   behind a cheap content-hash [`SpecId`];
 //! * [`VerdictCache`] — a thread-safe (RwLock + LRU, std-only) memo of
 //!   consistency and implication verdicts keyed by `(spec, query)` hashes,
 //!   with hit/miss statistics for benchmarks;

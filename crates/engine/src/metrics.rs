@@ -33,7 +33,6 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "corpus.violations_removed",
         "incremental.builds",
         "incremental.constraints_rechecked",
-        "index.builds",
         "journal.bytes_written",
         "journal.crc_failures",
         "journal.records_appended",
@@ -70,7 +69,6 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "corpus.delta_changes",
         "corpus.recheck_ns",
         "incremental.build_ns",
-        "index.build_ns",
         "journal.persist_ns",
         "parse.doc_ns",
         "session.apply_ns",

@@ -15,9 +15,10 @@
 //! [`SessionVerdict`].  Because the session hands out only `&XmlTree`, raw
 //! `&mut` mutation can no longer bypass index maintenance.
 //!
-//! Verdicts are **witness-identical** to a from-scratch rebuild (asserted
-//! by `tests/session_agreement.rs`), at O(edit) maintenance cost instead of
-//! O(rebuild) — the `session_edit` bench records the gap.
+//! Verdicts are **witness-identical** to a from-scratch check by the
+//! independent reference checker (asserted by `tests/session_agreement.rs`),
+//! at O(edit) maintenance cost instead of O(rebuild) — the `session_edit`
+//! bench records the gap.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -157,8 +158,8 @@ impl SessionVerdict {
         self.violations.is_empty()
     }
 
-    /// Every violation, in Σ order — identical to what a full
-    /// [`xic_constraints::DocIndex`] rebuild would report.
+    /// Every violation, in Σ order — identical to what a from-scratch
+    /// [`xic_constraints::SatisfactionChecker`] pass would report.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
@@ -632,23 +633,12 @@ impl<'s> Session<'s> {
             .map(|d| d.tree)
             .ok_or(SessionError::UnknownHandle(handle))
     }
-
-    /// One-shot `T ⊨ Σ` for a throwaway document: since no edit can ever
-    /// arrive, the incremental bookkeeping (carrier sets, watcher lists,
-    /// journals) would be built and thrown away — so this takes the plain
-    /// [`xic_constraints::DocIndex`] build instead.  Verdicts and witnesses
-    /// are identical to the session path (`tests/session_agreement.rs`
-    /// asserts the equality on random documents and edit histories).  This
-    /// is what `CompiledSpec::check_document` wraps.
-    pub fn check_once(spec: &CompiledSpec, tree: &XmlTree) -> Vec<Violation> {
-        spec.index_document(tree).check_all(spec.sigma())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xic_constraints::{DocIndex, IndexPlan};
+    use xic_constraints::SatisfactionChecker;
 
     fn spec() -> CompiledSpec {
         CompiledSpec::from_sources(
@@ -699,10 +689,9 @@ mod tests {
         assert!(!verdict.is_clean());
         assert_eq!(verdict.edits_applied(), 2);
 
-        // Witness identity with a from-scratch rebuild.
+        // Witness identity with a from-scratch reference check.
         let tree = session.tree(doc).unwrap();
-        let plan = IndexPlan::for_set(spec.sigma());
-        let rebuilt = DocIndex::build(spec.dtd(), tree, &plan).check_all(spec.sigma());
+        let rebuilt = SatisfactionChecker::new(spec.dtd(), tree).check_all(spec.sigma());
         assert_eq!(verdict.violations(), rebuilt.as_slice());
 
         // Closing hands the edited tree back; the handle dies.
@@ -1022,14 +1011,13 @@ mod tests {
     }
 
     #[test]
-    fn check_once_agrees_with_docindex() {
+    fn one_shot_check_agrees_with_the_reference_checker() {
         let spec = spec();
         let tree = spec
             .parse_document("<school><teacher name=\"A\"/><teacher name=\"A\"/></school>")
             .unwrap();
-        let plan = IndexPlan::for_set(spec.sigma());
-        let rebuilt = DocIndex::build(spec.dtd(), &tree, &plan).check_all(spec.sigma());
-        assert_eq!(Session::check_once(&spec, &tree), rebuilt);
-        assert_eq!(spec.check_document(&tree), rebuilt);
+        let reference = SatisfactionChecker::new(spec.dtd(), &tree).check_all(spec.sigma());
+        assert!(!reference.is_empty());
+        assert_eq!(spec.check_document(&tree), reference);
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use xic_constraints::{
-    parse_constraint_set, ConstraintClass, ConstraintSet, DocIndex, IncrementalLayout, IndexPlan,
+    parse_constraint_set, ConstraintClass, ConstraintSet, IncrementalIndex, IncrementalLayout,
     ShardPlan, Violation,
 };
 use xic_core::{
@@ -107,9 +107,9 @@ impl std::error::Error for CompileError {}
 /// * one Glushkov automaton per element type (document validation),
 /// * the linear-time DTD analysis (satisfiability, occurrence facts),
 /// * the constraint-class classification (procedure dispatch),
-/// * the satisfaction [`IndexPlan`] (which indexes `T ⊨ Σ` will consult),
-/// * the incremental-index [`IncrementalLayout`] (slot/watcher/touch-map
-///   structure shared by every session document opened against this spec),
+/// * the [`IncrementalLayout`] of the `T ⊨ Σ` index (slot/watcher/touch-map
+///   structure shared by every document checked or opened against this
+///   spec),
 /// * the cardinality system Ψ(D,Σ) when Σ is unary (Theorem 4.1 / 5.1).
 #[derive(Debug)]
 pub struct CompiledSpec {
@@ -120,7 +120,6 @@ pub struct CompiledSpec {
     analysis: DtdAnalysis,
     automata: HashMap<ElemId, Glushkov>,
     class: Option<ConstraintClass>,
-    plan: IndexPlan,
     incremental: Arc<IncrementalLayout>,
     shards: Arc<ShardPlan>,
     system: Option<CardinalitySystem>,
@@ -167,10 +166,6 @@ impl CompiledSpec {
             compile_automata(&dtd)
         };
         let class = sigma.smallest_class();
-        let plan = {
-            let _phase = telemetry.span("compile.index_plan");
-            IndexPlan::for_set(&sigma)
-        };
         let incremental = {
             let _phase = telemetry.span("compile.incremental_layout");
             Arc::new(IncrementalLayout::new(&dtd, &sigma))
@@ -210,7 +205,6 @@ impl CompiledSpec {
             analysis,
             automata,
             class,
-            plan,
             incremental,
             shards,
             system,
@@ -266,22 +260,18 @@ impl CompiledSpec {
         self.class
     }
 
-    /// The satisfaction index plan for Σ.
-    pub fn plan(&self) -> &IndexPlan {
-        &self.plan
-    }
-
-    /// The incremental-index layout for Σ — the `(D, Σ)`-only slot, watcher
-    /// and touch-map structure every session document shares.  Derived once
-    /// at compile time; [`crate::Session::open`] and
-    /// [`crate::CorpusSession`] only clone the `Arc`.
+    /// The `T ⊨ Σ` index layout for Σ — the `(D, Σ)`-only slot, watcher
+    /// and touch-map structure every checked or opened document shares.
+    /// Derived once at compile time; [`CompiledSpec::check_document`],
+    /// [`crate::Session::open`] and [`crate::CorpusSession`] only clone the
+    /// `Arc`.
     pub fn incremental_layout(&self) -> &Arc<IncrementalLayout> {
         &self.incremental
     }
 
     /// The touch-graph shard plan for Σ: connected components of the
     /// layout's `(type, attribute)` touch maps, numbered canonically.
-    /// Derived once at compile time beside [`CompiledSpec::plan`]; commit
+    /// Derived once at compile time beside the layout; commit
     /// fan-out, delta tagging and shard-filtered replicas all read it.
     pub fn shard_plan(&self) -> &Arc<ShardPlan> {
         &self.shards
@@ -338,20 +328,11 @@ impl CompiledSpec {
         xic_xml::parse_document_budgeted(source, &self.dtd, pool, budget)
     }
 
-    /// Builds the document's satisfaction indexes ([`DocIndex`]) in one pass
-    /// over the tree, driven by the precomputed plan.
-    pub fn index_document<'t>(&'t self, tree: &'t XmlTree) -> DocIndex<'t> {
-        DocIndex::build(&self.dtd, tree, &self.plan)
-    }
-
-    /// One-shot `T ⊨ Σ`: a thin wrapper over a throwaway session check
-    /// ([`crate::Session::check_once`]), which takes the [`DocIndex`] build
-    /// (a never-edited document needs none of the incremental bookkeeping)
-    /// and reports exactly the witnesses the session path would.  To check
-    /// several constraint subsets against one document, build the index
-    /// once with [`CompiledSpec::index_document`].
+    /// One-shot `T ⊨ Σ`: builds the document's [`IncrementalIndex`] over
+    /// the precomputed layout and reads its verdict — the same index, and
+    /// so exactly the witnesses, the session paths report.
     pub fn check_document(&self, tree: &XmlTree) -> Vec<Violation> {
-        crate::Session::check_once(self, tree)
+        IncrementalIndex::with_layout(Arc::clone(&self.incremental), tree).check_all(tree)
     }
 
     /// Consistency of the compiled specification, dispatching to the

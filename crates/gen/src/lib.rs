@@ -10,8 +10,8 @@
 //! * [`constraint_gen`] — random constraint sets of each class over a DTD;
 //! * [`doc_gen`] — random documents conforming to a DTD (used to exercise
 //!   validation and satisfaction checking at scale);
-//! * [`workloads`] — the named experiment workloads E2–E12 referenced by
-//!   DESIGN.md / EXPERIMENTS.md and the `xic-bench` harness.
+//! * [`workloads`] — the named experiment workloads E2–E12 that the
+//!   `xic-bench` harness measures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

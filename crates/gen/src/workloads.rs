@@ -1,4 +1,4 @@
-//! Named experiment workloads (see DESIGN.md §6 and EXPERIMENTS.md).
+//! Named experiment workloads, one per `xic-bench` experiment (E2–E12).
 //!
 //! Each function produces a family of [`SpecInstance`]s indexed by a size
 //! parameter; the `xic-bench` harness measures the relevant procedure on each

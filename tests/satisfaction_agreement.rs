@@ -1,14 +1,20 @@
-//! Differential testing of the interned-value `DocIndex` fast path against
-//! the retained string-valued reference checker.
+//! Differential testing of the one-shot `T ⊨ Σ` entry points against the
+//! retained string-valued reference checker.
 //!
-//! The `DocIndex` rewrite of `T ⊨ Σ` (single-pass index construction over
-//! interned `ValueId` tuples) must be observationally identical to the seed
-//! algorithm kept alive in `SatisfactionChecker`: same violations, same
-//! witnesses, same order, same rendered values — on every generated
-//! workload, not just the paper's examples.
+//! Every satisfaction check in the workspace — one-shot, batch and session
+//! alike — runs on `IncrementalIndex` (interned `ValueId` tuples, ordered
+//! carrier sets).  The one-shot entry points (`check_document`,
+//! `document_satisfies` and `CompiledSpec::check_document`) must be
+//! observationally identical to the seed algorithm kept alive in
+//! `SatisfactionChecker`: same violations, same witnesses, same order, same
+//! rendered values — on every generated workload, not just the paper's
+//! examples.
 
 use proptest::prelude::*;
-use xml_integrity_constraints::constraints::{DocIndex, IndexPlan, SatisfactionChecker};
+use xml_integrity_constraints::constraints::{
+    check_document, document_satisfies, ConstraintSet, IncrementalIndex, SatisfactionChecker,
+};
+use xml_integrity_constraints::engine::CompiledSpec;
 use xml_integrity_constraints::gen::{
     random_document, random_dtd, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
     DtdGenConfig,
@@ -18,10 +24,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On random DTDs, random unary constraint sets (including negations)
-    /// and random conforming documents, the `DocIndex`-backed checker and
-    /// the reference checker produce identical violation sets.
+    /// and random conforming documents, the index-backed one-shot checks
+    /// and the reference checker produce identical violation lists.
     #[test]
-    fn docindex_and_reference_checker_agree(
+    fn one_shot_checks_agree_with_the_reference_checker(
         seed in 0u64..500,
         types in 2usize..8,
         keys in 0usize..4,
@@ -53,19 +59,28 @@ proptest! {
             return Ok(()); // unsatisfiable DTD: nothing to compare
         };
 
-        let plan = IndexPlan::for_set(&sigma);
-        let index = DocIndex::build(&dtd, &tree, &plan);
-        let fast = index.check_all(&sigma);
         let reference = SatisfactionChecker::new(&dtd, &tree).check_all(&sigma);
+        let fast = check_document(&dtd, &tree, &sigma);
         prop_assert_eq!(&fast, &reference);
 
-        // The boolean views agree with the violation lists.
-        prop_assert_eq!(index.satisfies_all(&sigma), fast.is_empty());
+        // The boolean view agrees with the violation list.
+        prop_assert_eq!(document_satisfies(&dtd, &tree, &sigma), fast.is_empty());
+
+        // Each constraint on its own: a one-constraint index reports exactly
+        // what the reference checker reports for that constraint.
         for c in sigma.iter() {
+            let single = ConstraintSet::from_vec(vec![c.clone()]);
             prop_assert_eq!(
-                index.check(c),
+                IncrementalIndex::build(&dtd, &single, &tree).check_all(&tree).pop(),
                 SatisfactionChecker::new(&dtd, &tree).check(c)
             );
+        }
+
+        // The compiled-spec path shares the spec-level layout; Ψ(D,Σ)
+        // construction can reject exotic generated specs, which leaves
+        // nothing to compile.
+        if let Ok(spec) = CompiledSpec::compile(dtd.clone(), sigma.clone()) {
+            prop_assert_eq!(&spec.check_document(&tree), &reference);
         }
     }
 
@@ -93,9 +108,8 @@ proptest! {
         let text = xml_integrity_constraints::xml::write_document(&tree, &dtd);
         let reparsed = xml_integrity_constraints::xml::parse_document(&text, &dtd).unwrap();
 
-        let plan = IndexPlan::for_set(&sigma);
-        let direct = DocIndex::build(&dtd, &tree, &plan).check_all(&sigma);
-        let round_tripped = DocIndex::build(&dtd, &reparsed, &plan).check_all(&sigma);
+        let direct = check_document(&dtd, &tree, &sigma);
+        let round_tripped = check_document(&dtd, &reparsed, &sigma);
         // Node ids can shift across serialization (attribute nodes are
         // created in a different order), so compare the rendered constraints
         // and values, which is what users observe.

@@ -1,9 +1,10 @@
 //! Differential testing of the Session API's incremental re-validation
-//! against from-scratch `DocIndex` rebuilds.
+//! against the independent reference checker.
 //!
 //! The contract of `xic_engine::Session` is *witness identity*: after every
 //! prefix of an arbitrary edit sequence, the incremental verdict must equal
-//! what a fresh `DocIndex` build over the edited tree reports — the same
+//! what a from-scratch `SatisfactionChecker` pass over the edited tree
+//! reports (a checker that shares no code with the index) — the same
 //! violations in the same order with the same witness nodes and values (so
 //! clash witnesses too, not just the boolean).  The edits themselves are
 //! generated adaptively against the evolving document: attribute rewrites
@@ -13,13 +14,18 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xml_integrity_constraints::constraints::{DocIndex, IndexPlan};
+use xml_integrity_constraints::constraints::{SatisfactionChecker, Violation};
 use xml_integrity_constraints::engine::{CompiledSpec, Session};
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, keys_only_family, primary_key_family, random_document, random_dtd,
     random_unary_constraints, ConstraintGenConfig, DocGenConfig, DtdGenConfig,
 };
 use xml_integrity_constraints::xml::{EditOp, NodeId, XmlTree};
+
+/// The from-scratch oracle: the reference checker over the current tree.
+fn rebuild(spec: &CompiledSpec, tree: &XmlTree) -> Vec<Violation> {
+    SatisfactionChecker::new(spec.dtd(), tree).check_all(spec.sigma())
+}
 
 /// Picks the next edit against the current document state: every op is
 /// valid by construction (live nodes, non-root removals).
@@ -97,7 +103,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// After every prefix of a random edit sequence, the session verdict is
-    /// witness-identical to a from-scratch DocIndex rebuild.
+    /// witness-identical to a from-scratch reference check.
     #[test]
     fn session_agrees_with_rebuild_after_every_edit(
         seed in 0u64..400,
@@ -134,23 +140,19 @@ proptest! {
             // session needs only (D, Σ), so skip those instances.
             Err(_) => return Ok(()),
         };
-        let plan = IndexPlan::for_set(spec.sigma());
-
         let mut session = Session::new(&spec);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
         let doc = session.open(tree);
 
         // The opening verdict must already agree.
         let verdict = session.verdict(doc).unwrap();
-        let rebuilt = DocIndex::build(spec.dtd(), session.tree(doc).unwrap(), &plan)
-            .check_all(spec.sigma());
+        let rebuilt = rebuild(&spec, session.tree(doc).unwrap());
         prop_assert_eq!(verdict.violations(), rebuilt.as_slice());
 
         for step in 0..edits {
             let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
             let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
-            let tree = session.tree(doc).unwrap();
-            let rebuilt = DocIndex::build(spec.dtd(), tree, &plan).check_all(spec.sigma());
+            let rebuilt = rebuild(&spec, session.tree(doc).unwrap());
             prop_assert_eq!(
                 verdict.violations(),
                 rebuilt.as_slice(),
@@ -166,7 +168,7 @@ proptest! {
         // tree with verdicts still reproducible from scratch.
         prop_assert_eq!(session.journal(doc).unwrap().len(), edits);
         let tree = session.close(doc).unwrap();
-        let rebuilt = DocIndex::build(spec.dtd(), &tree, &plan).check_all(spec.sigma());
+        let rebuilt = rebuild(&spec, &tree);
         let mut reopened = Session::new(&spec);
         let doc = reopened.open(tree);
         let verdict = reopened.verdict(doc).unwrap();
@@ -191,7 +193,6 @@ fn workload_families_agree_with_rebuild_after_every_edit() {
             Ok(spec) => spec,
             Err(_) => continue, // Ψ(D,Σ) rejected the instance
         };
-        let plan = IndexPlan::for_set(spec.sigma());
         let Some(tree) = random_document(
             spec.dtd(),
             &DocGenConfig {
@@ -208,8 +209,7 @@ fn workload_families_agree_with_rebuild_after_every_edit() {
         for step in 0..24 {
             let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
             let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
-            let rebuilt = DocIndex::build(spec.dtd(), session.tree(doc).unwrap(), &plan)
-                .check_all(spec.sigma());
+            let rebuilt = rebuild(&spec, session.tree(doc).unwrap());
             assert_eq!(
                 verdict.violations(),
                 rebuilt.as_slice(),
