@@ -28,8 +28,7 @@ use xic_engine::{
 use xic_server::{Client, ClientError, Server, ServerConfig};
 use xic_telemetry::RegistrySnapshot;
 use xic_xml::{
-    parse_document_budgeted, validate, write_document, EditOp, NodeId, ParseError, ValuePool,
-    XmlTree,
+    parse_document_budgeted, validate, write_document, EditOp, NodeId, ParseError, XmlTree,
 };
 
 use crate::args::ParsedArgs;
@@ -161,12 +160,10 @@ fn coord_error(context: &str, e: CoordError) -> CliError {
 /// Parses a document under the CLI resource limits, mapping a tripped
 /// budget to [`CliError::Resource`] (exit 3) rather than a document error.
 fn parse_limited(text: &str, dtd: &Dtd, limits: &Limits, path: &str) -> Result<XmlTree, CliError> {
-    parse_document_budgeted(text, dtd, ValuePool::new(), &limits.parse_budget()).map_err(
-        |(err, _pool)| match err {
-            ParseError::Xml(e) => CliError::Document(format!("{path}: {e}")),
-            ParseError::Budget(b) => CliError::Resource(format!("{path}: {b}")),
-        },
-    )
+    parse_document_budgeted(text, dtd, &limits.parse_budget()).map_err(|err| match err {
+        ParseError::Xml(e) => CliError::Document(format!("{path}: {e}")),
+        ParseError::Budget(b) => CliError::Resource(format!("{path}: {b}")),
+    })
 }
 
 fn checker_config(args: &ParsedArgs) -> CheckerConfig {

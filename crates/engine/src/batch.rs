@@ -26,7 +26,7 @@ use std::time::Instant;
 use xic_constraints::Violation;
 use xic_telemetry::{Counter, Histogram};
 use xic_xml::budget::ParseError;
-use xic_xml::{ValuePool, XmlTree};
+use xic_xml::XmlTree;
 
 use crate::limits::{LimitKind, Limits, ResourceError};
 use crate::spec::CompiledSpec;
@@ -364,24 +364,20 @@ impl BatchEngine {
     /// `T ⊨ D` with the precompiled automata, `T ⊨ Σ` through
     /// [`CompiledSpec::check_document`] (one
     /// [`xic_constraints::IncrementalIndex`] build over the spec's shared
-    /// layout).
-    ///
-    /// One [`ValuePool`] is threaded through each worker's documents (one
-    /// pool total on the sequential path), so values repeated across the
-    /// corpus are interned once per worker.
+    /// layout).  Each parsed tree interns its own values into a pool of its
+    /// own, so documents share no state and their cost does not grow with
+    /// the batch.
     pub fn validate_batch(&self, spec: &CompiledSpec, docs: &[BatchDoc]) -> BatchReport {
         // One clock read per batch; individual documents only compare
         // against it when a deadline is actually configured.
         let started = self.limits.deadline.map(|_| Instant::now());
 
         let reports = if self.effective_threads() == 1 || docs.len() <= 1 {
-            let mut pool = ValuePool::new();
-            let mut reports = Vec::with_capacity(docs.len());
-            for (i, d) in docs.iter().enumerate() {
-                let (report, recycled) = self.process_one(spec, i, d, started, pool);
-                reports.push(report);
-                pool = recycled;
-            }
+            let reports: Vec<DocReport> = docs
+                .iter()
+                .enumerate()
+                .map(|(i, d)| self.process_one(spec, i, d, started))
+                .collect();
             if !docs.is_empty() {
                 instruments().2.record(docs.len() as u64);
             }
@@ -417,7 +413,6 @@ impl BatchEngine {
                 let job_rx = &job_rx;
                 let result_tx = result_tx.clone();
                 scope.spawn(move || {
-                    let mut pool = ValuePool::new();
                     let mut processed: u64 = 0;
                     loop {
                         // Hold the receiver lock only for the pop, not the
@@ -431,9 +426,7 @@ impl BatchEngine {
                             .try_recv();
                         match job {
                             Ok((index, doc)) => {
-                                let (report, recycled) =
-                                    self.process_one(spec, index, doc, started, pool);
-                                pool = recycled;
+                                let report = self.process_one(spec, index, doc, started);
                                 processed += 1;
                                 if result_tx.send(report).is_err() {
                                     break;
@@ -485,8 +478,7 @@ impl BatchEngine {
         index: usize,
         doc: &BatchDoc,
         started: Option<Instant>,
-        pool: ValuePool,
-    ) -> (DocReport, ValuePool) {
+    ) -> DocReport {
         if let (Some(start), Some(deadline)) = (started, self.limits.deadline) {
             // `>=` so a zero deadline deterministically rejects everything.
             let elapsed = start.elapsed();
@@ -497,15 +489,12 @@ impl BatchEngine {
                     elapsed.as_millis() as u64,
                     format!("batch: document `{}` not started", doc.label),
                 );
-                return (
-                    DocReport::faulted(
-                        index,
-                        doc.label.clone(),
-                        DocFault::Resource {
-                            cause: err.to_string(),
-                        },
-                    ),
-                    pool,
+                return DocReport::faulted(
+                    index,
+                    doc.label.clone(),
+                    DocFault::Resource {
+                        cause: err.to_string(),
+                    },
                 );
             }
         }
@@ -513,22 +502,17 @@ impl BatchEngine {
             if xic_telemetry::faults::hit("batch.doc") {
                 panic!("injected fault: batch.doc");
             }
-            process_doc(spec, index, doc, &self.limits, pool)
+            process_doc(spec, index, doc, &self.limits)
         })) {
             Ok(result) => result,
             Err(payload) => {
                 resilience_instruments().0.inc();
-                (
-                    DocReport::faulted(
-                        index,
-                        doc.label.clone(),
-                        DocFault::Panic {
-                            cause: panic_cause(payload),
-                        },
-                    ),
-                    // The in-flight pool was consumed by the panicking call;
-                    // later documents start from a fresh interner.
-                    ValuePool::new(),
+                DocReport::faulted(
+                    index,
+                    doc.label.clone(),
+                    DocFault::Panic {
+                        cause: panic_cause(payload),
+                    },
                 )
             }
         }
@@ -536,18 +520,10 @@ impl BatchEngine {
 }
 
 /// The per-document pipeline shared by the sequential and parallel paths.
-/// Takes and returns the caller's [`ValuePool`] so the interner stays warm
-/// across documents.
-fn process_doc(
-    spec: &CompiledSpec,
-    index: usize,
-    doc: &BatchDoc,
-    limits: &Limits,
-    pool: ValuePool,
-) -> (DocReport, ValuePool) {
+fn process_doc(spec: &CompiledSpec, index: usize, doc: &BatchDoc, limits: &Limits) -> DocReport {
     let (docs, doc_ns, _) = instruments();
     let timer = xic_telemetry::global().start_timer();
-    let result = process_doc_uninstrumented(spec, index, doc, limits, pool);
+    let result = process_doc_uninstrumented(spec, index, doc, limits);
     docs.inc();
     if let Some(start) = timer {
         doc_ns.record_elapsed(start);
@@ -560,36 +536,29 @@ fn process_doc_uninstrumented(
     index: usize,
     doc: &BatchDoc,
     limits: &Limits,
-    pool: ValuePool,
-) -> (DocReport, ValuePool) {
+) -> DocReport {
     let label = doc.label.clone();
     let budget = limits.parse_budget();
-    let tree = match spec.parse_document_budgeted(&doc.content, pool, &budget) {
+    let tree = match spec.parse_document_budgeted(&doc.content, &budget) {
         Ok(tree) => tree,
-        Err((ParseError::Xml(err), pool)) => {
-            return (
-                DocReport {
-                    index,
-                    label,
-                    parse_error: Some(err.to_string()),
-                    validation_errors: Vec::new(),
-                    violations: Vec::new(),
-                    fault: None,
-                },
-                pool,
-            )
+        Err(ParseError::Xml(err)) => {
+            return DocReport {
+                index,
+                label,
+                parse_error: Some(err.to_string()),
+                validation_errors: Vec::new(),
+                violations: Vec::new(),
+                fault: None,
+            }
         }
-        Err((ParseError::Budget(b), pool)) => {
+        Err(ParseError::Budget(b)) => {
             let err = ResourceError::from_budget(b, label.clone());
-            return (
-                DocReport::faulted(
-                    index,
-                    label,
-                    DocFault::Resource {
-                        cause: err.to_string(),
-                    },
-                ),
-                pool,
+            return DocReport::faulted(
+                index,
+                label,
+                DocFault::Resource {
+                    cause: err.to_string(),
+                },
             );
         }
     };
@@ -600,17 +569,14 @@ fn process_doc_uninstrumented(
         .map(|e| e.to_string())
         .collect();
     let violations = spec.check_document(&tree);
-    (
-        DocReport {
-            index,
-            label,
-            parse_error: None,
-            validation_errors,
-            violations,
-            fault: None,
-        },
-        tree.into_pool(),
-    )
+    DocReport {
+        index,
+        label,
+        parse_error: None,
+        validation_errors,
+        violations,
+        fault: None,
+    }
 }
 
 #[cfg(test)]

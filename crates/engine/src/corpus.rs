@@ -1,5 +1,5 @@
-//! Corpus-scale sessions: many open documents, one spec, one value pool,
-//! O(edited documents) re-verdicts.
+//! Corpus-scale sessions: many open documents, one spec, O(edited
+//! documents) re-verdicts.
 //!
 //! [`crate::Session`] made re-validating one *document* O(edit); a corpus
 //! still paid O(corpus) per change, because the only batch surface was
@@ -10,12 +10,11 @@
 //!   [`CompiledSpec`]'s precompiled automata and its spec-level
 //!   [`xic_constraints::IncrementalLayout`] (opening a document derives no
 //!   layout, it clones an `Arc`);
-//! * **one value pool** — the corpus keeps a master
-//!   [`xic_xml::ValuePool`]; documents parsed through the session inherit
-//!   it by [`xic_xml::ValuePool::fork`] (shared allocations, shared prefix
-//!   ids) and documents opened from pre-built trees are
-//!   [`xic_xml::ValuePool::absorb`]ed, so a value repeated across the
-//!   corpus is allocated once;
+//! * **one value pool per document** — each open tree owns the
+//!   [`xic_xml::ValuePool`] of its own values and nothing else.  The
+//!   paper's constraints compare values only inside one tree, so ids never
+//!   need to agree across documents, and opening a document costs the same
+//!   whether the corpus holds one document or thousands;
 //! * **per-document dirty tracking** — edits route through
 //!   [`CorpusSession::apply`] per [`DocHandle`] and mark only that document
 //!   dirty; [`CorpusSession::commit`] re-checks *exactly the dirty
@@ -46,7 +45,7 @@ use std::time::Instant;
 use xic_constraints::{IncrementalIndex, ShardPlan, Violation};
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use xic_xml::budget::ParseError;
-use xic_xml::{EditJournal, EditOp, ValuePool, XmlTree};
+use xic_xml::{EditJournal, EditOp, XmlTree};
 
 use crate::batch::{BatchReport, DocFault, DocReport};
 use crate::journal::JournalError;
@@ -376,8 +375,9 @@ struct CorpusDoc {
 }
 
 /// A corpus-level validation session: many open documents validated against
-/// one [`CompiledSpec`], sharing one value pool and one incremental layout,
-/// with per-document dirty tracking and [`BatchDelta`] diff commits.
+/// one [`CompiledSpec`], sharing one incremental layout (each document keeps
+/// its own value pool), with per-document dirty tracking and [`BatchDelta`]
+/// diff commits.
 ///
 /// ```
 /// use xic_engine::{CompiledSpec, CorpusSession};
@@ -418,9 +418,6 @@ pub struct CorpusSession<'s> {
     spec: &'s CompiledSpec,
     /// Open documents in handle (= open) order.
     docs: BTreeMap<u64, CorpusDoc>,
-    /// The corpus interner: forked into every parse, re-forked back after,
-    /// so the whole corpus shares value allocations and prefix ids.
-    pool: ValuePool,
     /// Handles dirtied (opened or edited) since the last commit, in order.
     dirty: Vec<u64>,
     /// Documents closed since the last commit, in close order.
@@ -480,7 +477,6 @@ impl<'s> CorpusSession<'s> {
         CorpusSession {
             spec,
             docs: BTreeMap::new(),
-            pool: ValuePool::new(),
             dirty: Vec::new(),
             closed: Vec::new(),
             clean_docs: 0,
@@ -576,20 +572,12 @@ impl<'s> CorpusSession<'s> {
         self.docs.len()
     }
 
-    /// The corpus-level value pool (the master interner documents fork).
-    pub fn pool(&self) -> &ValuePool {
-        &self.pool
-    }
-
     /// Open handles in open order.
     pub fn handles(&self) -> impl Iterator<Item = DocHandle> + '_ {
         self.docs.keys().map(|&raw| DocHandle::new(raw))
     }
 
     /// Parses XML source against the spec's DTD and opens it under `label`.
-    /// The parse inherits the corpus pool by [`ValuePool::fork`]; the grown
-    /// pool is re-forked back, so every value the document introduced is
-    /// already interned for the next open or edit.
     ///
     /// Under [`Limits`], admission is checked before the parse spends
     /// anything (a full dirty set rejects immediately) and the parse itself
@@ -604,28 +592,22 @@ impl<'s> CorpusSession<'s> {
         self.check_admission(&label)
             .map_err(SessionError::Resource)?;
         let budget = self.limits.parse_budget();
-        let tree = match self
-            .spec
-            .parse_document_budgeted(source, self.pool.fork(), &budget)
-        {
+        let tree = match self.spec.parse_document_budgeted(source, &budget) {
             Ok(tree) => tree,
-            Err((ParseError::Xml(err), _)) => return Err(SessionError::Parse(err)),
-            Err((ParseError::Budget(b), _)) => {
+            Err(ParseError::Xml(err)) => return Err(SessionError::Parse(err)),
+            Err(ParseError::Budget(b)) => {
                 return Err(SessionError::Resource(ResourceError::from_budget(
                     b,
                     format!("open `{label}`"),
                 )))
             }
         };
-        self.pool = tree.pool().fork();
         Ok(self.admit(label, tree))
     }
 
-    /// Opens a pre-built tree under `label`.  Its values are absorbed into
-    /// the corpus pool (allocations shared, ids untouched) so future opens
-    /// and edits stay warm.  Under [`Limits`] the tree is bounded the same
-    /// way a parsed source is: admission and node count are checked before
-    /// anything is shared or indexed.
+    /// Opens a pre-built tree under `label`, as it is.  Under [`Limits`]
+    /// the tree is bounded the same way a parsed source is: admission and
+    /// node count are checked before anything is indexed.
     pub fn open(
         &mut self,
         label: impl Into<String>,
@@ -644,7 +626,6 @@ impl<'s> CorpusSession<'s> {
                 )));
             }
         }
-        self.pool.absorb(tree.pool());
         Ok(self.admit(label, tree))
     }
 
@@ -1578,23 +1559,25 @@ mod tests {
     }
 
     #[test]
-    fn corpus_pool_is_shared_across_documents() {
+    fn document_pool_holds_only_its_own_values() {
         let spec = spec();
-        let mut corpus = CorpusSession::new(&spec);
-        let a = corpus
-            .open_source("a.xml", "<school><teacher name=\"Shared\"/></school>")
-            .unwrap();
-        let b = corpus
-            .open_source("b.xml", "<school><teacher name=\"Shared\"/></school>")
-            .unwrap();
-        // Both documents resolve "Shared" out of one allocation, and the
-        // common prefix even shares ids.
-        let ta = corpus.tree(a).unwrap();
-        let tb = corpus.tree(b).unwrap();
-        let ia = ta.pool().get("Shared").unwrap();
-        let ib = tb.pool().get("Shared").unwrap();
-        assert_eq!(ia, ib);
-        assert_eq!(ta.resolve(ia).as_ptr(), tb.resolve(ib).as_ptr());
-        assert!(corpus.pool().get("Shared").is_some());
+        for n in [2usize, 16] {
+            let mut corpus = CorpusSession::new(&spec);
+            // Document i carries i + 1 distinct names, none shared with
+            // any other document.
+            let handles: Vec<DocHandle> = (0..n)
+                .map(|i| {
+                    let teachers: String = (0..=i)
+                        .map(|j| format!("<teacher name=\"d{i}t{j}\"/>"))
+                        .collect();
+                    let source = format!("<school>{teachers}</school>");
+                    corpus.open_source(format!("{i}.xml"), &source).unwrap()
+                })
+                .collect();
+            for (i, handle) in handles.into_iter().enumerate() {
+                let tree = corpus.tree(handle).unwrap();
+                assert_eq!(tree.pool().len(), i + 1, "n = {n}");
+            }
+        }
     }
 }

@@ -27,10 +27,10 @@
 //!   spec ([`xic_constraints::IncrementalLayout`], stored on the
 //!   [`CompiledSpec`]), not once per document;
 //! * [`CorpusSession`] — the corpus-scale session: many open documents
-//!   sharing one spec and one value pool, per-document dirty tracking,
-//!   commits that re-check only edited documents, and a [`BatchDelta`]
-//!   diff stream (clean ↔ violating flips with structured witnesses) for
-//!   subscribers;
+//!   sharing one spec (each with its own value pool), per-document dirty
+//!   tracking, commits that re-check only edited documents, and a
+//!   [`BatchDelta`] diff stream (clean ↔ violating flips with structured
+//!   witnesses) for subscribers;
 //! * [`journal`] — durable edit journals: a versioned binary delta-log
 //!   format with CRC'd, torn-tail-tolerant records; [`Session::persist_to`]
 //!   / [`Session::recover_from`] crash recovery, [`CorpusReplica`] replicas

@@ -30,7 +30,7 @@ use xic_constraints::{IncrementalIndex, Violation};
 use xic_telemetry::{Counter, Histogram, MetricsRegistry};
 use xic_xml::budget::ParseError;
 use xic_xml::snapshot::TreeSnapshot;
-use xic_xml::{EditError, EditJournal, EditOp, ValuePool, XmlError, XmlTree};
+use xic_xml::{EditError, EditJournal, EditOp, XmlError, XmlTree};
 
 use crate::journal::{self, JournalError, PersistReceipt};
 use crate::limits::{self, Limits, ResourceError};
@@ -367,8 +367,8 @@ impl<'s> Session<'s> {
         let budget = self.limits.parse_budget();
         let tree = self
             .spec
-            .parse_document_budgeted(source, ValuePool::new(), &budget)
-            .map_err(|(err, _)| match err {
+            .parse_document_budgeted(source, &budget)
+            .map_err(|err| match err {
                 ParseError::Xml(e) => SessionError::Parse(e),
                 ParseError::Budget(b) => {
                     SessionError::Resource(ResourceError::from_budget(b, "open_source"))

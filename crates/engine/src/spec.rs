@@ -13,10 +13,7 @@ use xic_core::{
     ImplicationOutcome, SpecError,
 };
 use xic_dtd::{analyze, parse_dtd, Dtd, DtdAnalysis, ElemId, Glushkov, SimpleDtd};
-use xic_xml::{
-    compile_automata, parse_document, parse_document_pooled, Validator, ValuePool, XmlError,
-    XmlTree,
-};
+use xic_xml::{compile_automata, parse_document, Validator, XmlError, XmlTree};
 
 use crate::hash::fnv1a_parts_wide;
 
@@ -303,29 +300,16 @@ impl CompiledSpec {
         parse_document(source, &self.dtd)
     }
 
-    /// Parses a document interning its values into an existing pool; on
-    /// failure the pool is handed back so batch loops keep their warm
-    /// interner (see [`crate::BatchEngine`]).
-    pub fn parse_document_pooled(
-        &self,
-        source: &str,
-        pool: ValuePool,
-    ) -> Result<XmlTree, (XmlError, ValuePool)> {
-        parse_document_pooled(source, &self.dtd, pool)
-    }
-
     /// Parses a document under a [`xic_xml::ParseBudget`] (see
     /// [`crate::Limits::parse_budget`]): oversized, overdeep or overlong
     /// input is rejected with a structured budget error before the work is
-    /// spent.  On failure the pool is handed back like
-    /// [`CompiledSpec::parse_document_pooled`].
+    /// spent.
     pub fn parse_document_budgeted(
         &self,
         source: &str,
-        pool: ValuePool,
         budget: &xic_xml::ParseBudget,
-    ) -> Result<XmlTree, (xic_xml::ParseError, ValuePool)> {
-        xic_xml::parse_document_budgeted(source, &self.dtd, pool, budget)
+    ) -> Result<XmlTree, xic_xml::ParseError> {
+        xic_xml::parse_document_budgeted(source, &self.dtd, budget)
     }
 
     /// One-shot `T ⊨ Σ`: builds the document's [`IncrementalIndex`] over

@@ -7,9 +7,10 @@
 //!
 //! * [`tree::XmlTree`] — an arena-based tree with the paper's `ext(τ)` /
 //!   `ext(τ.l)` / `x[X]` accessors;
-//! * [`pool::ValuePool`] — the string interner behind the tree: attribute
-//!   and text values are stored as dense [`pool::ValueId`] symbols, so the
-//!   string-value equality of Section 2.2 is integer equality;
+//! * [`pool::ValuePool`] — the string interner behind the tree: each tree
+//!   owns one, and its attribute and text values are stored as dense
+//!   [`pool::ValueId`] symbols, so the string-value equality of Section 2.2
+//!   is integer equality;
 //! * [`edit`] — typed point edits ([`edit::EditOp`]) applied through
 //!   [`tree::XmlTree::apply_edit`], which returns delta records
 //!   ([`edit::EditEffect`]) that incremental indexes consume; sessions keep
@@ -38,7 +39,7 @@ pub mod writer;
 pub use budget::{BudgetExceeded, ParseBudget, ParseError, ParseLimit};
 pub use edit::{EditEffect, EditError, EditJournal, EditOp};
 pub use error::XmlError;
-pub use parser::{parse_document, parse_document_budgeted, parse_document_pooled};
+pub use parser::{parse_document, parse_document_budgeted};
 pub use pool::{ValueId, ValuePool};
 pub use snapshot::{NodeSnapshot, SnapshotError, TreeSnapshot};
 pub use tree::{NodeId, NodeLabel, XmlTree};

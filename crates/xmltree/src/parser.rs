@@ -7,7 +7,13 @@
 //! ones) are out of scope.  Element and attribute names are resolved against
 //! a [`Dtd`] so the resulting tree is directly usable by the validator and
 //! the constraint checker.
+//!
+//! Names, attribute values and character data are borrowed as slices of the
+//! input and interned straight into the new tree's own value pool; a value
+//! is copied to a temporary buffer only when it contains an entity
+//! reference (`&`).
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use xic_dtd::Dtd;
@@ -15,7 +21,6 @@ use xic_telemetry::{Counter, Histogram};
 
 use crate::budget::{BudgetExceeded, ParseBudget, ParseError, ParseLimit};
 use crate::error::XmlError;
-use crate::pool::ValuePool;
 use crate::tree::{NodeId, XmlTree};
 
 /// Process-wide parse instruments, resolved once (registry name lookups
@@ -35,54 +40,32 @@ fn instruments() -> &'static (Arc<Counter>, Arc<Histogram>) {
 ///
 /// Whitespace-only text between elements is discarded (it is never
 /// meaningful in the paper's model); all other text is kept verbatim after
-/// entity expansion.
+/// entity expansion, minus leading and trailing XML whitespace.
 pub fn parse_document(input: &str, dtd: &Dtd) -> Result<XmlTree, XmlError> {
-    parse_document_pooled(input, dtd, ValuePool::new()).map_err(|(err, _)| err)
-}
-
-/// Parses a document interning its values into an existing pool.
-///
-/// The pool is moved into the resulting tree (recover it with
-/// [`XmlTree::into_pool`]); on a parse error it is handed back alongside the
-/// error so a caller looping over a corpus never loses its warm interner.
-pub fn parse_document_pooled(
-    input: &str,
-    dtd: &Dtd,
-    pool: ValuePool,
-) -> Result<XmlTree, (XmlError, ValuePool)> {
-    parse_document_budgeted(input, dtd, pool, &ParseBudget::UNLIMITED).map_err(|(err, pool)| {
-        match err {
-            ParseError::Xml(e) => (e, pool),
-            // Statically dead: an unlimited budget never trips.  Mapped to
-            // a syntax error rather than a panic so the contract "parsing
-            // never panics" holds unconditionally.
-            ParseError::Budget(b) => (
-                XmlError::Syntax {
-                    offset: 0,
-                    message: b.to_string(),
-                },
-                pool,
-            ),
-        }
+    parse_document_budgeted(input, dtd, &ParseBudget::UNLIMITED).map_err(|err| match err {
+        ParseError::Xml(e) => e,
+        // Statically dead: an unlimited budget never trips.  Mapped to a
+        // syntax error rather than a panic so the contract "parsing never
+        // panics" holds unconditionally.
+        ParseError::Budget(b) => XmlError::Syntax {
+            offset: 0,
+            message: b.to_string(),
+        },
     })
 }
 
 /// Parses a document under a [`ParseBudget`]: input size is checked before
 /// parsing, node count and nesting depth as the tree grows, so a hostile
 /// document costs at most its budget before rejection.
-///
-/// On failure the pool is handed back alongside the structured
-/// [`ParseError`], exactly like [`parse_document_pooled`].
 pub fn parse_document_budgeted(
     input: &str,
     dtd: &Dtd,
-    pool: ValuePool,
     budget: &ParseBudget,
-) -> Result<XmlTree, (ParseError, ValuePool)> {
+) -> Result<XmlTree, ParseError> {
     let (docs, doc_ns) = instruments();
     let timer = xic_telemetry::global().start_timer();
     let mut p = Parser {
-        input: input.as_bytes(),
+        input,
         pos: 0,
         dtd,
         budget,
@@ -90,27 +73,19 @@ pub fn parse_document_budgeted(
     let parsed = (|| {
         if let Some(max) = budget.max_bytes {
             if input.len() > max {
-                return Err((
-                    BudgetExceeded {
-                        limit: ParseLimit::Bytes,
-                        limit_value: max,
-                        observed: input.len(),
-                    }
-                    .into(),
-                    pool,
-                ));
+                return Err(BudgetExceeded {
+                    limit: ParseLimit::Bytes,
+                    limit_value: max,
+                    observed: input.len(),
+                }
+                .into());
             }
         }
-        if let Err(err) = p.skip_prolog() {
-            return Err((err.into(), pool));
-        }
-        let tree = p.parse_root(pool)?;
+        p.skip_prolog()?;
+        let tree = p.parse_root()?;
         p.skip_misc();
         if !p.eof() {
-            return Err((
-                p.error("trailing content after the root element").into(),
-                tree.into_pool(),
-            ));
+            return Err(p.error("trailing content after the root element").into());
         }
         Ok(tree)
     })();
@@ -122,7 +97,7 @@ pub fn parse_document_budgeted(
 }
 
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
     dtd: &'a Dtd,
     budget: &'a ParseBudget,
@@ -134,11 +109,31 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
+    }
+
+    /// Advances the cursor to the next `delimiter` byte and returns the
+    /// input it passed over, or moves to the end of input and returns
+    /// `None` if there is no such byte.  The delimiter is ASCII, and an
+    /// ASCII byte is never part of a multi-byte UTF-8 sequence, so the
+    /// slice ends on char boundaries.
+    fn scan_to(&mut self, delimiter: u8) -> Option<&'a str> {
+        let start = self.pos;
+        let rest = &self.input.as_bytes()[start..];
+        match rest.iter().position(|&b| b == delimiter) {
+            Some(len) => {
+                self.pos = start + len;
+                Some(&self.input[start..self.pos])
+            }
+            None => {
+                self.pos = self.input.len();
+                None
+            }
+        }
     }
 
     fn error(&self, message: &str) -> XmlError {
@@ -149,13 +144,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b) if (b as char).is_ascii_whitespace()) {
+        while matches!(self.peek(), Some(b) if b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn skip_until(&mut self, needle: &str) -> Result<(), XmlError> {
-        match find(self.input, self.pos, needle.as_bytes()) {
+        match find(self.input.as_bytes(), self.pos, needle.as_bytes()) {
             Some(end) => {
                 self.pos = end + needle.len();
                 Ok(())
@@ -207,56 +202,41 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
-        while matches!(self.peek(), Some(b) if (b as char).is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' || b == b':')
+        while matches!(self.peek(), Some(b) if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':'))
         {
             self.pos += 1;
         }
         if self.pos == start {
             return Err(self.error("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        // Name bytes are ASCII, so both ends are char boundaries.
+        Ok(&self.input[start..self.pos])
     }
 
-    fn parse_root(&mut self, pool: ValuePool) -> Result<XmlTree, (ParseError, ValuePool)> {
+    fn parse_root(&mut self) -> Result<XmlTree, ParseError> {
         self.skip_ws();
         if self.peek() != Some(b'<') {
-            return Err((self.error("expected the root element").into(), pool));
+            return Err(self.error("expected the root element").into());
         }
         self.pos += 1;
-        let name = match self.name() {
-            Ok(name) => name,
-            Err(err) => return Err((err.into(), pool)),
-        };
-        let Some(ty) = self.dtd.type_by_name(&name) else {
-            return Err((XmlError::UnknownElement(name).into(), pool));
-        };
-        if let Err(err) = self.check_depth(1) {
-            return Err((err.into(), pool));
-        }
-        let mut tree = XmlTree::with_pool(ty, pool);
+        let name = self.name()?;
+        let ty = self
+            .dtd
+            .type_by_name(name)
+            .ok_or_else(|| XmlError::UnknownElement(name.to_string()))?;
+        self.check_depth(1)?;
+        let mut tree = XmlTree::new(ty);
         let root = tree.root();
-        let body = self
-            .check_nodes(&tree)
-            .map_err(ParseError::from)
-            .and_then(|()| {
-                self.parse_attributes(&mut tree, root, &name)
-                    .map_err(ParseError::from)
-            })
-            .and_then(|self_closing| {
-                // Attributes are arena nodes too; re-check after parsing them.
-                self.check_nodes(&tree)?;
-                if self_closing {
-                    Ok(())
-                } else {
-                    self.parse_children(&mut tree, root, name)
-                }
-            });
-        match body {
-            Ok(()) => Ok(tree),
-            Err(err) => Err((err, tree.into_pool())),
+        self.check_nodes(&tree)?;
+        let self_closing = self.parse_attributes(&mut tree, root, name)?;
+        // Attributes are arena nodes too; re-check after parsing them.
+        self.check_nodes(&tree)?;
+        if !self_closing {
+            self.parse_children(&mut tree, root, name)?;
         }
+        Ok(tree)
     }
 
     /// Budget check: element nesting depth (the root element is depth 1).
@@ -283,22 +263,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Flushes accumulated character data as a text node, then re-checks
-    /// the node budget (comments and PIs can split one element's text into
-    /// arbitrarily many nodes, so text creation must count too).
-    fn flush_text(
-        &self,
-        tree: &mut XmlTree,
-        parent: NodeId,
-        text: &mut String,
-    ) -> Result<(), BudgetExceeded> {
-        if !text.trim().is_empty() {
-            tree.add_text(parent, unescape(text.trim()));
-            text.clear();
-            return self.check_nodes(tree);
+    /// Takes the character data from the cursor up to the next `<` and adds
+    /// it as a text node unless it is only whitespace, then re-checks the
+    /// node budget (comments and PIs can split one element's text into
+    /// arbitrarily many nodes, so text creation must count too).  Text that
+    /// runs to the end of input is left for the caller's "unterminated
+    /// element" error.
+    fn text(&mut self, tree: &mut XmlTree, parent: NodeId) -> Result<(), BudgetExceeded> {
+        let Some(text) = self.scan_to(b'<') else {
+            return Ok(());
+        };
+        let text = text.trim_ascii();
+        if text.is_empty() {
+            return Ok(());
         }
-        text.clear();
-        Ok(())
+        tree.add_text(parent, unescape(text));
+        self.check_nodes(tree)
     }
 
     /// Parses attributes of the current element; returns `true` if the
@@ -333,20 +313,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     self.skip_ws();
                     let value = self.quoted()?;
-                    let attr = self.dtd.attr_by_name(&attr_name).ok_or_else(|| {
+                    let attr = self.dtd.attr_by_name(attr_name).ok_or_else(|| {
                         XmlError::UnknownAttribute {
                             element: elem_name.to_string(),
-                            attribute: attr_name.clone(),
+                            attribute: attr_name.to_string(),
                         }
                     })?;
-                    tree.set_attr(node, attr, unescape(&value));
+                    tree.set_attr(node, attr, unescape(value));
                 }
                 None => return Err(self.error("unterminated start tag")),
             }
         }
     }
 
-    fn quoted(&mut self) -> Result<String, XmlError> {
+    fn quoted(&mut self) -> Result<&'a str, XmlError> {
         let quote = self
             .peek()
             .ok_or_else(|| self.error("expected a quoted value"))?;
@@ -354,16 +334,11 @@ impl<'a> Parser<'a> {
             return Err(self.error("expected a quoted value"));
         }
         self.pos += 1;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == quote {
-                let s = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.error("unterminated attribute value"))
+        let value = self
+            .scan_to(quote)
+            .ok_or_else(|| self.error("unterminated attribute value"))?;
+        self.pos += 1;
+        Ok(value)
     }
 
     /// Parses the content (children and text) of an already-opened element
@@ -378,49 +353,30 @@ impl<'a> Parser<'a> {
         &mut self,
         tree: &mut XmlTree,
         parent: NodeId,
-        parent_name: String,
+        parent_name: &'a str,
     ) -> Result<(), ParseError> {
-        /// One open element: its node, its tag name (for end-tag matching)
-        /// and its pending character data.
-        struct Frame {
-            node: NodeId,
-            name: String,
-            text: String,
-        }
-        let mut stack = vec![Frame {
-            node: parent,
-            name: parent_name,
-            text: String::new(),
-        }];
-        while let Some(depth) = stack.len().checked_sub(1) {
+        // One open element: its node and its tag name (for end-tag
+        // matching).
+        let mut stack: Vec<(NodeId, &'a str)> = vec![(parent, parent_name)];
+        while let Some(&(node, open_name)) = stack.last() {
             if self.eof() {
-                let name = &stack[depth].name;
-                return Err(self.error(&format!("unterminated element `{name}`")).into());
+                return Err(self
+                    .error(&format!("unterminated element `{open_name}`"))
+                    .into());
             }
-            if self.starts_with("<!--") {
-                let Frame { node, text, .. } = &mut stack[depth];
-                self.flush_text(tree, *node, text)?;
+            if self.peek() != Some(b'<') {
+                self.text(tree, node)?;
+            } else if self.starts_with("<!--") {
                 self.skip_until("-->")?;
-                continue;
-            }
-            if self.starts_with("<?") {
-                let Frame { node, text, .. } = &mut stack[depth];
-                self.flush_text(tree, *node, text)?;
+            } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
-                continue;
-            }
-            if self.starts_with("</") {
-                {
-                    let Frame { node, text, .. } = &mut stack[depth];
-                    self.flush_text(tree, *node, text)?;
-                }
+            } else if self.starts_with("</") {
                 self.pos += 2;
                 let name = self.name()?;
-                if name != stack[depth].name {
-                    let expected = &stack[depth].name;
+                if name != open_name {
                     return Err(self
                         .error(&format!(
-                            "mismatched end tag: expected `</{expected}>`, found `</{name}>`"
+                            "mismatched end tag: expected `</{open_name}>`, found `</{name}>`"
                         ))
                         .into());
                 }
@@ -430,41 +386,26 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
                 stack.pop();
-                continue;
-            }
-            if self.peek() == Some(b'<') {
-                {
-                    let Frame { node, text, .. } = &mut stack[depth];
-                    self.flush_text(tree, *node, text)?;
-                }
+            } else {
                 self.pos += 1;
                 let name = self.name()?;
                 let ty = self
                     .dtd
-                    .type_by_name(&name)
-                    .ok_or_else(|| XmlError::UnknownElement(name.clone()))?;
+                    .type_by_name(name)
+                    .ok_or_else(|| XmlError::UnknownElement(name.to_string()))?;
                 // The child sits one level below the current frame whether
                 // or not it self-closes, so depth is checked before it is
                 // even allocated.
-                self.check_depth(depth + 2)?;
-                let child = tree.add_element(stack[depth].node, ty);
+                self.check_depth(stack.len() + 1)?;
+                let child = tree.add_element(node, ty);
                 self.check_nodes(tree)?;
-                let self_closing = self.parse_attributes(tree, child, &name)?;
+                let self_closing = self.parse_attributes(tree, child, name)?;
                 // Attributes are arena nodes too; re-check after parsing them.
                 self.check_nodes(tree)?;
                 if !self_closing {
-                    stack.push(Frame {
-                        node: child,
-                        name,
-                        text: String::new(),
-                    });
+                    stack.push((child, name));
                 }
-                continue;
             }
-            // Character data.
-            let b = self.input[self.pos];
-            stack[depth].text.push(b as char);
-            self.pos += 1;
         }
         Ok(())
     }
@@ -480,13 +421,34 @@ fn find(haystack: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
         .map(|p| p + from)
 }
 
-/// Expands the five predefined XML entities.
-fn unescape(s: &str) -> String {
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&apos;", "'")
-        .replace("&amp;", "&")
+/// Expands the five predefined XML entities; any other `&` is kept as is.
+/// Borrows the input when it contains no `&` at all.
+fn unescape(s: &str) -> Cow<'_, str> {
+    const ENTITIES: [(&str, char); 5] = [
+        ("&lt;", '<'),
+        ("&gt;", '>'),
+        ("&quot;", '"'),
+        ("&apos;", '\''),
+        ("&amp;", '&'),
+    ];
+    let Some(first) = s.find('&') else {
+        return Cow::Borrowed(s);
+    };
+    let mut out = String::with_capacity(s.len());
+    out.push_str(&s[..first]);
+    let mut rest = &s[first..];
+    while let Some(at) = rest.find('&') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        let (len, ch) = ENTITIES
+            .iter()
+            .find(|(entity, _)| rest.starts_with(entity))
+            .map_or((1, '&'), |&(entity, ch)| (entity.len(), ch));
+        out.push(ch);
+        rest = &rest[len..];
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -561,11 +523,7 @@ mod tests {
 
     #[test]
     fn entities_are_expanded() {
-        let mut b = xic_dtd::Dtd::builder();
-        let r = b.elem("r");
-        b.content(r, xic_dtd::ContentModel::Text);
-        b.attr(r, "label");
-        let dtd = b.build("r").unwrap();
+        let dtd = text_dtd();
         let tree = parse_document(r#"<r label="a &amp; b">x &lt; y</r>"#, &dtd).unwrap();
         let label = dtd.attr_by_name("label").unwrap();
         assert_eq!(tree.attr_value(tree.root(), label), Some("a & b"));
@@ -579,23 +537,40 @@ mod tests {
         assert!(matches!(err, XmlError::Syntax { .. }));
     }
 
+    /// A DTD with one text element `r` carrying one attribute `label`.
+    fn text_dtd() -> xic_dtd::Dtd {
+        let mut b = xic_dtd::Dtd::builder();
+        let r = b.elem("r");
+        b.content(r, xic_dtd::ContentModel::Text);
+        b.attr(r, "label");
+        b.build("r").unwrap()
+    }
+
     #[test]
-    fn pooled_parse_shares_the_interner_across_documents() {
-        let dtd = example_d1();
-        let tree = parse_document(DOC, &dtd).unwrap();
-        let distinct = tree.pool().len();
-        assert!(distinct > 0);
-        // Re-parsing the same document over the recovered pool interns
-        // nothing new: every value is already a symbol.
-        let tree2 = parse_document_pooled(DOC, &dtd, tree.into_pool()).unwrap();
-        assert_eq!(tree2.pool().len(), distinct);
-        // A parse error hands the warm pool back instead of dropping it.
-        let (err, pool) = parse_document_pooled("<bogus/>", &dtd, tree2.into_pool()).unwrap_err();
-        assert!(matches!(err, XmlError::UnknownElement(_)));
-        assert_eq!(pool.len(), distinct);
-        // Mid-document failures (after the tree exists) also recover it.
-        let (_, pool) = parse_document_pooled("<teachers><teacher>", &dtd, pool).unwrap_err();
-        assert_eq!(pool.len(), distinct);
+    fn non_ascii_text_and_attributes_are_kept_verbatim() {
+        let dtd = text_dtd();
+        let label = dtd.attr_by_name("label").unwrap();
+        let text = "\u{a0}Café — 東京 😀\u{a0}";
+        let value = "Zoë\u{a0}&\u{a0}Ñandú";
+        let doc = format!("<r label=\"Zoë\u{a0}&amp;\u{a0}Ñandú\">\n  {text}\n</r>");
+        let tree = parse_document(&doc, &dtd).unwrap();
+        // XML whitespace around the text is trimmed; a no-break space is
+        // not XML whitespace and stays.
+        assert_eq!(tree.text_of(tree.root()), text);
+        assert_eq!(tree.attr_value(tree.root(), label), Some(value));
+        // And the values survive a write/parse round trip.
+        let reparsed = parse_document(&crate::writer::write_document(&tree, &dtd), &dtd).unwrap();
+        assert_eq!(reparsed.text_of(reparsed.root()), text);
+        assert_eq!(reparsed.attr_value(reparsed.root(), label), Some(value));
+    }
+
+    #[test]
+    fn unescape_borrows_unless_an_entity_is_present() {
+        assert!(matches!(unescape("plain é"), Cow::Borrowed("plain é")));
+        assert_eq!(
+            unescape("&lt;&gt;&quot;&apos;&amp;lt; & &bogus; é&amp;"),
+            "<>\"'&lt; & &bogus; é&"
+        );
     }
 
     /// A DTD with one recursive element `<!ELEMENT n (n*)>`.
@@ -629,7 +604,7 @@ mod tests {
             max_depth: Some(16),
             ..ParseBudget::UNLIMITED
         };
-        let (err, _) = parse_document_budgeted(&doc, &dtd, ValuePool::new(), &budget).unwrap_err();
+        let err = parse_document_budgeted(&doc, &dtd, &budget).unwrap_err();
         match err {
             ParseError::Budget(b) => {
                 assert_eq!(b.limit, ParseLimit::Depth);
@@ -643,7 +618,7 @@ mod tests {
             max_depth: Some(64),
             ..ParseBudget::UNLIMITED
         };
-        assert!(parse_document_budgeted(&doc, &dtd, ValuePool::new(), &exact).is_ok());
+        assert!(parse_document_budgeted(&doc, &dtd, &exact).is_ok());
     }
 
     #[test]
@@ -656,12 +631,12 @@ mod tests {
             max_nodes: Some(n),
             ..ParseBudget::UNLIMITED
         };
-        assert!(parse_document_budgeted(DOC, &dtd, ValuePool::new(), &accept).is_ok());
+        assert!(parse_document_budgeted(DOC, &dtd, &accept).is_ok());
         let reject = ParseBudget {
             max_nodes: Some(n - 1),
             ..ParseBudget::UNLIMITED
         };
-        let (err, _) = parse_document_budgeted(DOC, &dtd, ValuePool::new(), &reject).unwrap_err();
+        let err = parse_document_budgeted(DOC, &dtd, &reject).unwrap_err();
         assert!(
             matches!(err, ParseError::Budget(b) if b.limit == ParseLimit::Nodes),
             "expected a node budget rejection, got {err:?}"
@@ -676,7 +651,7 @@ mod tests {
             max_bytes: Some(8),
             ..ParseBudget::UNLIMITED
         };
-        let (err, _) = parse_document_budgeted(DOC, &dtd, ValuePool::new(), &budget).unwrap_err();
+        let err = parse_document_budgeted(DOC, &dtd, &budget).unwrap_err();
         match err {
             ParseError::Budget(b) => {
                 assert_eq!(b.limit, ParseLimit::Bytes);

@@ -8,10 +8,11 @@
 //! stores ids, and key / inclusion checking becomes hashing and comparing
 //! integer tuples instead of heap-allocated string vectors.
 //!
-//! Pools are append-only: interning never invalidates previously issued ids,
-//! which is what lets one pool be threaded through a whole batch of
-//! documents (see `xic-engine`'s `BatchEngine`) so repeated values across a
-//! corpus are allocated exactly once.
+//! Each [`crate::XmlTree`] owns one pool holding only its own values.  The
+//! paper's constraints compare values inside one tree, and `T ⊨ D` and
+//! `T ⊨ Σ` are per-document, so ids never need to agree across documents
+//! and no pool is shared between trees.  Pools are append-only: interning
+//! never invalidates previously issued ids, so edits keep every id stable.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,37 +60,6 @@ impl ValuePool {
     /// The id of an already-interned string, if any (no insertion).
     pub fn get(&self, value: &str) -> Option<ValueId> {
         self.lookup.get(value).copied()
-    }
-
-    /// A fork of this pool: an independent pool whose backing `Arc<str>`
-    /// allocations — and the id assignment of everything interned so far —
-    /// are **shared** with this one.  Forks may then diverge (interning into
-    /// either side never disturbs the other), but values of the common
-    /// prefix keep one allocation and one id everywhere.
-    ///
-    /// This is how a corpus-scale session gives every open document a warm
-    /// interner without copying a single string: the corpus keeps a master
-    /// pool, forks it into each opened tree, and re-forks the grown pool
-    /// back (see `xic-engine`'s `CorpusSession`).
-    pub fn fork(&self) -> ValuePool {
-        self.clone()
-    }
-
-    /// Interns every value of `other` into this pool (ids in `other` are
-    /// *not* remapped — this warms the receiving interner, it does not
-    /// translate symbols).  The backing `Arc<str>` allocations are shared,
-    /// not copied.  Used when a document carrying its own pool joins a
-    /// corpus: the corpus's master pool absorbs the newcomer's values so
-    /// later opens and edits share their allocations.
-    pub fn absorb(&mut self, other: &ValuePool) {
-        for stored in &other.values {
-            if self.lookup.contains_key(stored.as_ref()) {
-                continue;
-            }
-            let id = ValueId(self.values.len() as u32);
-            self.values.push(Arc::clone(stored));
-            self.lookup.insert(Arc::clone(stored), id);
-        }
     }
 
     /// The string an id stands for.
@@ -173,52 +143,6 @@ mod tests {
         pool.intern("present");
         assert_eq!(pool.get("missing"), None);
         assert!(pool.get("present").is_some());
-    }
-
-    #[test]
-    fn fork_shares_prefix_ids_and_diverges_independently() {
-        let mut master = ValuePool::new();
-        let joe = master.intern("Joe");
-        let ann = master.intern("Ann");
-
-        let mut doc_a = master.fork();
-        let mut doc_b = master.fork();
-        // The common prefix keeps one id assignment everywhere…
-        assert_eq!(doc_a.get("Joe"), Some(joe));
-        assert_eq!(doc_b.get("Ann"), Some(ann));
-        // …and one allocation: the forked Arc points at the same string.
-        assert_eq!(doc_a.resolve(joe).as_ptr(), master.resolve(joe).as_ptr());
-
-        // Divergence is invisible across forks.
-        let sue_a = doc_a.intern("Sue");
-        let bob_b = doc_b.intern("Bob");
-        assert_eq!(sue_a, bob_b, "suffix ids are per-fork");
-        assert_eq!(doc_a.get("Bob"), None);
-        assert_eq!(doc_b.get("Sue"), None);
-        assert_eq!(master.len(), 2);
-    }
-
-    #[test]
-    fn absorb_warms_without_remapping_and_shares_allocations() {
-        let mut master = ValuePool::new();
-        master.intern("shared");
-        let mut doc = ValuePool::new();
-        let doc_shared = doc.intern("shared");
-        doc.intern("private");
-
-        master.absorb(&doc);
-        assert_eq!(master.len(), 2);
-        // The absorbed string shares the newcomer's allocation…
-        assert_eq!(
-            master.resolve(master.get("private").unwrap()).as_ptr(),
-            doc.resolve(doc.get("private").unwrap()).as_ptr()
-        );
-        // …and absorbing never disturbs existing id assignments.
-        assert_eq!(doc.get("shared"), Some(doc_shared));
-        assert_eq!(master.get("shared"), Some(ValueId(0)));
-        // Idempotent.
-        master.absorb(&doc);
-        assert_eq!(master.len(), 2);
     }
 
     #[test]

@@ -78,17 +78,9 @@ pub struct XmlTree {
 }
 
 impl XmlTree {
-    /// Creates a tree consisting of a single root element of type `root_type`.
+    /// Creates a tree consisting of a single root element of type `root_type`,
+    /// with an empty value pool of its own.
     pub fn new(root_type: ElemId) -> XmlTree {
-        XmlTree::with_pool(root_type, ValuePool::new())
-    }
-
-    /// Creates a tree over an existing (possibly pre-warmed) value pool.
-    ///
-    /// Threading one pool through a sequence of documents means values they
-    /// share are interned — and allocated — exactly once; `xic-engine`'s
-    /// batch validator does this per worker.
-    pub fn with_pool(root_type: ElemId, pool: ValuePool) -> XmlTree {
         let root = Node {
             label: NodeLabel::Element(root_type),
             parent: None,
@@ -100,19 +92,15 @@ impl XmlTree {
         XmlTree {
             nodes: vec![root],
             root: NodeId(0),
-            pool,
+            pool: ValuePool::new(),
             live: 1,
         }
     }
 
-    /// The tree's value pool.
+    /// The tree's own value pool: the values its parse and edits interned,
+    /// and no other document's.
     pub fn pool(&self) -> &ValuePool {
         &self.pool
-    }
-
-    /// Consumes the tree, recovering its value pool for reuse.
-    pub fn into_pool(self) -> ValuePool {
-        self.pool
     }
 
     /// The root node.

@@ -72,19 +72,24 @@ fn write_element(
         return;
     }
     out.push('>');
+    // Two adjacent text siblings are kept apart by an empty comment: the
+    // parser ends a text node at a comment, so a reparse yields two nodes
+    // again instead of one merged one.
+    let is_text = |i: usize| matches!(tree.label(children[i]), NodeLabel::Text);
+    let follows_text = |i: usize| i > 0 && is_text(i - 1);
     // If the element has only text children, keep them inline.
-    let only_text = children
-        .iter()
-        .all(|&c| matches!(tree.label(c), NodeLabel::Text));
-    if only_text {
-        for &c in children {
+    if (0..children.len()).all(is_text) {
+        for (i, &c) in children.iter().enumerate() {
+            if follows_text(i) {
+                out.push_str(TEXT_SEPARATOR);
+            }
             out.push_str(&escape(tree.value(c).unwrap_or("")));
         }
     } else {
         if pretty {
             out.push('\n');
         }
-        for &c in children {
+        for (i, &c) in children.iter().enumerate() {
             match tree.label(c) {
                 NodeLabel::Element(_) => {
                     write_element(tree, dtd, c, depth + 1, options, out);
@@ -94,6 +99,9 @@ fn write_element(
                         for _ in 0..=depth {
                             out.push_str(&options.indent);
                         }
+                    }
+                    if follows_text(i) {
+                        out.push_str(TEXT_SEPARATOR);
                     }
                     out.push_str(&escape(tree.value(c).unwrap_or("")));
                     if pretty {
@@ -116,6 +124,9 @@ fn write_element(
         out.push('\n');
     }
 }
+
+/// Written between two adjacent text siblings (see [`write_element`]).
+const TEXT_SEPARATOR: &str = "<!---->";
 
 fn escape(s: &str) -> String {
     s.replace('&', "&amp;")
@@ -208,6 +219,46 @@ mod tests {
             },
         );
         assert_eq!(text, "<r/>");
+    }
+
+    #[test]
+    fn adjacent_texts_round_trip_node_for_node() {
+        let dtd = example_d1();
+        let teacher = dtd.type_by_name("teacher").unwrap();
+        let research = dtd.type_by_name("research").unwrap();
+        // Two adjacent texts alone (the inline branch), and two adjacent
+        // texts next to an element (the mixed branch).
+        let mut t = XmlTree::new(dtd.type_by_name("teachers").unwrap());
+        let te = t.add_element(t.root(), teacher);
+        let r = t.add_element(te, research);
+        t.add_text(r, "Web");
+        t.add_text(r, "DB");
+        t.add_text(te, "one");
+        t.add_text(te, "two");
+        let texts = |t: &XmlTree, node: NodeId| -> Vec<String> {
+            t.children(node)
+                .iter()
+                .filter_map(|&c| match t.label(c) {
+                    NodeLabel::Text => t.value(c).map(str::to_string),
+                    _ => None,
+                })
+                .collect()
+        };
+        for indent in ["", "  "] {
+            let options = WriteOptions {
+                indent: indent.to_string(),
+                declaration: false,
+            };
+            let text = write_document_with(&t, &dtd, &options);
+            let back = parse_document(&text, &dtd).unwrap();
+            assert_eq!(back.num_nodes(), t.num_nodes(), "{text}");
+            let back_te = back.children(back.root())[0];
+            let back_r = back.children(back_te)[0];
+            assert_eq!(texts(&back, back_r), ["Web", "DB"], "{text}");
+            assert_eq!(texts(&back, back_te), ["one", "two"], "{text}");
+            // Node for node: the serialization of the reparse is identical.
+            assert_eq!(write_document_with(&back, &dtd, &options), text);
+        }
     }
 
     #[test]

@@ -27,8 +27,7 @@ use xml_integrity_constraints::gen::{
     unary_consistency_family, ConstraintGenConfig, DocGenConfig, DtdGenConfig, SpecInstance,
 };
 use xml_integrity_constraints::xml::{
-    parse_document_budgeted, write_document, EditOp, ParseBudget, ParseError, ParseLimit,
-    ValuePool, XmlTree,
+    parse_document_budgeted, write_document, EditOp, ParseBudget, ParseError, ParseLimit, XmlTree,
 };
 
 /// Element nesting depth of the document: the maximum, over all elements,
@@ -54,7 +53,7 @@ fn element_depth(tree: &XmlTree) -> usize {
 /// lowered by one rejects it naming that limit, with the observed value
 /// the first one past the bound.
 fn assert_parse_boundary(source: &str, dtd: &xml_integrity_constraints::dtd::Dtd) {
-    let exact = parse_document_budgeted(source, dtd, ValuePool::new(), &ParseBudget::UNLIMITED)
+    let exact = parse_document_budgeted(source, dtd, &ParseBudget::UNLIMITED)
         .expect("an unlimited budget admits every well-formed document");
     let bytes = source.len();
     let nodes = exact.num_nodes();
@@ -63,7 +62,6 @@ fn assert_parse_boundary(source: &str, dtd: &xml_integrity_constraints::dtd::Dtd
     let admitted = parse_document_budgeted(
         source,
         dtd,
-        ValuePool::new(),
         &ParseBudget {
             max_bytes: Some(bytes),
             max_nodes: Some(nodes),
@@ -101,7 +99,7 @@ fn assert_parse_boundary(source: &str, dtd: &xml_integrity_constraints::dtd::Dtd
     ] {
         // A one-element document has depth 1; `max_depth: 0` still rejects
         // it (the root trips the bound), so no case is skipped.
-        let (err, _pool) = parse_document_budgeted(source, dtd, ValuePool::new(), &budget)
+        let err = parse_document_budgeted(source, dtd, &budget)
             .expect_err("a budget one below the measured cost must reject");
         match err {
             ParseError::Budget(b) => {
