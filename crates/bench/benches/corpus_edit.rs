@@ -17,11 +17,11 @@
 //!
 //! Verdict identity between the two paths is asserted before timing (the
 //! corpus report must equal the cold batch report on the same sources).
-//! The headline number (asserted ≥ 20×, the ISSUE 4 floor) is the per-edit
-//! speedup; everything is recorded in `BENCH_corpus.json` at the workspace
-//! root.  Like `session_edit`, this is not a statistical benchmark: the
-//! incremental side runs well under a scheduler timeslice on this shared
-//! single-core container, so the *minimum* over runs is the honest cost.
+//! The headline number (asserted ≥ 20×) is the per-edit speedup;
+//! everything is recorded in `BENCH_corpus.json` at the workspace root.
+//! This is not a statistical benchmark: the incremental side runs well
+//! under a scheduler timeslice, so the *minimum* over runs is the honest
+//! cost.
 
 use std::time::Duration;
 

@@ -1,28 +1,30 @@
-//! Session persistence — replay-from-log vs. re-parse-and-revalidate.
+//! Document persistence — replay-from-log vs. re-parse-and-revalidate.
 //!
 //! The workload journal persistence exists for: a validation peer holds a
-//! document open (recovered once from a session log) and a stream of point
-//! edits arrives as op records.  Two ways to track the primary:
+//! document open (recovered once from a per-document log into a
+//! `CorpusSession`) and a stream of point edits arrives as op records.  Two
+//! ways to track the primary, both answering the full `T ⊨ (D, Σ)`:
 //!
 //! 1. **replay from the log (incremental)** — apply each op through the
-//!    session, maintaining the incremental indexes: O(edit) per update,
-//!    the document is never re-parsed;
+//!    session and commit, maintaining the incremental indexes: the
+//!    document is never re-parsed and `T ⊨ Σ` costs O(edit);
 //! 2. **re-ship + re-parse + re-validate** — what a log-less replica does
 //!    on every change notification: receive the full serialized document,
-//!    parse it and run the one-shot `T ⊨ Σ` check: O(document) per update.
+//!    parse it and run the one-shot `T ⊨ D` and `T ⊨ Σ` checks:
+//!    O(document) per update.
 //!
 //! Verdict identity between the two paths is asserted along the whole edit
 //! stream before timing.  The headline number (asserted ≥ 10×) is the
 //! per-update speedup of log replay; the one-shot costs — persisting a log
 //! and cold-recovering a session from it — are recorded alongside in
-//! `BENCH_persist.json` at the workspace root.  Like `session_edit`, this
-//! is a min-of-runs harness, not a statistical benchmark: the incremental
-//! side runs well under a scheduler timeslice on this shared single core.
+//! `BENCH_persist.json` at the workspace root.  This is a min-of-runs
+//! harness, not a statistical benchmark: the incremental side runs well
+//! under a scheduler timeslice.
 
 use std::time::Duration;
 
 use xic_bench::{fmt_us, min_time};
-use xic_engine::{CompiledSpec, Session};
+use xic_engine::{CompiledSpec, CorpusSession};
 use xic_gen::{
     catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
 };
@@ -80,14 +82,11 @@ fn main() {
         .collect();
 
     let mut log = std::env::temp_dir();
-    log.push(format!(
-        "xic-bench-session-persist-{}.xicj",
-        std::process::id()
-    ));
+    log.push(format!("xic-bench-persist-{}.xicj", std::process::id()));
     std::fs::remove_file(&log).ok();
 
     println!();
-    println!("session_persist — replay-from-log vs. re-parse-and-revalidate");
+    println!("persist — replay-from-log vs. re-parse-and-revalidate");
     println!("--------------------------------------------------------------");
     println!(
         "{:<44} {} nodes, {} constraints, {} edits/run",
@@ -100,43 +99,44 @@ fn main() {
     // Verdict identity along the whole stream before any timing: the
     // incremental replica and the re-parse path agree on every update.
     {
-        let mut session = Session::new(&spec);
-        let doc = session.open(tree.clone());
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open("doc", tree.clone()).unwrap();
         for op in &ops {
-            let verdict = session.apply(doc, std::slice::from_ref(op)).unwrap();
+            session.apply(doc, std::slice::from_ref(op)).unwrap();
+            session.commit();
+            let report = session.report();
+            let live = &report.reports()[0];
             let source = write_document(session.tree(doc).unwrap(), spec.dtd());
-            let reparsed = spec
-                .parse_document(&source)
-                .expect("writer output reparses");
-            let cold = spec.check_document(&reparsed);
+            let cold = reparse_and_check(&spec, &source);
             assert_eq!(
-                verdict.violations().len(),
-                cold.len(),
+                (live.validation_errors.len(), live.violations.len()),
+                (cold.0, cold.1),
                 "paths disagree — timings are meaningless"
             );
         }
     }
 
     // One-shot costs: persist the opened document, then cold-recover it.
-    let mut session = Session::new(&spec);
-    let doc = session.open(tree.clone());
+    let mut session = CorpusSession::new(&spec);
+    let doc = session.open("doc", tree.clone()).unwrap();
     let persist = min_time(3, || {
         std::fs::remove_file(&log).ok();
         std::hint::black_box(session.persist_to(doc, &log).expect("persist"));
     });
     let recover = min_time(3, || {
-        let mut fresh = Session::new(&spec);
-        let recovery = fresh.recover_from(&log).expect("recover");
-        std::hint::black_box(fresh.verdict(recovery.handle).unwrap());
+        let mut fresh = CorpusSession::new(&spec);
+        fresh.recover_from("doc", &log).expect("recover");
+        std::hint::black_box(fresh.commit());
     });
 
     // Incremental side: a recovered replica session applying the op
-    // stream (index maintenance + verdict per update).
+    // stream (index maintenance + commit per update).
     let measure_replay = || {
-        let mut prepared: Vec<(Session<'_>, _)> = (0..RUNS)
+        let mut prepared: Vec<(CorpusSession<'_>, _)> = (0..RUNS)
             .map(|_| {
-                let mut s = Session::new(&spec);
-                let recovery = s.recover_from(&log).expect("recover");
+                let mut s = CorpusSession::new(&spec);
+                let recovery = s.recover_from("doc", &log).expect("recover");
+                s.commit();
                 (s, recovery.handle)
             })
             .collect();
@@ -144,7 +144,8 @@ fn main() {
         let best = min_time(RUNS, || {
             let (mut s, handle) = prepared.pop().expect("one prepared session per run");
             for op in &ops {
-                std::hint::black_box(s.apply(handle, std::slice::from_ref(op)).unwrap());
+                s.apply(handle, std::slice::from_ref(op)).unwrap();
+                std::hint::black_box(s.commit());
             }
             edited.push(s);
         });
@@ -167,10 +168,7 @@ fn main() {
     let reparse_updates = 2usize;
     let reparse = min_time(3, || {
         for _ in 0..reparse_updates {
-            let reparsed: XmlTree = spec
-                .parse_document(&current_source)
-                .expect("writer output reparses");
-            std::hint::black_box(spec.check_document(&reparsed));
+            std::hint::black_box(reparse_and_check(&spec, &current_source));
         }
     });
 
@@ -180,7 +178,7 @@ fn main() {
 
     println!(
         "{:<44} {:>12}",
-        "persist session log (snapshot + write)",
+        "persist document log (snapshot + write)",
         fmt_us(persist)
     );
     println!(
@@ -238,6 +236,15 @@ fn main() {
         "replaying an update from the op log must be ≥ 10× faster than \
          re-shipping + re-parsing + re-validating the document (got {speedup:.1}×)"
     );
+}
+
+/// The log-less replica's update: parse the shipped source, then the
+/// one-shot `T ⊨ D` and `T ⊨ Σ` checks.  Returns (structural errors,
+/// Σ violations).
+fn reparse_and_check(spec: &CompiledSpec, source: &str) -> (usize, usize) {
+    let reparsed: XmlTree = spec.parse_document(source).expect("writer output reparses");
+    let structural = spec.validator().validate(&reparsed).len();
+    (structural, spec.check_document(&reparsed).len())
 }
 
 fn us(d: Duration) -> f64 {

@@ -272,14 +272,14 @@ fn inspect_describes_delta_and_session_logs() {
     // A session-document log renders its ops in the script syntax — the
     // human-readable twin — resolving names through --dtd.
     let session_log = {
-        use xic_engine::{CompiledSpec, Session};
+        use xic_engine::{CompiledSpec, CorpusSession};
         use xic_xml::EditOp;
         let spec =
             CompiledSpec::from_sources(SCHOOL_DTD, Some("school"), "teacher.name -> teacher")
                 .unwrap();
-        let mut session = Session::new(&spec);
+        let mut session = CorpusSession::new(&spec);
         let doc = session
-            .open_source("<school><teacher name=\"Joe\"/></school>")
+            .open_source("doc", "<school><teacher name=\"Joe\"/></school>")
             .unwrap();
         let name = spec.dtd().attr_by_name("name").unwrap();
         let teacher = session.tree(doc).unwrap().elements().nth(1).unwrap();

@@ -3,9 +3,12 @@
 //! Validation of an XML tree against a DTD (Definition 2.2) requires testing
 //! whether the label sequence of an element's children belongs to the regular
 //! language of its content model.  The Glushkov construction yields an
-//! ε-free NFA whose states are the occurrences of symbols in the expression;
-//! matching a word of length `k` over an expression with `p` positions takes
-//! `O(k · p²)` time, which is ample for the document sizes handled here.
+//! ε-free NFA whose states are the occurrences of symbols in the expression.
+//! Matching runs the NFA over bitsets of positions (one `u64` word per 64
+//! positions): each symbol ORs the follow sets of the active positions and
+//! masks by the positions carrying the symbol, so a word of length `k` costs
+//! `O(k · a · ⌈p/64⌉)` for `a` active positions — `a` is 1 for the
+//! deterministic content models XML requires.
 
 use crate::content::{ChildSymbol, ContentModel};
 use crate::dtd::ElemId;
@@ -17,12 +20,31 @@ pub struct Glushkov {
     positions: Vec<ChildSymbol>,
     /// Positions reachable as the first symbol of a word.
     first: Vec<usize>,
-    /// Positions that can end a word.
-    last: Vec<bool>,
     /// `follow[p]` = positions that may immediately follow position `p`.
     follow: Vec<Vec<usize>>,
     /// Whether the empty word is accepted.
     nullable: bool,
+    /// `u64` words per position bitset.
+    words: usize,
+    /// `first` as a bitset.
+    first_bits: Vec<u64>,
+    /// Positions that can end a word, as a bitset.
+    last_bits: Vec<u64>,
+    /// `follow[p]` as a bitset, at `follow_bits[p * words..]`.
+    follow_bits: Vec<u64>,
+    /// The distinct symbols of the expression.
+    symbols: Vec<ChildSymbol>,
+    /// The positions carrying `symbols[k]`, at `symbol_bits[k * words..]`.
+    symbol_bits: Vec<u64>,
+}
+
+/// A bitset over `words * 64` positions with the given members.
+fn bitset(words: usize, members: impl IntoIterator<Item = usize>) -> Vec<u64> {
+    let mut bits = vec![0u64; words];
+    for p in members {
+        bits[p / 64] |= 1 << (p % 64);
+    }
+    bits
 }
 
 struct BuildState {
@@ -46,14 +68,31 @@ impl Glushkov {
             follow: Vec::new(),
         };
         let piece = build(&desugared, &mut st);
-        let mut last = vec![false; st.positions.len()];
-        for &p in &piece.last {
-            last[p] = true;
+        let n = st.positions.len();
+        let words = n.div_ceil(64).max(1);
+        let mut symbols: Vec<ChildSymbol> = Vec::new();
+        for &s in &st.positions {
+            if !symbols.contains(&s) {
+                symbols.push(s);
+            }
         }
+        let symbol_bits = symbols
+            .iter()
+            .flat_map(|&s| bitset(words, (0..n).filter(|&p| st.positions[p] == s)))
+            .collect();
         Glushkov {
+            first_bits: bitset(words, piece.first.iter().copied()),
+            last_bits: bitset(words, piece.last.iter().copied()),
+            follow_bits: st
+                .follow
+                .iter()
+                .flat_map(|f| bitset(words, f.iter().copied()))
+                .collect(),
+            words,
+            symbols,
+            symbol_bits,
             positions: st.positions,
             first: piece.first,
-            last,
             follow: st.follow,
             nullable: piece.nullable,
         }
@@ -71,44 +110,63 @@ impl Glushkov {
 
     /// Tests whether a word over the child alphabet is in the language.
     pub fn matches(&self, word: &[ChildSymbol]) -> bool {
-        if word.is_empty() {
+        self.matches_with(word.iter().copied(), &mut Vec::new())
+    }
+
+    /// [`Glushkov::matches`] over a streamed word, with caller-owned
+    /// scratch space: a validator checking every element of a tree
+    /// allocates nothing per element.
+    pub fn matches_with(
+        &self,
+        word: impl IntoIterator<Item = ChildSymbol>,
+        scratch: &mut Vec<u64>,
+    ) -> bool {
+        let words = self.words;
+        scratch.clear();
+        scratch.resize(2 * words, 0);
+        let (current, next) = scratch.split_at_mut(words);
+        current.copy_from_slice(&self.first_bits);
+        let mut word = word.into_iter();
+        let Some(symbol) = word.next() else {
             return self.nullable;
-        }
-        let n = self.positions.len();
-        let mut current = vec![false; n];
-        let mut any = false;
-        for &p in &self.first {
-            if self.positions[p] == word[0] {
-                current[p] = true;
-                any = true;
-            }
-        }
-        if !any {
+        };
+        if !self.step_mask(current, symbol) {
             return false;
         }
-        for symbol in &word[1..] {
-            let mut next = vec![false; n];
-            let mut reached = false;
-            for (p, active) in current.iter().enumerate() {
-                if !active {
-                    continue;
-                }
-                for &q in &self.follow[p] {
-                    if self.positions[q] == *symbol {
-                        next[q] = true;
-                        reached = true;
+        for symbol in word {
+            next.fill(0);
+            for (i, &active) in current.iter().enumerate() {
+                let mut active = active;
+                while active != 0 {
+                    let p = i * 64 + active.trailing_zeros() as usize;
+                    active &= active - 1;
+                    let follow = &self.follow_bits[p * words..(p + 1) * words];
+                    for (n, f) in next.iter_mut().zip(follow) {
+                        *n |= f;
                     }
                 }
             }
-            if !reached {
+            if !self.step_mask(next, symbol) {
                 return false;
             }
-            current = next;
+            current.swap_with_slice(next);
         }
-        current
-            .iter()
-            .enumerate()
-            .any(|(p, active)| *active && self.last[p])
+        current.iter().zip(&self.last_bits).any(|(c, l)| c & l != 0)
+    }
+
+    /// Keeps only the positions of `states` that carry `symbol`; returns
+    /// whether any remain.
+    fn step_mask(&self, states: &mut [u64], symbol: ChildSymbol) -> bool {
+        let Some(k) = self.symbols.iter().position(|&s| s == symbol) else {
+            return false;
+        };
+        let carriers = &self.symbol_bits[k * self.words..(k + 1) * self.words];
+        let mut any = false;
+        for (s, c) in states.iter_mut().zip(carriers) {
+            *s &= c;
+            any |= *s != 0;
+        }
+        any
     }
 
     /// Convenience wrapper: matches a sequence of element-type children with
@@ -136,7 +194,7 @@ impl Glushkov {
             }
         }
         while let Some((p, word)) = queue.pop_front() {
-            if self.last[p] {
+            if self.last_bits[p / 64] & (1 << (p % 64)) != 0 {
                 return Some(word);
             }
             if word.len() >= max_len {
@@ -289,6 +347,37 @@ mod tests {
         assert!(!plus.matches(&[]));
         assert!(plus.matches(&[ce(0)]));
         assert!(plus.matches(&[ce(0), ce(0)]));
+    }
+
+    /// Over 64 positions the state bitsets span several words; an
+    /// ambiguous model keeps several positions active across them.
+    #[test]
+    fn models_past_one_bitset_word_agree_with_derivatives() {
+        use crate::deriv::DerivativeMatcher;
+        // (a0, a1, a2, a0, …: 70 positions), ((a0, a1) | (a0, a2))*
+        let prefix = (1..70).fold(e(0), |m, i| ContentModel::seq(m, e(i % 3)));
+        let ambiguous = ContentModel::star(ContentModel::alt(
+            ContentModel::seq(e(0), e(1)),
+            ContentModel::seq(e(0), e(2)),
+        ));
+        let model = ContentModel::seq(prefix, ambiguous);
+        let g = Glushkov::new(&model);
+        assert_eq!(g.num_positions(), 74);
+        let d = DerivativeMatcher::new(&model);
+        let exact: Vec<ChildSymbol> = (0..70).map(|i| ce(i % 3)).collect();
+        for tail in [
+            vec![],
+            vec![ce(0)],
+            vec![ce(0), ce(1)],
+            vec![ce(0), ce(2), ce(0), ce(1)],
+            vec![ce(0), ce(0)],
+            vec![ce(1)],
+        ] {
+            let word: Vec<ChildSymbol> = exact.iter().copied().chain(tail).collect();
+            assert_eq!(g.matches(&word), d.matches(&word), "{word:?}");
+            assert_eq!(g.matches(&word[1..]), d.matches(&word[1..]), "{word:?}");
+        }
+        assert!(g.matches(&exact));
     }
 
     #[test]

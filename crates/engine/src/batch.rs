@@ -96,8 +96,9 @@ impl BatchDoc {
 /// away, as opposed to it being checked and found violating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DocFault {
-    /// Validation panicked; the panic was contained and the document
-    /// quarantined.  Other documents of the batch are unaffected.
+    /// Validation (or, in a [`crate::CorpusSession`], an edit) panicked;
+    /// the panic was contained and the document quarantined.  Other
+    /// documents are unaffected.
     Panic {
         /// The panic message (or an opaque label for non-string payloads).
         cause: String,

@@ -1,16 +1,18 @@
 //! Durable edit journals: a versioned, self-describing binary delta-log
 //! format for session persistence and replication.
 //!
-//! PR 3/4 made re-validation O(edit) — but every session still died with
-//! the process.  This module is the persistence half: it serializes a
-//! session's base document plus its [`xic_xml::EditJournal`] (and, for
+//! Re-validation is O(edit), but an in-memory session dies with the
+//! process.  This module is the persistence half: it serializes a
+//! document's base snapshot plus its [`xic_xml::EditJournal`] (and, for
 //! corpora, the [`BatchDelta`] stream itself) as an **append-only log**
 //! keyed by the content-hash [`SpecId`] and a per-log sequence number, so
 //! that
 //!
-//! * a crashed session recovers from its log (`Session::persist_to` /
-//!   `Session::recover_from`) — a partially written final record is a
-//!   **torn tail**, truncated on read rather than reported as an error;
+//! * a crashed session recovers a document from its log
+//!   ([`crate::CorpusSession::persist_to`] /
+//!   [`crate::CorpusSession::recover_from`]) — a partially written final
+//!   record is a **torn tail**, truncated on read rather than reported as
+//!   an error;
 //! * a replica reconstructs a corpus session's verdicts from
 //!   [`BatchDelta`]s alone ([`CorpusReplica`]), without the documents ever
 //!   being re-shipped or re-parsed — the on-ramp to distributed validation
@@ -60,8 +62,7 @@ use xic_xml::{
 };
 
 use crate::batch::{BatchReport, DocReport};
-use crate::corpus::{BatchDelta, ClosedDoc, DocChange};
-use crate::session::DocHandle;
+use crate::corpus::{BatchDelta, ClosedDoc, DocChange, DocHandle};
 use crate::spec::SpecId;
 
 /// Global-registry journal instruments, resolved once (registry name
@@ -270,11 +271,6 @@ pub enum JournalError {
         /// The oldest sequence number still retained.
         first_retained: u64,
     },
-    /// The handle names no open document (closed, or from another session).
-    UnknownHandle {
-        /// The raw handle number.
-        handle: u64,
-    },
 }
 
 impl fmt::Display for JournalError {
@@ -337,9 +333,6 @@ impl fmt::Display for JournalError {
                 f,
                 "requested deltas were pruned; the oldest retained commit is {first_retained}"
             ),
-            JournalError::UnknownHandle { handle } => {
-                write!(f, "unknown document handle doc-{handle}")
-            }
         }
     }
 }
@@ -1265,8 +1258,8 @@ fn classify_existing(
 
 /// Persists one session document: creates `path` as a fresh log (base =
 /// the *current* tree, folding every edit recorded so far) or appends the
-/// ops the existing log lacks.  Shared implementation behind
-/// `Session::persist_to`.
+/// ops the existing log lacks.  The implementation behind
+/// [`crate::CorpusSession::persist_to`].
 pub(crate) fn persist_session_doc(
     path: &Path,
     spec: SpecId,

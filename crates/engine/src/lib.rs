@@ -18,22 +18,21 @@
 //!   documents against one compiled spec in parallel and aggregates
 //!   per-document reports deterministically (ordered by input index, so a
 //!   multi-threaded run renders byte-identically to a sequential one);
-//! * [`Session`] — long-lived document sessions: open a document once,
-//!   mutate it through typed [`xic_xml::EditOp`]s, and get a fresh verdict
-//!   after every edit batch at O(edit) cost — the incremental indexes
+//! * [`CorpusSession`] — the one session type: open documents once,
+//!   mutate them through typed [`xic_xml::EditOp`]s, and commit for a
+//!   fresh `T ⊨ (D, Σ)` verdict of exactly the edited documents at
+//!   O(edit) cost — the incremental indexes
 //!   ([`xic_constraints::IncrementalIndex`]) are maintained under each
-//!   edit instead of rebuilt, with witnesses identical to a full rebuild;
-//!   the slot/watcher/touch-map layout they populate is derived once per
-//!   spec ([`xic_constraints::IncrementalLayout`], stored on the
-//!   [`CompiledSpec`]), not once per document;
-//! * [`CorpusSession`] — the corpus-scale session: many open documents
-//!   sharing one spec (each with its own value pool), per-document dirty
-//!   tracking, commits that re-check only edited documents, and a
+//!   edit instead of rebuilt, with witnesses identical to a full rebuild,
+//!   and their layout is derived once per spec
+//!   ([`xic_constraints::IncrementalLayout`], stored on the
+//!   [`CompiledSpec`]), not once per document.  Each commit emits a
 //!   [`BatchDelta`] diff stream (clean ↔ violating flips with structured
 //!   witnesses) for subscribers;
 //! * [`journal`] — durable edit journals: a versioned binary delta-log
-//!   format with CRC'd, torn-tail-tolerant records; [`Session::persist_to`]
-//!   / [`Session::recover_from`] crash recovery, [`CorpusReplica`] replicas
+//!   format with CRC'd, torn-tail-tolerant records;
+//!   [`CorpusSession::persist_to`] / [`CorpusSession::recover_from`] crash
+//!   recovery of one document, [`CorpusReplica`] replicas
 //!   reconstructing corpus verdicts from [`BatchDelta`]s alone, and the
 //!   `xic journal` CLI surface on top;
 //! * [`Engine`] — the façade combining a cache with the checkers, exposing
@@ -84,7 +83,6 @@ pub mod journal;
 pub mod limits;
 pub mod merge;
 pub mod metrics;
-pub mod session;
 pub mod spec;
 pub mod wire;
 
@@ -92,7 +90,7 @@ pub use batch::{BatchDoc, BatchEngine, BatchReport, DocFault, DocReport};
 pub use cache::{CacheKey, CacheStats, QueryHash, Verdict, VerdictCache};
 pub use corpus::{
     project_doc_report, project_report, BatchDelta, ClosedDoc, CorpusSession, DeltaSummary,
-    DocChange, Transition,
+    DocChange, DocHandle, Recovery, SessionError, Transition,
 };
 pub use hash::{fnv1a, fnv1a_parts, fnv1a_parts_wide};
 pub use journal::{
@@ -103,7 +101,6 @@ pub use journal::{
 pub use limits::{LimitKind, Limits, RejectedOp, ResourceError};
 pub use merge::ReportMerger;
 pub use metrics::{register_baseline, EngineMetrics};
-pub use session::{DocHandle, Recovery, Session, SessionError, SessionVerdict};
 pub use spec::{CompileError, CompiledSpec, ParseSpecIdError, SpecId};
 pub use wire::{Request, Response, WireError, WireFault};
 pub use xic_constraints::ShardPlan;

@@ -2,9 +2,9 @@
 //!
 //! A [`Limits`] value is the contract between the engine and a caller that
 //! cannot afford unbounded work: every admission point — parsing
-//! ([`crate::CompiledSpec::parse_document_budgeted`]), session edits
-//! ([`crate::Session::apply`]), corpus admission and commit
-//! ([`crate::CorpusSession`]) — checks its bounds **before** doing the work
+//! ([`crate::CompiledSpec::parse_document_budgeted`]), edits
+//! ([`crate::CorpusSession::apply`]), document admission (open and
+//! recovery) and commit ([`crate::CorpusSession`]) — checks its bounds **before** doing the work
 //! and answers an over-budget request with a structured [`ResourceError`],
 //! never a panic and never a partial application.  The error carries the
 //! violated limit by name, both sides of the comparison, and a
@@ -44,7 +44,7 @@ pub struct Limits {
     pub max_depth: Option<usize>,
     /// Maximum uncommitted edit ops queued in a [`crate::CorpusSession`]
     /// (across all dirty documents); also bounds a single
-    /// [`crate::Session::apply`] batch.
+    /// [`crate::CorpusSession::apply`] batch.
     pub max_queued_ops: Option<usize>,
     /// Maximum dirty (edited-but-uncommitted) documents in a
     /// [`crate::CorpusSession`]; opening or editing past it is rejected

@@ -35,8 +35,7 @@ use std::sync::Arc;
 use xic_constraints::{ShardPlan, Violation};
 
 use crate::batch::{BatchReport, DocFault, DocReport};
-use crate::corpus::{BatchDelta, ClosedDoc, DocChange};
-use crate::session::DocHandle;
+use crate::corpus::{BatchDelta, ClosedDoc, DocChange, DocHandle};
 
 /// One document's merge state: the authority's structural view plus one Σ
 /// violation slice per shard, and the last merged report the stream

@@ -44,7 +44,6 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "resilience.io_retries",
         "resilience.panics_contained",
         "resilience.rejections",
-        "session.edits",
         "shard.deltas",
         "shard.rechecked",
         "shard.skipped",
@@ -71,8 +70,6 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "incremental.build_ns",
         "journal.persist_ns",
         "parse.doc_ns",
-        "session.apply_ns",
-        "session.check_ns",
         "shard.touched",
     ] {
         registry.histogram(histogram);

@@ -1,6 +1,5 @@
 //! Compiled specifications: parse and analyze `(D, Σ)` once, check many.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -115,7 +114,7 @@ pub struct CompiledSpec {
     sigma: ConstraintSet,
     simple: SimpleDtd,
     analysis: DtdAnalysis,
-    automata: HashMap<ElemId, Glushkov>,
+    automata: Vec<Glushkov>,
     class: Option<ConstraintClass>,
     incremental: Arc<IncrementalLayout>,
     shards: Arc<ShardPlan>,
@@ -259,9 +258,8 @@ impl CompiledSpec {
 
     /// The `T ⊨ Σ` index layout for Σ — the `(D, Σ)`-only slot, watcher
     /// and touch-map structure every checked or opened document shares.
-    /// Derived once at compile time; [`CompiledSpec::check_document`],
-    /// [`crate::Session::open`] and [`crate::CorpusSession`] only clone the
-    /// `Arc`.
+    /// Derived once at compile time; [`CompiledSpec::check_document`] and
+    /// [`crate::CorpusSession`] only clone the `Arc`.
     pub fn incremental_layout(&self) -> &Arc<IncrementalLayout> {
         &self.incremental
     }
@@ -286,7 +284,7 @@ impl CompiledSpec {
 
     /// The precompiled Glushkov automaton of one element type.
     pub fn automaton(&self, ty: ElemId) -> &Glushkov {
-        &self.automata[&ty]
+        &self.automata[ty.index()]
     }
 
     /// A document validator over the precompiled automata (cheap to create,

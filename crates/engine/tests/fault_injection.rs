@@ -8,7 +8,7 @@
 //! verdict and never a process abort**.
 //!
 //! The failpoint table is process-global and the production names
-//! (`batch.doc`, `session.apply`, `journal.*`, …) are hit by every engine
+//! (`batch.doc`, `corpus.apply`, `journal.*`, …) are hit by every engine
 //! call, so these tests serialize on one mutex: a failpoint armed by a
 //! parallel test must never leak into another scenario.
 
@@ -19,7 +19,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use proptest::prelude::*;
 use xic_engine::{
-    BatchDoc, BatchEngine, CompiledSpec, CorpusSession, DocFault, Engine, Session, SessionError,
+    BatchDoc, BatchEngine, CompiledSpec, CorpusReplica, CorpusSession, DocFault, Engine,
+    SessionError,
 };
 use xic_telemetry::faults::{self, FaultMode};
 use xic_xml::{EditOp, NodeId};
@@ -65,7 +66,8 @@ fn temp_log(name: &str) -> PathBuf {
     path
 }
 
-/// In a session over [`CLEAN_DOC`], node 1 is the only `teacher` element.
+/// In a document opened from [`CLEAN_DOC`], node 1 is the only `teacher`
+/// element.
 fn set_name(spec: &CompiledSpec, value: &str) -> EditOp {
     EditOp::SetAttr {
         element: NodeId(1),
@@ -122,39 +124,78 @@ fn batch_panic_quarantines_one_doc_and_leaves_others_byte_identical() {
 }
 
 #[test]
-fn session_apply_panic_poisons_and_recover_rebuilds() {
+fn corpus_apply_panic_quarantines_one_doc_and_recover_from_restores_it() {
     let _guard = serial();
     let spec = school_spec();
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
-    session.apply(h, &[set_name(&spec, "Ann")]).unwrap();
-
-    faults::configure("session.apply", FaultMode::Nth(1));
-    let err = quiet_panics(|| session.apply(h, &[set_name(&spec, "Bob")])).unwrap_err();
-    assert!(matches!(err, SessionError::Poisoned { .. }), "{err}");
-    assert!(session.is_poisoned(h).unwrap());
-
-    // Quarantine holds on its own — no failpoint needed to refuse edits.
-    let again = session.apply(h, &[set_name(&spec, "Eve")]).unwrap_err();
-    assert!(matches!(again, SessionError::Poisoned { .. }), "{again}");
-
-    // Recovery replays exactly the recorded history: "Ann" landed before
-    // the panic, the poisoned batch ("Bob") did not.
-    let verdict = session.recover(h).unwrap();
-    assert!(verdict.is_clean());
-    assert!(!session.is_poisoned(h).unwrap());
+    let path = temp_log("apply-panic");
     let name = spec.dtd().attr_by_name("name").unwrap();
+    let mut corpus = CorpusSession::new(&spec);
+    let mut replica = CorpusReplica::new(spec.id());
+    let h = corpus.open_source("a.xml", CLEAN_DOC).unwrap();
+    let other = corpus.open_source("b.xml", CLEAN_DOC).unwrap();
+    corpus.apply(h, &[set_name(&spec, "Ann")]).unwrap();
+    corpus.persist_to(h, &path).unwrap();
+    replica.apply_delta(&corpus.commit()).unwrap();
+
+    faults::configure("corpus.apply", FaultMode::Nth(1));
+    let err = quiet_panics(|| corpus.apply(h, &[set_name(&spec, "Bob")])).unwrap_err();
+    faults::disarm("corpus.apply");
+    assert!(matches!(err, SessionError::Poisoned { .. }), "{err}");
+
+    // Quarantine holds on its own — no failpoint needed to refuse edits —
+    // and the other document goes on untouched.
+    let again = corpus.apply(h, &[set_name(&spec, "Eve")]).unwrap_err();
+    assert!(matches!(again, SessionError::Poisoned { .. }), "{again}");
+    corpus.apply(other, &[set_name(&spec, "Zoe")]).unwrap();
+
+    // The next commit reports the fault for that document only — never a
+    // verdict from its possibly inconsistent index.
+    let delta = corpus.commit();
+    let faulted: Vec<_> = delta
+        .changes
+        .iter()
+        .filter(|c| c.report.fault.is_some())
+        .collect();
+    assert_eq!(faulted.len(), 1, "{delta:?}");
+    assert_eq!(faulted[0].handle, h);
+    let Some(DocFault::Panic { cause }) = &faulted[0].report.fault else {
+        panic!("expected a panic fault, got {:?}", faulted[0].report);
+    };
+    assert!(cause.contains("injected fault: corpus.apply"), "{cause}");
+    let report = corpus.report();
+    assert_eq!(report.panicked_count(), 1);
+    assert!(report.reports()[1].is_clean());
+
+    // A replica fed the delta stream agrees with the session's report.
+    replica.apply_delta(&delta).unwrap();
+    assert_eq!(replica.report(), report);
+
+    // Close still works; the log restores exactly the recorded history:
+    // "Ann" landed before the panic, the poisoned batch ("Bob") did not.
+    corpus.close(h).unwrap();
+    let recovery = corpus.recover_from("a.xml", &path).unwrap();
     assert_eq!(
-        session.tree(h).unwrap().attr_value(NodeId(1), name),
+        corpus
+            .tree(recovery.handle)
+            .unwrap()
+            .attr_value(NodeId(1), name),
         Some("Ann")
     );
+    corpus.commit();
+    assert_eq!(corpus.report().panicked_count(), 0);
 
-    // And the document accepts edits again.
-    session.apply(h, &[set_name(&spec, "Bob")]).unwrap();
+    // And the recovered document accepts edits again.
+    corpus
+        .apply(recovery.handle, &[set_name(&spec, "Bob")])
+        .unwrap();
     assert_eq!(
-        session.tree(h).unwrap().attr_value(NodeId(1), name),
+        corpus
+            .tree(recovery.handle)
+            .unwrap()
+            .attr_value(NodeId(1), name),
         Some("Bob")
     );
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -215,8 +256,8 @@ fn transient_journal_io_faults_are_retried_to_success() {
     let _guard = serial();
     let spec = school_spec();
     let path = temp_log("retry");
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
+    let mut session = CorpusSession::new(&spec);
+    let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
 
     // Fresh write and its sync each absorb one transient fault.
     faults::configure("journal.write", FaultMode::Nth(1));
@@ -237,8 +278,8 @@ fn transient_journal_io_faults_are_retried_to_success() {
     faults::reset();
 
     // The log the retries produced recovers into the exact live state.
-    let mut replica = Session::new(&spec);
-    let recovery = replica.recover_from(&path).unwrap();
+    let mut replica = CorpusSession::new(&spec);
+    let recovery = replica.recover_from("a.xml", &path).unwrap();
     let name = spec.dtd().attr_by_name("name").unwrap();
     assert_eq!(
         replica
@@ -255,8 +296,8 @@ fn snapshot_encode_fault_is_a_structured_error_and_the_path_survives() {
     let _guard = serial();
     let spec = school_spec();
     let path = temp_log("snap");
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
+    let mut session = CorpusSession::new(&spec);
+    let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
 
     faults::configure("journal.snapshot_encode", FaultMode::Nth(1));
     let err = session.persist_to(h, &path).unwrap_err();
@@ -269,8 +310,8 @@ fn snapshot_encode_fault_is_a_structured_error_and_the_path_survives() {
     // The fault fired before any byte landed, so the path is still fresh
     // and the retry persists (and recovers) normally.
     session.persist_to(h, &path).unwrap();
-    let mut replica = Session::new(&spec);
-    assert!(replica.recover_from(&path).is_ok());
+    let mut replica = CorpusSession::new(&spec);
+    assert!(replica.recover_from("a.xml", &path).is_ok());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -279,8 +320,8 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
     let _guard = serial();
     let spec = school_spec();
     let path = temp_log("exhaust");
-    let mut session = Session::new(&spec);
-    let h = session.open_source(CLEAN_DOC).unwrap();
+    let mut session = CorpusSession::new(&spec);
+    let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
     session.persist_to(h, &path).unwrap();
 
     // Every retry attempt faults: the persist surfaces a structured error.
@@ -301,8 +342,8 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
 
     // The durable prefix is unharmed: recovery yields the pre-edit state.
     let name = spec.dtd().attr_by_name("name").unwrap();
-    let mut replica = Session::new(&spec);
-    let recovery = replica.recover_from(&path).unwrap();
+    let mut replica = CorpusSession::new(&spec);
+    let recovery = replica.recover_from("a.xml", &path).unwrap();
     assert_eq!(
         replica
             .tree(recovery.handle)
@@ -313,8 +354,8 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
 
     // And a later, fault-free persist catches the log up.
     session.persist_to(h, &path).unwrap();
-    let mut replica = Session::new(&spec);
-    let recovery = replica.recover_from(&path).unwrap();
+    let mut replica = CorpusSession::new(&spec);
+    let recovery = replica.recover_from("a.xml", &path).unwrap();
     assert_eq!(
         replica
             .tree(recovery.handle)
@@ -370,8 +411,8 @@ proptest! {
         let _guard = serial();
         let spec = school_spec();
         let path = temp_log(&format!("prop-{seed}-{permille}-{edits}"));
-        let mut session = Session::new(&spec);
-        let h = session.open_source(CLEAN_DOC).unwrap();
+        let mut session = CorpusSession::new(&spec);
+        let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
         let name = spec.dtd().attr_by_name("name").unwrap();
 
         for i in 0..edits {
@@ -397,8 +438,8 @@ proptest! {
             // the faulted attempt left behind, and recovery must replay
             // the live document exactly.
             session.persist_to(h, &path).unwrap();
-            let mut replica = Session::new(&spec);
-            let recovery = replica.recover_from(&path).unwrap();
+            let mut replica = CorpusSession::new(&spec);
+            let recovery = replica.recover_from("a.xml", &path).unwrap();
             prop_assert_eq!(
                 replica.tree(recovery.handle).unwrap().attr_value(NodeId(1), name),
                 session.tree(h).unwrap().attr_value(NodeId(1), name)

@@ -128,9 +128,15 @@ fn journal_persist_and_read_record_global_counters() {
     let bytes_before = before.counter("journal.bytes_written").unwrap_or(0);
     let appended_before = before.counter("journal.records_appended").unwrap_or(0);
     let read_before = before.counter("journal.records_read").unwrap_or(0);
+    let persists = |snapshot: &xic_telemetry::RegistrySnapshot| {
+        snapshot
+            .histogram("journal.persist_ns")
+            .map_or(0, |h| h.count)
+    };
+    let persists_before = persists(&before);
 
-    let mut session = xic_engine::Session::new(&spec);
-    let doc = session.open_source(CLEAN).unwrap();
+    let mut session = xic_engine::CorpusSession::new(&spec);
+    let doc = session.open_source("a.xml", CLEAN).unwrap();
     let mut path = std::env::temp_dir();
     path.push(format!("xic-metrics-test-{}.xicj", std::process::id()));
     session.persist_to(doc, &path).unwrap();
@@ -141,6 +147,9 @@ fn journal_persist_and_read_record_global_counters() {
     assert!(after.counter("journal.bytes_written").unwrap() > bytes_before);
     assert!(after.counter("journal.records_appended").unwrap() > appended_before);
     assert!(after.counter("journal.records_read").unwrap() > read_before);
+    if registry.timing_enabled() {
+        assert!(persists(&after) > persists_before);
+    }
 }
 
 #[test]
@@ -164,11 +173,10 @@ fn capture_covers_the_full_inventory_even_when_idle() {
         "corpus.commits",
         "journal.bytes_written",
         "batch.docs",
-        "session.edits",
     ] {
         assert_eq!(metrics.snapshot.counter(name), Some(0), "{name}");
     }
-    for name in ["corpus.commit_ns", "journal.persist_ns", "session.apply_ns"] {
+    for name in ["corpus.commit_ns", "journal.persist_ns", "corpus.apply_ns"] {
         assert!(metrics.snapshot.histogram(name).is_some(), "{name}");
     }
     let text = metrics.render_text();

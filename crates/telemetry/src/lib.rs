@@ -31,7 +31,7 @@
 //! use xic_telemetry::MetricsRegistry;
 //!
 //! let registry = MetricsRegistry::new();
-//! let edits = registry.counter("session.edits");
+//! let edits = registry.counter("corpus.edits");
 //! edits.add(3);
 //!
 //! let commit_ns = registry.histogram("corpus.commit_ns");
@@ -49,7 +49,7 @@
 //! if registry.timing_enabled() {
 //!     // In an ordinary build; under the `off` control-arm feature every
 //!     // instrument is a no-op and the snapshot is empty.
-//!     assert_eq!(snapshot.counter("session.edits"), Some(3));
+//!     assert_eq!(snapshot.counter("corpus.edits"), Some(3));
 //!     assert_eq!(snapshot.histograms.len(), 2); // commit_ns + span.compile.glushkov
 //! }
 //! ```

@@ -1,4 +1,5 @@
-//! Typed point edits over [`XmlTree`] — the write surface of the Session API.
+//! Typed point edits over [`XmlTree`] — the write surface of the engine's
+//! corpus sessions.
 //!
 //! A long-lived validation session cannot let callers mutate a tree through
 //! raw `&mut XmlTree` methods: every index built over the document would be
@@ -176,7 +177,7 @@ impl EditJournal {
     /// Drops every retained entry whose global index is below
     /// `durable_total` — i.e. the edits already persisted to a delta log or
     /// folded into a durable base snapshot — and returns how many were
-    /// dropped.  Long-lived sessions call this (via `Session::compact`)
+    /// dropped.  Long-lived sessions call this (via `CorpusSession::compact`)
     /// after persisting so the in-memory journal holds only the
     /// not-yet-durable suffix instead of growing without bound; recovery
     /// still round-trips node-for-node because the log retains the full
@@ -248,7 +249,7 @@ impl XmlTree {
     /// Validates and applies one [`EditOp`], returning the [`EditEffect`]
     /// describing what changed.  On error the tree is untouched.
     ///
-    /// This is the only mutation entry point the Session API uses: the
+    /// This is the only mutation entry point the engine's sessions use: the
     /// effect captures the displaced state (old attribute value, removed
     /// element list), so index maintenance never has to diff the tree.
     pub fn apply_edit(&mut self, op: &EditOp) -> Result<EditEffect, EditError> {

@@ -1,8 +1,6 @@
 //! Validation of XML trees against DTDs (the `T ⊨ D` relation of
 //! Definition 2.2).
 
-use std::collections::HashMap;
-
 use xic_dtd::{ChildSymbol, Dtd, ElemId, Glushkov};
 
 use crate::tree::{NodeId, NodeLabel, XmlTree};
@@ -101,25 +99,26 @@ pub struct Validator<'d> {
 
 #[derive(Debug)]
 enum Automata<'d> {
-    Owned(HashMap<ElemId, Glushkov>),
-    Borrowed(&'d HashMap<ElemId, Glushkov>),
+    Owned(Vec<Glushkov>),
+    Borrowed(&'d [Glushkov]),
 }
 
 impl Automata<'_> {
     fn get(&self, ty: ElemId) -> &Glushkov {
         match self {
-            Automata::Owned(map) => &map[&ty],
-            Automata::Borrowed(map) => &map[&ty],
+            Automata::Owned(automata) => &automata[ty.index()],
+            Automata::Borrowed(automata) => &automata[ty.index()],
         }
     }
 }
 
-/// Builds the Glushkov automata of every content model of a DTD, keyed by
-/// element type — the per-spec compilation step that [`Validator::new`] runs
-/// implicitly and that batch engines want to run exactly once.
-pub fn compile_automata(dtd: &Dtd) -> HashMap<ElemId, Glushkov> {
+/// Builds the Glushkov automata of every content model of a DTD, indexed by
+/// [`ElemId::index`] — the per-spec compilation step that
+/// [`Validator::new`] runs implicitly and that batch engines want to run
+/// exactly once.
+pub fn compile_automata(dtd: &Dtd) -> Vec<Glushkov> {
     dtd.types()
-        .map(|ty| (ty, Glushkov::new(dtd.content(ty))))
+        .map(|ty| Glushkov::new(dtd.content(ty)))
         .collect()
 }
 
@@ -134,7 +133,7 @@ impl<'d> Validator<'d> {
 
     /// Wraps automata compiled once elsewhere (see [`compile_automata`]);
     /// `automata` must cover every element type of `dtd`.
-    pub fn from_automata(dtd: &'d Dtd, automata: &'d HashMap<ElemId, Glushkov>) -> Validator<'d> {
+    pub fn from_automata(dtd: &'d Dtd, automata: &'d [Glushkov]) -> Validator<'d> {
         Validator {
             dtd,
             automata: Automata::Borrowed(automata),
@@ -156,8 +155,9 @@ impl<'d> Validator<'d> {
                 found: "#text".to_string(),
             }),
         }
+        let mut scratch = Vec::new();
         for node in tree.elements() {
-            self.validate_element(tree, node, &mut errors);
+            self.validate_element(tree, node, &mut scratch, &mut errors);
         }
         errors
     }
@@ -167,7 +167,13 @@ impl<'d> Validator<'d> {
         self.validate(tree).is_empty()
     }
 
-    fn validate_element(&self, tree: &XmlTree, node: NodeId, errors: &mut Vec<ValidationError>) {
+    fn validate_element(
+        &self,
+        tree: &XmlTree,
+        node: NodeId,
+        scratch: &mut Vec<u64>,
+        errors: &mut Vec<ValidationError>,
+    ) {
         let Some(ty) = tree.element_type(node) else {
             return;
         };
@@ -182,20 +188,15 @@ impl<'d> Validator<'d> {
         }
 
         // Children word must be in L(P(τ)).
-        let word: Vec<ChildSymbol> = tree
-            .children(node)
-            .iter()
-            .map(|&c| match tree.label(c) {
-                NodeLabel::Element(e) => ChildSymbol::Element(e),
-                _ => ChildSymbol::Text,
-            })
-            .collect();
+        let word = tree.children(node).iter().map(|&c| match tree.label(c) {
+            NodeLabel::Element(e) => ChildSymbol::Element(e),
+            _ => ChildSymbol::Text,
+        });
         let automaton = self.automata.get(ty);
-        if !automaton.matches(&word) {
+        if !automaton.matches_with(word.clone(), scratch) {
             let found = word
-                .iter()
                 .map(|s| match s {
-                    ChildSymbol::Element(e) => self.dtd.type_name(*e).to_string(),
+                    ChildSymbol::Element(e) => self.dtd.type_name(e).to_string(),
                     ChildSymbol::Text => "S".to_string(),
                 })
                 .collect::<Vec<_>>()

@@ -7,12 +7,12 @@
 //! reporting replica on another box wants the corpus verdicts live,
 //! without ever being shipped a document.  Both rest on the same
 //! append-only log format (`xic_engine::journal`): base snapshot + edit
-//! ops for a session, one `BatchDelta` per commit for a corpus.
+//! ops for one document, one `BatchDelta` per commit for a corpus.
 //!
 //! Run with: `cargo run --example journal_replay`
 
 use xml_integrity_constraints::engine::journal::{append_delta_log, read_delta_log};
-use xml_integrity_constraints::engine::{CompiledSpec, CorpusReplica, CorpusSession, Session};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusReplica, CorpusSession};
 use xml_integrity_constraints::xml::EditOp;
 
 const DTD: &str = r#"
@@ -38,10 +38,13 @@ fn main() {
     std::fs::remove_file(&session_log).ok();
     std::fs::remove_file(&delta_log).ok();
 
-    // --- Part 1: crash recovery of a single editing session. -------------
-    let mut session = Session::new(&spec);
+    // --- Part 1: crash recovery of an edited document. -------------------
+    let mut session = CorpusSession::new(&spec);
     let doc = session
-        .open_source(r#"<department><course code="db101"/></department>"#)
+        .open_source(
+            "registrar.xml",
+            r#"<department><course code="db101"/></department>"#,
+        )
         .unwrap();
     session
         .persist_to(doc, &session_log)
@@ -59,7 +62,7 @@ fn main() {
         )
         .unwrap();
     let added = session.tree(doc).unwrap().ext(course).nth(1).unwrap();
-    let verdict = session
+    session
         .apply(
             doc,
             &[EditOp::SetAttr {
@@ -69,7 +72,11 @@ fn main() {
             }],
         )
         .unwrap();
-    println!("live session clean? {}", verdict.is_clean());
+    session.commit();
+    println!(
+        "live session clean? {}",
+        session.report().reports()[0].is_clean()
+    );
     session.persist_to(doc, &session_log).expect("ops appended");
     // The durable prefix is on disk: the in-memory journal can shrink.
     let dropped = session.compact(doc).unwrap();
@@ -78,13 +85,16 @@ fn main() {
     // 💥 The process dies here.  A fresh session recovers from the log:
     // base snapshot + op replay, witness-identical to the session we lost.
     drop(session);
-    let mut recovered = Session::new(&spec);
-    let recovery = recovered.recover_from(&session_log).expect("recovers");
+    let mut recovered = CorpusSession::new(&spec);
+    let recovery = recovered
+        .recover_from("registrar.xml", &session_log)
+        .expect("recovers");
+    recovered.commit();
     println!(
         "recovered {} base edits + {} replayed ops; clean? {}",
         recovery.base_edits,
         recovery.ops_replayed,
-        recovered.verdict(recovery.handle).unwrap().is_clean()
+        recovered.report().reports()[0].is_clean()
     );
 
     // --- Part 2: a replica fed nothing but deltas. -----------------------

@@ -1,14 +1,15 @@
-//! Session API: edit a live document and re-validate incrementally.
+//! Editing a live document and re-validating it incrementally.
 //!
-//! The repair loop the paper's checking problem `T ⊨ Σ` runs inside in
-//! practice: load a document once, then alternate edits and re-checks until
-//! the data is clean.  A [`Session`] keeps the satisfaction indexes exact
-//! under every edit, so each re-check costs O(edit) instead of a rebuild —
-//! and it reports how many constraints it actually had to re-examine.
+//! The repair loop the paper's checking problem runs inside in practice:
+//! load a document once, then alternate edits and re-checks until the data
+//! is clean.  A [`CorpusSession`] keeps the satisfaction indexes exact
+//! under every edit, so each commit re-checks `T ⊨ (D, Σ)` for the edited
+//! document at O(edit) cost for Σ instead of a rebuild — and its metrics
+//! report how many constraints it actually had to re-examine.
 //!
 //! Run with: `cargo run --example session_editing`
 
-use xml_integrity_constraints::engine::{CompiledSpec, Session};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession};
 use xml_integrity_constraints::xml::EditOp;
 
 const DTD: &str = r#"
@@ -30,26 +31,49 @@ const DOC: &str = r#"<school>
     <enroll course="ml305"/>
 </school>"#;
 
+/// Commits and prints the document's report; returns whether it is clean
+/// and how many constraints the commit recomputed.
+fn commit_and_show(session: &mut CorpusSession<'_>) -> (bool, u64) {
+    let rechecked = |session: &CorpusSession<'_>| {
+        session
+            .registry()
+            .snapshot()
+            .counter("shard.rechecked")
+            .unwrap_or(0)
+    };
+    let before = rechecked(session);
+    session.commit();
+    let report = session.report();
+    let doc = &report.reports()[0];
+    for error in &doc.validation_errors {
+        println!("  structural error: {error}");
+    }
+    for v in &doc.violations {
+        println!("  violation: {v}");
+    }
+    (doc.is_clean(), rechecked(session) - before)
+}
+
 fn main() {
     let spec = CompiledSpec::from_sources(DTD, Some("school"), SIGMA).expect("spec compiles");
     let course = spec.dtd().type_by_name("course").unwrap();
     let code = spec.dtd().attr_by_name("code").unwrap();
 
-    let mut session = Session::new(&spec);
-    let doc = session.open_source(DOC).expect("document parses");
+    // A private registry, so the recheck counter sees only this session.
+    let mut session = CorpusSession::with_registry(&spec, Default::default());
+    let doc = session
+        .open_source("school.xml", DOC)
+        .expect("document parses");
 
     // Two problems: a duplicate course code, and an enrolment referencing a
     // course that does not exist.
-    let verdict = session.verdict(doc).unwrap();
     println!("== initial document ==");
-    for v in verdict.violations() {
-        println!("  violation: {v}");
-    }
+    commit_and_show(&mut session);
 
     // Repair 1: rename the duplicate course.  Only the constraints whose
     // slots mention course.code are re-checked.
     let dup = session.tree(doc).unwrap().ext(course).nth(1).unwrap();
-    let verdict = session
+    session
         .apply(
             doc,
             &[EditOp::SetAttr {
@@ -60,26 +84,21 @@ fn main() {
         )
         .unwrap();
     println!("\n== after renaming the duplicate course to ml305 ==");
+    let (clean, rechecked) = commit_and_show(&mut session);
     println!(
-        "  re-checked {} of {} constraints",
-        verdict.rechecked(),
+        "  re-checked {rechecked} of {} constraints",
         spec.sigma().len()
     );
-    for v in verdict.violations() {
-        println!("  violation: {v}");
-    }
-    assert!(verdict.is_clean(), "one edit fixed both problems");
+    assert!(clean, "one edit fixed both problems");
 
     // Break it again: removing the ml305 course re-dangles the enrolment.
     let ml305 = session.tree(doc).unwrap().ext(course).nth(1).unwrap();
-    let verdict = session
+    session
         .apply(doc, &[EditOp::RemoveSubtree { element: ml305 }])
         .unwrap();
     println!("\n== after removing the ml305 course ==");
-    for v in verdict.violations() {
-        println!("  violation: {v}");
-    }
-    assert!(!verdict.is_clean());
+    let (clean, _) = commit_and_show(&mut session);
+    assert!(!clean);
 
     // The journal holds the full edit history; the edited tree survives the
     // session.

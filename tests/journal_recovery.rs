@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use xml_integrity_constraints::constraints::Violation;
 use xml_integrity_constraints::dtd::Dtd;
 use xml_integrity_constraints::engine::journal::JournalError;
-use xml_integrity_constraints::engine::{CompiledSpec, Session};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession, DocHandle, SessionError};
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
     primary_key_family, random_document, random_dtd, random_unary_constraints,
@@ -113,6 +113,14 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
+/// Commits and returns the Σ violations of `doc`, the session's only
+/// document.
+fn committed_violations(session: &mut CorpusSession<'_>, doc: DocHandle) -> Vec<Violation> {
+    session.commit();
+    assert_eq!(session.handles().collect::<Vec<_>>(), [doc]);
+    session.report().reports()[0].violations.clone()
+}
+
 /// The live session's state after a prefix of the edit history: the
 /// verdict (witnesses included) and the slot-for-slot arena.
 struct PrefixState {
@@ -133,20 +141,20 @@ fn build_persisted_history(
 ) -> (Vec<u8>, Vec<PrefixState>) {
     let path = temp_path(tag);
     fs::remove_file(&path).ok();
-    let mut session = Session::new(spec);
-    let doc = session.open(tree);
+    let mut session = CorpusSession::new(spec);
+    let doc = session.open("doc", tree).unwrap();
     // Base record first: it folds 0 edits, so log prefix r ⇔ history
     // prefix r.
     session.persist_to(doc, &path).expect("fresh persist");
     let mut states = vec![PrefixState {
-        violations: session.verdict(doc).unwrap().violations().to_vec(),
+        violations: committed_violations(&mut session, doc),
         arena: session.tree(doc).unwrap().snapshot(),
     }];
     for i in 0..edits {
         let op = random_op(rng, spec.dtd(), session.tree(doc).unwrap());
-        let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
+        session.apply(doc, std::slice::from_ref(&op)).unwrap();
         states.push(PrefixState {
-            violations: verdict.violations().to_vec(),
+            violations: committed_violations(&mut session, doc),
             arena: session.tree(doc).unwrap().snapshot(),
         });
         if i == edits / 2 {
@@ -173,8 +181,8 @@ fn assert_recover_or_reject(
 ) {
     let path = temp_path("probe");
     fs::write(&path, image).expect("write probe image");
-    let mut session = Session::new(spec);
-    match session.recover_from(&path) {
+    let mut session = CorpusSession::new(spec);
+    match session.recover_from("probe", &path) {
         Err(_) => {} // structured rejection: always allowed
         Ok(recovery) => {
             assert_eq!(
@@ -188,10 +196,9 @@ fn assert_recover_or_reject(
                 states.len() - 1
             );
             let oracle = &states[r];
-            let verdict = session.verdict(recovery.handle).unwrap();
             assert_eq!(
-                verdict.violations(),
-                oracle.violations.as_slice(),
+                committed_violations(&mut session, recovery.handle),
+                oracle.violations,
                 "{context}: recovered prefix {r} disagrees with the live session"
             );
             assert_eq!(
@@ -212,8 +219,10 @@ fn crash_inject_everywhere(spec: &CompiledSpec, bytes: &[u8], states: &[PrefixSt
     {
         let path = temp_path("full");
         fs::write(&path, bytes).unwrap();
-        let mut session = Session::new(spec);
-        let recovery = session.recover_from(&path).expect("intact log recovers");
+        let mut session = CorpusSession::new(spec);
+        let recovery = session
+            .recover_from("full", &path)
+            .expect("intact log recovers");
         assert_eq!(recovery.ops_replayed as usize, states.len() - 1);
         assert!(!recovery.truncated_tail);
         fs::remove_file(&path).ok();
@@ -333,8 +342,8 @@ fn recovery_after_compaction_round_trips_node_for_node() {
     let tree = spec
         .parse_document("<school><teacher name=\"Joe\"/><teacher name=\"Ann\"/></school>")
         .unwrap();
-    let mut session = Session::new(&spec);
-    let doc = session.open(tree);
+    let mut session = CorpusSession::new(&spec);
+    let doc = session.open("doc", tree).unwrap();
     session.persist_to(doc, &path).unwrap();
     for round in 0..4 {
         for _ in 0..6 {
@@ -352,8 +361,8 @@ fn recovery_after_compaction_round_trips_node_for_node() {
 
         // Recovery from the log reproduces the live document exactly even
         // though the in-memory journal no longer holds the history.
-        let mut recovered = Session::new(&spec);
-        let recovery = recovered.recover_from(&path).unwrap();
+        let mut recovered = CorpusSession::new(&spec);
+        let recovery = recovered.recover_from("doc", &path).unwrap();
         assert_eq!(recovery.total_edits(), 6 * (round + 1));
         assert_eq!(
             recovered.tree(recovery.handle).unwrap().snapshot(),
@@ -361,8 +370,8 @@ fn recovery_after_compaction_round_trips_node_for_node() {
             "round {round}"
         );
         assert_eq!(
-            recovered.verdict(recovery.handle).unwrap().violations(),
-            session.verdict(doc).unwrap().violations(),
+            committed_violations(&mut recovered, recovery.handle),
+            committed_violations(&mut session, doc),
             "round {round}"
         );
     }
@@ -376,8 +385,8 @@ fn recovery_after_compaction_round_trips_node_for_node() {
     session.apply(doc, std::slice::from_ref(&op)).unwrap();
     let receipt = session.persist_to(doc, &path).unwrap();
     assert!(receipt.repaired_torn_tail);
-    let mut recovered = Session::new(&spec);
-    let recovery = recovered.recover_from(&path).unwrap();
+    let mut recovered = CorpusSession::new(&spec);
+    let recovery = recovered.recover_from("doc", &path).unwrap();
     assert_eq!(recovery.total_edits(), 25);
     assert_eq!(
         recovered.tree(recovery.handle).unwrap().snapshot(),
@@ -385,9 +394,9 @@ fn recovery_after_compaction_round_trips_node_for_node() {
     );
 
     // Compacting past the log is refused: the history would exist nowhere.
-    let mut rogue = Session::new(&spec);
+    let mut rogue = CorpusSession::new(&spec);
     let tree = spec.parse_document("<school/>").unwrap();
-    let rogue_doc = rogue.open(tree);
+    let rogue_doc = rogue.open("rogue", tree).unwrap();
     let rogue_path = temp_path("rogue");
     fs::remove_file(&rogue_path).ok();
     rogue.persist_to(rogue_doc, &rogue_path).unwrap();
@@ -417,7 +426,7 @@ fn recovery_after_compaction_round_trips_node_for_node() {
         .unwrap();
     let err = rogue.persist_to(rogue_doc, &rogue_path).unwrap_err();
     assert!(
-        matches!(err, JournalError::Compacted { .. }),
+        matches!(err, SessionError::Journal(JournalError::Compacted { .. })),
         "expected Compacted, got {err:?}"
     );
 

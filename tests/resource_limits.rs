@@ -10,16 +10,16 @@
 //!
 //! * the parser budget ([`xic_xml::ParseBudget`]) over proptest-drawn
 //!   random DTDs and documents,
-//! * [`Session::open_source`] / [`CorpusSession::open_source`] over the
-//!   named workload families,
-//! * edit admission ([`Session::apply`]) for the node, depth and
+//! * [`CorpusSession::open_source`] over the named workload families,
+//! * edit admission ([`CorpusSession::apply`]) for the node, depth and
 //!   queued-op bounds, asserting rejection is all-or-nothing with the
 //!   batch echoed back,
-//! * [`CorpusSession`] dirty-document backpressure.
+//! * [`CorpusSession`] dirty-document backpressure,
+//! * [`CorpusSession::recover_from`], admitted exactly like an open.
 
 use proptest::prelude::*;
 use xml_integrity_constraints::engine::{
-    CompiledSpec, CorpusSession, LimitKind, Limits, Session, SessionError,
+    CompiledSpec, CorpusSession, LimitKind, Limits, SessionError,
 };
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
@@ -149,19 +149,19 @@ proptest! {
         let teacher = spec.dtd().type_by_name("teacher").unwrap();
 
         // `max_doc_nodes`: each AddElement costs one node.
-        let mut session = Session::new(&spec);
-        let doc = session.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         let before = session.tree(doc).unwrap().num_nodes();
         let root = session.tree(doc).unwrap().root();
         let ops: Vec<EditOp> = (0..extra)
             .map(|_| EditOp::AddElement { parent: root, ty: teacher })
             .collect();
 
-        let mut tight = Session::with_limits(&spec, Limits {
+        let mut tight = CorpusSession::with_limits(&spec, Limits {
             max_doc_nodes: Some(before + extra - 1),
             ..Limits::UNLIMITED
         });
-        let doc = tight.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = tight.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         let err = tight.apply(doc, &ops).expect_err("one node over the bound must reject");
         let SessionError::Resource(r) = err else {
             panic!("expected a structured resource rejection, got {err}");
@@ -176,31 +176,31 @@ proptest! {
         );
         // Exactly at the bound the same batch is admitted whole.
         tight.apply(doc, &ops).expect_err("still one over; widen first");
-        let mut exact = Session::with_limits(&spec, Limits {
+        let mut exact = CorpusSession::with_limits(&spec, Limits {
             max_doc_nodes: Some(before + extra),
             ..Limits::UNLIMITED
         });
-        let doc = exact.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = exact.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         exact.apply(doc, &ops).expect("exactly at the bound admits the batch");
         prop_assert_eq!(exact.tree(doc).unwrap().num_nodes(), before + extra);
 
         // `max_queued_ops`: bounds the batch length itself.
-        let mut queued = Session::with_limits(&spec, Limits {
+        let mut queued = CorpusSession::with_limits(&spec, Limits {
             max_queued_ops: Some(ops.len() - 1),
             ..Limits::UNLIMITED
         });
-        let doc = queued.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = queued.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         let err = queued.apply(doc, &ops).expect_err("batch longer than the queue bound");
         let SessionError::Resource(r) = err else {
             panic!("expected a structured resource rejection, got {err}");
         };
         prop_assert_eq!(r.limit, LimitKind::QueuedOps);
         prop_assert_eq!(r.rejected.len(), ops.len());
-        let mut queued_ok = Session::with_limits(&spec, Limits {
+        let mut queued_ok = CorpusSession::with_limits(&spec, Limits {
             max_queued_ops: Some(ops.len()),
             ..Limits::UNLIMITED
         });
-        let doc = queued_ok.open_source("<school><teacher name=\"Joe\"/></school>").unwrap();
+        let doc = queued_ok.open_source("doc", "<school><teacher name=\"Joe\"/></school>").unwrap();
         queued_ok.apply(doc, &ops).expect("a batch of exactly the bound is admitted");
     }
 }
@@ -216,7 +216,7 @@ fn school_spec() -> CompiledSpec {
     .expect("the school spec compiles")
 }
 
-/// The named workload families, through both session front doors: the
+/// The named workload families, through the session's open door: the
 /// measured cost admits, one below rejects as [`SessionError::Resource`]
 /// naming the violated limit.
 #[test]
@@ -258,9 +258,6 @@ fn session_open_boundaries_hold_across_workload_families() {
                 max_depth: Some(depth),
                 ..Limits::UNLIMITED
             };
-            Session::with_limits(&spec, exact)
-                .open_source(&source)
-                .unwrap_or_else(|e| panic!("{family}: exact limits must admit: {e}"));
             CorpusSession::with_limits(&spec, exact)
                 .open_source(family, &source)
                 .unwrap_or_else(|e| panic!("{family}: exact limits must admit: {e}"));
@@ -288,14 +285,6 @@ fn session_open_boundaries_hold_across_workload_families() {
                     LimitKind::NestingDepth,
                 ),
             ] {
-                let err = Session::with_limits(&spec, limits)
-                    .open_source(&source)
-                    .expect_err("one below the measured cost must reject");
-                let SessionError::Resource(r) = err else {
-                    panic!("{family}: expected a resource rejection, got {err}");
-                };
-                assert_eq!(r.limit, kind, "{family}: wrong limit named");
-
                 let err = CorpusSession::with_limits(&spec, limits)
                     .open_source(family, &source)
                     .expect_err("one below the measured cost must reject");
@@ -347,23 +336,23 @@ fn constraints_do_not_perturb_admission_boundaries() {
     };
     let source = write_document(&tree, spec.dtd());
     let nodes = tree.num_nodes();
-    Session::with_limits(
+    CorpusSession::with_limits(
         &spec,
         Limits {
             max_doc_nodes: Some(nodes),
             ..Limits::UNLIMITED
         },
     )
-    .open_source(&source)
+    .open_source("doc", &source)
     .expect("the node boundary is the document's, not the spec's");
-    let err = Session::with_limits(
+    let err = CorpusSession::with_limits(
         &spec,
         Limits {
             max_doc_nodes: Some(nodes - 1),
             ..Limits::UNLIMITED
         },
     )
-    .open_source(&source)
+    .open_source("doc", &source)
     .expect_err("one node below must reject regardless of Σ");
     assert!(
         matches!(err, SessionError::Resource(ref r) if r.limit == LimitKind::DocNodes),
@@ -407,4 +396,78 @@ fn corpus_dirty_doc_backpressure_is_exact() {
     corpus
         .open_source("doc-overflow", "<school/>")
         .expect("after the commit drains the set, the retry is admitted");
+}
+
+/// Recovery is an open: the dirty-set bound and `max_doc_nodes` (metered on
+/// the replayed tree) admit at exactly the recovered document's cost and
+/// reject one below as [`SessionError::Resource`] — opening nothing.
+#[test]
+fn recovery_admission_boundaries_are_exact() {
+    let spec = school_spec();
+    let teacher = spec.dtd().type_by_name("teacher").unwrap();
+    let mut path = std::env::temp_dir();
+    path.push(format!("xic-resource-limits-{}.xicj", std::process::id()));
+    std::fs::remove_file(&path).ok();
+
+    // A logged document that grew past its base: the bound must meter the
+    // replayed tree, not the base snapshot.
+    let mut live = CorpusSession::new(&spec);
+    let doc = live
+        .open_source("doc", "<school><teacher name=\"Joe\"/></school>")
+        .unwrap();
+    live.persist_to(doc, &path).unwrap();
+    let root = live.tree(doc).unwrap().root();
+    let add = EditOp::AddElement {
+        parent: root,
+        ty: teacher,
+    };
+    live.apply(doc, &[add.clone(), add]).unwrap();
+    live.persist_to(doc, &path).unwrap();
+    let nodes = live.tree(doc).unwrap().num_nodes();
+
+    let limited = |limits: Limits| CorpusSession::with_limits(&spec, limits);
+    let mut exact = limited(Limits {
+        max_doc_nodes: Some(nodes),
+        ..Limits::UNLIMITED
+    });
+    let recovery = exact
+        .recover_from("doc", &path)
+        .expect("exactly at the bound admits the recovery");
+    assert_eq!(exact.tree(recovery.handle).unwrap().num_nodes(), nodes);
+
+    let mut tight = limited(Limits {
+        max_doc_nodes: Some(nodes - 1),
+        ..Limits::UNLIMITED
+    });
+    let err = tight
+        .recover_from("doc", &path)
+        .expect_err("one node below must reject");
+    let SessionError::Resource(r) = err else {
+        panic!("expected a structured resource rejection, got {err}");
+    };
+    assert_eq!(r.limit, LimitKind::DocNodes);
+    assert_eq!(r.observed, nodes as u64);
+    assert_eq!(tight.num_docs(), 0, "a rejected recovery opens nothing");
+    assert_eq!(tight.commit().total, 0);
+
+    // The dirty-set bound: a full set sheds the recovery before the log is
+    // read; one slot admits it.
+    let mut full = limited(Limits {
+        max_dirty_docs: Some(1),
+        ..Limits::UNLIMITED
+    });
+    full.open_source("other", "<school/>").unwrap();
+    let err = full
+        .recover_from("doc", &path)
+        .expect_err("a full dirty set must reject");
+    let SessionError::Resource(r) = err else {
+        panic!("expected a structured resource rejection, got {err}");
+    };
+    assert_eq!(r.limit, LimitKind::DirtyDocs);
+    assert_eq!(full.num_docs(), 1, "a rejected recovery opens nothing");
+    full.commit();
+    full.recover_from("doc", &path)
+        .expect("after a commit drains the set, the recovery is admitted");
+    assert_eq!(full.num_docs(), 2);
+    std::fs::remove_file(&path).ok();
 }

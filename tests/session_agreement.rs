@@ -1,8 +1,9 @@
-//! Differential testing of the Session API's incremental re-validation
-//! against the independent reference checker.
+//! Differential testing of a session's incremental re-validation of one
+//! document against the independent reference checker.
 //!
-//! The contract of `xic_engine::Session` is *witness identity*: after every
-//! prefix of an arbitrary edit sequence, the incremental verdict must equal
+//! The contract of `xic_engine::CorpusSession` is *witness identity*: after
+//! every prefix of an arbitrary edit sequence, the committed Σ verdict must
+//! equal
 //! what a from-scratch `SatisfactionChecker` pass over the edited tree
 //! reports (a checker that shares no code with the index) — the same
 //! violations in the same order with the same witness nodes and values (so
@@ -15,7 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml_integrity_constraints::constraints::{SatisfactionChecker, Violation};
-use xml_integrity_constraints::engine::{CompiledSpec, Session};
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession};
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, keys_only_family, primary_key_family, random_document, random_dtd,
     random_unary_constraints, ConstraintGenConfig, DocGenConfig, DtdGenConfig,
@@ -25,6 +26,23 @@ use xml_integrity_constraints::xml::{EditOp, NodeId, XmlTree};
 /// The from-scratch oracle: the reference checker over the current tree.
 fn rebuild(spec: &CompiledSpec, tree: &XmlTree) -> Vec<Violation> {
     SatisfactionChecker::new(spec.dtd(), tree).check_all(spec.sigma())
+}
+
+/// Commits a one-document session and returns the document's Σ
+/// violations, with how many constraints the commit recomputed (the rest
+/// were served from the per-constraint cache).
+fn commit_verdict(session: &mut CorpusSession<'_>) -> (Vec<Violation>, u64) {
+    let rechecked = |session: &CorpusSession<'_>| {
+        session
+            .registry()
+            .snapshot()
+            .counter("shard.rechecked")
+            .unwrap_or(0)
+    };
+    let before = rechecked(session);
+    session.commit();
+    let violations = session.report().reports()[0].violations.clone();
+    (violations, rechecked(session) - before)
 }
 
 /// Picks the next edit against the current document state: every op is
@@ -140,28 +158,30 @@ proptest! {
             // session needs only (D, Σ), so skip those instances.
             Err(_) => return Ok(()),
         };
-        let mut session = Session::new(&spec);
+        // A private registry, so the recheck counter sees only this case.
+        let mut session = CorpusSession::with_registry(&spec, Default::default());
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-        let doc = session.open(tree);
+        let doc = session.open("doc", tree).unwrap();
 
         // The opening verdict must already agree.
-        let verdict = session.verdict(doc).unwrap();
+        let (violations, _) = commit_verdict(&mut session);
         let rebuilt = rebuild(&spec, session.tree(doc).unwrap());
-        prop_assert_eq!(verdict.violations(), rebuilt.as_slice());
+        prop_assert_eq!(violations, rebuilt);
 
         for step in 0..edits {
             let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
-            let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            let (violations, rechecked) = commit_verdict(&mut session);
             let rebuilt = rebuild(&spec, session.tree(doc).unwrap());
             prop_assert_eq!(
-                verdict.violations(),
-                rebuilt.as_slice(),
+                violations,
+                rebuilt,
                 "diverged at step {} after {:?}",
                 step,
                 op
             );
             // The incremental path only recomputes touched constraints.
-            prop_assert!(verdict.rechecked() <= spec.sigma().len());
+            prop_assert!(rechecked <= spec.sigma().len() as u64);
         }
 
         // The journal recorded every edit, and closing returns the edited
@@ -169,10 +189,10 @@ proptest! {
         prop_assert_eq!(session.journal(doc).unwrap().len(), edits);
         let tree = session.close(doc).unwrap();
         let rebuilt = rebuild(&spec, &tree);
-        let mut reopened = Session::new(&spec);
-        let doc = reopened.open(tree);
-        let verdict = reopened.verdict(doc).unwrap();
-        prop_assert_eq!(verdict.violations(), rebuilt.as_slice());
+        let mut reopened = CorpusSession::new(&spec);
+        reopened.open("doc", tree).unwrap();
+        let (violations, _) = commit_verdict(&mut reopened);
+        prop_assert_eq!(violations, rebuilt);
     }
 }
 
@@ -203,16 +223,16 @@ fn workload_families_agree_with_rebuild_after_every_edit() {
         ) else {
             continue;
         };
-        let mut session = Session::new(&spec);
-        let doc = session.open(tree);
+        let mut session = CorpusSession::new(&spec);
+        let doc = session.open(label.as_str(), tree).unwrap();
         let mut rng = StdRng::seed_from_u64(0xfeed ^ driven as u64);
         for step in 0..24 {
             let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
-            let verdict = session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            let (violations, _) = commit_verdict(&mut session);
             let rebuilt = rebuild(&spec, session.tree(doc).unwrap());
             assert_eq!(
-                verdict.violations(),
-                rebuilt.as_slice(),
+                violations, rebuilt,
                 "{label}: diverged at step {step} after {op:?}"
             );
         }

@@ -1,11 +1,12 @@
-//! Edge cases of the edit layer, driven through the Session API:
+//! Edge cases of the edit layer, driven through a corpus session:
 //! close/re-open with journal replay, tombstoned-subtree reads after
 //! `RemoveSubtree`, and every `EditError` variant surfacing through
-//! `Session::apply`.
+//! `CorpusSession::apply`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xml_integrity_constraints::engine::{CompiledSpec, Session, SessionError};
+use xml_integrity_constraints::constraints::Violation;
+use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession, SessionError};
 use xml_integrity_constraints::xml::{write_document, EditError, EditOp, NodeId};
 
 fn school_spec() -> CompiledSpec {
@@ -19,6 +20,12 @@ fn school_spec() -> CompiledSpec {
         "teacher.name -> teacher",
     )
     .unwrap()
+}
+
+/// Commits a one-document session and returns the document's Σ violations.
+fn committed_violations(session: &mut CorpusSession<'_>) -> Vec<Violation> {
+    session.commit();
+    session.report().reports()[0].violations.clone()
 }
 
 /// Close → re-open with journal replay: applying the journaled ops, in
@@ -42,8 +49,8 @@ fn journal_replay_reproduces_the_edited_document() {
 
     // A mixed random edit history: adds, attribute writes (some displacing,
     // some fresh), text, and removals.
-    let mut session = Session::new(&spec);
-    let doc = session.open(pristine.clone());
+    let mut session = CorpusSession::new(&spec);
+    let doc = session.open("doc", pristine.clone()).unwrap();
     let mut rng = StdRng::seed_from_u64(42);
     for step in 0..40 {
         let tree = session.tree(doc).unwrap();
@@ -114,20 +121,19 @@ fn journal_replay_reproduces_the_edited_document() {
         session.apply(doc, std::slice::from_ref(&op)).unwrap();
     }
 
-    let final_verdict = session.verdict(doc).unwrap();
+    let final_violations = committed_violations(&mut session);
     let journal = session.journal(doc).unwrap().clone();
     assert_eq!(journal.len(), 40);
     let edited = session.close(doc).unwrap();
 
     // Replay the ops onto the pristine copy in a fresh session.
-    let mut replayed = Session::new(&spec);
-    let doc = replayed.open(pristine);
+    let mut replayed = CorpusSession::new(&spec);
+    let doc = replayed.open("doc", pristine).unwrap();
     for op in journal.ops() {
         replayed.apply(doc, std::slice::from_ref(op)).unwrap();
     }
-    let replay_verdict = replayed.verdict(doc).unwrap();
-    assert_eq!(replay_verdict.violations(), final_verdict.violations());
-    assert_eq!(replay_verdict.edits_applied(), 40);
+    assert_eq!(committed_violations(&mut replayed), final_violations);
+    assert_eq!(replayed.journal(doc).unwrap().total_recorded(), 40);
     // The replayed journal's effects match the original's (same displaced
     // values, same removed-element lists), so a replica applying the log
     // reaches the same state by the same deltas.
@@ -150,9 +156,10 @@ fn tombstoned_subtree_values_stay_readable() {
     let teacher = dtd.type_by_name("teacher").unwrap();
     let name = dtd.attr_by_name("name").unwrap();
 
-    let mut session = Session::new(&spec);
+    let mut session = CorpusSession::new(&spec);
     let doc = session
         .open_source(
+            "doc",
             "<school><teacher name=\"Joe\"><note>keep me</note></teacher>\
              <teacher name=\"Ann\"/></school>",
         )
@@ -185,10 +192,10 @@ fn tombstoned_subtree_values_stay_readable() {
     assert_eq!(tree.ext_count(teacher), 1);
     assert!(tree.elements().all(|n| n != joe && n != joe_note));
     // …and the verdict matches: Ann is the only teacher left.
-    assert!(session.verdict(doc).unwrap().is_clean());
+    assert!(committed_violations(&mut session).is_empty());
 }
 
-/// Every [`EditError`] variant surfaces through `Session::apply`, wrapped
+/// Every [`EditError`] variant surfaces through `CorpusSession::apply`, wrapped
 /// in a [`SessionError::Edit`] that reports the applied prefix.
 #[test]
 fn every_edit_error_variant_surfaces_through_apply() {
@@ -197,9 +204,12 @@ fn every_edit_error_variant_surfaces_through_apply() {
     let teacher = dtd.type_by_name("teacher").unwrap();
     let name = dtd.attr_by_name("name").unwrap();
 
-    let mut session = Session::new(&spec);
+    let mut session = CorpusSession::new(&spec);
     let doc = session
-        .open_source("<school><teacher name=\"Joe\"><note>x</note></teacher></school>")
+        .open_source(
+            "doc",
+            "<school><teacher name=\"Joe\"><note>x</note></teacher></school>",
+        )
         .unwrap();
     let tree = session.tree(doc).unwrap();
     let root = tree.root();
@@ -320,7 +330,7 @@ fn every_edit_error_variant_surfaces_through_apply() {
     // The journal on a fresh document records only *applied* ops: rejected
     // ones never enter the log.
     let doc = session
-        .open_source("<school><teacher name=\"Joe\"/></school>")
+        .open_source("doc", "<school><teacher name=\"Joe\"/></school>")
         .unwrap();
     let root = session.tree(doc).unwrap().root();
     let _ = session
