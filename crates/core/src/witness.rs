@@ -23,10 +23,12 @@
 //! `T ⊨ D` and `T ⊨ Σ`.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use xic_constraints::ConstraintSet;
 use xic_dtd::{AttrId, Dtd, ElemId, SimpleDtd, SimpleId, SimpleRule};
-use xic_ilp::Assignment;
+use xic_ilp::{Assignment, IntegerProgram};
+use xic_telemetry::Counter;
 use xic_xml::{NodeId, XmlTree};
 
 use crate::system::CardinalitySystem;
@@ -268,6 +270,32 @@ fn choose_alt_branch(simple: &SimpleDtd, budgets: &Budgets, ty: SimpleId) -> u8 
     }
 }
 
+/// Solves `program` once and adds the search counters to the process-wide
+/// registry as `ilp.bb_nodes`, `ilp.lp_calls`, `ilp.pivots` and
+/// `ilp.promotions`.
+fn solve_published(
+    solver: &xic_ilp::IlpSolver,
+    program: &IntegerProgram,
+) -> (xic_ilp::SolveOutcome, xic_ilp::SolveStats) {
+    static COUNTERS: OnceLock<[Arc<Counter>; 4]> = OnceLock::new();
+    let [nodes, lp_calls, pivots, promotions] = COUNTERS.get_or_init(|| {
+        let telemetry = xic_telemetry::global();
+        [
+            "ilp.bb_nodes",
+            "ilp.lp_calls",
+            "ilp.pivots",
+            "ilp.promotions",
+        ]
+        .map(|name| telemetry.counter(name))
+    });
+    let (outcome, stats) = solver.solve_with_stats(program);
+    nodes.add(stats.nodes as u64);
+    lp_calls.add(stats.lp_calls as u64);
+    pivots.add(stats.pivots as u64);
+    promotions.add(stats.promotions);
+    (outcome, stats)
+}
+
 /// Outcome of [`solve_and_witness`].
 #[derive(Debug, Clone)]
 pub enum WitnessOutcome {
@@ -300,7 +328,7 @@ pub fn solve_and_witness(
 ) -> WitnessOutcome {
     let mut working = system.clone();
     for _round in 0..=max_repair_rounds {
-        let outcome = solver.solve(working.program());
+        let (outcome, _) = solve_published(solver, working.program());
         let assignment = match outcome {
             xic_ilp::SolveOutcome::Infeasible => return WitnessOutcome::Infeasible,
             xic_ilp::SolveOutcome::Unknown(reason) => return WitnessOutcome::Unknown(reason),
@@ -410,10 +438,12 @@ pub fn solve_counts(
     let mut working = system.clone();
     let mut total = xic_ilp::SolveStats::default();
     for _round in 0..=max_repair_rounds {
-        let (outcome, stats) = solver.solve_with_stats(working.program());
+        let (outcome, stats) = solve_published(solver, working.program());
         total.nodes += stats.nodes;
         total.lp_calls += stats.lp_calls;
         total.pruned_infeasible += stats.pruned_infeasible;
+        total.pivots += stats.pivots;
+        total.promotions += stats.promotions;
         let assignment = match outcome {
             xic_ilp::SolveOutcome::Infeasible => return (CountsOutcome::Infeasible, total),
             xic_ilp::SolveOutcome::Unknown(reason) => {
@@ -565,6 +595,28 @@ mod tests {
             WitnessOutcome::Tree(t) => t,
             other => panic!("expected a witness, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn solves_publish_search_counters_globally() {
+        let probe = xic_telemetry::MetricsRegistry::new().counter("probe");
+        probe.inc();
+        if probe.get() == 0 {
+            return; // instruments compiled out
+        }
+        let counter = |name: &str| xic_telemetry::global().counter(name).get();
+        let before = ["ilp.bb_nodes", "ilp.lp_calls", "ilp.pivots"].map(counter);
+        let d1 = example_d1();
+        let sys = CardinalitySystem::build(&d1, &ConstraintSet::new(), &SystemOptions::default())
+            .unwrap();
+        let (outcome, stats) = solve_counts(&sys, &IlpSolver::new(), 16);
+        assert!(matches!(outcome, CountsOutcome::Realizable(_)));
+        assert!(stats.pivots > 0);
+        let after = ["ilp.bb_nodes", "ilp.lp_calls", "ilp.pivots"].map(counter);
+        // Other tests solve concurrently, so only lower bounds hold.
+        assert!(after[0] - before[0] >= stats.nodes as u64);
+        assert!(after[1] - before[1] >= stats.lp_calls as u64);
+        assert!(after[2] - before[2] >= stats.pivots as u64);
     }
 
     #[test]

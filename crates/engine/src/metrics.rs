@@ -31,6 +31,10 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "corpus.edits",
         "corpus.violations_added",
         "corpus.violations_removed",
+        "ilp.bb_nodes",
+        "ilp.lp_calls",
+        "ilp.pivots",
+        "ilp.promotions",
         "incremental.builds",
         "incremental.constraints_rechecked",
         "journal.bytes_written",

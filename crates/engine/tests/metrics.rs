@@ -173,6 +173,10 @@ fn capture_covers_the_full_inventory_even_when_idle() {
         "corpus.commits",
         "journal.bytes_written",
         "batch.docs",
+        "ilp.bb_nodes",
+        "ilp.lp_calls",
+        "ilp.pivots",
+        "ilp.promotions",
     ] {
         assert_eq!(metrics.snapshot.counter(name), Some(0), "{name}");
     }

@@ -9,6 +9,10 @@
 //! systems.  This module provides the minimal big-integer arithmetic the rest
 //! of the crate needs: sign-magnitude representation with little-endian
 //! `u64` limbs.
+//!
+//! It is the slow path of [`crate::rational::Rational`], which keeps values
+//! that fit machine words inline and promotes to `BigInt` parts only when a
+//! result overflows `i64`; exactness never depends on which path ran.
 
 use std::cmp::Ordering;
 use std::fmt;

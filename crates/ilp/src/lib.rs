@@ -8,7 +8,11 @@
 //! scratch:
 //!
 //! * [`bignum::BigInt`] / [`rational::Rational`] — exact arbitrary-precision
-//!   arithmetic, so feasibility answers are never a rounding artefact;
+//!   arithmetic, so feasibility answers are never a rounding artefact.
+//!   Rationals that fit machine words are held inline and computed with
+//!   `i128` products and machine-word gcds; a result that overflows is
+//!   promoted to `BigInt` parts (and demoted again once it fits), so the
+//!   common case allocates nothing and the big constants stay exact;
 //! * [`linear::IntegerProgram`] — the modelling layer used by `xic-core` to
 //!   materialise the cardinality systems Ψ_D, C_Σ, Ψ(D,Σ) and Ψ'(D,Σ);
 //! * [`simplex`] — an exact two-phase primal simplex for LP relaxations;

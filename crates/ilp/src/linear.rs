@@ -412,11 +412,12 @@ impl IntegerProgram {
             let mut lcm = BigInt::one();
             for (_, coeff) in c.expr.terms() {
                 let d = coeff.denom();
-                let g = lcm.gcd(d);
-                lcm = &(&lcm / &g) * d;
+                let g = lcm.gcd(&d);
+                lcm = &(&lcm / &g) * &d;
             }
-            let g = lcm.gcd(c.rhs.denom());
-            lcm = &(&lcm / &g) * c.rhs.denom();
+            let d = c.rhs.denom();
+            let g = lcm.gcd(&d);
+            lcm = &(&lcm / &g) * &d;
             for (_, coeff) in c.expr.terms() {
                 let scaled = (coeff * &Rational::from(lcm.clone())).numer().abs();
                 if scaled > a {

@@ -3,7 +3,9 @@
 //! This is the LP-relaxation engine underneath the branch-and-bound integer
 //! solver.  It is a dense tableau implementation with Bland's anti-cycling
 //! rule; all arithmetic is exact, so feasibility answers are never subject to
-//! floating-point tolerance choices.
+//! floating-point tolerance choices.  The tableaux of the cardinality systems
+//! are mostly zeros, so pivots and price-outs skip zero cells rather than
+//! multiply by them.
 
 use crate::linear::CmpOp;
 use crate::rational::Rational;
@@ -72,6 +74,11 @@ struct Tableau {
     basis: Vec<usize>,
     /// Total number of columns (excluding rhs).
     cols: usize,
+    /// Pivots performed so far.
+    pivots: usize,
+    /// Scratch list of the pivot row's non-zero columns, reused across
+    /// pivots.
+    support: Vec<usize>,
 }
 
 impl Tableau {
@@ -80,33 +87,51 @@ impl Tableau {
     }
 
     /// Performs a pivot on `(row, col)`.
+    ///
+    /// Only the non-zero columns of the normalised pivot row can change the
+    /// other rows, so they are collected once and the updates touch nothing
+    /// else.
     fn pivot(&mut self, row: usize, col: usize) {
-        let pivot_val = self.rows[row][col].clone();
-        debug_assert!(!pivot_val.is_zero());
-        let inv = pivot_val.recip();
-        for v in self.rows[row].iter_mut() {
-            *v = &*v * &inv;
-        }
-        let pivot_row = self.rows[row].clone();
-        for (r, row_vec) in self.rows.iter_mut().enumerate() {
-            if r == row {
-                continue;
+        self.pivots += 1;
+        let mut pivot_row = std::mem::take(&mut self.rows[row]);
+        let inv = pivot_row[col].recip();
+        let mut support = std::mem::take(&mut self.support);
+        support.clear();
+        for (j, v) in pivot_row.iter_mut().enumerate() {
+            if !v.is_zero() {
+                *v = &*v * &inv;
+                support.push(j);
             }
-            let factor = row_vec[col].clone();
+        }
+        for row_vec in self.rows.iter_mut().chain(std::iter::once(&mut self.obj)) {
+            // The taken pivot row is empty here and skipped like a zero factor.
+            let Some(factor) = row_vec.get(col).filter(|f| !f.is_zero()).cloned() else {
+                continue;
+            };
+            for &j in &support {
+                row_vec[j] -= &(&factor * &pivot_row[j]);
+            }
+        }
+        self.rows[row] = pivot_row;
+        self.support = support;
+        self.basis[row] = col;
+    }
+
+    /// Makes the objective row consistent with the current basis by
+    /// subtracting each basic column's cost times its row, skipping zero
+    /// cells.
+    fn price_out(&mut self) {
+        for (r, row) in self.rows.iter().enumerate() {
+            let factor = self.obj[self.basis[r]].clone();
             if factor.is_zero() {
                 continue;
             }
-            for (j, v) in row_vec.iter_mut().enumerate() {
-                *v = &*v - &(&factor * &pivot_row[j]);
+            for (j, v) in row.iter().enumerate() {
+                if !v.is_zero() {
+                    self.obj[j] -= &(&factor * v);
+                }
             }
         }
-        let factor = self.obj[col].clone();
-        if !factor.is_zero() {
-            for (j, v) in self.obj.iter_mut().enumerate() {
-                *v = &*v - &(&factor * &pivot_row[j]);
-            }
-        }
-        self.basis[row] = col;
     }
 
     /// Runs the simplex iteration loop with Bland's rule until optimality or
@@ -155,6 +180,11 @@ enum SimplexStatus {
 
 /// Solves an LP with the two-phase simplex method.
 pub fn solve(problem: &LpProblem) -> LpOutcome {
+    solve_with_pivots(problem).0
+}
+
+/// Solves an LP like [`solve`] and also reports the number of pivots.
+pub(crate) fn solve_with_pivots(problem: &LpProblem) -> (LpOutcome, usize) {
     let n = problem.num_vars;
     let m = problem.rows.len();
     debug_assert!(problem.objective.len() == n || problem.objective.is_empty());
@@ -245,6 +275,8 @@ pub fn solve(problem: &LpProblem) -> LpOutcome {
         obj: vec![Rational::zero(); total_cols + 1],
         basis,
         cols: total_cols,
+        pivots: 0,
+        support: Vec::new(),
     };
 
     let artificial_cols: Vec<bool> = {
@@ -267,39 +299,28 @@ pub fn solve(problem: &LpProblem) -> LpOutcome {
         }
         // Make the objective row consistent with the starting basis (price out
         // the basic artificial columns).
-        for r in 0..m {
-            let b = tableau.basis[r];
-            let factor = tableau.obj[b].clone();
-            if factor.is_zero() {
-                continue;
-            }
-            for j in 0..=total_cols {
-                let delta = &factor * &tableau.rows[r][j];
-                tableau.obj[j] = &tableau.obj[j] - &delta;
-            }
-        }
+        tableau.price_out();
         match tableau.run(&no_bans) {
             SimplexStatus::Unbounded => {
                 // Phase-1 objective is bounded below by 0; unbounded cannot
                 // happen, but treat it defensively as infeasible.
-                return LpOutcome::Infeasible;
+                return (LpOutcome::Infeasible, tableau.pivots);
             }
             SimplexStatus::Optimal => {}
         }
         // Phase-1 optimum is -obj[rhs].
-        let phase1 = -tableau.obj[total_cols].clone();
-        if phase1.is_positive() {
-            return LpOutcome::Infeasible;
+        if tableau.obj[total_cols].is_negative() {
+            return (LpOutcome::Infeasible, tableau.pivots);
         }
         // Drive artificial variables out of the basis where possible.
-        let is_artificial = |col: usize| plans.iter().any(|p| p.artificial == Some(col));
         for r in 0..m {
-            if !is_artificial(tableau.basis[r]) {
+            if !artificial_cols[tableau.basis[r]] {
                 continue;
             }
             // The artificial is basic at value 0; pivot in any non-artificial
             // column with a non-zero entry in this row.
-            let col = (0..total_cols).find(|&j| !is_artificial(j) && !tableau.rows[r][j].is_zero());
+            let col =
+                (0..total_cols).find(|&j| !artificial_cols[j] && !tableau.rows[r][j].is_zero());
             if let Some(col) = col {
                 tableau.pivot(r, col);
             }
@@ -320,21 +341,11 @@ pub fn solve(problem: &LpProblem) -> LpOutcome {
         }
     }
     // Price out basic columns.
-    for r in 0..m {
-        let b = tableau.basis[r];
-        let factor = tableau.obj[b].clone();
-        if factor.is_zero() {
-            continue;
-        }
-        for j in 0..=total_cols {
-            let delta = &factor * &tableau.rows[r][j];
-            tableau.obj[j] = &tableau.obj[j] - &delta;
-        }
-    }
+    tableau.price_out();
     // Artificial columns must never re-enter the basis in phase 2: they are
     // passed to `run` as banned entering columns (their basic values are
     // zero, so excluding them does not cut off any feasible point).
-    match tableau.run(&artificial_cols) {
+    let outcome = match tableau.run(&artificial_cols) {
         SimplexStatus::Unbounded => LpOutcome::Unbounded,
         SimplexStatus::Optimal => {
             let mut values = vec![Rational::zero(); n];
@@ -352,7 +363,8 @@ pub fn solve(problem: &LpProblem) -> LpOutcome {
             }
             LpOutcome::Optimal { objective, values }
         }
-    }
+    };
+    (outcome, tableau.pivots)
 }
 
 #[cfg(test)]

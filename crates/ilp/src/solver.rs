@@ -19,7 +19,7 @@
 use crate::bignum::BigInt;
 use crate::bounds::program_big_constant;
 use crate::linear::{Assignment, CmpOp, IntegerProgram, VarId};
-use crate::rational::Rational;
+use crate::rational::{self, Rational};
 use crate::simplex::{self, LpOutcome, LpProblem, LpRow};
 
 /// How conditional constraints `x > 0 → y > 0` are handled.
@@ -96,6 +96,11 @@ pub struct SolveStats {
     pub lp_calls: usize,
     /// Nodes pruned by LP infeasibility.
     pub pruned_infeasible: usize,
+    /// Simplex pivots over all LP relaxations.
+    pub pivots: usize,
+    /// Arithmetic results that did not fit the inline rational form and were
+    /// computed in limbs (see [`crate::rational`]).
+    pub promotions: u64,
 }
 
 /// Branch-and-bound ILP feasibility solver.
@@ -138,6 +143,14 @@ impl IlpSolver {
     /// Decides integer feasibility and reports search statistics.
     pub fn solve_with_stats(&self, program: &IntegerProgram) -> (SolveOutcome, SolveStats) {
         let mut stats = SolveStats::default();
+        rational::take_promotions();
+        let outcome = self.search(program, &mut stats);
+        stats.promotions = rational::take_promotions();
+        (outcome, stats)
+    }
+
+    /// The branch-and-bound search behind [`IlpSolver::solve_with_stats`].
+    fn search(&self, program: &IntegerProgram, stats: &mut SolveStats) -> SolveOutcome {
         let n = program.num_vars();
 
         // Trivial case: no variables.
@@ -145,20 +158,16 @@ impl IlpSolver {
             let empty = Assignment::zeros(0);
             let ok = program.constraints().iter().all(|c| c.holds(&empty))
                 && program.conditionals().iter().all(|c| c.holds(&empty));
-            return (
-                if ok {
-                    SolveOutcome::Feasible(empty)
-                } else {
-                    SolveOutcome::Infeasible
-                },
-                stats,
-            );
+            return if ok {
+                SolveOutcome::Feasible(empty)
+            } else {
+                SolveOutcome::Infeasible
+            };
         }
 
         // Presolve: per-row gcd test on pure-integer equality rows.
-        if let Some(reason) = gcd_infeasibility(program) {
-            let _ = reason;
-            return (SolveOutcome::Infeasible, stats);
+        if gcd_infeasible(program) {
+            return SolveOutcome::Infeasible;
         }
 
         // Extra rows for the big-constant treatment of conditionals.
@@ -197,13 +206,10 @@ impl IlpSolver {
         let mut stack = vec![root];
         while let Some(node) = stack.pop() {
             if stats.nodes >= self.config.max_nodes {
-                return (
-                    SolveOutcome::Unknown(format!(
-                        "node limit of {} reached after {} LP relaxations",
-                        self.config.max_nodes, stats.lp_calls
-                    )),
-                    stats,
-                );
+                return SolveOutcome::Unknown(format!(
+                    "node limit of {} reached after {} LP relaxations",
+                    self.config.max_nodes, stats.lp_calls
+                ));
             }
             stats.nodes += 1;
 
@@ -221,7 +227,8 @@ impl IlpSolver {
             // Solve the LP relaxation for this node.
             stats.lp_calls += 1;
             let lp = build_relaxation(program, &node, &extra_rows);
-            let outcome = simplex::solve(&lp);
+            let (outcome, pivots) = simplex::solve_with_pivots(&lp);
+            stats.pivots += pivots;
             let values = match outcome {
                 LpOutcome::Infeasible => {
                     stats.pruned_infeasible += 1;
@@ -298,14 +305,14 @@ impl IlpSolver {
 
             // Full verification against the original program (defensive).
             if program.is_satisfied_by(&candidate) {
-                return (SolveOutcome::Feasible(candidate), stats);
+                return SolveOutcome::Feasible(candidate);
             }
             // An integral LP vertex that fails verification indicates the node
             // constraints were weaker than the program (should not happen);
             // continue searching defensively.
         }
 
-        (SolveOutcome::Infeasible, stats)
+        SolveOutcome::Infeasible
     }
 }
 
@@ -373,34 +380,24 @@ fn build_relaxation(program: &IntegerProgram, node: &Node, extra_rows: &[ExtraRo
 /// Per-row gcd infeasibility test on equality rows whose coefficients and
 /// right-hand side are integers: if `gcd(coefficients)` does not divide the
 /// right-hand side, the row has no integer solution at all.
-fn gcd_infeasibility(program: &IntegerProgram) -> Option<String> {
-    for c in program.constraints() {
-        if c.op != CmpOp::Eq {
-            continue;
-        }
-        if !c.rhs.is_integer() || c.expr.terms().any(|(_, coeff)| !coeff.is_integer()) {
-            continue;
-        }
-        if c.expr.is_empty() {
-            if !c.rhs.is_zero() {
-                return Some(format!("empty equality with non-zero rhs: {}", c));
-            }
-            continue;
+fn gcd_infeasible(program: &IntegerProgram) -> bool {
+    program.constraints().iter().any(|c| {
+        if c.op != CmpOp::Eq
+            || !c.rhs.is_integer()
+            || c.expr.terms().any(|(_, coeff)| !coeff.is_integer())
+        {
+            return false;
         }
         let mut g = BigInt::zero();
         for (_, coeff) in c.expr.terms() {
             g = g.gcd(&coeff.numer().abs());
         }
-        if g.is_zero() || g.is_one() {
-            continue;
+        if g.is_zero() {
+            // An empty row: `0 = rhs`.
+            return !c.rhs.is_zero();
         }
-        let rhs = c.rhs.numer().abs();
-        let (_, r) = rhs.divrem(&g);
-        if !r.is_zero() {
-            return Some(format!("gcd test fails for [{}]", c.label));
-        }
-    }
-    None
+        !g.is_one() && !c.rhs.numer().divrem(&g).1.is_zero()
+    })
 }
 
 #[cfg(test)]
@@ -580,5 +577,8 @@ mod tests {
         assert!(outcome.is_feasible());
         assert!(stats.nodes >= 1);
         assert!(stats.lp_calls >= 1);
+        // x >= 1 needs an artificial column, driven out by a phase-1 pivot.
+        assert!(stats.pivots >= 1);
+        assert_eq!(stats.promotions, 0);
     }
 }
