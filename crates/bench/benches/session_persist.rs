@@ -1,8 +1,8 @@
 //! Document persistence — replay-from-log vs. re-parse-and-revalidate.
 //!
 //! The workload journal persistence exists for: a validation peer holds a
-//! document open (recovered once from a per-document log into a
-//! `CorpusSession`) and a stream of point edits arrives as op records.  Two
+//! document open (recovered once from its corpus log into a
+//! `CorpusSession`) and a stream of point edits arrives as `apply` records.  Two
 //! ways to track the primary, both answering the full `T ⊨ (D, Σ)`:
 //!
 //! 1. **replay from the log (incremental)** — apply each op through the
@@ -117,17 +117,30 @@ fn main() {
     }
 
     // One-shot costs: persist the opened document, then cold-recover it.
-    let mut session = CorpusSession::new(&spec);
-    let doc = session.open("doc", tree.clone()).unwrap();
+    // A session is bound to the one log it writes, so every timed persist
+    // starts from its own freshly opened session.
+    let mut unpersisted: Vec<CorpusSession<'_>> = (0..3)
+        .map(|_| {
+            let mut s = CorpusSession::new(&spec);
+            s.open("doc", tree.clone()).unwrap();
+            s
+        })
+        .collect();
+    let mut persisted = Vec::new();
     let persist = min_time(3, || {
         std::fs::remove_file(&log).ok();
-        std::hint::black_box(session.persist_to(doc, &log).expect("persist"));
+        let mut s = unpersisted.pop().expect("one prepared session per run");
+        std::hint::black_box(s.persist_to(&log).expect("persist"));
+        persisted.push(s);
     });
+    drop(persisted);
     let recover = min_time(3, || {
         let mut fresh = CorpusSession::new(&spec);
-        fresh.recover_from("doc", &log).expect("recover");
+        fresh.recover_from(&log).expect("recover");
         std::hint::black_box(fresh.commit());
     });
+    let mut session = CorpusSession::new(&spec);
+    let doc = session.open("doc", tree.clone()).unwrap();
 
     // Incremental side: a recovered replica session applying the op
     // stream (index maintenance + commit per update).
@@ -135,9 +148,10 @@ fn main() {
         let mut prepared: Vec<(CorpusSession<'_>, _)> = (0..RUNS)
             .map(|_| {
                 let mut s = CorpusSession::new(&spec);
-                let recovery = s.recover_from("doc", &log).expect("recover");
+                s.recover_from(&log).expect("recover");
                 s.commit();
-                (s, recovery.handle)
+                let handle = s.handles().next().expect("the logged document");
+                (s, handle)
             })
             .collect();
         let mut edited = Vec::new();
@@ -178,7 +192,7 @@ fn main() {
 
     println!(
         "{:<44} {:>12}",
-        "persist document log (snapshot + write)",
+        "persist corpus log (snapshot + write)",
         fmt_us(persist)
     );
     println!(

@@ -20,7 +20,7 @@ use xic_core::{
     ConsistencyOutcome, Diagnosis, ImplicationChecker, SystemOptions,
 };
 use xic_dtd::{analyze, parse_dtd, Dtd};
-use xic_engine::journal::{inspect_log, read_delta_log, write_delta_log};
+use xic_engine::journal::{inspect_log, read_log, FORMAT_VERSION};
 use xic_engine::{
     BatchDelta, BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusReplica, CorpusSession,
     DocHandle, Engine, EngineMetrics, Limits, SessionError, SpecId,
@@ -677,6 +677,12 @@ fn load_manifest(manifest_path: &str) -> Result<Vec<BatchDoc>, CliError> {
 trait ScriptTarget {
     /// How the target addresses an open document.
     type Handle: Copy;
+    /// The documents open before the script runs, by label: those a
+    /// resumed remote session's commits announced.  Local targets start
+    /// empty.
+    fn open_docs(&mut self) -> Result<Vec<(String, Self::Handle)>, CliError> {
+        Ok(Vec::new())
+    }
     fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<Self::Handle, CliError>;
     fn apply(&mut self, ctx: &str, handle: Self::Handle, op: &EditOp) -> Result<(), CliError>;
     fn close_doc(&mut self, ctx: &str, handle: Self::Handle) -> Result<(), CliError>;
@@ -713,6 +719,16 @@ impl ScriptTarget for CorpusSession<'_> {
 
 impl ScriptTarget for Client {
     type Handle = u64;
+
+    fn open_docs(&mut self) -> Result<Vec<(String, u64)>, CliError> {
+        let mut replica = CorpusReplica::new(self.hello().spec);
+        self.sync_replica(&mut replica)
+            .map_err(|e| client_error("sync", e))?;
+        Ok(replica
+            .docs()
+            .map(|(handle, report)| (report.label.clone(), handle.raw()))
+            .collect())
+    }
 
     fn open_doc(&mut self, ctx: &str, label: &str, source: &str) -> Result<u64, CliError> {
         Client::open_doc(self, label, source).map_err(|e| client_error(ctx, e))
@@ -780,8 +796,9 @@ impl ScriptTarget for Coordinator {
 /// Every `commit` emits one delta (only edited documents are re-checked); a
 /// trailing commit is implied if the script ends with uncommitted actions.
 /// This script syntax is the human-readable twin of the binary journal:
-/// `xic journal record` turns a run of it into a delta log, and
-/// `xic journal inspect` renders op records back in the same syntax.
+/// `xic journal record` turns a run of it into a corpus log, and
+/// `xic journal inspect` renders its `apply` records back in the same
+/// syntax.
 fn run_script<T: ScriptTarget>(
     spec: &CompiledSpec,
     target: &mut T,
@@ -794,7 +811,7 @@ fn run_script<T: ScriptTarget>(
         .map(Path::to_path_buf)
         .unwrap_or_default();
 
-    let mut handles: HashMap<String, T::Handle> = HashMap::new();
+    let mut handles: HashMap<String, T::Handle> = target.open_docs()?.into_iter().collect();
     for doc in docs {
         let handle = target.open_doc(&doc.label, &doc.label, &doc.content)?;
         handles.insert(doc.label, handle);
@@ -1052,14 +1069,16 @@ fn batch_session(
 ///
 /// * `record` runs a session script (the `xic batch --session` directive
 ///   syntax — the human-readable twin of the binary log) and persists the
-///   resulting [`BatchDelta`] stream to `--log` as a delta-stream journal;
-/// * `replay` feeds a recorded log to a [`CorpusReplica`] and reproduces
-///   the original delta stream and final reports — from the log alone, no
-///   document is re-shipped or re-parsed (a torn tail from a crash is
-///   truncated and the durable prefix replayed);
+///   session to `--log` as a corpus log ([`CorpusSession::persist_to`]);
+/// * `replay` feeds a recorded log's `commit` records to a
+///   [`CorpusReplica`] and reproduces the original delta stream and final
+///   reports — from the log alone, no document is re-shipped or re-parsed
+///   (a torn tail from a crash is truncated and the durable prefix
+///   replayed);
 /// * `inspect` prints the self-describing header and per-record summary of
-///   any journal file (ops rendered back in the script syntax; pass
-///   `--dtd` to resolve attribute and element names).
+///   any journal file (`open` / `apply` / `close` / `commit` records, ops
+///   rendered back in the script syntax; pass `--dtd` to resolve attribute
+///   and element names).
 pub fn journal(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     match args.positional.first().map(String::as_str) {
         Some("record") => journal_record(args),
@@ -1087,7 +1106,8 @@ fn journal_record(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let log_path = args.require("log")?;
     let mut corpus = CorpusSession::with_limits(&spec, limits_from_args(args)?);
     let deltas = run_script(&spec, &mut corpus, docs, script_path)?;
-    let receipt = write_delta_log(log_path, spec.id(), &deltas)
+    let receipt = corpus
+        .persist_to(log_path)
         .map_err(|e| CliError::Journal(format!("{log_path}: {e}")))?;
     let final_report = corpus.report();
     Ok(render_delta_stream(
@@ -1099,8 +1119,8 @@ fn journal_record(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
                 ("log", JsonValue::string(log_path)),
             ],
             notes: &[format!(
-                "recorded {} deltas ({} bytes) to {log_path}",
-                receipt.records_written, receipt.durable_bytes
+                "recorded {} records, {} of them commits ({} bytes), to {log_path}",
+                receipt.records_written, receipt.commits_written, receipt.durable_bytes
             )],
             format,
             quiet: args.has_flag("quiet"),
@@ -1118,18 +1138,19 @@ fn journal_replay(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let spec = CompiledSpec::compile_with(dtd, sigma, checker_config(args))
         .map_err(|e| CliError::Spec(e.to_string()))?;
     let log_path = args.require("log")?;
-    let log = read_delta_log(log_path, spec.id())
-        .map_err(|e| CliError::Journal(format!("{log_path}: {e}")))?;
+    let log =
+        read_log(log_path, spec.id()).map_err(|e| CliError::Journal(format!("{log_path}: {e}")))?;
+    let deltas: Vec<BatchDelta> = log.commits().cloned().collect();
     let mut replica = CorpusReplica::new(spec.id());
     replica
-        .apply_deltas(&log.deltas)
+        .apply_deltas(&deltas)
         .map_err(|e| CliError::Journal(format!("{log_path}: {e}")))?;
     let final_report = replica.report();
     let mut notes = Vec::new();
     if log.truncated {
         notes.push(format!(
             "torn trailing record dropped; replayed the durable prefix ({} commits)",
-            log.deltas.len()
+            deltas.len()
         ));
     }
     Ok(render_delta_stream(
@@ -1148,7 +1169,7 @@ fn journal_replay(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
             metrics: args.has_flag("metrics"),
         },
         &spec,
-        &log.deltas,
+        &deltas,
         &final_report,
     ))
 }
@@ -1163,10 +1184,6 @@ fn journal_inspect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let summary = inspect_log(log_path, dtd.as_ref())
         .map_err(|e| CliError::Journal(format!("{log_path}: {e}")))?;
     let damaged = summary.corrupt.is_some();
-    let kind = summary
-        .kind
-        .map(|k| k.to_string())
-        .unwrap_or_else(|| format!("unknown (kind byte {})", summary.kind_code));
 
     if format == ReportFormat::Json {
         let records: Vec<JsonValue> = summary
@@ -1185,7 +1202,6 @@ fn journal_inspect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
         let mut fields = vec![
             ("command", JsonValue::string("journal-inspect")),
             ("log", JsonValue::string(log_path)),
-            ("kind", JsonValue::string(kind)),
             ("spec", JsonValue::string(summary.spec.to_string())),
             ("records", JsonValue::Array(records)),
             (
@@ -1212,11 +1228,7 @@ fn journal_inspect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     }
 
     let mut report = String::new();
-    report.push_str(&format!("journal: {log_path}\n"));
-    report.push_str(&format!(
-        "kind: {kind} (format v{})\n",
-        xic_engine::journal::FORMAT_VERSION
-    ));
+    report.push_str(&format!("journal: {log_path} (format v{FORMAT_VERSION})\n"));
     report.push_str(&format!("spec: {}\n", summary.spec));
     report.push_str(&format!(
         "records: {} ({} durable bytes)\n",
@@ -1225,7 +1237,7 @@ fn journal_inspect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     ));
     for record in &summary.records {
         report.push_str(&format!(
-            "  #{:<4} @{:<8} {:<6} {:>6} B  {}\n",
+            "  #{:<4} @{:<8} {:<7} {:>6} B  {}\n",
             record.seq, record.offset, record.kind, record.bytes, record.detail
         ));
     }
@@ -1535,12 +1547,16 @@ pub fn connect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
             Some(k) => format!("remote session `{session}` (shard {k} subscription)"),
             None => format!("remote session `{session}`"),
         };
-        let notes = match shard {
+        let mut notes = match shard {
             Some(k) => vec![format!(
                 "replica synced {synced} shard-{k} delta(s) from the server"
             )],
             None => vec![format!("replica synced {synced} delta(s) from the server")],
         };
+        let resumed_at = client.hello().last_seq;
+        if resumed_at > 0 {
+            notes.insert(0, format!("resumed the session at commit {resumed_at}"));
+        }
         let extra = [
             ("session", JsonValue::string(session)),
             ("synced", JsonValue::int(synced)),
@@ -1570,7 +1586,6 @@ pub fn connect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
             ("spec", JsonValue::string(spec_id.to_string())),
             ("session", JsonValue::string(session)),
             ("last_seq", JsonValue::int(hello.last_seq as usize)),
-            ("replica", JsonValue::Bool(hello.replica)),
         ]);
         let mut report = json.render();
         report.push('\n');
@@ -1578,13 +1593,8 @@ pub fn connect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     }
     Ok(CommandOutcome::new(
         format!(
-            "session `{session}` at {target}: last committed seq {}{}\n",
-            hello.last_seq,
-            if hello.replica {
-                " (read-only replica)"
-            } else {
-                ""
-            }
+            "session `{session}` at {target}: last committed seq {}\n",
+            hello.last_seq
         ),
         0,
     ))

@@ -103,9 +103,9 @@ COMMANDS:
     implies    decide whether the specification implies a further constraint (--query)
     validate   validate a document (--doc) against the DTD and the constraints
     batch      validate every document in a manifest (--manifest) in parallel
-    journal    durable edit journals: record a session script to a binary delta
-               log (record), rebuild verdicts from a log on a replica (replay),
-               or print a log's self-describing contents (inspect)
+    journal    the durable corpus log: record a session script to a binary log
+               (record), rebuild verdicts from its commits on a replica
+               (replay), or print a log's self-describing contents (inspect)
     diagnose   explain an inconsistent specification (minimal inconsistent core)
     classify   report the constraint class and the complexity of its analyses
     explain    print the DTD analysis and the cardinality system Ψ(D,Σ)
@@ -168,8 +168,8 @@ OPTIONS:
     --addr ADDR           connect: TCP address of a running service
     --addr-file FILE      serve: write the bound TCP address to FILE (for
                           scripts using --listen with port 0)
-    --state-dir DIR       serve: persist every session's delta log here on
-                          drain, and load existing logs as replica sessions
+    --state-dir DIR       serve: flush every session's corpus log here on drain
+                          and eviction, and recover sessions from their logs
     --max-sessions N      serve: reject further named sessions past N (code 3)
     --idle-ms N           serve: drain and evict sessions idle longer than N ms
     --workers N           serve: worker threads (= concurrent connections)

@@ -102,7 +102,7 @@ fn record_then_replay_reproduces_the_batch_session_delta_stream() {
     assert_eq!(batch_code, 0, "{batch_report}");
     let batch_json = parse_json(&batch_report);
 
-    // Record the same script into a binary delta log.
+    // Record the same script into a binary corpus log.
     let mut record_args = vec!["journal", "record"];
     record_args.extend_from_slice(&common);
     record_args.extend_from_slice(&[
@@ -122,10 +122,10 @@ fn record_then_replay_reproduces_the_batch_session_delta_stream() {
         record_json.get("command").and_then(JsonValue::as_str),
         Some("journal-record")
     );
-    assert!(f.log.exists(), "the delta log was written");
+    assert!(f.log.exists(), "the corpus log was written");
 
-    // Replay the binary log through a replica: no script, no documents —
-    // only the log and the spec.
+    // Replay the log's commits through a replica: no script, no documents
+    // — only the log and the spec.
     let mut replay_args = vec!["journal", "replay"];
     replay_args.extend_from_slice(&common);
     replay_args.extend_from_slice(&["--log", f.log.to_str().unwrap(), "--format", "json"]);
@@ -154,8 +154,8 @@ fn record_then_replay_reproduces_the_batch_session_delta_stream() {
     assert_eq!(batch_json.get("total"), replay_json.get("total"));
     assert_eq!(batch_json.get("clean"), replay_json.get("clean"));
 
-    // A torn tail (crash mid-append) drops only the final commit: replay
-    // still succeeds on the durable prefix.
+    // A torn tail (crash mid-append) drops only the final record — here
+    // the final commit: replay still succeeds on the durable prefix.
     let full = fs::read(&f.log).unwrap();
     fs::write(&f.log, &full[..full.len() - 2]).unwrap();
     let (torn_report, torn_code) = run(replay_args);
@@ -244,7 +244,7 @@ fn replay_rejects_the_wrong_spec_and_garbage_logs() {
 }
 
 #[test]
-fn inspect_describes_delta_and_session_logs() {
+fn inspect_describes_every_record_kind() {
     let f = fixture();
     let (report, code) = run([
         "journal",
@@ -261,16 +261,33 @@ fn inspect_describes_delta_and_session_logs() {
         f.log.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "{report}");
+    // Recording never clobbers an existing log.
+    let (report, code) = run([
+        "journal",
+        "record",
+        "--dtd",
+        f.dtd.to_str().unwrap(),
+        "--constraints",
+        f.sigma.to_str().unwrap(),
+        "--script",
+        f.script.to_str().unwrap(),
+        "--log",
+        f.log.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 2, "{report}");
 
     // Inspect needs no spec at all.
     let (report, code) = run(["journal", "inspect", "--log", f.log.to_str().unwrap()]);
     assert_eq!(code, 0, "{report}");
-    assert!(report.contains("kind: delta-stream"), "{report}");
+    assert!(report.contains("(format v3)"), "{report}");
+    assert!(!report.contains("kind:"), "{report}");
     assert!(report.contains("spec: spec-"), "{report}");
     assert!(report.contains("commit 1"), "{report}");
+    assert!(report.contains(" open "), "{report}");
+    assert!(report.contains(" close "), "{report}");
 
-    // A session-document log renders its ops in the script syntax — the
-    // human-readable twin — resolving names through --dtd.
+    // Edits render in the script syntax — the human-readable twin — under
+    // the label their `open` record gave, resolving names through --dtd.
     let session_log = {
         use xic_engine::{CompiledSpec, CorpusSession};
         use xic_xml::EditOp;
@@ -283,16 +300,6 @@ fn inspect_describes_delta_and_session_logs() {
             .unwrap();
         let name = spec.dtd().attr_by_name("name").unwrap();
         let teacher = session.tree(doc).unwrap().elements().nth(1).unwrap();
-        session
-            .apply(
-                doc,
-                &[EditOp::SetAttr {
-                    element: teacher,
-                    attr: name,
-                    value: "Sue".into(),
-                }],
-            )
-            .unwrap();
         let mut path = std::env::temp_dir();
         path.push(format!(
             "xic-journal-cli-{}-{:?}-session.xicj",
@@ -300,18 +307,20 @@ fn inspect_describes_delta_and_session_logs() {
             std::thread::current().id()
         ));
         fs::remove_file(&path).ok();
-        session.persist_to(doc, &path).unwrap();
-        session
-            .apply(
-                doc,
-                &[EditOp::SetAttr {
-                    element: teacher,
-                    attr: name,
-                    value: "Ann".into(),
-                }],
-            )
-            .unwrap();
-        session.persist_to(doc, &path).unwrap();
+        session.persist_to(&path).unwrap();
+        for value in ["Sue", "Ann"] {
+            session
+                .apply(
+                    doc,
+                    &[EditOp::SetAttr {
+                        element: teacher,
+                        attr: name,
+                        value: value.into(),
+                    }],
+                )
+                .unwrap();
+            session.persist_to(&path).unwrap();
+        }
         path
     };
     let (report, code) = run([
@@ -323,9 +332,8 @@ fn inspect_describes_delta_and_session_logs() {
         f.dtd.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "{report}");
-    assert!(report.contains("kind: session-doc"), "{report}");
-    assert!(report.contains("base"), "{report}");
-    assert!(report.contains("set 1 name Ann"), "{report}");
+    assert!(report.contains("open doc as doc-0"), "{report}");
+    assert!(report.contains("set doc 1 name Ann"), "{report}");
 
     // JSON inspection round-trips through the CLI's own parser.
     let (json_report, code) = run([
@@ -339,20 +347,17 @@ fn inspect_describes_delta_and_session_logs() {
     assert_eq!(code, 0, "{json_report}");
     let parsed = parse_json(&json_report);
     assert_eq!(JsonValue::parse(&parsed.render()).unwrap(), parsed);
-    assert_eq!(
-        parsed.get("kind").and_then(JsonValue::as_str),
-        Some("session-doc")
-    );
+    assert_eq!(parsed.get("kind"), None);
     let records = parsed.get("records").and_then(JsonValue::as_array).unwrap();
-    assert_eq!(records.len(), 2);
+    assert_eq!(records.len(), 3);
     assert_eq!(
         records[0].get("kind").and_then(JsonValue::as_str),
-        Some("base")
+        Some("open")
     );
     // Without a DTD the op renders with raw ids.
     assert_eq!(
-        records[1].get("detail").and_then(JsonValue::as_str),
-        Some("set 1 @0 Ann")
+        records[2].get("detail").and_then(JsonValue::as_str),
+        Some("set doc 1 @0 Ann")
     );
     assert_eq!(parsed.get("torn_bytes"), Some(&JsonValue::Number(0.0)));
     assert_eq!(parsed.get("corrupt"), Some(&JsonValue::Null));

@@ -36,12 +36,12 @@
 //!   a replica of the last [`CorpusSession::report`] reconstruct the
 //!   current report exactly — `tests/corpus_agreement.rs` proves both
 //!   halves against cold [`crate::BatchEngine`] rebuilds;
-//! * **durable per-document logs** — [`CorpusSession::persist_to`] writes
-//!   a document's base snapshot plus its edit ops to an append-only log
-//!   ([`crate::journal`]), [`CorpusSession::recover_from`] reopens a
-//!   document from one (under the same limits as an open), and
-//!   [`CorpusSession::compact`] drops the journal prefix a log made
-//!   durable;
+//! * **one durable log** — [`CorpusSession::persist_to`] appends to the
+//!   session's corpus log ([`crate::journal`]) everything it does not hold
+//!   yet — `open`, `apply`, `close` and `commit` records — and drops the
+//!   now-durable edits from memory; [`CorpusSession::recover_from`]
+//!   rebuilds a live, editable session from that log (under the same
+//!   limits as an open);
 //! * **panic containment** — a panic inside [`CorpusSession::apply`] or
 //!   inside a commit's re-check quarantines one document (its report
 //!   carries a [`DocFault::Panic`], never a wrong verdict); every other
@@ -64,7 +64,9 @@ use xic_xml::budget::ParseError;
 use xic_xml::{EditError, EditJournal, EditOp, XmlError, XmlTree};
 
 use crate::batch::{BatchReport, DocFault, DocReport};
-use crate::journal::{self, JournalError, PersistReceipt};
+use crate::journal::{
+    self, diverged, CorpusReplica, JournalError, LogCursor, LogRecord, PersistReceipt,
+};
 use crate::limits::{self, LimitKind, Limits, ResourceError};
 use crate::spec::CompiledSpec;
 
@@ -73,16 +75,9 @@ use crate::spec::CompiledSpec;
 pub struct DocHandle(u64);
 
 impl DocHandle {
-    /// Crate-internal constructor (live handles are only minted by
-    /// sessions).
-    pub(crate) fn new(raw: u64) -> DocHandle {
-        DocHandle(raw)
-    }
-
-    /// Reconstructs a handle from its raw number.  Sessions mint live
-    /// handles themselves; this exists for the replication layer — a
-    /// [`crate::CorpusReplica`] fed a persisted delta log must key its
-    /// replica documents by the *originating* session's handles.
+    /// Reconstructs a handle from its raw number — the identity
+    /// [`BatchDelta`]s and corpus logs carry, by which a
+    /// [`crate::CorpusReplica`] keys the *originating* session's documents.
     pub fn from_raw(raw: u64) -> DocHandle {
         DocHandle(raw)
     }
@@ -125,9 +120,10 @@ pub enum SessionError {
     Resource(ResourceError),
     /// The document is quarantined: an earlier edit panicked mid-apply and
     /// was contained, so its in-memory indexes may be inconsistent.  Edits
-    /// and persists are refused and commits report a [`DocFault::Panic`]
-    /// until the document is closed and reopened from its log
-    /// ([`CorpusSession::recover_from`]).
+    /// are refused and commits report a [`DocFault::Panic`]; a session
+    /// recovered from the log ([`CorpusSession::recover_from`]) restores
+    /// the document as it stood before the panicking batch — or holds it as
+    /// closed when the log never held it.
     Poisoned {
         /// The quarantined document.
         handle: DocHandle,
@@ -170,21 +166,17 @@ impl From<JournalError> for SessionError {
 /// What [`CorpusSession::recover_from`] reconstructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovery {
-    /// The handle of the recovered document.
-    pub handle: DocHandle,
-    /// Edits that were already folded into the log's base snapshot.
-    pub base_edits: u64,
-    /// Logged ops replayed on top of the base.
+    /// Documents the recovered session holds open.
+    pub docs: usize,
+    /// Of those, the documents that came back dirty: opened or edited
+    /// after the last logged commit (or carrying a contained fault).
+    pub dirty: usize,
+    /// Logged `apply` records replayed onto the logged snapshots.
     pub ops_replayed: u64,
+    /// The last logged commit, now the session's [`CorpusSession::last_seq`].
+    pub last_seq: u64,
     /// Whether a torn tail (a partially written final record) was dropped.
     pub truncated_tail: bool,
-}
-
-impl Recovery {
-    /// Total edits the recovered document accounts for.
-    pub fn total_edits(&self) -> u64 {
-        self.base_edits + self.ops_replayed
-    }
 }
 
 /// Applies a batch of ops to one `(tree, index, journal)` triple: each op
@@ -202,9 +194,29 @@ fn apply_ops(
             .apply_edit(op)
             .map_err(|error| SessionError::Edit { index: i, error })?;
         index.apply(tree, &effect);
-        journal.record(op.clone(), effect);
+        journal.record(op.clone());
     }
     Ok(())
+}
+
+/// One document's structural errors (`T ⊨ D`) and Σ violations
+/// (`T ⊨ Σ`, restricted to the scoped shards' constraints under a scope).
+fn verdict(
+    validator: &xic_xml::Validator<'_>,
+    tree: &XmlTree,
+    index: &mut IncrementalIndex,
+    scope: Option<&ShardScope>,
+) -> (Vec<String>, Vec<Violation>) {
+    let validation_errors = validator
+        .validate(tree)
+        .iter()
+        .map(|e| e.to_string())
+        .collect();
+    let violations = match scope {
+        Some(s) => index.check_all_where(tree, |i| s.keep[i]),
+        None => index.check_all(tree),
+    };
+    (validation_errors, violations)
 }
 
 /// One document's entry in a [`BatchDelta`]: its state transition and the
@@ -526,12 +538,14 @@ struct CorpusDoc {
     report: Option<DocReport>,
     /// Clean state at the last commit; `None` until then.
     committed_clean: Option<bool>,
-    /// Edits known durable in a log ([`CorpusSession::persist_to`] raises
-    /// it); the compaction watermark for [`EditJournal::compact`].
-    durable_edits: u64,
-    /// `Some(cause)` after a panic inside [`CorpusSession::apply`]: the
-    /// tree/index pair may be inconsistent, so edits and persists are
-    /// refused and commits report a [`DocFault::Panic`].
+    /// The commit from which on the current tree has been reported; `None`
+    /// while it holds edits (or is an open) no commit has re-checked.
+    seen: Option<u64>,
+    /// Whether the session's log holds the document (an `open` record).
+    logged: bool,
+    /// The cause of a panic inside [`CorpusSession::apply`]: the tree/index
+    /// pair may be inconsistent, so edits are refused, commits report a
+    /// [`DocFault::Panic`], and the panicking batch is never logged.
     poisoned: Option<String>,
 }
 
@@ -545,6 +559,31 @@ impl CorpusDoc {
             }),
             None => Ok(()),
         }
+    }
+}
+
+/// A session call the corpus log must hold but does not yet, tagged (in
+/// [`CorpusSession::pending`]) with the number of commits before it.
+#[derive(Debug)]
+enum Unlogged {
+    /// The next `ops` edits in a logged document's journal.
+    Apply { raw: u64, ops: usize },
+    /// A close of a document the log or a commit knows, with the journal of
+    /// its edits the log lacks.
+    Close(Box<(ClosedDoc, EditJournal)>),
+}
+
+/// The dirty-set bound every admission shares: opens, edits of a clean
+/// document and recovery all add one document to the dirty set.
+fn admit_dirty(limits: &Limits, projected: usize, context: &str) -> Result<(), ResourceError> {
+    match limits.max_dirty_docs {
+        Some(max) if projected > max => Err(ResourceError::new(
+            LimitKind::DirtyDocs,
+            max as u64,
+            projected as u64,
+            format!("{context}: commit to drain the dirty set"),
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -624,6 +663,14 @@ pub struct CorpusSession<'s> {
     /// shards and reports carry the shard projection (see
     /// [`CorpusSession::scope_to_shards`]).
     shard_scope: Option<ShardScope>,
+    /// The end of the session's corpus log, once a persist or a recovery
+    /// bound the session to one.
+    log: Option<LogCursor>,
+    /// The last commit the log holds.
+    logged_seq: u64,
+    /// Edits of logged documents and closes the log lacks, in call order,
+    /// each after the given number of commits.
+    pending: Vec<(u64, Unlogged)>,
 }
 
 /// A fixed shard scope: per-constraint keep mask derived from the spec's
@@ -665,6 +712,9 @@ impl<'s> CorpusSession<'s> {
             staged_changes: Vec::new(),
             staged_rechecked: 0,
             shard_scope: None,
+            log: None,
+            logged_seq: 0,
+            pending: Vec::new(),
         }
     }
 
@@ -748,7 +798,7 @@ impl<'s> CorpusSession<'s> {
 
     /// Open handles in open order.
     pub fn handles(&self) -> impl Iterator<Item = DocHandle> + '_ {
-        self.docs.keys().map(|&raw| DocHandle::new(raw))
+        self.docs.keys().map(|&raw| DocHandle::from_raw(raw))
     }
 
     /// Parses XML source against the spec's DTD and opens it under `label`.
@@ -764,7 +814,8 @@ impl<'s> CorpusSession<'s> {
     ) -> Result<DocHandle, SessionError> {
         let label = label.into();
         let context = format!("open `{label}`");
-        self.check_admission(&context)?;
+        admit_dirty(&self.limits, self.dirty.len() + 1, &context)
+            .map_err(SessionError::Resource)?;
         let budget = self.limits.parse_budget();
         let tree = match self.spec.parse_document_budgeted(source, &budget) {
             Ok(tree) => tree,
@@ -775,7 +826,7 @@ impl<'s> CorpusSession<'s> {
                 )))
             }
         };
-        Ok(self.admit(label, tree, EditJournal::new()))
+        Ok(self.admit(label, tree))
     }
 
     /// Opens a pre-built tree under `label`, as it is.  Under [`Limits`]
@@ -788,26 +839,10 @@ impl<'s> CorpusSession<'s> {
     ) -> Result<DocHandle, SessionError> {
         let label = label.into();
         let context = format!("open `{label}`");
-        self.check_admission(&context)?;
+        admit_dirty(&self.limits, self.dirty.len() + 1, &context)
+            .map_err(SessionError::Resource)?;
         self.check_doc_nodes(&tree, context)?;
-        Ok(self.admit(label, tree, EditJournal::new()))
-    }
-
-    /// Admission guard shared by the open paths: a bounded dirty set sheds
-    /// load *before* the parse, replay or index build spends anything.
-    fn check_admission(&self, context: &str) -> Result<(), SessionError> {
-        if let Some(max) = self.limits.max_dirty_docs {
-            let projected = self.dirty.len() + 1;
-            if projected > max {
-                return Err(SessionError::Resource(ResourceError::new(
-                    LimitKind::DirtyDocs,
-                    max as u64,
-                    projected as u64,
-                    format!("{context}: commit to drain the dirty set"),
-                )));
-            }
-        }
-        Ok(())
+        Ok(self.admit(label, tree))
     }
 
     /// The [`Limits::max_doc_nodes`] bound on a tree that did not come
@@ -824,10 +859,10 @@ impl<'s> CorpusSession<'s> {
         }
     }
 
-    fn admit(&mut self, label: String, tree: XmlTree, journal: EditJournal) -> DocHandle {
+    fn admit(&mut self, label: String, tree: XmlTree) -> DocHandle {
         let layout = std::sync::Arc::clone(self.spec.incremental_layout());
         let index = IncrementalIndex::with_layout(layout, &tree);
-        let handle = DocHandle::new(self.next_handle);
+        let handle = DocHandle::from_raw(self.next_handle);
         self.next_handle += 1;
         // Handles grow monotonically, so the newcomer is last in open order.
         let position = self.docs.len();
@@ -837,11 +872,12 @@ impl<'s> CorpusSession<'s> {
                 label,
                 tree,
                 index,
-                durable_edits: journal.total_recorded(),
-                journal,
+                journal: EditJournal::new(),
                 position,
                 report: None,
                 committed_clean: None,
+                seen: None,
+                logged: false,
                 poisoned: None,
             },
         );
@@ -874,10 +910,11 @@ impl<'s> CorpusSession<'s> {
         self.docs
             .iter()
             .find(|(_, d)| d.label == label)
-            .map(|(&raw, _)| DocHandle::new(raw))
+            .map(|(&raw, _)| DocHandle::from_raw(raw))
     }
 
-    /// The document's complete edit history since it was opened.
+    /// The document's edits that the session's log does not hold yet (all
+    /// of them until a [`CorpusSession::persist_to`] folds them away).
     pub fn journal(&self, handle: DocHandle) -> Result<&EditJournal, SessionError> {
         self.docs
             .get(&handle.raw())
@@ -898,8 +935,9 @@ impl<'s> CorpusSession<'s> {
     /// A panic *inside* the edit loop is contained here: the document is
     /// quarantined ([`SessionError::Poisoned`], now and on every later
     /// `apply`), the next commit reports it as a [`DocFault::Panic`], and
-    /// every other document goes on untouched.  Close it and
-    /// [`CorpusSession::recover_from`] its log to restore it.
+    /// every other document goes on untouched.  A session recovered from
+    /// the log ([`CorpusSession::recover_from`]) restores it as it stood
+    /// before the panicking batch.
     pub fn apply(&mut self, handle: DocHandle, ops: &[EditOp]) -> Result<(), SessionError> {
         let limits = self.limits;
         let queued = self.queued_ops;
@@ -909,30 +947,13 @@ impl<'s> CorpusSession<'s> {
             .ok_or(SessionError::UnknownHandle(handle))?;
         doc.check_poisoned(handle)?;
         let newly_dirty = !self.dirty.contains(&handle.raw());
+        let context = format!("{handle} (`{}`)", doc.label);
         if newly_dirty {
-            if let Some(max) = limits.max_dirty_docs {
-                let projected = self.dirty.len() + 1;
-                if projected > max {
-                    return Err(SessionError::Resource(
-                        ResourceError::new(
-                            LimitKind::DirtyDocs,
-                            max as u64,
-                            projected as u64,
-                            format!("{handle} (`{}`): commit to drain the dirty set", doc.label),
-                        )
-                        .with_rejected(limits::echo_ops(ops)),
-                    ));
-                }
-            }
+            admit_dirty(&limits, self.dirty.len() + 1, &context)
+                .map_err(|e| SessionError::Resource(e.with_rejected(limits::echo_ops(ops))))?;
         }
-        limits::admit_ops(
-            &limits,
-            &doc.tree,
-            queued,
-            ops,
-            &format!("{handle} (`{}`)", doc.label),
-        )
-        .map_err(SessionError::Resource)?;
+        limits::admit_ops(&limits, &doc.tree, queued, ops, &context)
+            .map_err(SessionError::Resource)?;
         if newly_dirty {
             self.dirty.push(handle.raw());
             self.instr.dirty_docs.set(self.dirty.len() as i64);
@@ -956,6 +977,18 @@ impl<'s> CorpusSession<'s> {
             Err(SessionError::Poisoned { handle, cause })
         });
         let applied = doc.journal.total_recorded() - recorded_before;
+        if applied > 0 {
+            doc.seen = None;
+            // A logged document's edits reach the log as `apply` records in
+            // call order; the batch of a contained panic never does.
+            if doc.logged && doc.poisoned.is_none() {
+                let call = Unlogged::Apply {
+                    raw: handle.raw(),
+                    ops: applied as usize,
+                };
+                self.pending.push((self.commits, call));
+            }
+        }
         self.instr.edits.add(applied);
         self.queued_ops += applied as usize;
         self.instr.queued_ops.add(applied as i64);
@@ -966,7 +999,9 @@ impl<'s> CorpusSession<'s> {
     }
 
     /// Closes a document, handing its (edited) tree back.  The close is
-    /// reported in the next commit's [`BatchDelta::closed`].
+    /// reported in the next commit's [`BatchDelta::closed`] — unless no
+    /// commit ever announced the document, in which case it never entered
+    /// the delta stream and leaves it without a trace.
     pub fn close(&mut self, handle: DocHandle) -> Result<XmlTree, SessionError> {
         let doc = self
             .docs
@@ -977,10 +1012,27 @@ impl<'s> CorpusSession<'s> {
             self.clean_docs -= 1;
         }
         self.positions_stale = true;
-        self.closed.push(ClosedDoc {
+        // A re-check an aborted commit staged for the document dies with
+        // it; if that re-check was its first, no commit announced it yet.
+        let staged = self.staged_changes.iter().position(|c| c.handle == handle);
+        let staged_open = staged.is_some_and(|i| self.staged_changes.remove(i).was_clean.is_none());
+        let closed = ClosedDoc {
             handle,
             label: doc.label,
-        });
+        };
+        let announced = doc.report.is_some() && !staged_open;
+        if announced || doc.logged {
+            let journal = if doc.logged {
+                doc.journal
+            } else {
+                EditJournal::new()
+            };
+            let entry = Box::new((closed.clone(), journal));
+            self.pending.push((self.commits, Unlogged::Close(entry)));
+        }
+        if announced {
+            self.closed.push(closed);
+        }
         self.instr.dirty_docs.set(self.dirty.len() as i64);
         self.instr.open_docs.set(self.docs.len() as i64);
         Ok(doc.tree)
@@ -1156,7 +1208,7 @@ impl<'s> CorpusSession<'s> {
             doc.report = Some(fresh.clone());
             if changed {
                 changes.push(DocChange {
-                    handle: DocHandle::new(raw),
+                    handle: DocHandle::from_raw(raw),
                     was_clean,
                     report: fresh,
                     shards: if broadcast {
@@ -1173,6 +1225,17 @@ impl<'s> CorpusSession<'s> {
         changes.sort_by_key(|c| c.handle);
 
         self.commits += 1;
+        // Every document re-checked by this commit (or staged for it by an
+        // aborted attempt) is now seen in full.
+        for raw in dirty
+            .iter()
+            .copied()
+            .chain(changes.iter().map(|c| c.handle.raw()))
+        {
+            if let Some(doc) = self.docs.get_mut(&raw) {
+                doc.seen = Some(self.commits);
+            }
+        }
         // Delta tag: the union of the change tags, widened to every shard
         // when a close rides along (closes are shard-independent and every
         // filtered subscriber must drop the document).
@@ -1237,16 +1300,7 @@ impl<'s> CorpusSession<'s> {
             if xic_telemetry::faults::hit("corpus.recheck") {
                 panic!("injected fault: corpus.recheck");
             }
-            let validation_errors: Vec<String> = validator
-                .validate(&doc.tree)
-                .iter()
-                .map(|e| e.to_string())
-                .collect();
-            let violations = match scope {
-                Some(s) => doc.index.check_all_where(&doc.tree, |i| s.keep[i]),
-                None => doc.index.check_all(&doc.tree),
-            };
-            (validation_errors, violations)
+            verdict(validator, &doc.tree, &mut doc.index, scope)
         }
         let first = catch_unwind(AssertUnwindSafe(|| run(validator, doc, scope)));
         match first {
@@ -1277,98 +1331,304 @@ impl<'s> CorpusSession<'s> {
         }
     }
 
-    /// Persists one document to an append-only log at `path` (see
-    /// [`crate::journal`] for the format).
+    /// Appends to the session's corpus log at `path` everything it does not
+    /// hold yet, in call order (see [`crate::journal`] for the format): an
+    /// `open` snapshot of each new document, the `apply` and `close`
+    /// records of the calls the session queued since the last persist, and
+    /// the `commit` records.  Every record boundary is thus a session state
+    /// the log recovers to.  The first persist creates the log (rewriting a
+    /// torn first write); later ones append after truncating any torn tail,
+    /// and the session is bound to that one path.  A successful persist
+    /// drops the now-durable edits from the in-memory journals.
     ///
-    /// The first persist writes the log header plus a **base record** — a
-    /// slot-for-slot snapshot of the current tree, folding every edit
-    /// recorded so far.  Later persists to the same path append exactly the
-    /// journal entries the log lacks (after verifying the shared history
-    /// matches op-for-op), truncating a torn tail left by an earlier crash
-    /// first.  After a successful persist every recorded edit is durable,
-    /// so [`CorpusSession::compact`] may drop the in-memory prefix.  A
-    /// quarantined document is refused ([`SessionError::Poisoned`]): its
-    /// tree may hold a half-applied op its journal lacks.
-    pub fn persist_to(
-        &mut self,
-        handle: DocHandle,
-        path: impl AsRef<Path>,
-    ) -> Result<PersistReceipt, SessionError> {
-        let doc = self
-            .docs
-            .get_mut(&handle.raw())
-            .ok_or(SessionError::UnknownHandle(handle))?;
-        doc.check_poisoned(handle)?;
-        let receipt =
-            journal::persist_session_doc(path.as_ref(), self.spec.id(), &doc.tree, &doc.journal)?;
-        doc.durable_edits = doc.journal.total_recorded();
+    /// A quarantined document contributes nothing past its state before the
+    /// panicking batch.  One the log never held has no such state: it is
+    /// left out, and a session recovered from the log holds it as closed.
+    pub fn persist_to(&mut self, path: impl AsRef<Path>) -> Result<PersistReceipt, SessionError> {
+        let path = path.as_ref();
+        if let Some(cursor) = self.log.as_ref().filter(|c| c.path != path) {
+            return Err(diverged(format!(
+                "this session logs to {}, not {}",
+                cursor.path.display(),
+                path.display()
+            ))
+            .into());
+        }
+        let commits = self.export_deltas(self.logged_seq)?;
+        // Each new document's `open` goes before the commit that first saw
+        // its tree, as every call goes before the commit that followed it.
+        let mut opens: Vec<(u64, u64)> = (self.docs.iter())
+            .filter(|(_, d)| !d.logged && d.poisoned.is_none())
+            .map(|(&raw, d)| (d.seen.map_or(self.commits, |seq| seq - 1), raw))
+            .collect();
+        opens.sort_unstable();
+        let mut opens = opens.into_iter().peekable();
+        let mut calls = self.pending.iter().peekable();
+        let closed_journals: BTreeMap<u64, &EditJournal> = (self.pending.iter())
+            .filter_map(|(_, call)| match call {
+                Unlogged::Close(entry) => Some((entry.0.handle.raw(), &entry.1)),
+                Unlogged::Apply { .. } => None,
+            })
+            .collect();
+        // How many journaled ops of each logged document are written.
+        let mut written: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut records = Vec::new();
+        for after in self.logged_seq..=self.commits {
+            while let Some((_, raw)) = opens.next_if(|&(at, _)| at <= after) {
+                let doc = &self.docs[&raw];
+                records.push(LogRecord::Open {
+                    handle: DocHandle::from_raw(raw),
+                    label: doc.label.clone(),
+                    snapshot: doc.tree.snapshot(),
+                });
+            }
+            while let Some((_, call)) = calls.next_if(|&&(at, _)| at <= after) {
+                match call {
+                    Unlogged::Apply { raw, ops } => {
+                        let journal = self.docs.get(raw).map(|d| &d.journal);
+                        let journal = journal.unwrap_or_else(|| closed_journals[raw]);
+                        let from = written.entry(*raw).or_default();
+                        for op in &journal.ops()[*from..*from + ops] {
+                            records.push(LogRecord::Apply {
+                                handle: DocHandle::from_raw(*raw),
+                                op: op.clone(),
+                            });
+                        }
+                        *from += ops;
+                    }
+                    Unlogged::Close(entry) => records.push(LogRecord::Close(entry.0.clone())),
+                }
+            }
+            if let Some(delta) = commits.get((after - self.logged_seq) as usize) {
+                records.push(LogRecord::Commit(delta.clone()));
+            }
+        }
+        if records.is_empty() {
+            let (total_records, durable_bytes) =
+                (self.log.as_ref()).map_or((0, 0), |c| (c.records, c.durable_bytes));
+            return Ok(PersistReceipt {
+                total_records,
+                durable_bytes,
+                ..PersistReceipt::default()
+            });
+        }
+        let (receipt, cursor) =
+            journal::append_log(path, self.spec.id(), self.log.as_ref(), &records)?;
+        // Everything written is durable now: fold it out of memory.
+        for (raw, doc) in &mut self.docs {
+            if doc.logged {
+                let durable = doc.journal.folded() + written.get(raw).map_or(0, |&n| n as u64);
+                doc.journal.compact(durable);
+            } else if doc.poisoned.is_none() {
+                doc.logged = true;
+                doc.journal.compact(doc.journal.total_recorded());
+            }
+        }
+        self.pending.clear();
+        self.log = Some(cursor);
+        self.logged_seq = self.commits;
         Ok(receipt)
     }
 
-    /// Reopens a document under `label` from a log written by
-    /// [`CorpusSession::persist_to`]: the base snapshot plus every logged
-    /// op, replayed.  The document joins the dirty set like any open.
+    /// Rebuilds this session from the corpus log at `path`, written by
+    /// [`CorpusSession::persist_to`], and binds the session to it: later
+    /// persists append there.  The session must be fresh — no document,
+    /// commit or log yet — but may be limited, scoped or registry-bound.
     ///
-    /// A partially written final record (a crash mid-append) is a **torn
-    /// tail**: it is dropped and the last durable prefix is recovered —
-    /// verdicts are then witness-identical to a live session that replayed
-    /// the same prefix (`tests/journal_recovery.rs` proves this under
-    /// truncation and corruption at every byte boundary).  Anything
-    /// structurally unsound — wrong spec, damaged non-final records,
-    /// undecodable payloads, snapshots or ops violating tree/DTD
-    /// invariants — is rejected as [`SessionError::Journal`]; wrong
-    /// verdicts are never produced.  Under [`Limits`] the recovery is
-    /// admitted like [`CorpusSession::open`] (dirty-set bound, then
-    /// [`Limits::max_doc_nodes`] on the replayed tree); a rejected recovery
-    /// opens nothing.
-    pub fn recover_from(
-        &mut self,
-        label: impl Into<String>,
-        path: impl AsRef<Path>,
-    ) -> Result<Recovery, SessionError> {
-        let label = label.into();
-        let context = format!("recover `{label}`");
-        self.check_admission(&context)?;
-        let log = journal::read_session_log(path, self.spec.id())?;
-        journal::validate_log_against_dtd(&log, self.spec.dtd())?;
-        let mut tree = XmlTree::from_snapshot(&log.base).map_err(JournalError::from)?;
-        let mut journal = EditJournal::with_folded(log.base_edits);
-        for (i, op) in log.ops.iter().enumerate() {
-            let effect = tree.apply_edit(op).map_err(|error| JournalError::Replay {
-                op_index: log.base_edits + i as u64,
-                error,
-            })?;
-            journal.record(op.clone(), effect);
+    /// Trees come from the `open` snapshots and replayed `apply` records;
+    /// handles, labels, [`CorpusSession::last_seq`] and the retained delta
+    /// history from the `commit` records, and new handles never reuse a
+    /// logged one.  A document opened or edited after the last logged
+    /// commit (or whose last report is a contained fault) comes back dirty;
+    /// every other one is re-checked now and must reproduce its logged
+    /// report, or the recovery fails with [`JournalError::Diverged`].  A
+    /// document a commit reported but the log holds no tree for comes back
+    /// closed: the next commit announces it.
+    ///
+    /// A torn final record (a crash mid-append) is dropped; anything else
+    /// structurally unsound is rejected as [`SessionError::Journal`] (see
+    /// [`crate::journal`]'s recover-or-reject contract).  Under [`Limits`]
+    /// every document is admitted like [`CorpusSession::open`]: the
+    /// dirty-set bound on the documents that come back dirty, then
+    /// [`Limits::max_doc_nodes`].  A rejected recovery opens nothing.
+    pub fn recover_from(&mut self, path: impl AsRef<Path>) -> Result<Recovery, SessionError> {
+        let path = path.as_ref();
+        if self.next_handle > 0 || self.commits > 0 || self.log.is_some() {
+            Err(diverged(
+                "recover_from needs a fresh session: this one already opened, committed or logged"
+                    .to_string(),
+            ))?;
         }
-        self.check_doc_nodes(&tree, context)?;
-        Ok(Recovery {
-            handle: self.admit(label, tree, journal),
-            base_edits: log.base_edits,
-            ops_replayed: log.ops.len() as u64,
-            truncated_tail: log.truncated,
-        })
-    }
+        let log = journal::read_log(path, self.spec.id())?;
+        let cursor = LogCursor {
+            path: path.to_path_buf(),
+            durable_bytes: log.durable_bytes,
+            records: log.records.len() as u64,
+        };
+        let truncated_tail = log.truncated;
+        // Each logged document's label, tree, and its last `open` or
+        // `apply` record; the last `commit` record; every closed handle.
+        let mut docs: BTreeMap<u64, (String, XmlTree, u64)> = BTreeMap::new();
+        let mut last_commit = 0;
+        let mut gone = BTreeSet::new();
+        // Closes of reported documents logged since the last commit.
+        let mut closed: Vec<ClosedDoc> = Vec::new();
+        let mut replica = CorpusReplica::new(self.spec.id());
+        let mut history = Vec::new();
+        let (mut next_handle, mut ops_replayed) = (0, 0);
+        for (seq, record) in (1..).zip(log.records) {
+            record.check_ids(seq, self.spec.dtd())?;
+            match record {
+                LogRecord::Open {
+                    handle,
+                    label,
+                    snapshot,
+                } => {
+                    let tree = XmlTree::from_snapshot(&snapshot).map_err(JournalError::from)?;
+                    next_handle = next_handle.max(handle.raw() + 1);
+                    let doc = (label, tree, seq);
+                    if gone.contains(&handle.raw()) || docs.insert(handle.raw(), doc).is_some() {
+                        Err(diverged(format!("record #{seq} reopens {handle}")))?;
+                    }
+                }
+                LogRecord::Apply { handle, op } => {
+                    let Some((_, tree, touched)) = docs.get_mut(&handle.raw()) else {
+                        let detail = format!("record #{seq} edits {handle}, which is not open");
+                        return Err(diverged(detail).into());
+                    };
+                    tree.apply_edit(&op)
+                        .map_err(|error| JournalError::Replay { seq, error })?;
+                    *touched = seq;
+                    ops_replayed += 1;
+                }
+                LogRecord::Close(close) => {
+                    let raw = close.handle.raw();
+                    next_handle = next_handle.max(raw + 1);
+                    let reported = replica.docs.contains_key(&raw);
+                    if !gone.insert(raw) || (docs.remove(&raw).is_none() && !reported) {
+                        Err(diverged(format!(
+                            "record #{seq} closes {}, which is not open",
+                            close.handle
+                        )))?;
+                    }
+                    // A document no commit reported leaves silently.
+                    if reported {
+                        closed.push(close);
+                    }
+                }
+                LogRecord::Commit(delta) => {
+                    replica.apply_delta(&delta)?;
+                    // A commit announces exactly the closes logged since the
+                    // previous one.
+                    if delta.closed != closed {
+                        Err(diverged(format!(
+                            "commit {} announces other closes",
+                            delta.seq
+                        )))?;
+                    }
+                    closed.clear();
+                    for change in &delta.changes {
+                        next_handle = next_handle.max(change.handle.raw() + 1);
+                    }
+                    last_commit = seq;
+                    history.push(delta);
+                }
+            }
+        }
+        let last_seq = replica.last_seq();
+        // A reported document without a logged tree was closed or
+        // quarantined before the log held it: it comes back closed, and
+        // the log gets the close the next commit announces.
+        let mut pending = Vec::new();
+        for (&raw, report) in &replica.docs {
+            if !docs.contains_key(&raw) && !gone.contains(&raw) {
+                let close = ClosedDoc {
+                    handle: DocHandle::from_raw(raw),
+                    label: report.label.clone(),
+                };
+                closed.push(close.clone());
+                let entry = Box::new((close, EditJournal::new()));
+                pending.push((last_seq, Unlogged::Close(entry)));
+            }
+        }
 
-    /// Drops the journal entries already durable in a log (the prefix a
-    /// [`CorpusSession::persist_to`] covered), bounding the in-memory
-    /// journal of a long-lived document.  Returns how many entries were
-    /// dropped.  Recovery still round-trips node-for-node afterwards: the
-    /// log, not the in-memory journal, is the full history.
-    pub fn compact(&mut self, handle: DocHandle) -> Result<usize, SessionError> {
-        let doc = self
-            .docs
-            .get_mut(&handle.raw())
-            .ok_or(SessionError::UnknownHandle(handle))?;
-        Ok(doc.journal.compact(doc.durable_edits))
-    }
+        // Admit every document like the open that first brought it in, and
+        // re-check each one the last commit saw against its logged report.
+        let validator = self.spec.validator();
+        let mut restored = BTreeMap::new();
+        let mut dirty = Vec::new();
+        for (position, (raw, (label, tree, touched))) in docs.into_iter().enumerate() {
+            let context = format!("recover `{label}`");
+            let report = replica.docs.get(&raw).map(|logged| DocReport {
+                index: position,
+                ..logged.clone()
+            });
+            let is_dirty =
+                touched > last_commit || report.as_ref().is_none_or(|r| r.fault.is_some());
+            if is_dirty {
+                admit_dirty(&self.limits, dirty.len() + 1, &context)
+                    .map_err(SessionError::Resource)?;
+                dirty.push(raw);
+            }
+            self.check_doc_nodes(&tree, context)?;
+            let layout = Arc::clone(self.spec.incremental_layout());
+            let mut index = IncrementalIndex::with_layout(layout, &tree);
+            if !is_dirty {
+                let scope = self.shard_scope.as_ref();
+                let (validation_errors, violations) = verdict(&validator, &tree, &mut index, scope);
+                let fresh = DocReport {
+                    index: position,
+                    label: label.clone(),
+                    parse_error: None,
+                    validation_errors,
+                    violations,
+                    fault: None,
+                };
+                if report.as_ref() != Some(&fresh) {
+                    let handle = DocHandle::from_raw(raw);
+                    Err(diverged(format!(
+                        "{handle} does not re-check to its logged report"
+                    )))?;
+                }
+            }
+            let doc = CorpusDoc {
+                label,
+                tree,
+                index,
+                journal: EditJournal::new(),
+                position,
+                committed_clean: report.as_ref().map(DocReport::is_clean),
+                report,
+                seen: (!is_dirty).then_some(last_seq),
+                logged: true,
+                poisoned: None,
+            };
+            restored.insert(raw, doc);
+        }
 
-    /// Edits of this document known durable in a log (the compaction
-    /// watermark).
-    pub fn durable_edits(&self, handle: DocHandle) -> Result<u64, SessionError> {
-        self.docs
-            .get(&handle.raw())
-            .map(|d| d.durable_edits)
-            .ok_or(SessionError::UnknownHandle(handle))
+        let recovery = Recovery {
+            docs: restored.len(),
+            dirty: dirty.len(),
+            ops_replayed,
+            last_seq,
+            truncated_tail,
+        };
+        self.clean_docs = restored
+            .values()
+            .filter(|d| d.committed_clean == Some(true))
+            .count();
+        self.docs = restored;
+        self.dirty = dirty;
+        self.closed = closed;
+        self.next_handle = next_handle;
+        self.commits = last_seq;
+        self.history = history;
+        self.log = Some(cursor);
+        self.logged_seq = last_seq;
+        self.pending = pending;
+        self.instr.dirty_docs.set(self.dirty.len() as i64);
+        self.instr.open_docs.set(self.docs.len() as i64);
+        Ok(recovery)
     }
 
     /// The last committed sequence number (0 before the first commit).
@@ -1384,9 +1644,10 @@ impl<'s> CorpusSession<'s> {
 
     /// The committed deltas with sequence numbers above `after_seq`, in
     /// order — the export surface of replication: ship these to a
-    /// [`crate::CorpusReplica`] (or append them to a delta log with
-    /// [`crate::journal::append_delta_log`]) and the replica reconstructs
-    /// [`CorpusSession::report`] exactly, with no document ever re-shipped.
+    /// [`crate::CorpusReplica`] and it reconstructs
+    /// [`CorpusSession::report`] exactly, with no document ever re-shipped
+    /// ([`CorpusSession::persist_to`] logs the same deltas as `commit`
+    /// records).
     /// Fails with [`JournalError::PrunedDeltas`] when the requested window
     /// was already dropped by [`CorpusSession::prune_deltas`].
     pub fn export_deltas(&self, after_seq: u64) -> Result<&[BatchDelta], JournalError> {
@@ -1407,6 +1668,9 @@ impl<'s> CorpusSession<'s> {
         let drop = droppable.min(self.history.len());
         self.history.drain(..drop);
         self.history_base += drop as u64;
+        // Calls before a dropped commit the log lacks can never be logged.
+        let stale = (self.pending).partition_point(|&(at, _)| at + 1 < self.history_base);
+        self.pending.drain(..stale);
         drop
     }
 
@@ -1961,22 +2225,24 @@ mod tests {
         let doc = corpus
             .open_source("a.xml", "<school><teacher name=\"Joe\"/></school>")
             .unwrap();
-        // First persist folds the (edit-free) document into the base.
-        let receipt = corpus.persist_to(doc, &path).unwrap();
-        assert_eq!(receipt.total_records, 1);
+        // The first persist logs the document as an `open` snapshot.
+        let receipt = corpus.persist_to(&path).unwrap();
+        assert_eq!((receipt.records_written, receipt.total_records), (1, 1));
 
-        // Edit, persist (appends two op records), compact, edit, persist.
+        // Edits are logged as `apply` records and folded out of memory.
         let root = corpus.tree(doc).unwrap().root();
         let add = EditOp::AddElement {
             parent: root,
             ty: teacher,
         };
         corpus.apply(doc, &[add.clone(), add]).unwrap();
-        let receipt = corpus.persist_to(doc, &path).unwrap();
+        let receipt = corpus.persist_to(&path).unwrap();
         assert_eq!(receipt.records_written, 2);
-        assert_eq!(corpus.durable_edits(doc).unwrap(), 2);
-        assert_eq!(corpus.compact(doc).unwrap(), 2);
         assert!(corpus.journal(doc).unwrap().is_empty());
+        assert_eq!(corpus.journal(doc).unwrap().total_recorded(), 2);
+
+        // A commit, then an edit no commit has seen: both are logged.
+        corpus.commit();
         let second = corpus.tree(doc).unwrap().ext(teacher).nth(1).unwrap();
         corpus
             .apply(
@@ -1988,36 +2254,44 @@ mod tests {
                 }],
             )
             .unwrap();
-        let receipt = corpus.persist_to(doc, &path).unwrap();
-        assert_eq!(receipt.records_written, 1);
-        assert_eq!(receipt.total_records, 4);
+        let receipt = corpus.persist_to(&path).unwrap();
+        assert_eq!((receipt.records_written, receipt.commits_written), (2, 1));
+        assert_eq!(receipt.total_records, 5);
+        // Nothing new: no write at all.
+        assert_eq!(corpus.persist_to(&path).unwrap().records_written, 0);
         let live = committed_violations(&mut corpus);
         assert!(!live.is_empty());
 
-        // Recovery replays the log onto the base snapshot: same verdict,
-        // same witnesses, node-for-node the same arena.
+        // Recovery replays the log onto the snapshot: the edited document
+        // comes back dirty, and its next commit reaches the same verdict on
+        // node-for-node the same arena.
         let mut recovered = CorpusSession::new(&spec);
-        let recovery = recovered.recover_from("a.xml", &path).unwrap();
-        assert_eq!(recovery.base_edits, 0);
-        assert_eq!(recovery.ops_replayed, 3);
-        assert!(!recovery.truncated_tail);
-        assert_eq!(committed_violations(&mut recovered), live);
-        assert_eq!(recovered.durable_edits(recovery.handle).unwrap(), 3);
+        let recovery = recovered.recover_from(&path).unwrap();
         assert_eq!(
-            recovered.tree(recovery.handle).unwrap().snapshot(),
+            recovery,
+            Recovery {
+                docs: 1,
+                dirty: 1,
+                ops_replayed: 3,
+                last_seq: 1,
+                truncated_tail: false,
+            }
+        );
+        assert_eq!(recovered.handles().collect::<Vec<_>>(), [doc]);
+        assert_eq!(recovered.label(doc).unwrap(), "a.xml");
+        assert_eq!(committed_violations(&mut recovered), live);
+        assert_eq!(recovered.last_seq(), 2);
+        assert_eq!(
+            recovered.tree(doc).unwrap().snapshot(),
             corpus.tree(doc).unwrap().snapshot()
         );
 
-        // The recovered document keeps appending to the same log.
-        let third = recovered
-            .tree(recovery.handle)
-            .unwrap()
-            .ext(teacher)
-            .nth(2)
-            .unwrap();
+        // The recovered session keeps appending to the same log, and a
+        // second recovery sees a clean document at the new commit.
+        let third = recovered.tree(doc).unwrap().ext(teacher).nth(2).unwrap();
         recovered
             .apply(
-                recovery.handle,
+                doc,
                 &[EditOp::SetAttr {
                     element: third,
                     attr: name,
@@ -2025,9 +2299,16 @@ mod tests {
                 }],
             )
             .unwrap();
-        let receipt = recovered.persist_to(recovery.handle, &path).unwrap();
-        assert_eq!(receipt.records_written, 1);
-        assert_eq!(receipt.total_records, 5);
+        recovered.commit();
+        let receipt = recovered.persist_to(&path).unwrap();
+        assert_eq!((receipt.records_written, receipt.total_records), (3, 8));
+        let mut again = CorpusSession::new(&spec);
+        let recovery = again.recover_from(&path).unwrap();
+        assert_eq!((recovery.dirty, recovery.last_seq), (0, 3));
+        assert_eq!(again.report(), recovered.report());
+        // New handles never reuse a logged one.
+        let next = again.open_source("b.xml", "<school/>").unwrap();
+        assert_eq!(next.raw(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -2035,71 +2316,108 @@ mod tests {
     fn persisting_a_foreign_log_is_rejected() {
         let spec = spec();
         let path = temp_log("foreign");
+        let other = temp_log("foreign-other");
 
         let mut corpus = CorpusSession::new(&spec);
-        let a = corpus
+        corpus
             .open_source("a.xml", "<school><teacher name=\"A\"/></school>")
             .unwrap();
-        let b = corpus
-            .open_source("b.xml", "<school><teacher name=\"B\"/></school>")
-            .unwrap();
-        let teacher = spec.dtd().type_by_name("teacher").unwrap();
+        corpus.persist_to(&path).unwrap();
+        let diverged = |err: SessionError| {
+            assert!(
+                matches!(err, SessionError::Journal(JournalError::Diverged { .. })),
+                "{err:?}"
+            )
+        };
+        // A session is bound to its one log.
+        diverged(corpus.persist_to(&other).unwrap_err());
+        // Another session never appends to a log it did not write or
+        // recover from.
+        let mut stranger = CorpusSession::new(&spec);
+        stranger.open_source("b.xml", "<school/>").unwrap();
+        diverged(stranger.persist_to(&path).unwrap_err());
+        // Recovery needs a fresh session.
+        diverged(stranger.recover_from(&path).unwrap_err());
+        assert_eq!(stranger.num_docs(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A deadline-aborted commit, a close no commit has announced yet, and
+    /// a logged document closed before any commit saw it: a session
+    /// recovered from a persist taken in that state announces the same next
+    /// delta as the session that never stopped.
+    #[test]
+    fn recovery_resumes_a_half_finished_commit() {
+        let spec = spec();
         let name = spec.dtd().attr_by_name("name").unwrap();
-        corpus.persist_to(a, &path).unwrap();
-        // Both documents get one identical op, then their histories fork.
-        for doc in [a, b] {
-            let root = corpus.tree(doc).unwrap().root();
-            corpus
-                .apply(
-                    doc,
-                    &[EditOp::AddElement {
-                        parent: root,
-                        ty: teacher,
-                    }],
-                )
-                .unwrap();
-        }
-        let a_first = corpus.tree(a).unwrap().ext(teacher).next().unwrap();
-        corpus
-            .apply(
-                a,
+        let path = temp_log("half-finished");
+        let zero = Limits {
+            deadline: Some(std::time::Duration::ZERO),
+            ..Limits::UNLIMITED
+        };
+        let mut live = CorpusSession::with_limits(&spec, zero);
+        let sources = [
+            ("a.xml", "<school><teacher name=\"A\"/></school>"),
+            ("b.xml", "<school><teacher name=\"B\"/></school>"),
+            ("c.xml", "<school><teacher name=\"C\"/></school>"),
+        ];
+        let handles: Vec<DocHandle> = sources
+            .iter()
+            .map(|(label, source)| live.open_source(*label, source).unwrap())
+            .collect();
+        live.commit();
+        let gone = live.open_source("gone.xml", "<school/>").unwrap();
+        live.persist_to(&path).unwrap();
+        live.close(gone).unwrap();
+        live.close(handles[2]).unwrap();
+        for (i, &doc) in handles[..2].iter().enumerate() {
+            live.apply(
+                doc,
                 &[EditOp::SetAttr {
-                    element: a_first,
+                    element: xic_xml::NodeId(1),
                     attr: name,
-                    value: "Renamed".into(),
+                    value: format!("dup{i}"),
                 }],
             )
             .unwrap();
-        let b_first = corpus.tree(b).unwrap().ext(teacher).next().unwrap();
-        corpus
-            .apply(b, &[EditOp::RemoveSubtree { element: b_first }])
-            .unwrap();
-        corpus.persist_to(a, &path).unwrap();
-        // a's log now holds two ops; b's second op differs in the overlap,
-        // so appending b's history to a's log is refused.
-        let err = corpus.persist_to(b, &path).unwrap_err();
-        assert!(
-            matches!(err, SessionError::Journal(JournalError::Diverged { .. })),
-            "{err:?}"
-        );
-        // A log that is *ahead* of the document is refused too.
-        let mut rewound = CorpusSession::new(&spec);
-        let fresh = rewound
-            .open_source("a.xml", "<school><teacher name=\"A\"/></school>")
-            .unwrap();
-        let err = rewound.persist_to(fresh, &path).unwrap_err();
-        assert!(
-            matches!(err, SessionError::Journal(JournalError::Diverged { .. })),
-            "{err:?}"
-        );
-        // Unknown handles surface structurally.
-        let mut other = CorpusSession::new(&spec);
-        let stranger = DocHandle::from_raw(9);
+        }
+        // A zero deadline re-checks nothing and announces nothing.
+        assert!(live.try_commit().is_err());
+        live.persist_to(&path).unwrap();
+
+        let mut recovered = CorpusSession::new(&spec);
+        let recovery = recovered.recover_from(&path).unwrap();
         assert_eq!(
-            other.persist_to(stranger, &path).unwrap_err(),
-            SessionError::UnknownHandle(stranger)
+            (recovery.docs, recovery.dirty, recovery.last_seq),
+            (2, 2, 1)
         );
+        let (expected, got) = (live.commit(), recovered.commit());
+        assert_eq!(
+            (&got.changes, &got.closed, got.total, got.clean),
+            (
+                &expected.changes,
+                &expected.closed,
+                expected.total,
+                expected.clean
+            )
+        );
+        assert_eq!(got.closed.len(), 1, "only the announced document's close");
+        assert_eq!(recovered.report(), live.report());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A document opened and closed between two commits never entered the
+    /// delta stream, so its close is not announced either.
+    #[test]
+    fn closing_an_uncommitted_document_leaves_no_trace() {
+        let spec = spec();
+        let mut corpus = CorpusSession::new(&spec);
+        let a = corpus.open_source("a.xml", "<school/>").unwrap();
+        corpus.close(a).unwrap();
+        let delta = corpus.commit();
+        assert!(delta.is_empty(), "{delta:?}");
+        let mut replica = CorpusReplica::new(spec.id());
+        replica.apply_delta(&delta).unwrap();
     }
 
     #[test]

@@ -1,39 +1,55 @@
-//! Durable edit journals: a versioned, self-describing binary delta-log
-//! format for session persistence and replication.
+//! The corpus log: one versioned, append-only binary log per
+//! [`crate::CorpusSession`], and the replica that reads its commits.
 //!
-//! Re-validation is O(edit), but an in-memory session dies with the
-//! process.  This module is the persistence half: it serializes a
-//! document's base snapshot plus its [`xic_xml::EditJournal`] (and, for
-//! corpora, the [`BatchDelta`] stream itself) as an **append-only log**
-//! keyed by the content-hash [`SpecId`] and a per-log sequence number, so
-//! that
+//! An in-memory session dies with its process.  Its log holds the session
+//! calls that shaped it — `open`, `apply`, `close` and `commit` records —
+//! keyed by the content-hash [`SpecId`], so that
 //!
-//! * a crashed session recovers a document from its log
-//!   ([`crate::CorpusSession::persist_to`] /
-//!   [`crate::CorpusSession::recover_from`]) — a partially written final
-//!   record is a **torn tail**, truncated on read rather than reported as
-//!   an error;
-//! * a replica reconstructs a corpus session's verdicts from
-//!   [`BatchDelta`]s alone ([`CorpusReplica`]), without the documents ever
-//!   being re-shipped or re-parsed — the on-ramp to distributed validation
-//!   in the sense of Abiteboul et al., *Distributed XML Design*;
-//! * `xic journal record | replay | inspect` exposes the same machinery on
-//!   the command line, with the `xic batch --session` script syntax as the
-//!   log's human-readable twin.
+//! * [`crate::CorpusSession::persist_to`] appends everything the log does
+//!   not hold yet, and [`crate::CorpusSession::recover_from`] rebuilds a
+//!   live, editable session from it (a restarted or evicted `xic serve`
+//!   session comes back this way) — a partially written final record is a
+//!   **torn tail**, truncated on read rather than reported as an error;
+//! * a [`CorpusReplica`] reconstructs the session's verdicts from the
+//!   `commit` records alone, without a document ever being re-shipped or
+//!   re-parsed — the on-ramp to distributed validation in the sense of
+//!   Abiteboul et al., *Distributed XML Design*;
+//! * `xic journal record | replay | inspect` exposes the same log on the
+//!   command line, with the `xic batch --session` script syntax as its
+//!   human-readable twin.
 //!
 //! # Format
 //!
 //! ```text
-//! header   := "XICJ" version:u16 kind:u8 reserved:u8 spec-id:u64 u64   (24 bytes, LE)
-//! record   := len:u32 seq:u64 tag:u8 payload:[u8; len] crc32:u32
+//! header  := "XICJ" version:u16 reserved:u16 spec-id:u64 u64      (24 bytes, LE)
+//! record  := len:u32 seq:u64 tag:u8 payload:[u8; len] crc32:u32
+//! payload := open   (tag 1): handle:u64 label:str snapshot
+//!          | apply  (tag 2): handle:u64 op
+//!          | commit (tag 3): delta                (the wire's delta payload)
+//!          | close  (tag 4): handle:u64 label:str
 //! ```
 //!
 //! `seq` starts at 1 and is contiguous; `crc32` (IEEE) covers `seq`, `tag`
-//! and the payload.  A session-document log (kind 1) holds one *base*
-//! record — a slot-for-slot [`TreeSnapshot`] of the document plus the
-//! number of edits already folded into it — followed by one record per
-//! [`EditOp`].  A delta-stream log (kind 2) holds one record per
-//! [`BatchDelta`].
+//! and the payload.  Records follow the order of the session calls they
+//! make durable, so a document is dirty at the end of the log exactly when
+//! its `open` or one of its `apply` records comes after the last `commit`:
+//!
+//! * an `open` carries a slot-for-slot [`TreeSnapshot`] of the document as
+//!   of the persist that first logs it, folding every edit so far.  It
+//!   stands just before the first commit that re-checked that state, or
+//!   after every commit when none has yet — so its place records whether
+//!   the snapshot holds edits no commit has seen.  A commit may therefore
+//!   report a document before its `open`: a log cut in between recovers
+//!   the document as closed (see below);
+//! * each later edit of a logged document is one `apply` record, before
+//!   the first commit that saw it;
+//! * a `close` precedes the commit that announces it (or ends the log while
+//!   no commit has); it is logged for documents the log or a commit knows;
+//! * a `commit` carries the [`BatchDelta`] itself.
+//!
+//! A document some commit reported but the log holds no tree for — closed,
+//! or quarantined, before it was ever logged — recovers as a close the
+//! next commit announces.
 //!
 //! # Failure policy (the contract the crash-injection suite enforces)
 //!
@@ -42,24 +58,23 @@
 //! dropped, yielding the last durable prefix) or *rejected* with a
 //! structured [`JournalError`] (bad magic, version or spec, a CRC failure
 //! before the final record, an out-of-sequence record, an undecodable
-//! payload, a snapshot violating tree invariants).
-//! `tests/journal_recovery.rs` truncates and corrupts logs at every byte
-//! boundary and holds recovery to exactly this contract.
+//! payload, a snapshot violating tree invariants, commits that contradict
+//! each other, or a document whose re-checked verdict differs from the one
+//! its last commit logged).  `tests/journal_recovery.rs` truncates and
+//! corrupts logs at every byte boundary and holds recovery to exactly this
+//! contract.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, OpenOptions};
-use std::io::Write as _;
-use std::path::Path;
+use std::io::{Read as _, Seek as _, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use xic_constraints::Violation;
 use xic_dtd::{AttrId, Dtd, ElemId};
 use xic_telemetry::{Counter, Histogram};
-use xic_xml::{
-    EditError, EditJournal, EditOp, NodeId, NodeLabel, NodeSnapshot, SnapshotError, TreeSnapshot,
-    XmlTree,
-};
+use xic_xml::{EditError, EditOp, NodeId, NodeLabel, NodeSnapshot, SnapshotError, TreeSnapshot};
 
 use crate::batch::{BatchReport, DocReport};
 use crate::corpus::{BatchDelta, ClosedDoc, DocChange, DocHandle};
@@ -91,73 +106,26 @@ fn instruments() -> &'static JournalInstruments {
     })
 }
 
-/// Counts one durable write into the journal instruments: the appended
-/// record count and bytes, plus a torn-tail repair when the write had to
-/// truncate one first.
-fn note_write(records: usize, bytes: usize, repaired_torn_tail: bool) {
-    let instr = instruments();
-    instr.records_appended.add(records as u64);
-    instr.bytes_written.add(bytes as u64);
-    if repaired_torn_tail {
-        instr.torn_repairs.inc();
-    }
-}
-
 /// The four magic bytes every journal file starts with.
 pub const MAGIC: [u8; 4] = *b"XICJ";
 
-/// The format version this build reads and writes.  Version 2 added shard
-/// tags to delta records (`BatchDelta::shards` and per-change
-/// `DocChange::shards`); readers strictly reject other versions, so v1 logs
-/// must be re-recorded.
-pub const FORMAT_VERSION: u16 = 2;
+/// The format version this build reads and writes.  Version 3 is the one
+/// corpus log of `open` / `apply` / `close` / `commit` records; readers
+/// strictly reject other versions, so older logs must be re-recorded.
+pub const FORMAT_VERSION: u16 = 3;
 
-/// Header length in bytes: magic, version, kind, reserved, spec id.
-pub const HEADER_LEN: usize = 4 + 2 + 1 + 1 + 16;
+/// Header length in bytes: magic, version, reserved, spec id.
+pub const HEADER_LEN: usize = 4 + 2 + 2 + 16;
 
 /// Per-record framing overhead: length, sequence number, tag, CRC.
 pub(crate) const FRAME_LEN: usize = 4 + 8 + 1 + 4;
 
-const TAG_BASE: u8 = 1;
-const TAG_OP: u8 = 2;
+const TAG_OPEN: u8 = 1;
+const TAG_APPLY: u8 = 2;
+/// The `commit` record tag; the wire ships deltas under the same tag and
+/// payload.
 pub(crate) const TAG_DELTA: u8 = 3;
-
-/// What a journal file contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogKind {
-    /// One session document: a base snapshot followed by edit ops.
-    SessionDoc,
-    /// A corpus delta stream: one [`BatchDelta`] per record.
-    DeltaStream,
-}
-
-impl LogKind {
-    /// The header byte encoding this kind.
-    pub fn code(self) -> u8 {
-        match self {
-            LogKind::SessionDoc => 1,
-            LogKind::DeltaStream => 2,
-        }
-    }
-
-    /// Decodes a header byte.
-    pub fn from_code(code: u8) -> Option<LogKind> {
-        match code {
-            1 => Some(LogKind::SessionDoc),
-            2 => Some(LogKind::DeltaStream),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for LogKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LogKind::SessionDoc => write!(f, "session-doc"),
-            LogKind::DeltaStream => write!(f, "delta-stream"),
-        }
-    }
-}
+const TAG_CLOSE: u8 = 4;
 
 /// Why a journal operation failed.  Every variant is a *structured
 /// rejection*: readers never panic on hostile bytes and never hand back
@@ -184,13 +152,6 @@ pub enum JournalError {
         /// The version found in the header.
         found: u16,
     },
-    /// The journal holds a different kind of log than the operation needs.
-    WrongKind {
-        /// The kind the operation required.
-        expected: LogKind,
-        /// The kind byte found in the header.
-        found: u8,
-    },
     /// The journal belongs to a different compiled specification.
     SpecMismatch {
         /// The spec the caller is validating against.
@@ -216,9 +177,7 @@ pub enum JournalError {
         /// What failed to decode.
         detail: String,
     },
-    /// A session-document log with no base-snapshot record.
-    MissingBase,
-    /// The base snapshot violated a tree invariant.
+    /// A logged snapshot violated a tree invariant.
     Snapshot(SnapshotError),
     /// The log references element types or attributes the specification's
     /// DTD does not declare.
@@ -228,27 +187,20 @@ pub enum JournalError {
         /// The offending reference.
         detail: String,
     },
-    /// Replaying a logged op onto the recovered base was rejected — the
-    /// log's history is not a valid edit sequence for its own base.
+    /// Replaying a logged op onto its document was rejected — the log's
+    /// history is not a valid edit sequence for its own snapshot.
     Replay {
-        /// Global index of the rejected op.
-        op_index: u64,
+        /// Sequence number of the rejected `apply` record.
+        seq: u64,
         /// The underlying rejection.
         error: EditError,
     },
-    /// The log's recorded history does not match the session's journal
-    /// (appending would interleave two different histories).
+    /// The log and the session disagree: a record names a document the log
+    /// does not hold, a recovered verdict differs from the logged one, or
+    /// the session would append to a log it did not write.
     Diverged {
         /// What diverged.
         detail: String,
-    },
-    /// The journal was compacted past what the log holds: the dropped
-    /// entries exist nowhere durable, so persisting would lose history.
-    Compacted {
-        /// Edits compacted away in memory.
-        folded: u64,
-        /// Edits the log holds.
-        durable: u64,
     },
     /// A delta arrived out of sequence (the replica would silently drift).
     DeltaGap {
@@ -283,9 +235,6 @@ impl fmt::Display for JournalError {
             JournalError::UnsupportedVersion { found } => {
                 write!(f, "unsupported journal format version {found} (this build reads {FORMAT_VERSION})")
             }
-            JournalError::WrongKind { expected, found } => {
-                write!(f, "expected a {expected} log, found kind byte {found}")
-            }
             JournalError::SpecMismatch { expected, found } => {
                 write!(f, "journal belongs to {found}, not {expected}")
             }
@@ -299,9 +248,6 @@ impl fmt::Display for JournalError {
             JournalError::Malformed { seq, detail } => {
                 write!(f, "record #{seq} does not decode: {detail}")
             }
-            JournalError::MissingBase => {
-                write!(f, "session log holds no base-snapshot record")
-            }
             JournalError::Snapshot(err) => write!(f, "{err}"),
             JournalError::ForeignIds { seq, detail } => {
                 write!(
@@ -309,17 +255,12 @@ impl fmt::Display for JournalError {
                     "record #{seq} references ids outside the spec's DTD: {detail}"
                 )
             }
-            JournalError::Replay { op_index, error } => {
-                write!(f, "logged op #{op_index} does not replay: {error}")
+            JournalError::Replay { seq, error } => {
+                write!(f, "logged op #{seq} does not replay: {error}")
             }
             JournalError::Diverged { detail } => {
                 write!(f, "log and session histories diverge: {detail}")
             }
-            JournalError::Compacted { folded, durable } => write!(
-                f,
-                "journal compacted {folded} edits but the log only holds {durable}: \
-                 the difference exists nowhere durable"
-            ),
             JournalError::DeltaGap { expected, found } => {
                 write!(
                     f,
@@ -350,6 +291,10 @@ fn io_err(path: &Path, err: std::io::Error) -> JournalError {
         path: path.display().to_string(),
         detail: err.to_string(),
     }
+}
+
+pub(crate) fn diverged(detail: String) -> JournalError {
+    JournalError::Diverged { detail }
 }
 
 // ---------------------------------------------------------------------------
@@ -443,13 +388,6 @@ fn write_and_sync(file: &mut fs::File, buf: &[u8], point: &'static str) -> std::
         fault_io("journal.sync")?;
         file.sync_data()
     })
-}
-
-/// Durably creates a fresh log file (create, write, sync) through the
-/// hardened write path.
-fn write_fresh(path: &Path, buf: &[u8]) -> Result<(), JournalError> {
-    let mut file = fs::File::create(path).map_err(|e| io_err(path, e))?;
-    write_and_sync(&mut file, buf, "journal.write").map_err(|e| io_err(path, e))
 }
 
 // ---------------------------------------------------------------------------
@@ -923,7 +861,6 @@ struct RawRecord {
 
 #[derive(Debug)]
 struct RawLog {
-    kind: u8,
     spec: SpecId,
     records: Vec<RawRecord>,
     /// Bytes covered by the header plus the valid records: appends resume
@@ -935,11 +872,10 @@ struct RawLog {
     corrupt: Option<JournalError>,
 }
 
-fn write_header(buf: &mut Vec<u8>, kind: LogKind, spec: SpecId) {
+fn write_header(buf: &mut Vec<u8>, spec: SpecId) {
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.push(kind.code());
-    buf.push(0);
+    buf.extend_from_slice(&[0, 0]);
     buf.extend_from_slice(&spec.0.to_le_bytes());
     buf.extend_from_slice(&spec.1.to_le_bytes());
 }
@@ -953,10 +889,8 @@ pub(crate) fn frame_record(buf: &mut Vec<u8>, seq: u64, tag: u8, payload: &[u8])
     buf.extend_from_slice(&crc32(&[&seq_bytes, &[tag], payload]).to_le_bytes());
 }
 
-/// Parses header and records; `lossy` reports mid-log corruption in the
-/// result instead of failing (for `inspect`).
-fn read_raw(path: &Path, lossy: bool) -> Result<RawLog, JournalError> {
-    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
+/// Checks a header's magic, version and reserved bytes, returning its spec.
+fn parse_header(bytes: &[u8], path: &Path) -> Result<SpecId, JournalError> {
     let not_a_journal = |detail: &str| JournalError::NotAJournal {
         path: path.display().to_string(),
         detail: detail.to_string(),
@@ -971,11 +905,20 @@ fn read_raw(path: &Path, lossy: bool) -> Result<RawLog, JournalError> {
     if version != FORMAT_VERSION {
         return Err(JournalError::UnsupportedVersion { found: version });
     }
-    let kind = bytes[6];
-    let spec = SpecId(
+    if bytes[6..8] != [0, 0] {
+        return Err(not_a_journal("reserved header bytes are not zero"));
+    }
+    Ok(SpecId(
         u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
         u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
-    );
+    ))
+}
+
+/// Parses header and records; `lossy` reports mid-log corruption in the
+/// result instead of failing (for `inspect`).
+fn read_raw(path: &Path, lossy: bool) -> Result<RawLog, JournalError> {
+    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
+    let spec = parse_header(&bytes, path)?;
 
     let mut records = Vec::new();
     let mut pos = HEADER_LEN;
@@ -1036,7 +979,6 @@ fn read_raw(path: &Path, lossy: bool) -> Result<RawLog, JournalError> {
     }
 
     Ok(RawLog {
-        kind,
         spec,
         records,
         durable_bytes: pos as u64,
@@ -1045,198 +987,308 @@ fn read_raw(path: &Path, lossy: bool) -> Result<RawLog, JournalError> {
     })
 }
 
-fn expect_kind(raw: &RawLog, expected: LogKind) -> Result<(), JournalError> {
-    if raw.kind != expected.code() {
-        return Err(JournalError::WrongKind {
-            expected,
-            found: raw.kind,
-        });
+fn expect_spec(found: SpecId, expected: SpecId) -> Result<(), JournalError> {
+    if found != expected {
+        return Err(JournalError::SpecMismatch { expected, found });
     }
     Ok(())
-}
-
-fn expect_spec(raw: &RawLog, expected: SpecId) -> Result<(), JournalError> {
-    if raw.spec != expected {
-        return Err(JournalError::SpecMismatch {
-            expected,
-            found: raw.spec,
-        });
-    }
-    Ok(())
-}
-
-fn malformed(seq: u64, detail: String) -> JournalError {
-    JournalError::Malformed { seq, detail }
 }
 
 // ---------------------------------------------------------------------------
-// Typed session-document logs.
+// Records: the corpus log's vocabulary.
 
-/// A decoded session-document log: the base snapshot plus the replayable
-/// op suffix.
+/// One record of a corpus log.  Each mirrors the [`crate::CorpusSession`]
+/// call it makes durable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LogRecord {
+    /// A document entering the log, as its tree stood at the persist that
+    /// first logged it (every edit so far folded into the snapshot).
+    Open {
+        /// The document's session handle.
+        handle: DocHandle,
+        /// Its label.
+        label: String,
+        /// The slot-for-slot tree.
+        snapshot: TreeSnapshot,
+    },
+    /// One edit of a logged document.
+    Apply {
+        /// The edited document.
+        handle: DocHandle,
+        /// The edit.
+        op: EditOp,
+    },
+    /// A close that no logged commit has announced yet.
+    Close(ClosedDoc),
+    /// One commit's delta.
+    Commit(BatchDelta),
+}
+
+impl LogRecord {
+    /// Encodes the payload, returning the record's tag.
+    fn encode(&self, enc: &mut Enc) -> u8 {
+        match self {
+            LogRecord::Open {
+                handle,
+                label,
+                snapshot,
+            } => {
+                enc.u64(handle.raw());
+                enc.str(label);
+                enc_snapshot(enc, snapshot);
+                TAG_OPEN
+            }
+            LogRecord::Apply { handle, op } => {
+                enc.u64(handle.raw());
+                enc_op(enc, op);
+                TAG_APPLY
+            }
+            LogRecord::Close(closed) => {
+                enc.u64(closed.handle.raw());
+                enc.str(&closed.label);
+                TAG_CLOSE
+            }
+            LogRecord::Commit(delta) => {
+                enc_delta(enc, delta);
+                TAG_DELTA
+            }
+        }
+    }
+
+    fn decode(record: &RawRecord) -> Result<LogRecord, JournalError> {
+        let mut dec = Dec::new(&record.payload);
+        let decoded = (|| {
+            Ok(match record.tag {
+                TAG_OPEN => LogRecord::Open {
+                    handle: DocHandle::from_raw(dec.u64()?),
+                    label: dec.str()?,
+                    snapshot: dec_snapshot(&mut dec)?,
+                },
+                TAG_APPLY => LogRecord::Apply {
+                    handle: DocHandle::from_raw(dec.u64()?),
+                    op: dec_op(&mut dec)?,
+                },
+                TAG_CLOSE => LogRecord::Close(ClosedDoc {
+                    handle: DocHandle::from_raw(dec.u64()?),
+                    label: dec.str()?,
+                }),
+                TAG_DELTA => LogRecord::Commit(dec_delta(&mut dec)?),
+                other => return Err(format!("unknown record tag {other}")),
+            })
+        })();
+        let malformed = |detail| JournalError::Malformed {
+            seq: record.seq,
+            detail,
+        };
+        let decoded = decoded.map_err(malformed)?;
+        dec.finish().map_err(malformed)?;
+        Ok(decoded)
+    }
+
+    /// Rejects snapshots and ops that reference element types or attributes
+    /// the DTD does not declare (a hostile log could otherwise make witness
+    /// rendering or structural validation index out of bounds).
+    pub(crate) fn check_ids(&self, seq: u64, dtd: &Dtd) -> Result<(), JournalError> {
+        let types = dtd.num_types() as u32;
+        let attrs = dtd.num_attrs() as u32;
+        let bad = match self {
+            LogRecord::Open { snapshot, .. } => {
+                snapshot.nodes.iter().enumerate().find_map(|(i, node)| {
+                    match node.label {
+                        NodeLabel::Element(ty) if ty.0 >= types => {
+                            return Some(format!("node #{i} has element type {}", ty.0))
+                        }
+                        NodeLabel::Attribute(attr) if attr.0 >= attrs => {
+                            return Some(format!("node #{i} has attribute {}", attr.0))
+                        }
+                        _ => {}
+                    }
+                    node.attrs
+                        .iter()
+                        .find(|(a, _)| a.0 >= attrs)
+                        .map(|(attr, _)| format!("node #{i} lists attribute {}", attr.0))
+                })
+            }
+            LogRecord::Apply { op, .. } => match op {
+                EditOp::SetAttr { attr, .. } if attr.0 >= attrs => {
+                    Some(format!("attribute {}", attr.0))
+                }
+                EditOp::AddElement { ty, .. } if ty.0 >= types => {
+                    Some(format!("element type {}", ty.0))
+                }
+                _ => None,
+            },
+            LogRecord::Close(_) | LogRecord::Commit(_) => None,
+        };
+        match bad {
+            Some(detail) => Err(JournalError::ForeignIds { seq, detail }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A decoded corpus log: its durable records, oldest first (record `i`
+/// carries sequence number `i + 1`).
 #[derive(Debug, Clone)]
-pub struct SessionLog {
-    /// The specification the log was recorded under.
-    pub spec: SpecId,
-    /// Edits already folded into the base snapshot when it was written
-    /// (the global index of `ops[0]` is `base_edits`).
-    pub base_edits: u64,
-    /// The slot-for-slot base snapshot.
-    pub base: TreeSnapshot,
-    /// The logged ops, oldest first.
-    pub ops: Vec<EditOp>,
+pub struct CorpusLog {
+    /// The durable records.
+    pub records: Vec<LogRecord>,
     /// Whether a torn tail was dropped while reading.
     pub truncated: bool,
     /// Bytes covered by the durable prefix (header + valid records).
     pub durable_bytes: u64,
 }
 
-impl SessionLog {
-    /// Total edits the log accounts for: folded into the base plus logged.
-    pub fn total_edits(&self) -> u64 {
-        self.base_edits + self.ops.len() as u64
+impl CorpusLog {
+    /// The logged commits' deltas, in commit order.
+    pub fn commits(&self) -> impl Iterator<Item = &BatchDelta> {
+        self.records.iter().filter_map(|record| match record {
+            LogRecord::Commit(delta) => Some(delta),
+            _ => None,
+        })
     }
 }
 
-fn decode_base(record: &RawRecord) -> Result<(u64, TreeSnapshot), JournalError> {
-    if record.tag != TAG_BASE {
-        return Err(malformed(
-            record.seq,
-            format!("expected a base-snapshot record, found tag {}", record.tag),
-        ));
-    }
-    let mut dec = Dec::new(&record.payload);
-    let base_edits = dec.u64().map_err(|e| malformed(record.seq, e))?;
-    let base = dec_snapshot(&mut dec).map_err(|e| malformed(record.seq, e))?;
-    dec.finish().map_err(|e| malformed(record.seq, e))?;
-    Ok((base_edits, base))
-}
-
-fn decode_op(record: &RawRecord) -> Result<EditOp, JournalError> {
-    if record.tag != TAG_OP {
-        return Err(malformed(
-            record.seq,
-            format!("expected an edit-op record, found tag {}", record.tag),
-        ));
-    }
-    let mut dec = Dec::new(&record.payload);
-    let op = dec_op(&mut dec).map_err(|e| malformed(record.seq, e))?;
-    dec.finish().map_err(|e| malformed(record.seq, e))?;
-    Ok(op)
-}
-
-/// Reads a session-document log, dropping a torn tail and rejecting
-/// anything structurally unsound (see the module's recover-or-reject
-/// contract).
-pub fn read_session_log(
-    path: impl AsRef<Path>,
-    expected: SpecId,
-) -> Result<SessionLog, JournalError> {
+/// Reads a corpus log, dropping a torn tail and rejecting anything
+/// structurally unsound (see the module's recover-or-reject contract).
+pub fn read_log(path: impl AsRef<Path>, expected: SpecId) -> Result<CorpusLog, JournalError> {
     let raw = read_raw(path.as_ref(), false)?;
-    expect_kind(&raw, LogKind::SessionDoc)?;
-    expect_spec(&raw, expected)?;
+    expect_spec(raw.spec, expected)?;
     instruments().records_read.add(raw.records.len() as u64);
-    let Some(first) = raw.records.first() else {
-        return Err(JournalError::MissingBase);
-    };
-    let (base_edits, base) = decode_base(first)?;
-    let mut ops = Vec::with_capacity(raw.records.len() - 1);
-    for record in &raw.records[1..] {
-        ops.push(decode_op(record)?);
-    }
-    Ok(SessionLog {
-        spec: raw.spec,
-        base_edits,
-        base,
-        ops,
+    Ok(CorpusLog {
+        records: raw
+            .records
+            .iter()
+            .map(LogRecord::decode)
+            .collect::<Result<_, _>>()?,
         truncated: raw.durable_bytes < raw.file_bytes,
         durable_bytes: raw.durable_bytes,
     })
 }
 
-/// Rejects snapshots and ops that reference element types or attributes
-/// the DTD does not declare (a hostile log could otherwise make witness
-/// rendering or structural validation index out of bounds).
-pub(crate) fn validate_log_against_dtd(log: &SessionLog, dtd: &Dtd) -> Result<(), JournalError> {
-    let types = dtd.num_types() as u32;
-    let attrs = dtd.num_attrs() as u32;
-    let foreign = |detail: String| JournalError::ForeignIds { seq: 1, detail };
-    for (i, node) in log.base.nodes.iter().enumerate() {
-        match node.label {
-            NodeLabel::Element(ty) if ty.0 >= types => {
-                return Err(foreign(format!("node #{i} has element type {}", ty.0)))
-            }
-            NodeLabel::Attribute(attr) if attr.0 >= attrs => {
-                return Err(foreign(format!("node #{i} has attribute {}", attr.0)))
-            }
-            _ => {}
-        }
-        if let Some((attr, _)) = node.attrs.iter().find(|(a, _)| a.0 >= attrs) {
-            return Err(foreign(format!("node #{i} lists attribute {}", attr.0)));
-        }
-    }
-    for (i, op) in log.ops.iter().enumerate() {
-        let seq = i as u64 + 2;
-        let bad = match op {
-            EditOp::SetAttr { attr, .. } if attr.0 >= attrs => {
-                Some(format!("attribute {}", attr.0))
-            }
-            EditOp::AddElement { ty, .. } if ty.0 >= types => {
-                Some(format!("element type {}", ty.0))
-            }
-            _ => None,
-        };
-        if let Some(detail) = bad {
-            return Err(JournalError::ForeignIds { seq, detail });
-        }
-    }
-    Ok(())
-}
+// ---------------------------------------------------------------------------
+// The one write path.
 
 /// The outcome of a persist: what was written and where the log now ends.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PersistReceipt {
     /// Records appended by this call.
     pub records_written: usize,
+    /// `commit` records among them.
+    pub commits_written: usize,
     /// Records in the log after the call.
     pub total_records: u64,
     /// Bytes in the log after the call.
     pub durable_bytes: u64,
-    /// Whether a torn tail from an earlier crash was truncated first.
+    /// Whether bytes past the durable prefix — a torn tail, or an append
+    /// that failed before it was acknowledged — were truncated first.
     pub repaired_torn_tail: bool,
 }
 
-/// Classifies the current contents of `path` for a writer about to
-/// create-or-append a log of the given kind and spec.
-///
-/// `Fresh` means nothing durable exists and the file may be (re)written
-/// from scratch: it is missing, empty, a strict prefix of the exact header
-/// this writer would emit (a crash tore the very first write), or a
-/// complete matching header with **zero** durable records (a crash tore
-/// the first record).  Without this, one crash during the first persist
-/// would brick the path forever — every later persist would see a
-/// non-empty file and fail structurally, contradicting the torn-tail
-/// repair contract.  Anything else — another spec's log, another kind,
-/// a non-journal file — is an error, never silently clobbered.
-enum ExistingLog {
-    Fresh { repaired_torn_tail: bool },
-    Durable(RawLog),
+/// Where a session's log ends: the durable prefix its writer appends to.
+#[derive(Debug, Clone)]
+pub(crate) struct LogCursor {
+    pub(crate) path: PathBuf,
+    /// Bytes of the header plus every durable record.
+    pub(crate) durable_bytes: u64,
+    /// Durable records (the next record carries one more).
+    pub(crate) records: u64,
 }
 
-fn classify_existing(
+/// Appends `records` to the log at `path` — the one function every log
+/// write goes through — and returns the receipt with the log's new end.
+///
+/// Without a `cursor` the path must hold nothing durable: it is missing,
+/// empty, a strict prefix of this writer's header, or that header with no
+/// complete record (a crash tore the first write).  The log is then written
+/// from scratch; without this, one crash during the first persist would
+/// brick the path forever.  With a `cursor` the file must begin with this
+/// spec's header and reach the cursor; anything past it — a torn tail, or
+/// the bytes of an append that failed before it was acknowledged — is
+/// truncated before the append.  Anything else (another spec's log, a
+/// non-journal file, a log this writer never held) is an error, never
+/// clobbered.
+pub(crate) fn append_log(
     path: &Path,
-    kind: LogKind,
     spec: SpecId,
-) -> Result<ExistingLog, JournalError> {
+    cursor: Option<&LogCursor>,
+    records: &[LogRecord],
+) -> Result<(PersistReceipt, LogCursor), JournalError> {
+    let timer = xic_telemetry::global().start_timer();
+    let (start, first_seq, repaired) = match cursor {
+        None => (0, 0, check_fresh(path, spec)?),
+        Some(c) => (c.durable_bytes, c.records, check_cursor(path, spec, c)?),
+    };
+    let mut buf = Vec::new();
+    if cursor.is_none() {
+        write_header(&mut buf, spec);
+    }
+    let mut seq = first_seq;
+    for record in records {
+        if matches!(record, LogRecord::Open { .. })
+            && xic_telemetry::faults::hit("journal.snapshot_encode")
+        {
+            return Err(JournalError::Io {
+                path: path.display().to_string(),
+                detail: "injected fault: journal.snapshot_encode".to_string(),
+            });
+        }
+        seq += 1;
+        let mut enc = Enc::default();
+        let tag = record.encode(&mut enc);
+        frame_record(&mut buf, seq, tag, &enc.buf);
+    }
+    if cursor.is_none() {
+        let create = || write_and_sync(&mut fs::File::create(path)?, &buf, "journal.write");
+        create().map_err(|e| io_err(path, e))?;
+    } else {
+        let append = || {
+            let mut file = OpenOptions::new().write(true).open(path)?;
+            file.set_len(start)?;
+            file.seek(std::io::SeekFrom::End(0))?;
+            write_and_sync(&mut file, &buf, "journal.append")
+        };
+        append().map_err(|e| io_err(path, e))?;
+    }
+
+    let instr = instruments();
+    instr.records_appended.add(records.len() as u64);
+    instr.bytes_written.add(buf.len() as u64);
+    if repaired {
+        instr.torn_repairs.inc();
+    }
+    if let Some(started) = timer {
+        instr.persist_ns.record_elapsed(started);
+    }
+    let durable_bytes = start + buf.len() as u64;
+    let receipt = PersistReceipt {
+        records_written: records.len(),
+        commits_written: records
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Commit(_)))
+            .count(),
+        total_records: seq,
+        durable_bytes,
+        repaired_torn_tail: repaired,
+    };
+    let cursor = LogCursor {
+        path: path.to_path_buf(),
+        durable_bytes,
+        records: seq,
+    };
+    Ok((receipt, cursor))
+}
+
+/// Checks that `path` holds nothing durable (see [`append_log`]); returns
+/// whether a torn first write is about to be overwritten.
+fn check_fresh(path: &Path, spec: SpecId) -> Result<bool, JournalError> {
     // A missing file reads as empty: fresh.
     let existing = fs::read(path).unwrap_or_default();
     if existing.len() < HEADER_LEN {
-        let mut expected = Vec::new();
-        write_header(&mut expected, kind, spec);
-        if expected.starts_with(&existing) {
-            return Ok(ExistingLog::Fresh {
-                repaired_torn_tail: !existing.is_empty(),
-            });
+        let mut header = Vec::new();
+        write_header(&mut header, spec);
+        if header.starts_with(&existing) {
+            return Ok(!existing.is_empty());
         }
         return Err(JournalError::NotAJournal {
             path: path.display().to_string(),
@@ -1244,306 +1296,33 @@ fn classify_existing(
         });
     }
     let raw = read_raw(path, false)?;
-    expect_kind(&raw, kind)?;
-    expect_spec(&raw, spec)?;
-    if raw.records.is_empty() {
-        // Our header, but no record ever became durable: the first write
-        // tore.  Rewrite from scratch.
-        return Ok(ExistingLog::Fresh {
-            repaired_torn_tail: raw.file_bytes > HEADER_LEN as u64,
-        });
+    expect_spec(raw.spec, spec)?;
+    if !raw.records.is_empty() {
+        return Err(diverged(format!(
+            "{} already holds {} records this session did not write; recover from it instead",
+            path.display(),
+            raw.records.len()
+        )));
     }
-    Ok(ExistingLog::Durable(raw))
+    Ok(raw.file_bytes > HEADER_LEN as u64)
 }
 
-/// Persists one session document: creates `path` as a fresh log (base =
-/// the *current* tree, folding every edit recorded so far) or appends the
-/// ops the existing log lacks.  The implementation behind
-/// [`crate::CorpusSession::persist_to`].
-pub(crate) fn persist_session_doc(
-    path: &Path,
-    spec: SpecId,
-    tree: &XmlTree,
-    journal: &EditJournal,
-) -> Result<PersistReceipt, JournalError> {
-    let timer = xic_telemetry::global().start_timer();
-    let receipt = persist_session_doc_uninstrumented(path, spec, tree, journal)?;
-    if let Some(start) = timer {
-        instruments().persist_ns.record_elapsed(start);
+/// Checks that `path` is this spec's log and reaches `cursor`; returns
+/// whether bytes past the cursor are about to be truncated.
+fn check_cursor(path: &Path, spec: SpecId, cursor: &LogCursor) -> Result<bool, JournalError> {
+    let mut file = fs::File::open(path).map_err(|e| io_err(path, e))?;
+    let len = file.metadata().map_err(|e| io_err(path, e))?.len();
+    let mut header = [0u8; HEADER_LEN];
+    file.read_exact(&mut header).map_err(|e| io_err(path, e))?;
+    expect_spec(parse_header(&header, path)?, spec)?;
+    if len < cursor.durable_bytes {
+        return Err(diverged(format!(
+            "{} holds {len} bytes, but this session already made {} durable there",
+            path.display(),
+            cursor.durable_bytes
+        )));
     }
-    Ok(receipt)
-}
-
-fn persist_session_doc_uninstrumented(
-    path: &Path,
-    spec: SpecId,
-    tree: &XmlTree,
-    journal: &EditJournal,
-) -> Result<PersistReceipt, JournalError> {
-    let raw = match classify_existing(path, LogKind::SessionDoc, spec)? {
-        ExistingLog::Fresh { repaired_torn_tail } => {
-            let mut buf = Vec::new();
-            write_header(&mut buf, LogKind::SessionDoc, spec);
-            let mut enc = Enc::default();
-            enc.u64(journal.total_recorded());
-            if xic_telemetry::faults::hit("journal.snapshot_encode") {
-                return Err(JournalError::Io {
-                    path: path.display().to_string(),
-                    detail: "injected fault: journal.snapshot_encode".to_string(),
-                });
-            }
-            enc_snapshot(&mut enc, &tree.snapshot());
-            frame_record(&mut buf, 1, TAG_BASE, &enc.buf);
-            write_fresh(path, &buf)?;
-            note_write(1, buf.len(), repaired_torn_tail);
-            return Ok(PersistReceipt {
-                records_written: 1,
-                total_records: 1,
-                durable_bytes: buf.len() as u64,
-                repaired_torn_tail,
-            });
-        }
-        ExistingLog::Durable(raw) => raw,
-    };
-    let first = raw.records.first().expect("Durable holds ≥ 1 record");
-    let (base_edits, _) = decode_base(first)?;
-    let disk_ops: Vec<EditOp> = raw.records[1..]
-        .iter()
-        .map(decode_op)
-        .collect::<Result<_, _>>()?;
-    let durable_total = base_edits + disk_ops.len() as u64;
-    let folded = journal.folded();
-    let total = journal.total_recorded();
-    if durable_total > total {
-        return Err(JournalError::Diverged {
-            detail: format!(
-                "the log holds {durable_total} edits but the session only recorded {total}"
-            ),
-        });
-    }
-    if durable_total < folded {
-        return Err(JournalError::Compacted {
-            folded,
-            durable: durable_total,
-        });
-    }
-    // The overlap both sides hold must agree op-for-op, or the caller is
-    // appending one document's edits to another document's log.
-    for global in base_edits.max(folded)..durable_total {
-        let on_disk = &disk_ops[(global - base_edits) as usize];
-        let recorded = &journal.entries()[(global - folded) as usize].0;
-        if on_disk != recorded {
-            return Err(JournalError::Diverged {
-                detail: format!("edit #{global} differs between the log and the session"),
-            });
-        }
-    }
-
-    let new_entries = &journal.entries()[(durable_total - folded) as usize..];
-    let repaired = raw.durable_bytes < raw.file_bytes;
-    let mut buf = Vec::new();
-    let mut seq = raw.records.len() as u64;
-    for (op, _) in new_entries {
-        seq += 1;
-        let mut enc = Enc::default();
-        enc_op(&mut enc, op);
-        frame_record(&mut buf, seq, TAG_OP, &enc.buf);
-    }
-    let mut file = OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(|e| io_err(path, e))?;
-    file.set_len(raw.durable_bytes)
-        .map_err(|e| io_err(path, e))?;
-    use std::io::Seek as _;
-    file.seek(std::io::SeekFrom::End(0))
-        .map_err(|e| io_err(path, e))?;
-    write_and_sync(&mut file, &buf, "journal.append").map_err(|e| io_err(path, e))?;
-    note_write(new_entries.len(), buf.len(), repaired);
-    Ok(PersistReceipt {
-        records_written: new_entries.len(),
-        total_records: seq,
-        durable_bytes: raw.durable_bytes + buf.len() as u64,
-        repaired_torn_tail: repaired,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Typed delta-stream logs.
-
-/// A decoded delta-stream log.
-#[derive(Debug, Clone)]
-pub struct DeltaLog {
-    /// The specification the log was recorded under.
-    pub spec: SpecId,
-    /// The durable deltas, in commit order.
-    pub deltas: Vec<BatchDelta>,
-    /// Whether a torn tail was dropped while reading.
-    pub truncated: bool,
-    /// Bytes covered by the durable prefix.
-    pub durable_bytes: u64,
-}
-
-fn decode_delta(record: &RawRecord) -> Result<BatchDelta, JournalError> {
-    if record.tag != TAG_DELTA {
-        return Err(malformed(
-            record.seq,
-            format!("expected a delta record, found tag {}", record.tag),
-        ));
-    }
-    let mut dec = Dec::new(&record.payload);
-    let delta = dec_delta(&mut dec).map_err(|e| malformed(record.seq, e))?;
-    dec.finish().map_err(|e| malformed(record.seq, e))?;
-    Ok(delta)
-}
-
-fn check_contiguous(deltas: &[BatchDelta], mut expected: Option<u64>) -> Result<(), JournalError> {
-    for delta in deltas {
-        if let Some(want) = expected {
-            if delta.seq != want {
-                return Err(JournalError::DeltaGap {
-                    expected: want,
-                    found: delta.seq,
-                });
-            }
-        }
-        expected = Some(delta.seq + 1);
-    }
-    Ok(())
-}
-
-/// Reads a delta-stream log, dropping a torn tail.
-pub fn read_delta_log(path: impl AsRef<Path>, expected: SpecId) -> Result<DeltaLog, JournalError> {
-    let raw = read_raw(path.as_ref(), false)?;
-    expect_kind(&raw, LogKind::DeltaStream)?;
-    expect_spec(&raw, expected)?;
-    instruments().records_read.add(raw.records.len() as u64);
-    let deltas: Vec<BatchDelta> = raw
-        .records
-        .iter()
-        .map(decode_delta)
-        .collect::<Result<_, _>>()?;
-    check_contiguous(&deltas, None)?;
-    Ok(DeltaLog {
-        spec: raw.spec,
-        deltas,
-        truncated: raw.durable_bytes < raw.file_bytes,
-        durable_bytes: raw.durable_bytes,
-    })
-}
-
-/// Creates (or overwrites) a delta-stream log holding `deltas`.
-pub fn write_delta_log(
-    path: impl AsRef<Path>,
-    spec: SpecId,
-    deltas: &[BatchDelta],
-) -> Result<PersistReceipt, JournalError> {
-    let path = path.as_ref();
-    let timer = xic_telemetry::global().start_timer();
-    check_contiguous(deltas, None)?;
-    let mut buf = Vec::new();
-    write_header(&mut buf, LogKind::DeltaStream, spec);
-    for (i, delta) in deltas.iter().enumerate() {
-        let mut enc = Enc::default();
-        enc_delta(&mut enc, delta);
-        frame_record(&mut buf, i as u64 + 1, TAG_DELTA, &enc.buf);
-    }
-    write_fresh(path, &buf)?;
-    note_write(deltas.len(), buf.len(), false);
-    if let Some(start) = timer {
-        instruments().persist_ns.record_elapsed(start);
-    }
-    Ok(PersistReceipt {
-        records_written: deltas.len(),
-        total_records: deltas.len() as u64,
-        durable_bytes: buf.len() as u64,
-        repaired_torn_tail: false,
-    })
-}
-
-/// Appends to a delta-stream log the suffix of `deltas` it does not hold
-/// yet.  Deltas at or below the last durable commit are **verified**
-/// against the on-disk records — a re-export that diverges from the
-/// recorded history (e.g. a primary that recovered to an older state and
-/// re-committed differently) is rejected with [`JournalError::Diverged`],
-/// not silently skipped — and the first genuinely new delta must continue
-/// the on-disk sequence.  Creates the log if `path` does not exist; a torn
-/// tail from an earlier crash is truncated before appending.
-pub fn append_delta_log(
-    path: impl AsRef<Path>,
-    spec: SpecId,
-    deltas: &[BatchDelta],
-) -> Result<PersistReceipt, JournalError> {
-    let path = path.as_ref();
-    let raw = match classify_existing(path, LogKind::DeltaStream, spec)? {
-        ExistingLog::Fresh { .. } => return write_delta_log(path, spec, deltas),
-        ExistingLog::Durable(raw) => raw,
-    };
-    // The fresh path above times itself inside `write_delta_log`.
-    let timer = xic_telemetry::global().start_timer();
-    check_contiguous(deltas, None)?;
-    let on_disk: Vec<BatchDelta> = raw
-        .records
-        .iter()
-        .map(decode_delta)
-        .collect::<Result<_, _>>()?;
-    check_contiguous(&on_disk, None)?;
-    let first_durable = on_disk.first().expect("Durable holds ≥ 1 record").seq;
-    let last_durable = on_disk.last().expect("Durable holds ≥ 1 record").seq;
-    // The overlap both sides hold must agree delta-for-delta, or a replica
-    // recovering from this log would reconstruct a different history than
-    // the one the caller is extending.
-    for delta in deltas {
-        if delta.seq >= first_durable && delta.seq <= last_durable {
-            let durable = &on_disk[(delta.seq - first_durable) as usize];
-            if durable != delta {
-                return Err(JournalError::Diverged {
-                    detail: format!(
-                        "commit {} differs between the log and the export",
-                        delta.seq
-                    ),
-                });
-            }
-        }
-    }
-    let new: Vec<&BatchDelta> = deltas.iter().filter(|d| d.seq > last_durable).collect();
-    if let Some(first_new) = new.first() {
-        if first_new.seq != last_durable + 1 {
-            return Err(JournalError::DeltaGap {
-                expected: last_durable + 1,
-                found: first_new.seq,
-            });
-        }
-    }
-    let repaired = raw.durable_bytes < raw.file_bytes;
-    let mut buf = Vec::new();
-    let mut seq = raw.records.len() as u64;
-    for delta in &new {
-        seq += 1;
-        let mut enc = Enc::default();
-        enc_delta(&mut enc, delta);
-        frame_record(&mut buf, seq, TAG_DELTA, &enc.buf);
-    }
-    let mut file = OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(|e| io_err(path, e))?;
-    file.set_len(raw.durable_bytes)
-        .map_err(|e| io_err(path, e))?;
-    use std::io::Seek as _;
-    file.seek(std::io::SeekFrom::End(0))
-        .map_err(|e| io_err(path, e))?;
-    write_and_sync(&mut file, &buf, "journal.append").map_err(|e| io_err(path, e))?;
-    note_write(new.len(), buf.len(), repaired);
-    if let Some(start) = timer {
-        instruments().persist_ns.record_elapsed(start);
-    }
-    Ok(PersistReceipt {
-        records_written: new.len(),
-        total_records: seq,
-        durable_bytes: raw.durable_bytes + buf.len() as u64,
-        repaired_torn_tail: repaired,
-    })
+    Ok(len > cursor.durable_bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -1562,7 +1341,7 @@ pub fn append_delta_log(
 pub struct CorpusReplica {
     spec: SpecId,
     last_seq: u64,
-    docs: BTreeMap<u64, DocReport>,
+    pub(crate) docs: BTreeMap<u64, DocReport>,
     /// Clean documents, maintained incrementally (validation compares it
     /// to every delta's `clean` counter without a corpus-wide recount).
     /// For a shard-filtered replica this counts documents clean *in the
@@ -1617,6 +1396,14 @@ impl CorpusReplica {
     /// The last commit applied (0 before the first).
     pub fn last_seq(&self) -> u64 {
         self.last_seq
+    }
+
+    /// The mirrored documents in handle (= open) order, with their last
+    /// delivered reports.
+    pub fn docs(&self) -> impl Iterator<Item = (DocHandle, &DocReport)> {
+        self.docs
+            .iter()
+            .map(|(&raw, report)| (DocHandle::from_raw(raw), report))
     }
 
     /// Number of open documents in the mirrored corpus.
@@ -1760,17 +1547,17 @@ impl CorpusReplica {
         BatchReport::from_reports(reports)
     }
 
-    /// Rebuilds a replica from a persisted delta-stream log (a torn tail
-    /// yields the last durable commit; the second component reports whether
-    /// one was dropped).  This is how a replica closes and re-opens without
-    /// the primary re-sending anything.
+    /// Rebuilds a replica from a corpus log's `commit` records alone (a
+    /// torn tail yields the last durable commit; the second component
+    /// reports whether one was dropped).  This is how a replica closes and
+    /// re-opens without the primary re-sending anything.
     pub fn recover_from(
         path: impl AsRef<Path>,
         expected: SpecId,
     ) -> Result<(CorpusReplica, bool), JournalError> {
-        let log = read_delta_log(path, expected)?;
+        let log = read_log(path, expected)?;
         let mut replica = CorpusReplica::new(expected);
-        replica.apply_deltas(&log.deltas)?;
+        replica.apply_deltas(log.commits())?;
         Ok((replica, log.truncated))
     }
 }
@@ -1785,7 +1572,8 @@ pub struct RecordSummary {
     pub seq: u64,
     /// Byte offset of the record in the file.
     pub offset: u64,
-    /// The record type (`base`, `op`, `delta`, or `tag N` for unknown).
+    /// The record type (`open`, `apply`, `close`, `commit`, or `tag N` for
+    /// unknown).
     pub kind: String,
     /// Payload size in bytes.
     pub bytes: usize,
@@ -1797,10 +1585,6 @@ pub struct RecordSummary {
 /// What [`inspect_log`] reports about a journal file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogSummary {
-    /// The log kind (session document or delta stream).
-    pub kind: Option<LogKind>,
-    /// The raw kind byte (meaningful when `kind` is `None`).
-    pub kind_code: u8,
     /// The specification the log was recorded under.
     pub spec: SpecId,
     /// Per-record summaries of the durable prefix.
@@ -1814,7 +1598,9 @@ pub struct LogSummary {
     pub corrupt: Option<String>,
 }
 
-fn render_op(op: &EditOp, dtd: Option<&Dtd>) -> String {
+/// Renders one op in the session-script syntax, addressing the document by
+/// `label`.
+fn render_op(label: &str, op: &EditOp, dtd: Option<&Dtd>) -> String {
     let attr_name = |attr: AttrId| match dtd {
         Some(dtd) if attr.index() < dtd.num_attrs() => dtd.attr_name(attr).to_string(),
         _ => format!("@{}", attr.0),
@@ -1828,78 +1614,81 @@ fn render_op(op: &EditOp, dtd: Option<&Dtd>) -> String {
             element,
             attr,
             value,
-        } => format!("set {} {} {value}", element.0, attr_name(*attr)),
-        EditOp::AddElement { parent, ty } => format!("add {} {}", parent.0, type_name(*ty)),
-        EditOp::AddText { parent, value } => format!("text {} {value}", parent.0),
-        EditOp::RemoveSubtree { element } => format!("remove {}", element.0),
+        } => format!("set {label} {} {} {value}", element.0, attr_name(*attr)),
+        EditOp::AddElement { parent, ty } => {
+            format!("add {label} {} {}", parent.0, type_name(*ty))
+        }
+        EditOp::AddText { parent, value } => format!("text {label} {} {value}", parent.0),
+        EditOp::RemoveSubtree { element } => format!("remove {label} {}", element.0),
     }
 }
 
 /// Summarizes a journal file without needing the compiled specification:
 /// header facts, per-record details (ops rendered in the session-script
-/// syntax, resolved through `dtd` when one is supplied), torn-tail and
-/// corruption status.  Damage after the header is *reported*, not fatal —
-/// the durable prefix is still summarized.
+/// syntax under the label their `open` record gave, resolved through `dtd`
+/// when one is supplied), torn-tail and corruption status.  Damage after
+/// the header is *reported*, not fatal — the durable prefix is still
+/// summarized.
 pub fn inspect_log(path: impl AsRef<Path>, dtd: Option<&Dtd>) -> Result<LogSummary, JournalError> {
     let raw = read_raw(path.as_ref(), true)?;
-    let records = raw
-        .records
-        .iter()
-        .map(|record| {
-            let (kind, detail) = match record.tag {
-                TAG_BASE => (
-                    "base".to_string(),
-                    match decode_base(record) {
-                        Ok((base_edits, base)) => format!(
-                            "snapshot: {} slots ({} live), folds {base_edits} edits",
-                            base.num_slots(),
-                            base.live_nodes()
-                        ),
-                        Err(e) => format!("undecodable: {e}"),
-                    },
-                ),
-                TAG_OP => (
-                    "op".to_string(),
-                    match decode_op(record) {
-                        Ok(op) => render_op(&op, dtd),
-                        Err(e) => format!("undecodable: {e}"),
-                    },
-                ),
-                TAG_DELTA => (
-                    "delta".to_string(),
-                    match decode_delta(record) {
-                        Ok(delta) => {
-                            let s = delta.summary();
-                            format!(
-                                "commit {}: {} changes ({} flips), {} closed, {} rechecked, \
-                                 {}/{} clean, {} violations",
-                                delta.seq,
-                                s.docs_changed,
-                                s.flips(),
-                                s.closed,
-                                s.rechecked,
-                                delta.clean,
-                                delta.total,
-                                s.violations_now
-                            )
-                        }
-                        Err(e) => format!("undecodable: {e}"),
-                    },
-                ),
-                other => (format!("tag {other}"), "unknown record type".to_string()),
-            };
-            RecordSummary {
-                seq: record.seq,
-                offset: record.offset,
-                kind,
-                bytes: record.payload.len(),
-                detail,
+    let mut labels: BTreeMap<DocHandle, String> = BTreeMap::new();
+    let mut records = Vec::with_capacity(raw.records.len());
+    for record in &raw.records {
+        let kind = match record.tag {
+            TAG_OPEN => "open".to_string(),
+            TAG_APPLY => "apply".to_string(),
+            TAG_CLOSE => "close".to_string(),
+            TAG_DELTA => "commit".to_string(),
+            other => format!("tag {other}"),
+        };
+        let detail = match LogRecord::decode(record) {
+            Err(e) => format!("undecodable: {e}"),
+            Ok(LogRecord::Open {
+                handle,
+                label,
+                snapshot,
+            }) => {
+                let detail = format!(
+                    "open {label} as {handle}: {} slots ({} live)",
+                    snapshot.num_slots(),
+                    snapshot.live_nodes(),
+                );
+                labels.insert(handle, label);
+                detail
             }
-        })
-        .collect();
+            Ok(LogRecord::Apply { handle, op }) => {
+                let label = labels
+                    .get(&handle)
+                    .cloned()
+                    .unwrap_or_else(|| handle.to_string());
+                render_op(&label, &op, dtd)
+            }
+            Ok(LogRecord::Close(closed)) => format!("close {} ({})", closed.label, closed.handle),
+            Ok(LogRecord::Commit(delta)) => {
+                let s = delta.summary();
+                format!(
+                    "commit {}: {} changes ({} flips), {} closed, {} rechecked, \
+                     {}/{} clean, {} violations",
+                    delta.seq,
+                    s.docs_changed,
+                    s.flips(),
+                    s.closed,
+                    s.rechecked,
+                    delta.clean,
+                    delta.total,
+                    s.violations_now
+                )
+            }
+        };
+        records.push(RecordSummary {
+            seq: record.seq,
+            offset: record.offset,
+            kind,
+            bytes: record.payload.len(),
+            detail,
+        });
+    }
     Ok(LogSummary {
-        kind: LogKind::from_code(raw.kind),
-        kind_code: raw.kind,
         spec: raw.spec,
         records,
         durable_bytes: raw.durable_bytes,
@@ -1927,7 +1716,32 @@ mod tests {
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut path = std::env::temp_dir();
         path.push(format!("xic-journal-test-{}-{name}", std::process::id()));
+        fs::remove_file(&path).ok();
         path
+    }
+
+    fn empty_commit(seq: u64) -> LogRecord {
+        LogRecord::Commit(BatchDelta {
+            seq,
+            changes: vec![],
+            closed: vec![],
+            rechecked_docs: 0,
+            total: 0,
+            clean: 0,
+            shards: vec![],
+        })
+    }
+
+    fn round_trip(record: &LogRecord) -> LogRecord {
+        let mut enc = Enc::default();
+        let tag = record.encode(&mut enc);
+        LogRecord::decode(&RawRecord {
+            seq: 1,
+            tag,
+            payload: enc.buf,
+            offset: 0,
+        })
+        .unwrap()
     }
 
     #[test]
@@ -1959,19 +1773,40 @@ mod tests {
             },
             EditOp::RemoveSubtree { element: NodeId(1) },
         ];
-        for op in &ops {
-            let mut enc = Enc::default();
-            enc_op(&mut enc, op);
-            let mut dec = Dec::new(&enc.buf);
-            assert_eq!(&dec_op(&mut dec).unwrap(), op);
-            dec.finish().unwrap();
+        let handle = DocHandle::from_raw(4);
+        for op in ops {
+            let apply = LogRecord::Apply { handle, op };
+            assert_eq!(round_trip(&apply), apply);
         }
-        let snap = tree.snapshot();
+        let open = LogRecord::Open {
+            handle,
+            label: "a \"quoted\" label".into(),
+            snapshot: tree.snapshot(),
+        };
+        assert_eq!(round_trip(&open), open);
+        let close = LogRecord::Close(ClosedDoc {
+            handle,
+            label: "gone.xml".into(),
+        });
+        assert_eq!(round_trip(&close), close);
+        // Trailing bytes and unknown tags are malformed, not misread.
         let mut enc = Enc::default();
-        enc_snapshot(&mut enc, &snap);
-        let mut dec = Dec::new(&enc.buf);
-        assert_eq!(dec_snapshot(&mut dec).unwrap(), snap);
-        dec.finish().unwrap();
+        close.encode(&mut enc);
+        enc.u8(0);
+        let raw = |tag, payload| RawRecord {
+            seq: 9,
+            tag,
+            payload,
+            offset: 0,
+        };
+        assert!(matches!(
+            LogRecord::decode(&raw(TAG_CLOSE, enc.buf.clone())),
+            Err(JournalError::Malformed { seq: 9, .. })
+        ));
+        assert!(matches!(
+            LogRecord::decode(&raw(9, enc.buf)),
+            Err(JournalError::Malformed { seq: 9, .. })
+        ));
     }
 
     #[test]
@@ -2025,76 +1860,78 @@ mod tests {
         let mut dec = Dec::new(&enc.buf);
         assert_eq!(dec_delta(&mut dec).unwrap(), delta);
         dec.finish().unwrap();
+        let commit = LogRecord::Commit(delta);
+        assert_eq!(round_trip(&commit), commit);
     }
 
     #[test]
     fn torn_tails_are_truncated_and_mid_log_damage_is_rejected() {
         let spec = spec();
         let path = temp_path("torn.xicj");
-        let deltas: Vec<BatchDelta> = (1..=3)
-            .map(|seq| BatchDelta {
-                seq,
-                changes: vec![],
-                closed: vec![],
-                rechecked_docs: 0,
-                total: 0,
-                clean: 0,
-                shards: vec![],
-            })
-            .collect();
-        write_delta_log(&path, spec.id(), &deltas).unwrap();
-        let full = std::fs::read(&path).unwrap();
+        let commits: Vec<LogRecord> = (1..=3).map(empty_commit).collect();
+        append_log(&path, spec.id(), None, &commits).unwrap();
+        let full = fs::read(&path).unwrap();
+        assert_eq!(read_log(&path, spec.id()).unwrap().records, commits);
 
-        // Truncating inside the last record recovers the first two deltas.
-        std::fs::write(&path, &full[..full.len() - 2]).unwrap();
-        let log = read_delta_log(&path, spec.id()).unwrap();
+        // Truncating inside the last record recovers the first two.
+        fs::write(&path, &full[..full.len() - 2]).unwrap();
+        let log = read_log(&path, spec.id()).unwrap();
         assert!(log.truncated);
-        assert_eq!(log.deltas.len(), 2);
+        assert_eq!(log.commits().count(), 2);
 
         // Flipping a byte inside the *first* record (bytes follow it) is
         // mid-log damage: rejected, not silently recovered.
         let mut damaged = full.clone();
         damaged[HEADER_LEN + FRAME_LEN - 2] ^= 0xFF;
-        std::fs::write(&path, &damaged).unwrap();
+        fs::write(&path, &damaged).unwrap();
         assert!(matches!(
-            read_delta_log(&path, spec.id()),
+            read_log(&path, spec.id()),
             Err(JournalError::Corrupt { .. })
         ));
 
         // A wrong spec id is rejected before any record is trusted.
-        std::fs::write(&path, &full).unwrap();
-        let other = SpecId(1, 2);
+        fs::write(&path, &full).unwrap();
         assert!(matches!(
-            read_delta_log(&path, other),
+            read_log(&path, SpecId(1, 2)),
             Err(JournalError::SpecMismatch { .. })
         ));
 
+        // Older formats are rejected, not misread.
+        let mut v2 = full.clone();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        fs::write(&path, &v2).unwrap();
+        assert_eq!(
+            read_log(&path, spec.id()).unwrap_err(),
+            JournalError::UnsupportedVersion { found: 2 }
+        );
+
         // Garbage is not a journal.
-        std::fs::write(&path, b"definitely not a journal").unwrap();
+        fs::write(&path, b"definitely not a journal").unwrap();
         assert!(matches!(
-            read_delta_log(&path, spec.id()),
+            read_log(&path, spec.id()),
             Err(JournalError::NotAJournal { .. })
         ));
-        std::fs::remove_file(&path).ok();
+        fs::remove_file(&path).ok();
     }
 
     #[test]
     fn a_crash_during_the_first_persist_does_not_brick_the_log() {
-        use xic_xml::XmlTree;
         let spec = spec();
         let school = spec.dtd().type_by_name("school").unwrap();
-        let tree = XmlTree::new(school);
-        let journal = EditJournal::new();
+        let open = [LogRecord::Open {
+            handle: DocHandle::from_raw(0),
+            label: "doc".into(),
+            snapshot: xic_xml::XmlTree::new(school).snapshot(),
+        }];
         let path = temp_path("torn-first.xicj");
 
         // Baseline: what a clean first persist writes.
-        fs::remove_file(&path).ok();
-        persist_session_doc(&path, spec.id(), &tree, &journal).unwrap();
+        append_log(&path, spec.id(), None, &open).unwrap();
         let full = fs::read(&path).unwrap();
 
         // A crash can cut the first write anywhere — mid-header or
-        // mid-base-record.  The next persist must rewrite from scratch
-        // (nothing was durable), not fail forever.
+        // mid-record.  The next persist must rewrite from scratch (nothing
+        // was durable), not fail forever.
         for cut in [
             0usize,
             2,
@@ -2104,9 +1941,10 @@ mod tests {
             full.len() - 1,
         ] {
             fs::write(&path, &full[..cut]).unwrap();
-            let receipt = persist_session_doc(&path, spec.id(), &tree, &journal)
+            let (receipt, cursor) = append_log(&path, spec.id(), None, &open)
                 .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
             assert_eq!(receipt.total_records, 1, "cut at {cut}");
+            assert_eq!(cursor.durable_bytes, full.len() as u64, "cut at {cut}");
             // A bare header (or nothing at all) needed no repair; any
             // other partial write did.
             assert_eq!(
@@ -2121,79 +1959,56 @@ mod tests {
         // data: never clobbered.
         fs::write(&path, b"README").unwrap();
         assert!(matches!(
-            persist_session_doc(&path, spec.id(), &tree, &journal),
+            append_log(&path, spec.id(), None, &open),
             Err(JournalError::NotAJournal { .. })
         ));
         // Same for a complete header of a different spec.
         let mut foreign = Vec::new();
-        write_header(&mut foreign, LogKind::SessionDoc, SpecId(1, 2));
+        write_header(&mut foreign, SpecId(1, 2));
         fs::write(&path, &foreign).unwrap();
         assert!(matches!(
-            persist_session_doc(&path, spec.id(), &tree, &journal),
+            append_log(&path, spec.id(), None, &open),
             Err(JournalError::SpecMismatch { .. })
+        ));
+        // And for a log with durable records this writer does not hold.
+        fs::write(&path, &full).unwrap();
+        assert!(matches!(
+            append_log(&path, spec.id(), None, &open),
+            Err(JournalError::Diverged { .. })
         ));
         fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn append_rejects_overlapping_deltas_that_diverge() {
-        let spec = spec();
-        let path = temp_path("diverge.xicj");
-        fs::remove_file(&path).ok();
-        let delta = |seq, clean| BatchDelta {
-            seq,
-            changes: vec![],
-            closed: vec![],
-            rechecked_docs: 0,
-            total: 0,
-            clean,
-            shards: vec![],
-        };
-        append_delta_log(&path, spec.id(), &[delta(1, 0), delta(2, 0)]).unwrap();
-        // Re-exporting a window whose overlap differs from the recorded
-        // history is a divergence, not a silent skip — a replica recovering
-        // from this log would otherwise reconstruct the wrong stream.
-        let err = append_delta_log(&path, spec.id(), &[delta(2, 7), delta(3, 0)]).unwrap_err();
-        assert!(matches!(err, JournalError::Diverged { .. }), "{err:?}");
-        // The identical overlap still appends the new suffix.
-        let receipt = append_delta_log(&path, spec.id(), &[delta(2, 0), delta(3, 0)]).unwrap();
-        assert_eq!(receipt.records_written, 1);
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn append_skips_durable_deltas_and_rejects_gaps() {
+    fn appends_resume_at_the_cursor_and_truncate_what_was_never_acknowledged() {
         let spec = spec();
         let path = temp_path("append.xicj");
-        std::fs::remove_file(&path).ok();
-        let delta = |seq| BatchDelta {
-            seq,
-            changes: vec![],
-            closed: vec![],
-            rechecked_docs: 0,
-            total: 0,
-            clean: 0,
-            shards: vec![],
-        };
-        append_delta_log(&path, spec.id(), &[delta(1), delta(2)]).unwrap();
-        // Re-sending an overlapping window appends only the new suffix.
-        let receipt = append_delta_log(&path, spec.id(), &[delta(2), delta(3)]).unwrap();
-        assert_eq!(receipt.records_written, 1);
-        assert_eq!(receipt.total_records, 3);
-        let log = read_delta_log(&path, spec.id()).unwrap();
-        assert_eq!(
-            log.deltas.iter().map(|d| d.seq).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        // A gap is rejected: the replica downstream would drift.
-        assert_eq!(
-            append_delta_log(&path, spec.id(), &[delta(5)]).unwrap_err(),
-            JournalError::DeltaGap {
-                expected: 4,
-                found: 5
-            }
-        );
-        std::fs::remove_file(&path).ok();
+        let (_, cursor) = append_log(&path, spec.id(), None, &[empty_commit(1)]).unwrap();
+        let durable = fs::read(&path).unwrap();
+
+        // Bytes past the cursor (an append that failed before it was
+        // acknowledged, or a torn tail) are dropped before the next append.
+        let mut dangling = durable.clone();
+        dangling.extend_from_slice(&[0xAB; 9]);
+        fs::write(&path, &dangling).unwrap();
+        let (receipt, cursor) =
+            append_log(&path, spec.id(), Some(&cursor), &[empty_commit(2)]).unwrap();
+        assert!(receipt.repaired_torn_tail);
+        assert_eq!((receipt.records_written, receipt.commits_written), (1, 1));
+        assert_eq!(receipt.total_records, 2);
+        assert_eq!(cursor.records, 2);
+        let log = read_log(&path, spec.id()).unwrap();
+        assert!(!log.truncated);
+        assert_eq!(log.commits().map(|d| d.seq).collect::<Vec<_>>(), vec![1, 2]);
+
+        // A log rewound below what this writer made durable is refused:
+        // the difference would exist nowhere.
+        fs::write(&path, &durable).unwrap();
+        assert!(matches!(
+            append_log(&path, spec.id(), Some(&cursor), &[empty_commit(3)]),
+            Err(JournalError::Diverged { .. })
+        ));
+        fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2280,32 +2095,46 @@ mod tests {
     fn inspect_is_lossy_and_self_describing() {
         let spec = spec();
         let path = temp_path("inspect.xicj");
-        let deltas = vec![BatchDelta {
-            seq: 1,
-            changes: vec![],
-            closed: vec![],
-            rechecked_docs: 0,
-            total: 0,
-            clean: 0,
-            shards: vec![],
-        }];
-        write_delta_log(&path, spec.id(), &deltas).unwrap();
+        let handle = DocHandle::from_raw(0);
+        let school = spec.dtd().type_by_name("school").unwrap();
+        let set = |handle| LogRecord::Apply {
+            handle,
+            op: EditOp::SetAttr {
+                element: NodeId(3),
+                attr: AttrId(0),
+                value: "Joe".into(),
+            },
+        };
+        let records = [
+            empty_commit(1),
+            LogRecord::Open {
+                handle,
+                label: "a.xml".into(),
+                snapshot: xic_xml::XmlTree::new(school).snapshot(),
+            },
+            set(handle),
+            set(DocHandle::from_raw(5)),
+            LogRecord::Close(ClosedDoc {
+                handle,
+                label: "a.xml".into(),
+            }),
+        ];
+        append_log(&path, spec.id(), None, &records).unwrap();
         let summary = inspect_log(&path, None).unwrap();
-        assert_eq!(summary.kind, Some(LogKind::DeltaStream));
         assert_eq!(summary.spec, spec.id());
-        assert_eq!(summary.records.len(), 1);
         assert_eq!(summary.torn_bytes, 0);
         assert!(summary.corrupt.is_none());
+        let kinds: Vec<&str> = summary.records.iter().map(|r| r.kind.as_str()).collect();
+        assert_eq!(kinds, ["commit", "open", "apply", "apply", "close"]);
         assert!(summary.records[0].detail.contains("commit 1"));
-
-        // Script-twin rendering of ops, with and without a DTD.
-        let op = EditOp::SetAttr {
-            element: NodeId(3),
-            attr: AttrId(0),
-            value: "Joe".into(),
-        };
-        assert_eq!(render_op(&op, None), "set 3 @0 Joe");
-        assert_eq!(render_op(&op, Some(spec.dtd())), "set 3 name Joe");
-        std::fs::remove_file(&path).ok();
+        assert!(summary.records[1].detail.contains("open a.xml as doc-0"));
+        // Script-twin rendering of ops under the label their open gave
+        // (a handle the log never opened renders as itself).
+        assert_eq!(summary.records[2].detail, "set a.xml 3 @0 Joe");
+        assert_eq!(summary.records[3].detail, "set doc-5 3 @0 Joe");
+        assert_eq!(summary.records[4].detail, "close a.xml (doc-0)");
+        let with_dtd = inspect_log(&path, Some(spec.dtd())).unwrap();
+        assert_eq!(with_dtd.records[2].detail, "set a.xml 3 name Joe");
+        fs::remove_file(&path).ok();
     }
 }

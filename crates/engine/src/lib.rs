@@ -29,12 +29,13 @@
 //!   [`CompiledSpec`]), not once per document.  Each commit emits a
 //!   [`BatchDelta`] diff stream (clean ↔ violating flips with structured
 //!   witnesses) for subscribers;
-//! * [`journal`] — durable edit journals: a versioned binary delta-log
-//!   format with CRC'd, torn-tail-tolerant records;
-//!   [`CorpusSession::persist_to`] / [`CorpusSession::recover_from`] crash
-//!   recovery of one document, [`CorpusReplica`] replicas
-//!   reconstructing corpus verdicts from [`BatchDelta`]s alone, and the
-//!   `xic journal` CLI surface on top;
+//! * [`journal`] — the corpus log: one versioned binary log of `open`,
+//!   `apply`, `close` and `commit` records with CRC'd, torn-tail-tolerant
+//!   framing; [`CorpusSession::persist_to`] appends to it and
+//!   [`CorpusSession::recover_from`] rebuilds a live, editable session
+//!   from it, [`CorpusReplica`] replicas reconstruct corpus verdicts from
+//!   its [`BatchDelta`]s alone, and the `xic journal` CLI surface sits on
+//!   top;
 //! * [`Engine`] — the façade combining a cache with the checkers, exposing
 //!   memoized [`Engine::consistency`] and [`Engine::implication`];
 //! * [`metrics`] — the observability surface: every layer above records
@@ -94,9 +95,8 @@ pub use corpus::{
 };
 pub use hash::{fnv1a, fnv1a_parts, fnv1a_parts_wide};
 pub use journal::{
-    append_delta_log, inspect_log, read_delta_log, read_session_log, write_delta_log,
-    CorpusReplica, DeltaLog, JournalError, LogKind, LogSummary, PersistReceipt, RecordSummary,
-    SessionLog,
+    inspect_log, read_log, CorpusLog, CorpusReplica, JournalError, LogRecord, LogSummary,
+    PersistReceipt, RecordSummary,
 };
 pub use limits::{LimitKind, Limits, RejectedOp, ResourceError};
 pub use merge::ReportMerger;

@@ -230,7 +230,7 @@ impl ReportMerger {
             doc.report = Some(fresh.clone());
             let broadcast = was_clean.is_none() || structural_churn;
             changes.push(DocChange {
-                handle: DocHandle::new(raw),
+                handle: DocHandle::from_raw(raw),
                 was_clean,
                 report: fresh,
                 shards: if broadcast {

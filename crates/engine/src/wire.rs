@@ -5,8 +5,8 @@
 //! every message is one record framed exactly like an on-disk journal
 //! record — `len:u32 | seq:u64 | tag:u8 | payload | crc32:u32`, little
 //! endian, CRC over `seq + tag + payload` — so the delta stream a server
-//! ships down is byte-for-byte the record a [`crate::journal`] delta log
-//! holds, and a stock [`crate::CorpusReplica`] consumes it unchanged.
+//! ships down is byte-for-byte the `commit` record a [`crate::journal`]
+//! corpus log holds, and a stock [`crate::CorpusReplica`] consumes it unchanged.
 //! Requests and responses extend the tag space above the journal's own
 //! tags (which stay reserved), and a versioned hello carries the journal
 //! format version plus the content-hash [`SpecId`] so a client and server
@@ -34,8 +34,10 @@ use crate::spec::SpecId;
 
 /// Version of the request/response vocabulary layered over the journal
 /// framing.  Negotiated (alongside [`FORMAT_VERSION`]) in the hello.
-/// Version 2 added the optional shard filter to [`Request::Sync`].
-pub const WIRE_VERSION: u16 = 2;
+/// Version 2 added the optional shard filter to [`Request::Sync`];
+/// version 3 dropped the replica flag from the hello ack (a restarted
+/// session is always live).
+pub const WIRE_VERSION: u16 = 3;
 
 /// Upper bound on a single frame's payload, enforced before allocation on
 /// the read side (a hostile or corrupt length prefix must not OOM the
@@ -43,7 +45,7 @@ pub const WIRE_VERSION: u16 = 2;
 /// this by [`crate::Limits`] admission.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
-// Request tags (client → server).  The journal's own record tags (1–3)
+// Request tags (client → server).  The journal's own record tags (1–4)
 // stay reserved so a delta record is unambiguous in either direction.
 const REQ_HELLO: u8 = 0x10;
 const REQ_OPEN: u8 = 0x11;
@@ -198,10 +200,6 @@ pub struct HelloAck {
     /// The named session's last committed sequence number (0 for a fresh
     /// session) — where a reconnecting replica should sync from.
     pub last_seq: u64,
-    /// Whether the session is a restarted replica serving reports from a
-    /// drained delta log (reads only; edits are rejected with a
-    /// structured error).
-    pub replica: bool,
 }
 
 /// A client → server message.
@@ -599,7 +597,6 @@ fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             enc.u32(u32::from(ack.wire));
             enc_spec(&mut enc, ack.spec);
             enc.u8(u8::from(ack.spec_known));
-            enc.u8(u8::from(ack.replica));
             enc.u64(ack.last_seq);
             RESP_HELLO
         }
@@ -661,7 +658,6 @@ fn decode_response(frame: &Frame) -> Result<Response, WireError> {
             let wire = dec.u32().map_err(wrap)? as u16;
             let spec = dec_spec(&mut dec).map_err(wrap)?;
             let spec_known = dec.u8().map_err(wrap)? != 0;
-            let replica = dec.u8().map_err(wrap)? != 0;
             let last_seq = dec.u64().map_err(wrap)?;
             dec.finish().map_err(wrap)?;
             return Ok(Response::Hello(HelloAck {
@@ -670,7 +666,6 @@ fn decode_response(frame: &Frame) -> Result<Response, WireError> {
                 spec,
                 spec_known,
                 last_seq,
-                replica,
             }));
         }
         RESP_OPENED => Response::Opened {
@@ -821,7 +816,6 @@ mod tests {
             spec: SpecId(5, 6),
             spec_known: true,
             last_seq: 9,
-            replica: false,
         }));
         roundtrip_response(Response::Opened { handle: 2 });
         roundtrip_response(Response::Applied { queued_ops: 4 });

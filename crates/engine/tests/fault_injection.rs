@@ -134,7 +134,7 @@ fn corpus_apply_panic_quarantines_one_doc_and_recover_from_restores_it() {
     let h = corpus.open_source("a.xml", CLEAN_DOC).unwrap();
     let other = corpus.open_source("b.xml", CLEAN_DOC).unwrap();
     corpus.apply(h, &[set_name(&spec, "Ann")]).unwrap();
-    corpus.persist_to(h, &path).unwrap();
+    corpus.persist_to(&path).unwrap();
     replica.apply_delta(&corpus.commit()).unwrap();
 
     faults::configure("corpus.apply", FaultMode::Nth(1));
@@ -170,31 +170,71 @@ fn corpus_apply_panic_quarantines_one_doc_and_recover_from_restores_it() {
     replica.apply_delta(&delta).unwrap();
     assert_eq!(replica.report(), report);
 
-    // Close still works; the log restores exactly the recorded history:
-    // "Ann" landed before the panic, the poisoned batch ("Bob") did not.
-    corpus.close(h).unwrap();
-    let recovery = corpus.recover_from("a.xml", &path).unwrap();
+    // Persist, then recover a fresh session: the log restores exactly the
+    // recorded history — "Ann" landed before the panic, the poisoned batch
+    // ("Bob") never reached the log — and the other document's edit.
+    corpus.persist_to(&path).unwrap();
+    let mut restored = CorpusSession::new(&spec);
+    let recovery = restored.recover_from(&path).unwrap();
+    assert_eq!((recovery.docs, recovery.last_seq), (2, 2));
+    assert_eq!(recovery.dirty, 1, "the faulted document comes back dirty");
     assert_eq!(
-        corpus
-            .tree(recovery.handle)
-            .unwrap()
-            .attr_value(NodeId(1), name),
+        restored.tree(h).unwrap().attr_value(NodeId(1), name),
         Some("Ann")
     );
-    corpus.commit();
-    assert_eq!(corpus.report().panicked_count(), 0);
-
-    // And the recovered document accepts edits again.
-    corpus
-        .apply(recovery.handle, &[set_name(&spec, "Bob")])
-        .unwrap();
     assert_eq!(
-        corpus
-            .tree(recovery.handle)
-            .unwrap()
-            .attr_value(NodeId(1), name),
+        restored.tree(other).unwrap().attr_value(NodeId(1), name),
+        Some("Zoe")
+    );
+    let healed = restored.commit();
+    assert_eq!(healed.changes.len(), 1);
+    assert_eq!(healed.changes[0].handle, h);
+    assert_eq!(restored.report().panicked_count(), 0);
+    replica.apply_delta(&healed).unwrap();
+    assert_eq!(replica.report(), restored.report());
+
+    // And the restored document accepts edits again.
+    restored.apply(h, &[set_name(&spec, "Bob")]).unwrap();
+    assert_eq!(
+        restored.tree(h).unwrap().attr_value(NodeId(1), name),
         Some("Bob")
     );
+
+    // A quarantined document the log never held has no state to restore,
+    // but it blocks nothing: the persist makes every commit durable, and
+    // the recovered session holds that document as closed — the next
+    // commit announces it.
+    let fresh_path = temp_log("apply-panic-unlogged");
+    let mut unlogged = CorpusSession::new(&spec);
+    let doc = unlogged.open_source("c.xml", CLEAN_DOC).unwrap();
+    let kept = unlogged.open_source("d.xml", CLEAN_DOC).unwrap();
+    unlogged.commit();
+    faults::configure("corpus.apply", FaultMode::Nth(1));
+    let _ = quiet_panics(|| unlogged.apply(doc, &[set_name(&spec, "Bob")]));
+    faults::disarm("corpus.apply");
+    unlogged.apply(kept, &[set_name(&spec, "Ann")]).unwrap();
+    unlogged.commit();
+    let receipt = unlogged.persist_to(&fresh_path).unwrap();
+    assert_eq!(receipt.commits_written, 2);
+    let mut restored = CorpusSession::new(&spec);
+    let recovery = restored.recover_from(&fresh_path).unwrap();
+    assert_eq!((recovery.docs, recovery.last_seq), (1, 2));
+    assert_eq!(
+        restored.tree(kept).unwrap().attr_value(NodeId(1), name),
+        Some("Ann")
+    );
+    let (mut replica, _) = CorpusReplica::recover_from(&fresh_path, spec.id()).unwrap();
+    let next = restored.commit();
+    assert_eq!(next.closed.len(), 1);
+    assert_eq!(next.closed[0].handle, doc);
+    replica.apply_delta(&next).unwrap();
+    assert_eq!(replica.report(), restored.report());
+    // The announced close reaches the log like any other.
+    restored.persist_to(&fresh_path).unwrap();
+    let mut again = CorpusSession::new(&spec);
+    assert_eq!(again.recover_from(&fresh_path).unwrap().last_seq, 3);
+    assert_eq!(again.num_docs(), 1);
+    let _ = std::fs::remove_file(&fresh_path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -263,7 +303,7 @@ fn transient_journal_io_faults_are_retried_to_success() {
     faults::configure("journal.write", FaultMode::Nth(1));
     faults::configure("journal.sync", FaultMode::Nth(1));
     session
-        .persist_to(h, &path)
+        .persist_to(&path)
         .expect("one Interrupted per stage is retried");
     assert_eq!(faults::fired("journal.write"), 1);
     assert_eq!(faults::fired("journal.sync"), 1);
@@ -272,20 +312,17 @@ fn transient_journal_io_faults_are_retried_to_success() {
     session.apply(h, &[set_name(&spec, "Ann")]).unwrap();
     faults::configure("journal.append", FaultMode::Nth(1));
     session
-        .persist_to(h, &path)
+        .persist_to(&path)
         .expect("append retries transient faults");
     assert_eq!(faults::fired("journal.append"), 1);
     faults::reset();
 
     // The log the retries produced recovers into the exact live state.
     let mut replica = CorpusSession::new(&spec);
-    let recovery = replica.recover_from("a.xml", &path).unwrap();
+    replica.recover_from(&path).unwrap();
     let name = spec.dtd().attr_by_name("name").unwrap();
     assert_eq!(
-        replica
-            .tree(recovery.handle)
-            .unwrap()
-            .attr_value(NodeId(1), name),
+        replica.tree(h).unwrap().attr_value(NodeId(1), name),
         Some("Ann")
     );
     let _ = std::fs::remove_file(&path);
@@ -297,10 +334,10 @@ fn snapshot_encode_fault_is_a_structured_error_and_the_path_survives() {
     let spec = school_spec();
     let path = temp_log("snap");
     let mut session = CorpusSession::new(&spec);
-    let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
+    session.open_source("a.xml", CLEAN_DOC).unwrap();
 
     faults::configure("journal.snapshot_encode", FaultMode::Nth(1));
-    let err = session.persist_to(h, &path).unwrap_err();
+    let err = session.persist_to(&path).unwrap_err();
     faults::reset();
     assert!(
         err.to_string()
@@ -309,9 +346,9 @@ fn snapshot_encode_fault_is_a_structured_error_and_the_path_survives() {
     );
     // The fault fired before any byte landed, so the path is still fresh
     // and the retry persists (and recovers) normally.
-    session.persist_to(h, &path).unwrap();
+    session.persist_to(&path).unwrap();
     let mut replica = CorpusSession::new(&spec);
-    assert!(replica.recover_from("a.xml", &path).is_ok());
+    assert!(replica.recover_from(&path).is_ok());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -322,7 +359,7 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
     let path = temp_log("exhaust");
     let mut session = CorpusSession::new(&spec);
     let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
-    session.persist_to(h, &path).unwrap();
+    session.persist_to(&path).unwrap();
 
     // Every retry attempt faults: the persist surfaces a structured error.
     session.apply(h, &[set_name(&spec, "Ann")]).unwrap();
@@ -333,7 +370,7 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
             permille: 1000,
         },
     );
-    let err = session.persist_to(h, &path).unwrap_err();
+    let err = session.persist_to(&path).unwrap_err();
     faults::reset();
     assert!(
         err.to_string().contains("injected fault: journal.append"),
@@ -343,24 +380,18 @@ fn exhausted_io_retries_reject_and_keep_the_durable_prefix() {
     // The durable prefix is unharmed: recovery yields the pre-edit state.
     let name = spec.dtd().attr_by_name("name").unwrap();
     let mut replica = CorpusSession::new(&spec);
-    let recovery = replica.recover_from("a.xml", &path).unwrap();
+    replica.recover_from(&path).unwrap();
     assert_eq!(
-        replica
-            .tree(recovery.handle)
-            .unwrap()
-            .attr_value(NodeId(1), name),
+        replica.tree(h).unwrap().attr_value(NodeId(1), name),
         Some("Joe")
     );
 
     // And a later, fault-free persist catches the log up.
-    session.persist_to(h, &path).unwrap();
+    session.persist_to(&path).unwrap();
     let mut replica = CorpusSession::new(&spec);
-    let recovery = replica.recover_from("a.xml", &path).unwrap();
+    replica.recover_from(&path).unwrap();
     assert_eq!(
-        replica
-            .tree(recovery.handle)
-            .unwrap()
-            .attr_value(NodeId(1), name),
+        replica.tree(h).unwrap().attr_value(NodeId(1), name),
         Some("Ann")
     );
     let _ = std::fs::remove_file(&path);
@@ -413,7 +444,6 @@ proptest! {
         let path = temp_log(&format!("prop-{seed}-{permille}-{edits}"));
         let mut session = CorpusSession::new(&spec);
         let h = session.open_source("a.xml", CLEAN_DOC).unwrap();
-        let name = spec.dtd().attr_by_name("name").unwrap();
 
         for i in 0..edits {
             let value = format!("v{seed}-{i}");
@@ -431,18 +461,18 @@ proptest! {
             }
             // Faulted attempt: success or structured rejection, never a
             // panic (a panic would fail the test on its own).
-            let _ = session.persist_to(h, &path);
+            let _ = session.persist_to(&path);
             faults::reset();
 
             // Fault-free persist must always complete from whatever state
             // the faulted attempt left behind, and recovery must replay
             // the live document exactly.
-            session.persist_to(h, &path).unwrap();
+            session.persist_to(&path).unwrap();
             let mut replica = CorpusSession::new(&spec);
-            let recovery = replica.recover_from("a.xml", &path).unwrap();
+            replica.recover_from(&path).unwrap();
             prop_assert_eq!(
-                replica.tree(recovery.handle).unwrap().attr_value(NodeId(1), name),
-                session.tree(h).unwrap().attr_value(NodeId(1), name)
+                replica.tree(h).unwrap().snapshot(),
+                session.tree(h).unwrap().snapshot()
             );
         }
         let _ = std::fs::remove_file(&path);

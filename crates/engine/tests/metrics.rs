@@ -136,11 +136,12 @@ fn journal_persist_and_read_record_global_counters() {
     let persists_before = persists(&before);
 
     let mut session = xic_engine::CorpusSession::new(&spec);
-    let doc = session.open_source("a.xml", CLEAN).unwrap();
+    session.open_source("a.xml", CLEAN).unwrap();
     let mut path = std::env::temp_dir();
     path.push(format!("xic-metrics-test-{}.xicj", std::process::id()));
-    session.persist_to(doc, &path).unwrap();
-    xic_engine::read_session_log(&path, spec.id()).unwrap();
+    std::fs::remove_file(&path).ok();
+    session.persist_to(&path).unwrap();
+    xic_engine::read_log(&path, spec.id()).unwrap();
     std::fs::remove_file(&path).ok();
 
     let after = registry.snapshot();

@@ -1,6 +1,6 @@
 //! Session actors: one thread per named session, owning its
-//! [`CorpusSession`] (or, after a restart, the [`CorpusReplica`] rebuilt
-//! from the drained delta log) and fed over a bounded command channel.
+//! [`CorpusSession`] — fresh, or recovered from the session's corpus log
+//! after a restart or an eviction — and fed over a bounded command channel.
 //!
 //! The actor is the concurrency boundary of the service: a
 //! `CorpusSession` borrows its `CompiledSpec` and is single-threaded by
@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use xic_engine::wire::WireFault;
 use xic_engine::{
-    read_delta_log, write_delta_log, BatchDelta, CompiledSpec, CorpusReplica, CorpusSession,
-    DocHandle, JournalError, Limits, ResourceError, SessionError,
+    BatchDelta, CompiledSpec, CorpusSession, DocHandle, JournalError, Limits, ResourceError,
+    SessionError,
 };
 use xic_telemetry::MetricsRegistry;
 use xic_xml::EditOp;
@@ -54,10 +54,10 @@ pub(crate) enum Cmd {
         handle: u64,
         reply: SyncSender<Result<String, WireFault>>,
     },
-    /// Session metadata for the hello ack: (last_seq, is_replica).
-    Meta { reply: SyncSender<(u64, bool)> },
-    /// Persist the delta log (when a state dir is configured) and stop the
-    /// actor, answering the number of deltas made durable.
+    /// The session's last committed sequence number, for the hello ack.
+    Meta { reply: SyncSender<u64> },
+    /// Flush the corpus log (when a state dir is configured) and stop the
+    /// actor, answering the number of commits made durable.
     Drain {
         reply: SyncSender<Result<u64, WireFault>>,
     },
@@ -135,8 +135,8 @@ impl SessionHandle {
     }
 
     /// Asks the actor to drain (persist + stop) and joins its thread.
-    /// Returns the number of deltas persisted, or `None` when the actor
-    /// was already gone.
+    /// Returns the number of commits persisted, or `None` when the actor
+    /// was already gone or its log could not be written.
     pub(crate) fn drain(&self) -> Option<u64> {
         let (reply, rx) = sync_channel(1);
         let persisted = match self.tx.send(Cmd::Drain { reply }) {
@@ -169,23 +169,16 @@ fn journal_fault(e: JournalError) -> WireFault {
     WireFault::new(2, "journal", e.to_string())
 }
 
-fn replica_fault(name: &str) -> WireFault {
-    WireFault::new(
-        2,
-        "replica",
-        format!(
-            "session {name:?} is a drained replica restored from its delta log; \
-             it serves sync reads only"
-        ),
-    )
-}
-
-fn log_path(state_dir: &std::path::Path, name: &str) -> PathBuf {
+/// Where a session's corpus log lives in the state directory.
+pub(crate) fn log_path(state_dir: &std::path::Path, name: &str) -> PathBuf {
     state_dir.join(format!("{name}.xicj"))
 }
 
-/// Spawns a live session actor.  The thread owns the spec `Arc` and builds
-/// the `CorpusSession` against it; `backlog` bounds the command channel.
+/// Spawns a session actor.  The thread owns the spec `Arc` and builds the
+/// `CorpusSession` against it — recovering it from `<state_dir>/<name>.xicj`
+/// when that log exists, so a restarted or evicted session comes back
+/// editable — and `backlog` bounds the command channel.  Fails (and stops
+/// the thread) when the log exists but does not recover.
 pub(crate) fn spawn_live(
     name: String,
     spec: Arc<CompiledSpec>,
@@ -194,45 +187,54 @@ pub(crate) fn spawn_live(
     backlog: usize,
     state_dir: Option<PathBuf>,
     scope: Option<Vec<u32>>,
-) -> SessionHandle {
+) -> Result<SessionHandle, WireFault> {
     let (tx, rx) = sync_channel(backlog.max(1));
+    let (ready_tx, ready_rx) = sync_channel(1);
     let join = std::thread::Builder::new()
         .name(format!("xic-session-{name}"))
         .spawn(move || {
-            run_live(
-                &name,
-                &spec,
-                limits,
-                registry,
-                rx,
-                state_dir.as_deref(),
-                scope,
-            )
+            let log = state_dir.map(|dir| log_path(&dir, &name));
+            let mut session = CorpusSession::with_registry_and_limits(&spec, limits, registry);
+            if let Some(shards) = scope {
+                // Validated against the plan at `Server::start`; scoping
+                // before any document opens is guaranteed because the
+                // session is brand new.
+                session.scope_to_shards(&shards);
+            }
+            let recovered = match &log {
+                Some(path) if path.exists() => session
+                    .recover_from(path)
+                    .map(|_| ())
+                    .map_err(|e| WireFault::new(2, "journal", format!("{}: {e}", path.display()))),
+                _ => Ok(()),
+            };
+            let ok = recovered.is_ok();
+            let _ = ready_tx.send(recovered);
+            if ok {
+                run_live(session, rx, log.as_deref());
+            }
         })
         .expect("spawn session actor");
-    SessionHandle {
+    let ready = ready_rx.recv().unwrap_or_else(|_| {
+        Err(WireFault::new(
+            2,
+            "session",
+            "session actor stopped while starting",
+        ))
+    });
+    if let Err(fault) = ready {
+        let _ = join.join();
+        return Err(fault);
+    }
+    Ok(SessionHandle {
         tx,
         last_used: Mutex::new(Instant::now()),
         in_flight: AtomicUsize::new(0),
         join: Mutex::new(Some(join)),
-    }
+    })
 }
 
-fn run_live(
-    name: &str,
-    spec: &CompiledSpec,
-    limits: Limits,
-    registry: Arc<MetricsRegistry>,
-    rx: Receiver<Cmd>,
-    state_dir: Option<&std::path::Path>,
-    scope: Option<Vec<u32>>,
-) {
-    let mut session = CorpusSession::with_registry_and_limits(spec, limits, registry);
-    if let Some(shards) = scope {
-        // Validated against the plan at `Server::start`; scoping before any
-        // document opens is guaranteed because the session is brand new.
-        session.scope_to_shards(&shards);
-    }
+fn run_live(mut session: CorpusSession<'_>, rx: Receiver<Cmd>, log: Option<&std::path::Path>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Open {
@@ -274,91 +276,23 @@ fn run_live(
                 let _ = reply.send(result);
             }
             Cmd::Meta { reply } => {
-                let _ = reply.send((session.last_seq(), false));
+                let _ = reply.send(session.last_seq());
             }
             Cmd::Drain { reply } => {
-                // Persist the *committed* history only: an `applied` ack
-                // means "queued for the next commit", so uncommitted ops
-                // are not yet acknowledged as durable — but every delta a
-                // client ever received lands in the log.
-                let result = persist(name, &session, state_dir);
+                // A drain is a flush: every document, edit, close and
+                // commit the log lacks — acknowledged or merely queued for
+                // the next commit — lands in it.
+                let result = match log {
+                    Some(path) => session
+                        .persist_to(path)
+                        .map(|receipt| receipt.commits_written as u64)
+                        .map_err(session_fault),
+                    None => Ok(0),
+                };
+                if let Err(fault) = &result {
+                    eprintln!("xic-server: corpus log not flushed: {fault}");
+                }
                 let _ = reply.send(result);
-                return;
-            }
-        }
-    }
-}
-
-fn persist(
-    name: &str,
-    session: &CorpusSession<'_>,
-    state_dir: Option<&std::path::Path>,
-) -> Result<u64, WireFault> {
-    let Some(dir) = state_dir else { return Ok(0) };
-    if session.last_seq() == 0 {
-        return Ok(0);
-    }
-    let deltas = session.export_deltas(0).map_err(journal_fault)?;
-    write_delta_log(log_path(dir, name), session.spec().id(), deltas)
-        .map(|_| deltas.len() as u64)
-        .map_err(journal_fault)
-}
-
-/// Spawns a replica actor from a drained delta log: the restarted server's
-/// read-only continuation of a previous run's session.  Fails when the log
-/// is unreadable or belongs to another spec.
-pub(crate) fn spawn_replica(
-    name: String,
-    path: PathBuf,
-    spec: xic_engine::SpecId,
-    backlog: usize,
-) -> Result<SessionHandle, JournalError> {
-    let log = read_delta_log(&path, spec)?;
-    let mut replica = CorpusReplica::new(spec);
-    replica.apply_deltas(&log.deltas)?;
-    let deltas = log.deltas;
-    let (tx, rx) = sync_channel(backlog.max(1));
-    let join = std::thread::Builder::new()
-        .name(format!("xic-replica-{name}"))
-        .spawn(move || run_replica(&name, &replica, &deltas, rx))
-        .expect("spawn replica actor");
-    Ok(SessionHandle {
-        tx,
-        last_used: Mutex::new(Instant::now()),
-        in_flight: AtomicUsize::new(0),
-        join: Mutex::new(Some(join)),
-    })
-}
-
-fn run_replica(name: &str, replica: &CorpusReplica, deltas: &[BatchDelta], rx: Receiver<Cmd>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Open { reply, .. } => {
-                let _ = reply.send(Err(replica_fault(name)));
-            }
-            Cmd::Apply { reply, .. } => {
-                let _ = reply.send(Err(replica_fault(name)));
-            }
-            Cmd::Commit { reply } => {
-                let _ = reply.send(Err(replica_fault(name)));
-            }
-            Cmd::Sync { after_seq, reply } => {
-                let window: Vec<BatchDelta> = deltas
-                    .iter()
-                    .filter(|d| d.seq > after_seq)
-                    .cloned()
-                    .collect();
-                let _ = reply.send(Ok(window));
-            }
-            Cmd::Close { reply, .. } => {
-                let _ = reply.send(Err(replica_fault(name)));
-            }
-            Cmd::Meta { reply } => {
-                let _ = reply.send((replica.last_seq(), true));
-            }
-            Cmd::Drain { reply } => {
-                // Already durable: the replica *is* the persisted log.
-                let _ = reply.send(Ok(0));
                 return;
             }
         }
@@ -390,6 +324,7 @@ mod tests {
             None,
             None,
         )
+        .expect("a session without a log always starts")
     }
 
     fn rewind_last_used(handle: &SessionHandle, by: Duration) {

@@ -159,8 +159,8 @@ impl Client {
         }
     }
 
-    /// The negotiation result: versions, spec identity, the session's last
-    /// committed sequence number, and whether it is a read-only replica.
+    /// The negotiation result: versions, spec identity and the session's
+    /// last committed sequence number.
     pub fn hello(&self) -> &HelloAck {
         &self.hello
     }

@@ -20,9 +20,9 @@
 //! limits ([`xic_engine::Limits`]), session-count and backlog bounds reject
 //! with **structured error records** (code 3, `resource:*`), contained
 //! faults answer with code 4 (`fault:*`) — never a dropped connection.
-//! Graceful drain persists every session's delta log to the state
-//! directory, and a restarted server loads those logs as read-only
-//! *replica sessions* that serve identical reports over `sync`.
+//! Graceful drain and idle eviction flush every session's corpus log to
+//! the state directory, and a restarted server recovers each session from
+//! its log — live and editable — the first time a client names it.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -1,6 +1,6 @@
 //! The server proper: non-blocking accept loops feeding a bounded worker
 //! pool, the named-session registry, the janitor (idle eviction), and the
-//! graceful drain that persists every session's delta log.
+//! graceful drain that flushes every session's corpus log.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -45,9 +45,10 @@ pub struct ServerConfig {
     /// Sessions idle longer than this are drained and evicted by the
     /// janitor. `None` disables eviction.
     pub idle_timeout: Option<Duration>,
-    /// Where drained sessions persist their delta logs (`<name>.xicj`);
-    /// existing logs there are loaded as read-only replica sessions at
-    /// startup.  `None` disables persistence.
+    /// Where sessions flush their corpus logs (`<name>.xicj`) when drained
+    /// or evicted; a session whose log exists there is recovered from it —
+    /// live and editable — when a client first names it.  `None` disables
+    /// persistence.
     pub state_dir: Option<PathBuf>,
     /// Whether shard-filtered sync subscriptions are served (`xic serve
     /// --shards`).  When disabled, a sync carrying a shard filter is
@@ -89,7 +90,7 @@ impl Default for ServerConfig {
 pub struct ServerReport {
     /// Sessions drained at shutdown.
     pub drained_sessions: usize,
-    /// Deltas persisted to the state directory during the final drain.
+    /// Commits persisted to the state directory during the final drain.
     pub persisted_deltas: u64,
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
@@ -180,6 +181,10 @@ struct Shared {
     config: ServerConfig,
     registry: Arc<MetricsRegistry>,
     sessions: RwLock<HashMap<String, Arc<SessionHandle>>>,
+    /// Serializes the slow steps of one session name — recovering it from
+    /// its log, draining it into the log — without blocking the registry:
+    /// a name hashes to one stripe.
+    name_locks: [Mutex<()>; 16],
     shutdown: AtomicBool,
     instr: Instruments,
 }
@@ -187,6 +192,14 @@ struct Shared {
 impl Shared {
     fn is_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// The lock serializing recovery and drain of the session `name`.
+    fn lock_name(&self, name: &str) -> std::sync::MutexGuard<'_, ()> {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        std::hash::Hash::hash(name, &mut hasher);
+        let stripe = std::hash::Hasher::finish(&hasher) as usize % self.name_locks.len();
+        self.name_locks[stripe].lock().unwrap()
     }
 }
 
@@ -201,10 +214,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured listeners, loads any drained delta logs in the
-    /// state directory as replica sessions, and starts the accept loops,
-    /// worker pool and janitor.  Fails when no listener is configured or a
-    /// bind fails.
+    /// Binds the configured listeners and starts the accept loops, worker
+    /// pool and janitor.  Sessions with a corpus log in the state directory
+    /// are recovered lazily, when a client first names them.  Fails when no
+    /// listener is configured or a bind fails.
     pub fn start(spec: Arc<CompiledSpec>, config: ServerConfig) -> io::Result<Server> {
         if config.tcp.is_none() && config.unix.is_none() {
             return Err(io::Error::new(
@@ -247,20 +260,20 @@ impl Server {
 
         // The drain path persists into the state directory; creating it up
         // front means a missing directory can never silently swallow a
-        // session's delta log at shutdown.
+        // session's corpus log at shutdown.
         if let Some(dir) = &config.state_dir {
             std::fs::create_dir_all(dir)?;
         }
 
         let instr = Instruments::on(&registry);
-        let sessions = load_replicas(&config, spec.id());
-        instr.sessions.set(sessions.len() as i64);
+        instr.sessions.set(0);
         let shared = Arc::new(Shared {
             spec,
             engine,
             config,
             registry,
-            sessions: RwLock::new(sessions),
+            sessions: RwLock::new(HashMap::new()),
+            name_locks: Default::default(),
             shutdown: AtomicBool::new(false),
             instr,
         });
@@ -338,8 +351,8 @@ impl Server {
     }
 
     /// Requests shutdown and runs the graceful drain: stop accepting, let
-    /// workers finish their connections, persist every session's delta
-    /// log, join every thread.
+    /// workers finish their connections, flush every session's corpus log,
+    /// join every thread.
     pub fn stop(self) -> ServerReport {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.wait()
@@ -382,40 +395,6 @@ impl Server {
 
 fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new().name(name.to_owned()).spawn(f)
-}
-
-fn load_replicas(
-    config: &ServerConfig,
-    spec: xic_engine::SpecId,
-) -> HashMap<String, Arc<SessionHandle>> {
-    let mut sessions = HashMap::new();
-    let Some(dir) = &config.state_dir else {
-        return sessions;
-    };
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return sessions;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("xicj") {
-            continue;
-        }
-        let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        if validate_session_name(name).is_err() {
-            continue;
-        }
-        match actor::spawn_replica(name.to_owned(), path.clone(), spec, config.session_backlog) {
-            Ok(handle) => {
-                sessions.insert(name.to_owned(), Arc::new(handle));
-            }
-            Err(err) => {
-                eprintln!("xic-server: skipping {}: {err}", path.display());
-            }
-        }
-    }
-    sessions
 }
 
 fn accept_tcp(listener: TcpListener, shared: &Shared, conn_tx: &SyncSender<Conn>) {
@@ -496,11 +475,15 @@ fn janitor(shared: &Shared) {
                 .collect()
         };
         for name in stale {
+            // The drain runs under the name's lock, so a request recreating
+            // the session recovers from the flushed log, never from the one
+            // the drain is extending.
+            let _name = shared.lock_name(&name);
+            // Re-check under the write lock: between the scan and here a
+            // worker may have started a request (bumping `last_used` and
+            // the in-flight count via `begin_request`), and draining the
+            // actor then would strand that request's reply.
             let evicted = {
-                // Re-check under the write lock: between the scan and here a
-                // worker may have started a request (bumping `last_used` and
-                // the in-flight count via `begin_request`), and draining the
-                // actor then would strand that request's reply.
                 let mut sessions = shared.sessions.write().unwrap();
                 match sessions.get(&name) {
                     Some(h) if h.evictable(idle) => sessions.remove(&name),
@@ -508,8 +491,8 @@ fn janitor(shared: &Shared) {
                 }
             };
             if let Some(handle) = evicted {
-                // Drain persists the delta log (when configured) before the
-                // actor exits, so eviction never loses committed history.
+                // Drain flushes the corpus log (when configured) before the
+                // actor exits, so eviction never loses history.
                 let _ = handle.drain();
                 shared.instr.evictions.inc();
             }
@@ -555,7 +538,7 @@ fn dispatch<T>(
     })?
 }
 
-fn session_meta(handle: &SessionHandle) -> Result<(u64, bool), WireFault> {
+fn session_meta(handle: &SessionHandle) -> Result<u64, WireFault> {
     let _in_flight = handle.begin_request();
     let (reply, rx) = sync_channel(1);
     match handle.offer(Cmd::Meta { reply }) {
@@ -570,31 +553,52 @@ fn session_meta(handle: &SessionHandle) -> Result<(u64, bool), WireFault> {
     }
 }
 
-fn get_or_create_session(shared: &Shared, name: &str) -> Result<Arc<SessionHandle>, WireFault> {
-    if let Some(handle) = shared.sessions.read().unwrap().get(name) {
-        return Ok(Arc::clone(handle));
+/// The running session `name`; else the one its corpus log holds,
+/// recovered; else, when `create`, a fresh one.  `Ok(None)` when there is
+/// neither and `create` is off.
+fn find_session(
+    shared: &Shared,
+    name: &str,
+    create: bool,
+) -> Result<Option<Arc<SessionHandle>>, WireFault> {
+    let running = || shared.sessions.read().unwrap().get(name).cloned();
+    if let Some(handle) = running() {
+        return Ok(Some(handle));
     }
-    let mut sessions = shared.sessions.write().unwrap();
-    if let Some(handle) = sessions.get(name) {
-        return Ok(Arc::clone(handle));
+    // Under the name's lock, outside the registry's: recovery replays the
+    // whole log, and other sessions' requests must not wait for it.
+    let _name = shared.lock_name(name);
+    if let Some(handle) = running() {
+        return Ok(Some(handle));
     }
-    if shared.is_down() {
-        return Err(WireFault::new(
-            2,
-            "session",
-            "server is shutting down; no new sessions",
-        ));
+    let has_log =
+        (shared.config.state_dir.as_ref()).is_some_and(|dir| actor::log_path(dir, name).exists());
+    if !create && !has_log {
+        return Ok(None);
     }
-    if sessions.len() >= shared.config.max_sessions {
+    let refusal = |running: usize| {
+        if shared.is_down() {
+            return Some(WireFault::new(
+                2,
+                "session",
+                "server is shutting down; no new sessions",
+            ));
+        }
+        if running < shared.config.max_sessions {
+            return None;
+        }
         shared.instr.rejected.inc();
-        return Err(WireFault::new(
+        Some(WireFault::new(
             3,
             "resource:max_sessions",
             format!(
                 "session limit of {} reached; close or evict a session first",
                 shared.config.max_sessions
             ),
-        ));
+        ))
+    };
+    if let Some(fault) = refusal(shared.sessions.read().unwrap().len()) {
+        return Err(fault);
     }
     let handle = Arc::new(actor::spawn_live(
         name.to_owned(),
@@ -604,10 +608,18 @@ fn get_or_create_session(shared: &Shared, name: &str) -> Result<Arc<SessionHandl
         shared.config.session_backlog,
         shared.config.state_dir.clone(),
         shared.config.scope.clone(),
-    ));
+    )?);
+    let mut sessions = shared.sessions.write().unwrap();
+    // Another name may have taken the last slot, or shutdown begun, while
+    // this one recovered: stop the new actor again.
+    if let Some(fault) = refusal(sessions.len()) {
+        drop(sessions);
+        let _ = handle.drain();
+        return Err(fault);
+    }
     sessions.insert(name.to_owned(), Arc::clone(&handle));
     shared.instr.sessions.set(sessions.len() as i64);
-    Ok(handle)
+    Ok(Some(handle))
 }
 
 /// Reads one request, honoring the idle poll: `Ok(None)` means the
@@ -705,22 +717,22 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
         return;
     }
     // Sessions are created lazily on the first session-touching request,
-    // so a stats-only or shutdown-only connection never mints one.  The
-    // ack reports an existing session's position, or a fresh (0, live).
-    let mut session: Option<Arc<SessionHandle>> =
-        shared.sessions.read().unwrap().get(&session_name).cloned();
-    let ack = match session.as_deref().map(session_meta).transpose() {
-        Ok(meta) => {
-            let (last_seq, replica) = meta.unwrap_or((0, false));
-            Response::Hello(xic_engine::wire::HelloAck {
-                format: journal::FORMAT_VERSION,
-                wire: WIRE_VERSION,
-                spec: shared.spec.id(),
-                spec_known: true,
-                last_seq,
-                replica,
-            })
-        }
+    // so a stats-only or shutdown-only connection never mints an empty
+    // one.  A session with a corpus log is recovered at the hello, so the
+    // ack reports its durable position; otherwise a fresh session is at 0.
+    let mut session = None;
+    let mut attach = || {
+        session = find_session(shared, &session_name, false)?;
+        session.as_deref().map_or(Ok(0), session_meta)
+    };
+    let ack = match attach() {
+        Ok(last_seq) => Response::Hello(xic_engine::wire::HelloAck {
+            format: journal::FORMAT_VERSION,
+            wire: WIRE_VERSION,
+            spec: shared.spec.id(),
+            spec_known: true,
+            last_seq,
+        }),
         Err(fault) => {
             shared.instr.errors.inc();
             let _ = write_response(&mut conn, seq, &Response::Error(fault));
@@ -765,7 +777,7 @@ fn handle_request(
     let attach = |session: &mut Option<Arc<SessionHandle>>| match session {
         Some(handle) => Ok(Arc::clone(handle)),
         None => {
-            let handle = get_or_create_session(shared, session_name)?;
+            let handle = find_session(shared, session_name, true)?.expect("created on demand");
             *session = Some(Arc::clone(&handle));
             Ok(handle)
         }

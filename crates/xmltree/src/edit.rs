@@ -7,8 +7,8 @@
 //! values and applied through [`XmlTree::apply_edit`], which validates the
 //! operation and returns an [`EditEffect`] — a *delta record* carrying
 //! exactly the before/after facts an incremental index needs (the displaced
-//! attribute value, the removed element list, …).  Sessions collect the
-//! effects of every applied edit in an [`EditJournal`].
+//! attribute value, the removed element list, …).  Sessions keep the ops
+//! of every applied edit in an [`EditJournal`].
 //!
 //! Edits are point edits in the sense of the paper's checking problem: they
 //! change `att`/`ele`/`val` at one node (or remove one subtree), never the
@@ -130,24 +130,25 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-/// The ordered log of edits applied to one document: each entry pairs the
-/// submitted [`EditOp`] with the [`EditEffect`] its application produced.
+/// The ordered log of edits applied to one document.
 ///
-/// The journal is the complete edit history since the document was opened,
+/// The journal holds the document's edit history since it was opened,
 /// minus any prefix explicitly [`EditJournal::compact`]ed away *after it
-/// became durable elsewhere* (written to a delta log, or folded into a
-/// persisted base snapshot).  Storing the *ops* (not just the effects)
-/// makes the journal replayable: applying [`EditJournal::ops`] in order to
-/// a copy of the original tree reproduces the edited tree node-for-node
-/// (the arena allocates ids deterministically), which is what close/re-open
-/// recovery, crash recovery from a persisted log, and shipping a delta log
-/// to another replica (cf. distributed XML design) all rest on.
+/// became durable elsewhere* (logged as `apply` records, or folded into a
+/// logged snapshot).  It stores the submitted [`EditOp`]s only — the
+/// [`EditEffect`] of each application goes to the incremental index that
+/// consumes it and is not kept.  Ops make the journal replayable: applying
+/// [`EditJournal::ops`] in order to a copy of the original tree reproduces
+/// the edited tree node-for-node (the arena allocates ids
+/// deterministically), which is what crash recovery from a persisted log
+/// and shipping a log to another replica (cf. distributed XML design) both
+/// rest on.
 #[derive(Debug, Clone, Default)]
 pub struct EditJournal {
-    entries: Vec<(EditOp, EditEffect)>,
-    /// Edits recorded before `entries[0]` that were compacted away: they
-    /// are durable in a log or folded into a base snapshot, so the global
-    /// index of `entries[i]` is `folded + i`.
+    ops: Vec<EditOp>,
+    /// Edits recorded before `ops[0]` that were compacted away: they are
+    /// durable in a log or folded into a logged snapshot, so the global
+    /// index of `ops[i]` is `folded + i`.
     folded: u64,
 }
 
@@ -157,80 +158,51 @@ impl EditJournal {
         EditJournal::default()
     }
 
-    /// A journal whose oldest `folded` edits are already durable elsewhere
-    /// (folded into a recovered base snapshot or replayed from a log):
-    /// entries recorded from here on carry global indices `folded`,
-    /// `folded + 1`, ….  This is how crash recovery re-opens a document
-    /// without re-materialising its pre-snapshot history.
-    pub fn with_folded(folded: u64) -> EditJournal {
-        EditJournal {
-            entries: Vec::new(),
-            folded,
-        }
+    /// Appends one applied edit.
+    pub fn record(&mut self, op: EditOp) {
+        self.ops.push(op);
     }
 
-    /// Appends one applied edit with the effect it produced.
-    pub fn record(&mut self, op: EditOp, effect: EditEffect) {
-        self.entries.push((op, effect));
-    }
-
-    /// Drops every retained entry whose global index is below
-    /// `durable_total` — i.e. the edits already persisted to a delta log or
-    /// folded into a durable base snapshot — and returns how many were
-    /// dropped.  Long-lived sessions call this (via `CorpusSession::compact`)
-    /// after persisting so the in-memory journal holds only the
-    /// not-yet-durable suffix instead of growing without bound; recovery
-    /// still round-trips node-for-node because the log retains the full
-    /// history.
+    /// Drops every retained op whose global index is below `durable_total`
+    /// — i.e. the edits already logged or folded into a logged snapshot —
+    /// and returns how many were dropped.  A persisting session calls this
+    /// so the in-memory journal holds only the not-yet-durable suffix
+    /// instead of growing without bound; recovery still round-trips
+    /// node-for-node because the log retains the full history.
     pub fn compact(&mut self, durable_total: u64) -> usize {
         let droppable = durable_total.saturating_sub(self.folded);
-        let drop = (droppable.min(self.entries.len() as u64)) as usize;
-        self.entries.drain(..drop);
+        let drop = (droppable.min(self.ops.len() as u64)) as usize;
+        self.ops.drain(..drop);
         self.folded += drop as u64;
         drop
     }
 
     /// Edits dropped by [`EditJournal::compact`] (they precede
-    /// [`EditJournal::entries`] in the global numbering).
+    /// [`EditJournal::ops`] in the global numbering).
     pub fn folded(&self) -> u64 {
         self.folded
     }
 
     /// Total edits ever recorded: the compacted prefix plus the retained
-    /// entries.
+    /// ops.
     pub fn total_recorded(&self) -> u64 {
-        self.folded + self.entries.len() as u64
+        self.folded + self.ops.len() as u64
     }
 
     /// Number of retained (not compacted) edits.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ops.len()
     }
 
-    /// Whether the journal retains no entries.
+    /// Whether the journal retains no edits.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ops.is_empty()
     }
 
-    /// The retained `(op, effect)` entries, oldest first (entry `i` has
-    /// global index [`EditJournal::folded`]` + i`).
-    pub fn entries(&self) -> &[(EditOp, EditEffect)] {
-        &self.entries
-    }
-
-    /// The recorded ops, oldest first — the replayable half of the log.
-    pub fn ops(&self) -> impl Iterator<Item = &EditOp> {
-        self.entries.iter().map(|(op, _)| op)
-    }
-
-    /// The recorded effects, oldest first.
-    pub fn effects(&self) -> impl Iterator<Item = &EditEffect> {
-        self.entries.iter().map(|(_, effect)| effect)
-    }
-
-    /// Iterates over the recorded entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &(EditOp, EditEffect)> {
-        self.entries.iter()
+    /// The retained ops, oldest first (op `i` has global index
+    /// [`EditJournal::folded`]` + i`) — the replayable log.
+    pub fn ops(&self) -> &[EditOp] {
+        &self.ops
     }
 }
 
@@ -329,7 +301,7 @@ mod tests {
         let EditEffect::ElementAdded { element, .. } = added else {
             panic!("expected ElementAdded, got {added:?}");
         };
-        journal.record(add_op, added.clone());
+        journal.record(add_op);
 
         let first = t
             .apply_edit(&EditOp::SetAttr {
@@ -366,14 +338,10 @@ mod tests {
             matches!(&removed, EditEffect::SubtreeRemoved { elements, .. }
                 if elements == &vec![(element, teacher)])
         );
-        journal.record(remove_op, removed);
+        journal.record(remove_op);
         assert_eq!(journal.len(), 2);
-        assert_eq!(journal.ops().count(), 2);
-        assert_eq!(journal.effects().count(), 2);
-        assert!(matches!(
-            journal.entries()[0],
-            (EditOp::AddElement { .. }, EditEffect::ElementAdded { .. })
-        ));
+        assert!(matches!(journal.ops()[0], EditOp::AddElement { .. }));
+        assert!(matches!(journal.ops()[1], EditOp::RemoveSubtree { .. }));
     }
 
     #[test]
@@ -388,8 +356,8 @@ mod tests {
                 parent: t.root(),
                 ty: teacher,
             };
-            let effect = t.apply_edit(&op).unwrap();
-            journal.record(op, effect);
+            t.apply_edit(&op).unwrap();
+            journal.record(op);
         }
         assert_eq!(journal.total_recorded(), 4);
 
@@ -406,12 +374,6 @@ mod tests {
         assert_eq!(journal.folded(), 4);
         assert!(journal.is_empty());
         assert_eq!(journal.total_recorded(), 4);
-
-        // Recovery-style journals start with a folded base.
-        let resumed = EditJournal::with_folded(7);
-        assert_eq!(resumed.folded(), 7);
-        assert_eq!(resumed.total_recorded(), 7);
-        assert!(resumed.is_empty());
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Journal persistence & replication: crash-recover an edited session from
-//! its delta log, and keep a validation replica in sync from `BatchDelta`s
-//! alone.
+//! its corpus log, and keep a validation replica in sync from the same
+//! log's `BatchDelta`s alone.
 //!
 //! The scenario: a registrar's editing session crashes mid-shift — the
-//! process dies, the document and its edit history must not.  Meanwhile a
-//! reporting replica on another box wants the corpus verdicts live,
+//! process dies, the documents and their edit history must not.  Meanwhile
+//! a reporting replica on another box wants the corpus verdicts live,
 //! without ever being shipped a document.  Both rest on the same
-//! append-only log format (`xic_engine::journal`): base snapshot + edit
-//! ops for one document, one `BatchDelta` per commit for a corpus.
+//! append-only corpus log (`xic_engine::journal`): `open` snapshots and
+//! `apply` ops rebuild the session, and one `commit` record per commit
+//! feeds the replica.
 //!
 //! Run with: `cargo run --example journal_replay`
 
-use xml_integrity_constraints::engine::journal::{append_delta_log, read_delta_log};
+use xml_integrity_constraints::engine::journal::read_log;
 use xml_integrity_constraints::engine::{CompiledSpec, CorpusReplica, CorpusSession};
 use xml_integrity_constraints::xml::EditOp;
 
@@ -32,139 +33,113 @@ fn main() {
     let spec = CompiledSpec::from_sources(DTD, Some("department"), SIGMA).expect("spec compiles");
     let code = spec.dtd().attr_by_name("code").unwrap();
     let course = spec.dtd().type_by_name("course").unwrap();
-    let dir = std::env::temp_dir();
-    let session_log = dir.join(format!("xic-example-session-{}.xicj", std::process::id()));
-    let delta_log = dir.join(format!("xic-example-deltas-{}.xicj", std::process::id()));
-    std::fs::remove_file(&session_log).ok();
-    std::fs::remove_file(&delta_log).ok();
+    let log = std::env::temp_dir().join(format!("xic-example-corpus-{}.xicj", std::process::id()));
+    std::fs::remove_file(&log).ok();
 
-    // --- Part 1: crash recovery of an edited document. -------------------
+    // --- Part 1: a live session, persisted as it goes. ---------------------
     let mut session = CorpusSession::new(&spec);
-    let doc = session
+    let mut replica = CorpusReplica::new(spec.id());
+    let registrar = session
         .open_source(
             "registrar.xml",
             r#"<department><course code="db101"/></department>"#,
         )
         .unwrap();
     session
-        .persist_to(doc, &session_log)
-        .expect("base persisted");
+        .open_source(
+            "cs.xml",
+            r#"<department><course code="cs1"/><enroll course="cs1"/></department>"#,
+        )
+        .unwrap();
+    session.commit();
+    let receipt = session.persist_to(&log).expect("log created");
+    println!(
+        "logged {} records ({} commit) in {} bytes",
+        receipt.records_written, receipt.commits_written, receipt.durable_bytes
+    );
 
-    // Edit: add a course, give it a clashing code — then persist the ops.
-    let root = session.tree(doc).unwrap().root();
+    // The replica never sees a document: it follows the commits alone.
+    replica
+        .apply_deltas(session.export_deltas(replica.last_seq()).unwrap())
+        .unwrap();
+    assert_eq!(replica.report(), session.report());
+
+    // Edit: add a course, give it a clashing code, commit — then one more
+    // edit that no commit has seen yet, and persist everything.
+    let root = session.tree(registrar).unwrap().root();
     session
         .apply(
-            doc,
+            registrar,
             &[EditOp::AddElement {
                 parent: root,
                 ty: course,
             }],
         )
         .unwrap();
-    let added = session.tree(doc).unwrap().ext(course).nth(1).unwrap();
-    session
-        .apply(
-            doc,
-            &[EditOp::SetAttr {
-                element: added,
-                attr: code,
-                value: "db101".into(),
-            }],
-        )
-        .unwrap();
+    let added = session.tree(registrar).unwrap().ext(course).nth(1).unwrap();
+    let clash = |value: &str| EditOp::SetAttr {
+        element: added,
+        attr: code,
+        value: value.into(),
+    };
+    session.apply(registrar, &[clash("db101")]).unwrap();
     session.commit();
     println!(
-        "live session clean? {}",
+        "live session: registrar.xml clean? {}",
         session.report().reports()[0].is_clean()
     );
-    session.persist_to(doc, &session_log).expect("ops appended");
-    // The durable prefix is on disk: the in-memory journal can shrink.
-    let dropped = session.compact(doc).unwrap();
-    println!("compacted {dropped} journal entries (log holds the history)");
+    session.apply(registrar, &[clash("db102")]).unwrap();
+    let receipt = session.persist_to(&log).expect("appended");
+    println!(
+        "appended {} records; the in-memory journal now holds {} edits",
+        receipt.records_written,
+        session.journal(registrar).unwrap().len()
+    );
+    replica
+        .apply_deltas(session.export_deltas(replica.last_seq()).unwrap())
+        .unwrap();
 
-    // 💥 The process dies here.  A fresh session recovers from the log:
-    // base snapshot + op replay, witness-identical to the session we lost.
+    // 💥 The process dies here.  A fresh session recovers from the log: the
+    // same documents, handles and commit history — live and editable, with
+    // the uncommitted edit waiting for the next commit.
     drop(session);
     let mut recovered = CorpusSession::new(&spec);
-    let recovery = recovered
-        .recover_from("registrar.xml", &session_log)
-        .expect("recovers");
-    recovered.commit();
+    let recovery = recovered.recover_from(&log).expect("recovers");
     println!(
-        "recovered {} base edits + {} replayed ops; clean? {}",
-        recovery.base_edits,
-        recovery.ops_replayed,
+        "recovered {} documents ({} dirty) at commit {}, {} ops replayed",
+        recovery.docs, recovery.dirty, recovery.last_seq, recovery.ops_replayed
+    );
+    let delta = recovered.commit();
+    println!(
+        "next commit {}: registrar.xml clean again? {}",
+        delta.seq,
         recovered.report().reports()[0].is_clean()
     );
+    recovered
+        .persist_to(&log)
+        .expect("the recovered session appends");
 
-    // --- Part 2: a replica fed nothing but deltas. -----------------------
-    let mut corpus = CorpusSession::new(&spec);
-    let mut replica = CorpusReplica::new(spec.id());
-    corpus
-        .open_source(
-            "math.xml",
-            r#"<department><course code="db101"/><enroll course="db101"/></department>"#,
-        )
-        .unwrap();
-    corpus
-        .open_source("cs.xml", r#"<department><course code="cs1"/></department>"#)
-        .unwrap();
-    corpus.commit();
-
-    // Ship the new deltas: append to the durable log, apply to the replica.
-    let fresh = corpus.export_deltas(replica.last_seq()).unwrap();
-    append_delta_log(&delta_log, spec.id(), fresh).unwrap();
-    replica.apply_deltas(fresh).unwrap();
-    assert_eq!(replica.report(), corpus.report());
-    println!(
-        "replica mirrors {} documents after commit {}",
-        replica.num_docs(),
-        replica.last_seq()
-    );
-
-    // An edit flips math.xml to violating; the replica follows the delta.
-    let math = corpus.handle_by_label("math.xml").unwrap();
-    let enroll_node = corpus.tree(math).unwrap().elements().nth(2).unwrap();
-    let enroll_course = spec.dtd().attr_by_name("course").unwrap();
-    corpus
-        .apply(
-            math,
-            &[EditOp::SetAttr {
-                element: enroll_node,
-                attr: enroll_course,
-                value: "missing".into(),
-            }],
-        )
-        .unwrap();
-    corpus.commit();
-    let fresh = corpus.export_deltas(replica.last_seq()).unwrap();
-    append_delta_log(&delta_log, spec.id(), fresh).unwrap();
-    replica.apply_deltas(fresh).unwrap();
-    assert_eq!(replica.report(), corpus.report());
-    println!(
-        "after commit {}: {}/{} clean on the replica — no document was ever shipped",
-        replica.last_seq(),
-        replica.report().clean_count(),
-        replica.report().total()
-    );
-
-    // The replica itself restarts: recover from the delta log alone.
+    // --- Part 2: the replica restarts from the commit records alone. -------
+    replica.apply_delta(&delta).unwrap();
+    assert_eq!(replica.report(), recovered.report());
     drop(replica);
-    let (reborn, truncated) = CorpusReplica::recover_from(&delta_log, spec.id()).unwrap();
+    let (reborn, truncated) = CorpusReplica::recover_from(&log, spec.id()).unwrap();
     assert!(!truncated);
-    assert_eq!(reborn.report(), corpus.report());
+    assert_eq!(reborn.report(), recovered.report());
     println!(
-        "replica recovered from {} ({} commits) and still agrees",
-        delta_log.display(),
-        reborn.last_seq()
+        "replica recovered from {} ({} commits): {}/{} clean — no document was ever shipped",
+        log.display(),
+        reborn.last_seq(),
+        reborn.report().clean_count(),
+        reborn.report().total()
     );
-    let log = read_delta_log(&delta_log, spec.id()).unwrap();
+    let corpus_log = read_log(&log, spec.id()).unwrap();
     println!(
-        "the log is self-describing: {} deltas, {} durable bytes",
-        log.deltas.len(),
-        log.durable_bytes
+        "the log is self-describing: {} records, {} of them commits, {} durable bytes",
+        corpus_log.records.len(),
+        corpus_log.commits().count(),
+        corpus_log.durable_bytes
     );
 
-    std::fs::remove_file(&session_log).ok();
-    std::fs::remove_file(&delta_log).ok();
+    std::fs::remove_file(&log).ok();
 }

@@ -1,12 +1,12 @@
 //! The validation service, end to end in one process: an `xic-server`
 //! hosting a compiled spec over loopback TCP, a writer client driving
 //! edits through the delta-log wire protocol, a reader client mirroring
-//! the session with a `CorpusReplica` — and a restart that serves the
-//! drained session's history from disk as a read-only replica.
+//! the session with a `CorpusReplica` — and a restart that recovers the
+//! drained session from its corpus log, live and editable.
 //!
-//! Everything on the wire is a PR 5 journal record: the deltas a client
-//! receives are byte-identical to the ones `xic journal record` writes to
-//! disk, so the stock replica consumes either source.
+//! Everything on the wire is a journal record: the deltas a client
+//! receives are byte-identical to the `commit` records a corpus log holds
+//! on disk, so the stock replica consumes either source.
 //!
 //! Run with: `cargo run --example service_roundtrip`
 
@@ -105,12 +105,12 @@ fn main() {
     let draining = admin.shutdown().unwrap();
     let report = server.wait();
     println!(
-        "shutdown drained {draining} session(s): {} deltas persisted to {}",
+        "shutdown drained {draining} session(s): {} commits persisted to {}",
         report.persisted_deltas,
         state_dir.display()
     );
 
-    // --- Restart: the drained log comes back as a read-only replica. ------
+    // --- Restart: the session comes back from its log, still editable. ----
     let server = Server::start(
         Arc::clone(&spec),
         ServerConfig {
@@ -122,14 +122,32 @@ fn main() {
     .expect("server restarts");
     let addr = server.tcp_addr().unwrap();
     let mut reader = Client::connect_tcp(addr, spec_id, "registrar").expect("reader reconnects");
-    assert!(reader.hello().replica, "restarted session is a replica");
     let mut recovered = CorpusReplica::new(spec_id);
     reader.sync_replica(&mut recovered).unwrap();
     assert_eq!(recovered.report(), before_restart);
     println!(
-        "restarted service serves the same report from disk: {}/{} clean (read-only replica)",
+        "restarted service resumes at commit {}: {}/{} clean",
+        reader.hello().last_seq,
         recovered.report().clean_count(),
         recovered.report().total()
+    );
+
+    // The recovered session takes edits: heal the dangling foreign key.
+    let mut writer = Client::connect_tcp(addr, spec_id, "registrar").expect("writer reconnects");
+    writer
+        .apply(
+            handle,
+            &[EditOp::SetAttr {
+                element: enroll_node,
+                attr: course_attr,
+                value: "db101".into(),
+            }],
+        )
+        .unwrap();
+    let delta = writer.commit().unwrap();
+    println!(
+        "commit {} after the restart: {}/{} documents clean",
+        delta.seq, delta.clean, delta.total
     );
 
     reader.shutdown().unwrap();

@@ -1,24 +1,28 @@
-//! Crash-injection differential suite for the durable edit journals.
+//! Crash-injection differential suite for the corpus log.
 //!
 //! The contract under test (see `xic_engine::journal`): for a persisted
-//! session log, **truncation or corruption at any byte offset** yields
+//! corpus log, **truncation or corruption at any byte offset** yields
 //! either
 //!
-//! * a recovered document that is witness-identical — same violations,
-//!   same witness node ids, node-for-node the same arena — to a live
-//!   session that replayed the same durable prefix of the edit history, or
+//! * a recovered session that is witness-identical — same reports, same
+//!   handles and labels, same `last_seq`, node-for-node the same arenas —
+//!   to the live session at the persist the log preserved, or
 //! * a structured [`JournalError`],
 //!
 //! and **never** a panic or a wrong verdict.  The oracle is the live
-//! session itself: it records its verdict and a slot-for-slot arena
-//! snapshot after every edit, and every recovery outcome is compared
-//! against the state at the prefix the log actually preserved.
+//! session itself: it records its documents and their cold-rebuilt report
+//! at every persist, and every recovery that ends on a persist boundary is
+//! compared against that state.  A recovery that ends inside a persist (a
+//! crash tore it after some records landed) must still be a consistent
+//! session: its next commit continues the stream a replica recovered from
+//! the same bytes holds, and its report is a cold rebuild of its own trees.
 //!
 //! The suite drives the contract two ways: a proptest over random
-//! specifications and edit sequences (truncating at *every* byte boundary
-//! and flipping *every* byte), and the named `xic-gen` workload families.
-//! A separate test proves recovery still round-trips node-for-node after
-//! `EditJournal` compaction dropped the in-memory prefix.
+//! specifications and session histories (opens, edits, commits and closes,
+//! persisted at random points; truncating at *every* byte boundary and
+//! flipping *every* byte), and the named `xic-gen` workload families.  A
+//! separate test proves recovery still round-trips node-for-node after
+//! persists folded the in-memory journals away.
 
 use std::fs;
 use std::path::PathBuf;
@@ -26,10 +30,11 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xml_integrity_constraints::constraints::Violation;
 use xml_integrity_constraints::dtd::Dtd;
-use xml_integrity_constraints::engine::journal::JournalError;
-use xml_integrity_constraints::engine::{CompiledSpec, CorpusSession, DocHandle, SessionError};
+use xml_integrity_constraints::engine::journal::{inspect_log, read_log, JournalError};
+use xml_integrity_constraints::engine::{
+    BatchReport, CompiledSpec, CorpusReplica, CorpusSession, SessionError,
+};
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
     primary_key_family, random_document, random_dtd, random_unary_constraints,
@@ -113,99 +118,154 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// Commits and returns the Σ violations of `doc`, the session's only
-/// document.
-fn committed_violations(session: &mut CorpusSession<'_>, doc: DocHandle) -> Vec<Violation> {
-    session.commit();
-    assert_eq!(session.handles().collect::<Vec<_>>(), [doc]);
-    session.report().reports()[0].violations.clone()
+/// The open documents of a session, in open order: raw handle, label and
+/// slot-for-slot arena.
+type Docs = Vec<(u64, String, TreeSnapshot)>;
+
+fn docs_of(session: &CorpusSession<'_>) -> Docs {
+    session
+        .handles()
+        .map(|h| {
+            (
+                h.raw(),
+                session.label(h).unwrap().to_string(),
+                session.tree(h).unwrap().snapshot(),
+            )
+        })
+        .collect()
 }
 
-/// The live session's state after a prefix of the edit history: the
-/// verdict (witnesses included) and the slot-for-slot arena.
-struct PrefixState {
-    violations: Vec<Violation>,
-    arena: TreeSnapshot,
+/// `T ⊨ (D, Σ)` of every document, from scratch: a fresh session opening
+/// the same trees under the same labels, in the same order.
+fn cold_report(spec: &CompiledSpec, docs: &Docs) -> BatchReport {
+    let mut cold = CorpusSession::new(spec);
+    for (_, label, snapshot) in docs {
+        cold.open(label.clone(), XmlTree::from_snapshot(snapshot).unwrap())
+            .unwrap();
+    }
+    cold.commit();
+    cold.report()
 }
 
-/// Drives `edits` random edits through a live session, persisting the log
-/// (with a mid-history persist + compact to exercise the append path) and
-/// recording the oracle state after every prefix.  Returns the log bytes
-/// and the per-prefix oracle.
+/// The live session's state at one persist.
+struct Checkpoint {
+    durable_bytes: u64,
+    last_seq: u64,
+    docs: Docs,
+    report: BatchReport,
+}
+
+/// The live session's state as one persist left it.
+fn checkpoint(spec: &CompiledSpec, session: &CorpusSession<'_>, durable_bytes: u64) -> Checkpoint {
+    let docs = docs_of(session);
+    Checkpoint {
+        durable_bytes,
+        last_seq: session.last_seq(),
+        report: cold_report(spec, &docs),
+        docs,
+    }
+}
+
+/// Drives a random session history — opens, edits, commits and closes —
+/// persisting after roughly half the steps (so persists carry one record
+/// or many) and recording the oracle state at every persist.  Returns the
+/// log bytes and the checkpoints.
 fn build_persisted_history(
     spec: &CompiledSpec,
-    tree: XmlTree,
     rng: &mut StdRng,
-    edits: usize,
+    steps: usize,
     tag: &str,
-) -> (Vec<u8>, Vec<PrefixState>) {
+) -> Option<(Vec<u8>, Vec<Checkpoint>)> {
     let path = temp_path(tag);
     fs::remove_file(&path).ok();
     let mut session = CorpusSession::new(spec);
-    let doc = session.open("doc", tree).unwrap();
-    // Base record first: it folds 0 edits, so log prefix r ⇔ history
-    // prefix r.
-    session.persist_to(doc, &path).expect("fresh persist");
-    let mut states = vec![PrefixState {
-        violations: committed_violations(&mut session, doc),
-        arena: session.tree(doc).unwrap().snapshot(),
-    }];
-    for i in 0..edits {
-        let op = random_op(rng, spec.dtd(), session.tree(doc).unwrap());
-        session.apply(doc, std::slice::from_ref(&op)).unwrap();
-        states.push(PrefixState {
-            violations: committed_violations(&mut session, doc),
-            arena: session.tree(doc).unwrap().snapshot(),
-        });
-        if i == edits / 2 {
-            // Mid-history persist + compaction: the tail of the log is
-            // appended across two calls and the in-memory journal loses
-            // its durable prefix — recovery must not notice.
-            session.persist_to(doc, &path).expect("mid persist");
-            session.compact(doc).expect("compact");
+    let mut opened = 0u64;
+    let mut open_one = |session: &mut CorpusSession<'_>, rng: &mut StdRng| {
+        let tree = random_document(
+            spec.dtd(),
+            &DocGenConfig {
+                seed: rng.gen_range(0..1_000),
+                max_elements: 10,
+                value_pool: 3,
+                ..Default::default()
+            },
+        )?;
+        opened += 1;
+        session.open(format!("doc-{opened}"), tree).unwrap();
+        Some(())
+    };
+    open_one(&mut session, rng)?;
+    open_one(&mut session, rng)?;
+    let mut checkpoints = Vec::new();
+    let mut persist = |session: &mut CorpusSession<'_>| {
+        let receipt = session.persist_to(&path).expect("persist");
+        checkpoints.push(checkpoint(spec, session, receipt.durable_bytes));
+    };
+    persist(&mut session);
+    for _ in 0..steps {
+        let handles: Vec<_> = session.handles().collect();
+        match rng.gen_range(0u32..10) {
+            0..=4 if !handles.is_empty() => {
+                let doc = handles[rng.gen_range(0..handles.len())];
+                let op = random_op(rng, spec.dtd(), session.tree(doc).unwrap());
+                session.apply(doc, std::slice::from_ref(&op)).unwrap();
+            }
+            5 if handles.len() > 1 => {
+                session
+                    .close(handles[rng.gen_range(0..handles.len())])
+                    .unwrap();
+            }
+            6 => {
+                open_one(&mut session, rng);
+            }
+            _ => {
+                session.commit();
+            }
+        }
+        if rng.gen_bool(0.5) {
+            persist(&mut session);
         }
     }
-    session.persist_to(doc, &path).expect("final persist");
+    persist(&mut session);
     let bytes = fs::read(&path).expect("log readable");
     fs::remove_file(&path).ok();
-    (bytes, states)
+    Some((bytes, checkpoints))
 }
 
-/// Recover-or-reject at one mutated log image: recovery must either fail
-/// structurally or be witness-identical to the oracle prefix it reports.
+/// Recover-or-reject at one mutated log image.  A recovery must be a
+/// consistent session, and exactly the oracle's when it ends on a persist.
 fn assert_recover_or_reject(
     spec: &CompiledSpec,
     image: &[u8],
-    states: &[PrefixState],
+    checkpoints: &[Checkpoint],
     context: &str,
 ) {
     let path = temp_path("probe");
     fs::write(&path, image).expect("write probe image");
     let mut session = CorpusSession::new(spec);
-    match session.recover_from("probe", &path) {
-        Err(_) => {} // structured rejection: always allowed
-        Ok(recovery) => {
+    if let Ok(recovery) = session.recover_from(&path) {
+        let durable = read_log(&path, spec.id()).unwrap().durable_bytes;
+        let docs = docs_of(&session);
+        if let Some(oracle) = checkpoints.iter().find(|c| c.durable_bytes == durable) {
+            assert_eq!(recovery.last_seq, oracle.last_seq, "{context}");
             assert_eq!(
-                recovery.base_edits, 0,
-                "{context}: the base record folds no edits in this harness"
+                docs, oracle.docs,
+                "{context}: recovered documents differ node-for-node"
             );
-            let r = recovery.ops_replayed as usize;
-            assert!(
-                r < states.len(),
-                "{context}: recovered {r} ops, history only has {}",
-                states.len() - 1
-            );
-            let oracle = &states[r];
-            assert_eq!(
-                committed_violations(&mut session, recovery.handle),
-                oracle.violations,
-                "{context}: recovered prefix {r} disagrees with the live session"
-            );
-            assert_eq!(
-                session.tree(recovery.handle).unwrap().snapshot(),
-                oracle.arena,
-                "{context}: recovered arena differs node-for-node at prefix {r}"
-            );
+        }
+        // The recovered session continues the logged stream...
+        let delta = session.commit();
+        let (mut replica, _) =
+            CorpusReplica::recover_from(&path, spec.id()).expect("the same bytes recover");
+        replica
+            .apply_delta(&delta)
+            .unwrap_or_else(|e| panic!("{context}: next delta breaks the stream: {e}"));
+        let report = session.report();
+        assert_eq!(replica.report(), report, "{context}");
+        // ...with verdicts that are a cold rebuild of its own trees.
+        assert_eq!(report, cold_report(spec, &docs), "{context}");
+        if let Some(oracle) = checkpoints.iter().find(|c| c.durable_bytes == durable) {
+            assert_eq!(report, oracle.report, "{context}: wrong verdict");
         }
     }
     fs::remove_file(&path).ok();
@@ -213,29 +273,53 @@ fn assert_recover_or_reject(
 
 /// Truncates at every byte boundary and flips every byte (with the given
 /// mask); each image must recover-or-reject.
-fn crash_inject_everywhere(spec: &CompiledSpec, bytes: &[u8], states: &[PrefixState], mask: u8) {
-    // The intact log recovers the full history.
-    assert_recover_or_reject(spec, bytes, states, "intact");
+fn crash_inject_everywhere(
+    spec: &CompiledSpec,
+    bytes: &[u8],
+    checkpoints: &[Checkpoint],
+    mask: u8,
+) {
+    // The intact log recovers the final persist.
     {
         let path = temp_path("full");
         fs::write(&path, bytes).unwrap();
         let mut session = CorpusSession::new(spec);
-        let recovery = session
-            .recover_from("full", &path)
-            .expect("intact log recovers");
-        assert_eq!(recovery.ops_replayed as usize, states.len() - 1);
+        let recovery = session.recover_from(&path).expect("intact log recovers");
         assert!(!recovery.truncated_tail);
+        let last = checkpoints.last().unwrap();
+        assert_eq!(last.durable_bytes, bytes.len() as u64);
+        assert_eq!(docs_of(&session), last.docs);
+        fs::remove_file(&path).ok();
+    }
+    assert_recover_or_reject(spec, bytes, checkpoints, "intact");
+    // Every record boundary — inside a persist or between two — is a state
+    // the log recovers to: a crash loses only the torn suffix.
+    {
+        let path = temp_path("boundaries");
+        fs::write(&path, bytes).unwrap();
+        let boundaries: Vec<u64> = inspect_log(&path, None)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.offset)
+            .collect();
+        for cut in boundaries {
+            fs::write(&path, &bytes[..cut as usize]).unwrap();
+            CorpusSession::new(spec)
+                .recover_from(&path)
+                .unwrap_or_else(|e| panic!("record boundary @{cut} must recover: {e}"));
+        }
         fs::remove_file(&path).ok();
     }
     // Kill at every byte prefix.
     for cut in 0..bytes.len() {
-        assert_recover_or_reject(spec, &bytes[..cut], states, &format!("truncate@{cut}"));
+        assert_recover_or_reject(spec, &bytes[..cut], checkpoints, &format!("truncate@{cut}"));
     }
     // Corrupt every byte.
     let mut image = bytes.to_vec();
     for offset in 0..image.len() {
         image[offset] ^= mask;
-        assert_recover_or_reject(spec, &image, states, &format!("flip@{offset}"));
+        assert_recover_or_reject(spec, &image, checkpoints, &format!("flip@{offset}"));
         image[offset] ^= mask;
     }
 }
@@ -243,7 +327,7 @@ fn crash_inject_everywhere(spec: &CompiledSpec, bytes: &[u8], states: &[PrefixSt
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random specs, random documents, random edit sequences: persist →
+    /// Random specs, random documents, random session histories: persist →
     /// kill at arbitrary byte prefix (and flip arbitrary bytes) → recover
     /// yields a durable prefix witness-identical to the live session, or a
     /// structured error.  Never a panic, never a wrong verdict.
@@ -253,7 +337,7 @@ proptest! {
         types in 2usize..6,
         keys in 0usize..3,
         fks in 0usize..3,
-        edits in 1usize..10,
+        steps in 1usize..10,
         mask in 1u32..256,
     ) {
         let dtd = random_dtd(&DtdGenConfig { seed, num_types: types, ..Default::default() });
@@ -265,15 +349,12 @@ proptest! {
             Ok(spec) => spec,
             Err(_) => return Ok(()), // Ψ(D,Σ) rejected the generated spec
         };
-        let Some(tree) = random_document(
-            spec.dtd(),
-            &DocGenConfig { seed, max_elements: 16, value_pool: 3, ..Default::default() },
-        ) else {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
+        let Some((bytes, checkpoints)) = build_persisted_history(&spec, &mut rng, steps, "prop")
+        else {
             return Ok(()); // unsatisfiable DTD
         };
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-        let (bytes, states) = build_persisted_history(&spec, tree, &mut rng, edits, "prop");
-        crash_inject_everywhere(&spec, &bytes, &states, mask as u8);
+        crash_inject_everywhere(&spec, &bytes, &checkpoints, mask as u8);
     }
 }
 
@@ -297,20 +378,12 @@ fn workload_families_survive_crash_injection() {
                 Ok(spec) => spec,
                 Err(_) => continue,
             };
-            let Some(tree) = random_document(
-                spec.dtd(),
-                &DocGenConfig {
-                    seed: 21,
-                    max_elements: 10,
-                    value_pool: 3,
-                    ..Default::default()
-                },
-            ) else {
+            let mut rng = StdRng::seed_from_u64(0xfeed ^ driven as u64);
+            let Some((bytes, checkpoints)) = build_persisted_history(&spec, &mut rng, 6, family)
+            else {
                 continue;
             };
-            let mut rng = StdRng::seed_from_u64(0xfeed ^ driven as u64);
-            let (bytes, states) = build_persisted_history(&spec, tree, &mut rng, 5, family);
-            crash_inject_everywhere(&spec, &bytes, &states, 0x41);
+            crash_inject_everywhere(&spec, &bytes, &checkpoints, 0x41);
             driven += 1;
         }
     }
@@ -320,10 +393,66 @@ fn workload_families_survive_crash_injection() {
     );
 }
 
-/// Satellite: `EditJournal::compact` drops durable entries without losing
-/// recoverability — after persist → compact → edit → persist, recovery
-/// reproduces the live document node-for-node, and a torn tail written
-/// over the compacted log is repaired by the next persist.
+/// One persist carrying several commits: every edit is logged before the
+/// first commit that saw it — also the edits of a document closed before
+/// the persist, and of one opened and closed between two persists — so a
+/// log cut after any record, say right after the first new `commit`,
+/// recovers instead of re-checking a tree that lacks the edit.
+#[test]
+fn edits_land_before_the_first_commit_that_saw_them() {
+    let spec = CompiledSpec::from_sources(
+        "<!ELEMENT school (teacher*)>\n\
+         <!ELEMENT teacher EMPTY>\n\
+         <!ATTLIST teacher name CDATA #REQUIRED>",
+        Some("school"),
+        "teacher.name -> teacher",
+    )
+    .unwrap();
+    let name = spec.dtd().attr_by_name("name").unwrap();
+    let set = |element: u32, value: &str| EditOp::SetAttr {
+        element: NodeId(element),
+        attr: name,
+        value: value.into(),
+    };
+    let source = "<school><teacher name=\"Joe\"/><teacher name=\"Ann\"/></school>";
+    for close_a in [false, true] {
+        let path = temp_path(if close_a { "close-a" } else { "edit-a" });
+        fs::remove_file(&path).ok();
+        let mut session = CorpusSession::new(&spec);
+        let a = session.open_source("a.xml", source).unwrap();
+        session.open_source("b.xml", source).unwrap();
+        let receipt = session.persist_to(&path).unwrap();
+        let mut checkpoints = vec![checkpoint(&spec, &session, receipt.durable_bytes)];
+
+        // A's verdict flips, a commit sees it; a document the log never
+        // held is opened, reported and closed on the way.
+        session.apply(a, &[set(3, "Joe")]).unwrap();
+        let c = session.open_source("c.xml", source).unwrap();
+        assert!(!session.commit().changes.is_empty());
+        session.apply(c, &[set(3, "Joe")]).unwrap();
+        session.commit();
+        session.close(c).unwrap();
+        if close_a {
+            session.close(a).unwrap();
+        } else {
+            session.apply(a, &[set(3, "Eve")]).unwrap();
+        }
+        session.commit();
+        let receipt = session.persist_to(&path).unwrap();
+        assert_eq!(receipt.commits_written, 3);
+        checkpoints.push(checkpoint(&spec, &session, receipt.durable_bytes));
+
+        let bytes = fs::read(&path).unwrap();
+        fs::remove_file(&path).ok();
+        crash_inject_everywhere(&spec, &bytes, &checkpoints, 0x41);
+    }
+}
+
+/// Satellite: persists fold the durable edits out of the in-memory journal
+/// without losing recoverability — after persist → edit → persist,
+/// recovery reproduces the live document node-for-node, a torn tail
+/// written over the log is repaired by the next persist, and a log rewound
+/// below what the session made durable is refused.
 #[test]
 fn recovery_after_compaction_round_trips_node_for_node() {
     let spec = CompiledSpec::from_sources(
@@ -344,36 +473,42 @@ fn recovery_after_compaction_round_trips_node_for_node() {
         .unwrap();
     let mut session = CorpusSession::new(&spec);
     let doc = session.open("doc", tree).unwrap();
-    session.persist_to(doc, &path).unwrap();
+    session.persist_to(&path).unwrap();
     for round in 0..4 {
         for _ in 0..6 {
             let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
             session.apply(doc, std::slice::from_ref(&op)).unwrap();
         }
-        session.persist_to(doc, &path).unwrap();
-        let dropped = session.compact(doc).unwrap();
-        assert!(dropped > 0, "round {round} persisted entries to drop");
+        if round % 2 == 1 {
+            session.commit();
+        }
+        let receipt = session.persist_to(&path).unwrap();
+        assert!(receipt.records_written >= 6, "round {round}");
         assert!(session.journal(doc).unwrap().is_empty());
         assert_eq!(
             session.journal(doc).unwrap().total_recorded(),
-            6 * (round + 1)
+            6 * (round + 1) as u64
         );
 
         // Recovery from the log reproduces the live document exactly even
         // though the in-memory journal no longer holds the history.
         let mut recovered = CorpusSession::new(&spec);
-        let recovery = recovered.recover_from("doc", &path).unwrap();
-        assert_eq!(recovery.total_edits(), 6 * (round + 1));
+        let recovery = recovered.recover_from(&path).unwrap();
+        assert_eq!(recovery.ops_replayed, 6 * (round + 1) as u64);
         assert_eq!(
-            recovered.tree(recovery.handle).unwrap().snapshot(),
+            recovered.tree(doc).unwrap().snapshot(),
             session.tree(doc).unwrap().snapshot(),
             "round {round}"
         );
-        assert_eq!(
-            committed_violations(&mut recovered, recovery.handle),
-            committed_violations(&mut session, doc),
-            "round {round}"
-        );
+        recovered.commit();
+        let mut live = CorpusSession::new(&spec);
+        live.open(
+            "doc",
+            XmlTree::from_snapshot(&session.tree(doc).unwrap().snapshot()).unwrap(),
+        )
+        .unwrap();
+        live.commit();
+        assert_eq!(recovered.report(), live.report(), "round {round}");
     }
 
     // A crash mid-append leaves a torn tail; the next persist repairs it
@@ -383,53 +518,27 @@ fn recovery_after_compaction_round_trips_node_for_node() {
     fs::write(&path, &bytes).unwrap();
     let op = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
     session.apply(doc, std::slice::from_ref(&op)).unwrap();
-    let receipt = session.persist_to(doc, &path).unwrap();
+    let receipt = session.persist_to(&path).unwrap();
     assert!(receipt.repaired_torn_tail);
     let mut recovered = CorpusSession::new(&spec);
-    let recovery = recovered.recover_from("doc", &path).unwrap();
-    assert_eq!(recovery.total_edits(), 25);
+    let recovery = recovered.recover_from(&path).unwrap();
+    assert_eq!(recovery.ops_replayed, 25);
     assert_eq!(
-        recovered.tree(recovery.handle).unwrap().snapshot(),
+        recovered.tree(doc).unwrap().snapshot(),
         session.tree(doc).unwrap().snapshot()
     );
 
-    // Compacting past the log is refused: the history would exist nowhere.
-    let mut rogue = CorpusSession::new(&spec);
-    let tree = spec.parse_document("<school/>").unwrap();
-    let rogue_doc = rogue.open("rogue", tree).unwrap();
-    let rogue_path = temp_path("rogue");
-    fs::remove_file(&rogue_path).ok();
-    rogue.persist_to(rogue_doc, &rogue_path).unwrap();
-    let root = rogue.tree(rogue_doc).unwrap().root();
-    let teacher = spec.dtd().type_by_name("teacher").unwrap();
-    rogue
-        .apply(
-            rogue_doc,
-            &[EditOp::AddElement {
-                parent: root,
-                ty: teacher,
-            }],
-        )
-        .unwrap();
-    // Not persisted yet, so nothing is droppable…
-    assert_eq!(rogue.compact(rogue_doc).unwrap(), 0);
-    rogue.persist_to(rogue_doc, &rogue_path).unwrap();
-    rogue.compact(rogue_doc).unwrap();
-    // …and a log that was rewound below the compaction watermark is
-    // rejected with the structured error, not silently rewritten.
-    let full = fs::read(&rogue_path).unwrap();
-    let base_only = &full[..full.len() - 1];
-    fs::write(&rogue_path, base_only).unwrap();
-    let another = random_op(&mut rng, spec.dtd(), rogue.tree(rogue_doc).unwrap());
-    rogue
-        .apply(rogue_doc, std::slice::from_ref(&another))
-        .unwrap();
-    let err = rogue.persist_to(rogue_doc, &rogue_path).unwrap_err();
+    // A log rewound below what the session made durable is refused with
+    // the structured error, not silently rewritten: the folded edits would
+    // exist nowhere.
+    let full = fs::read(&path).unwrap();
+    fs::write(&path, &full[..full.len() - 1]).unwrap();
+    let another = random_op(&mut rng, spec.dtd(), session.tree(doc).unwrap());
+    session.apply(doc, std::slice::from_ref(&another)).unwrap();
+    let err = session.persist_to(&path).unwrap_err();
     assert!(
-        matches!(err, SessionError::Journal(JournalError::Compacted { .. })),
-        "expected Compacted, got {err:?}"
+        matches!(err, SessionError::Journal(JournalError::Diverged { .. })),
+        "expected Diverged, got {err:?}"
     );
-
     fs::remove_file(&path).ok();
-    fs::remove_file(&rogue_path).ok();
 }

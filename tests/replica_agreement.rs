@@ -1,9 +1,9 @@
 //! Replica-differential suite: a [`CorpusReplica`] fed nothing but
 //! exported [`BatchDelta`]s must agree with the live [`CorpusSession`]
 //! **after every commit** — same `report()`, witnesses included — and must
-//! survive a close → re-open through the persisted delta log (the replica
-//! recovers from disk and continues consuming the stream where it left
-//! off).  No document is ever re-shipped or re-parsed on the replica side:
+//! survive a close → re-open through the session's persisted corpus log
+//! (the replica recovers from the log's `commit` records and continues
+//! consuming the stream where it left off).  No document is ever re-shipped or re-parsed on the replica side:
 //! the delta stream is the entire transport.
 //!
 //! The drive comes from the named `xic-gen` workload families and from a
@@ -18,7 +18,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml_integrity_constraints::dtd::Dtd;
-use xml_integrity_constraints::engine::journal::append_delta_log;
 use xml_integrity_constraints::engine::{CompiledSpec, CorpusReplica, CorpusSession, DocHandle};
 use xml_integrity_constraints::gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
@@ -101,19 +100,19 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// Ships everything the replica has not seen yet: export from the live
-/// session, append to the durable log, apply to the replica.  This is one
+/// Ships everything the replica has not seen yet: flush the live session
+/// to its corpus log, export, apply to the replica.  This is one
 /// replication round — and the equality it must preserve.
 fn sync_and_check(
-    corpus: &CorpusSession,
+    corpus: &mut CorpusSession,
     replica: &mut CorpusReplica,
     log: &PathBuf,
     context: &str,
 ) {
+    corpus.persist_to(log).expect("append to the corpus log");
     let fresh = corpus
         .export_deltas(replica.last_seq())
         .expect("retained window");
-    append_delta_log(log, corpus.spec().id(), fresh).expect("append to delta log");
     replica.apply_deltas(fresh).expect("deltas apply in order");
     assert_eq!(replica.last_seq(), corpus.last_seq(), "{context}");
     assert_eq!(
@@ -163,7 +162,7 @@ fn drive_replicated(spec: &CompiledSpec, seed: u64, edits: usize, tag: &str) -> 
     fs::remove_file(&log).ok();
     let mut replica = CorpusReplica::new(spec.id());
     corpus.commit();
-    sync_and_check(&corpus, &mut replica, &log, "open");
+    sync_and_check(&mut corpus, &mut replica, &log, "open");
 
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x517c_c1b7));
     for step in 0..edits {
@@ -171,7 +170,7 @@ fn drive_replicated(spec: &CompiledSpec, seed: u64, edits: usize, tag: &str) -> 
         let op = random_op(&mut rng, spec.dtd(), corpus.tree(handle).unwrap());
         corpus.apply(handle, std::slice::from_ref(&op)).unwrap();
         corpus.commit();
-        sync_and_check(&corpus, &mut replica, &log, &format!("step {step}"));
+        sync_and_check(&mut corpus, &mut replica, &log, &format!("step {step}"));
 
         if step % 4 == 3 {
             // Close → re-open of the replica: recover from the durable log
@@ -194,9 +193,13 @@ fn drive_replicated(spec: &CompiledSpec, seed: u64, edits: usize, tag: &str) -> 
     // A close travels the same stream.
     corpus.close(handles[0]).unwrap();
     corpus.commit();
-    sync_and_check(&corpus, &mut replica, &log, "close");
+    sync_and_check(&mut corpus, &mut replica, &log, "close");
     let (recovered, _) = CorpusReplica::recover_from(&log, spec.id()).expect("final recover");
     assert_eq!(recovered.report(), corpus.report());
+    // The same log restores the live session itself.
+    let mut restored = CorpusSession::new(spec);
+    restored.recover_from(&log).expect("session recovers");
+    assert_eq!(restored.report(), corpus.report());
     fs::remove_file(&log).ok();
     true
 }

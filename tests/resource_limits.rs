@@ -398,9 +398,10 @@ fn corpus_dirty_doc_backpressure_is_exact() {
         .expect("after the commit drains the set, the retry is admitted");
 }
 
-/// Recovery is an open: the dirty-set bound and `max_doc_nodes` (metered on
-/// the replayed tree) admit at exactly the recovered document's cost and
-/// reject one below as [`SessionError::Resource`] — opening nothing.
+/// Recovery is an open: the dirty-set bound (on the documents the log
+/// leaves dirty) and `max_doc_nodes` (metered on the replayed tree) admit at
+/// exactly the recovered session's cost and reject one below as
+/// [`SessionError::Resource`] — opening nothing.
 #[test]
 fn recovery_admission_boundaries_are_exact() {
     let spec = school_spec();
@@ -409,20 +410,22 @@ fn recovery_admission_boundaries_are_exact() {
     path.push(format!("xic-resource-limits-{}.xicj", std::process::id()));
     std::fs::remove_file(&path).ok();
 
-    // A logged document that grew past its base: the bound must meter the
-    // replayed tree, not the base snapshot.
+    // A logged document that grew past its snapshot: the bound must meter
+    // the replayed tree, not the logged snapshot.  A second document opened
+    // after the last commit leaves two documents dirty.
     let mut live = CorpusSession::new(&spec);
     let doc = live
         .open_source("doc", "<school><teacher name=\"Joe\"/></school>")
         .unwrap();
-    live.persist_to(doc, &path).unwrap();
+    live.persist_to(&path).unwrap();
     let root = live.tree(doc).unwrap().root();
     let add = EditOp::AddElement {
         parent: root,
         ty: teacher,
     };
     live.apply(doc, &[add.clone(), add]).unwrap();
-    live.persist_to(doc, &path).unwrap();
+    live.open_source("other", "<school/>").unwrap();
+    live.persist_to(&path).unwrap();
     let nodes = live.tree(doc).unwrap().num_nodes();
 
     let limited = |limits: Limits| CorpusSession::with_limits(&spec, limits);
@@ -431,16 +434,17 @@ fn recovery_admission_boundaries_are_exact() {
         ..Limits::UNLIMITED
     });
     let recovery = exact
-        .recover_from("doc", &path)
+        .recover_from(&path)
         .expect("exactly at the bound admits the recovery");
-    assert_eq!(exact.tree(recovery.handle).unwrap().num_nodes(), nodes);
+    assert_eq!(exact.tree(doc).unwrap().num_nodes(), nodes);
+    assert_eq!((recovery.docs, recovery.dirty), (2, 2));
 
     let mut tight = limited(Limits {
         max_doc_nodes: Some(nodes - 1),
         ..Limits::UNLIMITED
     });
     let err = tight
-        .recover_from("doc", &path)
+        .recover_from(&path)
         .expect_err("one node below must reject");
     let SessionError::Resource(r) = err else {
         panic!("expected a structured resource rejection, got {err}");
@@ -450,24 +454,28 @@ fn recovery_admission_boundaries_are_exact() {
     assert_eq!(tight.num_docs(), 0, "a rejected recovery opens nothing");
     assert_eq!(tight.commit().total, 0);
 
-    // The dirty-set bound: a full set sheds the recovery before the log is
-    // read; one slot admits it.
+    // The dirty-set bound: one slot short of the documents the log leaves
+    // dirty sheds the recovery; exactly enough admits it.
     let mut full = limited(Limits {
         max_dirty_docs: Some(1),
         ..Limits::UNLIMITED
     });
-    full.open_source("other", "<school/>").unwrap();
     let err = full
-        .recover_from("doc", &path)
-        .expect_err("a full dirty set must reject");
+        .recover_from(&path)
+        .expect_err("a dirty set one short must reject");
     let SessionError::Resource(r) = err else {
         panic!("expected a structured resource rejection, got {err}");
     };
     assert_eq!(r.limit, LimitKind::DirtyDocs);
-    assert_eq!(full.num_docs(), 1, "a rejected recovery opens nothing");
-    full.commit();
-    full.recover_from("doc", &path)
-        .expect("after a commit drains the set, the recovery is admitted");
-    assert_eq!(full.num_docs(), 2);
+    assert_eq!(r.observed, 2);
+    assert_eq!(full.num_docs(), 0, "a rejected recovery opens nothing");
+    let mut roomy = limited(Limits {
+        max_dirty_docs: Some(2),
+        ..Limits::UNLIMITED
+    });
+    roomy
+        .recover_from(&path)
+        .expect("a dirty set exactly as large as the log's admits the recovery");
+    assert_eq!(roomy.num_docs(), 2);
     std::fs::remove_file(&path).ok();
 }

@@ -1,10 +1,10 @@
 //! End-to-end suite for the validation service: concurrent clients editing
 //! disjoint documents of one named session must see replica reports
 //! byte-identical to a single-process `CorpusSession` oracle; a torn
-//! connection must never apply half a batch; a server restarted from its
-//! drained delta logs must serve identical reports; and resource
-//! rejections must arrive as structured error records on a connection
-//! that stays usable.
+//! connection must never apply half a batch; a session restarted or
+//! evicted and recovered from its corpus log must go on exactly like an
+//! oracle that never stopped; and resource rejections must arrive as
+//! structured error records on a connection that stays usable.
 
 use std::fs;
 use std::io::Write as _;
@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml_integrity_constraints::dtd::Dtd;
 use xml_integrity_constraints::engine::wire::{self, Request};
-use xml_integrity_constraints::engine::{CompiledSpec, Limits, SpecId};
+use xml_integrity_constraints::engine::{BatchDelta, CompiledSpec, DocHandle, Limits, SpecId};
 use xml_integrity_constraints::server::{Client, Server, ServerConfig};
 use xml_integrity_constraints::xml::{EditOp, NodeId, XmlTree};
 use xml_integrity_constraints::{CorpusReplica, CorpusSession};
@@ -291,9 +291,24 @@ fn torn_connection_applies_nothing() {
     server.stop();
 }
 
+/// Asserts that the wire session's next delta equals the oracle's, field
+/// for field (the re-check count may differ: a recovered session re-checks
+/// every document the log left dirty).
+fn assert_same_delta(wire: &BatchDelta, oracle: &BatchDelta, context: &str) {
+    assert_eq!(wire.seq, oracle.seq, "{context}");
+    assert_eq!(wire.changes, oracle.changes, "{context}");
+    assert_eq!(wire.closed, oracle.closed, "{context}");
+    assert_eq!(
+        (wire.total, wire.clean),
+        (oracle.total, oracle.clean),
+        "{context}"
+    );
+}
+
 /// Graceful drain persists every acknowledged commit; a server restarted
-/// from the drained delta logs serves identical reports through read-only
-/// replica sessions.
+/// over the same state dir recovers the session from its corpus log —
+/// live, so it serves the same stream and then accepts edits and commits
+/// whose deltas equal those of an oracle that never stopped.
 #[test]
 fn restart_from_drained_logs_serves_identical_reports() {
     let state_dir = temp_dir("restart");
@@ -302,15 +317,27 @@ fn restart_from_drained_logs_serves_identical_reports() {
         ..ServerConfig::default()
     });
     let addr = server.tcp_addr().unwrap();
+    let mut oracle = CorpusSession::new(&spec);
 
     let mut client = Client::connect_tcp(addr, spec.id(), "durable").expect("connect");
     let handle = client.open_doc("doc.xml", &doc_source(0)).expect("open");
-    let script = edit_script(&spec, &doc_source(0), 0xd00d, 5);
+    let oracle_doc = oracle.open_source("doc.xml", &doc_source(0)).unwrap();
+    assert_eq!(oracle_doc.raw(), handle);
+    let script = edit_script(&spec, &doc_source(0), 0xd00d, 8);
+    let (before_restart, after_restart) = script.split_at(5);
     let mut acked = 0;
-    for batch in &script {
+    for batch in before_restart {
         client.apply(handle, batch).expect("apply");
-        acked = client.commit().expect("commit").seq;
+        oracle.apply(oracle_doc, batch).unwrap();
+        let delta = client.commit().expect("commit");
+        assert_same_delta(&delta, &oracle.commit(), "before the restart");
+        acked = delta.seq;
     }
+    // A second document left open but uncommitted at the drain.
+    let pending = client
+        .open_doc("pending.xml", &doc_source(1))
+        .expect("open");
+    oracle.open_source("pending.xml", &doc_source(1)).unwrap();
     let mut before = CorpusReplica::new(spec.id());
     client.sync_replica(&mut before).expect("sync");
     assert_eq!(client.shutdown().expect("shutdown"), 1);
@@ -319,8 +346,8 @@ fn restart_from_drained_logs_serves_identical_reports() {
     assert_eq!(report.persisted_deltas, acked);
     assert!(state_dir.join("durable.xicj").is_file());
 
-    // Restart over the same state dir: the session comes back as a
-    // replica, serving the same stream.
+    // Restart over the same state dir: the session comes back live,
+    // serving the same stream.
     let server = Server::start(
         Arc::clone(&spec),
         ServerConfig {
@@ -332,7 +359,6 @@ fn restart_from_drained_logs_serves_identical_reports() {
     .expect("restart");
     let addr = server.tcp_addr().unwrap();
     let mut client = Client::connect_tcp(addr, spec.id(), "durable").expect("reconnect");
-    assert!(client.hello().replica);
     assert_eq!(client.hello().last_seq, acked);
     let mut after = CorpusReplica::new(spec.id());
     client.sync_replica(&mut after).expect("sync after restart");
@@ -340,16 +366,111 @@ fn restart_from_drained_logs_serves_identical_reports() {
     assert_eq!(after.report(), before.report());
     assert_eq!(after.report().render(), before.report().render());
 
-    // Replica sessions reject writes with a structured `replica` record —
-    // and the connection stays usable for reads.
-    let err = client.open_doc("new.xml", &doc_source(1)).unwrap_err();
-    let fault = err.fault().expect("structured record").clone();
-    assert_eq!(fault.code, 2);
-    assert_eq!(fault.kind, "replica");
+    // ...and editable: every later delta equals the uninterrupted
+    // oracle's, the pending document's open included.
+    for (i, batch) in after_restart.iter().enumerate() {
+        client.apply(handle, batch).expect("apply after restart");
+        oracle.apply(oracle_doc, batch).unwrap();
+        let delta = client.commit().expect("commit after restart");
+        assert_same_delta(
+            &delta,
+            &oracle.commit(),
+            &format!("commit {i} after the restart"),
+        );
+    }
+    client.close_doc(pending).expect("close after restart");
+    oracle.close(DocHandle::from_raw(pending)).unwrap();
+    let fresh = client
+        .open_doc("fresh.xml", &doc_source(2))
+        .expect("open after restart");
+    let oracle_fresh = oracle.open_source("fresh.xml", &doc_source(2)).unwrap();
+    assert_eq!(fresh, oracle_fresh.raw(), "handles are never reused");
+    let delta = client.commit().expect("commit after restart");
+    assert_same_delta(&delta, &oracle.commit(), "close + open after the restart");
+    let mut replica = CorpusReplica::new(spec.id());
+    client.sync_replica(&mut replica).expect("sync");
+    assert_eq!(replica.report(), oracle.report());
+    server.stop();
+    fs::remove_dir_all(&state_dir).ok();
+}
+
+/// An evicted session is recovered from its corpus log when a client names
+/// it again — its history is extended, never truncated — and a restart
+/// after further commits still matches an oracle that never stopped.
+#[test]
+fn evicted_session_resumes_from_its_log() {
+    let state_dir = temp_dir("evict");
+    let config = ServerConfig {
+        state_dir: Some(state_dir.clone()),
+        idle_timeout: Some(Duration::from_millis(100)),
+        ..ServerConfig::default()
+    };
+    let (spec, server) = tcp_server(config.clone());
+    let addr = server.tcp_addr().unwrap();
+    let mut oracle = CorpusSession::new(&spec);
+    let script = edit_script(&spec, &doc_source(0), 0xe71c, 3);
+
+    let mut client = Client::connect_tcp(addr, spec.id(), "idle").expect("connect");
+    let handle = client.open_doc("doc.xml", &doc_source(0)).expect("open");
+    let doc = oracle.open_source("doc.xml", &doc_source(0)).unwrap();
+    for batch in &script[..2] {
+        client.apply(handle, batch).expect("apply");
+        oracle.apply(doc, batch).unwrap();
+        assert_same_delta(
+            &client.commit().expect("commit"),
+            &oracle.commit(),
+            "before",
+        );
+    }
+    drop(client);
+
+    // Only this test evicts, so the process-wide counter is its own.  The
+    // observer names a session without a log, so its hello creates none.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut observer = Client::connect_tcp(addr, spec.id(), "observer").expect("observe");
+        let stats = observer.stats().expect("stats");
+        if stats.counter("server.evicted_sessions") == Some(1) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the session was never evicted"
+        );
+        drop(observer);
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let mut client = Client::connect_tcp(addr, spec.id(), "idle").expect("reconnect");
     assert_eq!(
-        client.sync(0).expect("still readable").len(),
-        acked as usize
+        client.hello().last_seq,
+        2,
+        "the evicted session's history survives"
     );
+    client
+        .apply(handle, &script[2])
+        .expect("apply after eviction");
+    oracle.apply(doc, &script[2]).unwrap();
+    let delta = client.commit().expect("commit after eviction");
+    assert_same_delta(&delta, &oracle.commit(), "after the eviction");
+    client.shutdown().expect("shutdown");
+    server.wait();
+
+    let server = Server::start(
+        Arc::clone(&spec),
+        ServerConfig {
+            tcp: Some("127.0.0.1:0".parse().unwrap()),
+            ..config
+        },
+    )
+    .expect("restart");
+    let mut client =
+        Client::connect_tcp(server.tcp_addr().unwrap(), spec.id(), "idle").expect("reconnect");
+    assert_eq!(client.hello().last_seq, 3);
+    let mut replica = CorpusReplica::new(spec.id());
+    client.sync_replica(&mut replica).expect("sync");
+    assert_eq!(replica.report(), oracle.report());
+    assert_eq!(replica.report().render(), oracle.report().render());
     server.stop();
     fs::remove_dir_all(&state_dir).ok();
 }
