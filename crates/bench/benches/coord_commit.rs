@@ -19,14 +19,14 @@
 //! Everything is recorded in `BENCH_coord.json` at the workspace root.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
-use xic_bench::{fmt_us, min_time};
-use xic_constraints::{Constraint, ConstraintSet};
+use xic_bench::{
+    corpus, fmt_us, header, key_edit_stream, keyed_catalogue_spec, min_time, open_all,
+    rechecked_now, record, round1, row, run_edits, us,
+};
 use xic_coord::{CoordConfig, Coordinator};
-use xic_engine::{CompiledSpec, CorpusSession};
-use xic_gen::{catalogue_dtd, random_document, DocGenConfig};
-use xic_xml::{write_document, EditOp, NodeId, XmlTree};
+use xic_engine::CorpusSession;
+use xic_gen::DocGenConfig;
 
 const KINDS: usize = 12;
 const WORKERS: usize = 4;
@@ -39,84 +39,39 @@ const EDITS_PER_RUN: usize = 36;
 const RUNS: usize = 3;
 
 fn main() {
-    let dtd = catalogue_dtd(KINDS);
-    let mut sigma = ConstraintSet::new();
-    for ty in dtd.types() {
-        if let Some(&attr) = dtd.attrs_of(ty).first() {
-            sigma.push(Constraint::unary_key(ty, attr));
-        }
-    }
-    // The coordinator and its workers compile the spec from files; the
-    // monolithic arm compiles the same bytes, so every party agrees on the
-    // `SpecId` (it is the content hash).
-    let dtd_src = dtd.render();
-    let root = dtd.type_name(dtd.root()).to_string();
-    let sigma_src = sigma.render(&dtd);
-    let spec = CompiledSpec::from_sources(&dtd_src, Some(&root), &sigma_src)
-        .expect("keys-only spec compiles");
+    let spec = keyed_catalogue_spec(KINDS);
     let plan = spec.shard_plan();
-    assert_eq!(
-        plan.num_shards(),
-        KINDS,
-        "disjoint unary keys must shard one-per-kind"
-    );
-
+    // The coordinator and its workers compile the spec from files holding
+    // its rendering; the `SpecId` is the content hash, so every party
+    // agrees on it.
     let scratch = std::env::temp_dir().join(format!("xic-coord-bench-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     let dtd_path = scratch.join("spec.dtd");
     let sigma_path = scratch.join("spec.sigma");
-    std::fs::write(&dtd_path, &dtd_src).expect("write dtd");
-    std::fs::write(&sigma_path, &sigma_src).expect("write sigma");
+    std::fs::write(&dtd_path, spec.dtd().render()).expect("write dtd");
+    std::fs::write(&sigma_path, spec.sigma().render(spec.dtd())).expect("write sigma");
 
-    // Documents as wire bytes, plus the re-parsed trees every party's
-    // arena will hold (node ids picked below are valid everywhere).
-    let docs: Vec<(String, String, XmlTree)> = (0..NUM_DOCS)
-        .map(|i| {
-            let tree = random_document(
-                spec.dtd(),
-                &DocGenConfig {
-                    seed: 300 + i as u64,
-                    max_elements: 200,
-                    star_fanout: 20,
-                    value_pool: 50,
-                    ..Default::default()
-                },
-            )
-            .expect("catalogue DTD is satisfiable");
-            let source = write_document(&tree, spec.dtd());
-            let reparsed = spec.parse_document(&source).expect("round-trips");
-            (format!("doc-{i}"), source, reparsed)
-        })
-        .collect();
-    let total_nodes: usize = docs.iter().map(|(_, _, t)| t.num_nodes()).sum();
-
-    // The deterministic edit stream: edit i rewrites the key attribute of
-    // one element of kind (i mod KINDS) in document (i mod NUM_DOCS),
-    // cycling values small enough to flip verdicts.  Idempotent per run.
-    let kinds: Vec<_> = spec.dtd().types().collect();
-    let ops: Vec<(usize, EditOp)> = (0..EDITS_PER_RUN)
-        .filter_map(|i| {
-            let victim = i % NUM_DOCS;
-            let ty = kinds[1 + i % KINDS];
-            let attr = *spec.dtd().attrs_of(ty).first()?;
-            let element: NodeId = docs[victim].2.ext(ty).nth((i / KINDS) % 3)?;
-            Some((
-                victim,
-                EditOp::SetAttr {
-                    element,
-                    attr,
-                    value: format!("k{}", i % 5),
-                },
-            ))
-        })
-        .collect();
-    assert!(ops.len() >= EDITS_PER_RUN / 2, "edit stream too sparse");
+    // Documents as wire bytes, plus the parsed trees every party's arena
+    // will hold (node ids picked below are valid everywhere).
+    let corpus = corpus(
+        &spec,
+        NUM_DOCS,
+        &DocGenConfig {
+            seed: 300,
+            max_elements: 200,
+            star_fanout: 20,
+            value_pool: 50,
+            ..Default::default()
+        },
+    );
+    let total_nodes: usize = corpus.trees.iter().map(|t| t.num_nodes()).sum();
+    let edits = key_edit_stream(&spec, &corpus.trees, EDITS_PER_RUN);
 
     // --- Coordinator arm. -------------------------------------------------
     let mut coordinator = Coordinator::launch(CoordConfig {
         xic_bin: xic_bin(),
         dtd: dtd_path,
-        root: Some(root),
+        root: Some(spec.dtd().type_name(spec.dtd().root()).to_string()),
         constraints: Some(sigma_path),
         workers: WORKERS,
         scratch: scratch.clone(),
@@ -126,46 +81,45 @@ fn main() {
     .expect("coordinator launches");
     assert_eq!(coordinator.num_groups(), WORKERS);
 
-    let rechecked_of = |coordinator: &mut Coordinator, group: usize| -> u64 {
-        coordinator
-            .worker_stats(group)
-            .expect("worker stats")
-            .counter("incremental.constraints_rechecked")
-            .unwrap_or(0)
+    let rechecked_of = |coordinator: &mut Coordinator| -> Vec<u64> {
+        (0..WORKERS)
+            .map(|g| {
+                let stats = coordinator.worker_stats(g).expect("worker stats");
+                stats
+                    .counter("incremental.constraints_rechecked")
+                    .unwrap_or(0)
+            })
+            .collect()
+    };
+    let run_coordinated = |coordinator: &mut Coordinator, handles: &[u64]| {
+        for (victim, ops) in &edits {
+            coordinator
+                .apply(handles[*victim], ops)
+                .expect("routed apply");
+            std::hint::black_box(coordinator.commit().expect("fanned-out commit"));
+        }
     };
 
     // Attribution pass: per-worker counters around the full script.
-    let before: Vec<u64> = (0..WORKERS)
-        .map(|g| rechecked_of(&mut coordinator, g))
-        .collect();
-    let handles: Vec<u64> = docs
+    let before = rechecked_of(&mut coordinator);
+    let handles: Vec<u64> = corpus
+        .docs
         .iter()
-        .map(|(label, source, _)| coordinator.open_doc(label, source).expect("opens"))
+        .map(|d| coordinator.open_doc(&d.label, &d.content).expect("opens"))
         .collect();
     coordinator.commit().expect("base commit");
-    for (victim, op) in &ops {
-        coordinator
-            .apply(handles[*victim], std::slice::from_ref(op))
-            .expect("routed apply");
-        std::hint::black_box(coordinator.commit().expect("fanned-out commit"));
-    }
-    let per_worker: Vec<u64> = (0..WORKERS)
-        .map(|g| rechecked_of(&mut coordinator, g) - before[g])
+    run_coordinated(&mut coordinator, &handles);
+    let per_worker: Vec<u64> = rechecked_of(&mut coordinator)
+        .iter()
+        .zip(&before)
+        .map(|(after, before)| after - before)
         .collect();
 
     // --- Monolithic arm, same script. -------------------------------------
     let mono_before = rechecked_now();
     let mut mono = CorpusSession::new(&spec);
-    let mono_handles: Vec<_> = docs
-        .iter()
-        .map(|(label, source, _)| mono.open_source(label, source).expect("opens"))
-        .collect();
-    mono.commit();
-    for (victim, op) in &ops {
-        mono.apply(mono_handles[*victim], std::slice::from_ref(op))
-            .unwrap();
-        std::hint::black_box(mono.commit());
-    }
+    let mono_handles = open_all(&mut mono, &corpus.docs);
+    run_edits(&mut mono, &mono_handles, &edits);
     let mono_rechecked = rechecked_now() - mono_before;
 
     // Verdict identity before timing: the merged multi-process report is
@@ -176,106 +130,70 @@ fn main() {
         "coordinator diverged from the monolithic session"
     );
 
-    // Timed passes (state is idempotent per run, so re-running the stream
-    // leaves both corpora unchanged).
-    let coord_time = min_time(RUNS, || {
-        for (victim, op) in &ops {
-            coordinator
-                .apply(handles[*victim], std::slice::from_ref(op))
-                .expect("routed apply");
-            std::hint::black_box(coordinator.commit().expect("fanned-out commit"));
-        }
-    });
-    let mono_time = min_time(RUNS, || {
-        for (victim, op) in &ops {
-            mono.apply(mono_handles[*victim], std::slice::from_ref(op))
-                .unwrap();
-            std::hint::black_box(mono.commit());
-        }
-    });
+    // Timed passes (the stream is idempotent, so re-running it leaves
+    // both corpora unchanged).
+    let coord_time = min_time(RUNS, || run_coordinated(&mut coordinator, &handles));
+    let mono_time = min_time(RUNS, || run_edits(&mut mono, &mono_handles, &edits));
     coordinator.shutdown();
     let _ = std::fs::remove_dir_all(&scratch);
 
     let max_worker = *per_worker.iter().max().unwrap();
     let sum_workers: u64 = per_worker.iter().sum();
     let reduction = mono_rechecked as f64 / max_worker.max(1) as f64;
-    let coord_ack_us = us(coord_time) / ops.len() as f64;
-    let mono_ack_us = us(mono_time) / ops.len() as f64;
+    let coord_ack_us = us(coord_time) / edits.len() as f64;
+    let mono_ack_us = us(mono_time) / edits.len() as f64;
 
-    println!();
-    println!("coord_commit — multi-process fan-out vs. one monolithic session");
-    println!("----------------------------------------------------------------");
-    println!(
-        "{:<44} {} shards, {} workers, {} docs, {} nodes, {} edits",
+    header("coord_commit — multi-process fan-out vs. one monolithic session");
+    row(
         "workload",
-        plan.num_shards(),
-        WORKERS,
-        NUM_DOCS,
-        total_nodes,
-        ops.len(),
-    );
-    println!(
-        "{:<44} {:>12}",
-        "constraints rechecked, monolithic", mono_rechecked
-    );
-    for (g, rechecked) in per_worker.iter().enumerate() {
-        println!(
-            "{:<44} {:>12}",
-            format!("constraints rechecked, worker {g}"),
-            rechecked
-        );
-    }
-    println!(
-        "{:<44} {:>12}",
-        "constraints rechecked, busiest worker", max_worker
-    );
-    println!(
-        "{:<44} {:>11.1}x",
-        "per-process recheck reduction", reduction
-    );
-    println!(
-        "{:<44} {:>12}",
-        "commit ack latency, coordinator",
-        format!("{coord_ack_us:.1}us")
-    );
-    println!(
-        "{:<44} {:>12}",
-        "commit ack latency, monolithic",
-        format!("{mono_ack_us:.1}us")
-    );
-    println!(
-        "{:<44} {:>12}",
-        "wall time, coordinator",
-        fmt_us(coord_time)
-    );
-    println!("{:<44} {:>12}", "wall time, monolithic", fmt_us(mono_time));
-
-    let mut fields: Vec<(String, f64)> = vec![
-        ("shards".into(), plan.num_shards() as f64),
-        ("workers".into(), WORKERS as f64),
-        ("docs".into(), NUM_DOCS as f64),
-        ("nodes_total".into(), total_nodes as f64),
-        ("edits".into(), ops.len() as f64),
-        ("monolithic_rechecked".into(), mono_rechecked as f64),
-        ("workers_rechecked_sum".into(), sum_workers as f64),
-        ("workers_rechecked_max".into(), max_worker as f64),
-        (
-            "per_process_reduction".into(),
-            (reduction * 10.0).round() / 10.0,
+        format!(
+            "{} shards, {WORKERS} workers, {NUM_DOCS} docs, {total_nodes} nodes, {} edits",
+            plan.num_shards(),
+            edits.len()
         ),
-        ("coord_ack_us".into(), (coord_ack_us * 10.0).round() / 10.0),
-        ("mono_ack_us".into(), (mono_ack_us * 10.0).round() / 10.0),
-        ("coord_run_us".into(), us(coord_time)),
-        ("mono_run_us".into(), us(mono_time)),
-    ];
+    );
+    row("constraints rechecked, monolithic", mono_rechecked);
     for (g, rechecked) in per_worker.iter().enumerate() {
-        fields.push((format!("worker{g}_rechecked"), *rechecked as f64));
+        row(format!("constraints rechecked, worker {g}"), rechecked);
     }
-    let json = render_json(&fields);
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_coord.json");
-    std::fs::write(out, &json).expect("write BENCH_coord.json");
-    println!("{:<44} {:>12}", "recorded", "BENCH_coord.json");
-    println!("----------------------------------------------------------------");
+    row("constraints rechecked, busiest worker", max_worker);
+    row("per-process recheck reduction", format!("{reduction:.1}x"));
+    row(
+        "commit ack latency, coordinator",
+        format!("{coord_ack_us:.1}us"),
+    );
+    row(
+        "commit ack latency, monolithic",
+        format!("{mono_ack_us:.1}us"),
+    );
+    row("wall time, coordinator", fmt_us(coord_time));
+    row("wall time, monolithic", fmt_us(mono_time));
+
+    let fields: Vec<(String, f64)> = [
+        ("shards", plan.num_shards() as f64),
+        ("workers", WORKERS as f64),
+        ("docs", NUM_DOCS as f64),
+        ("nodes_total", total_nodes as f64),
+        ("edits", edits.len() as f64),
+        ("monolithic_rechecked", mono_rechecked as f64),
+        ("workers_rechecked_sum", sum_workers as f64),
+        ("workers_rechecked_max", max_worker as f64),
+        ("per_process_reduction", round1(reduction)),
+        ("coord_ack_us", round1(coord_ack_us)),
+        ("mono_ack_us", round1(mono_ack_us)),
+        ("coord_run_us", us(coord_time)),
+        ("mono_run_us", us(mono_time)),
+    ]
+    .into_iter()
+    .map(|(key, value)| (key.to_string(), value))
+    .chain(
+        per_worker
+            .iter()
+            .enumerate()
+            .map(|(g, &n)| (format!("worker{g}_rechecked"), n as f64)),
+    )
+    .collect();
+    record("coord", &fields);
 
     for (g, &rechecked) in per_worker.iter().enumerate() {
         assert!(
@@ -289,15 +207,6 @@ fn main() {
         "with {KINDS} shards over {WORKERS} processes the busiest worker \
          should recheck several times fewer constraints (got {reduction:.1}x)"
     );
-}
-
-/// Current value of the process-wide `incremental.constraints_rechecked`
-/// counter (the monolithic arm runs in this process).
-fn rechecked_now() -> u64 {
-    xic_telemetry::global()
-        .snapshot()
-        .counter("incremental.constraints_rechecked")
-        .unwrap_or(0)
 }
 
 /// The `xic` binary the coordinator spawns shard workers from: `XIC_BIN`
@@ -315,19 +224,4 @@ fn xic_bin() -> PathBuf {
         }
     }
     panic!("cannot locate the `xic` binary; build `xic-cli` or set XIC_BIN");
-}
-
-fn us(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e6 * 10.0).round() / 10.0
-}
-
-/// Tiny flat-object JSON rendering (the workspace is dependency-free).
-fn render_json(fields: &[(String, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
 }

@@ -19,18 +19,14 @@
 //! corpus report must equal the cold batch report on the same sources).
 //! The headline number (asserted ≥ 20×) is the per-edit speedup;
 //! everything is recorded in `BENCH_corpus.json` at the workspace root.
-//! This is not a statistical benchmark: the incremental side runs well
-//! under a scheduler timeslice, so the *minimum* over runs is the honest
-//! cost.
 
-use std::time::Duration;
-
-use xic_bench::{fmt_us, min_time};
-use xic_engine::{BatchDoc, BatchEngine, CompiledSpec, CorpusSession};
-use xic_gen::{
-    catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
+use xic_bench::{
+    best_window, catalogue_spec, corpus, edit_stream, fmt_us, header, min_time, min_time_on,
+    open_all, record, round1, row, run_edits, us,
 };
-use xic_xml::{write_document, EditOp, NodeId};
+use xic_engine::{BatchDoc, BatchEngine, CorpusSession};
+use xic_gen::{ConstraintGenConfig, DocGenConfig};
+use xic_xml::write_document;
 
 const KINDS: usize = 10;
 const NUM_DOCS: usize = 32;
@@ -42,9 +38,8 @@ const RUNS: usize = 7;
 const ATTEMPTS: usize = 5;
 
 fn main() {
-    let dtd = catalogue_dtd(KINDS);
-    let sigma = random_unary_constraints(
-        &dtd,
+    let spec = catalogue_spec(
+        KINDS,
         &ConstraintGenConfig {
             keys: 10,
             foreign_keys: 10,
@@ -53,100 +48,55 @@ fn main() {
             ..Default::default()
         },
     );
-    let spec = CompiledSpec::compile(dtd, sigma).expect("generated spec compiles");
-
-    // The corpus: NUM_DOCS mid-size documents serialized once (the batch
-    // path re-reads sources per revalidation, which is exactly its cost).
-    let sources: Vec<BatchDoc> = (0..NUM_DOCS)
-        .map(|i| {
-            let tree = random_document(
-                spec.dtd(),
-                &DocGenConfig {
-                    seed: 100 + i as u64,
-                    max_elements: 1_500,
-                    star_fanout: 120,
-                    value_pool: 1_000_000,
-                    ..Default::default()
-                },
-            )
-            .expect("catalogue DTD is satisfiable");
-            BatchDoc::new(format!("doc-{i}.xml"), write_document(&tree, spec.dtd()))
-        })
-        .collect();
-
-    // The deterministic edit stream: edit i rewrites one attribute of one
-    // element of document (i mod NUM_DOCS), cycling fresh values.
-    let open_corpus = || {
-        let mut corpus = CorpusSession::new(&spec);
-        let handles: Vec<_> = sources
-            .iter()
-            .map(|d| corpus.open_source(&d.label, &d.content).expect("parses"))
-            .collect();
-        corpus.commit();
-        (corpus, handles)
-    };
-    let (probe, probe_handles) = open_corpus();
-    let ops: Vec<(usize, EditOp)> = (0..EDITS_PER_RUN)
-        .map(|i| {
-            let victim = i % NUM_DOCS;
-            let tree = probe.tree(probe_handles[victim]).unwrap();
-            let editable: Vec<NodeId> = tree
-                .elements()
-                .filter(|&n| !tree.attributes(n).is_empty())
-                .collect();
-            let element = editable[(i * 997) % editable.len()];
-            let (attr, _) = tree.attributes(element)[0];
-            (
-                victim,
-                EditOp::SetAttr {
-                    element,
-                    attr,
-                    value: format!("edited-{i}"),
-                },
-            )
-        })
-        .collect();
-    let total_nodes: usize = probe_handles
-        .iter()
-        .map(|&h| probe.tree(h).unwrap().num_nodes())
-        .sum();
-
-    println!();
-    println!("corpus_edit — single-doc edit re-verdict vs. full batch revalidation");
-    println!("--------------------------------------------------------------------");
-    println!(
-        "{:<44} {} docs, {} nodes, {} constraints, {} edits/run",
-        "workload",
+    let corpus = corpus(
+        &spec,
         NUM_DOCS,
-        total_nodes,
-        spec.sigma().len(),
-        EDITS_PER_RUN,
+        &DocGenConfig {
+            seed: 100,
+            max_elements: 1_500,
+            star_fanout: 120,
+            value_pool: 1_000_000,
+            ..Default::default()
+        },
+    );
+    // The batch path re-reads the sources per revalidation, which is
+    // exactly its cost.
+    let sources = &corpus.docs;
+    let edits = edit_stream(&corpus.trees, EDITS_PER_RUN, 1);
+    let total_nodes: usize = corpus.trees.iter().map(|t| t.num_nodes()).sum();
+    let open_corpus = || {
+        let mut session = CorpusSession::new(&spec);
+        let handles = open_all(&mut session, sources);
+        (session, handles)
+    };
+
+    header("corpus_edit — single-doc edit re-verdict vs. full batch revalidation");
+    row(
+        "workload",
+        format!(
+            "{NUM_DOCS} docs, {total_nodes} nodes, {} constraints, {EDITS_PER_RUN} edits/run",
+            spec.sigma().len()
+        ),
     );
 
     // Verdict identity along the whole edit stream before any timing: after
     // every commit the corpus report equals a cold batch over the serialized
     // current state.
     {
-        let (mut corpus, handles) = open_corpus();
-        let engine = BatchEngine::new(1);
-        for (victim, op) in &ops {
-            corpus
-                .apply(handles[*victim], std::slice::from_ref(op))
-                .unwrap();
-            let delta = corpus.commit();
-            assert_eq!(delta.rechecked_docs, 1, "one dirty doc per edit");
+        let (mut session, handles) = open_corpus();
+        for (victim, ops) in &edits {
+            session.apply(handles[*victim], ops).unwrap();
+            assert_eq!(session.commit().rechecked_docs, 1, "one dirty doc per edit");
         }
         let current: Vec<BatchDoc> = handles
             .iter()
             .map(|&h| {
-                BatchDoc::new(
-                    corpus.label(h).unwrap(),
-                    write_document(corpus.tree(h).unwrap(), spec.dtd()),
-                )
+                let tree = session.tree(h).unwrap();
+                BatchDoc::new(session.label(h).unwrap(), write_document(tree, spec.dtd()))
             })
             .collect();
-        let cold = engine.validate_batch(&spec, &current);
-        let warm = corpus.report();
+        let cold = BatchEngine::new(1).validate_batch(&spec, &current);
+        let warm = session.report();
         assert_eq!(
             warm.total() - warm.clean_count(),
             cold.total() - cold.clean_count(),
@@ -159,37 +109,22 @@ fn main() {
 
     // Opening cost (parse + index the whole corpus) is paid once.
     let open_cost = min_time(3, || {
-        let (corpus, _) = open_corpus();
-        std::hint::black_box(corpus.num_docs());
+        std::hint::black_box(open_corpus().0.num_docs());
     });
 
-    // Incremental side: pre-opened sessions, one per run; each timed
-    // closure applies the edit stream with a commit (delta extraction
-    // included) after every edit.
-    let measure_edit_loop = || {
-        let mut prepared: Vec<_> = (0..RUNS).map(|_| open_corpus()).collect();
-        let mut edited = Vec::new();
-        let best = min_time(RUNS, || {
-            let (mut corpus, handles) = prepared.pop().expect("one prepared corpus per run");
-            for (victim, op) in &ops {
-                corpus
-                    .apply(handles[*victim], std::slice::from_ref(op))
-                    .unwrap();
-                std::hint::black_box(corpus.commit());
-            }
-            edited.push(corpus);
-        });
-        drop(edited);
-        best
-    };
-    let mut incremental = measure_edit_loop();
-    for _ in 1..ATTEMPTS {
-        if incremental.as_secs_f64() * 1e6 / EDITS_PER_RUN as f64 <= 150.0 {
-            break; // a clean window (per-edit cost is dominated by one doc's
-                   // structural re-validation, ~tens of µs unloaded)
-        }
-        incremental = incremental.min(measure_edit_loop());
-    }
+    // Incremental side: pre-opened sessions, one per run; each run applies
+    // the edit stream with a commit (delta extraction included) after
+    // every edit.  A clean window costs tens of µs per edit, dominated by
+    // one document's structural re-validation.
+    let [incremental] = best_window(
+        ATTEMPTS,
+        || {
+            [min_time_on(RUNS, open_corpus, |(s, h)| {
+                run_edits(s, h, &edits)
+            })]
+        },
+        |[d]| d.as_secs_f64() * 1e6 / EDITS_PER_RUN as f64 <= 150.0,
+    );
 
     // Batch side: one full revalidation per edit.  A single revalidation is
     // far longer than a timeslice, so 2 edits × min-of-3 is noise-immune
@@ -198,81 +133,47 @@ fn main() {
     let batch_edits = 2usize;
     let rebuild = min_time(3, || {
         for _ in 0..batch_edits {
-            std::hint::black_box(batch_engine.validate_batch(&spec, &sources));
+            std::hint::black_box(batch_engine.validate_batch(&spec, sources));
         }
     });
 
-    let per_edit_incremental = incremental.as_secs_f64() / EDITS_PER_RUN as f64;
-    let per_edit_rebuild = rebuild.as_secs_f64() / batch_edits as f64;
-    let speedup = per_edit_rebuild / per_edit_incremental.max(1e-12);
+    let per_edit_incremental = incremental.as_secs_f64() * 1e6 / EDITS_PER_RUN as f64;
+    let per_edit_rebuild = rebuild.as_secs_f64() * 1e6 / batch_edits as f64;
+    let speedup = per_edit_rebuild / per_edit_incremental.max(1e-6);
 
-    println!(
-        "{:<44} {:>12}",
-        "open corpus (parse + index all docs)",
-        fmt_us(open_cost)
-    );
-    println!(
-        "{:<44} {:>12}",
+    row("open corpus (parse + index all docs)", fmt_us(open_cost));
+    row(
         format!("corpus session, {EDITS_PER_RUN} edits (incremental)"),
-        fmt_us(incremental)
+        fmt_us(incremental),
     );
-    println!(
-        "{:<44} {:>12}",
+    row(
         format!("full batch revalidation x{batch_edits}"),
-        fmt_us(rebuild)
+        fmt_us(rebuild),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
+    row(
         "per edit, incremental commit",
-        per_edit_incremental * 1e6
+        format!("{per_edit_incremental:.2} µs"),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
-        "per edit, full batch",
-        per_edit_rebuild * 1e6
+    row("per edit, full batch", format!("{per_edit_rebuild:.2} µs"));
+    row("per-edit speedup", format!("{speedup:.1}x"));
+    record(
+        "corpus",
+        &[
+            ("docs", NUM_DOCS as f64),
+            ("nodes_total", total_nodes as f64),
+            ("constraints", spec.sigma().len() as f64),
+            ("edits_per_run", EDITS_PER_RUN as f64),
+            ("open_us", us(open_cost)),
+            ("incremental_total_us", us(incremental)),
+            ("per_edit_incremental_us", round1(per_edit_incremental)),
+            ("per_edit_rebuild_us", round1(per_edit_rebuild)),
+            ("speedup_per_edit", round1(speedup)),
+        ],
     );
-    println!("{:<44} {:>11.1}x", "per-edit speedup", speedup);
-
-    let json = render_json(&[
-        ("docs", NUM_DOCS as f64),
-        ("nodes_total", total_nodes as f64),
-        ("constraints", spec.sigma().len() as f64),
-        ("edits_per_run", EDITS_PER_RUN as f64),
-        ("open_us", us(open_cost)),
-        ("incremental_total_us", us(incremental)),
-        (
-            "per_edit_incremental_us",
-            (per_edit_incremental * 1e7).round() / 10.0,
-        ),
-        (
-            "per_edit_rebuild_us",
-            (per_edit_rebuild * 1e7).round() / 10.0,
-        ),
-        ("speedup_per_edit", (speedup * 10.0).round() / 10.0),
-    ]);
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_corpus.json");
-    std::fs::write(out, &json).expect("write BENCH_corpus.json");
-    println!("{:<44} {:>12}", "recorded", "BENCH_corpus.json");
-    println!("--------------------------------------------------------------------");
 
     assert!(
         speedup >= 20.0,
         "a single-doc edit re-verdict must be ≥ 20× faster than a full \
          BatchEngine revalidation of the {NUM_DOCS}-doc corpus (got {speedup:.1}×)"
     );
-}
-
-fn us(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e6 * 10.0).round() / 10.0
-}
-
-/// Tiny flat-object JSON rendering (the workspace is dependency-free).
-fn render_json(fields: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
 }

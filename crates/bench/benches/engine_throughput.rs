@@ -10,11 +10,11 @@
 //! 3. **determinism** — the parallel batch report must render byte-identically
 //!    to the sequential one (asserted, not just printed).
 //!
-//! Not a Criterion bench: it prints a table, like `figure5_table`.
+//! It asserts its floors and records no JSON.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use xic_bench::{fmt_us, median_time};
+use xic_bench::{fmt_us, header, min_time, row};
 use xic_constraints::{Constraint, ConstraintSet};
 use xic_engine::{BatchDoc, BatchEngine, CompiledSpec, Engine};
 use xic_gen::{random_document, random_dtd, DocGenConfig, DtdGenConfig};
@@ -39,41 +39,31 @@ fn main() {
     let dtd_src = dtd.render();
     let sigma_src = sigma.render(&dtd);
 
-    println!();
-    println!("engine throughput — compile-once / check-many");
-    println!("--------------------------------------------------------------------");
+    header("engine throughput — compile-once / check-many");
 
     // 1. Cold vs. warm consistency verdicts.
-    let cold = median_time(5, || {
+    let cold = min_time(5, || {
         let spec = CompiledSpec::compile(dtd.clone(), sigma.clone()).unwrap();
         std::hint::black_box(spec.check_consistency());
     });
     let spec = CompiledSpec::compile(dtd.clone(), sigma.clone()).unwrap();
     let engine = Engine::new();
     engine.consistency(&spec); // populate the cache
-    let warm = median_time(5, || {
+    let warm = min_time(5, || {
         std::hint::black_box(engine.consistency(&spec));
     });
     let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-    println!(
-        "{:<44} {:>12}",
-        "consistency, cold (compile + decide)",
-        fmt_us(cold)
-    );
-    println!(
-        "{:<44} {:>12}",
-        "consistency, warm (verdict cache hit)",
-        fmt_us(warm)
-    );
-    println!("{:<44} {:>11.0}x", "warm speedup", speedup);
+    row("consistency, cold (compile + decide)", fmt_us(cold));
+    row("consistency, warm (verdict cache hit)", fmt_us(warm));
+    row("warm speedup", format!("{speedup:.0}x"));
     assert!(
         speedup >= 10.0,
         "warm-cache repeat checks must be ≥ 10× faster than cold (got {speedup:.1}×)"
     );
     let stats = engine.cache().stats();
-    println!(
-        "{:<44} {:>7} hits / {} misses",
-        "cache statistics", stats.hits, stats.misses
+    row(
+        "cache statistics",
+        format!("{} hits / {} misses", stats.hits, stats.misses),
     );
 
     // Spec ids are content hashes: recompiling the same sources is the same
@@ -113,27 +103,24 @@ fn main() {
 
     let sequential_engine = BatchEngine::new(1);
     let parallel_engine = BatchEngine::new(threads);
-    let t1 = time_batch(|| {
+    let t1 = min_time(3, || {
         std::hint::black_box(sequential_engine.validate_batch(&spec, &docs));
     });
-    let tn = time_batch(|| {
+    let tn = min_time(3, || {
         std::hint::black_box(parallel_engine.validate_batch(&spec, &docs));
     });
     let rate = |d: Duration| docs.len() as f64 / d.as_secs_f64().max(1e-9);
-    println!(
-        "{:<44} {:>9.0} docs/s",
+    row(
         "batch validation, 1 thread",
-        rate(t1)
+        format!("{:.0} docs/s", rate(t1)),
     );
-    println!(
-        "{:<44} {:>9.0} docs/s",
+    row(
         format!("batch validation, {threads} threads"),
-        rate(tn)
+        format!("{:.0} docs/s", rate(tn)),
     );
-    println!(
-        "{:<44} {:>11.2}x",
+    row(
         "parallel speedup",
-        t1.as_secs_f64() / tn.as_secs_f64()
+        format!("{:.2}x", t1.as_secs_f64() / tn.as_secs_f64()),
     );
     if cores > 1 {
         assert!(
@@ -146,10 +133,7 @@ fn main() {
         // On a single hardware thread parallel validation cannot win and
         // timeslicing noise makes any timing bound flaky, so the speedup
         // assertion is informative only.
-        println!(
-            "{:<44} {:>12}",
-            "parallel speedup check", "skipped (1 hardware thread)"
-        );
+        row("parallel speedup check", "skipped (1 hardware thread)");
     }
 
     // 3. Determinism across thread counts.
@@ -160,28 +144,9 @@ fn main() {
         parallel.render(),
         "parallel batch reports must be byte-identical to sequential"
     );
-    println!(
-        "{:<44} {:>12}",
-        "report determinism (1 vs. N threads)", "byte-identical"
-    );
-    println!(
-        "{:<44} {:>7}/{} clean",
+    row("report determinism (1 vs. N threads)", "byte-identical");
+    row(
         "corpus",
-        sequential.clean_count(),
-        sequential.total()
+        format!("{}/{} clean", sequential.clean_count(), sequential.total()),
     );
-    println!("--------------------------------------------------------------------");
-}
-
-/// Median of three timed runs.
-fn time_batch(mut f: impl FnMut()) -> Duration {
-    let mut times: Vec<Duration> = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    times[1]
 }

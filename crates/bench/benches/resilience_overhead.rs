@@ -1,6 +1,6 @@
 //! Resilience overhead — governed vs. unlimited corpus commits.
 //!
-//! The ISSUE 7 budget: the resource-governance machinery threaded through
+//! The budget: the resource-governance machinery threaded through
 //! the corpus edit loop (admission checks in `CorpusSession::apply`, the
 //! deadline probe in `commit`, the panic containment around each
 //! re-check, and every compiled-out failpoint) must cost **≤ 3%** when
@@ -19,19 +19,20 @@
 //! `overhead = (t_governed − t_unlimited) / t_unlimited`, asserted ≤ 3%
 //! (the CI `fault-injection` job runs this binary).  Failpoints are
 //! compile-time no-ops in this build (the `faults` feature is off), so
-//! the measured gap isolates the limit checks themselves.  Measurement
+//! the measured gap isolates the limit checks themselves; the `--features
+//! faults` control arm asserts the same budget but records nothing.  Measurement
 //! discipline follows `telemetry_overhead`: minimum over runs on a
 //! preemption-prone shared container, interleaved re-measure attempts
 //! until the arms land in a clean window.
 
 use std::time::Duration;
 
-use xic_bench::{fmt_us, min_time};
-use xic_engine::{BatchDoc, CompiledSpec, CorpusSession, Limits};
-use xic_gen::{
-    catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
+use xic_bench::{
+    best_window, catalogue_spec, corpus, edit_stream, fmt_us, header, min_time_on, open_all,
+    overhead, record, round1, row, run_edits, us,
 };
-use xic_xml::{write_document, EditOp, NodeId};
+use xic_engine::{CorpusSession, Limits};
+use xic_gen::{ConstraintGenConfig, DocGenConfig};
 
 const KINDS: usize = 10;
 const NUM_DOCS: usize = 16;
@@ -46,9 +47,8 @@ const RUNS: usize = 7;
 const ATTEMPTS: usize = 7;
 
 fn main() {
-    let dtd = catalogue_dtd(KINDS);
-    let sigma = random_unary_constraints(
-        &dtd,
+    let spec = catalogue_spec(
+        KINDS,
         &ConstraintGenConfig {
             keys: 10,
             foreign_keys: 10,
@@ -57,24 +57,18 @@ fn main() {
             ..Default::default()
         },
     );
-    let spec = CompiledSpec::compile(dtd, sigma).expect("generated spec compiles");
-
-    let sources: Vec<BatchDoc> = (0..NUM_DOCS)
-        .map(|i| {
-            let tree = random_document(
-                spec.dtd(),
-                &DocGenConfig {
-                    seed: 100 + i as u64,
-                    max_elements: 1_500,
-                    star_fanout: 120,
-                    value_pool: 1_000_000,
-                    ..Default::default()
-                },
-            )
-            .expect("catalogue DTD is satisfiable");
-            BatchDoc::new(format!("doc-{i}.xml"), write_document(&tree, spec.dtd()))
-        })
-        .collect();
+    let corpus = corpus(
+        &spec,
+        NUM_DOCS,
+        &DocGenConfig {
+            seed: 100,
+            max_elements: 1_500,
+            star_fanout: 120,
+            value_pool: 1_000_000,
+            ..Default::default()
+        },
+    );
+    let batches = edit_stream(&corpus.trees, BATCHES_PER_RUN, OPS_PER_BATCH);
 
     // Every bound sits far above what the workload touches, so the
     // governed arm pays for the checks and never for a rejection.
@@ -87,128 +81,68 @@ fn main() {
         deadline: Some(Duration::from_secs(3_600)),
     };
 
-    let open_corpus = |limits: Limits| {
-        let mut corpus = CorpusSession::with_limits(&spec, limits);
-        let handles: Vec<_> = sources
-            .iter()
-            .map(|d| corpus.open_source(&d.label, &d.content).expect("parses"))
-            .collect();
-        corpus.commit();
-        (corpus, handles)
-    };
-
-    // The deterministic edit stream: batch i rewrites OPS_PER_BATCH
-    // attributes of document (i mod NUM_DOCS).
-    let (probe, probe_handles) = open_corpus(Limits::UNLIMITED);
-    let batches: Vec<(usize, Vec<EditOp>)> = (0..BATCHES_PER_RUN)
-        .map(|i| {
-            let victim = i % NUM_DOCS;
-            let tree = probe.tree(probe_handles[victim]).unwrap();
-            let editable: Vec<NodeId> = tree
-                .elements()
-                .filter(|&n| !tree.attributes(n).is_empty())
-                .collect();
-            let ops = (0..OPS_PER_BATCH)
-                .map(|j| {
-                    let element = editable[(i * 997 + j * 131) % editable.len()];
-                    let (attr, _) = tree.attributes(element)[0];
-                    EditOp::SetAttr {
-                        element,
-                        attr,
-                        value: format!("edited-{i}-{j}"),
-                    }
-                })
-                .collect();
-            (victim, ops)
-        })
-        .collect();
-    drop(probe);
-
-    println!();
-    println!("resilience_overhead — governed vs. unlimited corpus commits");
-    println!("--------------------------------------------------------------------");
-    println!(
-        "{:<44} {} docs, {} constraints, {} batches x {} ops",
+    header("resilience_overhead — governed vs. unlimited corpus commits");
+    row(
         "workload",
-        NUM_DOCS,
-        spec.sigma().len(),
-        BATCHES_PER_RUN,
-        OPS_PER_BATCH,
+        format!(
+            "{NUM_DOCS} docs, {} constraints, {BATCHES_PER_RUN} batches x {OPS_PER_BATCH} ops",
+            spec.sigma().len()
+        ),
     );
 
     // One arm: minimum time over RUNS of the full edit loop on pre-opened
     // corpora governed by `limits`.
     let measure = |limits: Limits| {
-        let mut prepared: Vec<_> = (0..RUNS).map(|_| open_corpus(limits)).collect();
-        let mut edited = Vec::new();
-        let best = min_time(RUNS, || {
-            let (mut corpus, handles) = prepared.pop().expect("one prepared corpus per run");
-            for (victim, ops) in &batches {
-                corpus.apply(handles[*victim], ops).unwrap();
-                std::hint::black_box(corpus.commit());
-            }
-            edited.push(corpus);
-        });
-        drop(edited);
-        best
+        let open = || {
+            let mut session = CorpusSession::with_limits(&spec, limits);
+            let handles = open_all(&mut session, &corpus.docs);
+            (session, handles)
+        };
+        min_time_on(RUNS, open, |(s, h)| run_edits(s, h, &batches))
     };
 
-    // Interleave the arms per attempt so a load spike hits both, and keep
-    // the best window of each.  The early-out threshold sits well under
-    // the 3% assertion so a noisy first window keeps re-measuring instead
-    // of squeaking by.
-    let mut t_governed = measure(governed_limits);
-    let mut t_unlimited = measure(Limits::UNLIMITED);
-    for _ in 1..ATTEMPTS {
-        if overhead(t_governed, t_unlimited) <= 0.015 {
-            break;
-        }
-        t_governed = t_governed.min(measure(governed_limits));
-        t_unlimited = t_unlimited.min(measure(Limits::UNLIMITED));
-    }
+    // The early-out threshold sits well under the 3% assertion so a noisy
+    // first window keeps re-measuring instead of squeaking by.
+    let [t_governed, t_unlimited] = best_window(
+        ATTEMPTS,
+        || [measure(governed_limits), measure(Limits::UNLIMITED)],
+        |[governed, unlimited]| overhead(governed, unlimited) <= 0.015,
+    );
     let overhead = overhead(t_governed, t_unlimited);
 
-    let per_batch_governed = t_governed.as_secs_f64() * 1e6 / BATCHES_PER_RUN as f64;
-    let per_batch_unlimited = t_unlimited.as_secs_f64() * 1e6 / BATCHES_PER_RUN as f64;
-    println!(
-        "{:<44} {:>12}",
+    let per_batch = |d: Duration| d.as_secs_f64() * 1e6 / BATCHES_PER_RUN as f64;
+    row(
         format!("edit loop, governed  ({RUNS}-run min)"),
-        fmt_us(t_governed)
+        fmt_us(t_governed),
     );
-    println!(
-        "{:<44} {:>12}",
+    row(
         format!("edit loop, unlimited ({RUNS}-run min)"),
-        fmt_us(t_unlimited)
+        fmt_us(t_unlimited),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
-        "per batch+commit, governed", per_batch_governed
+    row(
+        "per batch+commit, governed",
+        format!("{:.2} µs", per_batch(t_governed)),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
-        "per batch+commit, unlimited", per_batch_unlimited
+    row(
+        "per batch+commit, unlimited",
+        format!("{:.2} µs", per_batch(t_unlimited)),
     );
-    println!("{:<44} {:>10.2} %", "overhead", overhead * 100.0);
-
-    let json = render_json(&[
-        ("docs", NUM_DOCS as f64),
-        ("batches_per_run", BATCHES_PER_RUN as f64),
-        ("ops_per_batch", OPS_PER_BATCH as f64),
-        ("governed_us", us(t_governed)),
-        ("unlimited_us", us(t_unlimited)),
-        (
-            "overhead_pct",
-            (overhead * 1000.0).round() / 10.0, // one decimal, in percent
-        ),
-        (
-            "faults_build",
-            if cfg!(feature = "faults") { 1.0 } else { 0.0 },
-        ),
-    ]);
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
-    std::fs::write(out, &json).expect("write BENCH_resilience.json");
-    println!("{:<44} {:>12}", "recorded", "BENCH_resilience.json");
-    println!("--------------------------------------------------------------------");
+    row("overhead", format!("{:.2} %", overhead * 100.0));
+    record(
+        "resilience",
+        &[
+            ("docs", NUM_DOCS as f64),
+            ("batches_per_run", BATCHES_PER_RUN as f64),
+            ("ops_per_batch", OPS_PER_BATCH as f64),
+            ("governed_us", us(t_governed)),
+            ("unlimited_us", us(t_unlimited)),
+            ("overhead_pct", round1(overhead * 100.0)),
+            (
+                "faults_build",
+                f64::from(u8::from(cfg!(feature = "faults"))),
+            ),
+        ],
+    );
 
     assert!(
         overhead <= 0.03,
@@ -216,26 +150,4 @@ fn main() {
          (got {:.2}% over {BATCHES_PER_RUN} batches)",
         overhead * 100.0
     );
-}
-
-/// Relative cost of the governed arm ((governed − unlimited) / unlimited;
-/// negative when the governed arm happened to win the scheduler lottery).
-fn overhead(governed: Duration, unlimited: Duration) -> f64 {
-    let base = unlimited.as_secs_f64().max(1e-12);
-    (governed.as_secs_f64() - base) / base
-}
-
-fn us(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e6 * 10.0).round() / 10.0
-}
-
-/// Tiny flat-object JSON rendering (the workspace is dependency-free).
-fn render_json(fields: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
 }

@@ -21,15 +21,14 @@
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::Arc;
-use std::time::Duration;
 
-use xic_bench::{fmt_us, min_time};
-use xic_engine::{BatchDoc, CompiledSpec, CorpusReplica, CorpusSession};
-use xic_gen::{
-    catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
+use xic_bench::{
+    catalogue_spec, corpus, edit_stream, fmt_us, header, min_time, open_all, record, round1, row,
+    run_edits, us,
 };
+use xic_engine::{CorpusReplica, CorpusSession};
+use xic_gen::{ConstraintGenConfig, DocGenConfig};
 use xic_server::{Client, Server, ServerConfig};
-use xic_xml::{write_document, EditOp, NodeId};
 
 const KINDS: usize = 8;
 const NUM_DOCS: usize = 16;
@@ -39,9 +38,8 @@ const EDITS_PER_RUN: usize = 48;
 const RUNS: usize = 5;
 
 fn main() {
-    let dtd = catalogue_dtd(KINDS);
-    let sigma = random_unary_constraints(
-        &dtd,
+    let spec = Arc::new(catalogue_spec(
+        KINDS,
         &ConstraintGenConfig {
             keys: 8,
             foreign_keys: 8,
@@ -49,70 +47,32 @@ fn main() {
             seed: 11,
             ..Default::default()
         },
-    );
-    let spec = Arc::new(CompiledSpec::compile(dtd, sigma).expect("generated spec compiles"));
-
-    let sources: Vec<BatchDoc> = (0..NUM_DOCS)
-        .map(|i| {
-            let tree = random_document(
-                spec.dtd(),
-                &DocGenConfig {
-                    seed: 300 + i as u64,
-                    max_elements: 600,
-                    star_fanout: 60,
-                    value_pool: 1_000_000,
-                    ..Default::default()
-                },
-            )
-            .expect("catalogue DTD is satisfiable");
-            BatchDoc::new(format!("doc-{i}.xml"), write_document(&tree, spec.dtd()))
-        })
-        .collect();
-
-    // The deterministic edit stream, derived from a probe session.  Node
-    // ids are deterministic per source, so the same ops are valid against
-    // the server session that opened identical sources in the same order.
-    let mut probe = CorpusSession::new(&spec);
-    let probe_handles: Vec<_> = sources
-        .iter()
-        .map(|d| probe.open_source(&d.label, &d.content).expect("parses"))
-        .collect();
-    let ops: Vec<(usize, EditOp)> = (0..EDITS_PER_RUN)
-        .map(|i| {
-            let victim = i % NUM_DOCS;
-            let tree = probe.tree(probe_handles[victim]).unwrap();
-            let editable: Vec<NodeId> = tree
-                .elements()
-                .filter(|&n| !tree.attributes(n).is_empty())
-                .collect();
-            let element = editable[(i * 997) % editable.len()];
-            let (attr, _) = tree.attributes(element)[0];
-            (
-                victim,
-                EditOp::SetAttr {
-                    element,
-                    attr,
-                    value: format!("edited-{i}"),
-                },
-            )
-        })
-        .collect();
-    let total_nodes: usize = probe_handles
-        .iter()
-        .map(|&h| probe.tree(h).unwrap().num_nodes())
-        .sum();
-    drop(probe);
-
-    println!();
-    println!("service_throughput — framed loopback edit/commit vs. in-process session");
-    println!("------------------------------------------------------------------------");
-    println!(
-        "{:<44} {} docs, {} nodes, {} constraints, {} edits/run",
-        "workload",
+    ));
+    let corpus = corpus(
+        &spec,
         NUM_DOCS,
-        total_nodes,
-        spec.sigma().len(),
-        EDITS_PER_RUN,
+        &DocGenConfig {
+            seed: 300,
+            max_elements: 600,
+            star_fanout: 60,
+            value_pool: 1_000_000,
+            ..Default::default()
+        },
+    );
+    // Node ids are deterministic per source, so the same ops are valid
+    // against the server session that opens identical sources in the same
+    // order.  The SetAttr stream is idempotent per run, so re-running it
+    // leaves the corpus in the same final state every time.
+    let edits = edit_stream(&corpus.trees, EDITS_PER_RUN, 1);
+    let total_nodes: usize = corpus.trees.iter().map(|t| t.num_nodes()).sum();
+
+    header("service_throughput — framed loopback edit/commit vs. in-process session");
+    row(
+        "workload",
+        format!(
+            "{NUM_DOCS} docs, {total_nodes} nodes, {} constraints, {EDITS_PER_RUN} edits/run",
+            spec.sigma().len()
+        ),
     );
 
     // --- Wire arm. --------------------------------------------------------
@@ -126,18 +86,16 @@ fn main() {
     .expect("server starts");
     let addr = server.tcp_addr().unwrap();
     let mut client = Client::connect_tcp(addr, spec.id(), "bench").expect("client connects");
-    let handles: Vec<u64> = sources
+    let handles: Vec<u64> = corpus
+        .docs
         .iter()
         .map(|d| client.open_doc(&d.label, &d.content).expect("opens"))
         .collect();
     client.commit().expect("base commit");
-
-    // The SetAttr stream is idempotent per run, so re-running it leaves
-    // the corpus in the same final state every time.
     let wire = min_time(RUNS, || {
-        for (victim, op) in &ops {
+        for (victim, ops) in &edits {
             client
-                .apply(handles[*victim], std::slice::from_ref(op))
+                .apply(handles[*victim], ops)
                 .expect("apply over the wire");
             std::hint::black_box(client.commit().expect("commit over the wire"));
         }
@@ -145,19 +103,8 @@ fn main() {
 
     // --- In-process arm, same stream. --------------------------------------
     let mut local = CorpusSession::new(&spec);
-    let local_handles: Vec<_> = sources
-        .iter()
-        .map(|d| local.open_source(&d.label, &d.content).expect("parses"))
-        .collect();
-    local.commit();
-    let in_process = min_time(RUNS, || {
-        for (victim, op) in &ops {
-            local
-                .apply(local_handles[*victim], std::slice::from_ref(op))
-                .unwrap();
-            std::hint::black_box(local.commit());
-        }
-    });
+    let local_handles = open_all(&mut local, &corpus.docs);
+    let in_process = min_time(RUNS, || run_edits(&mut local, &local_handles, &edits));
 
     // Verdict identity: a replica synced over the wire reproduces the
     // local session's report exactly — otherwise the timings compare
@@ -173,69 +120,45 @@ fn main() {
     client.shutdown().expect("graceful shutdown");
     server.wait();
 
-    let per_commit_wire = wire.as_secs_f64() / EDITS_PER_RUN as f64;
-    let per_commit_local = in_process.as_secs_f64() / EDITS_PER_RUN as f64;
-    let overhead = per_commit_wire / per_commit_local.max(1e-12);
+    let per_commit_wire = wire.as_secs_f64() * 1e6 / EDITS_PER_RUN as f64;
+    let per_commit_local = in_process.as_secs_f64() * 1e6 / EDITS_PER_RUN as f64;
+    let overhead = per_commit_wire / per_commit_local.max(1e-6);
     let wire_eps = EDITS_PER_RUN as f64 / wire.as_secs_f64();
 
-    println!(
-        "{:<44} {:>12}",
+    row(
         format!("wire loopback, {EDITS_PER_RUN} edit+commit"),
-        fmt_us(wire)
+        fmt_us(wire),
     );
-    println!(
-        "{:<44} {:>12}",
+    row(
         format!("in-process session, {EDITS_PER_RUN} edit+commit"),
-        fmt_us(in_process)
+        fmt_us(in_process),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
+    row(
         "per acknowledged commit, wire",
-        per_commit_wire * 1e6
+        format!("{per_commit_wire:.2} µs"),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
+    row(
         "per commit, in-process",
-        per_commit_local * 1e6
+        format!("{per_commit_local:.2} µs"),
     );
-    println!("{:<44} {:>11.2}x", "wire overhead per commit", overhead);
-    println!(
-        "{:<44} {:>9.0} commits/s",
-        "framed loopback throughput", wire_eps
+    row("wire overhead per commit", format!("{overhead:.2}x"));
+    row(
+        "framed loopback throughput",
+        format!("{wire_eps:.0} commits/s"),
     );
-
-    let json = render_json(&[
-        ("docs", NUM_DOCS as f64),
-        ("nodes_total", total_nodes as f64),
-        ("constraints", spec.sigma().len() as f64),
-        ("edits_per_run", EDITS_PER_RUN as f64),
-        ("wire_total_us", us(wire)),
-        ("in_process_total_us", us(in_process)),
-        ("per_commit_wire_us", (per_commit_wire * 1e7).round() / 10.0),
-        (
-            "per_commit_in_process_us",
-            (per_commit_local * 1e7).round() / 10.0,
-        ),
-        ("wire_overhead_x", (overhead * 100.0).round() / 100.0),
-        ("wire_commits_per_sec", wire_eps.round()),
-    ]);
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(out, &json).expect("write BENCH_service.json");
-    println!("{:<44} {:>12}", "recorded", "BENCH_service.json");
-    println!("------------------------------------------------------------------------");
-}
-
-fn us(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e6 * 10.0).round() / 10.0
-}
-
-/// Tiny flat-object JSON rendering (the workspace is dependency-free).
-fn render_json(fields: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
+    record(
+        "service",
+        &[
+            ("docs", NUM_DOCS as f64),
+            ("nodes_total", total_nodes as f64),
+            ("constraints", spec.sigma().len() as f64),
+            ("edits_per_run", EDITS_PER_RUN as f64),
+            ("wire_total_us", us(wire)),
+            ("in_process_total_us", us(in_process)),
+            ("per_commit_wire_us", round1(per_commit_wire)),
+            ("per_commit_in_process_us", round1(per_commit_local)),
+            ("wire_overhead_x", (overhead * 100.0).round() / 100.0),
+            ("wire_commits_per_sec", wire_eps.round()),
+        ],
+    );
 }

@@ -22,13 +22,12 @@
 //! this plan).  Everything is recorded in `BENCH_shard.json` at the
 //! workspace root.
 
-use std::time::Duration;
-
-use xic_bench::{fmt_us, min_time};
-use xic_constraints::{Constraint, ConstraintSet};
-use xic_engine::{project_report, BatchReport, CompiledSpec, CorpusSession};
-use xic_gen::{catalogue_dtd, random_document, DocGenConfig};
-use xic_xml::{EditOp, NodeId, XmlTree};
+use xic_bench::{
+    corpus, fmt_us, header, key_edit_stream, keyed_catalogue_spec, min_time, rechecked_now, record,
+    round1, row, run_edits, us,
+};
+use xic_engine::{project_report, CorpusSession};
+use xic_gen::DocGenConfig;
 
 const KINDS: usize = 12;
 const NUM_DOCS: usize = 16;
@@ -40,60 +39,24 @@ const EDITS_PER_RUN: usize = 48;
 const RUNS: usize = 3;
 
 fn main() {
-    let dtd = catalogue_dtd(KINDS);
-    let mut sigma = ConstraintSet::new();
-    for ty in dtd.types() {
-        if let Some(&attr) = dtd.attrs_of(ty).first() {
-            sigma.push(Constraint::unary_key(ty, attr));
-        }
-    }
-    let spec = CompiledSpec::compile(dtd, sigma).expect("keys-only spec compiles");
+    let spec = keyed_catalogue_spec(KINDS);
     let plan = spec.shard_plan();
-    assert_eq!(
-        plan.num_shards(),
-        KINDS,
-        "disjoint unary keys must shard one-per-kind"
-    );
-
-    let trees: Vec<XmlTree> = (0..NUM_DOCS)
-        .map(|i| {
-            random_document(
-                spec.dtd(),
-                &DocGenConfig {
-                    seed: 300 + i as u64,
-                    max_elements: 400,
-                    star_fanout: 40,
-                    value_pool: 50,
-                    ..Default::default()
-                },
-            )
-            .expect("catalogue DTD is satisfiable")
-        })
-        .collect();
-    let total_nodes: usize = trees.iter().map(XmlTree::num_nodes).sum();
-
-    // The deterministic edit stream, computed once against the pristine
-    // trees (attribute rewrites never renumber nodes): edit i rewrites the
-    // key attribute of one element of kind (i mod KINDS) in document
-    // (i mod NUM_DOCS), cycling values small enough to flip verdicts.
-    let kinds: Vec<_> = spec.dtd().types().collect();
-    let ops: Vec<(usize, EditOp)> = (0..EDITS_PER_RUN)
-        .filter_map(|i| {
-            let victim = i % NUM_DOCS;
-            let ty = kinds[1 + i % KINDS];
-            let attr = *spec.dtd().attrs_of(ty).first()?;
-            let element: NodeId = trees[victim].ext(ty).nth((i / KINDS) % 3)?;
-            Some((
-                victim,
-                EditOp::SetAttr {
-                    element,
-                    attr,
-                    value: format!("k{}", i % 5),
-                },
-            ))
-        })
-        .collect();
-    assert!(ops.len() >= EDITS_PER_RUN / 2, "edit stream too sparse");
+    let trees = corpus(
+        &spec,
+        NUM_DOCS,
+        &DocGenConfig {
+            seed: 300,
+            max_elements: 400,
+            star_fanout: 40,
+            value_pool: 50,
+            ..Default::default()
+        },
+    )
+    .trees;
+    let total_nodes: usize = trees.iter().map(|t| t.num_nodes()).sum();
+    // Attribute rewrites never renumber nodes, so one stream computed on
+    // the pristine trees serves every run.
+    let edits = key_edit_stream(&spec, &trees, EDITS_PER_RUN);
 
     let run_arm = |scoped: bool| -> (CorpusSession<'_>, u64) {
         let before = rechecked_now();
@@ -107,12 +70,7 @@ fn main() {
             .map(|(i, t)| session.open(format!("doc-{i}"), t.clone()).expect("opens"))
             .collect();
         session.commit();
-        for (victim, op) in &ops {
-            session
-                .apply(handles[*victim], std::slice::from_ref(op))
-                .unwrap();
-            std::hint::black_box(session.commit());
-        }
+        run_edits(&mut session, &handles, &edits);
         (session, rechecked_now() - before)
     };
 
@@ -120,10 +78,9 @@ fn main() {
     // the shard-0 projection of the monolithic report.
     let (monolithic_session, monolithic_rechecked) = run_arm(false);
     let (scoped_session, scoped_rechecked) = run_arm(true);
-    let monolithic_report: BatchReport = monolithic_session.report();
     assert_eq!(
         scoped_session.report(),
-        project_report(&monolithic_report, plan, 0),
+        project_report(&monolithic_session.report(), plan, 0),
         "scoped session diverged from the projection — numbers are meaningless"
     );
     drop((monolithic_session, scoped_session));
@@ -137,52 +94,34 @@ fn main() {
 
     let reduction = monolithic_rechecked as f64 / scoped_rechecked.max(1) as f64;
 
-    println!();
-    println!("shard_commit — shard-scoped sessions vs. one monolithic session");
-    println!("----------------------------------------------------------------");
-    println!(
-        "{:<44} {} shards, {} docs, {} nodes, {} edits",
+    header("shard_commit — shard-scoped sessions vs. one monolithic session");
+    row(
         "workload",
-        plan.num_shards(),
-        NUM_DOCS,
-        total_nodes,
-        ops.len(),
+        format!(
+            "{} shards, {NUM_DOCS} docs, {total_nodes} nodes, {} edits",
+            plan.num_shards(),
+            edits.len()
+        ),
     );
-    println!(
-        "{:<44} {:>12}",
-        "constraints rechecked, monolithic", monolithic_rechecked
+    row("constraints rechecked, monolithic", monolithic_rechecked);
+    row("constraints rechecked, shard-0 scoped", scoped_rechecked);
+    row("recheck reduction", format!("{reduction:.1}x"));
+    row("wall time, monolithic", fmt_us(monolithic_time));
+    row("wall time, shard-0 scoped", fmt_us(scoped_time));
+    record(
+        "shard",
+        &[
+            ("shards", plan.num_shards() as f64),
+            ("docs", NUM_DOCS as f64),
+            ("nodes_total", total_nodes as f64),
+            ("edits", edits.len() as f64),
+            ("monolithic_rechecked", monolithic_rechecked as f64),
+            ("scoped_rechecked", scoped_rechecked as f64),
+            ("recheck_reduction", round1(reduction)),
+            ("monolithic_us", us(monolithic_time)),
+            ("scoped_us", us(scoped_time)),
+        ],
     );
-    println!(
-        "{:<44} {:>12}",
-        "constraints rechecked, shard-0 scoped", scoped_rechecked
-    );
-    println!("{:<44} {:>11.1}x", "recheck reduction", reduction);
-    println!(
-        "{:<44} {:>12}",
-        "wall time, monolithic",
-        fmt_us(monolithic_time)
-    );
-    println!(
-        "{:<44} {:>12}",
-        "wall time, shard-0 scoped",
-        fmt_us(scoped_time)
-    );
-
-    let json = render_json(&[
-        ("shards", plan.num_shards() as f64),
-        ("docs", NUM_DOCS as f64),
-        ("nodes_total", total_nodes as f64),
-        ("edits", ops.len() as f64),
-        ("monolithic_rechecked", monolithic_rechecked as f64),
-        ("scoped_rechecked", scoped_rechecked as f64),
-        ("recheck_reduction", (reduction * 10.0).round() / 10.0),
-        ("monolithic_us", us(monolithic_time)),
-        ("scoped_us", us(scoped_time)),
-    ]);
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    std::fs::write(out, &json).expect("write BENCH_shard.json");
-    println!("{:<44} {:>12}", "recorded", "BENCH_shard.json");
-    println!("----------------------------------------------------------------");
 
     assert!(
         scoped_rechecked < monolithic_rechecked,
@@ -194,28 +133,4 @@ fn main() {
         "on a {KINDS}-singleton-shard plan the scoped arm should recheck \
          several times fewer constraints (got {reduction:.1}x)"
     );
-}
-
-/// Current value of the process-wide `incremental.constraints_rechecked`
-/// counter (the arms run sequentially, so deltas are attributable).
-fn rechecked_now() -> u64 {
-    xic_telemetry::global()
-        .snapshot()
-        .counter("incremental.constraints_rechecked")
-        .unwrap_or(0)
-}
-
-fn us(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e6 * 10.0).round() / 10.0
-}
-
-/// Tiny flat-object JSON rendering (the workspace is dependency-free).
-fn render_json(fields: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
 }

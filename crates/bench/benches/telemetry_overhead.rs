@@ -1,6 +1,6 @@
 //! Telemetry overhead — instrumented vs. timing-disabled corpus commits.
 //!
-//! The ISSUE 6 budget: the metrics and span instrumentation threaded
+//! The budget: the metrics and span instrumentation threaded
 //! through `CorpusSession::apply`/`commit` must cost **≤ 5%** on the
 //! corpus edit loop.  Two arms run the identical workload (the
 //! `corpus_edit` shape: one spec, a corpus of open documents, a stream of
@@ -17,21 +17,20 @@
 //! `metrics-overhead` job runs this binary).  Building with
 //! `--features telemetry-off` compiles every instrument away entirely —
 //! the control arm proving the runtime gate is already within noise of
-//! the no-op build; the JSON records which build produced it.
+//! the no-op build; it asserts the same budget but records nothing.
 //! Measurement discipline follows `corpus_edit`: minimum over runs on a
 //! preemption-prone shared container, with re-measure attempts until the
 //! two arms land in a clean window.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use xic_bench::{fmt_us, min_time};
-use xic_engine::{BatchDoc, CompiledSpec, CorpusSession};
-use xic_gen::{
-    catalogue_dtd, random_document, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
+use xic_bench::{
+    best_window, catalogue_spec, corpus, edit_stream, fmt_us, header, min_time_on, open_all,
+    overhead, record, round1, row, run_edits, us,
 };
+use xic_engine::CorpusSession;
+use xic_gen::{ConstraintGenConfig, DocGenConfig};
 use xic_telemetry::MetricsRegistry;
-use xic_xml::{write_document, EditOp, NodeId};
 
 const KINDS: usize = 10;
 const NUM_DOCS: usize = 16;
@@ -46,9 +45,8 @@ const RUNS: usize = 7;
 const ATTEMPTS: usize = 7;
 
 fn main() {
-    let dtd = catalogue_dtd(KINDS);
-    let sigma = random_unary_constraints(
-        &dtd,
+    let spec = catalogue_spec(
+        KINDS,
         &ConstraintGenConfig {
             keys: 10,
             foreign_keys: 10,
@@ -57,158 +55,87 @@ fn main() {
             ..Default::default()
         },
     );
-    let spec = CompiledSpec::compile(dtd, sigma).expect("generated spec compiles");
-
-    let sources: Vec<BatchDoc> = (0..NUM_DOCS)
-        .map(|i| {
-            let tree = random_document(
-                spec.dtd(),
-                &DocGenConfig {
-                    seed: 100 + i as u64,
-                    max_elements: 1_500,
-                    star_fanout: 120,
-                    value_pool: 1_000_000,
-                    ..Default::default()
-                },
-            )
-            .expect("catalogue DTD is satisfiable");
-            BatchDoc::new(format!("doc-{i}.xml"), write_document(&tree, spec.dtd()))
-        })
-        .collect();
-
-    let open_corpus = |registry: &Arc<MetricsRegistry>| {
-        let mut corpus = CorpusSession::with_registry(&spec, Arc::clone(registry));
-        let handles: Vec<_> = sources
-            .iter()
-            .map(|d| corpus.open_source(&d.label, &d.content).expect("parses"))
-            .collect();
-        corpus.commit();
-        (corpus, handles)
-    };
-
-    // The deterministic edit stream: batch i rewrites OPS_PER_BATCH
-    // attributes of document (i mod NUM_DOCS).
-    let probe_registry = Arc::new(MetricsRegistry::new());
-    let (probe, probe_handles) = open_corpus(&probe_registry);
-    let batches: Vec<(usize, Vec<EditOp>)> = (0..BATCHES_PER_RUN)
-        .map(|i| {
-            let victim = i % NUM_DOCS;
-            let tree = probe.tree(probe_handles[victim]).unwrap();
-            let editable: Vec<NodeId> = tree
-                .elements()
-                .filter(|&n| !tree.attributes(n).is_empty())
-                .collect();
-            let ops = (0..OPS_PER_BATCH)
-                .map(|j| {
-                    let element = editable[(i * 997 + j * 131) % editable.len()];
-                    let (attr, _) = tree.attributes(element)[0];
-                    EditOp::SetAttr {
-                        element,
-                        attr,
-                        value: format!("edited-{i}-{j}"),
-                    }
-                })
-                .collect();
-            (victim, ops)
-        })
-        .collect();
-    drop(probe);
-
-    println!();
-    println!("telemetry_overhead — instrumented vs. timing-disabled corpus commits");
-    println!("--------------------------------------------------------------------");
-    println!(
-        "{:<44} {} docs, {} constraints, {} batches x {} ops",
-        "workload",
+    let corpus = corpus(
+        &spec,
         NUM_DOCS,
-        spec.sigma().len(),
-        BATCHES_PER_RUN,
-        OPS_PER_BATCH,
+        &DocGenConfig {
+            seed: 100,
+            max_elements: 1_500,
+            star_fanout: 120,
+            value_pool: 1_000_000,
+            ..Default::default()
+        },
+    );
+    let batches = edit_stream(&corpus.trees, BATCHES_PER_RUN, OPS_PER_BATCH);
+
+    header("telemetry_overhead — instrumented vs. timing-disabled corpus commits");
+    row(
+        "workload",
+        format!(
+            "{NUM_DOCS} docs, {} constraints, {BATCHES_PER_RUN} batches x {OPS_PER_BATCH} ops",
+            spec.sigma().len()
+        ),
     );
 
     // One arm: minimum time over RUNS of the full edit loop on pre-opened
-    // corpora recording into `registry`.
+    // corpora recording into a fresh registry with `timing` on or off.
     let measure = |timing: bool| {
         let registry = Arc::new(MetricsRegistry::new());
         registry.set_timing(timing);
-        let mut prepared: Vec<_> = (0..RUNS).map(|_| open_corpus(&registry)).collect();
-        let mut edited = Vec::new();
-        let best = min_time(RUNS, || {
-            let (mut corpus, handles) = prepared.pop().expect("one prepared corpus per run");
-            for (victim, ops) in &batches {
-                corpus.apply(handles[*victim], ops).unwrap();
-                std::hint::black_box(corpus.commit());
-            }
-            edited.push(corpus);
-        });
-        drop(edited);
-        best
+        let open = || {
+            let mut session = CorpusSession::with_registry(&spec, Arc::clone(&registry));
+            let handles = open_all(&mut session, &corpus.docs);
+            (session, handles)
+        };
+        min_time_on(RUNS, open, |(s, h)| run_edits(s, h, &batches))
     };
 
-    // Interleave the arms per attempt so a load spike hits both, and keep
-    // the best window of each.  The early-out threshold sits well under
-    // the 5% assertion so a noisy first window keeps re-measuring instead
-    // of squeaking by.
-    let mut t_on = measure(true);
-    let mut t_off = measure(false);
-    for _ in 1..ATTEMPTS {
-        if overhead(t_on, t_off) <= 0.02 {
-            break;
-        }
-        t_on = t_on.min(measure(true));
-        t_off = t_off.min(measure(false));
-    }
+    // The early-out threshold sits well under the 5% assertion so a noisy
+    // first window keeps re-measuring instead of squeaking by.
+    let [t_on, t_off] = best_window(
+        ATTEMPTS,
+        || [measure(true), measure(false)],
+        |[on, off]| overhead(on, off) <= 0.02,
+    );
     let overhead = overhead(t_on, t_off);
 
-    let per_batch_on = t_on.as_secs_f64() * 1e6 / BATCHES_PER_RUN as f64;
-    let per_batch_off = t_off.as_secs_f64() * 1e6 / BATCHES_PER_RUN as f64;
-    println!(
-        "{:<44} {:>12}",
+    let per_batch = |d: std::time::Duration| d.as_secs_f64() * 1e6 / BATCHES_PER_RUN as f64;
+    row(
         format!("edit loop, timing on  ({RUNS}-run min)"),
-        fmt_us(t_on)
+        fmt_us(t_on),
     );
-    println!(
-        "{:<44} {:>12}",
+    row(
         format!("edit loop, timing off ({RUNS}-run min)"),
-        fmt_us(t_off)
+        fmt_us(t_off),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
-        "per batch+commit, timing on", per_batch_on
+    row(
+        "per batch+commit, timing on",
+        format!("{:.2} µs", per_batch(t_on)),
     );
-    println!(
-        "{:<44} {:>9.2} µs",
-        "per batch+commit, timing off", per_batch_off
+    row(
+        "per batch+commit, timing off",
+        format!("{:.2} µs", per_batch(t_off)),
     );
-    println!("{:<44} {:>10.2} %", "overhead", overhead * 100.0);
-
+    row("overhead", format!("{:.2} %", overhead * 100.0));
     let telemetry_off_build = cfg!(feature = "telemetry-off");
     if telemetry_off_build {
-        println!(
-            "{:<44} {:>12}",
-            "build", "telemetry-off (no-op control arm)"
-        );
+        row("build", "telemetry-off (no-op control arm)");
     }
-
-    let json = render_json(&[
-        ("docs", NUM_DOCS as f64),
-        ("batches_per_run", BATCHES_PER_RUN as f64),
-        ("ops_per_batch", OPS_PER_BATCH as f64),
-        ("timing_on_us", us(t_on)),
-        ("timing_off_us", us(t_off)),
-        (
-            "overhead_pct",
-            (overhead * 1000.0).round() / 10.0, // one decimal, in percent
-        ),
-        (
-            "telemetry_off_build",
-            if telemetry_off_build { 1.0 } else { 0.0 },
-        ),
-    ]);
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    std::fs::write(out, &json).expect("write BENCH_telemetry.json");
-    println!("{:<44} {:>12}", "recorded", "BENCH_telemetry.json");
-    println!("--------------------------------------------------------------------");
+    record(
+        "telemetry",
+        &[
+            ("docs", NUM_DOCS as f64),
+            ("batches_per_run", BATCHES_PER_RUN as f64),
+            ("ops_per_batch", OPS_PER_BATCH as f64),
+            ("timing_on_us", us(t_on)),
+            ("timing_off_us", us(t_off)),
+            ("overhead_pct", round1(overhead * 100.0)),
+            (
+                "telemetry_off_build",
+                f64::from(u8::from(telemetry_off_build)),
+            ),
+        ],
+    );
 
     assert!(
         overhead <= 0.05,
@@ -216,26 +143,4 @@ fn main() {
          baseline (got {:.2}% over {BATCHES_PER_RUN} batches)",
         overhead * 100.0
     );
-}
-
-/// Relative cost of the instrumented arm ((on − off) / off; negative when
-/// the instrumented arm happened to win the scheduler lottery).
-fn overhead(on: Duration, off: Duration) -> f64 {
-    let off_s = off.as_secs_f64().max(1e-12);
-    (on.as_secs_f64() - off_s) / off_s
-}
-
-fn us(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e6 * 10.0).round() / 10.0
-}
-
-/// Tiny flat-object JSON rendering (the workspace is dependency-free).
-fn render_json(fields: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
 }

@@ -10,8 +10,9 @@
 //! * [`constraint_gen`] — random constraint sets of each class over a DTD;
 //! * [`doc_gen`] — random documents conforming to a DTD (used to exercise
 //!   validation and satisfaction checking at scale);
-//! * [`workloads`] — the named experiment workloads E2–E12 that the
-//!   `xic-bench` harness measures.
+//! * [`workloads`] — the named spec families of the paper's Figure 5,
+//!   which the `decide` workload of the repository benchmark (`xicbench
+//!   --workload decide`) decides, and the differential suites reuse.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,9 +1,11 @@
-//! Named experiment workloads, one per `xic-bench` experiment (E2–E12).
+//! Named spec families, one per row of the paper's Figure 5 (the function
+//! docs keep the experiment labels E3–E9).
 //!
 //! Each function produces a family of [`SpecInstance`]s indexed by a size
-//! parameter; the `xic-bench` harness measures the relevant procedure on each
-//! member and reports the scaling curve that stands in for the corresponding
-//! row of the paper's Figure 5.
+//! parameter.  The `decide` workload of the repository benchmark
+//! (`xicbench --workload decide`) decides one member of each family and
+//! checks the verdict against the paper's; the shard and coordinator
+//! differential suites run documents against them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +19,7 @@ use crate::dtd_gen::{catalogue_dtd, fanout_dtd, random_dtd, DtdGenConfig};
 /// One benchmarkable specification instance.
 #[derive(Debug, Clone)]
 pub struct SpecInstance {
-    /// Short label (used as the Criterion benchmark id).
+    /// Short label naming the family and its size.
     pub label: String,
     /// The DTD.
     pub dtd: Dtd,
