@@ -2308,7 +2308,13 @@ mod tests {
             ],
         );
         assert_eq!(out.exit_code, 0, "{}", out.report);
-        for needle in ["metrics:", "cache.hits", "compile.specs", "span.compile"] {
+        for needle in [
+            "metrics:",
+            "cache.hits",
+            "compile.specs",
+            "corpus.nodes_revalidated",
+            "span.compile",
+        ] {
             assert!(
                 out.report.contains(needle),
                 "missing {needle}: {}",

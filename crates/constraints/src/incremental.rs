@@ -446,6 +446,19 @@ impl ShardPlan {
     }
 }
 
+/// One constraint whose cached verdict an
+/// [`IncrementalIndex::refresh_where`] changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerdictChange {
+    /// The constraint's position in Σ (its check index).
+    pub check: usize,
+    /// Whether it was violated before the extraction.
+    pub was_violated: bool,
+    /// Whether it is violated now.  Equal to `was_violated` when only the
+    /// witness changed.
+    pub now_violated: bool,
+}
+
 /// Per-document mutable state of one slot (the spec half lives in
 /// [`IncrementalLayout`]).
 #[derive(Debug, Default)]
@@ -899,34 +912,50 @@ impl IncrementalIndex {
     /// [`crate::SatisfactionChecker`] pass over the current tree.  Only
     /// dirty constraints are recomputed.
     pub fn check_all(&mut self, tree: &XmlTree) -> Vec<Violation> {
-        self.check_all_where(tree, |_| true)
+        self.refresh_where(tree, |_| true, &mut Vec::new());
+        self.violations().cloned().collect()
     }
 
-    /// Shard-scoped verdict extraction: dirty constraints satisfying `keep`
-    /// are recomputed (and counted as rechecked); the rest are *dropped* —
-    /// their cached verdict is cleared, not refreshed — so out-of-scope
-    /// constraints never surface in the report.  Only meaningful when the
-    /// scope is fixed for the index's lifetime (a dropped verdict is not
-    /// recoverable without re-dirtying); [`IncrementalIndex::check_all`] is
-    /// the `keep = always` case.
-    pub fn check_all_where(
+    /// Verdict extraction as a delta: dirty constraints satisfying `keep`
+    /// are recomputed (and counted as rechecked), and each whose cached
+    /// violation changed is appended to `changes`; the rest are *dropped*
+    /// — their cached verdict is cleared, not refreshed — so out-of-scope
+    /// constraints never surface in [`IncrementalIndex::violations`].
+    /// Only meaningful when the scope is fixed for the index's lifetime (a
+    /// dropped verdict is not recoverable without re-dirtying).  Nothing
+    /// is cloned: a caller holding the previous violation list patches it
+    /// only when `changes` is non-empty.
+    pub fn refresh_where(
         &mut self,
         tree: &XmlTree,
         mut keep: impl FnMut(usize) -> bool,
-    ) -> Vec<Violation> {
+        changes: &mut Vec<VerdictChange>,
+    ) {
         let dirty = std::mem::take(&mut self.dirty);
         self.rechecked = 0;
         for i in dirty {
             self.dirty_flags[i] = false;
-            if keep(i) {
+            let fresh = if keep(i) {
                 self.rechecked += 1;
-                self.cache[i] = self.violation_of(i, tree);
+                self.violation_of(i, tree)
             } else {
-                self.cache[i] = None;
+                None
+            };
+            if fresh != self.cache[i] {
+                changes.push(VerdictChange {
+                    check: i,
+                    was_violated: self.cache[i].is_some(),
+                    now_violated: fresh.is_some(),
+                });
+                self.cache[i] = fresh;
             }
         }
         instruments().2.add(self.rechecked as u64);
-        self.cache.iter().flatten().cloned().collect()
+    }
+
+    /// The cached violations, in Σ order, as of the last extraction.
+    pub fn violations(&self) -> impl Iterator<Item = &Violation> {
+        self.cache.iter().flatten()
     }
 
     /// `T ⊨ Σ` as a boolean.
@@ -1310,9 +1339,20 @@ mod tests {
         // Scoped to constraint 0 only: one recheck, and the out-of-scope
         // subject-key violation never surfaces.
         let mut scoped = IncrementalIndex::build(&d1, &sigma, &tree);
-        let kept = scoped.check_all_where(&tree, |i| i == 0);
+        let mut changes = Vec::new();
+        scoped.refresh_where(&tree, |i| i == 0, &mut changes);
         assert_eq!(scoped.rechecked(), 1);
+        let kept: Vec<Violation> = scoped.violations().cloned().collect();
         assert_eq!(kept, vec![all[0].clone()]);
+        // The delta names the one verdict that appeared.
+        assert_eq!(
+            changes,
+            vec![VerdictChange {
+                check: 0,
+                was_violated: false,
+                now_violated: true,
+            }]
+        );
     }
 
     #[test]

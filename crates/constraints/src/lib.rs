@@ -35,6 +35,6 @@ pub mod satisfy;
 
 pub use classes::{example_sigma1, example_sigma3, ConstraintClass, ConstraintSet};
 pub use constraint::{Constraint, ConstraintError, InclusionSpec, KeySpec};
-pub use incremental::{IncrementalIndex, IncrementalLayout, ShardPlan};
+pub use incremental::{IncrementalIndex, IncrementalLayout, ShardPlan, VerdictChange};
 pub use parser::{parse_constraint, parse_constraint_set, ParseError};
 pub use satisfy::{check_document, document_satisfies, SatisfactionChecker, Violation};

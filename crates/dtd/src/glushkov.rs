@@ -9,6 +9,10 @@
 //! masks by the positions carrying the symbol, so a word of length `k` costs
 //! `O(k · a · ⌈p/64⌉)` for `a` active positions — `a` is 1 for the
 //! deterministic content models XML requires.
+//!
+//! The same run is exposed one symbol at a time ([`Glushkov::start`],
+//! [`Glushkov::step`], [`Glushkov::accepting`]), so a caller can store the
+//! state reached after a prefix of a word and resume from it.
 
 use crate::content::{ChildSymbol, ContentModel};
 use crate::dtd::ElemId;
@@ -24,13 +28,15 @@ pub struct Glushkov {
     follow: Vec<Vec<usize>>,
     /// Whether the empty word is accepted.
     nullable: bool,
-    /// `u64` words per position bitset.
+    /// `u64` words per state bitset.  A state holds the positions a run
+    /// has reached, plus one extra bit, `positions.len()`, for the start
+    /// state (no symbol read yet).
     words: usize,
-    /// `first` as a bitset.
-    first_bits: Vec<u64>,
-    /// Positions that can end a word, as a bitset.
+    /// States that end a word, as a bitset: the positions that can end
+    /// one, and the start bit when the empty word is accepted.
     last_bits: Vec<u64>,
-    /// `follow[p]` as a bitset, at `follow_bits[p * words..]`.
+    /// `follow[p]` as a bitset, at `follow_bits[p * words..]`; the row of
+    /// the start bit is `first`.
     follow_bits: Vec<u64>,
     /// The distinct symbols of the expression.
     symbols: Vec<ChildSymbol>,
@@ -69,7 +75,7 @@ impl Glushkov {
         };
         let piece = build(&desugared, &mut st);
         let n = st.positions.len();
-        let words = n.div_ceil(64).max(1);
+        let words = (n + 1).div_ceil(64);
         let mut symbols: Vec<ChildSymbol> = Vec::new();
         for &s in &st.positions {
             if !symbols.contains(&s) {
@@ -80,12 +86,13 @@ impl Glushkov {
             .iter()
             .flat_map(|&s| bitset(words, (0..n).filter(|&p| st.positions[p] == s)))
             .collect();
+        let start_ends = piece.nullable.then_some(n);
         Glushkov {
-            first_bits: bitset(words, piece.first.iter().copied()),
-            last_bits: bitset(words, piece.last.iter().copied()),
+            last_bits: bitset(words, piece.last.iter().copied().chain(start_ends)),
             follow_bits: st
                 .follow
                 .iter()
+                .chain([&piece.first])
                 .flat_map(|f| bitset(words, f.iter().copied()))
                 .collect(),
             words,
@@ -125,39 +132,70 @@ impl Glushkov {
         scratch.clear();
         scratch.resize(2 * words, 0);
         let (current, next) = scratch.split_at_mut(words);
-        current.copy_from_slice(&self.first_bits);
         let mut word = word.into_iter();
         let Some(symbol) = word.next() else {
             return self.nullable;
         };
-        if !self.step_mask(current, symbol) {
+        // The start state's one follow row is `first`: copy, then mask.
+        current.copy_from_slice(self.follow_row(self.positions.len()));
+        if !self.mask(current, symbol) {
             return false;
         }
         for symbol in word {
-            next.fill(0);
-            for (i, &active) in current.iter().enumerate() {
-                let mut active = active;
-                while active != 0 {
-                    let p = i * 64 + active.trailing_zeros() as usize;
-                    active &= active - 1;
-                    let follow = &self.follow_bits[p * words..(p + 1) * words];
-                    for (n, f) in next.iter_mut().zip(follow) {
-                        *n |= f;
-                    }
-                }
-            }
-            if !self.step_mask(next, symbol) {
+            if !self.step(current, symbol, next) {
                 return false;
             }
             current.swap_with_slice(next);
         }
-        current.iter().zip(&self.last_bits).any(|(c, l)| c & l != 0)
+        self.accepting(current)
+    }
+
+    /// `u64` words in one run state (the length [`Glushkov::step`] reads
+    /// and writes).
+    pub fn state_words(&self) -> usize {
+        self.words
+    }
+
+    /// Writes the start state, before any symbol is read, into `out`.
+    pub fn start(&self, out: &mut Vec<u64>) {
+        let s = self.positions.len();
+        out.clear();
+        out.resize(self.words, 0);
+        out[s / 64] |= 1 << (s % 64);
+    }
+
+    /// One transition: writes into `out` the state reached from `from` by
+    /// reading `symbol`, and returns whether any run survives (`false`
+    /// means `out` is the dead state, from which no word is accepted).
+    /// Both slices are [`Glushkov::state_words`] long.
+    #[inline]
+    pub fn step(&self, from: &[u64], symbol: ChildSymbol, out: &mut [u64]) -> bool {
+        out.fill(0);
+        for (i, &active) in from.iter().enumerate() {
+            let mut active = active;
+            while active != 0 {
+                let p = i * 64 + active.trailing_zeros() as usize;
+                active &= active - 1;
+                for (o, f) in out.iter_mut().zip(self.follow_row(p)) {
+                    *o |= f;
+                }
+            }
+        }
+        self.mask(out, symbol)
+    }
+
+    /// `follow[p]` as a bitset (`first` for the start bit).
+    #[inline]
+    fn follow_row(&self, p: usize) -> &[u64] {
+        &self.follow_bits[p * self.words..(p + 1) * self.words]
     }
 
     /// Keeps only the positions of `states` that carry `symbol`; returns
     /// whether any remain.
-    fn step_mask(&self, states: &mut [u64], symbol: ChildSymbol) -> bool {
+    #[inline]
+    fn mask(&self, states: &mut [u64], symbol: ChildSymbol) -> bool {
         let Some(k) = self.symbols.iter().position(|&s| s == symbol) else {
+            states.fill(0);
             return false;
         };
         let carriers = &self.symbol_bits[k * self.words..(k + 1) * self.words];
@@ -167,6 +205,12 @@ impl Glushkov {
             any |= *s != 0;
         }
         any
+    }
+
+    /// Whether a run that reached `state` has read a word of the language.
+    #[inline]
+    pub fn accepting(&self, state: &[u64]) -> bool {
+        state.iter().zip(&self.last_bits).any(|(s, l)| s & l != 0)
     }
 
     /// Convenience wrapper: matches a sequence of element-type children with
@@ -378,6 +422,56 @@ mod tests {
             assert_eq!(g.matches(&word[1..]), d.matches(&word[1..]), "{word:?}");
         }
         assert!(g.matches(&exact));
+    }
+
+    /// A run stored after any prefix and resumed one symbol at a time
+    /// decides every word the way `matches` does.
+    #[test]
+    fn stepping_from_a_stored_state_agrees_with_matches() {
+        // (a, (b | c)*, a?) | ε
+        let model = ContentModel::alt(
+            ContentModel::seq(
+                e(0),
+                ContentModel::seq(
+                    ContentModel::star(ContentModel::alt(e(1), e(2))),
+                    ContentModel::opt(e(0)),
+                ),
+            ),
+            ContentModel::Epsilon,
+        );
+        let g = Glushkov::new(&model);
+        let words = [
+            vec![],
+            vec![ce(0)],
+            vec![ce(0), ce(1), ce(2), ce(0)],
+            vec![ce(0), ce(0), ce(1)],
+            vec![ce(1)],
+            vec![ce(0), ce(3)],
+        ];
+        let mut state = Vec::new();
+        let mut next = vec![0; g.state_words()];
+        for word in &words {
+            for split in 0..=word.len() {
+                g.start(&mut state);
+                let mut alive = true;
+                for &symbol in &word[..split] {
+                    alive &= g.step(&state, symbol, &mut next);
+                    state.copy_from_slice(&next);
+                }
+                // Resume from the state reached after the prefix.
+                for &symbol in &word[split..] {
+                    alive &= g.step(&state, symbol, &mut next);
+                    state.copy_from_slice(&next);
+                }
+                assert_eq!(alive && g.accepting(&state), g.matches(word), "{word:?}");
+                assert!(
+                    alive || !g.accepting(&state),
+                    "the dead state accepts nothing"
+                );
+            }
+        }
+        g.start(&mut state);
+        assert!(g.accepting(&state), "the empty word");
     }
 
     #[test]

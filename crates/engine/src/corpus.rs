@@ -22,11 +22,15 @@
 //!   session hands out only `&XmlTree`, so no mutation bypasses index
 //!   maintenance) and mark only that document dirty;
 //!   [`CorpusSession::commit`] re-checks *exactly the dirty documents*
-//!   (structural `T ⊨ D` re-validation plus the incremental `T ⊨ Σ`
-//!   verdict) and serves every clean document's report from cache.  The
-//!   commit itself is O(dirty documents) too: corpus-wide counters are
+//!   and serves every clean document's report from cache.  The commit
+//!   itself is O(dirty documents) too: corpus-wide counters are
 //!   maintained incrementally, and open-order positions are only
 //!   renumbered after a close;
+//! * **O(edit) re-checks** — within a dirty document, structural `T ⊨ D`
+//!   is kept per element ([`StructuralIndex`]) and `T ⊨ Σ` per constraint
+//!   ([`IncrementalIndex`]); a commit re-runs only the checks its edits
+//!   invalidated, and touches the document's report only when an error or
+//!   a verdict changed;
 //! * **delta stream** — each commit returns a [`BatchDelta`]: the documents
 //!   whose *report changed* — newly opened, flipped clean ↔ violating, or
 //!   still violating with a different violation/error set — each with its
@@ -58,10 +62,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use xic_constraints::{IncrementalIndex, ShardPlan, Violation};
+use xic_constraints::{IncrementalIndex, ShardPlan, VerdictChange, Violation};
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use xic_xml::budget::ParseError;
-use xic_xml::{EditError, EditJournal, EditOp, XmlError, XmlTree};
+use xic_xml::{EditError, EditJournal, EditOp, StructuralIndex, Validator, XmlError, XmlTree};
 
 use crate::batch::{BatchReport, DocFault, DocReport};
 use crate::journal::{
@@ -179,44 +183,57 @@ pub struct Recovery {
     pub truncated_tail: bool,
 }
 
-/// Applies a batch of ops to one `(tree, index, journal)` triple: each op
-/// is validated, applied, folded into the incremental indexes and journaled
-/// before the next op runs.  On rejection the applied prefix stays (the
-/// error's `index` reports its length) and the indexes remain exact.
-fn apply_ops(
-    tree: &mut XmlTree,
-    index: &mut IncrementalIndex,
-    journal: &mut EditJournal,
-    ops: &[EditOp],
-) -> Result<(), SessionError> {
+/// Applies a batch of ops to one document: each op is validated, applied,
+/// folded into both incremental indexes and journaled before the next op
+/// runs.  On rejection the applied prefix stays (the error's `index`
+/// reports its length) and the indexes remain exact.
+fn apply_ops(doc: &mut CorpusDoc, ops: &[EditOp]) -> Result<(), SessionError> {
     for (i, op) in ops.iter().enumerate() {
-        let effect = tree
+        let effect = doc
+            .tree
             .apply_edit(op)
             .map_err(|error| SessionError::Edit { index: i, error })?;
-        index.apply(tree, &effect);
-        journal.record(op.clone());
+        doc.index.apply(&doc.tree, &effect);
+        doc.structure.apply(&doc.tree, &effect);
+        doc.journal.record(op.clone());
     }
     Ok(())
 }
 
-/// One document's structural errors (`T ⊨ D`) and Σ violations
-/// (`T ⊨ Σ`, restricted to the scoped shards' constraints under a scope).
-fn verdict(
-    validator: &xic_xml::Validator<'_>,
-    tree: &XmlTree,
-    index: &mut IncrementalIndex,
+/// Brings one document's structural errors (`T ⊨ D`) and Σ verdicts
+/// (`T ⊨ Σ`, restricted to the scoped shards' constraints under a scope) up
+/// to date with its edits.  Appends the Σ verdicts that changed to
+/// `verdicts`, and returns whether the structural errors may have changed.
+fn refresh(
+    validator: &Validator<'_>,
+    doc: &mut CorpusDoc,
     scope: Option<&ShardScope>,
-) -> (Vec<String>, Vec<Violation>) {
-    let validation_errors = validator
-        .validate(tree)
-        .iter()
-        .map(|e| e.to_string())
-        .collect();
-    let violations = match scope {
-        Some(s) => index.check_all_where(tree, |i| s.keep[i]),
-        None => index.check_all(tree),
-    };
-    (validation_errors, violations)
+    verdicts: &mut Vec<VerdictChange>,
+) -> bool {
+    let structure = doc.structure.refresh(validator, &doc.tree);
+    let keep = |i: usize| scope.is_none_or(|s| s.keep[i]);
+    doc.index.refresh_where(&doc.tree, keep, verdicts);
+    structure
+}
+
+/// A document's structural errors, rendered as its report carries them.
+fn rendered_errors(structure: &StructuralIndex) -> Vec<String> {
+    structure.errors().map(|e| e.to_string()).collect()
+}
+
+/// Constraints violated in `after` but not in `before`, and the reverse
+/// (as multisets of constraints: Σ may repeat one).
+fn violation_churn(before: &[Violation], after: &[Violation]) -> (u64, u64) {
+    let mut balance: BTreeMap<&str, i64> = BTreeMap::new();
+    for v in before {
+        *balance.entry(v.constraint()).or_default() -= 1;
+    }
+    for v in after {
+        *balance.entry(v.constraint()).or_default() += 1;
+    }
+    balance.values().fold((0, 0), |(added, removed), &b| {
+        (added + b.max(0) as u64, removed + (-b).max(0) as u64)
+    })
 }
 
 /// One document's entry in a [`BatchDelta`]: its state transition and the
@@ -442,9 +459,11 @@ pub fn project_report(report: &BatchReport, plan: &ShardPlan, shard: u32) -> Bat
 ///
 /// Everything here is derived from the delta alone, so a replica holding
 /// only the stream computes the same numbers.  Exact violations
-/// added/removed counts (which need the *previous* report of a
+/// added/removed counts (which need the *previous* verdicts of a
 /// still-violating document) are emitted by [`CorpusSession::commit`] as the
-/// `corpus.violations_added` / `corpus.violations_removed` counters.
+/// `corpus.violations_added` / `corpus.violations_removed` counters: one
+/// per constraint that became violated, or stopped being violated (a
+/// violation that only changed its witness counts in neither).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaSummary {
     /// Documents whose report changed.
@@ -498,6 +517,8 @@ struct CorpusInstruments {
     shard_skipped: Arc<Counter>,
     /// Shard tags emitted on committed deltas (fan-out width).
     shard_deltas: Arc<Counter>,
+    /// Element checks re-run by commits' incremental `T ⊨ D`.
+    nodes_revalidated: Arc<Counter>,
     /// Distinct shards touched per commit.
     shard_touched: Arc<Histogram>,
 }
@@ -519,6 +540,7 @@ impl CorpusInstruments {
             shard_rechecked: registry.counter("shard.rechecked"),
             shard_skipped: registry.counter("shard.skipped"),
             shard_deltas: registry.counter("shard.deltas"),
+            nodes_revalidated: registry.counter("corpus.nodes_revalidated"),
             shard_touched: registry.histogram("shard.touched"),
             registry,
         }
@@ -530,6 +552,9 @@ struct CorpusDoc {
     label: String,
     tree: XmlTree,
     index: IncrementalIndex,
+    /// Per-element structural errors; built together with `index` (at
+    /// open, recovery and a panic rebuild), by the first commit after.
+    structure: StructuralIndex,
     journal: EditJournal,
     /// Position in open order (recomputed only after a close).
     position: usize,
@@ -872,6 +897,7 @@ impl<'s> CorpusSession<'s> {
                 label,
                 tree,
                 index,
+                structure: StructuralIndex::new(),
                 journal: EditJournal::new(),
                 position,
                 report: None,
@@ -966,7 +992,7 @@ impl<'s> CorpusSession<'s> {
             if xic_telemetry::faults::hit("corpus.apply") {
                 panic!("injected fault: corpus.apply");
             }
-            apply_ops(&mut doc.tree, &mut doc.index, &mut doc.journal, ops)
+            apply_ops(doc, ops)
         }))
         .unwrap_or_else(|payload| {
             // Contained panic mid-edit: quarantine the document.  Only
@@ -1038,12 +1064,22 @@ impl<'s> CorpusSession<'s> {
         Ok(doc.tree)
     }
 
-    /// Re-checks exactly the dirty documents (structural `T ⊨ D` plus the
-    /// incrementally maintained `T ⊨ Σ`) and returns the diff against the
-    /// previous commit.  Clean documents cost nothing — their reports are
-    /// cached from the commit that produced them, the corpus-wide counters
-    /// are maintained incrementally, and open-order positions are
+    /// Re-checks exactly the dirty documents and returns the diff against
+    /// the previous commit.  Clean documents cost nothing — their reports
+    /// are cached from the commit that produced them, the corpus-wide
+    /// counters are maintained incrementally, and open-order positions are
     /// renumbered only when a close shifted them.
+    ///
+    /// Within a dirty document the re-check is O(edit) on both halves of
+    /// the verdict.  Structural `T ⊨ D` re-runs only the element checks
+    /// its edits invalidated (a [`StructuralIndex`]; the
+    /// `corpus.nodes_revalidated` counter reports how many), and `T ⊨ Σ`
+    /// recomputes only the constraints they dirtied, reporting which
+    /// verdicts changed.  The document's report is patched — and the
+    /// structural errors re-rendered, or the violation list rebuilt — only
+    /// when one of them changed; otherwise it is neither cloned nor
+    /// compared.  The first commit after an open (or a recovery) runs the
+    /// full check once.
     ///
     /// Ignores [`Limits::deadline`] — a plain `commit` always runs the
     /// dirty set to completion.  Use [`CorpusSession::try_commit`] for the
@@ -1087,6 +1123,7 @@ impl<'s> CorpusSession<'s> {
         let mut rechecked_docs = std::mem::take(&mut self.staged_rechecked);
         let mut violations_added = 0u64;
         let mut violations_removed = 0u64;
+        let mut verdicts = Vec::new();
         for (i, &raw) in dirty.iter().enumerate() {
             if let Some((started, budget)) = deadline {
                 // `>=` so a zero deadline deterministically stops at once.
@@ -1135,18 +1172,23 @@ impl<'s> CorpusSession<'s> {
                 .collect();
             dirty_shards.sort_unstable();
             dirty_shards.dedup();
-            let (validation_errors, violations, fault, rebuilt) = if let Some(cause) = &doc.poisoned
-            {
+            // The two indexes are built together, so a structural index
+            // no commit built yet means the Σ verdict delta below is not
+            // relative to `report`.
+            let first_check = !doc.structure.is_built();
+            verdicts.clear();
+            let (touched, fault, rebuilt) = if let Some(cause) = &doc.poisoned {
                 // Quarantined by a panic in `apply`: its index may be
                 // inconsistent, so it reports the fault, never a verdict.
                 let fault = DocFault::Panic {
                     cause: cause.clone(),
                 };
-                (Vec::new(), Vec::new(), Some(fault), true)
+                (true, Some(fault), true)
             } else {
                 let recheck_timer = self.instr.registry.start_timer();
+                let scope = self.shard_scope.as_ref();
                 let outcome =
-                    Self::recheck_contained(self.spec, &validator, doc, self.shard_scope.as_ref());
+                    Self::recheck_contained(self.spec, &validator, doc, scope, &mut verdicts);
                 if let Some(t) = recheck_timer {
                     self.instr.recheck_ns.record_elapsed(t);
                 }
@@ -1157,67 +1199,91 @@ impl<'s> CorpusSession<'s> {
                 self.instr
                     .shard_skipped
                     .add(dirty_checks.saturating_sub(kept) as u64);
-                outcome
+                self.instr
+                    .nodes_revalidated
+                    .add(doc.structure.revalidated() as u64);
+                match outcome {
+                    Ok((touched, rebuilt)) => (touched, None, rebuilt),
+                    Err(fault) => (true, Some(fault), true),
+                }
             };
-            // Exact per-commit violation churn: the previous report is
-            // still at hand here, which a bare BatchDelta never has.
-            let previous_violations = doc.report.as_ref().map_or(0, |r| r.violations.len());
-            violations_added += violations.len().saturating_sub(previous_violations) as u64;
-            violations_removed += previous_violations.saturating_sub(violations.len()) as u64;
+            // Patch the report only where something may have changed:
+            // each recomputed half is kept only if it differs.
+            let previous = doc.report.take();
+            let exact =
+                first_check || rebuilt || previous.as_ref().is_none_or(|p| p.fault.is_some());
+            let (validation_errors, violations) = match fault {
+                Some(_) => (Some(Vec::new()), Some(Vec::new())),
+                None => (
+                    (exact || touched).then(|| rendered_errors(&doc.structure)),
+                    (exact || !verdicts.is_empty())
+                        .then(|| doc.index.violations().cloned().collect()),
+                ),
+            };
+            let validation_errors = validation_errors
+                .filter(|e| previous.as_ref().is_none_or(|p| &p.validation_errors != e));
+            let violations =
+                violations.filter(|v| previous.as_ref().is_none_or(|p| &p.violations != v));
+            let fault_changed = previous.as_ref().is_none_or(|p| p.fault != fault);
+            let changed = validation_errors.is_some() || violations.is_some() || fault_changed;
+            // Exact per-commit violation churn: per-constraint verdict
+            // transitions, or — when the verdicts were recomputed from
+            // scratch — the difference to the previous report.
+            if exact || fault.is_some() {
+                if let Some(fresh) = &violations {
+                    let before = previous.as_ref().map_or(&[][..], |p| &p.violations);
+                    let (added, removed) = violation_churn(before, fresh);
+                    violations_added += added;
+                    violations_removed += removed;
+                }
+            } else {
+                for v in verdicts.iter().filter(|v| v.was_violated != v.now_violated) {
+                    if v.now_violated {
+                        violations_added += 1;
+                    } else {
+                        violations_removed += 1;
+                    }
+                }
+            }
+            let was_clean = doc.committed_clean;
+            if !changed {
+                doc.report = previous;
+                continue;
+            }
+            // Shard tag: opens, structural/fault churn and panic-rebuilt
+            // rechecks are shard-independent, so they broadcast; a pure
+            // Σ-violation change can only have happened in a dirty shard
+            // (clean shards served their cached verdicts).
+            let broadcast =
+                was_clean.is_none() || rebuilt || validation_errors.is_some() || fault_changed;
+            let (old_errors, old_violations) =
+                previous.map_or_else(Default::default, |p| (p.validation_errors, p.violations));
             let fresh = DocReport {
                 index: doc.position,
                 label: doc.label.clone(),
                 parse_error: None,
-                validation_errors,
-                violations,
+                validation_errors: validation_errors.unwrap_or(old_errors),
+                violations: violations.unwrap_or(old_violations),
                 fault,
             };
-            let was_clean = doc.committed_clean;
             let now_clean = fresh.is_clean();
             match (was_clean, now_clean) {
                 (Some(true), false) => self.clean_docs -= 1,
                 (Some(false), true) | (None, true) => self.clean_docs += 1,
                 _ => {}
             }
-            // Any observable difference enters the stream — not just
-            // clean ↔ violating flips: a document that trades one violation
-            // for another must reach subscribers too, or their replicas
-            // drift from `report()`.
-            let changed = match &doc.report {
-                None => true,
-                Some(previous) => {
-                    previous.validation_errors != fresh.validation_errors
-                        || previous.violations != fresh.violations
-                        || previous.fault != fresh.fault
-                }
-            };
-            // Shard tag: opens, structural/fault churn and panic-rebuilt
-            // rechecks are shard-independent, so they broadcast; a pure
-            // Σ-violation change can only have happened in a dirty shard
-            // (clean shards served their cached verdicts).
-            let broadcast = was_clean.is_none()
-                || rebuilt
-                || match &doc.report {
-                    None => true,
-                    Some(previous) => {
-                        previous.validation_errors != fresh.validation_errors
-                            || previous.fault != fresh.fault
-                    }
-                };
             doc.committed_clean = Some(now_clean);
             doc.report = Some(fresh.clone());
-            if changed {
-                changes.push(DocChange {
-                    handle: DocHandle::from_raw(raw),
-                    was_clean,
-                    report: fresh,
-                    shards: if broadcast {
-                        plan.all_shards().collect()
-                    } else {
-                        dirty_shards
-                    },
-                });
-            }
+            changes.push(DocChange {
+                handle: DocHandle::from_raw(raw),
+                was_clean,
+                report: fresh,
+                shards: if broadcast {
+                    plan.all_shards().collect()
+                } else {
+                    dirty_shards
+                },
+            });
         }
         // The dirty list is in dirtying order (staged changes from an
         // aborted attempt may precede newer handles); the stream contract
@@ -1274,59 +1340,60 @@ impl<'s> CorpusSession<'s> {
     }
 
     /// One document's re-check, panic-contained.  A panic (the
-    /// `corpus.recheck` failpoint, or a genuine bug in constraint
-    /// re-evaluation) quarantines nothing corpus-wide: the incremental
-    /// index — the stateful, possibly mid-update part — is rebuilt from the
-    /// tree and the check retried once; if even the rebuilt index panics,
-    /// the document's report carries a [`DocFault::Panic`] instead of a
-    /// verdict (never a wrong one) and every other document proceeds.
-    /// The trailing `bool` reports whether the index-rebuild path ran: a
-    /// rebuilt index recomputed *every* constraint, so the change must be
-    /// broadcast to all shards rather than tagged with the edit's dirty set.
+    /// `corpus.recheck` failpoint, or a genuine bug in re-evaluation)
+    /// quarantines nothing corpus-wide: both incremental indexes — the
+    /// stateful, possibly mid-update part — are rebuilt from the tree and
+    /// the check retried once; if even the rebuilt indexes panic, the
+    /// document's report carries a [`DocFault::Panic`] instead of a verdict
+    /// (never a wrong one) and every other document proceeds.
+    ///
+    /// On success, returns whether the structural errors may have changed
+    /// and whether the rebuild path ran: a rebuilt index recomputed *every*
+    /// constraint, so the change must be broadcast to all shards rather
+    /// than tagged with the edit's dirty set.
     fn recheck_contained(
         spec: &CompiledSpec,
-        validator: &xic_xml::Validator<'_>,
+        validator: &Validator<'_>,
         doc: &mut CorpusDoc,
         scope: Option<&ShardScope>,
-    ) -> (Vec<String>, Vec<Violation>, Option<DocFault>, bool) {
+        verdicts: &mut Vec<VerdictChange>,
+    ) -> Result<(bool, bool), DocFault> {
         fn run(
-            validator: &xic_xml::Validator<'_>,
+            validator: &Validator<'_>,
             doc: &mut CorpusDoc,
             scope: Option<&ShardScope>,
-        ) -> (Vec<String>, Vec<Violation>) {
+            verdicts: &mut Vec<VerdictChange>,
+        ) -> bool {
             // Inside `run` so the injected fault exercises both attempts:
             // Nth(1) tests the transparent retry, an always-firing
             // probability tests the quarantine path.
             if xic_telemetry::faults::hit("corpus.recheck") {
                 panic!("injected fault: corpus.recheck");
             }
-            verdict(validator, &doc.tree, &mut doc.index, scope)
+            refresh(validator, doc, scope, verdicts)
         }
-        let first = catch_unwind(AssertUnwindSafe(|| run(validator, doc, scope)));
-        match first {
-            Ok((errors, violations)) => (errors, violations, None, false),
+        let payload = match catch_unwind(AssertUnwindSafe(|| run(validator, doc, scope, verdicts)))
+        {
+            Ok(touched) => return Ok((touched, false)),
+            Err(payload) => payload,
+        };
+        crate::batch::resilience_instruments().0.inc();
+        let cause = crate::batch::panic_cause(payload);
+        doc.index = IncrementalIndex::with_layout(Arc::clone(spec.incremental_layout()), &doc.tree);
+        doc.structure = StructuralIndex::new();
+        verdicts.clear();
+        match catch_unwind(AssertUnwindSafe(|| run(validator, doc, scope, verdicts))) {
+            Ok(touched) => Ok((touched, true)),
             Err(payload) => {
                 crate::batch::resilience_instruments().0.inc();
-                let cause = crate::batch::panic_cause(payload);
-                doc.index =
-                    IncrementalIndex::with_layout(Arc::clone(spec.incremental_layout()), &doc.tree);
-                match catch_unwind(AssertUnwindSafe(|| run(validator, doc, scope))) {
-                    Ok((errors, violations)) => (errors, violations, None, true),
-                    Err(payload) => {
-                        crate::batch::resilience_instruments().0.inc();
-                        let retry_cause = crate::batch::panic_cause(payload);
-                        (
-                            Vec::new(),
-                            Vec::new(),
-                            Some(DocFault::Panic {
-                                cause: format!(
-                                    "{cause}; retry after index rebuild also panicked: {retry_cause}"
-                                ),
-                            }),
-                            true,
-                        )
-                    }
-                }
+                let retry_cause = crate::batch::panic_cause(payload);
+                // The next commit rebuilds whatever the retry half-built.
+                doc.structure = StructuralIndex::new();
+                Err(DocFault::Panic {
+                    cause: format!(
+                        "{cause}; retry after index rebuild also panicked: {retry_cause}"
+                    ),
+                })
             }
         }
     }
@@ -1572,29 +1639,11 @@ impl<'s> CorpusSession<'s> {
             }
             self.check_doc_nodes(&tree, context)?;
             let layout = Arc::clone(self.spec.incremental_layout());
-            let mut index = IncrementalIndex::with_layout(layout, &tree);
-            if !is_dirty {
-                let scope = self.shard_scope.as_ref();
-                let (validation_errors, violations) = verdict(&validator, &tree, &mut index, scope);
-                let fresh = DocReport {
-                    index: position,
-                    label: label.clone(),
-                    parse_error: None,
-                    validation_errors,
-                    violations,
-                    fault: None,
-                };
-                if report.as_ref() != Some(&fresh) {
-                    let handle = DocHandle::from_raw(raw);
-                    Err(diverged(format!(
-                        "{handle} does not re-check to its logged report"
-                    )))?;
-                }
-            }
-            let doc = CorpusDoc {
+            let mut doc = CorpusDoc {
+                index: IncrementalIndex::with_layout(layout, &tree),
                 label,
                 tree,
-                index,
+                structure: StructuralIndex::new(),
                 journal: EditJournal::new(),
                 position,
                 committed_clean: report.as_ref().map(DocReport::is_clean),
@@ -1603,6 +1652,24 @@ impl<'s> CorpusSession<'s> {
                 logged: true,
                 poisoned: None,
             };
+            if !is_dirty {
+                let scope = self.shard_scope.as_ref();
+                refresh(&validator, &mut doc, scope, &mut Vec::new());
+                let fresh = DocReport {
+                    index: position,
+                    label: doc.label.clone(),
+                    parse_error: None,
+                    validation_errors: rendered_errors(&doc.structure),
+                    violations: doc.index.violations().cloned().collect(),
+                    fault: None,
+                };
+                if doc.report.as_ref() != Some(&fresh) {
+                    let handle = DocHandle::from_raw(raw);
+                    Err(diverged(format!(
+                        "{handle} does not re-check to its logged report"
+                    )))?;
+                }
+            }
             restored.insert(raw, doc);
         }
 

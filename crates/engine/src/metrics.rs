@@ -29,6 +29,7 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "compile.specs",
         "corpus.commits",
         "corpus.edits",
+        "corpus.nodes_revalidated",
         "corpus.violations_added",
         "corpus.violations_removed",
         "ilp.bb_nodes",

@@ -70,6 +70,7 @@ fn corpus_session_records_commit_metrics_on_its_registry() {
         )
         .unwrap();
     let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("corpus.nodes_revalidated"), Some(0));
     assert_eq!(snapshot.counter("corpus.edits"), Some(1));
     assert_eq!(snapshot.gauge("corpus.queued_ops"), Some(1));
     assert_eq!(snapshot.gauge("corpus.dirty_docs"), Some(1));
@@ -84,6 +85,8 @@ fn corpus_session_records_commit_metrics_on_its_registry() {
     // First commit surfaced one violating doc, the second another.
     assert_eq!(snapshot.counter("corpus.violations_added"), Some(2));
     assert_eq!(snapshot.counter("corpus.violations_removed"), Some(0));
+    // The single SetAttr re-checked one element's structure, not the tree.
+    assert_eq!(snapshot.counter("corpus.nodes_revalidated"), Some(1));
     assert_eq!(snapshot.gauge("corpus.dirty_docs"), Some(0));
     assert_eq!(snapshot.gauge("corpus.queued_ops"), Some(0));
     let commit_ns = snapshot.histogram("corpus.commit_ns").unwrap();
@@ -92,6 +95,63 @@ fn corpus_session_records_commit_metrics_on_its_registry() {
     assert_eq!(recheck.count, 3, "two opens + one re-check");
     let delta_changes = snapshot.histogram("corpus.delta_changes").unwrap();
     assert_eq!(delta_changes.count, 2);
+}
+
+#[test]
+fn violation_counters_count_each_constraint_that_flips() {
+    let spec = CompiledSpec::from_sources(
+        "<!ELEMENT school (teacher*)>\n\
+         <!ELEMENT teacher EMPTY>\n\
+         <!ATTLIST teacher name CDATA #REQUIRED>\n\
+         <!ATTLIST teacher room CDATA #REQUIRED>",
+        Some("school"),
+        "teacher.name -> teacher\nteacher.room -> teacher",
+    )
+    .unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut corpus = CorpusSession::with_registry(&spec, Arc::clone(&registry));
+    let doc = corpus
+        .open_source(
+            "a",
+            "<school><teacher name=\"Joe\" room=\"1\"/>\
+             <teacher name=\"Joe\" room=\"2\"/></school>",
+        )
+        .unwrap();
+    corpus.commit();
+    let counters = |registry: &MetricsRegistry| {
+        let snapshot = registry.snapshot();
+        (
+            snapshot.counter("corpus.violations_added"),
+            snapshot.counter("corpus.violations_removed"),
+        )
+    };
+    assert_eq!(counters(&registry), (Some(1), Some(0)), "the name key");
+
+    // One commit fixes the name key and breaks the room key: the report
+    // still holds one violation, but one was removed and one added.
+    let second = corpus.tree(doc).unwrap().elements().nth(2).unwrap();
+    let attr = |name: &str| spec.dtd().attr_by_name(name).unwrap();
+    corpus
+        .apply(
+            doc,
+            &[
+                EditOp::SetAttr {
+                    element: second,
+                    attr: attr("name"),
+                    value: "Ann".into(),
+                },
+                EditOp::SetAttr {
+                    element: second,
+                    attr: attr("room"),
+                    value: "1".into(),
+                },
+            ],
+        )
+        .unwrap();
+    let delta = corpus.commit();
+    assert_eq!(delta.changes[0].transition(), Transition::StillViolating);
+    assert_eq!(delta.changes[0].report.violations.len(), 1);
+    assert_eq!(counters(&registry), (Some(2), Some(1)));
 }
 
 #[test]

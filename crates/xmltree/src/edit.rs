@@ -101,6 +101,11 @@ pub enum EditEffect {
         root: NodeId,
         /// Every removed element node, with its type.
         elements: Vec<(NodeId, ElemId)>,
+        /// The element the root was removed from: its child word changed.
+        parent: NodeId,
+        /// The root's former position among `parent`'s children — where
+        /// the child word changed.  Later children moved down by one.
+        position: usize,
     },
 }
 
@@ -267,12 +272,15 @@ impl XmlTree {
                 if *element == self.root() {
                     return Err(EditError::RemoveRoot);
                 }
-                let elements = self
-                    .remove_subtree(*element)
+                let (position, elements) = self
+                    .unlink_subtree(*element)
                     .expect("validated live non-root element");
+                let parent = self.parent(*element).expect("non-root");
                 Ok(EditEffect::SubtreeRemoved {
                     root: *element,
                     elements,
+                    parent,
+                    position,
                 })
             }
         }

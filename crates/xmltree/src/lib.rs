@@ -21,7 +21,10 @@
 //! * [`parser::parse_document`] / [`writer::write_document`] — a DTD-aware
 //!   XML parser and serializer (from scratch, no external XML crates);
 //! * [`mod@validate`] — the `T ⊨ D` validity test of Definition 2.2, with
-//!   detailed per-node error reporting.
+//!   detailed per-node error reporting;
+//! * [`structural::StructuralIndex`] — the same errors kept per element and
+//!   re-checked after an edit only where the edit's [`edit::EditEffect`]
+//!   can have changed them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,6 +35,7 @@ pub mod error;
 pub mod parser;
 pub mod pool;
 pub mod snapshot;
+pub mod structural;
 pub mod tree;
 pub mod validate;
 pub mod writer;
@@ -42,6 +46,7 @@ pub use error::XmlError;
 pub use parser::{parse_document, parse_document_budgeted};
 pub use pool::{ValueId, ValuePool};
 pub use snapshot::{NodeSnapshot, SnapshotError, TreeSnapshot};
+pub use structural::StructuralIndex;
 pub use tree::{NodeId, NodeLabel, XmlTree};
 pub use validate::{compile_automata, is_valid, validate, ValidationError, Validator};
 pub use writer::{write_document, write_document_with, WriteOptions};

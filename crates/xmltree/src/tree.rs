@@ -282,6 +282,15 @@ impl XmlTree {
     /// attribute lists readable so that retraction can still ask for the
     /// tuples the removed elements used to carry.
     pub fn remove_subtree(&mut self, element: NodeId) -> Option<Vec<(NodeId, ElemId)>> {
+        self.unlink_subtree(element).map(|(_, removed)| removed)
+    }
+
+    /// [`XmlTree::remove_subtree`], also returning the removed root's
+    /// former position among its parent's children.
+    pub(crate) fn unlink_subtree(
+        &mut self,
+        element: NodeId,
+    ) -> Option<(usize, Vec<(NodeId, ElemId)>)> {
         if !self.contains(element)
             || self.is_detached(element)
             || element == self.root
@@ -312,7 +321,7 @@ impl XmlTree {
             }
         }
         removed.sort();
-        Some(removed)
+        Some((pos, removed))
     }
 
     /// Iterates over all live element nodes in ascending id (creation)

@@ -86,6 +86,49 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
+impl ValidationError {
+    /// The path the error names, if it names one (every kind but
+    /// [`ValidationError::WrongRootType`]).
+    pub(crate) fn path_mut(&mut self) -> Option<&mut String> {
+        match self {
+            ValidationError::WrongRootType { .. } => None,
+            ValidationError::ContentModelMismatch { path, .. }
+            | ValidationError::MissingAttribute { path, .. }
+            | ValidationError::UnexpectedAttribute { path, .. }
+            | ValidationError::ValueShape { path, .. } => Some(path),
+        }
+    }
+}
+
+/// One element's errors, split by the condition that produced them — the
+/// three checks an incremental re-check can run on their own.  Flattened in
+/// field order, they are the element's errors in [`Validator::validate`]
+/// order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ElementErrors {
+    /// The element's own value shape, then its child word against
+    /// `L(P(τ))`.
+    pub(crate) word: Vec<ValidationError>,
+    /// Its attribute set against `R(τ)`.
+    pub(crate) attrs: Vec<ValidationError>,
+    /// Its text children's shape, each error with the text node it names.
+    pub(crate) texts: Vec<(NodeId, ValidationError)>,
+}
+
+impl ElementErrors {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.word.is_empty() && self.attrs.is_empty() && self.texts.is_empty()
+    }
+
+    /// The errors in [`Validator::validate`] order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ValidationError> {
+        self.word
+            .iter()
+            .chain(&self.attrs)
+            .chain(self.texts.iter().map(|(_, e)| e))
+    }
+}
+
 /// A compiled validator: one Glushkov automaton per element type.
 ///
 /// The automata can be owned (built by [`Validator::new`]) or borrowed from a
@@ -122,6 +165,14 @@ pub fn compile_automata(dtd: &Dtd) -> Vec<Glushkov> {
         .collect()
 }
 
+/// The symbol a child contributes to its parent's child word.
+pub(crate) fn child_symbol(tree: &XmlTree, child: NodeId) -> ChildSymbol {
+    match tree.label(child) {
+        NodeLabel::Element(e) => ChildSymbol::Element(e),
+        _ => ChildSymbol::Text,
+    }
+}
+
 impl<'d> Validator<'d> {
     /// Compiles the content models of a DTD.
     pub fn new(dtd: &'d Dtd) -> Validator<'d> {
@@ -142,23 +193,12 @@ impl<'d> Validator<'d> {
 
     /// Validates a whole tree, collecting every violation.
     pub fn validate(&self, tree: &XmlTree) -> Vec<ValidationError> {
-        let mut errors = Vec::new();
-        // Root label.
-        match tree.label(tree.root()) {
-            NodeLabel::Element(e) if e == self.dtd.root() => {}
-            NodeLabel::Element(e) => errors.push(ValidationError::WrongRootType {
-                expected: self.dtd.type_name(self.dtd.root()).to_string(),
-                found: self.dtd.type_name(e).to_string(),
-            }),
-            _ => errors.push(ValidationError::WrongRootType {
-                expected: self.dtd.type_name(self.dtd.root()).to_string(),
-                found: "#text".to_string(),
-            }),
-        }
-        let mut scratch = Vec::new();
-        for node in tree.elements() {
-            self.validate_element(tree, node, &mut scratch, &mut errors);
-        }
+        let mut errors: Vec<ValidationError> = self.root_error(tree).into_iter().collect();
+        self.walk(tree, |_, element| {
+            errors.extend(element.word);
+            errors.extend(element.attrs);
+            errors.extend(element.texts.into_iter().map(|(_, e)| e));
+        });
         errors
     }
 
@@ -167,52 +207,110 @@ impl<'d> Validator<'d> {
         self.validate(tree).is_empty()
     }
 
-    fn validate_element(
+    /// The one full-tree walk behind [`Validator::validate`] and the
+    /// [`crate::StructuralIndex`] build: hands the errors of every live
+    /// element that has some to `each`, in ascending id order.  The
+    /// per-element checks it calls are `#[inline(always)]`: they run on
+    /// every element of every validated document.
+    pub(crate) fn walk(&self, tree: &XmlTree, mut each: impl FnMut(NodeId, ElementErrors)) {
+        let mut scratch = Vec::new();
+        let mut errors = ElementErrors::default();
+        for node in tree.elements() {
+            let Some(ty) = tree.element_type(node) else {
+                continue;
+            };
+            self.check_value(tree, node, &mut errors.word);
+            let word = tree.children(node).iter().map(|&c| child_symbol(tree, c));
+            if !self.automaton(ty).matches_with(word, &mut scratch) {
+                errors.word.push(self.word_mismatch(tree, node, ty));
+            }
+            self.check_attrs(tree, node, ty, &mut errors.attrs);
+            for &child in tree.children(node) {
+                self.check_text(tree, child, &mut errors.texts);
+            }
+            if !errors.is_empty() {
+                each(node, std::mem::take(&mut errors));
+            }
+        }
+    }
+
+    /// The root label must be the DTD's root type.
+    pub(crate) fn root_error(&self, tree: &XmlTree) -> Option<ValidationError> {
+        let found = match tree.label(tree.root()) {
+            NodeLabel::Element(e) if e == self.dtd.root() => return None,
+            NodeLabel::Element(e) => self.dtd.type_name(e).to_string(),
+            _ => "#text".to_string(),
+        };
+        Some(ValidationError::WrongRootType {
+            expected: self.dtd.type_name(self.dtd.root()).to_string(),
+            found,
+        })
+    }
+
+    /// The compiled content model of `ty`.
+    pub(crate) fn automaton(&self, ty: ElemId) -> &Glushkov {
+        self.automata.get(ty)
+    }
+
+    /// The DTD the validator checks against.
+    pub(crate) fn dtd(&self) -> &'d Dtd {
+        self.dtd
+    }
+
+    /// Elements carry no value.
+    #[inline(always)]
+    pub(crate) fn check_value(
         &self,
         tree: &XmlTree,
         node: NodeId,
-        scratch: &mut Vec<u64>,
         errors: &mut Vec<ValidationError>,
     ) {
-        let Some(ty) = tree.element_type(node) else {
-            return;
-        };
-        let path = || tree.path_of(self.dtd, node);
-
-        // Elements carry no value.
         if tree.value(node).is_some() {
             errors.push(ValidationError::ValueShape {
-                path: path(),
+                path: tree.path_of(self.dtd, node),
                 message: "element node has a string value".to_string(),
             });
         }
+    }
 
-        // Children word must be in L(P(τ)).
-        let word = tree.children(node).iter().map(|&c| match tree.label(c) {
-            NodeLabel::Element(e) => ChildSymbol::Element(e),
-            _ => ChildSymbol::Text,
-        });
-        let automaton = self.automata.get(ty);
-        if !automaton.matches_with(word.clone(), scratch) {
-            let found = word
-                .map(|s| match s {
-                    ChildSymbol::Element(e) => self.dtd.type_name(e).to_string(),
-                    ChildSymbol::Text => "S".to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            errors.push(ValidationError::ContentModelMismatch {
-                path: path(),
-                element_type: self.dtd.type_name(ty).to_string(),
-                expected: self
-                    .dtd
-                    .content(ty)
-                    .render(&|e| self.dtd.type_name(e).to_string()),
-                found,
-            });
+    /// The error of an element whose child word is not in `L(P(τ))`.
+    pub(crate) fn word_mismatch(
+        &self,
+        tree: &XmlTree,
+        node: NodeId,
+        ty: ElemId,
+    ) -> ValidationError {
+        let found = tree
+            .children(node)
+            .iter()
+            .map(|&c| match child_symbol(tree, c) {
+                ChildSymbol::Element(e) => self.dtd.type_name(e).to_string(),
+                ChildSymbol::Text => "S".to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
+        ValidationError::ContentModelMismatch {
+            path: tree.path_of(self.dtd, node),
+            element_type: self.dtd.type_name(ty).to_string(),
+            expected: self
+                .dtd
+                .content(ty)
+                .render(&|e| self.dtd.type_name(e).to_string()),
+            found,
         }
+    }
 
-        // Attribute set must be exactly R(τ), every attribute with a value.
+    /// The attribute set must be exactly `R(τ)`, every attribute with a
+    /// value.
+    #[inline(always)]
+    pub(crate) fn check_attrs(
+        &self,
+        tree: &XmlTree,
+        node: NodeId,
+        ty: ElemId,
+        errors: &mut Vec<ValidationError>,
+    ) {
+        let path = || tree.path_of(self.dtd, node);
         for &required in self.dtd.attrs_of(ty) {
             if tree.attr_value(node, required).is_none() {
                 errors.push(ValidationError::MissingAttribute {
@@ -238,23 +336,37 @@ impl<'d> Validator<'d> {
                 });
             }
         }
+    }
 
-        // Text children must carry values and no children of their own.
-        for &child in tree.children(node) {
-            if matches!(tree.label(child), NodeLabel::Text) {
-                if tree.value(child).is_none() {
-                    errors.push(ValidationError::ValueShape {
-                        path: tree.path_of(self.dtd, child),
-                        message: "text node has no string value".to_string(),
-                    });
-                }
-                if !tree.children(child).is_empty() {
-                    errors.push(ValidationError::ValueShape {
-                        path: tree.path_of(self.dtd, child),
-                        message: "text node has children".to_string(),
-                    });
-                }
-            }
+    /// A text child must carry a value and no children of its own (other
+    /// children pass).
+    #[inline(always)]
+    pub(crate) fn check_text(
+        &self,
+        tree: &XmlTree,
+        child: NodeId,
+        errors: &mut Vec<(NodeId, ValidationError)>,
+    ) {
+        if !matches!(tree.label(child), NodeLabel::Text) {
+            return;
+        }
+        if tree.value(child).is_none() {
+            errors.push((
+                child,
+                ValidationError::ValueShape {
+                    path: tree.path_of(self.dtd, child),
+                    message: "text node has no string value".to_string(),
+                },
+            ));
+        }
+        if !tree.children(child).is_empty() {
+            errors.push((
+                child,
+                ValidationError::ValueShape {
+                    path: tree.path_of(self.dtd, child),
+                    message: "text node has children".to_string(),
+                },
+            ));
         }
     }
 }

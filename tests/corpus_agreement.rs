@@ -26,8 +26,11 @@
 //!
 //! The generated specs come both from `random_dtd`/`random_unary_constraints`
 //! (the proptest half) and from the named `xic-gen` workload families
-//! (`primary_key_family`, `keys_only_family`, `fixed_dtd_growing_sigma`), so
-//! the suite is not limited to hand-written fixtures.
+//! (`primary_key_family`, `keys_only_family`, `fixed_dtd_growing_sigma`,
+//! and catalogues whose root holds hundreds of records), so the suite is
+//! not limited to hand-written fixtures.  The edits include attributes
+//! outside `R(τ)`, and removals in the middle of a wide child list, so the
+//! incremental `T ⊨ D` behind each commit is held to the cold `validate`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,8 +41,9 @@ use xml_integrity_constraints::engine::{
     BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusSession, DocHandle,
 };
 use xml_integrity_constraints::gen::{
-    fixed_dtd_growing_sigma, keys_only_family, primary_key_family, random_document, random_dtd,
-    random_unary_constraints, ConstraintGenConfig, DocGenConfig, DtdGenConfig, SpecInstance,
+    catalogue_dtd, fixed_dtd_growing_sigma, keys_only_family, primary_key_family, random_document,
+    random_dtd, random_unary_constraints, ConstraintGenConfig, DocGenConfig, DtdGenConfig,
+    SpecInstance,
 };
 use xml_integrity_constraints::xml::{write_document, EditOp, NodeId, XmlTree};
 
@@ -49,7 +53,7 @@ fn random_op(rng: &mut StdRng, dtd: &Dtd, tree: &XmlTree) -> EditOp {
     let elements: Vec<NodeId> = tree.elements().collect();
     let pick = |rng: &mut StdRng, nodes: &[NodeId]| nodes[rng.gen_range(0..nodes.len())];
     for _ in 0..8 {
-        match rng.gen_range(0u32..10) {
+        match rng.gen_range(0u32..11) {
             0..=4 => {
                 let candidates: Vec<NodeId> = elements
                     .iter()
@@ -77,6 +81,19 @@ fn random_op(rng: &mut StdRng, dtd: &Dtd, tree: &XmlTree) -> EditOp {
                 return EditOp::AddElement {
                     parent: pick(rng, &elements),
                     ty: types[rng.gen_range(0..types.len())],
+                };
+            }
+            10 => {
+                // Any attribute on any element: outside `R(τ)` it is an
+                // `UnexpectedAttribute` error, inside a plain set.
+                let attrs: Vec<_> = dtd.attrs().collect();
+                if attrs.is_empty() {
+                    continue;
+                }
+                return EditOp::SetAttr {
+                    element: pick(rng, &elements),
+                    attr: attrs[rng.gen_range(0..attrs.len())],
+                    value: format!("val{}", rng.gen_range(0..4u32)),
                 };
             }
             7 => {
@@ -259,11 +276,21 @@ fn drive_and_check(
     changed_commits
 }
 
+/// The generator settings of the random documents: a small value pool,
+/// so keys clash.
+fn small_docs() -> DocGenConfig {
+    DocGenConfig {
+        value_pool: 3,
+        ..Default::default()
+    }
+}
+
 /// Opens `count` random documents against the spec, or `None` when the DTD
 /// admits no document.
 fn open_random_docs(
     spec: &CompiledSpec,
     corpus: &mut CorpusSession,
+    docs: &DocGenConfig,
     seed: u64,
     count: usize,
 ) -> Option<Vec<DocHandle>> {
@@ -273,8 +300,7 @@ fn open_random_docs(
             spec.dtd(),
             &DocGenConfig {
                 seed: seed.wrapping_add(i as u64),
-                value_pool: 3,
-                ..Default::default()
+                ..docs.clone()
             },
         )?;
         handles.push(
@@ -320,7 +346,7 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let mut corpus = CorpusSession::new(&spec);
-        let Some(handles) = open_random_docs(&spec, &mut corpus, seed, num_docs) else {
+        let Some(handles) = open_random_docs(&spec, &mut corpus, &small_docs(), seed, num_docs) else {
             return Ok(()); // unsatisfiable DTD: nothing to open
         };
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
@@ -341,19 +367,56 @@ proptest! {
     }
 }
 
+/// Catalogue specs whose documents hold 300–500 records under the root:
+/// a child list wider than four automaton checkpoint spans.
+fn wide_catalogues() -> Vec<SpecInstance> {
+    [3, 4]
+        .into_iter()
+        .map(|kinds| {
+            let dtd = catalogue_dtd(kinds);
+            let sigma = random_unary_constraints(
+                &dtd,
+                &ConstraintGenConfig {
+                    keys: 2,
+                    foreign_keys: 2,
+                    inclusions: 1,
+                    seed: kinds as u64,
+                    ..Default::default()
+                },
+            );
+            SpecInstance {
+                label: format!("catalogue/{kinds}"),
+                dtd,
+                sigma,
+            }
+        })
+        .collect()
+}
+
 /// The named `xic-gen` workload families drive the same differential, so
 /// the agreement suite covers generated DTD/Σ shapes beyond the uniform
 /// random sampler: primary-key-restricted specs over random DTDs, keys-only
-/// specs, and a fixed DTD under a growing Σ.
+/// specs, a fixed DTD under a growing Σ, and wide catalogue documents.
 #[test]
 fn workload_families_agree_with_cold_rebuilds() {
-    let families: Vec<(&str, Vec<SpecInstance>)> = vec![
-        ("primary_key", primary_key_family(&[4, 6], 11)),
-        ("keys_only", keys_only_family(&[4, 6], 12)),
-        ("fixed_dtd", fixed_dtd_growing_sigma(5, &[4, 8], 13)),
+    let wide_docs = DocGenConfig {
+        star_fanout: 120,
+        max_elements: 2_000,
+        ..small_docs()
+    };
+    let families: Vec<(&str, Vec<SpecInstance>, DocGenConfig)> = vec![
+        ("primary_key", primary_key_family(&[4, 6], 11), small_docs()),
+        ("keys_only", keys_only_family(&[4, 6], 12), small_docs()),
+        (
+            "fixed_dtd",
+            fixed_dtd_growing_sigma(5, &[4, 8], 13),
+            small_docs(),
+        ),
+        ("wide", wide_catalogues(), wide_docs),
     ];
     let mut driven = 0usize;
-    for (family, instances) in families {
+    let mut widest = 0usize;
+    for (family, instances, docs) in families {
         for instance in instances {
             let label = format!("{family}/{}", instance.label);
             let spec = match CompiledSpec::compile(instance.dtd, instance.sigma) {
@@ -361,9 +424,13 @@ fn workload_families_agree_with_cold_rebuilds() {
                 Err(_) => continue, // Ψ(D,Σ) rejected the instance
             };
             let mut corpus = CorpusSession::new(&spec);
-            let Some(handles) = open_random_docs(&spec, &mut corpus, 17, 3) else {
+            let Some(handles) = open_random_docs(&spec, &mut corpus, &docs, 17, 3) else {
                 continue;
             };
+            for &h in &handles {
+                let tree = corpus.tree(h).unwrap();
+                widest = widest.max(tree.children(tree.root()).len());
+            }
             let mut rng = StdRng::seed_from_u64(0xc0ffee ^ driven as u64);
             drive_and_check(&spec, &mut corpus, &handles, &mut rng, 20);
             driven += 1;
@@ -373,5 +440,9 @@ fn workload_families_agree_with_cold_rebuilds() {
     assert!(
         driven >= 4,
         "the workload families must actually exercise the differential (drove {driven})"
+    );
+    assert!(
+        widest > 256,
+        "no document with a wide root (widest {widest})"
     );
 }
