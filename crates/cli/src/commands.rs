@@ -2313,6 +2313,8 @@ mod tests {
             "cache.hits",
             "compile.specs",
             "corpus.nodes_revalidated",
+            "ilp.presolve_rows_removed",
+            "ilp.presolve_vars_removed",
             "span.compile",
         ] {
             assert!(

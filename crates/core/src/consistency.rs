@@ -199,7 +199,10 @@ impl ConsistencyChecker {
         dtd: &Dtd,
         sigma: &ConstraintSet,
     ) -> Result<ConsistencyOutcome, SpecError> {
-        let system = CardinalitySystem::build(dtd, sigma, &self.config.system)?;
+        let system = {
+            let _span = xic_telemetry::global().span("core.system");
+            CardinalitySystem::build(dtd, sigma, &self.config.system)?
+        };
         Ok(self.check_unary_with_system(dtd, sigma, &system))
     }
 

@@ -271,28 +271,34 @@ fn choose_alt_branch(simple: &SimpleDtd, budgets: &Budgets, ty: SimpleId) -> u8 
 }
 
 /// Solves `program` once and adds the search counters to the process-wide
-/// registry as `ilp.bb_nodes`, `ilp.lp_calls`, `ilp.pivots` and
-/// `ilp.promotions`.
+/// registry as `ilp.bb_nodes`, `ilp.lp_calls`, `ilp.pivots`,
+/// `ilp.promotions`, `ilp.presolve_rows_removed` and
+/// `ilp.presolve_vars_removed`.
 fn solve_published(
     solver: &xic_ilp::IlpSolver,
     program: &IntegerProgram,
 ) -> (xic_ilp::SolveOutcome, xic_ilp::SolveStats) {
-    static COUNTERS: OnceLock<[Arc<Counter>; 4]> = OnceLock::new();
-    let [nodes, lp_calls, pivots, promotions] = COUNTERS.get_or_init(|| {
-        let telemetry = xic_telemetry::global();
-        [
-            "ilp.bb_nodes",
-            "ilp.lp_calls",
-            "ilp.pivots",
-            "ilp.promotions",
-        ]
-        .map(|name| telemetry.counter(name))
-    });
+    static COUNTERS: OnceLock<[Arc<Counter>; 6]> = OnceLock::new();
+    let [nodes, lp_calls, pivots, promotions, rows_removed, vars_removed] =
+        COUNTERS.get_or_init(|| {
+            let telemetry = xic_telemetry::global();
+            [
+                "ilp.bb_nodes",
+                "ilp.lp_calls",
+                "ilp.pivots",
+                "ilp.promotions",
+                "ilp.presolve_rows_removed",
+                "ilp.presolve_vars_removed",
+            ]
+            .map(|name| telemetry.counter(name))
+        });
     let (outcome, stats) = solver.solve_with_stats(program);
     nodes.add(stats.nodes as u64);
     lp_calls.add(stats.lp_calls as u64);
     pivots.add(stats.pivots as u64);
     promotions.add(stats.promotions);
+    rows_removed.add(stats.presolve_rows_removed as u64);
+    vars_removed.add(stats.presolve_vars_removed as u64);
     (outcome, stats)
 }
 
@@ -326,6 +332,7 @@ pub fn solve_and_witness(
     solver: &xic_ilp::IlpSolver,
     max_repair_rounds: usize,
 ) -> WitnessOutcome {
+    let _span = xic_telemetry::global().span("core.witness");
     let mut working = system.clone();
     for _round in 0..=max_repair_rounds {
         let (outcome, _) = solve_published(solver, working.program());
@@ -444,6 +451,9 @@ pub fn solve_counts(
         total.pruned_infeasible += stats.pruned_infeasible;
         total.pivots += stats.pivots;
         total.promotions += stats.promotions;
+        total.presolve_rows_removed += stats.presolve_rows_removed;
+        total.presolve_vars_removed += stats.presolve_vars_removed;
+        total.presolve_conditionals_kept += stats.presolve_conditionals_kept;
         let assignment = match outcome {
             xic_ilp::SolveOutcome::Infeasible => return (CountsOutcome::Infeasible, total),
             xic_ilp::SolveOutcome::Unknown(reason) => {

@@ -35,6 +35,8 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "ilp.bb_nodes",
         "ilp.lp_calls",
         "ilp.pivots",
+        "ilp.presolve_rows_removed",
+        "ilp.presolve_vars_removed",
         "ilp.promotions",
         "incremental.builds",
         "incremental.constraints_rechecked",

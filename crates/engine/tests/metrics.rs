@@ -226,6 +226,34 @@ fn batch_engine_counts_documents_globally() {
 }
 
 #[test]
+fn deciding_d1_sigma1_records_presolve_and_decision_spans_globally() {
+    // The ILP solver publishes on the process-global registry, and other
+    // tests solve concurrently, so assert monotone deltas only.
+    let registry = EngineMetrics::global_registry();
+    let before = registry.snapshot();
+    let removed = |snapshot: &xic_telemetry::RegistrySnapshot| {
+        snapshot.counter("ilp.presolve_rows_removed").unwrap_or(0)
+    };
+    let spans = |snapshot: &xic_telemetry::RegistrySnapshot, name: &str| {
+        snapshot.histogram(name).map_or(0, |h| h.count)
+    };
+
+    let d1 = xic_dtd::example_d1();
+    let sigma1 = xic_constraints::example_sigma1(&d1);
+    let outcome = xic_core::ConsistencyChecker::new()
+        .check(&d1, &sigma1)
+        .unwrap();
+    assert!(outcome.is_inconsistent(), "{}", outcome.explanation());
+
+    let after = registry.snapshot();
+    assert!(removed(&after) > removed(&before));
+    if registry.timing_enabled() {
+        assert!(spans(&after, "span.core.system") > spans(&before, "span.core.system"));
+        assert!(spans(&after, "span.core.witness") > spans(&before, "span.core.witness"));
+    }
+}
+
+#[test]
 fn capture_covers_the_full_inventory_even_when_idle() {
     let registry = MetricsRegistry::new();
     let metrics = EngineMetrics::capture(&registry);
@@ -237,6 +265,8 @@ fn capture_covers_the_full_inventory_even_when_idle() {
         "ilp.bb_nodes",
         "ilp.lp_calls",
         "ilp.pivots",
+        "ilp.presolve_rows_removed",
+        "ilp.presolve_vars_removed",
         "ilp.promotions",
     ] {
         assert_eq!(metrics.snapshot.counter(name), Some(0), "{name}");

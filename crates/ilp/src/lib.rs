@@ -18,7 +18,14 @@
 //! * [`simplex`] — an exact two-phase primal simplex for LP relaxations;
 //! * [`solver::IlpSolver`] — branch-and-bound integer feasibility with both
 //!   treatments of the paper's conditional constraints `x > 0 → y > 0`
-//!   (case-splitting and the big-constant rewriting);
+//!   (case-splitting and the big-constant rewriting).  Every solve first
+//!   presolves the program: two-term aliases `a·x − a·y = 0` collapse into
+//!   one column per class (union-find), one-term equalities fix their
+//!   variable, rows left empty or duplicated are dropped and conditionals
+//!   are renamed to class representatives or settled, to a fixpoint.  The
+//!   search runs on what is left, weighing each column by its class size;
+//!   its solution is lifted back to every original variable and verified
+//!   against the original program;
 //! * [`bounds`] — Papadimitriou's solution-size bound, which the paper uses
 //!   to justify the big-constant encoding;
 //! * [`enumerate`] — a brute-force oracle used for differential testing.
@@ -33,6 +40,7 @@ pub mod bignum;
 pub mod bounds;
 pub mod enumerate;
 pub mod linear;
+mod presolve;
 pub mod rational;
 pub mod simplex;
 pub mod solver;

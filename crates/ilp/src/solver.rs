@@ -15,10 +15,26 @@
 //!
 //! The solver prefers small solutions (it minimises the sum of all variables
 //! at every LP relaxation), which keeps synthesized witness documents small.
+//!
+//! Every solve starts with a presolve (see `presolve.rs`).  In Ψ(D,Σ) most
+//! rows are aliases `|ext(τ)| − x = 0` from the simple-DTD normal form, so
+//! the presolve merges aliased variables into classes, fixes variables
+//! pinned by one-term equalities, drops rows left empty or duplicated, and
+//! renames or settles the conditionals, repeating to a fixpoint.  It proves
+//! many inconsistent systems infeasible with no LP at all; the gcd test then
+//! runs on the reduced rows, where aliasing can expose a parity clash.  The
+//! search works on one column per surviving class, weighted by the class
+//! size so the objective is still the original `Σ x_j`.  A candidate is
+//! lifted back (each variable takes its class's value or its fixed
+//! constant) and returned only if it satisfies the original program, so
+//! callers always see a full-length assignment over the original
+//! [`crate::VarId`]s.  The big-constant treatment keeps the constant `c` of
+//! the original program.
 
 use crate::bignum::BigInt;
 use crate::bounds::program_big_constant;
-use crate::linear::{Assignment, CmpOp, IntegerProgram, VarId};
+use crate::linear::{Assignment, CmpOp, IntegerProgram};
+use crate::presolve::{presolve, Row};
 use crate::rational::{self, Rational};
 use crate::simplex::{self, LpOutcome, LpProblem, LpRow};
 
@@ -40,10 +56,6 @@ pub struct SolverConfig {
     pub max_nodes: usize,
     /// Treatment of conditional constraints.
     pub conditional_mode: ConditionalMode,
-    /// Optional global upper bound applied to every variable that has none.
-    /// `None` leaves unbounded variables unbounded (the LP relaxation and the
-    /// small-solution preference keep practical searches finite).
-    pub global_upper_bound: Option<BigInt>,
 }
 
 impl Default for SolverConfig {
@@ -51,7 +63,6 @@ impl Default for SolverConfig {
         SolverConfig {
             max_nodes: 100_000,
             conditional_mode: ConditionalMode::Branch,
-            global_upper_bound: None,
         }
     }
 }
@@ -101,6 +112,15 @@ pub struct SolveStats {
     /// Arithmetic results that did not fit the inline rational form and were
     /// computed in limbs (see [`crate::rational`]).
     pub promotions: u64,
+    /// Linear constraints the presolve removed (aliases, singletons, rows
+    /// left empty and duplicates).
+    pub presolve_rows_removed: usize,
+    /// Variables the presolve removed (merged into a class, fixed, or
+    /// mentioned by no remaining row).
+    pub presolve_vars_removed: usize,
+    /// Conditional constraints that survived the presolve and so reached the
+    /// search (as case splits, or as big-constant rows).
+    pub presolve_conditionals_kept: usize,
 }
 
 /// Branch-and-bound ILP feasibility solver.
@@ -109,10 +129,7 @@ pub struct IlpSolver {
     config: SolverConfig,
 }
 
-/// One synthesized relaxation row: terms, comparison, right-hand side.
-type ExtraRow = (Vec<(VarId, Rational)>, CmpOp, Rational);
-
-/// Per-variable search-node state.
+/// Per-column search-node state.
 #[derive(Debug, Clone)]
 struct Node {
     lower: Vec<BigInt>,
@@ -149,58 +166,51 @@ impl IlpSolver {
         (outcome, stats)
     }
 
-    /// The branch-and-bound search behind [`IlpSolver::solve_with_stats`].
+    /// Presolve, then the branch-and-bound search over the reduced system;
+    /// a solution is lifted and verified against `program` itself.
     fn search(&self, program: &IntegerProgram, stats: &mut SolveStats) -> SolveOutcome {
-        let n = program.num_vars();
-
-        // Trivial case: no variables.
+        let Ok(mut reduced) = presolve(program) else {
+            return SolveOutcome::Infeasible;
+        };
+        stats.presolve_rows_removed = program.num_constraints() - reduced.rows.len();
+        stats.presolve_vars_removed = program.num_vars() - reduced.num_cols();
+        stats.presolve_conditionals_kept = reduced.conditionals.len();
+        if gcd_infeasible(&reduced.rows) {
+            return SolveOutcome::Infeasible;
+        }
+        let n = reduced.num_cols();
         if n == 0 {
-            let empty = Assignment::zeros(0);
-            let ok = program.constraints().iter().all(|c| c.holds(&empty))
-                && program.conditionals().iter().all(|c| c.holds(&empty));
-            return if ok {
-                SolveOutcome::Feasible(empty)
+            // Presolve settled every variable: no row or conditional is left.
+            let lifted = reduced.lift(&[]);
+            return if program.is_satisfied_by(&lifted) {
+                SolveOutcome::Feasible(lifted)
             } else {
                 SolveOutcome::Infeasible
             };
         }
 
-        // Presolve: per-row gcd test on pure-integer equality rows.
-        if gcd_infeasible(program) {
-            return SolveOutcome::Infeasible;
-        }
-
-        // Extra rows for the big-constant treatment of conditionals.
-        let mut extra_rows: Vec<ExtraRow> = Vec::new();
+        // The big-constant treatment turns each surviving conditional into
+        // the row `c · consequent − antecedent ≥ 0`, with the paper's `c`
+        // for the original program.
+        let mut rows = std::mem::take(&mut reduced.rows);
         if self.config.conditional_mode == ConditionalMode::BigConstant
-            && program.num_conditionals() > 0
+            && !reduced.conditionals.is_empty()
         {
             let c = Rational::from(program_big_constant(program));
-            for cond in program.conditionals() {
-                // c * consequent - antecedent >= 0
-                extra_rows.push((
-                    vec![
-                        (cond.consequent, c.clone()),
-                        (cond.antecedent, -Rational::one()),
-                    ],
-                    CmpOp::Ge,
-                    Rational::zero(),
-                ));
+            for &(antecedent, consequent) in &reduced.conditionals {
+                let mut terms = vec![(consequent, c.clone()), (antecedent, -Rational::one())];
+                terms.sort_by_key(|&(column, _)| column);
+                rows.push(Row {
+                    terms,
+                    op: CmpOp::Ge,
+                    rhs: Rational::zero(),
+                });
             }
         }
 
-        // Root node bounds.
         let root = Node {
-            lower: program.vars().iter().map(|v| v.lower.clone()).collect(),
-            upper: program
-                .vars()
-                .iter()
-                .map(|v| {
-                    v.upper
-                        .clone()
-                        .or_else(|| self.config.global_upper_bound.clone())
-                })
-                .collect(),
+            lower: reduced.lower.clone(),
+            upper: reduced.upper.clone(),
         };
 
         let mut stack = vec![root];
@@ -226,7 +236,7 @@ impl IlpSolver {
 
             // Solve the LP relaxation for this node.
             stats.lp_calls += 1;
-            let lp = build_relaxation(program, &node, &extra_rows);
+            let lp = build_relaxation(n, &rows, &reduced.weight, &node);
             let (outcome, pivots) = simplex::solve_with_pivots(&lp);
             stats.pivots += pivots;
             let values = match outcome {
@@ -235,14 +245,14 @@ impl IlpSolver {
                     continue;
                 }
                 LpOutcome::Unbounded => {
-                    // Feasibility objective (minimise sum of non-negative
-                    // variables) cannot be unbounded; treat defensively as a
-                    // vertex at the lower bounds.
+                    // Feasibility objective (minimise a positive combination
+                    // of variables bounded below) cannot be unbounded; treat
+                    // defensively as a vertex at the lower bounds.
                     vec![Rational::zero(); n]
                 }
                 LpOutcome::Optimal { values, .. } => values,
             };
-            // Translate shifted LP values back to original variable space.
+            // Translate shifted LP values back to column space.
             let abs_values: Vec<Rational> = values
                 .iter()
                 .enumerate()
@@ -275,37 +285,35 @@ impl IlpSolver {
             }
 
             // All values integral: candidate assignment.
-            let candidate = Assignment::new(
-                abs_values
-                    .iter()
-                    .map(|v| v.to_integer().expect("integral"))
-                    .collect(),
-            );
+            let candidate: Vec<BigInt> = abs_values
+                .iter()
+                .map(|v| v.to_integer().expect("integral"))
+                .collect();
 
             // Check conditionals (only relevant in Branch mode; in BigConstant
             // mode they hold by construction but we verify anyway).
-            let violated = program
-                .conditionals()
+            let violated = reduced
+                .conditionals
                 .iter()
-                .position(|c| !c.holds(&candidate));
-            if let Some(idx) = violated {
-                let cond = &program.conditionals()[idx];
+                .find(|&&(a, c)| candidate[a].is_positive() && !candidate[c].is_positive());
+            if let Some(&(antecedent, consequent)) = violated {
                 // Case B: consequent >= 1.
                 let mut pos = node.clone();
-                if pos.lower[cond.consequent.index()] < BigInt::one() {
-                    pos.lower[cond.consequent.index()] = BigInt::one();
+                if pos.lower[consequent] < BigInt::one() {
+                    pos.lower[consequent] = BigInt::one();
                 }
                 stack.push(pos);
                 // Case A: antecedent = 0.
                 let mut zero = node.clone();
-                zero.upper[cond.antecedent.index()] = Some(BigInt::zero());
+                zero.upper[antecedent] = Some(BigInt::zero());
                 stack.push(zero);
                 continue;
             }
 
-            // Full verification against the original program (defensive).
-            if program.is_satisfied_by(&candidate) {
-                return SolveOutcome::Feasible(candidate);
+            // Lift, and verify against the original program (defensive).
+            let lifted = reduced.lift(&candidate);
+            if program.is_satisfied_by(&lifted) {
+                return SolveOutcome::Feasible(lifted);
             }
             // An integral LP vertex that fails verification indicates the node
             // constraints were weaker than the program (should not happen);
@@ -316,94 +324,74 @@ impl IlpSolver {
     }
 }
 
-/// Builds the LP relaxation of `program` at a node, substituting
+/// Builds the LP relaxation over `n` columns at a node, substituting
 /// `x_j = lower_j + x'_j` so the LP variables are all non-negative, and
 /// adding `x'_j <= upper_j - lower_j` rows for bounded variables.
-fn build_relaxation(program: &IntegerProgram, node: &Node, extra_rows: &[ExtraRow]) -> LpProblem {
-    let n = program.num_vars();
-    let mut rows = Vec::with_capacity(program.num_constraints() + n + extra_rows.len());
-
-    let mut push_row =
-        |terms: &mut dyn Iterator<Item = (VarId, Rational)>, op: CmpOp, rhs: Rational| {
-            let mut coeffs = vec![Rational::zero(); n];
-            let mut shift = Rational::zero();
-            for (v, c) in terms {
-                shift += &(&c * &Rational::from(node.lower[v.index()].clone()));
-                coeffs[v.index()] = &coeffs[v.index()] + &c;
-            }
-            rows.push(LpRow {
-                coeffs,
-                op,
-                rhs: &rhs - &shift,
-            });
-        };
-
-    for c in program.constraints() {
-        push_row(
-            &mut c.expr.terms().map(|(v, coeff)| (v, coeff.clone())),
-            c.op,
-            c.rhs.clone(),
-        );
-    }
-    for (terms, op, rhs) in extra_rows {
-        push_row(&mut terms.iter().cloned(), *op, rhs.clone());
+fn build_relaxation(n: usize, rows: &[Row], weight: &[Rational], node: &Node) -> LpProblem {
+    let mut lp_rows = Vec::with_capacity(rows.len() + n);
+    for row in rows {
+        let mut coeffs = vec![Rational::zero(); n];
+        let mut shift = Rational::zero();
+        for (j, c) in &row.terms {
+            shift += &(c * &Rational::from(node.lower[*j].clone()));
+            coeffs[*j] = c.clone();
+        }
+        lp_rows.push(LpRow {
+            coeffs,
+            op: row.op,
+            rhs: &row.rhs - &shift,
+        });
     }
     // Upper-bound rows.
     for j in 0..n {
         if let Some(u) = &node.upper[j] {
-            let coeffs: Vec<Rational> = (0..n)
-                .map(|k| {
-                    if k == j {
-                        Rational::one()
-                    } else {
-                        Rational::zero()
-                    }
-                })
-                .collect();
-            let gap = u - &node.lower[j];
-            rows.push(LpRow {
+            let mut coeffs = vec![Rational::zero(); n];
+            coeffs[j] = Rational::one();
+            lp_rows.push(LpRow {
                 coeffs,
                 op: CmpOp::Le,
-                rhs: Rational::from(gap),
+                rhs: Rational::from(u - &node.lower[j]),
             });
         }
     }
 
     LpProblem {
         num_vars: n,
-        rows,
-        // Prefer small solutions: minimise the sum of all (shifted) variables.
-        objective: vec![Rational::one(); n],
+        rows: lp_rows,
+        // Prefer small solutions: each column stands for its whole class, so
+        // weighing it by the class size minimises the original Σ x_j.
+        objective: weight.to_vec(),
     }
 }
 
 /// Per-row gcd infeasibility test on equality rows whose coefficients and
 /// right-hand side are integers: if `gcd(coefficients)` does not divide the
-/// right-hand side, the row has no integer solution at all.
-fn gcd_infeasible(program: &IntegerProgram) -> bool {
-    program.constraints().iter().any(|c| {
-        if c.op != CmpOp::Eq
-            || !c.rhs.is_integer()
-            || c.expr.terms().any(|(_, coeff)| !coeff.is_integer())
+/// right-hand side, the row has no integer solution at all.  Run on the
+/// presolved rows, it also catches parity clashes that aliasing exposes.
+fn gcd_infeasible(rows: &[Row]) -> bool {
+    rows.iter().any(|row| {
+        if row.op != CmpOp::Eq
+            || !row.rhs.is_integer()
+            || row.terms.iter().any(|(_, coeff)| !coeff.is_integer())
         {
             return false;
         }
         let mut g = BigInt::zero();
-        for (_, coeff) in c.expr.terms() {
+        for (_, coeff) in &row.terms {
             g = g.gcd(&coeff.numer().abs());
         }
         if g.is_zero() {
             // An empty row: `0 = rhs`.
-            return !c.rhs.is_zero();
+            return !row.rhs.is_zero();
         }
-        !g.is_one() && !c.rhs.numer().divrem(&g).1.is_zero()
+        !g.is_one() && !row.rhs.numer().divrem(&g).1.is_zero()
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinExpr;
+    use crate::linear::{LinExpr, VarId};
 
     fn int(v: i64) -> Rational {
         Rational::from_int(v)
@@ -566,6 +554,172 @@ mod tests {
         let x = p.add_var_bounded("x", BigInt::zero(), Some(BigInt::from(2i64)));
         p.add_ge(LinExpr::var(x), int(3), "x>=3");
         assert!(IlpSolver::new().solve(&p).is_infeasible());
+    }
+
+    fn alias(p: &mut IntegerProgram, x: VarId, y: VarId) {
+        let mut e = LinExpr::var(x);
+        e.add_term(y, int(-1));
+        p.add_eq(e, int(0), "alias");
+    }
+
+    #[test]
+    fn aliasing_exposes_a_parity_clash_without_an_lp() {
+        // x − y = 0 turns x + y + 2z = 3 into 2x + 2z = 3.
+        let mut p = IntegerProgram::new();
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        let z = p.add_var("z");
+        alias(&mut p, x, y);
+        let mut e = LinExpr::var(x);
+        e.add_term(y, int(1));
+        e.add_term(z, int(2));
+        p.add_eq(e, int(3), "sum");
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&p);
+        assert!(outcome.is_infeasible());
+        assert_eq!(stats.lp_calls, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn non_integer_singleton_is_infeasible_without_an_lp() {
+        let mut p = IntegerProgram::new();
+        let x = p.add_var("x");
+        p.add_eq(LinExpr::term(int(2), x), int(3), "2x = 3");
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&p);
+        assert!(outcome.is_infeasible());
+        assert_eq!(stats.lp_calls, 0);
+    }
+
+    #[test]
+    fn aliases_fixed_to_different_values_are_infeasible() {
+        let mut p = IntegerProgram::new();
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        alias(&mut p, x, y);
+        p.add_eq(LinExpr::var(x), int(1), "x = 1");
+        p.add_eq(LinExpr::var(y), int(2), "y = 2");
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&p);
+        assert!(outcome.is_infeasible());
+        assert_eq!(stats.lp_calls, 0);
+
+        // The same clash through the class bounds: x ≤ 1 and y ≥ 2.
+        let mut q = IntegerProgram::new();
+        let x = q.add_var_bounded("x", BigInt::zero(), Some(BigInt::one()));
+        let y = q.add_var_bounded("y", BigInt::from(2i64), None);
+        alias(&mut q, x, y);
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&q);
+        assert!(outcome.is_infeasible());
+        assert_eq!(stats.lp_calls, 0);
+    }
+
+    #[test]
+    fn a_class_takes_its_members_tightest_bounds() {
+        // x ≤ 3 and y ≥ 2, aliased: the class lies in [2, 3].
+        let mut p = IntegerProgram::new();
+        let x = p.add_var_bounded("x", BigInt::zero(), Some(BigInt::from(3i64)));
+        let y = p.add_var_bounded("y", BigInt::from(2i64), None);
+        alias(&mut p, x, y);
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&p);
+        let a = outcome.assignment().expect("feasible");
+        assert_eq!(a.values(), &[2i64, 2].map(BigInt::from));
+        assert_eq!(stats.lp_calls, 0);
+    }
+
+    #[test]
+    fn conditional_within_one_class_is_dropped() {
+        // x − y = 0 makes x > 0 → y > 0 hold by construction.
+        let mut p = IntegerProgram::new();
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        alias(&mut p, x, y);
+        p.add_conditional(x, y, "x→y");
+        p.add_ge(LinExpr::var(x), int(1), "x>=1");
+        for mode in [ConditionalMode::Branch, ConditionalMode::BigConstant] {
+            let (outcome, stats) = IlpSolver::with_config(SolverConfig {
+                conditional_mode: mode,
+                ..SolverConfig::default()
+            })
+            .solve_with_stats(&p);
+            let a = outcome.assignment().expect("feasible");
+            assert!(p.is_satisfied_by(a));
+            assert_eq!((a.get(x), a.get(y)), (&BigInt::one(), &BigInt::one()));
+            assert_eq!(stats.presolve_conditionals_kept, 0);
+            assert_eq!(stats.presolve_rows_removed, 1);
+            assert_eq!(stats.presolve_vars_removed, 1);
+        }
+    }
+
+    #[test]
+    fn positive_antecedent_forces_its_consequent() {
+        // x = 2 with x > 0 → y > 0: y's lower bound becomes 1.
+        let mut p = IntegerProgram::new();
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        let z = p.add_var("z");
+        p.add_eq(LinExpr::var(x), int(2), "x = 2");
+        p.add_conditional(x, y, "x→y");
+        let mut e = LinExpr::var(y);
+        e.add_term(z, int(1));
+        p.add_le(e, int(4), "y+z<=4");
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&p);
+        let a = outcome.assignment().expect("feasible");
+        assert!(p.is_satisfied_by(a));
+        assert_eq!(a.get(y), &BigInt::one());
+        assert_eq!(stats.presolve_conditionals_kept, 0);
+
+        // ... which contradicts a consequent fixed at 0.
+        p.add_eq(LinExpr::var(y), int(0), "y = 0");
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&p);
+        assert!(outcome.is_infeasible());
+        assert_eq!(stats.lp_calls, 0);
+    }
+
+    #[test]
+    fn zero_consequent_forces_its_antecedent_to_zero() {
+        // y = 0 with x > 0 → y > 0 leaves x = 0, so x + z ≥ 1 needs z, even
+        // though z's class {z, z1, z2} makes it three times dearer than x.
+        let mut p = IntegerProgram::new();
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        let z = p.add_var("z");
+        let z1 = p.add_var("z1");
+        let z2 = p.add_var("z2");
+        alias(&mut p, z, z1);
+        alias(&mut p, z, z2);
+        p.add_eq(LinExpr::var(y), int(0), "y = 0");
+        p.add_conditional(x, y, "x→y");
+        let mut e = LinExpr::var(x);
+        e.add_term(z, int(1));
+        p.add_ge(e, int(1), "x+z>=1");
+        for mode in [ConditionalMode::Branch, ConditionalMode::BigConstant] {
+            let (outcome, stats) = IlpSolver::with_config(SolverConfig {
+                conditional_mode: mode,
+                ..SolverConfig::default()
+            })
+            .solve_with_stats(&p);
+            let a = outcome.assignment().expect("feasible");
+            assert_eq!(a.values(), &[0i64, 0, 1, 1, 1].map(BigInt::from));
+            assert_eq!(stats.presolve_conditionals_kept, 0);
+        }
+    }
+
+    #[test]
+    fn lifted_solution_keeps_the_original_objective() {
+        // Three aliases of x plus y, with x + y ≥ 1: the class {x, x1, x2}
+        // weighs 3, so the minimum puts the unit on y.
+        let mut p = IntegerProgram::new();
+        let x = p.add_var("x");
+        let x1 = p.add_var("x1");
+        let x2 = p.add_var("x2");
+        let y = p.add_var("y");
+        alias(&mut p, x, x1);
+        alias(&mut p, x1, x2);
+        let mut e = LinExpr::var(x);
+        e.add_term(y, int(1));
+        p.add_ge(e, int(1), "x+y>=1");
+        let (outcome, stats) = IlpSolver::new().solve_with_stats(&p);
+        let a = outcome.assignment().expect("feasible");
+        assert_eq!(a.values(), &[0i64, 0, 0, 1].map(BigInt::from));
+        assert_eq!(stats.presolve_vars_removed, 2);
     }
 
     #[test]

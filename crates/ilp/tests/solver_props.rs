@@ -1,6 +1,9 @@
 //! The branch-and-bound solver agrees with brute-force enumeration on small
 //! random programs, under both treatments of conditional constraints, and
 //! the big-constant treatment stays exact when its constant leaves `i64`.
+//! Programs with planted aliases, singletons, duplicate rows and
+//! conditionals across aliased variables exercise the presolve: its answer
+//! and its lifted assignment are checked against the original program.
 
 use proptest::prelude::*;
 use xic_ilp::bounds::program_big_constant;
@@ -18,9 +21,27 @@ const UPPER: i64 = 3;
 type Row = (Vec<i64>, u8, i64);
 
 fn build(num_vars: usize, rows: &[Row], conditionals: &[(usize, usize)]) -> IntegerProgram {
+    build_with_lowers(&vec![0; num_vars], rows, conditionals)
+}
+
+/// Like [`build`], with variable `j` in `[lowers[j], UPPER]`.
+fn build_with_lowers(
+    lowers: &[i64],
+    rows: &[Row],
+    conditionals: &[(usize, usize)],
+) -> IntegerProgram {
+    let num_vars = lowers.len();
     let mut p = IntegerProgram::new();
-    let vars: Vec<_> = (0..num_vars)
-        .map(|j| p.add_var_bounded(format!("x{j}"), BigInt::zero(), Some(BigInt::from(UPPER))))
+    let vars: Vec<_> = lowers
+        .iter()
+        .enumerate()
+        .map(|(j, &lower)| {
+            p.add_var_bounded(
+                format!("x{j}"),
+                BigInt::from(lower),
+                Some(BigInt::from(UPPER)),
+            )
+        })
         .collect();
     for (i, (coeffs, op, rhs)) in rows.iter().enumerate() {
         let mut e = LinExpr::new();
@@ -78,10 +99,91 @@ proptest! {
         prop_assert!(agrees(&p, &branch, oracle), "branch {:?}, oracle {}\n{}", branch, oracle, p.render());
         let (big, stats) = solve(&p, ConditionalMode::BigConstant);
         prop_assert!(agrees(&p, &big, oracle), "big constant {:?}, oracle {}\n{}", big, oracle, p.render());
-        // Once an LP relaxation is built (presolve may settle the program
-        // first), a constant beyond `i64` enters the tableau in limbs.
-        if stats.lp_calls > 0 && p.num_conditionals() > 0 && exceeds_i64(&program_big_constant(&p)) {
+        // Once an LP relaxation is built with a conditional that survived
+        // presolve, a constant beyond `i64` enters the tableau in limbs.
+        if stats.lp_calls > 0
+            && stats.presolve_conditionals_kept > 0
+            && exceeds_i64(&program_big_constant(&p))
+        {
             prop_assert!(stats.promotions > 0, "c beyond i64 without promotions\n{}", p.render());
+        }
+    }
+}
+
+/// A row over `num_vars` variables with the given `(variable,
+/// coefficient)` terms and zeros elsewhere.
+fn sparse_row(num_vars: usize, terms: &[(usize, i64)], op: u8, rhs: i64) -> Row {
+    let mut coeffs = vec![0; num_vars];
+    for &(v, c) in terms {
+        coeffs[v] += c;
+    }
+    (coeffs, op, rhs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn presolve_preserves_answers_on_planted_structure(
+        num_vars in 2usize..6,
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(-3i64..4, 5..6), 0u8..3, -3i64..7),
+            0..4,
+        ),
+        aliases in proptest::collection::vec((0usize..5, 0usize..5, 1i64..3), 0..4),
+        singletons in proptest::collection::vec((0usize..5, 1i64..3, 0i64..5), 0..2),
+        duplicates in proptest::collection::vec(0usize..4, 0..3),
+        variants in proptest::collection::vec((0usize..4, 0u8..3, -3i64..7), 0..2),
+        lowers in proptest::collection::vec(0i64..3, 5..6),
+        conditionals in proptest::collection::vec((0usize..5, 0usize..5), 0..3),
+        linked in proptest::collection::vec(0u8..2, 4..5),
+    ) {
+        let n = num_vars;
+        let mut all: Vec<Row> = rows.clone();
+        let mut planted = 0;
+        for &d in &duplicates {
+            if let Some(row) = rows.get(d % rows.len().max(1)) {
+                all.push(row.clone());
+                planted += 1;
+            }
+        }
+        // Same terms, another operator or right-hand side: not a duplicate.
+        for &(d, op, rhs) in &variants {
+            if let Some((coeffs, _, _)) = rows.get(d % rows.len().max(1)) {
+                all.push((coeffs.clone(), op, rhs));
+            }
+        }
+        // `k·x − k·y = 0`: an alias with a non-unit coefficient.
+        for &(a, b, k) in &aliases {
+            if a % n != b % n {
+                all.push(sparse_row(n, &[(a % n, k), (b % n, -k)], 2, 0));
+                planted += 1;
+            }
+        }
+        // `a·x = r`: sometimes non-integer, sometimes beyond the bound.
+        for &(x, a, r) in &singletons {
+            all.push(sparse_row(n, &[(x % n, a)], 2, r));
+            planted += 1;
+        }
+        // Conditionals between random variables and across aliased ones.
+        let mut conds: Vec<(usize, usize)> = conditionals.clone();
+        for (&(a, b, _), &link) in aliases.iter().zip(&linked) {
+            if link == 1 {
+                conds.push((b, (a + 1) % n));
+            }
+        }
+        // Mostly zero lower bounds, so that aliases rarely clash outright.
+        let lowers: Vec<i64> = lowers[..n].iter().map(|&l| if l == 2 { 1 } else { 0 }).collect();
+        let p = build_with_lowers(&lowers, &all, &conds);
+        let oracle = enumerate_feasible(&p, UPPER as u64).is_some();
+        for mode in [ConditionalMode::Branch, ConditionalMode::BigConstant] {
+            let (outcome, stats) = solve(&p, mode);
+            prop_assert!(agrees(&p, &outcome, oracle), "{:?}: {:?}, oracle {}\n{}", mode, outcome, oracle, p.render());
+            // Every planted row is an alias, a singleton or a copy, so a
+            // presolve that got through the program removed each of them.
+            if outcome.is_feasible() {
+                prop_assert!(stats.presolve_rows_removed >= planted, "{:?} < {}\n{}", stats, planted, p.render());
+            }
         }
     }
 }
