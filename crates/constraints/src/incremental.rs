@@ -36,7 +36,11 @@
 //!
 //! Values are interned ([`xic_xml::ValuePool`]), so tuples are short
 //! integer slices hashed with a multiply-rotate hasher; violations resolve
-//! their witness tuples back to strings only when they are rendered.
+//! their witness tuples back to strings only when they are rendered.  The
+//! common shapes cost no allocation of their own: a unary tuple key is
+//! stored inline (`TupleKey`), and a set of one element — a tuple with a
+//! single carrier, which is every tuple of a satisfied key — is stored
+//! inline too (`NodeSet`).
 //!
 //! The invariant, enforced by `tests/satisfaction_agreement.rs`,
 //! `tests/session_agreement.rs` and `tests/corpus_agreement.rs`, is
@@ -45,8 +49,9 @@
 //! checker's [`crate::SatisfactionChecker::check_all`] on the edited tree —
 //! same violations, same witnesses, same order.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use xic_dtd::{AttrId, Dtd, ElemId};
@@ -105,7 +110,136 @@ impl Hasher for TupleHasher {
     }
 }
 
-type TupleMap<V> = HashMap<Box<[ValueId]>, V, BuildHasherDefault<TupleHasher>>;
+type TupleMap<V> = HashMap<TupleKey, V, BuildHasherDefault<TupleHasher>>;
+
+/// An interned tuple `x[X̄]` as a map key: inline for a unary tuple, boxed
+/// otherwise.  It borrows as the slice it spells and hashes and compares
+/// exactly like that slice, so maps keyed by it are probed with a plain
+/// `&[ValueId]` and a lookup never builds a key.
+#[derive(Debug)]
+enum TupleKey {
+    One(ValueId),
+    Many(Box<[ValueId]>),
+}
+
+impl TupleKey {
+    fn as_slice(&self) -> &[ValueId] {
+        match self {
+            TupleKey::One(value) => std::slice::from_ref(value),
+            TupleKey::Many(values) => values,
+        }
+    }
+}
+
+impl From<&[ValueId]> for TupleKey {
+    fn from(tuple: &[ValueId]) -> TupleKey {
+        match tuple {
+            [value] => TupleKey::One(*value),
+            _ => TupleKey::Many(tuple.into()),
+        }
+    }
+}
+
+impl Borrow<[ValueId]> for TupleKey {
+    fn borrow(&self) -> &[ValueId] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for TupleKey {
+    fn eq(&self, other: &TupleKey) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for TupleKey {}
+
+impl Hash for TupleKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+/// An ordered set of elements, inline while it holds at most one.
+///
+/// Carrier sets are the common case: under a satisfied key every tuple has
+/// exactly one carrier, and most inclusion sources share their tuple with
+/// no other source.  A set falls back to a `BTreeSet` from its second
+/// element on, and returns to the inline form when it shrinks to one.
+#[derive(Debug, Default)]
+enum NodeSet {
+    #[default]
+    Empty,
+    One(NodeId),
+    Many(BTreeSet<NodeId>),
+}
+
+impl NodeSet {
+    fn insert(&mut self, node: NodeId) {
+        match self {
+            NodeSet::Empty => *self = NodeSet::One(node),
+            NodeSet::One(only) if *only != node => {
+                *self = NodeSet::Many(BTreeSet::from([*only, node]));
+            }
+            NodeSet::One(_) => {}
+            NodeSet::Many(set) => {
+                set.insert(node);
+            }
+        }
+    }
+
+    fn remove(&mut self, node: NodeId) {
+        match self {
+            NodeSet::One(only) if *only == node => *self = NodeSet::Empty,
+            NodeSet::Many(set) => {
+                set.remove(&node);
+                if set.len() == 1 {
+                    *self = NodeSet::One(*set.first().expect("one element left"));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, NodeSet::Empty)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            NodeSet::Empty => 0,
+            NodeSet::One(_) => 1,
+            NodeSet::Many(set) => set.len(),
+        }
+    }
+
+    /// The smallest element.
+    fn first(&self) -> Option<NodeId> {
+        match self {
+            NodeSet::Empty => None,
+            NodeSet::One(only) => Some(*only),
+            NodeSet::Many(set) => set.first().copied(),
+        }
+    }
+
+    /// The second-smallest element: a tuple's clash witness.
+    fn second(&self) -> Option<NodeId> {
+        match self {
+            NodeSet::Many(set) => set.iter().nth(1).copied(),
+            _ => None,
+        }
+    }
+
+    /// The elements in ascending order.
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let (only, many) = match self {
+            NodeSet::Empty => (None, None),
+            NodeSet::One(only) => (Some(*only), None),
+            NodeSet::Many(set) => (None, Some(set.iter().copied())),
+        };
+        only.into_iter().chain(many.into_iter().flatten())
+    }
+}
 
 /// Process-wide incremental-index instruments (builds, build latency,
 /// constraints recomputed by verdict extraction), resolved once.
@@ -167,10 +301,11 @@ pub struct IncrementalLayout {
     checks: Vec<(Check, String)>,
     slots: Vec<SlotSpec>,
     sources: Vec<SourceSpec>,
-    /// Slot indices to update when an element of the type appears/vanishes.
-    slots_of_ty: HashMap<ElemId, Vec<usize>>,
-    /// Source indices to update, keyed the same way.
-    sources_of_ty: HashMap<ElemId, Vec<usize>>,
+    /// Slot indices to update when an element of the type appears/vanishes,
+    /// indexed by [`ElemId::index`] (every type of the DTD has an entry).
+    slots_of_ty: Vec<Vec<usize>>,
+    /// Source indices to update, indexed the same way.
+    sources_of_ty: Vec<Vec<usize>>,
     /// Constraints whose verdict can change when the type's extension does.
     checks_of_ty: HashMap<ElemId, Vec<usize>>,
     /// Constraints whose verdict can change when `(τ, l)` values do.
@@ -216,13 +351,13 @@ impl IncrementalLayout {
             }
         }
 
-        let mut slots_of_ty: HashMap<ElemId, Vec<usize>> = HashMap::new();
+        let mut slots_of_ty: Vec<Vec<usize>> = vec![Vec::new(); dtd.num_types()];
         for (i, s) in slots.iter().enumerate() {
-            slots_of_ty.entry(s.ty).or_default().push(i);
+            slots_of_ty[s.ty.index()].push(i);
         }
-        let mut sources_of_ty: HashMap<ElemId, Vec<usize>> = HashMap::new();
+        let mut sources_of_ty: Vec<Vec<usize>> = vec![Vec::new(); dtd.num_types()];
         for (i, s) in sources.iter().enumerate() {
-            sources_of_ty.entry(s.from_ty).or_default().push(i);
+            sources_of_ty[s.from_ty.index()].push(i);
         }
 
         // Touch maps: which constraints can change verdict when a type's
@@ -280,6 +415,18 @@ impl IncrementalLayout {
             checks_of_ty,
             checks_of_attr,
         }
+    }
+
+    /// The slots an element of type `ty` carries a tuple in.
+    fn slots_of(&self, ty: ElemId) -> &[usize] {
+        self.slots_of_ty.get(ty.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The inclusion sources an element of type `ty` is filed in.
+    fn sources_of(&self, ty: ElemId) -> &[usize] {
+        self.sources_of_ty
+            .get(ty.index())
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of constraints in Σ (one cached verdict each).
@@ -465,24 +612,39 @@ pub struct VerdictChange {
 struct SlotData {
     /// Every tuple present in the document, with the ordered set of
     /// elements carrying it (the "multiset" view: multiplicity = set size).
-    carriers: TupleMap<BTreeSet<NodeId>>,
+    /// Absent tuples have no entry, so no set here is empty; a tuple with
+    /// one carrier costs its map entry and nothing else.
+    carriers: TupleMap<NodeSet>,
     /// Second-smallest carrier → tuple, for every tuple with ≥ 2 carriers.
     /// Each element carries exactly one tuple per slot, so the keys are
     /// unique; the first entry is the traversal-order first clash (the
     /// ascending-id order of [`xic_xml::XmlTree::elements`], which every
     /// checker in the workspace scans in).
-    clashes: BTreeMap<NodeId, Box<[ValueId]>>,
+    clashes: BTreeMap<NodeId, TupleKey>,
 }
 
 /// Per-document mutable state of one inclusion source.
 #[derive(Debug, Default)]
 struct SourceData {
-    /// Live sources bucketed by their tuple.
-    by_tuple: TupleMap<BTreeSet<NodeId>>,
+    /// Live sources bucketed by their tuple (no bucket is empty).
+    by_tuple: TupleMap<NodeSet>,
     /// Sources missing one of `from_attrs` (a violation of its own kind).
-    missing: BTreeSet<NodeId>,
+    missing: NodeSet,
     /// Sources whose tuple is absent from the target slot.
-    dangling: BTreeSet<NodeId>,
+    dangling: NodeSet,
+}
+
+/// The set filed under `tuple` in `map`, created empty if absent.  A
+/// unary key is built inline, so `entry`'s one probe is the whole cost; a
+/// wider tuple is boxed only the first time it is filed.
+fn set_of<'m>(map: &'m mut TupleMap<NodeSet>, tuple: &[ValueId]) -> &'m mut NodeSet {
+    if let [value] = tuple {
+        return map.entry(TupleKey::One(*value)).or_default();
+    }
+    if !map.contains_key(tuple) {
+        map.insert(TupleKey::from(tuple), NodeSet::Empty);
+    }
+    map.get_mut(tuple).expect("filed above")
 }
 
 /// Incrementally maintained satisfaction indexes for one `(Σ, T)` pair.
@@ -521,7 +683,9 @@ impl IncrementalIndex {
     /// traversal order — every slot first, then every inclusion source
     /// (every constraint starts dirty, so the first verdict is computed, not
     /// assumed).  No layout derivation happens here: the `Arc` is the only
-    /// thing cloned.
+    /// thing cloned.  Each tuple map is sized up front from the extension
+    /// of its element type, counted in one pass over the tree, so filing
+    /// the document's tuples never rehashes.
     pub fn with_layout(layout: Arc<IncrementalLayout>, tree: &XmlTree) -> IncrementalIndex {
         let (builds, build_ns, _) = instruments();
         let timer = xic_telemetry::global().start_timer();
@@ -538,12 +702,37 @@ impl IncrementalIndex {
         tree: &XmlTree,
     ) -> IncrementalIndex {
         let n = layout.checks.len();
+        let mut ext = vec![0usize; layout.slots_of_ty.len()];
+        for node in tree.elements() {
+            if let Some(count) = tree
+                .element_type(node)
+                .and_then(|ty| ext.get_mut(ty.index()))
+            {
+                *count += 1;
+            }
+        }
+        let sized = |ty: ElemId| {
+            TupleMap::with_capacity_and_hasher(
+                ext.get(ty.index()).copied().unwrap_or(0),
+                Default::default(),
+            )
+        };
         let mut index = IncrementalIndex {
-            slots: layout.slots.iter().map(|_| SlotData::default()).collect(),
+            slots: layout
+                .slots
+                .iter()
+                .map(|spec| SlotData {
+                    carriers: sized(spec.ty),
+                    ..SlotData::default()
+                })
+                .collect(),
             sources: layout
                 .sources
                 .iter()
-                .map(|_| SourceData::default())
+                .map(|spec| SourceData {
+                    by_tuple: sized(spec.from_ty),
+                    ..SourceData::default()
+                })
                 .collect(),
             layout,
             dirty_flags: vec![true; n],
@@ -561,19 +750,16 @@ impl IncrementalIndex {
             let Some(ty) = tree.element_type(node) else {
                 continue;
             };
-            for &si in layout.slots_of_ty.get(&ty).into_iter().flatten() {
+            for &si in layout.slots_of(ty) {
                 let spec = &layout.slots[si];
                 if !tree.attr_value_ids(node, &spec.attrs, &mut tuple) {
                     continue;
                 }
                 let slot = &mut index.slots[si];
-                let set = match slot.carriers.get_mut(tuple.as_slice()) {
-                    Some(set) => set,
-                    None => slot.carriers.entry(tuple.as_slice().into()).or_default(),
-                };
+                let set = set_of(&mut slot.carriers, &tuple);
                 set.insert(node);
                 if spec.track_clash && set.len() == 2 {
-                    slot.clashes.insert(node, tuple.as_slice().into());
+                    slot.clashes.insert(node, TupleKey::from(tuple.as_slice()));
                 }
             }
         }
@@ -583,7 +769,7 @@ impl IncrementalIndex {
                 let Some(ty) = tree.element_type(node) else {
                     continue;
                 };
-                for &qi in layout.sources_of_ty.get(&ty).into_iter().flatten() {
+                for &qi in layout.sources_of(ty) {
                     let spec = &layout.sources[qi];
                     let src = &mut index.sources[qi];
                     if !tree.attr_value_ids(node, &spec.from_attrs, &mut tuple) {
@@ -596,17 +782,7 @@ impl IncrementalIndex {
                     {
                         src.dangling.insert(node);
                     }
-                    match src.by_tuple.get_mut(tuple.as_slice()) {
-                        Some(set) => {
-                            set.insert(node);
-                        }
-                        None => {
-                            src.by_tuple
-                                .entry(tuple.as_slice().into())
-                                .or_default()
-                                .insert(node);
-                        }
-                    }
+                    set_of(&mut src.by_tuple, &tuple).insert(node);
                 }
             }
         }
@@ -659,7 +835,7 @@ impl IncrementalIndex {
                     return;
                 }
                 self.mark_dirty_attr(&layout, *ty, *attr);
-                for si in layout.slots_of_ty.get(ty).into_iter().flatten() {
+                for si in layout.slots_of(*ty) {
                     let spec = &layout.slots[*si];
                     if !spec.attrs.contains(attr) {
                         continue;
@@ -676,7 +852,7 @@ impl IncrementalIndex {
                         self.add_carrier(&layout, *si, &t, *element);
                     }
                 }
-                for qi in layout.sources_of_ty.get(ty).into_iter().flatten() {
+                for qi in layout.sources_of(*ty) {
                     let spec = &layout.sources[*qi];
                     if !spec.from_attrs.contains(attr) {
                         continue;
@@ -709,12 +885,12 @@ impl IncrementalIndex {
 
     fn insert_element(&mut self, tree: &XmlTree, node: NodeId, ty: ElemId) {
         let layout = Arc::clone(&self.layout);
-        for si in layout.slots_of_ty.get(&ty).into_iter().flatten() {
+        for si in layout.slots_of(ty) {
             if let Some(t) = tuple_of(tree, node, &layout.slots[*si].attrs) {
                 self.add_carrier(&layout, *si, &t, node);
             }
         }
-        for qi in layout.sources_of_ty.get(&ty).into_iter().flatten() {
+        for qi in layout.sources_of(ty) {
             let t = tuple_of(tree, node, &layout.sources[*qi].from_attrs);
             self.add_source(&layout, *qi, t.as_deref(), node);
         }
@@ -724,12 +900,12 @@ impl IncrementalIndex {
     /// tombstoned arena slot, which [`XmlTree::remove_subtree`] preserves.
     fn retract_element(&mut self, tree: &XmlTree, node: NodeId, ty: ElemId) {
         let layout = Arc::clone(&self.layout);
-        for si in layout.slots_of_ty.get(&ty).into_iter().flatten() {
+        for si in layout.slots_of(ty) {
             if let Some(t) = tuple_of(tree, node, &layout.slots[*si].attrs) {
                 self.remove_carrier(&layout, *si, &t, node);
             }
         }
-        for qi in layout.sources_of_ty.get(&ty).into_iter().flatten() {
+        for qi in layout.sources_of(ty) {
             let t = tuple_of(tree, node, &layout.sources[*qi].from_attrs);
             self.remove_source(&layout, *qi, t.as_deref(), node);
         }
@@ -745,20 +921,17 @@ impl IncrementalIndex {
         let became_present;
         {
             let slot = &mut self.slots[si];
-            let set = match slot.carriers.get_mut(tuple) {
-                Some(set) => set,
-                None => slot.carriers.entry(tuple.into()).or_default(),
-            };
+            let set = set_of(&mut slot.carriers, tuple);
             became_present = set.is_empty();
-            let old_second = set.iter().nth(1).copied();
+            let old_second = set.second();
             set.insert(node);
-            let new_second = set.iter().nth(1).copied();
+            let new_second = set.second();
             if layout.slots[si].track_clash && old_second != new_second {
                 if let Some(s) = old_second {
                     slot.clashes.remove(&s);
                 }
                 if let Some(s) = new_second {
-                    slot.clashes.insert(s, tuple.into());
+                    slot.clashes.insert(s, TupleKey::from(tuple));
                 }
             }
         }
@@ -781,15 +954,15 @@ impl IncrementalIndex {
                 debug_assert!(false, "removing a carrier that was never added");
                 return;
             };
-            let old_second = set.iter().nth(1).copied();
-            set.remove(&node);
-            let new_second = set.iter().nth(1).copied();
+            let old_second = set.second();
+            set.remove(node);
+            let new_second = set.second();
             if layout.slots[si].track_clash && old_second != new_second {
                 if let Some(s) = old_second {
                     slot.clashes.remove(&s);
                 }
                 if let Some(s) = new_second {
-                    slot.clashes.insert(s, tuple.into());
+                    slot.clashes.insert(s, TupleKey::from(tuple));
                 }
             }
             became_absent = set.is_empty();
@@ -816,9 +989,9 @@ impl IncrementalIndex {
                 by_tuple, dangling, ..
             } = &mut self.sources[qi];
             if let Some(nodes) = by_tuple.get(tuple) {
-                for &n in nodes {
+                for n in nodes.iter() {
                     if present {
-                        dangling.remove(&n);
+                        dangling.remove(n);
                     } else {
                         dangling.insert(n);
                     }
@@ -842,14 +1015,7 @@ impl IncrementalIndex {
                 let target = layout.sources[qi].target;
                 let present = self.slots[target].carriers.contains_key(t);
                 let src = &mut self.sources[qi];
-                match src.by_tuple.get_mut(t) {
-                    Some(set) => {
-                        set.insert(node);
-                    }
-                    None => {
-                        src.by_tuple.entry(t.into()).or_default().insert(node);
-                    }
-                }
+                set_of(&mut src.by_tuple, t).insert(node);
                 if !present {
                     src.dangling.insert(node);
                 }
@@ -867,16 +1033,16 @@ impl IncrementalIndex {
         let src = &mut self.sources[qi];
         match tuple {
             None => {
-                src.missing.remove(&node);
+                src.missing.remove(node);
             }
             Some(t) => {
                 if let Some(set) = src.by_tuple.get_mut(t) {
-                    set.remove(&node);
+                    set.remove(node);
                     if set.is_empty() {
                         src.by_tuple.remove(t);
                     }
                 }
-                src.dangling.remove(&node);
+                src.dangling.remove(node);
             }
         }
     }
@@ -998,10 +1164,11 @@ impl IncrementalIndex {
             "clash read on a non-key slot"
         );
         let (&second, tuple) = slot.clashes.first_key_value()?;
-        let first = *slot
+        let tuple = tuple.as_slice();
+        let first = slot
             .carriers
-            .get(tuple.as_ref())
-            .and_then(|set| set.first())
+            .get(tuple)
+            .and_then(NodeSet::first)
             .expect("clash entries always name live tuples");
         Some((first, second, tuple))
     }
@@ -1019,8 +1186,8 @@ impl IncrementalIndex {
     /// dangling tuple, whichever node comes first.
     fn first_bad_source(&self, qi: usize) -> Option<(NodeId, bool)> {
         let src = &self.sources[qi];
-        let missing = src.missing.first().copied();
-        let dangling = src.dangling.first().copied();
+        let missing = src.missing.first();
+        let dangling = src.dangling.first();
         match (missing, dangling) {
             (None, None) => None,
             (Some(m), None) => Some((m, true)),
@@ -1163,6 +1330,71 @@ mod tests {
             t.add_text(r, "Web DB");
         }
         t
+    }
+
+    #[test]
+    fn node_set_moves_between_inline_and_ordered_forms() {
+        let (a, b, c) = (NodeId(3), NodeId(7), NodeId(5));
+        let mut set = NodeSet::default();
+        assert!(set.is_empty());
+        assert_eq!((set.len(), set.first(), set.second()), (0, None, None));
+        set.remove(a);
+        assert!(set.is_empty());
+
+        set.insert(b);
+        set.insert(b);
+        assert!(matches!(set, NodeSet::One(n) if n == b));
+        assert_eq!((set.len(), set.first(), set.second()), (1, Some(b), None));
+        set.remove(a);
+        assert!(matches!(set, NodeSet::One(n) if n == b));
+
+        set.insert(a);
+        assert!(matches!(set, NodeSet::Many(_)));
+        assert_eq!(
+            (set.len(), set.first(), set.second()),
+            (2, Some(a), Some(b))
+        );
+        set.insert(c);
+        set.insert(c);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![a, c, b]);
+        assert_eq!(set.second(), Some(c));
+
+        set.remove(c);
+        set.remove(c);
+        assert_eq!((set.len(), set.second()), (2, Some(b)));
+        set.remove(a);
+        assert!(matches!(set, NodeSet::One(n) if n == b));
+        assert_eq!((set.len(), set.first(), set.second()), (1, Some(b), None));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![b]);
+
+        set.remove(b);
+        assert!(set.is_empty());
+        assert_eq!(set.iter().count(), 0);
+    }
+
+    #[test]
+    fn tuple_keys_are_found_by_slice_lookups() {
+        let (x, y) = (ValueId(4), ValueId(9));
+        let mut map: TupleMap<u32> = TupleMap::default();
+        map.insert(TupleKey::from(&[x][..]), 1);
+        map.insert(TupleKey::from(&[x, y][..]), 2);
+        map.insert(TupleKey::from(&[][..]), 0);
+        assert!(matches!(TupleKey::from(&[x][..]), TupleKey::One(v) if v == x));
+        assert!(matches!(TupleKey::from(&[x, y][..]), TupleKey::Many(_)));
+        assert_eq!(map.get(&[x][..]), Some(&1));
+        assert_eq!(map.get(&[x, y][..]), Some(&2));
+        assert_eq!(map.get(&[][..]), Some(&0));
+        assert_eq!(map.get(&[y][..]), None);
+        assert_eq!(map.get(&[y, x][..]), None);
+        // The same tuple spelled either way is one key.
+        assert_eq!(TupleKey::One(x), TupleKey::Many(Box::new([x])));
+        let mut many: TupleMap<NodeSet> = TupleMap::default();
+        set_of(&mut many, &[x, y]).insert(NodeId(1));
+        set_of(&mut many, &[x, y]).insert(NodeId(2));
+        set_of(&mut many, &[y]).insert(NodeId(3));
+        assert_eq!(many.len(), 2);
+        assert_eq!(many[&[x, y][..]].len(), 2);
+        assert_eq!(many[&[y][..]].first(), Some(NodeId(3)));
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         "journal.records_appended",
         "journal.records_read",
         "journal.torn_repairs",
+        "parse.bytes",
         "parse.docs",
         "resilience.degraded_batches",
         "resilience.faults_injected",

@@ -226,6 +226,22 @@ fn batch_engine_counts_documents_globally() {
 }
 
 #[test]
+fn parsing_counts_source_bytes_globally() {
+    // The parser records on the process-global registry, and other tests
+    // parse concurrently, so assert monotone deltas only.
+    let spec = spec();
+    let registry = EngineMetrics::global_registry();
+    let counters = |name: &str| registry.snapshot().counter(name).unwrap_or(0);
+    let (bytes_before, docs_before) = (counters("parse.bytes"), counters("parse.docs"));
+    spec.parse_document(DUP).unwrap();
+    assert!(counters("parse.bytes") >= bytes_before + DUP.len() as u64);
+    assert!(counters("parse.docs") > docs_before);
+    // A rejected document was still read: its bytes count too.
+    assert!(spec.parse_document("<school>").is_err());
+    assert!(counters("parse.bytes") >= bytes_before + (DUP.len() + "<school>".len()) as u64);
+}
+
+#[test]
 fn deciding_d1_sigma1_records_presolve_and_decision_spans_globally() {
     // The ILP solver publishes on the process-global registry, and other
     // tests solve concurrently, so assert monotone deltas only.
@@ -262,6 +278,7 @@ fn capture_covers_the_full_inventory_even_when_idle() {
         "corpus.commits",
         "journal.bytes_written",
         "batch.docs",
+        "parse.bytes",
         "ilp.bb_nodes",
         "ilp.lp_calls",
         "ilp.pivots",

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xic_constraints::{Constraint, ConstraintSet};
+use xic_constraints::{Constraint, ConstraintSet, InclusionSpec, KeySpec};
 use xic_dtd::{AttrId, Dtd, ElemId};
 
 /// Parameters for [`random_unary_constraints`].
@@ -96,6 +96,76 @@ pub fn random_unary_constraints(dtd: &Dtd, config: &ConstraintGenConfig) -> Cons
     sigma
 }
 
+/// Every ordered pair of distinct attributes of every element type that has
+/// two or more: the `(τ, [l1, l2])` slots a 2-attribute constraint can
+/// name.  Both orders are listed, so tuples compare position by position.
+fn pair_slots(dtd: &Dtd) -> Vec<(ElemId, [AttrId; 2])> {
+    let mut out = Vec::new();
+    for ty in dtd.types() {
+        let attrs = dtd.attrs_of(ty);
+        for &a in attrs {
+            for &b in attrs {
+                if a != b {
+                    out.push((ty, [a, b]));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Draws a random set of 2-attribute constraints: keys `τ[l1, l2] → τ`,
+/// foreign keys and inclusions `τ1[l1, l2] ⊆ τ2[l3, l4]`, and the negations
+/// of keys and inclusions, over the element types with at least two
+/// attributes (every type of [`crate::random_dtd`] at its default
+/// `attrs_per_type`, and every kind of [`crate::catalogue_dtd`]).  The
+/// counts and the primary-key restriction of `config` apply as in
+/// [`random_unary_constraints`].  Returns an empty set if no type has two
+/// attributes.
+pub fn random_binary_constraints(dtd: &Dtd, config: &ConstraintGenConfig) -> ConstraintSet {
+    let slots = pair_slots(dtd);
+    let mut sigma = ConstraintSet::new();
+    if slots.is_empty() {
+        return sigma;
+    }
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut keyed_types: Vec<ElemId> = Vec::new();
+    let pick = |rng: &mut StdRng| slots[rng.gen_range(0..slots.len())];
+    let inclusion = |rng: &mut StdRng| {
+        let (t1, from) = pick(rng);
+        let (t2, to) = pick(rng);
+        InclusionSpec::new(t1, from.to_vec(), t2, to.to_vec())
+    };
+
+    for _ in 0..config.keys {
+        let (ty, attrs) = pick(&mut rng);
+        if config.primary_keys_only && keyed_types.contains(&ty) {
+            continue;
+        }
+        keyed_types.push(ty);
+        sigma.push(Constraint::key(ty, attrs.to_vec()));
+    }
+    for _ in 0..config.foreign_keys {
+        let spec = inclusion(&mut rng);
+        if config.primary_keys_only && keyed_types.contains(&spec.to_ty) {
+            continue;
+        }
+        keyed_types.push(spec.to_ty);
+        sigma.push(Constraint::ForeignKey(spec));
+    }
+    for _ in 0..config.inclusions {
+        sigma.push(Constraint::Inclusion(inclusion(&mut rng)));
+    }
+    for _ in 0..config.negated_keys {
+        let (ty, attrs) = pick(&mut rng);
+        sigma.push(Constraint::NotKey(KeySpec::new(ty, attrs.to_vec())));
+    }
+    for _ in 0..config.negated_inclusions {
+        sigma.push(Constraint::NotInclusion(inclusion(&mut rng)));
+    }
+    sigma
+}
+
 /// A deterministic "reference chain" constraint set over [`crate::dtd_gen::catalogue_dtd`]:
 /// each kind's `ref` attribute is a foreign key into the next kind's `id`,
 /// and every `id` is a key.  Always consistent, and the number of kinds
@@ -171,6 +241,49 @@ mod tests {
             },
         );
         assert!(sigma.satisfies_primary_key_restriction());
+    }
+
+    #[test]
+    fn binary_sets_are_well_formed_and_two_attribute() {
+        for dtd in [random_dtd(&DtdGenConfig::default()), catalogue_dtd(4)] {
+            let sigma = random_binary_constraints(
+                &dtd,
+                &ConstraintGenConfig {
+                    keys: 4,
+                    foreign_keys: 4,
+                    inclusions: 3,
+                    negated_keys: 2,
+                    negated_inclusions: 2,
+                    seed: 5,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(sigma.len(), 15);
+            assert!(sigma.validate(&dtd).is_ok());
+            for c in sigma.iter() {
+                assert!(!c.is_unary(), "{}", c.render(&dtd));
+                let key = c.key_part().map(|k| k.attrs);
+                let inclusion = c.inclusion_part().map(|i| (i.from_attrs, i.to_attrs));
+                for attrs in key
+                    .into_iter()
+                    .chain(inclusion.into_iter().flat_map(|(a, b)| [a, b]))
+                {
+                    assert_eq!(attrs.len(), 2);
+                    assert_ne!(attrs[0], attrs[1]);
+                }
+            }
+            assert!(sigma
+                .iter()
+                .any(|c| matches!(c, Constraint::NotInclusion(_))));
+        }
+    }
+
+    #[test]
+    fn binary_sets_need_two_attributes_on_a_type() {
+        let dtd = crate::dtd_gen::recursive_list_dtd();
+        let one_attr = crate::dtd_gen::fanout_dtd(2);
+        assert!(!random_binary_constraints(&dtd, &ConstraintGenConfig::default()).is_empty());
+        assert!(random_binary_constraints(&one_attr, &ConstraintGenConfig::default()).is_empty());
     }
 
     #[test]

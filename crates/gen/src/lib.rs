@@ -7,7 +7,8 @@
 //!
 //! * [`dtd_gen`] — random and structured DTD generators (flat catalogues,
 //!   chains, stars of unions, recursive list shapes);
-//! * [`constraint_gen`] — random constraint sets of each class over a DTD;
+//! * [`constraint_gen`] — random constraint sets of each class over a DTD,
+//!   unary ones and 2-attribute ones;
 //! * [`doc_gen`] — random documents conforming to a DTD (used to exercise
 //!   validation and satisfaction checking at scale);
 //! * [`workloads`] — the named spec families of the paper's Figure 5,
@@ -22,7 +23,9 @@ pub mod doc_gen;
 pub mod dtd_gen;
 pub mod workloads;
 
-pub use constraint_gen::{random_unary_constraints, ConstraintGenConfig};
+pub use constraint_gen::{
+    random_binary_constraints, random_unary_constraints, ConstraintGenConfig,
+};
 pub use doc_gen::{random_document, DocGenConfig};
 pub use dtd_gen::fanout_dtd;
 pub use dtd_gen::{catalogue_dtd, random_dtd, recursive_list_dtd, DtdGenConfig};

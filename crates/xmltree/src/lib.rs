@@ -7,10 +7,10 @@
 //!
 //! * [`tree::XmlTree`] — an arena-based tree with the paper's `ext(τ)` /
 //!   `ext(τ.l)` / `x[X]` accessors;
-//! * [`pool::ValuePool`] — the string interner behind the tree: each tree
-//!   owns one, and its attribute and text values are stored as dense
-//!   [`pool::ValueId`] symbols, so the string-value equality of Section 2.2
-//!   is integer equality;
+//! * [`pool::ValuePool`] — the string interner behind the tree, one byte
+//!   arena plus an id table: each tree owns one, and its attribute and
+//!   text values are stored as dense [`pool::ValueId`] symbols, so the
+//!   string-value equality of Section 2.2 is integer equality;
 //! * [`edit`] — typed point edits ([`edit::EditOp`]) applied through
 //!   [`tree::XmlTree::apply_edit`], which returns delta records
 //!   ([`edit::EditEffect`]) that incremental indexes consume; sessions keep

@@ -11,7 +11,9 @@
 //! Names, attribute values and character data are borrowed as slices of the
 //! input and interned straight into the new tree's own value pool; a value
 //! is copied to a temporary buffer only when it contains an entity
-//! reference (`&`).
+//! reference (`&`).  The node arena and the pool are reserved up front
+//! from the input length, capped by the node budget, so a typical
+//! document parses without regrowing either.
 
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -21,19 +23,55 @@ use xic_telemetry::{Counter, Histogram};
 
 use crate::budget::{BudgetExceeded, ParseBudget, ParseError, ParseLimit};
 use crate::error::XmlError;
+use crate::pool::ValuePool;
 use crate::tree::{NodeId, XmlTree};
 
 /// Process-wide parse instruments, resolved once (registry name lookups
 /// take a read lock; the hot path should not).
-fn instruments() -> &'static (Arc<Counter>, Arc<Histogram>) {
-    static INSTRUMENTS: OnceLock<(Arc<Counter>, Arc<Histogram>)> = OnceLock::new();
+struct Instruments {
+    docs: Arc<Counter>,
+    bytes: Arc<Counter>,
+    doc_ns: Arc<Histogram>,
+}
+
+fn instruments() -> &'static Instruments {
+    static INSTRUMENTS: OnceLock<Instruments> = OnceLock::new();
     INSTRUMENTS.get_or_init(|| {
         let telemetry = xic_telemetry::global();
-        (
-            telemetry.counter("parse.docs"),
-            telemetry.histogram("parse.doc_ns"),
-        )
+        Instruments {
+            docs: telemetry.counter("parse.docs"),
+            bytes: telemetry.counter("parse.bytes"),
+            doc_ns: telemetry.histogram("parse.doc_ns"),
+        }
     })
+}
+
+/// The arena and pool sizes reserved before parsing, estimated from the
+/// input length for markup-dense documents (about 12 source bytes per
+/// node, one element per four nodes, a distinct value per two nodes and
+/// value text filling half the source).  A document that needs more grows
+/// as usual; one that needs less wastes a bounded multiple of its length.
+/// The node count is capped by [`ParseBudget::max_nodes`], so a document
+/// the budget rejects never reserves more than the budget admits.
+struct Reservation {
+    nodes: usize,
+    elements: usize,
+    values: usize,
+    value_bytes: usize,
+}
+
+impl Reservation {
+    const BYTES_PER_NODE: usize = 12;
+
+    fn for_input(len: usize, budget: &ParseBudget) -> Reservation {
+        let nodes = (len / Self::BYTES_PER_NODE).min(budget.max_nodes.unwrap_or(usize::MAX));
+        Reservation {
+            nodes,
+            elements: nodes / 4,
+            values: nodes / 2,
+            value_bytes: nodes * Self::BYTES_PER_NODE / 2,
+        }
+    }
 }
 
 /// Parses an XML document against a DTD.
@@ -62,7 +100,7 @@ pub fn parse_document_budgeted(
     dtd: &Dtd,
     budget: &ParseBudget,
 ) -> Result<XmlTree, ParseError> {
-    let (docs, doc_ns) = instruments();
+    let instruments = instruments();
     let timer = xic_telemetry::global().start_timer();
     let mut p = Parser {
         input,
@@ -89,9 +127,10 @@ pub fn parse_document_budgeted(
         }
         Ok(tree)
     })();
-    docs.inc();
+    instruments.docs.inc();
+    instruments.bytes.add(input.len() as u64);
     if let Some(t) = timer {
-        doc_ns.record_elapsed(t);
+        instruments.doc_ns.record_elapsed(t);
     }
     parsed
 }
@@ -227,7 +266,13 @@ impl<'a> Parser<'a> {
             .type_by_name(name)
             .ok_or_else(|| XmlError::UnknownElement(name.to_string()))?;
         self.check_depth(1)?;
-        let mut tree = XmlTree::new(ty);
+        let reserve = Reservation::for_input(self.input.len(), self.budget);
+        let mut tree = XmlTree::with_capacity(
+            ty,
+            reserve.nodes,
+            reserve.elements,
+            ValuePool::with_capacity(reserve.values, reserve.value_bytes),
+        );
         let root = tree.root();
         self.check_nodes(&tree)?;
         let self_closing = self.parse_attributes(&mut tree, root, name)?;
@@ -640,6 +685,30 @@ mod tests {
         assert!(
             matches!(err, ParseError::Budget(b) if b.limit == ParseLimit::Nodes),
             "expected a node budget rejection, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn reservation_scales_with_input_and_stops_at_the_node_budget() {
+        use crate::budget::ParseBudget;
+        let open = Reservation::for_input(1 << 20, &ParseBudget::UNLIMITED);
+        assert_eq!(open.nodes, (1 << 20) / Reservation::BYTES_PER_NODE);
+        assert!(open.elements <= open.nodes && open.values <= open.nodes);
+        assert!(open.value_bytes <= 1 << 20);
+        let capped = Reservation::for_input(
+            1 << 20,
+            &ParseBudget {
+                max_nodes: Some(10),
+                ..ParseBudget::UNLIMITED
+            },
+        );
+        assert_eq!(capped.nodes, 10);
+        assert!(capped.elements <= 10 && capped.values <= 10);
+        assert!(capped.value_bytes <= 10 * Reservation::BYTES_PER_NODE);
+        let empty = Reservation::for_input(0, &ParseBudget::UNLIMITED);
+        assert_eq!(
+            (empty.nodes, empty.elements, empty.values, empty.value_bytes),
+            (0, 0, 0, 0)
         );
     }
 

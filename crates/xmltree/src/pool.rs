@@ -8,14 +8,22 @@
 //! stores ids, and key / inclusion checking becomes hashing and comparing
 //! integer tuples instead of heap-allocated string vectors.
 //!
+//! Storage is one byte arena: every distinct value is appended to a single
+//! `String`, and an id is an index into a table of end offsets.  Interning a
+//! new value therefore costs no allocation of its own (the arena and the
+//! tables grow geometrically), and lookup goes through an open-addressing
+//! table of ids keyed by a hash stored per id, so growing the table never
+//! re-hashes a string.  Values reach the pool from network clients, so
+//! they are hashed with the standard library's keyed SipHash
+//! ([`RandomState`]): a client cannot precompute colliding values.
+//!
 //! Each [`crate::XmlTree`] owns one pool holding only its own values.  The
 //! paper's constraints compare values inside one tree, and `T ⊨ D` and
 //! `T ⊨ Σ` are per-document, so ids never need to agree across documents
 //! and no pool is shared between trees.  Pools are append-only: interning
 //! never invalidates previously issued ids, so edits keep every id stable.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{BuildHasher, RandomState};
 
 /// Identifier of an interned string within a [`ValuePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,15 +36,22 @@ impl ValueId {
     }
 }
 
+/// The lookup table's marker for an unused slot.
+const EMPTY: u32 = u32::MAX;
+
 /// An append-only string interner: each distinct string is stored once and
-/// addressed by a dense [`ValueId`].
+/// addressed by a dense [`ValueId`], in first-occurrence order.
 ///
-/// The backing storage is `Arc<str>` so the lookup table and the id table
-/// share one allocation per distinct string.
+/// Value `i` is `bytes[ends[i - 1]..ends[i]]` (`ends[-1]` reading as 0).
+/// The lookup table holds ids at their hash's probe position (linear
+/// probing, power-of-two size, at most three quarters full).
 #[derive(Debug, Clone, Default)]
 pub struct ValuePool {
-    values: Vec<Arc<str>>,
-    lookup: HashMap<Arc<str>, ValueId>,
+    bytes: String,
+    ends: Vec<usize>,
+    hashes: Vec<u64>,
+    table: Vec<u32>,
+    hasher: RandomState,
 }
 
 impl ValuePool {
@@ -45,21 +60,43 @@ impl ValuePool {
         ValuePool::default()
     }
 
+    /// An empty pool with room for `values` distinct values totalling
+    /// `bytes` bytes before any table grows.
+    pub(crate) fn with_capacity(values: usize, bytes: usize) -> ValuePool {
+        let mut pool = ValuePool {
+            bytes: String::with_capacity(bytes),
+            ends: Vec::with_capacity(values),
+            hashes: Vec::with_capacity(values),
+            ..ValuePool::default()
+        };
+        if values > 0 {
+            pool.table = vec![EMPTY; table_size(values)];
+        }
+        pool
+    }
+
     /// Interns a string, returning the id it already has or a fresh one.
     pub fn intern(&mut self, value: &str) -> ValueId {
-        if let Some(&id) = self.lookup.get(value) {
+        let hash = self.hasher.hash_one(value);
+        if let Some(id) = self.find(value, hash) {
             return id;
         }
-        let id = ValueId(self.values.len() as u32);
-        let stored: Arc<str> = Arc::from(value);
-        self.values.push(Arc::clone(&stored));
-        self.lookup.insert(stored, id);
+        let id = ValueId(self.ends.len() as u32);
+        self.bytes.push_str(value);
+        self.ends.push(self.bytes.len());
+        self.hashes.push(hash);
+        if table_size(self.ends.len()) > self.table.len() {
+            self.grow();
+        } else {
+            let slot = self.probe(hash, |_| false);
+            self.table[slot] = id.0;
+        }
         id
     }
 
     /// The id of an already-interned string, if any (no insertion).
     pub fn get(&self, value: &str) -> Option<ValueId> {
-        self.lookup.get(value).copied()
+        self.find(value, self.hasher.hash_one(value))
     }
 
     /// The string an id stands for.
@@ -68,31 +105,78 @@ impl ValuePool {
     /// Panics if the id was issued by a different (or later state of a) pool
     /// and is out of range.
     pub fn resolve(&self, id: ValueId) -> &str {
-        &self.values[id.index()]
+        let i = id.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.ends.len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(id, value)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueId, &str)> + '_ {
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (ValueId(i as u32), v.as_ref()))
+        (0..self.ends.len() as u32).map(|i| (ValueId(i), self.resolve(ValueId(i))))
+    }
+
+    fn find(&self, value: &str, hash: u64) -> Option<ValueId> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let slot = self.probe(hash, |id| {
+            self.hashes[id.index()] == hash && self.resolve(id) == value
+        });
+        match self.table[slot] {
+            EMPTY => None,
+            id => Some(ValueId(id)),
+        }
+    }
+
+    /// The probe sequence of `hash`, walked to the first slot that is empty
+    /// or holds an id `matches` accepts.  The table is never full, so the
+    /// walk ends.
+    fn probe(&self, hash: u64, matches: impl Fn(ValueId) -> bool) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.table[slot] {
+                EMPTY => return slot,
+                id if matches(ValueId(id)) => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Rebuilds the lookup table at the size the current id count needs,
+    /// placing every id by its stored hash.
+    fn grow(&mut self) {
+        self.table = vec![EMPTY; table_size(self.ends.len())];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let slot = self.probe(hash, |_| false);
+            self.table[slot] = id as u32;
+        }
     }
 }
 
+/// The lookup-table size for `values` ids: a power of two at least 4/3 of
+/// the count, so the table stays at most three quarters full.
+fn table_size(values: usize) -> usize {
+    (values.saturating_add(values / 3) + 1)
+        .next_power_of_two()
+        .max(8)
+}
+
 impl PartialEq for ValuePool {
+    /// Two pools are equal when they hold the same values under the same
+    /// ids: the arena and its offsets together spell out that sequence.
     fn eq(&self, other: &ValuePool) -> bool {
-        self.values == other.values
+        self.ends == other.ends && self.bytes == other.bytes
     }
 }
 
@@ -101,6 +185,8 @@ impl Eq for ValuePool {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn intern_resolve_reintern_is_identity() {
@@ -163,5 +249,100 @@ mod tests {
                 (ValueId(2), "c".to_string()),
             ]
         );
+    }
+
+    #[test]
+    fn adjacent_values_do_not_run_together() {
+        // "ab" + "c" and "a" + "bc" share an arena spelling; the offsets
+        // keep them apart, in lookup and in equality.
+        let mut left = ValuePool::new();
+        left.intern("ab");
+        left.intern("c");
+        let mut right = ValuePool::new();
+        right.intern("a");
+        right.intern("bc");
+        assert_ne!(left, right);
+        assert_eq!(left.get("abc"), None);
+        assert_eq!(left.get("a"), None);
+        assert_eq!(right.get("ab"), None);
+    }
+
+    #[test]
+    fn a_reserved_pool_behaves_like_a_fresh_one() {
+        let mut reserved = ValuePool::with_capacity(3, 8);
+        let mut fresh = ValuePool::new();
+        for value in ["x", "yy", "x", "zzz", "w", "v", "yy"] {
+            assert_eq!(reserved.intern(value), fresh.intern(value));
+        }
+        assert_eq!(reserved, fresh);
+        assert_eq!(ValuePool::with_capacity(0, 0).get(""), None);
+    }
+
+    /// Builds a value from alphabet indices: ASCII, a multi-byte character
+    /// and a wide one, so values cross char boundaries and the 8-byte mark.
+    fn spell(letters: &[usize]) -> String {
+        const ALPHABET: [char; 5] = ['a', 'b', 'é', '✓', '𝄞'];
+        letters
+            .iter()
+            .map(|&i| ALPHABET[i % ALPHABET.len()])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Against a `HashMap` + `Vec` reference model: `intern` returns the
+        /// model's first-occurrence id, `get`, `resolve`, `iter` and `len`
+        /// agree after every step, and two pools fed the same sequence are
+        /// equal.  Sequences run to 600 interns over short spellings (so
+        /// duplicates are frequent) and cross several table growths.
+        #[test]
+        fn pool_matches_a_reference_model(
+            words in proptest::collection::vec(
+                proptest::collection::vec(0usize..5, 0..12),
+                1..600,
+            ),
+            reserve in 0usize..64,
+        ) {
+            let mut pool = ValuePool::with_capacity(reserve, reserve * 4);
+            let mut ids: HashMap<String, ValueId> = HashMap::new();
+            let mut values: Vec<String> = Vec::new();
+            for letters in &words {
+                let value = spell(letters);
+                prop_assert_eq!(pool.get(&value), ids.get(&value).copied());
+                let expected = *ids.entry(value.clone()).or_insert_with(|| {
+                    values.push(value.clone());
+                    ValueId(values.len() as u32 - 1)
+                });
+                prop_assert_eq!(pool.intern(&value), expected);
+                prop_assert_eq!(pool.get(&value), Some(expected));
+                prop_assert_eq!(pool.resolve(expected), value.as_str());
+                prop_assert_eq!(pool.len(), values.len());
+            }
+            let listed: Vec<(ValueId, String)> =
+                pool.iter().map(|(id, v)| (id, v.to_string())).collect();
+            let modelled: Vec<(ValueId, String)> = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (ValueId(i as u32), v.clone()))
+                .collect();
+            prop_assert_eq!(listed, modelled);
+            // Absent values stay absent: a spelling longer than any word.
+            prop_assert_eq!(pool.get(&spell(&[0; 13])), None);
+            // Equality is the value sequence, whatever the reservation.
+            let mut again = ValuePool::new();
+            for letters in &words {
+                again.intern(&spell(letters));
+            }
+            prop_assert_eq!(&again, &pool);
+            prop_assert_eq!(&pool.clone(), &pool);
+            if values.len() > 1 {
+                let mut shorter = ValuePool::new();
+                for v in &values[..values.len() - 1] {
+                    shorter.intern(v);
+                }
+                prop_assert_ne!(&shorter, &pool);
+            }
+        }
     }
 }

@@ -42,17 +42,19 @@ pub enum NodeLabel {
     Text,
 }
 
-/// A single node of the tree.
+/// A single arena slot of the tree: label, parent, value and tombstone
+/// flag.  Only element nodes have child and attribute lists; those live in
+/// the tree's side table ([`ElementLists`]) at index `lists`, so an
+/// attribute or text node carries no list headers at all.
 #[derive(Debug, Clone)]
 struct Node {
     label: NodeLabel,
     parent: Option<NodeId>,
     /// Interned string value; `Some` exactly for attribute and text nodes.
     value: Option<ValueId>,
-    /// Ordered subelement / text children (the `ele` function).
-    children: Vec<NodeId>,
-    /// Attribute children, identified by attribute id (the `att` function).
-    attrs: Vec<(AttrId, NodeId)>,
+    /// For an element node, the index of its [`ElementLists`] entry;
+    /// unused (0) for attribute and text nodes.
+    lists: u32,
     /// Whether the node has been removed from the document.  The arena slot
     /// is kept (ids stay stable and the node's values stay readable, which
     /// incremental index maintenance relies on), but detached nodes are
@@ -60,16 +62,30 @@ struct Node {
     detached: bool,
 }
 
+/// The child and attribute lists of one element node.
+#[derive(Debug, Clone, Default)]
+struct ElementLists {
+    /// Ordered subelement / text children (the `ele` function).
+    children: Vec<NodeId>,
+    /// Attribute children, identified by attribute id (the `att` function).
+    attrs: Vec<(AttrId, NodeId)>,
+}
+
 /// An XML tree (Definition 2.2).
 ///
-/// Attribute and text values are interned in the tree's [`ValuePool`]:
-/// nodes store dense [`ValueId`] symbols, and the string-value equality the
-/// paper's constraints are built on becomes integer equality.  The string
-/// accessors ([`XmlTree::value`], [`XmlTree::attr_value`], …) resolve
-/// through the pool, so the external API is unchanged.
+/// The arena is a vector of 32-byte node slots indexed by [`NodeId`];
+/// element nodes additionally own one entry of a side table holding their
+/// ordered children and their attributes.  Attribute and text values are
+/// interned in the tree's [`ValuePool`]: nodes store dense [`ValueId`]
+/// symbols, and the string-value equality the paper's constraints are built
+/// on becomes integer equality.  The string accessors ([`XmlTree::value`],
+/// [`XmlTree::attr_value`], …) resolve through the pool, so the external
+/// API is unchanged.
 #[derive(Debug, Clone)]
 pub struct XmlTree {
     nodes: Vec<Node>,
+    /// One entry per element node, in creation order.
+    lists: Vec<ElementLists>,
     root: NodeId,
     pool: ValuePool,
     /// Number of nodes that are not detached (arena slots of removed
@@ -81,20 +97,83 @@ impl XmlTree {
     /// Creates a tree consisting of a single root element of type `root_type`,
     /// with an empty value pool of its own.
     pub fn new(root_type: ElemId) -> XmlTree {
-        let root = Node {
-            label: NodeLabel::Element(root_type),
-            parent: None,
-            value: None,
-            children: Vec::new(),
-            attrs: Vec::new(),
-            detached: false,
-        };
-        XmlTree {
-            nodes: vec![root],
+        XmlTree::with_capacity(root_type, 1, 1, ValuePool::new())
+    }
+
+    /// [`XmlTree::new`] with room for `nodes` arena slots and `elements`
+    /// element list entries before either grows, over the given (empty)
+    /// pool.
+    pub(crate) fn with_capacity(
+        root_type: ElemId,
+        nodes: usize,
+        elements: usize,
+        pool: ValuePool,
+    ) -> XmlTree {
+        debug_assert!(pool.is_empty());
+        let mut tree = XmlTree {
+            nodes: Vec::with_capacity(nodes.max(1)),
+            lists: Vec::with_capacity(elements.max(1)),
             root: NodeId(0),
-            pool: ValuePool::new(),
-            live: 1,
+            pool,
+            live: 0,
+        };
+        tree.push_node(NodeLabel::Element(root_type), None, None);
+        tree
+    }
+
+    /// Appends a live arena slot (and, for an element, its empty list
+    /// entry) and returns its id.  Linking it into the parent is the
+    /// caller's job.
+    fn push_node(
+        &mut self,
+        label: NodeLabel,
+        parent: Option<NodeId>,
+        value: Option<ValueId>,
+    ) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        let mut lists = 0;
+        if let NodeLabel::Element(_) = label {
+            lists = self.lists.len() as u32;
+            self.lists.push(ElementLists::default());
         }
+        self.nodes.push(Node {
+            label,
+            parent,
+            value,
+            lists,
+            detached: false,
+        });
+        self.live += 1;
+        id
+    }
+
+    /// The list entry of an element node; `None` for attribute and text
+    /// nodes, which have neither children nor attributes.
+    fn lists(&self, node: NodeId) -> Option<&ElementLists> {
+        let slot = &self.nodes[node.index()];
+        match slot.label {
+            NodeLabel::Element(_) => Some(&self.lists[slot.lists as usize]),
+            _ => None,
+        }
+    }
+
+    /// Panics unless `node` is an element node: attribute and text nodes
+    /// have neither children nor attributes.
+    fn assert_element(&self, node: NodeId) {
+        assert!(
+            matches!(self.label(node), NodeLabel::Element(_)),
+            "only element nodes have children and attributes"
+        );
+    }
+
+    /// The list entry of an element node, for linking a new child in.
+    ///
+    /// # Panics
+    /// Panics if `node` is an attribute or text node.
+    fn lists_mut(&mut self, node: NodeId) -> &mut ElementLists {
+        self.assert_element(node);
+        let index = self.nodes[node.index()].lists as usize;
+        &mut self.lists[index]
     }
 
     /// The tree's own value pool: the values its parse and edits interned,
@@ -163,13 +242,15 @@ impl XmlTree {
     }
 
     /// Ordered subelement/text children of an element (the `ele` function).
+    /// Empty for attribute and text nodes.
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.nodes[node.index()].children
+        self.lists(node).map_or(&[], |l| &l.children)
     }
 
     /// Attribute nodes of an element (the `att` function).
+    /// Empty for attribute and text nodes.
     pub fn attributes(&self, node: NodeId) -> &[(AttrId, NodeId)] {
-        &self.nodes[node.index()].attrs
+        self.lists(node).map_or(&[], |l| &l.attrs)
     }
 
     /// The value of attribute `attr` of element `node` (the `x.l` notation).
@@ -180,8 +261,7 @@ impl XmlTree {
 
     /// The interned value of attribute `attr` of element `node`.
     pub fn attr_value_id(&self, node: NodeId, attr: AttrId) -> Option<ValueId> {
-        self.nodes[node.index()]
-            .attrs
+        self.attributes(node)
             .iter()
             .find(|(a, _)| *a == attr)
             .and_then(|(_, n)| self.value_id(*n))
@@ -213,61 +293,47 @@ impl XmlTree {
     }
 
     /// Adds an element child of type `ty` under `parent` and returns its id.
+    ///
+    /// # Panics
+    /// Panics if `parent` is not an element node.
     pub fn add_element(&mut self, parent: NodeId, ty: ElemId) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            label: NodeLabel::Element(ty),
-            parent: Some(parent),
-            value: None,
-            children: Vec::new(),
-            attrs: Vec::new(),
-            detached: false,
-        });
-        self.nodes[parent.index()].children.push(id);
-        self.live += 1;
+        self.assert_element(parent);
+        let id = self.push_node(NodeLabel::Element(ty), Some(parent), None);
+        self.lists_mut(parent).children.push(id);
         id
     }
 
     /// Adds a text child with the given value under `parent`.
+    ///
+    /// # Panics
+    /// Panics if `parent` is not an element node.
     pub fn add_text(&mut self, parent: NodeId, value: impl AsRef<str>) -> NodeId {
+        self.assert_element(parent);
         let value = self.pool.intern(value.as_ref());
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            label: NodeLabel::Text,
-            parent: Some(parent),
-            value: Some(value),
-            children: Vec::new(),
-            attrs: Vec::new(),
-            detached: false,
-        });
-        self.nodes[parent.index()].children.push(id);
-        self.live += 1;
+        let id = self.push_node(NodeLabel::Text, Some(parent), Some(value));
+        self.lists_mut(parent).children.push(id);
         id
     }
 
     /// Sets (or replaces) attribute `attr` of element `node` to `value`,
     /// returning the attribute node id.
+    ///
+    /// # Panics
+    /// Panics if `node` is not an element node.
     pub fn set_attr(&mut self, node: NodeId, attr: AttrId, value: impl AsRef<str>) -> NodeId {
-        let value = self.pool.intern(value.as_ref());
-        if let Some(&(_, existing)) = self.nodes[node.index()]
+        let existing = self
+            .lists_mut(node)
             .attrs
             .iter()
             .find(|(a, _)| *a == attr)
-        {
+            .map(|&(_, n)| n);
+        let value = self.pool.intern(value.as_ref());
+        if let Some(existing) = existing {
             self.nodes[existing.index()].value = Some(value);
             return existing;
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            label: NodeLabel::Attribute(attr),
-            parent: Some(node),
-            value: Some(value),
-            children: Vec::new(),
-            attrs: Vec::new(),
-            detached: false,
-        });
-        self.nodes[node.index()].attrs.push((attr, id));
-        self.live += 1;
+        let id = self.push_node(NodeLabel::Attribute(attr), Some(node), Some(value));
+        self.lists_mut(node).attrs.push((attr, id));
         id
     }
 
@@ -299,7 +365,7 @@ impl XmlTree {
             return None;
         }
         let parent = self.nodes[element.index()].parent.expect("non-root");
-        let siblings = &mut self.nodes[parent.index()].children;
+        let siblings = &mut self.lists_mut(parent).children;
         let pos = siblings.iter().position(|&c| c == element)?;
         siblings.remove(pos);
 
@@ -310,12 +376,13 @@ impl XmlTree {
             debug_assert!(!node.detached, "subtrees never share nodes");
             node.detached = true;
             self.live -= 1;
-            if let NodeLabel::Element(ty) = node.label {
-                removed.push((n, ty));
-            }
-            stack.extend(node.children.iter().copied());
-            let attr_nodes: Vec<NodeId> = node.attrs.iter().map(|&(_, a)| a).collect();
-            for attr_node in attr_nodes {
+            let NodeLabel::Element(ty) = node.label else {
+                continue;
+            };
+            removed.push((n, ty));
+            let lists = &self.lists[node.lists as usize];
+            stack.extend(lists.children.iter().copied());
+            for &(_, attr_node) in &lists.attrs {
                 self.nodes[attr_node.index()].detached = true;
                 self.live -= 1;
             }
@@ -398,16 +465,18 @@ impl XmlTree {
     /// [`crate::EditOp`]s id-exactly.  Values are resolved to strings: pool
     /// symbols are tree-local and re-interned on reconstruction.
     pub fn snapshot(&self) -> TreeSnapshot {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|node| NodeSnapshot {
-                label: node.label,
-                parent: node.parent,
-                value: node.value.map(|id| self.pool.resolve(id).to_string()),
-                detached: node.detached,
-                children: node.children.clone(),
-                attrs: node.attrs.clone(),
+        let nodes = (0..self.nodes.len() as u32)
+            .map(NodeId)
+            .map(|id| {
+                let node = &self.nodes[id.index()];
+                NodeSnapshot {
+                    label: node.label,
+                    parent: node.parent,
+                    value: node.value.map(|v| self.pool.resolve(v).to_string()),
+                    detached: node.detached,
+                    children: self.children(id).to_vec(),
+                    attrs: self.attributes(id).to_vec(),
+                }
             })
             .collect();
         TreeSnapshot {
@@ -540,20 +609,31 @@ impl XmlTree {
 
         // All invariants hold: rebuild the arena slot-for-slot.
         let mut pool = ValuePool::new();
+        let mut lists = Vec::new();
         let nodes = snapshot
             .nodes
             .iter()
-            .map(|s| Node {
-                label: s.label,
-                parent: s.parent,
-                value: s.value.as_deref().map(|v| pool.intern(v)),
-                children: s.children.clone(),
-                attrs: s.attrs.clone(),
-                detached: s.detached,
+            .map(|s| {
+                let mut node = Node {
+                    label: s.label,
+                    parent: s.parent,
+                    value: s.value.as_deref().map(|v| pool.intern(v)),
+                    lists: 0,
+                    detached: s.detached,
+                };
+                if let NodeLabel::Element(_) = s.label {
+                    node.lists = lists.len() as u32;
+                    lists.push(ElementLists {
+                        children: s.children.clone(),
+                        attrs: s.attrs.clone(),
+                    });
+                }
+                node
             })
             .collect();
         Ok(XmlTree {
             nodes,
+            lists,
             root,
             pool,
             live,
@@ -622,6 +702,39 @@ mod tests {
             t.add_text(r, "Web DB");
         }
         t
+    }
+
+    #[test]
+    fn leaf_nodes_stay_small() {
+        // Attribute and text nodes carry no list headers: one arena slot
+        // is label, parent, value, list index and tombstone flag.
+        assert!(std::mem::size_of::<Node>() <= 32);
+    }
+
+    #[test]
+    fn leaves_have_no_children_or_attributes() {
+        let dtd = example_d1();
+        let t = figure1_tree(&dtd);
+        let subject = dtd.type_by_name("subject").unwrap();
+        let s = t.ext(subject).next().unwrap();
+        for &(_, attr_node) in t.attributes(s) {
+            assert!(t.children(attr_node).is_empty());
+            assert!(t.attributes(attr_node).is_empty());
+        }
+        let text = t.children(s)[0];
+        assert_eq!(t.label(text), NodeLabel::Text);
+        assert!(t.children(text).is_empty());
+        assert!(t.attributes(text).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "only element nodes")]
+    fn adding_under_a_text_node_panics() {
+        let dtd = example_d1();
+        let research = dtd.type_by_name("research").unwrap();
+        let mut t = XmlTree::new(research);
+        let text = t.add_text(t.root(), "Web DB");
+        t.add_text(text, "nested");
     }
 
     #[test]

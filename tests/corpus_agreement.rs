@@ -28,7 +28,10 @@
 //! (the proptest half) and from the named `xic-gen` workload families
 //! (`primary_key_family`, `keys_only_family`, `fixed_dtd_growing_sigma`,
 //! and catalogues whose root holds hundreds of records), so the suite is
-//! not limited to hand-written fixtures.  The edits include attributes
+//! not limited to hand-written fixtures.  A second proptest and a catalogue
+//! family draw 2-attribute keys, foreign keys and inclusions
+//! (`random_binary_constraints`), so attribute edits land inside
+//! multi-attribute tuples as well as unary ones.  The edits include attributes
 //! outside `R(τ)`, and removals in the middle of a wide child list, so the
 //! incremental `T ⊨ D` behind each commit is held to the cold `validate`.
 
@@ -41,9 +44,9 @@ use xml_integrity_constraints::engine::{
     BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusSession, DocHandle,
 };
 use xml_integrity_constraints::gen::{
-    catalogue_dtd, fixed_dtd_growing_sigma, keys_only_family, primary_key_family, random_document,
-    random_dtd, random_unary_constraints, ConstraintGenConfig, DocGenConfig, DtdGenConfig,
-    SpecInstance,
+    catalogue_dtd, fixed_dtd_growing_sigma, keys_only_family, primary_key_family,
+    random_binary_constraints, random_document, random_dtd, random_unary_constraints,
+    ConstraintGenConfig, DocGenConfig, DtdGenConfig, SpecInstance,
 };
 use xml_integrity_constraints::xml::{write_document, EditOp, NodeId, XmlTree};
 
@@ -365,6 +368,79 @@ proptest! {
         let resident = cold_tree_report(&spec, &corpus, &survivors);
         prop_assert_eq!(corpus.report(), resident);
     }
+
+    /// The same differential over Σs of 2-attribute constraints of every
+    /// kind (plus one unary key and foreign key), so the random attribute
+    /// edits rewrite one component of a multi-attribute tuple at a time.
+    #[test]
+    fn corpus_agrees_on_multi_attribute_tuples(
+        seed in 0u64..400,
+        types in 2usize..6,
+        keys in 0usize..3,
+        fks in 0usize..3,
+        inclusions in 0usize..2,
+        negations in 0usize..2,
+        num_docs in 2usize..4,
+        edits in 1usize..20,
+    ) {
+        let dtd = random_dtd(&DtdGenConfig { seed, num_types: types, ..Default::default() });
+        let mut sigma = random_binary_constraints(
+            &dtd,
+            &ConstraintGenConfig {
+                keys,
+                foreign_keys: fks,
+                inclusions,
+                negated_keys: negations,
+                negated_inclusions: negations,
+                seed,
+                ..Default::default()
+            },
+        );
+        for c in random_unary_constraints(
+            &dtd,
+            &ConstraintGenConfig { keys: 1, foreign_keys: 1, seed, ..Default::default() },
+        )
+        .iter()
+        {
+            sigma.push(c.clone());
+        }
+        let Ok(spec) = CompiledSpec::compile(dtd, sigma) else {
+            return Ok(());
+        };
+        let mut corpus = CorpusSession::new(&spec);
+        let Some(handles) = open_random_docs(&spec, &mut corpus, &small_docs(), seed, num_docs) else {
+            return Ok(());
+        };
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_2a77);
+        drive_and_check(&spec, &mut corpus, &handles, &mut rng, edits);
+    }
+}
+
+/// Catalogue specs of 2-attribute constraints over each kind's
+/// `(id, ref)` pair, in both orders.
+fn binary_catalogues() -> Vec<SpecInstance> {
+    [3, 4]
+        .into_iter()
+        .map(|kinds| {
+            let dtd = catalogue_dtd(kinds);
+            let sigma = random_binary_constraints(
+                &dtd,
+                &ConstraintGenConfig {
+                    keys: 2,
+                    foreign_keys: 2,
+                    inclusions: 1,
+                    negated_keys: 1,
+                    seed: kinds as u64,
+                    ..Default::default()
+                },
+            );
+            SpecInstance {
+                label: format!("binary_catalogue/{kinds}"),
+                dtd,
+                sigma,
+            }
+        })
+        .collect()
 }
 
 /// Catalogue specs whose documents hold 300–500 records under the root:
@@ -413,6 +489,7 @@ fn workload_families_agree_with_cold_rebuilds() {
             small_docs(),
         ),
         ("wide", wide_catalogues(), wide_docs),
+        ("binary", binary_catalogues(), small_docs()),
     ];
     let mut driven = 0usize;
     let mut widest = 0usize;
