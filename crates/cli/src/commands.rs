@@ -1264,6 +1264,7 @@ pub fn stats(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let format = report_format(args)?;
     let (dtd, sigma) = spec_inputs(args)?;
     let registry = EngineMetrics::global_registry();
+    xic_coord::register_baseline(registry);
     let spec = CompiledSpec::compile_with(dtd, sigma, checker_config(args))
         .map_err(|e| CliError::Spec(e.to_string()))?;
     let engine = Engine::with_registry(64, std::sync::Arc::clone(registry));

@@ -2,11 +2,15 @@
 //! commits, merge the projected verdicts (see crate docs for the model).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use xic_constraints::{IncrementalLayout, ShardPlan};
-use xic_engine::{BatchDelta, BatchReport, CompiledSpec, DocHandle, Engine, ReportMerger};
+use xic_engine::wire::{encode_request, read_response, write_response};
+use xic_engine::{
+    BatchDelta, BatchReport, CompiledSpec, DocHandle, Engine, ReportMerger, Request, Response,
+};
 use xic_server::{Client, ClientError};
 use xic_telemetry::RegistrySnapshot;
 use xic_xml::{EditEffect, EditOp, XmlTree};
@@ -40,25 +44,27 @@ pub struct CoordConfig {
     pub max_restarts: usize,
 }
 
-/// A routed event, as delivered to (and journaled for) one worker.  The
-/// journal is the resync source: a restarted worker is replayed its exact
-/// delivered traffic, in order, before the coordinator acknowledges
-/// anything further on its shards.
-#[derive(Debug, Clone)]
-enum Event {
-    Open {
-        handle: u64,
-        label: String,
-        source: String,
-    },
-    Apply {
-        handle: u64,
-        ops: Vec<EditOp>,
-    },
-    Close {
-        handle: u64,
-    },
-    Commit,
+/// At most this many log entries are unanswered on one worker connection;
+/// a commit rides after them.  Open, apply and close replies are small,
+/// fixed-shape frames, so a full window of replies fits in the socket
+/// buffers: the worker never blocks on a reply while the coordinator is
+/// still writing, and neither side can wait on the other.
+const MAX_IN_FLIGHT: usize = 256;
+
+/// One routed request (an open, an apply or a close): its wire tag, where
+/// its payload ends in the log's bytes, and what its reply must be.
+struct Entry {
+    tag: u8,
+    end: usize,
+    kind: Kind,
+}
+
+/// What an entry's reply must be; an open's must mint the given handle.
+#[derive(Clone, Copy)]
+enum Kind {
+    Open(u64),
+    Apply,
+    Close,
 }
 
 /// The coordinator's own copy of one open document: the tree it routes
@@ -97,17 +103,18 @@ pub struct Coordinator {
     /// Shards per group; `groups.len()` == number of workers.
     groups: Vec<Vec<u32>>,
     workers: Vec<Worker>,
-    /// Per-group delivered-traffic journal (the resync source).
-    journals: Vec<Vec<Event>>,
-    /// Per-group FIFO of applies not yet delivered (they dirtied none of
-    /// the group's shards); flushed, in order, before any later delivery
-    /// so every worker applies the same per-document op sequence.
-    pending: Vec<Vec<Event>>,
+    /// The routing log: every open, apply and close, in order.  Each group
+    /// receives it up to its `delivered` mark; it is also the resync source.
+    log: Vec<Entry>,
+    /// The log entries' payloads, back to back, each encoded once.
+    log_bytes: Vec<u8>,
     docs: BTreeMap<u64, MirrorDoc>,
     merger: ReportMerger,
     round: Round,
-    /// The merged delta stream, in `seq` order.
-    deltas: Vec<BatchDelta>,
+    /// The merged deltas not yet decoded, as wire frames back to back.
+    deltas: Vec<u8>,
+    /// The merged delta stream decoded so far, in `seq` order.
+    decoded: Vec<BatchDelta>,
     /// Monotonic spawn counter (unique address files across respawns).
     generation: usize,
 }
@@ -163,32 +170,41 @@ impl Coordinator {
             spec_id: spec.id(),
         };
 
-        let mut workers = Vec::with_capacity(group_count);
-        let mut generation = 0;
-        for (group, shards) in groups.iter().enumerate() {
-            generation += 1;
-            let (child, client) = spawn_worker(&worker_spec, group, shards, generation)?;
-            workers.push(Worker {
-                child,
-                client,
-                restarts: 0,
-            });
-        }
+        // The workers start in parallel: each compiles the spec before it
+        // listens.  On an error every started worker is dropped, and so
+        // reaped.
+        let spec_ref = &worker_spec;
+        let workers = std::thread::scope(|scope| {
+            let spawns: Vec<_> = groups
+                .iter()
+                .enumerate()
+                .map(|(group, shards)| {
+                    scope.spawn(move || spawn_worker(spec_ref, group, shards, group + 1))
+                })
+                .collect();
+            spawns
+                .into_iter()
+                .map(|spawn| spawn.join().expect("a worker spawn thread panicked"))
+                .collect::<Vec<_>>()
+        });
+        let workers = workers.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         let merger = ReportMerger::new(Arc::clone(spec.shard_plan()));
+        crate::register_baseline(xic_telemetry::global());
         Ok(Coordinator {
             spec,
             worker_spec,
             max_restarts: config.max_restarts,
-            journals: vec![Vec::new(); group_count],
-            pending: vec![Vec::new(); group_count],
             groups,
             workers,
+            log: Vec::new(),
+            log_bytes: Vec::new(),
             docs: BTreeMap::new(),
             merger,
             round: Round::default(),
             deltas: Vec::new(),
-            generation,
+            decoded: Vec::new(),
+            generation: group_count,
         })
     }
 
@@ -207,33 +223,29 @@ impl Coordinator {
         &self.groups[group]
     }
 
-    /// Opens a document on every worker (opens broadcast: all sessions
-    /// must mint the same handle, and a new document is checked against
-    /// every shard).  Returns the corpus-wide handle.
+    /// Opens a document: group 0 is caught up on the log and opens it at
+    /// once, minting the corpus-wide handle it returns; the other groups
+    /// open it from the log at the next commit, which is broadcast (a new
+    /// document is checked against every shard) and checks that each of
+    /// them minted the same handle.
     pub fn open_doc(&mut self, label: &str, source: &str) -> Result<u64, CoordError> {
         let tree = self
             .spec
             .parse_document(source)
             .map_err(|e| CoordError::Document(format!("open `{label}`: {e}")))?;
 
-        // Group 0 mints the canonical handle; every other worker has seen
-        // the identical open sequence, so its handle must agree.
+        // Group 0 takes the log in order: every earlier entry first, then
+        // this open, at once.
+        self.wave(&[0], false)?;
         let handle = self.call_worker(0, |client| client.open_doc(label, source))?;
-        self.journals[0].push(Event::Open {
-            handle,
-            label: label.to_owned(),
-            source: source.to_owned(),
-        });
-        for group in 1..self.groups.len() {
-            self.deliver(
-                group,
-                Event::Open {
-                    handle,
-                    label: label.to_owned(),
-                    source: source.to_owned(),
-                },
-            )?;
-        }
+        self.push(
+            Kind::Open(handle),
+            &Request::OpenDoc {
+                label: label.to_owned(),
+                source: source.to_owned(),
+            },
+        );
+        self.workers[0].delivered = self.log.len();
 
         self.docs.insert(
             handle,
@@ -248,12 +260,14 @@ impl Coordinator {
         Ok(handle)
     }
 
-    /// Applies an edit batch: the ops run on the coordinator's mirror tree
-    /// first, their effects map to dirty shards through the incremental
-    /// layout (exactly the marks each worker's index will make), and the
-    /// batch is delivered to the groups owning those shards plus the
-    /// structural authority.  Groups the batch cannot affect only enqueue
-    /// it, to be flushed before their next delivery.
+    /// Applies an edit batch, with no I/O: the ops run on the
+    /// coordinator's mirror tree, their effects map to dirty shards through
+    /// the incremental layout (exactly the marks each worker's index will
+    /// make), and the batch is appended to the routing log.  The groups
+    /// owning those shards, plus the structural authority, take part in
+    /// the next commit; the others receive the batch at their next one.
+    /// Only the mirror's rejection surfaces here; a worker's surfaces at
+    /// [`Coordinator::commit`].
     pub fn apply(&mut self, handle: u64, ops: &[EditOp]) -> Result<(), CoordError> {
         let layout = Arc::clone(self.spec.incremental_layout());
         let plan = Arc::clone(self.spec.shard_plan());
@@ -290,22 +304,18 @@ impl Coordinator {
             .or_default()
             .extend(batch_shards.iter().copied());
 
-        let owners: BTreeSet<usize> = std::iter::once(0)
-            .chain(batch_shards.iter().map(|&s| s as usize % self.groups.len()))
-            .collect();
-        let event = Event::Apply {
-            handle,
-            ops: delivered_ops.to_vec(),
-        };
-        for group in 0..self.groups.len() {
-            if owners.contains(&group) {
-                self.flush_pending(group)?;
-                self.deliver(group, event.clone())?;
-                self.round.participants.insert(group);
-            } else {
-                self.pending[group].push(event.clone());
-            }
-        }
+        let groups = self.groups.len();
+        self.round.participants.insert(0);
+        self.round
+            .participants
+            .extend(batch_shards.iter().map(|&s| s as usize % groups));
+        self.push(
+            Kind::Apply,
+            &Request::Apply {
+                handle,
+                ops: delivered_ops.to_vec(),
+            },
+        );
 
         match failed {
             Some((index, message)) => Err(CoordError::Document(format!(
@@ -315,61 +325,55 @@ impl Coordinator {
         }
     }
 
-    /// Closes a document everywhere.  Pending (undelivered) applies for it
-    /// are dropped first — the worker closes the document without ever
-    /// applying them, which is indistinguishable once it is gone.  Returns
-    /// the label; the close is announced by the next merged delta.
+    /// Closes a document, with no I/O: the close is appended to the
+    /// routing log (every group receives it at its next wave) and the
+    /// mirror's label is returned; the close is announced by the next
+    /// merged delta, and a worker's error surfaces at
+    /// [`Coordinator::commit`].
     pub fn close_doc(&mut self, handle: u64) -> Result<String, CoordError> {
         let doc = self.docs.remove(&handle).ok_or_else(|| {
             CoordError::Document(format!("close: no open document with handle {handle}"))
         })?;
-        for queue in &mut self.pending {
-            queue.retain(|event| !matches!(event, Event::Apply { handle: h, .. } if *h == handle));
-        }
-        for group in 0..self.groups.len() {
-            self.deliver(group, Event::Close { handle })?;
-        }
+        self.push(Kind::Close, &Request::CloseDoc { handle });
         self.merger.close(DocHandle::from_raw(handle));
         self.round.dirty_docs.remove(&handle);
         self.round.dirty_shards.remove(&handle);
         Ok(doc.label)
     }
 
-    /// Commits the round: every participating group's worker commits, its
-    /// projected [`xic_engine::DocChange`] frames are absorbed, and the
-    /// merged [`BatchDelta`] — equal to what one monolithic session would
-    /// have announced — is minted and recorded.
+    /// Commits the round in one wave: every participating group's worker
+    /// gets its undelivered log entries and the commit in one write, all
+    /// before any reply is read, so the workers validate in parallel.
+    /// Their projected [`xic_engine::DocChange`] frames are absorbed, and
+    /// the merged [`BatchDelta`] — equal to what one monolithic session
+    /// would have announced — is minted and recorded.
     ///
     /// Participants are the groups whose shards the round's edits dirtied
     /// plus the structural authority; a round containing an open is
     /// broadcast (a new document is checked against every shard).  A
-    /// worker that dies mid-commit is restarted and resynced from its
-    /// journal before the commit is retried; if its restart budget is
-    /// exhausted the whole commit is rejected — never partially merged.
+    /// worker whose transport dies is restarted, replayed from the routing
+    /// log and sent the rest of its wave; with its restart budget
+    /// exhausted the commit is rejected — never partially merged.  Worker
+    /// faults from this round's applies and closes surface here: the
+    /// deltas that did arrive are absorbed, the first error is returned,
+    /// and the round stays open for the next commit to mint.
     pub fn commit(&mut self) -> Result<BatchDelta, CoordError> {
         let participants: Vec<usize> = if self.round.broadcast {
             (0..self.groups.len()).collect()
         } else {
             self.round.participants.iter().copied().collect()
         };
-        for group in participants {
-            if self.round.broadcast {
-                self.flush_pending(group)?;
-            }
-            let delta = self.call_worker(group, Client::commit)?;
-            self.journals[group].push(Event::Commit);
-            let authority = group == 0;
-            let shards = self.groups[group].clone();
-            for change in &delta.changes {
-                self.merger.absorb(&shards, authority, change);
-            }
-        }
+        self.wave(&participants, true)?;
 
         let round = std::mem::take(&mut self.round);
-        let merged = self
-            .merger
-            .commit(round.dirty_docs.len(), &round.dirty_shards);
-        self.deltas.push(merged.clone());
+        let merged = Response::Delta(
+            self.merger
+                .commit(round.dirty_docs.len(), &round.dirty_shards),
+        );
+        write_response(&mut self.deltas, 0, &merged).expect("writing to memory cannot fail");
+        let Response::Delta(merged) = merged else {
+            unreachable!("built as a delta")
+        };
         Ok(merged)
     }
 
@@ -380,9 +384,18 @@ impl Coordinator {
     }
 
     /// The merged delta stream so far, in `seq` order (replayable through
-    /// a stock [`xic_engine::CorpusReplica`]).
-    pub fn deltas(&self) -> &[BatchDelta] {
-        &self.deltas
+    /// a stock [`xic_engine::CorpusReplica`]).  The stream is kept in its
+    /// wire encoding until this decodes it.
+    pub fn deltas(&mut self) -> &[BatchDelta] {
+        let mut frames = &self.deltas[..];
+        while !frames.is_empty() {
+            let Ok(Some((_, Response::Delta(delta)))) = read_response(&mut frames) else {
+                unreachable!("the coordinator encoded every merged delta itself")
+            };
+            self.decoded.push(delta);
+        }
+        self.deltas.clear();
+        &self.decoded
     }
 
     /// The last merged sequence number.
@@ -423,8 +436,119 @@ impl Coordinator {
     }
 
     // ------------------------------------------------------------------
-    // Delivery, supervision, resync
+    // The routing log, waves, supervision, resync
     // ------------------------------------------------------------------
+
+    /// Appends one request to the routing log, encoded once.
+    fn push(&mut self, kind: Kind, request: &Request) {
+        let (tag, payload) = encode_request(request);
+        self.log_bytes.extend_from_slice(&payload);
+        let end = self.log_bytes.len();
+        self.log.push(Entry { tag, end, kind });
+        xic_telemetry::global()
+            .gauge("coord.log_bytes")
+            .set(end as i64);
+    }
+
+    /// One wave: each group in `groups` is written its undelivered log
+    /// entries, plus the commit when `commit`, in one write — every group
+    /// before any reply is read.  Then each group's replies are read in
+    /// order.  Every group's wave is finished, so every connection stays
+    /// in step, before the first error is returned.
+    fn wave(&mut self, groups: &[usize], commit: bool) -> Result<(), CoordError> {
+        count("coord.waves", 1);
+        let sent: Vec<_> = groups
+            .iter()
+            .map(|&group| self.send_window(group, commit))
+            .collect();
+        let mut first = None;
+        for (&group, sent) in groups.iter().zip(sent) {
+            if let Err(e) = self.finish_wave(group, commit, sent) {
+                first.get_or_insert(e);
+            }
+        }
+        first.map_or(Ok(()), Err)
+    }
+
+    /// Writes `group`'s next window: up to [`MAX_IN_FLIGHT`] undelivered
+    /// entries, and the commit once they reach the end of the log.
+    /// Returns the window's end.
+    fn send_window(&mut self, group: usize, commit: bool) -> Result<usize, ClientError> {
+        let worker = &mut self.workers[group];
+        let end = self.log.len().min(worker.delivered + MAX_IN_FLIGHT);
+        let commit = commit && end == self.log.len();
+        let window = worker.delivered..end;
+        write_window(
+            &mut worker.client,
+            &self.log,
+            &self.log_bytes,
+            window,
+            commit,
+        )?;
+        Ok(end)
+    }
+
+    /// Reads `group`'s replies and sends the rest of its wave, window by
+    /// window.  A transport failure restarts the worker (replaying what
+    /// it had answered) and re-sends the rest.  Faults and protocol
+    /// surprises do not stop the reading; the first one is returned.
+    fn finish_wave(
+        &mut self,
+        group: usize,
+        commit: bool,
+        mut sent: Result<usize, ClientError>,
+    ) -> Result<(), CoordError> {
+        let mut fault = None;
+        loop {
+            match sent.and_then(|end| self.read_window(group, end, commit, &mut fault)) {
+                Ok(end) if end == self.log.len() => return fault.map_or(Ok(()), Err),
+                Ok(_) => {}
+                Err(transport) => self.restart_worker(group, &transport.to_string())?,
+            }
+            sent = self.send_window(group, commit);
+        }
+    }
+
+    /// Reads the replies to one window.  Each entry's reply advances the
+    /// worker's `delivered` mark (a faulted entry counts as delivered);
+    /// the commit's delta records a commit point and is absorbed.
+    fn read_window(
+        &mut self,
+        group: usize,
+        end: usize,
+        commit: bool,
+        fault: &mut Option<CoordError>,
+    ) -> Result<usize, ClientError> {
+        let worker = &mut self.workers[group];
+        let commit = commit && end == self.log.len();
+        for step in (worker.delivered..end)
+            .map(Some)
+            .chain(commit.then_some(None))
+        {
+            let checked = match worker.client.receive() {
+                Ok(reply) => check_reply(step.map(|i| self.log[i].kind), reply)
+                    .map_err(|detail| CoordError::Protocol(format!("worker {group}: {detail}"))),
+                Err(ClientError::Fault(f)) => Err(CoordError::Fault(f)),
+                Err(transport) => return Err(transport),
+            };
+            match checked {
+                Ok(Some(delta)) => {
+                    let point = u32::try_from(worker.delivered)
+                        .expect("a routing log holds fewer than 2^32 entries");
+                    worker.commits.push(point);
+                    for change in &delta.changes {
+                        self.merger.absorb(&self.groups[group], group == 0, change);
+                    }
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    fault.get_or_insert(e);
+                }
+            }
+            worker.delivered += usize::from(step.is_some());
+        }
+        Ok(end)
+    }
 
     /// Runs one wire call against worker `group`, restarting and resyncing
     /// it on transport failure.  Structured server faults and protocol
@@ -447,11 +571,9 @@ impl Coordinator {
         }
     }
 
-    /// Restarts a crashed worker and replays its journal — its exact
-    /// delivered traffic, in order — so its session state matches what the
-    /// dead process held.  Journaled commits are re-issued and their
-    /// deltas discarded (they were merged when first acknowledged; the
-    /// replayed session recomputes the same ones deterministically).
+    /// Restarts a crashed worker and replays the log entries it had
+    /// answered, with its commits at the same points, so its session
+    /// state matches what the dead process held.
     fn restart_worker(&mut self, group: usize, cause: &str) -> Result<(), CoordError> {
         loop {
             let attempts = self.workers[group].restarts + 1;
@@ -463,17 +585,19 @@ impl Coordinator {
                 });
             }
             self.workers[group].restarts = attempts;
+            count("coord.restarts", 1);
             self.workers[group].kill();
             self.generation += 1;
-            let (child, client) = spawn_worker(
+            let mut fresh = spawn_worker(
                 &self.worker_spec,
                 group,
                 &self.groups[group],
                 self.generation,
             )?;
-            self.workers[group].child = child;
-            self.workers[group].client = client;
-            match replay(&mut self.workers[group].client, &self.journals[group]) {
+            // `fresh` takes the dead process and its client, and reaps them.
+            std::mem::swap(&mut self.workers[group].child, &mut fresh.child);
+            std::mem::swap(&mut self.workers[group].client, &mut fresh.client);
+            match self.replay(group) {
                 Ok(()) => return Ok(()),
                 // The respawned worker died during replay too: another
                 // crash, another unit of restart budget.
@@ -487,50 +611,54 @@ impl Coordinator {
         }
     }
 
-    /// Delivers one event to a worker (with crash recovery) and journals
-    /// it on success.
-    fn deliver(&mut self, group: usize, event: Event) -> Result<(), CoordError> {
-        match &event {
-            Event::Open {
-                handle,
-                label,
-                source,
-            } => {
-                let expected = *handle;
-                let minted = self.call_worker(group, |client| client.open_doc(label, source))?;
-                if minted != expected {
-                    return Err(CoordError::Protocol(format!(
-                        "worker {group} minted handle {minted} for an open every \
-                         other worker minted {expected} for"
-                    )));
+    /// Replays `log[..delivered]` onto a respawned worker: the stored
+    /// bytes, in windows, with a commit at each recorded point.  Every
+    /// request was answered once before, so a fault or a different reply
+    /// now means the replay diverged.  The replayed commits' deltas were
+    /// merged when first acknowledged, and are dropped.
+    fn replay(&mut self, group: usize) -> Result<(), ReplayFailure> {
+        let worker = &mut self.workers[group];
+        count("coord.replayed_entries", worker.delivered as u64);
+        let points = worker.commits.iter().map(|&point| (point as usize, true));
+        let mut start = 0;
+        for (end, commit) in points.chain(std::iter::once((worker.delivered, false))) {
+            loop {
+                let stop = end.min(start + MAX_IN_FLIGHT);
+                let commit = commit && stop == end;
+                write_window(
+                    &mut worker.client,
+                    &self.log,
+                    &self.log_bytes,
+                    start..stop,
+                    commit,
+                )
+                .map_err(|_| ReplayFailure::Transport)?;
+                for step in (start..stop).map(Some).chain(commit.then_some(None)) {
+                    let kind = step.map(|i| self.log[i].kind);
+                    match worker.client.receive() {
+                        Ok(reply) => {
+                            check_reply(kind, reply).map_err(ReplayFailure::Diverged)?;
+                        }
+                        Err(ClientError::Fault(fault)) => {
+                            let what = step.map_or("commit".to_string(), |i| format!("entry {i}"));
+                            return Err(ReplayFailure::Diverged(format!(
+                                "{what} re-faulted: {fault}"
+                            )));
+                        }
+                        Err(_) => return Err(ReplayFailure::Transport),
+                    }
+                }
+                start = stop;
+                if start == end {
+                    break;
                 }
             }
-            Event::Apply { handle, ops } => {
-                let (handle, ops) = (*handle, ops.clone());
-                self.call_worker(group, |client| client.apply(handle, &ops))?;
-            }
-            Event::Close { handle } => {
-                let handle = *handle;
-                self.call_worker(group, |client| client.close_doc(handle))?;
-            }
-            Event::Commit => unreachable!("commits are issued by commit(), not deliver()"),
-        }
-        self.journals[group].push(event);
-        Ok(())
-    }
-
-    /// Flushes a group's pending applies, in order, ahead of a delivery
-    /// that needs its session current.
-    fn flush_pending(&mut self, group: usize) -> Result<(), CoordError> {
-        let queued = std::mem::take(&mut self.pending[group]);
-        for event in queued {
-            self.deliver(group, event)?;
         }
         Ok(())
     }
 }
 
-/// Why a journal replay against a freshly respawned worker failed.
+/// Why a replay against a freshly respawned worker failed.
 enum ReplayFailure {
     /// The transport died again — another crash.
     Transport,
@@ -539,63 +667,50 @@ enum ReplayFailure {
     Diverged(String),
 }
 
-/// Replays a journal against a fresh worker session.  Every event was
-/// acknowledged once before, so any structured fault now means the replay
-/// diverged.
-fn replay(client: &mut Client, journal: &[Event]) -> Result<(), ReplayFailure> {
-    let transport = |_: ClientError| ReplayFailure::Transport;
-    for event in journal {
-        match event {
-            Event::Open {
-                handle,
-                label,
-                source,
-            } => {
-                let minted = match client.open_doc(label, source) {
-                    Ok(minted) => minted,
-                    Err(ClientError::Fault(fault)) => {
-                        return Err(ReplayFailure::Diverged(format!(
-                            "open `{label}` re-faulted: {fault}"
-                        )))
-                    }
-                    Err(e) => return Err(transport(e)),
-                };
-                if minted != *handle {
-                    return Err(ReplayFailure::Diverged(format!(
-                        "open `{label}` re-minted handle {minted}, originally {handle}"
-                    )));
-                }
-            }
-            Event::Apply { handle, ops } => match client.apply(*handle, ops) {
-                Ok(_) => {}
-                Err(ClientError::Fault(fault)) => {
-                    return Err(ReplayFailure::Diverged(format!(
-                        "apply to {handle} re-faulted: {fault}"
-                    )))
-                }
-                Err(e) => return Err(transport(e)),
-            },
-            Event::Close { handle } => match client.close_doc(*handle) {
-                Ok(_) => {}
-                Err(ClientError::Fault(fault)) => {
-                    return Err(ReplayFailure::Diverged(format!(
-                        "close of {handle} re-faulted: {fault}"
-                    )))
-                }
-                Err(e) => return Err(transport(e)),
-            },
-            Event::Commit => match client.commit() {
-                Ok(_) => {}
-                Err(ClientError::Fault(fault)) => {
-                    return Err(ReplayFailure::Diverged(format!(
-                        "commit re-faulted: {fault}"
-                    )))
-                }
-                Err(e) => return Err(transport(e)),
-            },
-        }
+/// Adds `n` to the global `coord.*` counter `name`.
+fn count(name: &str, n: u64) {
+    xic_telemetry::global().counter(name).add(n);
+}
+
+/// Frames log entries `window`, then a commit when `commit`, and sends
+/// them in one write.
+fn write_window(
+    client: &mut Client,
+    log: &[Entry],
+    bytes: &[u8],
+    window: Range<usize>,
+    commit: bool,
+) -> Result<(), ClientError> {
+    count(
+        "coord.frames_sent",
+        (window.len() + usize::from(commit)) as u64,
+    );
+    let mut frames = Vec::new();
+    let mut start = window.start.checked_sub(1).map_or(0, |i| log[i].end);
+    for entry in &log[window] {
+        client.frame(&mut frames, entry.tag, &bytes[start..entry.end]);
+        start = entry.end;
     }
-    Ok(())
+    if commit {
+        let (tag, payload) = encode_request(&Request::Commit);
+        client.frame(&mut frames, tag, &payload);
+    }
+    client.send(&frames)
+}
+
+/// Checks one reply against what it answers: an entry of `kind`, or the
+/// commit (`None`), whose delta is returned.
+fn check_reply(kind: Option<Kind>, reply: Response) -> Result<Option<BatchDelta>, String> {
+    match (kind, reply) {
+        (Some(Kind::Open(expected)), Response::Opened { handle }) if handle != expected => Err(
+            format!("minted handle {handle} for an open every other worker minted {expected} for"),
+        ),
+        (Some(Kind::Open(_)), Response::Opened { .. })
+        | (Some(Kind::Apply), Response::Applied { .. })
+        | (Some(Kind::Close), Response::Closed { .. }) => Ok(None),
+        (None, Response::Delta(delta)) => Ok(Some(delta)),
+        (_, other) => Err(format!("unexpected response {other:?}")),
+    }
 }
 
 /// Maps one applied edit's effect to the shards it dirties — exactly the

@@ -13,13 +13,18 @@
 //! **Routing.** Every edit batch is applied to a coordinator-side mirror
 //! tree first; the resulting [`xic_xml::EditEffect`]s map to dirty shards
 //! through the spec's incremental layout (the exact marks each worker's
-//! index makes), and the batch is delivered only to the groups owning
-//! those shards.  Group 0 is the *structural authority* and receives every
-//! batch — structural `T ⊨ D` validation depends on attributes and text,
-//! so no edit may bypass it.  Opens and closes broadcast.  Groups a batch
-//! cannot affect enqueue it instead, and the queue is flushed, in order,
-//! before the group's next delivery, so every worker applies the same
+//! index makes), and only the groups owning those shards take part in the
+//! next commit.  Group 0 is the *structural authority* and takes part in
+//! every one — structural `T ⊨ D` validation depends on attributes and
+//! text, so no edit may bypass it.  A round with an open is broadcast.
+//! Opens, applies and closes go into one **routing log**, each request
+//! encoded once, and every group receives the log in log order up to its
+//! own `delivered` mark: a group a batch cannot affect just lags and
+//! catches up at its next commit, so every worker applies the same
 //! per-document op sequence (identical arenas, identical `NodeId`s).
+//! A commit is one **wave**: each participant gets its undelivered
+//! entries and the commit in one write, all participants before any reply
+//! is read, so the workers validate in parallel.
 //!
 //! **Merging.** Each worker runs its session scoped to its shards, so its
 //! commit deltas are wire-v2 projected frames; the
@@ -30,13 +35,15 @@
 //! reports equal to a monolithic [`xic_engine::CorpusSession`]'s, held to
 //! that by the `coord_agreement` differential suite.
 //!
-//! **Supervision.** Every delivered event is journaled per group.  A
-//! worker whose transport dies is killed, respawned (fresh `--addr-file`
-//! handshake) and resynced by replaying its journal — identical traffic,
-//! deterministic sessions — before the in-flight call is retried; the
-//! restart budget (`max_restarts`) exhausted, the coordinator rejects
-//! with [`CoordError::WorkerLost`] instead of acknowledging a partial
-//! verdict (recover-or-reject).
+//! **Supervision.** The routing log is the resync source.  A worker whose
+//! transport dies is killed, respawned (fresh `--addr-file` handshake) and
+//! replayed the log entries it had answered, with its commits at the same
+//! points — identical bytes, deterministic sessions — before the rest of
+//! its wave is re-sent; the restart budget (`max_restarts`) exhausted, the
+//! coordinator rejects with [`CoordError::WorkerLost`] instead of
+//! acknowledging a partial verdict (recover-or-reject).  The `coord.*`
+//! instruments (see [`register_baseline`]) count waves, frames sent,
+//! restarts and replayed entries, and gauge the log's size.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -49,6 +56,21 @@ pub use coordinator::{CoordConfig, Coordinator};
 use std::fmt;
 
 use xic_engine::WireFault;
+use xic_telemetry::MetricsRegistry;
+
+/// Registers every `coord.*` instrument on `registry`, so a snapshot taken
+/// before any coordinator runs still lists them at zero.
+pub fn register_baseline(registry: &MetricsRegistry) {
+    for counter in [
+        "coord.waves",
+        "coord.frames_sent",
+        "coord.replayed_entries",
+        "coord.restarts",
+    ] {
+        registry.counter(counter);
+    }
+    registry.gauge("coord.log_bytes");
+}
 
 /// Everything that can go wrong coordinating shard workers.  The
 /// [`CoordError::exit_code`] mapping preserves the CLI taxonomy: `2`

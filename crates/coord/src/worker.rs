@@ -44,6 +44,11 @@ pub(crate) struct Worker {
     pub client: Client,
     /// How many times this worker has been restarted after a crash.
     pub restarts: usize,
+    /// How many routing-log entries this worker has answered.
+    pub delivered: usize,
+    /// `delivered` at each of its commits, so a replay commits at the
+    /// same points.
+    pub commits: Vec<u32>,
 }
 
 impl Worker {
@@ -77,7 +82,7 @@ pub(crate) fn spawn_worker(
     group: usize,
     shards: &[u32],
     generation: usize,
-) -> Result<(Child, Client), CoordError> {
+) -> Result<Worker, CoordError> {
     let addr_file = spec
         .scratch
         .join(format!("coord-worker-{group}-gen{generation}.addr"));
@@ -126,7 +131,13 @@ pub(crate) fn spawn_worker(
     };
 
     match connect(addr, spec) {
-        Ok(client) => Ok((child, client)),
+        Ok(client) => Ok(Worker {
+            child,
+            client,
+            restarts: 0,
+            delivered: 0,
+            commits: Vec::new(),
+        }),
         Err(err) => {
             let _ = child.kill();
             let _ = child.wait();

@@ -28,7 +28,7 @@ use xic_gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
     primary_key_family, random_document, unary_consistency_family, DocGenConfig, SpecInstance,
 };
-use xic_xml::{write_document, EditOp};
+use xic_xml::{write_document, EditEffect, EditOp};
 
 /// Locates the `xic` binary the coordinator spawns shard workers from:
 /// `XIC_BIN` when set, otherwise the sibling of the test executable's
@@ -99,10 +99,13 @@ enum Action {
 
 /// Builds a deterministic multi-commit script for `spec` from `seed`:
 /// opens spread over several commits, attribute churn from a 3-value pool
-/// (small enough to create and then clear key collisions), and one close.
-/// Every edit is a `SetAttr`, so node ids stay stable and the same script
-/// drives the coordinator and the monolithic oracle identically.  Returns
-/// `None` when the DTD admits no generated documents.
+/// (small enough to create and then clear key collisions), one close, a
+/// round of structural edits (element and text insertion, subtree
+/// removal) and a re-open of the closed document's label.  The script
+/// applies every structural edit to its own copy of the tree, so later
+/// edits only name live nodes, and the same script drives the coordinator
+/// and the monolithic oracle identically.  Returns `None` when the DTD
+/// admits no generated documents.
 fn build_script(spec: &CompiledSpec, seed: u64) -> Option<Vec<Vec<Action>>> {
     let dtd = spec.dtd();
     let mut docs = Vec::new();
@@ -190,6 +193,55 @@ fn build_script(spec: &CompiledSpec, seed: u64) -> Option<Vec<Vec<Action>>> {
     // Commit 4: more churn, including no-op rewrites that leave reports
     // unchanged (merged deltas may come out empty).
     steps.push(churn(&docs[1..], 3));
+    // Commit 5: structural edits on the live documents.  They mint node
+    // ids, which the mirror, every worker (a lagging one applies them
+    // later, from the log) and the oracle must all agree on: an attribute
+    // write to each new element checks that.
+    let mut step = Vec::new();
+    let mut shape = Mix(seed ^ 0x5eed);
+    for (label, _, tree) in &mut docs[1..] {
+        let elems: Vec<_> = tree.elements().collect();
+        let parent = elems[shape.below(elems.len())];
+        let ty = dtd.types().nth(shape.below(dtd.num_types())).unwrap();
+        let add = EditOp::AddElement { parent, ty };
+        let Ok(EditEffect::ElementAdded { element, .. }) = tree.apply_edit(&add) else {
+            panic!("scripted insertion does not apply");
+        };
+        let mut ops = vec![
+            add,
+            EditOp::AddText {
+                parent,
+                value: "t".to_string(),
+            },
+        ];
+        if let Some(&attr) = dtd.attrs_of(ty).first() {
+            ops.push(EditOp::SetAttr {
+                element,
+                attr,
+                value: format!("v{}", shape.below(3)),
+            });
+        }
+        let victims: Vec<_> = elems
+            .iter()
+            .copied()
+            .filter(|&n| n != tree.root())
+            .collect();
+        if !victims.is_empty() {
+            ops.push(EditOp::RemoveSubtree {
+                element: victims[shape.below(victims.len())],
+            });
+        }
+        for op in &ops[1..] {
+            tree.apply_edit(op)
+                .expect("scripted structural edit applies");
+        }
+        step.push(Action::Edit(label.clone(), ops));
+    }
+    steps.push(step);
+    // Commit 6: the closed label opens again, under a fresh handle minted
+    // after a close; then both it and the survivors churn.
+    steps.push(vec![Action::Open(docs[0].0.clone(), docs[0].1.clone())]);
+    steps.push(churn(&docs, 3));
     Some(steps)
 }
 

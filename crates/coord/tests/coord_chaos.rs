@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 
 use xic_coord::{CoordConfig, CoordError, Coordinator};
 use xic_engine::{CompiledSpec, CorpusReplica, CorpusSession};
+use xic_telemetry::global;
 use xic_xml::EditOp;
 
 /// Two independent unary keys on unrelated element types: the touch graph
@@ -236,5 +237,124 @@ fn exhausted_restart_budget_rejects_instead_of_guessing() {
     assert_eq!(replica.report(), coordinator.report());
 
     coordinator.shutdown();
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// `SetAttr` on the id of the `index`-th `name` element of [`DOC`].
+fn setter(spec: &CompiledSpec) -> impl Fn(&str, usize, &str) -> EditOp + '_ {
+    let tree = spec.parse_document(DOC).expect("doc parses");
+    move |name, index, value| {
+        let element = tree
+            .elements()
+            .filter(|&n| spec.dtd().type_name(tree.element_type(n).unwrap()) == name)
+            .nth(index)
+            .expect("DOC has the element");
+        EditOp::SetAttr {
+            element,
+            attr: spec.dtd().attrs_of(tree.element_type(element).unwrap())[0],
+            value: value.to_string(),
+        }
+    }
+}
+
+/// A worker that lagged for several rounds — no edit touched its shard,
+/// so it received nothing after the open's commit — is killed.  The round
+/// that finally routes to it restarts it, replays what it had answered
+/// and sends it the whole backlog: every merged delta still equals the
+/// oracle's, and the kill shows in `coord.restarts` and
+/// `coord.replayed_entries`.
+#[test]
+fn killed_lagging_worker_replays_and_catches_up() {
+    let spec = spec();
+    let set = setter(&spec);
+    let mut oracle = CorpusSession::new(&spec);
+    let mono = oracle.open_source("doc", DOC).expect("oracle opens");
+
+    let scratch = std::env::temp_dir().join(format!("xic-coord-lag-{}", std::process::id()));
+    let mut coordinator = launch(&scratch, 2);
+    let handle = coordinator.open_doc("doc", DOC).expect("coord opens");
+    assert_eq!(coordinator.commit().expect("open commit"), oracle.commit());
+
+    // Four rounds on `a` only: group 1 (the `b` shard) takes no part and
+    // lags; the fifth round touches `b` and routes to it.
+    let mut rounds: Vec<Vec<EditOp>> = ["a1", "a9", "a1", "a9"]
+        .iter()
+        .map(|value| vec![set("a", 1, value)])
+        .collect();
+    rounds.push(vec![set("b", 1, "b1")]);
+    let restarts = global().counter("coord.restarts").get();
+    let replayed = global().counter("coord.replayed_entries").get();
+    for (round, ops) in rounds.iter().enumerate() {
+        if round == 4 {
+            coordinator.kill_worker(1);
+        }
+        coordinator.apply(handle, ops).expect("coord applies");
+        oracle.apply(mono, ops).expect("oracle applies");
+        let merged = coordinator.commit().expect("commit recovers");
+        assert_eq!(merged, oracle.commit(), "round {round} diverged");
+    }
+    assert_eq!(coordinator.report(), oracle.report());
+    assert_eq!(coordinator.worker_restarts(0), 0);
+    assert_eq!(coordinator.worker_restarts(1), 1);
+    assert!(global().counter("coord.restarts").get() > restarts);
+    assert!(global().counter("coord.replayed_entries").get() > replayed);
+
+    coordinator.shutdown();
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Ten thousand single-op batches, then one commit: the wave sends the
+/// worker its backlog in windows of at most 256 entries, reading each
+/// window's replies before writing the next (so neither side can block
+/// the other on full socket buffers), and the commit after the last.
+#[test]
+fn a_long_backlog_commits_in_bounded_windows() {
+    let spec = spec();
+    let set = setter(&spec);
+    let mut oracle = CorpusSession::new(&spec);
+    let mono = oracle.open_source("doc", DOC).expect("oracle opens");
+
+    let scratch = std::env::temp_dir().join(format!("xic-coord-long-{}", std::process::id()));
+    let mut coordinator = launch(&scratch, 1);
+    let handle = coordinator.open_doc("doc", DOC).expect("coord opens");
+    assert_eq!(coordinator.commit().expect("open commit"), oracle.commit());
+
+    for i in 0..10_000 {
+        let name = if i % 2 == 0 { "a" } else { "b" };
+        let ops = [set(name, i % 2, &format!("{name}{}", i % 3))];
+        coordinator.apply(handle, &ops).expect("coord applies");
+        oracle.apply(mono, &ops).expect("oracle applies");
+    }
+    assert_eq!(coordinator.commit().expect("long commit"), oracle.commit());
+    assert_eq!(coordinator.report(), oracle.report());
+
+    coordinator.shutdown();
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Workers start in parallel; one that cannot start fails the launch with
+/// a code-2 error instead of a coordinator missing a shard group.
+#[test]
+fn a_worker_that_cannot_start_fails_the_launch() {
+    let scratch = std::env::temp_dir().join(format!("xic-coord-nobin-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let dtd_path = scratch.join("spec.dtd");
+    let sigma_path = scratch.join("spec.sigma");
+    std::fs::write(&dtd_path, DTD).expect("write dtd");
+    std::fs::write(&sigma_path, SIGMA).expect("write sigma");
+    let Err(err) = Coordinator::launch(CoordConfig {
+        xic_bin: scratch.join("no-such-xic"),
+        dtd: dtd_path,
+        root: Some("r".to_string()),
+        constraints: Some(sigma_path),
+        workers: 2,
+        scratch: scratch.clone(),
+        session: "nobin".to_string(),
+        max_restarts: 0,
+    }) else {
+        panic!("a coordinator without workers must not launch");
+    };
+    assert!(matches!(err, CoordError::Io { .. }), "got: {err}");
+    assert_eq!(err.exit_code(), 2);
     let _ = std::fs::remove_dir_all(&scratch);
 }

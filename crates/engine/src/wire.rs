@@ -361,6 +361,13 @@ fn fill_buf(r: &mut impl Read, buf: &mut [u8]) -> Result<Fill, WireError> {
     Ok(Fill::Full)
 }
 
+/// Appends one frame in the journal record layout to `buf`, without any
+/// I/O: a pipelining client frames several requests into one buffer and
+/// sends them with one write.
+pub fn frame_into(buf: &mut Vec<u8>, seq: u64, tag: u8, payload: &[u8]) {
+    frame_record(buf, seq, tag, payload);
+}
+
 /// Writes one frame in the journal record layout.
 pub fn write_frame(w: &mut impl Write, seq: u64, tag: u8, payload: &[u8]) -> io::Result<()> {
     let mut buf = Vec::with_capacity(payload.len() + 17);
@@ -421,8 +428,9 @@ fn dec_spec(dec: &mut Dec<'_>) -> Result<SpecId, String> {
     Ok(SpecId(dec.u64()?, dec.u64()?))
 }
 
-/// Encodes a request into `(tag, payload)`.
-fn encode_request(req: &Request) -> (u8, Vec<u8>) {
+/// Encodes a request into `(tag, payload)`: encode once, then frame the
+/// payload per send with [`frame_into`] (a resend reuses the bytes).
+pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
     let mut enc = Enc::default();
     let tag = match req {
         Request::Hello {

@@ -21,7 +21,7 @@ use xic_engine::{
     BatchDelta, CompiledSpec, CorpusSession, DocHandle, JournalError, Limits, ResourceError,
     SessionError,
 };
-use xic_telemetry::MetricsRegistry;
+use xic_telemetry::{Histogram, MetricsRegistry};
 use xic_xml::EditOp;
 
 /// A command sent from a connection worker to a session actor.  Every
@@ -63,9 +63,11 @@ pub(crate) enum Cmd {
     },
 }
 
-/// The registry-side handle to a running actor.
+/// The registry-side handle to a running actor.  Each command travels
+/// with the instant it was enqueued, so the actor can record how long it
+/// waited (`server.queue_ns`).
 pub(crate) struct SessionHandle {
-    tx: SyncSender<Cmd>,
+    tx: SyncSender<(Instant, Cmd)>,
     last_used: Mutex<Instant>,
     /// Worker requests currently between offer and reply.  The janitor
     /// must never drain a session a worker is mid-conversation with: at
@@ -105,7 +107,7 @@ impl SessionHandle {
     /// backpressure rather than head-of-line blocking across sessions.
     pub(crate) fn offer(&self, cmd: Cmd) -> Offer {
         *self.last_used.lock().unwrap() = Instant::now();
-        match self.tx.try_send(cmd) {
+        match self.tx.try_send((Instant::now(), cmd)) {
             Ok(()) => Offer::Sent,
             Err(TrySendError::Full(_)) => Offer::Backpressure,
             Err(TrySendError::Disconnected(_)) => Offer::Gone,
@@ -139,7 +141,7 @@ impl SessionHandle {
     /// was already gone or its log could not be written.
     pub(crate) fn drain(&self) -> Option<u64> {
         let (reply, rx) = sync_channel(1);
-        let persisted = match self.tx.send(Cmd::Drain { reply }) {
+        let persisted = match self.tx.send((Instant::now(), Cmd::Drain { reply })) {
             Ok(()) => rx.recv().ok().and_then(|r| r.ok()),
             Err(_) => None,
         };
@@ -194,6 +196,7 @@ pub(crate) fn spawn_live(
         .name(format!("xic-session-{name}"))
         .spawn(move || {
             let log = state_dir.map(|dir| log_path(&dir, &name));
+            let queue_ns = registry.histogram("server.queue_ns");
             let mut session = CorpusSession::with_registry_and_limits(&spec, limits, registry);
             if let Some(shards) = scope {
                 // Validated against the plan at `Server::start`; scoping
@@ -211,7 +214,7 @@ pub(crate) fn spawn_live(
             let ok = recovered.is_ok();
             let _ = ready_tx.send(recovered);
             if ok {
-                run_live(session, rx, log.as_deref());
+                run_live(session, rx, log.as_deref(), &queue_ns);
             }
         })
         .expect("spawn session actor");
@@ -234,8 +237,14 @@ pub(crate) fn spawn_live(
     })
 }
 
-fn run_live(mut session: CorpusSession<'_>, rx: Receiver<Cmd>, log: Option<&std::path::Path>) {
-    while let Ok(cmd) = rx.recv() {
+fn run_live(
+    mut session: CorpusSession<'_>,
+    rx: Receiver<(Instant, Cmd)>,
+    log: Option<&std::path::Path>,
+    queue_ns: &Histogram,
+) {
+    while let Ok((enqueued, cmd)) = rx.recv() {
+        queue_ns.record_elapsed(enqueued);
         match cmd {
             Cmd::Open {
                 label,

@@ -10,7 +10,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use xic_engine::wire::{
-    read_response, write_request, HelloAck, Request, Response, WireError, WireFault,
+    frame_into, read_response, write_request, HelloAck, Request, Response, WireError, WireFault,
 };
 use xic_engine::{BatchDelta, CorpusReplica, SpecId};
 use xic_telemetry::RegistrySnapshot;
@@ -168,10 +168,28 @@ impl Client {
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         self.seq += 1;
         write_request(&mut self.conn, self.seq, req)?;
-        self.read_one()
+        self.receive()
     }
 
-    fn read_one(&mut self) -> Result<Response, ClientError> {
+    /// Appends an encoded request (see [`xic_engine::wire::encode_request`])
+    /// to `frames` as this connection's next request, without sending it.
+    /// Pipelining: frame several requests, [`Client::send`] them in one
+    /// write, then [`Client::receive`] one reply per request, in order.
+    pub fn frame(&mut self, frames: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+        self.seq += 1;
+        frame_into(frames, self.seq, tag, payload);
+    }
+
+    /// Writes a buffer of [`Client::frame`]d requests in one write.
+    pub fn send(&mut self, frames: &[u8]) -> Result<(), ClientError> {
+        self.conn.write_all(frames)?;
+        self.conn.flush()?;
+        Ok(())
+    }
+
+    /// Reads the reply to the oldest unanswered request; an error record
+    /// surfaces as [`ClientError::Fault`].
+    pub fn receive(&mut self) -> Result<Response, ClientError> {
         match read_response(&mut self.conn)? {
             Some((_, Response::Error(fault))) => Err(ClientError::Fault(fault)),
             Some((_, resp)) => Ok(resp),
@@ -248,7 +266,7 @@ impl Client {
         )?;
         let mut deltas = Vec::new();
         loop {
-            match self.read_one()? {
+            match self.receive()? {
                 Response::Delta(delta) => deltas.push(delta),
                 Response::DeltaEnd { count } => {
                     if count as usize != deltas.len() {

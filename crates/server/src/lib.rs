@@ -81,6 +81,7 @@ pub fn register_baseline(registry: &MetricsRegistry) {
     registry.counter("server.drained_sessions");
     registry.gauge("server.sessions");
     registry.histogram("server.request_ns");
+    registry.histogram("server.queue_ns");
     registry.counter("shard.syncs");
 }
 

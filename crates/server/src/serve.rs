@@ -3,7 +3,7 @@
 //! graceful drain that flushes every session's corpus log.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -168,6 +168,52 @@ impl Write for Conn {
             #[cfg(unix)]
             Conn::Unix(s) => s.flush(),
         }
+    }
+}
+
+/// One connection's byte stream as the request loop sees it: requests are
+/// read through a buffer, and replies collect in `out` until the next read
+/// would wait on the socket.  A pipelined batch of requests is so answered
+/// in one write, and no reply is ever held back while the server waits for
+/// the client.
+struct Link {
+    conn: BufReader<Conn>,
+    out: Vec<u8>,
+}
+
+impl Link {
+    /// Writes the collected replies.
+    fn send(&mut self) -> io::Result<()> {
+        if !self.out.is_empty() {
+            self.conn.get_mut().write_all(&self.out)?;
+            self.out.clear();
+        }
+        Ok(())
+    }
+}
+
+impl Read for Link {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.conn.buffer().is_empty() {
+            self.send()?;
+        }
+        self.conn.read(buf)
+    }
+}
+
+impl Write for Link {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.out.extend_from_slice(buf);
+        // A long reply (a sync of the whole history) streams out.
+        if self.out.len() >= 1 << 16 {
+            self.send()?;
+        }
+        Ok(buf.len())
+    }
+
+    /// Replies are sent before the next read waits, not per frame.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -405,6 +451,10 @@ fn accept_tcp(listener: TcpListener, shared: &Shared, conn_tx: &SyncSender<Conn>
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
+                // Replies go out as soon as the server would wait for the
+                // client; with Nagle on, a reply written while an earlier
+                // one is unacknowledged waits for the peer's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 if conn_tx.send(Conn::Tcp(stream)).is_err() {
                     return;
                 }
@@ -627,7 +677,7 @@ fn find_session(
 /// `last_seq` threads the connection's strictly monotonic request
 /// sequence: a replayed or rewound frame is answered with a structured
 /// `protocol:seq` fault and the connection is closed.
-fn next_request(conn: &mut Conn, shared: &Shared, last_seq: &mut u64) -> Option<(u64, Request)> {
+fn next_request(conn: &mut Link, shared: &Shared, last_seq: &mut u64) -> Option<(u64, Request)> {
     loop {
         match read_request_monotonic(conn, last_seq) {
             Ok(Some(framed)) => return Some(framed),
@@ -660,7 +710,7 @@ fn next_request(conn: &mut Conn, shared: &Shared, last_seq: &mut u64) -> Option<
     }
 }
 
-fn serve_conn(mut conn: Conn, shared: &Shared) {
+fn serve_conn(conn: Conn, shared: &Shared) {
     shared.instr.connections.inc();
     if conn
         .set_read_timeout(Some(Duration::from_millis(250)))
@@ -668,10 +718,18 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
     {
         return;
     }
+    let mut link = Link {
+        conn: BufReader::new(conn),
+        out: Vec::new(),
+    };
+    serve_link(&mut link, shared);
+    let _ = link.send();
+}
 
+fn serve_link(conn: &mut Link, shared: &Shared) {
     // --- Hello: version + spec negotiation, session attach. ---
     let mut last_req_seq = 0u64;
-    let Some((seq, req)) = next_request(&mut conn, shared, &mut last_req_seq) else {
+    let Some((seq, req)) = next_request(conn, shared, &mut last_req_seq) else {
         return;
     };
     let Request::Hello {
@@ -683,7 +741,7 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
     else {
         shared.instr.errors.inc();
         let fault = WireFault::new(2, "protocol", "first request must be a hello");
-        let _ = write_response(&mut conn, seq, &Response::Error(fault));
+        let _ = write_response(conn, seq, &Response::Error(fault));
         return;
     };
     let handshake = || -> Result<(), WireFault> {
@@ -713,7 +771,7 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
     };
     if let Err(fault) = handshake() {
         shared.instr.errors.inc();
-        let _ = write_response(&mut conn, seq, &Response::Error(fault));
+        let _ = write_response(conn, seq, &Response::Error(fault));
         return;
     }
     // Sessions are created lazily on the first session-touching request,
@@ -735,19 +793,19 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
         }),
         Err(fault) => {
             shared.instr.errors.inc();
-            let _ = write_response(&mut conn, seq, &Response::Error(fault));
+            let _ = write_response(conn, seq, &Response::Error(fault));
             return;
         }
     };
-    if write_response(&mut conn, seq, &ack).is_err() {
+    if write_response(conn, seq, &ack).is_err() {
         return;
     }
 
     // --- Request loop. ---
-    while let Some((seq, req)) = next_request(&mut conn, shared, &mut last_req_seq) {
+    while let Some((seq, req)) = next_request(conn, shared, &mut last_req_seq) {
         shared.instr.requests.inc();
         let start = Instant::now();
-        let ok = handle_request(&mut conn, shared, &session_name, &mut session, seq, req);
+        let ok = handle_request(conn, shared, &session_name, &mut session, seq, req);
         shared.instr.request_ns.record_elapsed(start);
         // Re-check the flag even after a served request: a client that
         // streams back-to-back requests never lets the read hit its idle
@@ -760,14 +818,14 @@ fn serve_conn(mut conn: Conn, shared: &Shared) {
 
 /// Serves one request; `false` ends the connection.
 fn handle_request(
-    conn: &mut Conn,
+    conn: &mut Link,
     shared: &Shared,
     session_name: &str,
     session: &mut Option<Arc<SessionHandle>>,
     seq: u64,
     req: Request,
 ) -> bool {
-    let respond = |conn: &mut Conn, resp: &Response| {
+    let respond = |conn: &mut Link, resp: &Response| {
         if matches!(resp, Response::Error(_)) {
             shared.instr.errors.inc();
         }

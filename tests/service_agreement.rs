@@ -587,6 +587,37 @@ fn spec_mismatch_hello_is_refused() {
     server.stop();
 }
 
+/// A reply of many frames must not stall on the client's delayed ACK:
+/// accepted TCP sockets run with `TCP_NODELAY`, so a sync of 8 deltas over
+/// loopback takes well under a millisecond, not the tens of milliseconds
+/// a Nagle stall costs.
+#[test]
+fn tcp_sync_of_many_deltas_does_not_stall() {
+    let (spec, server) = tcp_server(ServerConfig::default());
+    let addr = server.tcp_addr().unwrap();
+    let mut client = Client::connect_tcp(addr, spec.id(), "nodelay").expect("connect");
+    for i in 0..8 {
+        client
+            .open_doc(&format!("d{i}"), &doc_source(i))
+            .expect("open");
+        client.commit().expect("commit");
+    }
+    let mut times: Vec<Duration> = (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            assert_eq!(client.sync(0).expect("sync").len(), 8);
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    assert!(
+        times[2] < Duration::from_millis(10),
+        "median TCP sync of 8 deltas took {:?} (all: {times:?})",
+        times[2]
+    );
+    server.stop();
+}
+
 /// The Unix-socket transport speaks the identical protocol.
 #[cfg(unix)]
 #[test]
