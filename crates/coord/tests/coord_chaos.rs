@@ -1,7 +1,7 @@
 //! Chaos suite: shard workers are killed at the nastiest moments — between
 //! routed applies and the commit, mid-round on the structural authority,
 //! repeatedly — and the coordinator must either *recover* (respawn the
-//! worker, replay its journal, re-ask, and produce a merged verdict
+//! worker, replay it from the routing log, re-ask, and produce a merged verdict
 //! byte-identical to the monolithic oracle's) or *reject* (restart budget
 //! exhausted → [`CoordError::WorkerLost`], exit code 4) — never
 //! acknowledge a wrong or partial verdict.
@@ -108,7 +108,7 @@ fn oracle_run(spec: &CompiledSpec) -> (Vec<xic_engine::BatchDelta>, xic_engine::
 /// Kill one worker before each commit (rotating through the groups, so
 /// both the structural authority and a plain shard worker die mid-round):
 /// every merged delta must still equal the monolithic oracle's, and the
-/// restarted workers must have been resynced from their journals.
+/// restarted workers must have been replayed from the routing log.
 #[test]
 fn killed_workers_recover_and_agree() {
     let spec = spec();
@@ -164,8 +164,8 @@ fn killed_workers_recover_and_agree() {
 }
 
 /// A worker killed *between* commits (idle) is just as recoverable: the
-/// next round's routing finds the dead transport and resyncs before any
-/// delivery is acknowledged.
+/// next commit's wave finds the dead transport and replays the worker
+/// before anything is acknowledged.
 #[test]
 fn killed_idle_worker_recovers_on_next_delivery() {
     let spec = spec();
@@ -176,7 +176,7 @@ fn killed_idle_worker_recovers_on_next_delivery() {
     let handle = coordinator.open_doc("doc", DOC).expect("coord opens");
     assert_eq!(coordinator.commit().expect("open commit"), oracle_deltas[0]);
 
-    // Kill while idle; the next apply (round 1 routes to the authority
+    // Kill while idle; the next commit (round 1 routes to the authority
     // plus one shard group) walks into the corpse.
     coordinator.kill_worker(0);
     for (round, ops) in edit_rounds(&spec).into_iter().enumerate() {
@@ -207,14 +207,14 @@ fn exhausted_restart_budget_rejects_instead_of_guessing() {
 
     coordinator.kill_worker(1);
     let rounds = edit_rounds(&spec);
-    // Round 2 routes to both groups, so the dead worker is unavoidable
-    // whether it is hit during the apply delivery or the commit fan-out.
-    let err = match coordinator.apply(handle, &rounds[1]) {
-        Err(err) => err,
-        Ok(()) => coordinator
-            .commit()
-            .expect_err("a dead worker with no restart budget cannot yield a verdict"),
-    };
+    // Round 2 routes to both groups, so the commit's wave cannot avoid
+    // the dead worker; the apply does no I/O and cannot notice it.
+    coordinator
+        .apply(handle, &rounds[1])
+        .expect("apply only routes");
+    let err = coordinator
+        .commit()
+        .expect_err("a dead worker with no restart budget cannot yield a verdict");
     assert!(
         matches!(err, CoordError::WorkerLost { group: 1, .. }),
         "expected WorkerLost for group 1, got: {err}"
