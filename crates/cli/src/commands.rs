@@ -527,7 +527,7 @@ pub fn explain(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
                     system.program().num_constraints(),
                     system.program().num_conditionals()
                 ));
-                report.push_str(&system.program().render());
+                report.push_str(&system.render(&dtd, &sigma));
             }
             Err(e) => report.push_str(&format!("not available: {e}\n")),
         }

@@ -157,15 +157,18 @@ impl ConsistencyChecker {
             };
         }
         // A valid tree can always be re-valued so that every key holds
-        // (make all attribute values pairwise distinct).
-        // Reuse the unary machinery to actually build a document; the
-        // synthesized witness gives distinct values to every attribute slot
-        // that a (unary) key mentions, and multi-attribute keys then hold a
-        // fortiori because their first attribute is already unique per node
-        // is NOT generally true — so the witness is built from the unary
-        // sub-keys only and re-checked by the caller when needed.
+        // (make all attribute values pairwise distinct).  The witness comes
+        // from the unary machinery, with each key τ[l₁, …, lₙ] → τ weakened
+        // to τ.l₁ → τ: values of l₁ distinct per node already separate
+        // every two τ nodes, so the original key holds as well.
         let witness = if self.config.synthesize_witness {
-            let keyed: ConstraintSet = sigma.iter().filter(|c| c.is_unary()).cloned().collect();
+            let keyed: ConstraintSet = sigma
+                .iter()
+                .filter_map(|c| match c {
+                    Constraint::Key(k) => Some(Constraint::unary_key(k.ty, k.attrs[0])),
+                    _ => None,
+                })
+                .collect();
             CardinalitySystem::build(dtd, &keyed, &self.config.system)
                 .ok()
                 .and_then(|sys| {
@@ -387,6 +390,26 @@ mod tests {
             .check(&d2, &ConstraintSet::new())
             .unwrap()
             .is_inconsistent());
+    }
+
+    #[test]
+    fn keys_only_witness_satisfies_multi_attribute_keys() {
+        // r → t, t with t[a, b] → t: the witness must give the two t
+        // elements different (a, b) pairs.
+        use xic_dtd::ContentModel as CM;
+        let mut b = xic_dtd::Dtd::builder();
+        let r = b.elem("r");
+        let t = b.elem("t");
+        b.content(r, CM::seq(CM::Element(t), CM::Element(t)));
+        let a = b.attr(t, "a");
+        let bb = b.attr(t, "b");
+        let dtd = b.build("r").unwrap();
+        let sigma = ConstraintSet::from_vec(vec![Constraint::key(t, vec![a, bb])]);
+        let outcome = ConsistencyChecker::new().check(&dtd, &sigma).unwrap();
+        let witness = outcome.witness().expect("witness synthesized");
+        assert!(validate(witness, &dtd).is_empty());
+        let violations = xic_constraints::check_document(&dtd, witness, &sigma);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]

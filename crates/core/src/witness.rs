@@ -22,6 +22,7 @@
 //! tree actually returned is guaranteed — and verified in tests — to satisfy
 //! `T ⊨ D` and `T ⊨ Σ`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -31,7 +32,7 @@ use xic_ilp::{Assignment, IntegerProgram};
 use xic_telemetry::Counter;
 use xic_xml::{NodeId, XmlTree};
 
-use crate::system::CardinalitySystem;
+use crate::system::{CardinalitySystem, Origin};
 
 /// Errors raised during witness synthesis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,7 +277,7 @@ fn choose_alt_branch(simple: &SimpleDtd, budgets: &Budgets, ty: SimpleId) -> u8 
 /// `ilp.presolve_vars_removed`.
 fn solve_published(
     solver: &xic_ilp::IlpSolver,
-    program: &IntegerProgram,
+    program: &IntegerProgram<Origin>,
 ) -> (xic_ilp::SolveOutcome, xic_ilp::SolveStats) {
     static COUNTERS: OnceLock<[Arc<Counter>; 6]> = OnceLock::new();
     let [nodes, lp_calls, pivots, promotions, rows_removed, vars_removed] =
@@ -324,7 +325,8 @@ pub enum WitnessOutcome {
 /// root) is the universally valid implication
 /// `Σ_{τ∈S} |ext(τ)| > 0  →  Σ incoming occurrences into S > 0`,
 /// expressed with two fresh aggregate variables and one conditional
-/// constraint.
+/// constraint (see `CardinalitySystem::add_connectivity_cut`).  The loop
+/// reads `system` in place and copies it only when the first cut is added.
 pub fn solve_and_witness(
     dtd: &Dtd,
     sigma: &ConstraintSet,
@@ -333,7 +335,7 @@ pub fn solve_and_witness(
     max_repair_rounds: usize,
 ) -> WitnessOutcome {
     let _span = xic_telemetry::global().span("core.witness");
-    let mut working = system.clone();
+    let mut working = Cow::Borrowed(system);
     for _round in 0..=max_repair_rounds {
         let (outcome, _) = solve_published(solver, working.program());
         let assignment = match outcome {
@@ -367,7 +369,7 @@ pub fn solve_and_witness(
                             .join(", ")
                     ));
                 }
-                add_connectivity_cut(&mut working, &genuine);
+                working.to_mut().add_connectivity_cut(&genuine);
             }
             Err(other) => return WitnessOutcome::Unknown(other.to_string()),
         }
@@ -399,8 +401,8 @@ pub fn floating_components(system: &CardinalitySystem, assignment: &Assignment) 
     reached[simple.root().index()] = true;
     let mut stack = vec![simple.root()];
     while let Some(ty) = stack.pop() {
-        for occ in system.occurrences() {
-            if occ.parent != ty || reached[occ.child.index()] {
+        for occ in system.occurrences_under(ty) {
+            if reached[occ.child.index()] {
                 continue;
             }
             let used = assignment.get_u64(occ.var).map(|v| v > 0).unwrap_or(true);
@@ -436,13 +438,14 @@ pub enum CountsOutcome {
 /// [`floating_components`]), so feasibility of the raw system alone is not
 /// sufficient for consistency.  Like [`solve_and_witness`], this routine adds
 /// connectivity cuts and re-solves until the solution is realizable, the
-/// system becomes infeasible, or the repair budget runs out.
+/// system becomes infeasible, or the repair budget runs out.  Like it, it
+/// copies `system` only when the first cut is added.
 pub fn solve_counts(
     system: &CardinalitySystem,
     solver: &xic_ilp::IlpSolver,
     max_repair_rounds: usize,
 ) -> (CountsOutcome, xic_ilp::SolveStats) {
-    let mut working = system.clone();
+    let mut working = Cow::Borrowed(system);
     let mut total = xic_ilp::SolveStats::default();
     for _round in 0..=max_repair_rounds {
         let (outcome, stats) = solve_published(solver, working.program());
@@ -465,7 +468,7 @@ pub fn solve_counts(
         if floating.is_empty() {
             return (CountsOutcome::Realizable(assignment), total);
         }
-        add_connectivity_cut(&mut working, &floating);
+        working.to_mut().add_connectivity_cut(&floating);
     }
     (
         CountsOutcome::Unknown(format!(
@@ -473,54 +476,6 @@ pub fn solve_counts(
         )),
         total,
     )
-}
-
-/// Adds the connectivity cut for a floating set of simple types.
-fn add_connectivity_cut(system: &mut CardinalitySystem, floating: &[SimpleId]) {
-    use xic_ilp::{LinExpr, Rational};
-    let in_set = |ty: SimpleId| floating.contains(&ty);
-    // Incoming occurrences: child in S, parent outside S.
-    let incoming: Vec<_> = system
-        .occurrences()
-        .iter()
-        .filter(|occ| in_set(occ.child) && !in_set(occ.parent))
-        .map(|occ| occ.var)
-        .collect();
-    let ext_vars: Vec<_> = floating
-        .iter()
-        .map(|&ty| system.ext_var_simple(ty))
-        .collect();
-    let label: String = floating
-        .iter()
-        .map(|&ty| system.simple().name(ty).to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let program = system.program_mut();
-    let total = program.add_var(format!("cut_total({label})"));
-    let mut total_expr = LinExpr::var(total);
-    for v in &ext_vars {
-        total_expr.add_term(*v, -Rational::one());
-    }
-    program.add_eq(
-        total_expr,
-        Rational::zero(),
-        format!("cut: total of {{{label}}}"),
-    );
-    let entering = program.add_var(format!("cut_incoming({label})"));
-    let mut incoming_expr = LinExpr::var(entering);
-    for v in &incoming {
-        incoming_expr.add_term(*v, -Rational::one());
-    }
-    program.add_eq(
-        incoming_expr,
-        Rational::zero(),
-        format!("cut: occurrences entering {{{label}}}"),
-    );
-    program.add_conditional(
-        total,
-        entering,
-        format!("connectivity: a populated {{{label}}} must be entered from outside"),
-    );
 }
 
 /// Chooses attribute values so that every constraint in Σ holds.

@@ -29,7 +29,7 @@ pub fn papadimitriou_bound(num_vars: usize, num_constraints: usize, max_abs: &Bi
 ///
 /// Conditional constraints are counted as one extra row each, matching the
 /// paper's big-constant rewriting which adds one inequality per conditional.
-pub fn program_bound(program: &IntegerProgram) -> BigInt {
+pub fn program_bound<L>(program: &IntegerProgram<L>) -> BigInt {
     let m = program.num_constraints() + program.num_conditionals();
     papadimitriou_bound(program.num_vars(), m, &program.max_abs_coefficient())
 }
@@ -48,7 +48,7 @@ pub fn big_constant(num_vars: usize, num_constraints: usize, max_abs: &BigInt) -
 }
 
 /// The big constant for a concrete program.
-pub fn program_big_constant(program: &IntegerProgram) -> BigInt {
+pub fn program_big_constant<L>(program: &IntegerProgram<L>) -> BigInt {
     let m = program.num_constraints() + program.num_conditionals();
     big_constant(program.num_vars(), m, &program.max_abs_coefficient())
 }

@@ -13,7 +13,7 @@ use crate::linear::{Assignment, IntegerProgram};
 ///
 /// Returns `None` if no assignment within the box satisfies the program; note
 /// this only witnesses infeasibility *within the box*.
-pub fn enumerate_feasible(program: &IntegerProgram, box_bound: u64) -> Option<Assignment> {
+pub fn enumerate_feasible<L>(program: &IntegerProgram<L>, box_bound: u64) -> Option<Assignment> {
     let n = program.num_vars();
     let lowers: Vec<i128> = program
         .vars()
@@ -64,7 +64,7 @@ pub fn enumerate_feasible(program: &IntegerProgram, box_bound: u64) -> Option<As
 
 /// Counts all satisfying assignments within the box (used in tests to verify
 /// the solver does not miss solutions that exist).
-pub fn count_feasible(program: &IntegerProgram, box_bound: u64) -> u64 {
+pub fn count_feasible<L>(program: &IntegerProgram<L>, box_bound: u64) -> u64 {
     let n = program.num_vars();
     if n == 0 {
         return u64::from(program.is_satisfied_by(&Assignment::zeros(0)));

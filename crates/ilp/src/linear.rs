@@ -7,8 +7,13 @@
 //! constraint-derived (in)equalities become [`LinearConstraint`]s, and the
 //! attribute-totality implications `|ext(τ)| > 0 → |ext(τ.l)| > 0` become
 //! [`ConditionalConstraint`]s.
+//!
+//! Every variable, row and conditional carries a label of the program's
+//! label type `L`.  The solver never reads it; it only names things in
+//! [`IntegerProgram::render_with`] and [`IntegerProgram::violation_with`].
+//! Stand-alone programs use text (`L = String`); `xic-core` uses small
+//! `Copy` ids and renders them to text only when asked.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::bignum::BigInt;
@@ -27,10 +32,10 @@ impl VarId {
 
 /// A single integer variable.
 #[derive(Debug, Clone)]
-pub struct Variable {
-    /// Human-readable name, used in diagnostics and the textual dump of the
-    /// system (e.g. `ext(teacher)` or `occ1(subject,teach)`).
-    pub name: String,
+pub struct Variable<L = String> {
+    /// Name, used in diagnostics and the textual dump of the system (e.g.
+    /// `ext(teacher)` or `occ1(subject,teach)`).
+    pub name: L,
     /// Inclusive lower bound. All cardinality variables are non-negative.
     pub lower: BigInt,
     /// Optional inclusive upper bound.
@@ -61,7 +66,8 @@ impl fmt::Display for CmpOp {
 /// A linear expression `Σ c_i · x_i` with rational coefficients.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinExpr {
-    terms: BTreeMap<VarId, Rational>,
+    /// Sorted by variable, with no zero coefficient.
+    terms: Vec<(VarId, Rational)>,
 }
 
 impl LinExpr {
@@ -89,27 +95,71 @@ impl LinExpr {
         if c.is_zero() {
             return self;
         }
-        let entry = self.terms.entry(v).or_default();
-        *entry = &*entry + &c;
-        if entry.is_zero() {
-            self.terms.remove(&v);
+        if self.terms.last().is_none_or(|&(last, _)| last < v) {
+            self.terms.push((v, c));
+            return self;
+        }
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => {
+                let sum = &self.terms[i].1 + &c;
+                if sum.is_zero() {
+                    self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = sum;
+                }
+            }
+            Err(i) => self.terms.insert(i, (v, c)),
         }
         self
     }
 
     /// Adds another expression to this one.
     pub fn add_expr(&mut self, other: &LinExpr) -> &mut Self {
-        for (v, c) in &other.terms {
-            self.add_term(*v, c.clone());
-        }
-        self
+        self.merge(other, false)
     }
 
     /// Subtracts another expression from this one.
     pub fn sub_expr(&mut self, other: &LinExpr) -> &mut Self {
-        for (v, c) in &other.terms {
-            self.add_term(*v, -c.clone());
+        self.merge(other, true)
+    }
+
+    /// Adds `other` (or `−other`) in one pass over both sorted term lists.
+    fn merge(&mut self, other: &LinExpr, negate: bool) -> &mut Self {
+        if other.terms.is_empty() {
+            return self;
         }
+        let sign = |c: &Rational| if negate { -c.clone() } else { c.clone() };
+        // Disjoint and after every term here (a row built variable by
+        // variable): append in place.
+        if self.terms.last().map(|&(v, _)| v) < other.terms.first().map(|&(w, _)| w) {
+            self.terms
+                .extend(other.terms.iter().map(|(w, c)| (*w, sign(c))));
+            return self;
+        }
+        let mut merged = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let mut mine = std::mem::take(&mut self.terms).into_iter().peekable();
+        let mut theirs = other.terms.iter().peekable();
+        loop {
+            match (mine.peek(), theirs.peek()) {
+                (Some((v, _)), Some((w, _))) if v < w => merged.extend(mine.next()),
+                (Some((v, _)), Some((w, c))) if v > w => {
+                    merged.push((*w, sign(c)));
+                    theirs.next();
+                }
+                (Some(_), Some((_, c))) => {
+                    let (v, a) = mine.next().expect("peeked");
+                    let sum = if negate { &a - c } else { &a + c };
+                    if !sum.is_zero() {
+                        merged.push((v, sum));
+                    }
+                    theirs.next();
+                }
+                (Some(_), None) => merged.extend(mine.by_ref()),
+                (None, Some(_)) => merged.extend(theirs.by_ref().map(|(w, c)| (*w, sign(c)))),
+                (None, None) => break,
+            }
+        }
+        self.terms = merged;
         self
     }
 
@@ -119,7 +169,7 @@ impl LinExpr {
             self.terms.clear();
             return self;
         }
-        for coeff in self.terms.values_mut() {
+        for (_, coeff) in &mut self.terms {
             *coeff = &*coeff * c;
         }
         self
@@ -142,7 +192,10 @@ impl LinExpr {
 
     /// Coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: VarId) -> Rational {
-        self.terms.get(&v).cloned().unwrap_or_default()
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.terms[i].1.clone(),
+            Err(_) => Rational::zero(),
+        }
     }
 
     /// Evaluates the expression under an integer assignment.
@@ -167,19 +220,19 @@ impl LinExpr {
 
 /// A linear constraint `expr op rhs`.
 #[derive(Debug, Clone)]
-pub struct LinearConstraint {
+pub struct LinearConstraint<L = String> {
     /// Left-hand side.
     pub expr: LinExpr,
     /// Comparison operator.
     pub op: CmpOp,
     /// Right-hand side constant.
     pub rhs: Rational,
-    /// Optional provenance label (which DTD rule / which XML constraint
-    /// produced this row), used in diagnostics and explanations.
-    pub label: String,
+    /// Provenance label (which DTD rule / which XML constraint produced
+    /// this row), used in diagnostics and explanations.
+    pub label: L,
 }
 
-impl LinearConstraint {
+impl<L> LinearConstraint<L> {
     /// Checks whether the constraint holds under an integer assignment.
     pub fn holds(&self, assignment: &Assignment) -> bool {
         let lhs = self.expr.eval(assignment);
@@ -191,7 +244,7 @@ impl LinearConstraint {
     }
 }
 
-impl fmt::Display for LinearConstraint {
+impl<L> fmt::Display for LinearConstraint<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         for (v, c) in self.expr.terms() {
@@ -216,16 +269,16 @@ impl fmt::Display for LinearConstraint {
 /// big-constant rewriting `c · consequent ≥ antecedent`.  The solver supports
 /// both treatments (see [`crate::solver::ConditionalMode`]).
 #[derive(Debug, Clone)]
-pub struct ConditionalConstraint {
+pub struct ConditionalConstraint<L = String> {
     /// The variable whose positivity triggers the implication.
     pub antecedent: VarId,
     /// The variable that must then be positive.
     pub consequent: VarId,
     /// Provenance label.
-    pub label: String,
+    pub label: L,
 }
 
-impl ConditionalConstraint {
+impl<L> ConditionalConstraint<L> {
     /// Checks whether the implication holds under an integer assignment.
     pub fn holds(&self, assignment: &Assignment) -> bool {
         !assignment.get(self.antecedent).is_positive()
@@ -234,29 +287,58 @@ impl ConditionalConstraint {
 }
 
 /// A complete integer program: variables, linear constraints and conditional
-/// constraints.  All variables are integer-valued.
-#[derive(Debug, Clone, Default)]
-pub struct IntegerProgram {
-    vars: Vec<Variable>,
-    constraints: Vec<LinearConstraint>,
-    conditionals: Vec<ConditionalConstraint>,
+/// constraints, each labelled with an `L`.  All variables are
+/// integer-valued.
+#[derive(Debug, Clone)]
+pub struct IntegerProgram<L = String> {
+    vars: Vec<Variable<L>>,
+    constraints: Vec<LinearConstraint<L>>,
+    conditionals: Vec<ConditionalConstraint<L>>,
+}
+
+impl<L> Default for IntegerProgram<L> {
+    fn default() -> Self {
+        IntegerProgram {
+            vars: Vec::new(),
+            constraints: Vec::new(),
+            conditionals: Vec::new(),
+        }
+    }
 }
 
 impl IntegerProgram {
-    /// Creates an empty program.
+    /// Creates an empty program with text labels.
     pub fn new() -> IntegerProgram {
         IntegerProgram::default()
     }
+}
 
+/// The first thing an assignment breaks, found by
+/// [`IntegerProgram::first_violation`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Violation {
+    /// The assignment has the wrong number of values.
+    Length,
+    /// Variable `i` is below its lower bound.
+    BelowLower(usize),
+    /// Variable `i` is above its upper bound.
+    AboveUpper(usize),
+    /// Linear constraint `i` does not hold.
+    Row(usize),
+    /// Conditional constraint `i` does not hold.
+    Conditional(usize),
+}
+
+impl<L> IntegerProgram<L> {
     /// Adds a fresh non-negative integer variable and returns its id.
-    pub fn add_var(&mut self, name: impl Into<String>) -> VarId {
+    pub fn add_var(&mut self, name: impl Into<L>) -> VarId {
         self.add_var_bounded(name, BigInt::zero(), None)
     }
 
     /// Adds a fresh integer variable with the given bounds.
     pub fn add_var_bounded(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<L>,
         lower: BigInt,
         upper: Option<BigInt>,
     ) -> VarId {
@@ -285,22 +367,22 @@ impl IntegerProgram {
     }
 
     /// The variable table.
-    pub fn vars(&self) -> &[Variable] {
+    pub fn vars(&self) -> &[Variable<L>] {
         &self.vars
     }
 
     /// Mutable access to a variable (used by the solver to tighten bounds).
-    pub fn var_mut(&mut self, v: VarId) -> &mut Variable {
+    pub fn var_mut(&mut self, v: VarId) -> &mut Variable<L> {
         &mut self.vars[v.index()]
     }
 
     /// The linear constraints.
-    pub fn constraints(&self) -> &[LinearConstraint] {
+    pub fn constraints(&self) -> &[LinearConstraint<L>] {
         &self.constraints
     }
 
     /// The conditional constraints.
-    pub fn conditionals(&self) -> &[ConditionalConstraint] {
+    pub fn conditionals(&self) -> &[ConditionalConstraint<L>] {
         &self.conditionals
     }
 
@@ -310,7 +392,7 @@ impl IntegerProgram {
         expr: LinExpr,
         op: CmpOp,
         rhs: impl Into<Rational>,
-        label: impl Into<String>,
+        label: impl Into<L>,
     ) {
         self.constraints.push(LinearConstraint {
             expr,
@@ -321,34 +403,29 @@ impl IntegerProgram {
     }
 
     /// Adds `expr <= rhs`.
-    pub fn add_le(&mut self, expr: LinExpr, rhs: impl Into<Rational>, label: impl Into<String>) {
+    pub fn add_le(&mut self, expr: LinExpr, rhs: impl Into<Rational>, label: impl Into<L>) {
         self.add_constraint(expr, CmpOp::Le, rhs, label);
     }
 
     /// Adds `expr >= rhs`.
-    pub fn add_ge(&mut self, expr: LinExpr, rhs: impl Into<Rational>, label: impl Into<String>) {
+    pub fn add_ge(&mut self, expr: LinExpr, rhs: impl Into<Rational>, label: impl Into<L>) {
         self.add_constraint(expr, CmpOp::Ge, rhs, label);
     }
 
     /// Adds `expr = rhs`.
-    pub fn add_eq(&mut self, expr: LinExpr, rhs: impl Into<Rational>, label: impl Into<String>) {
+    pub fn add_eq(&mut self, expr: LinExpr, rhs: impl Into<Rational>, label: impl Into<L>) {
         self.add_constraint(expr, CmpOp::Eq, rhs, label);
     }
 
     /// Adds the equality `lhs_var = rhs_expr`.
-    pub fn add_var_eq_expr(&mut self, lhs: VarId, rhs: LinExpr, label: impl Into<String>) {
+    pub fn add_var_eq_expr(&mut self, lhs: VarId, rhs: LinExpr, label: impl Into<L>) {
         let mut expr = LinExpr::var(lhs);
         expr.sub_expr(&rhs);
         self.add_eq(expr, Rational::zero(), label);
     }
 
     /// Adds the conditional constraint `antecedent > 0 → consequent > 0`.
-    pub fn add_conditional(
-        &mut self,
-        antecedent: VarId,
-        consequent: VarId,
-        label: impl Into<String>,
-    ) {
+    pub fn add_conditional(&mut self, antecedent: VarId, consequent: VarId, label: impl Into<L>) {
         self.conditionals.push(ConditionalConstraint {
             antecedent,
             consequent,
@@ -359,47 +436,77 @@ impl IntegerProgram {
     /// Checks whether a full integer assignment satisfies every bound, linear
     /// constraint and conditional constraint of the program.
     pub fn is_satisfied_by(&self, assignment: &Assignment) -> bool {
-        self.violation(assignment).is_none()
+        self.first_violation(assignment).is_none()
     }
 
-    /// Returns a human-readable description of the first violated
-    /// bound/constraint, or `None` if the assignment is feasible.
-    pub fn violation(&self, assignment: &Assignment) -> Option<String> {
+    /// The first bound, row or conditional the assignment breaks.
+    fn first_violation(&self, assignment: &Assignment) -> Option<Violation> {
         if assignment.len() != self.vars.len() {
-            return Some(format!(
+            return Some(Violation::Length);
+        }
+        for (i, (var, v)) in self.vars.iter().zip(assignment.values()).enumerate() {
+            if *v < var.lower {
+                return Some(Violation::BelowLower(i));
+            }
+            if var.upper.as_ref().is_some_and(|u| v > u) {
+                return Some(Violation::AboveUpper(i));
+            }
+        }
+        if let Some(i) = self.constraints.iter().position(|c| !c.holds(assignment)) {
+            return Some(Violation::Row(i));
+        }
+        self.conditionals
+            .iter()
+            .position(|c| !c.holds(assignment))
+            .map(Violation::Conditional)
+    }
+
+    /// Describes the first violated bound/constraint, naming it with
+    /// `label`, or returns `None` if the assignment is feasible.
+    pub fn violation_with<D: fmt::Display>(
+        &self,
+        assignment: &Assignment,
+        label: impl Fn(&L) -> D,
+    ) -> Option<String> {
+        Some(match self.first_violation(assignment)? {
+            Violation::Length => format!(
                 "assignment has {} values but program has {} variables",
                 assignment.len(),
                 self.vars.len()
-            ));
-        }
-        for (i, var) in self.vars.iter().enumerate() {
-            let v = assignment.get(VarId(i as u32));
-            if *v < var.lower {
-                return Some(format!(
+            ),
+            Violation::BelowLower(i) => {
+                let var = &self.vars[i];
+                format!(
                     "{} = {} below lower bound {}",
-                    var.name, v, var.lower
-                ));
+                    label(&var.name),
+                    assignment.values()[i],
+                    var.lower
+                )
             }
-            if let Some(u) = &var.upper {
-                if v > u {
-                    return Some(format!("{} = {} above upper bound {}", var.name, v, u));
-                }
+            Violation::AboveUpper(i) => {
+                let var = &self.vars[i];
+                let upper = var.upper.as_ref().expect("an upper bound was exceeded");
+                format!(
+                    "{} = {} above upper bound {}",
+                    label(&var.name),
+                    assignment.values()[i],
+                    upper
+                )
             }
-        }
-        for c in &self.constraints {
-            if !c.holds(assignment) {
-                return Some(format!("violated [{}]: {}", c.label, c));
+            Violation::Row(i) => {
+                let c = &self.constraints[i];
+                format!("violated [{}]: {}", label(&c.label), c)
             }
-        }
-        for c in &self.conditionals {
-            if !c.holds(assignment) {
-                return Some(format!(
+            Violation::Conditional(i) => {
+                let c = &self.conditionals[i];
+                format!(
                     "violated conditional [{}]: x{} > 0 → x{} > 0",
-                    c.label, c.antecedent.0, c.consequent.0
-                ));
+                    label(&c.label),
+                    c.antecedent.0,
+                    c.consequent.0
+                )
             }
-        }
-        None
+        })
     }
 
     /// Largest absolute value among all integer coefficients and right-hand
@@ -432,9 +539,9 @@ impl IntegerProgram {
         a
     }
 
-    /// Renders the program as a human-readable multi-line string (used by the
-    /// `spec_linter` example and in debugging output).
-    pub fn render(&self) -> String {
+    /// Renders the program as a human-readable multi-line string, naming
+    /// every variable, row and conditional with `label`.
+    pub fn render_with<D: fmt::Display>(&self, label: impl Fn(&L) -> D) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "variables ({}):", self.vars.len());
@@ -444,11 +551,17 @@ impl IntegerProgram {
                 .as_ref()
                 .map(|u| u.to_string())
                 .unwrap_or_else(|| "∞".into());
-            let _ = writeln!(out, "  x{i} = {}  ∈ [{}, {}]", v.name, v.lower, upper);
+            let _ = writeln!(
+                out,
+                "  x{i} = {}  ∈ [{}, {}]",
+                label(&v.name),
+                v.lower,
+                upper
+            );
         }
         let _ = writeln!(out, "constraints ({}):", self.constraints.len());
         for c in &self.constraints {
-            let _ = writeln!(out, "  {}    [{}]", c, c.label);
+            let _ = writeln!(out, "  {}    [{}]", c, label(&c.label));
         }
         if !self.conditionals.is_empty() {
             let _ = writeln!(out, "conditionals ({}):", self.conditionals.len());
@@ -456,11 +569,26 @@ impl IntegerProgram {
                 let _ = writeln!(
                     out,
                     "  x{} > 0 → x{} > 0    [{}]",
-                    c.antecedent.0, c.consequent.0, c.label
+                    c.antecedent.0,
+                    c.consequent.0,
+                    label(&c.label)
                 );
             }
         }
         out
+    }
+}
+
+impl<L: fmt::Display> IntegerProgram<L> {
+    /// Describes the first violated bound/constraint, or returns `None` if
+    /// the assignment is feasible.
+    pub fn violation(&self, assignment: &Assignment) -> Option<String> {
+        self.violation_with(assignment, L::to_string)
+    }
+
+    /// Renders the program as a human-readable multi-line string.
+    pub fn render(&self) -> String {
+        self.render_with(L::to_string)
     }
 }
 
@@ -549,6 +677,52 @@ mod tests {
         let mut f = e.clone();
         f.sub_expr(&e);
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn merges_agree_with_term_by_term_sums() {
+        // Interleaved, disjoint, appended and cancelling operands: every
+        // coefficient of the one-pass merge is the sum (or difference) of
+        // the operands' coefficients, and the terms stay sorted with no
+        // zero coefficient.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..500 {
+            let draw = |next: &mut dyn FnMut(u64) -> u64| {
+                let mut e = LinExpr::new();
+                for _ in 0..next(6) {
+                    let v = VarId(next(12) as u32);
+                    e.add_term(v, Rational::from_int(next(5) as i64 - 2));
+                }
+                e
+            };
+            let a = draw(&mut next);
+            let b = draw(&mut next);
+            for negate in [false, true] {
+                let mut merged = a.clone();
+                if negate {
+                    merged.sub_expr(&b);
+                } else {
+                    merged.add_expr(&b);
+                }
+                for v in (0..12).map(VarId) {
+                    let expected = if negate {
+                        &a.coeff(v) - &b.coeff(v)
+                    } else {
+                        &a.coeff(v) + &b.coeff(v)
+                    };
+                    assert_eq!(merged.coeff(v), expected);
+                }
+                let terms: Vec<_> = merged.terms().collect();
+                assert!(terms.windows(2).all(|w| w[0].0 < w[1].0));
+                assert!(terms.iter().all(|(_, c)| !c.is_zero()));
+            }
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ struct Classes {
 }
 
 impl Classes {
-    fn new(program: &IntegerProgram) -> Result<Classes, Infeasible> {
+    fn new<L>(program: &IntegerProgram<L>) -> Result<Classes, Infeasible> {
         let n = program.num_vars();
         let classes = Classes {
             parent: (0..n).collect(),
@@ -229,7 +229,7 @@ impl Classes {
 }
 
 /// Runs the presolve.
-pub(crate) fn presolve(program: &IntegerProgram) -> Result<Reduced, Infeasible> {
+pub(crate) fn presolve<L>(program: &IntegerProgram<L>) -> Result<Reduced, Infeasible> {
     let mut classes = Classes::new(program)?;
     let mut rows: Vec<Row> = program
         .constraints()

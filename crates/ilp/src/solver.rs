@@ -153,12 +153,12 @@ impl IlpSolver {
     }
 
     /// Decides integer feasibility of `program`.
-    pub fn solve(&self, program: &IntegerProgram) -> SolveOutcome {
+    pub fn solve<L>(&self, program: &IntegerProgram<L>) -> SolveOutcome {
         self.solve_with_stats(program).0
     }
 
     /// Decides integer feasibility and reports search statistics.
-    pub fn solve_with_stats(&self, program: &IntegerProgram) -> (SolveOutcome, SolveStats) {
+    pub fn solve_with_stats<L>(&self, program: &IntegerProgram<L>) -> (SolveOutcome, SolveStats) {
         let mut stats = SolveStats::default();
         rational::take_promotions();
         let outcome = self.search(program, &mut stats);
@@ -168,7 +168,7 @@ impl IlpSolver {
 
     /// Presolve, then the branch-and-bound search over the reduced system;
     /// a solution is lifted and verified against `program` itself.
-    fn search(&self, program: &IntegerProgram, stats: &mut SolveStats) -> SolveOutcome {
+    fn search<L>(&self, program: &IntegerProgram<L>, stats: &mut SolveStats) -> SolveOutcome {
         let Ok(mut reduced) = presolve(program) else {
             return SolveOutcome::Infeasible;
         };

@@ -7,8 +7,8 @@ use xml_integrity_constraints::constraints::document_satisfies;
 use xml_integrity_constraints::core::{CheckerConfig, ConsistencyChecker};
 use xml_integrity_constraints::dtd::SimpleDtd;
 use xml_integrity_constraints::gen::{
-    random_document, random_dtd, random_unary_constraints, ConstraintGenConfig, DocGenConfig,
-    DtdGenConfig,
+    random_binary_constraints, random_document, random_dtd, random_unary_constraints,
+    ConstraintGenConfig, DocGenConfig, DtdGenConfig,
 };
 use xml_integrity_constraints::xml::validate;
 
@@ -61,6 +61,35 @@ proptest! {
             prop_assert!(validate(witness, &dtd).is_empty());
             prop_assert!(document_satisfies(&dtd, witness, &sigma));
         }
+    }
+
+    /// Keys-only Σs with multi-attribute keys are consistent exactly when
+    /// the DTD is satisfiable (Theorem 3.5(2)), and their witnesses satisfy
+    /// every key, not just its first attribute.
+    #[test]
+    fn multi_attribute_keys_only_witnesses_satisfy_sigma(
+        seed in 0u64..300,
+        types in 3usize..8,
+        keys in 1usize..5,
+        unary_keys in 0usize..3,
+    ) {
+        let dtd = random_dtd(&DtdGenConfig { seed, num_types: types, ..Default::default() });
+        let mut sigma = random_binary_constraints(
+            &dtd,
+            &ConstraintGenConfig { keys, foreign_keys: 0, seed, ..Default::default() },
+        );
+        let unary = random_unary_constraints(
+            &dtd,
+            &ConstraintGenConfig { keys: unary_keys, foreign_keys: 0, seed, ..Default::default() },
+        );
+        for c in unary.iter() {
+            sigma.push(c.clone());
+        }
+        let outcome = ConsistencyChecker::new().check(&dtd, &sigma).unwrap();
+        prop_assert!(outcome.is_consistent(), "{}", outcome.explanation());
+        let witness = outcome.witness().expect("keys-only verdicts carry a witness");
+        prop_assert!(validate(witness, &dtd).is_empty());
+        prop_assert!(document_satisfies(&dtd, witness, &sigma));
     }
 
     /// With negations in the mix the checker still decides, and witnesses are
