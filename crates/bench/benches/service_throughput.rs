@@ -8,8 +8,8 @@
 //!
 //! 1. **wire (framed loopback)** — `Client::apply` + `Client::commit`
 //!    against an `xic-server` on 127.0.0.1: every edit pays request
-//!    framing, a TCP round trip, the session actor's channel hop, and the
-//!    delta response encode/decode;
+//!    framing, a TCP round trip, the session lock, and the delta response
+//!    encode/decode;
 //! 2. **in-process** — `CorpusSession::apply` + `commit()` on a local
 //!    session, the floor the service is built on.
 //!

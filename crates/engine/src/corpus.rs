@@ -612,6 +612,49 @@ fn admit_dirty(limits: &Limits, projected: usize, context: &str) -> Result<(), R
     }
 }
 
+/// How a [`CorpusSession`] holds its spec: borrowed (`CorpusSession::new(&spec)`),
+/// or shared through an `Arc`, which gives a `CorpusSession<'static>` that a
+/// registry owning the same `Arc` can keep.
+#[derive(Debug, Clone)]
+pub enum SpecRef<'s> {
+    /// A spec the caller owns.
+    Borrowed(&'s CompiledSpec),
+    /// A spec the session co-owns.
+    Shared(Arc<CompiledSpec>),
+}
+
+impl std::ops::Deref for SpecRef<'_> {
+    type Target = CompiledSpec;
+    fn deref(&self) -> &CompiledSpec {
+        match self {
+            SpecRef::Borrowed(spec) => spec,
+            SpecRef::Shared(spec) => spec,
+        }
+    }
+}
+
+impl<'s> From<&'s CompiledSpec> for SpecRef<'s> {
+    fn from(spec: &'s CompiledSpec) -> SpecRef<'s> {
+        SpecRef::Borrowed(spec)
+    }
+}
+
+impl<'s> From<&'s Arc<CompiledSpec>> for SpecRef<'s> {
+    fn from(spec: &'s Arc<CompiledSpec>) -> SpecRef<'s> {
+        SpecRef::Borrowed(spec)
+    }
+}
+
+impl From<Arc<CompiledSpec>> for SpecRef<'static> {
+    fn from(spec: Arc<CompiledSpec>) -> SpecRef<'static> {
+        SpecRef::Shared(spec)
+    }
+}
+
+// A server's connection threads take turns on a session that owns its spec.
+const _: fn() = assert_send::<CorpusSession<'static>>;
+fn assert_send<T: Send>() {}
+
 /// A corpus-level validation session: many open documents validated against
 /// one [`CompiledSpec`], sharing one incremental layout (each document keeps
 /// its own value pool), with per-document dirty tracking and [`BatchDelta`]
@@ -653,7 +696,7 @@ fn admit_dirty(limits: &Limits, projected: usize, context: &str) -> Result<(), R
 /// ```
 #[derive(Debug)]
 pub struct CorpusSession<'s> {
-    spec: &'s CompiledSpec,
+    spec: SpecRef<'s>,
     /// Open documents in handle (= open) order.
     docs: BTreeMap<u64, CorpusDoc>,
     /// Handles dirtied (opened or edited) since the last commit, in order.
@@ -710,18 +753,18 @@ impl<'s> CorpusSession<'s> {
     /// metrics (`corpus.*` instruments, including the `corpus.dirty_docs`
     /// and `corpus.queued_ops` backpressure gauges) on the process-global
     /// registry.
-    pub fn new(spec: &'s CompiledSpec) -> CorpusSession<'s> {
+    pub fn new(spec: impl Into<SpecRef<'s>>) -> CorpusSession<'s> {
         CorpusSession::with_registry(spec, Arc::clone(xic_telemetry::global()))
     }
 
     /// A corpus recording its metrics on an explicit registry (per-tenant
     /// isolation, or a private registry in tests).
     pub fn with_registry(
-        spec: &'s CompiledSpec,
+        spec: impl Into<SpecRef<'s>>,
         registry: Arc<MetricsRegistry>,
     ) -> CorpusSession<'s> {
         CorpusSession {
-            spec,
+            spec: spec.into(),
             docs: BTreeMap::new(),
             dirty: Vec::new(),
             closed: Vec::new(),
@@ -747,7 +790,7 @@ impl<'s> CorpusSession<'s> {
     /// and trees are refused at open, edit batches that would blow a bound
     /// are rejected whole by [`CorpusSession::apply`], and
     /// [`CorpusSession::try_commit`] honors the soft deadline.
-    pub fn with_limits(spec: &'s CompiledSpec, limits: Limits) -> CorpusSession<'s> {
+    pub fn with_limits(spec: impl Into<SpecRef<'s>>, limits: Limits) -> CorpusSession<'s> {
         let mut corpus = CorpusSession::new(spec);
         corpus.limits = limits;
         corpus
@@ -757,7 +800,7 @@ impl<'s> CorpusSession<'s> {
     /// validation service's per-tenant constructor ([`Limits`] govern
     /// admission, the registry isolates the tenant's instruments).
     pub fn with_registry_and_limits(
-        spec: &'s CompiledSpec,
+        spec: impl Into<SpecRef<'s>>,
         limits: Limits,
         registry: Arc<MetricsRegistry>,
     ) -> CorpusSession<'s> {
@@ -813,7 +856,7 @@ impl<'s> CorpusSession<'s> {
 
     /// The specification the corpus validates against.
     pub fn spec(&self) -> &CompiledSpec {
-        self.spec
+        &self.spec
     }
 
     /// Number of open documents.
@@ -1188,7 +1231,7 @@ impl<'s> CorpusSession<'s> {
                 let recheck_timer = self.instr.registry.start_timer();
                 let scope = self.shard_scope.as_ref();
                 let outcome =
-                    Self::recheck_contained(self.spec, &validator, doc, scope, &mut verdicts);
+                    Self::recheck_contained(&self.spec, &validator, doc, scope, &mut verdicts);
                 if let Some(t) = recheck_timer {
                     self.instr.recheck_ns.record_elapsed(t);
                 }

@@ -91,7 +91,7 @@ pub use batch::{BatchDoc, BatchEngine, BatchReport, DocFault, DocReport};
 pub use cache::{CacheKey, CacheStats, QueryHash, Verdict, VerdictCache};
 pub use corpus::{
     project_doc_report, project_report, BatchDelta, ClosedDoc, CorpusSession, DeltaSummary,
-    DocChange, DocHandle, Recovery, SessionError, Transition,
+    DocChange, DocHandle, Recovery, SessionError, SpecRef, Transition,
 };
 pub use hash::{fnv1a, fnv1a_parts, fnv1a_parts_wide};
 pub use journal::{

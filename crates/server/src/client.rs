@@ -3,7 +3,7 @@
 //! structured error records as [`ClientError::Fault`].
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -15,6 +15,8 @@ use xic_engine::wire::{
 use xic_engine::{BatchDelta, CorpusReplica, SpecId};
 use xic_telemetry::RegistrySnapshot;
 use xic_xml::EditOp;
+
+use crate::Stream;
 
 /// Everything a client call can fail with.
 #[derive(Debug)]
@@ -78,44 +80,10 @@ impl ClientError {
     }
 }
 
-enum Transport {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for Transport {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Transport::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Transport {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Transport::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Transport::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Transport::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking connection to an `xic serve` instance, attached to one named
 /// session by the hello handshake.
 pub struct Client {
-    conn: Transport,
+    conn: Box<dyn Stream>,
     hello: HelloAck,
     seq: u64,
 }
@@ -129,7 +97,7 @@ impl Client {
     ) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Client::handshake(Transport::Tcp(stream), spec, session)
+        Client::handshake(Box::new(stream), spec, session)
     }
 
     /// Connects over a Unix socket and performs the hello handshake.
@@ -140,10 +108,14 @@ impl Client {
         session: &str,
     ) -> Result<Client, ClientError> {
         let stream = UnixStream::connect(path)?;
-        Client::handshake(Transport::Unix(stream), spec, session)
+        Client::handshake(Box::new(stream), spec, session)
     }
 
-    fn handshake(mut conn: Transport, spec: SpecId, session: &str) -> Result<Client, ClientError> {
+    fn handshake(
+        mut conn: Box<dyn Stream>,
+        spec: SpecId,
+        session: &str,
+    ) -> Result<Client, ClientError> {
         write_request(&mut conn, 1, &Request::hello(spec, session))?;
         match read_response(&mut conn)? {
             Some((_, Response::Hello(hello))) => Ok(Client {

@@ -11,15 +11,17 @@
 //!
 //! The workspace is network-free by design, so there is no async runtime:
 //! accept loops on non-blocking listeners feed a bounded worker pool of
-//! `std::thread`s, and every named session runs as an **actor** — a
-//! dedicated thread owning the `CorpusSession`, fed over a bounded command
-//! channel — so one slow session never blocks another, and per-session
-//! backpressure is a channel bound, not a lock queue.
+//! `std::thread`s.  Every named session sits behind its own mutex, and the
+//! connection thread serving a request locks it and runs the request
+//! itself, so one slow session never blocks another and the worker pool
+//! bounds how many requests wait on one session.  A request that panics
+//! outside the engine's containment poisons the lock: later requests on
+//! the session answer a code-2 `session` fault until a client reconnects.
 //!
 //! Resource governance and fault containment extend to the wire: admission
-//! limits ([`xic_engine::Limits`]), session-count and backlog bounds reject
-//! with **structured error records** (code 3, `resource:*`), contained
-//! faults answer with code 4 (`fault:*`) — never a dropped connection.
+//! limits ([`xic_engine::Limits`]) and the session-count bound reject with
+//! **structured error records** (code 3, `resource:*`), contained faults
+//! answer with code 4 (`fault:*`) — never a dropped connection.
 //! Graceful drain and idle eviction flush every session's corpus log to
 //! the state directory, and a restarted server recovers each session from
 //! its log — live and editable — the first time a client names it.
@@ -59,7 +61,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod actor;
 mod client;
 mod serve;
 
@@ -68,6 +69,10 @@ pub use serve::{Server, ServerConfig, ServerReport};
 
 use xic_engine::wire::WireFault;
 use xic_telemetry::MetricsRegistry;
+
+/// A connected TCP or Unix-socket byte stream.
+pub(crate) trait Stream: std::io::Read + std::io::Write + Send + Sync {}
+impl<T: std::io::Read + std::io::Write + Send + Sync> Stream for T {}
 
 /// Registers every `server.*` instrument on `registry` so snapshots taken
 /// before traffic arrives still render the full set at zero.

@@ -4,10 +4,11 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::os::unix::net::UnixListener;
+use std::panic::AssertUnwindSafe;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -17,11 +18,16 @@ use std::time::{Duration, Instant};
 use xic_engine::wire::{
     read_request_monotonic, write_response, Request, Response, WireError, WireFault, WIRE_VERSION,
 };
-use xic_engine::{journal, CompiledSpec, Engine, Limits};
+use xic_engine::{
+    journal, BatchDelta, CompiledSpec, CorpusSession, DocHandle, Engine, Limits, ResourceError,
+    SessionError,
+};
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::actor::{self, Cmd, Offer, SessionHandle};
-use crate::validate_session_name;
+use crate::{validate_session_name, Stream};
+
+/// How long a connection's read waits before it re-checks for shutdown.
+const READ_POLL: Duration = Duration::from_millis(250);
 
 /// How long to run the service and under what bounds.
 #[derive(Debug, Clone)]
@@ -35,9 +41,6 @@ pub struct ServerConfig {
     /// Maximum number of named sessions; further hellos are rejected with
     /// a code-3 `resource:max_sessions` record.
     pub max_sessions: usize,
-    /// Bound of each session's command channel; a full channel answers
-    /// code-3 `resource:session_backlog` instead of queueing unboundedly.
-    pub session_backlog: usize,
     /// Bound of the accepted-connection queue feeding the worker pool.
     pub conn_backlog: usize,
     /// Worker threads (= concurrently served connections).
@@ -73,7 +76,6 @@ impl Default for ServerConfig {
             unix: None,
             limits: Limits::UNLIMITED,
             max_sessions: 16,
-            session_backlog: 32,
             conn_backlog: 64,
             workers: 4,
             idle_timeout: None,
@@ -126,50 +128,8 @@ impl Instruments {
     }
 }
 
-/// One accepted connection, transport-erased.
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(timeout),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
+/// One accepted connection, transport-erased, its read timeout set.
+type Conn = Box<dyn Stream>;
 
 /// One connection's byte stream as the request loop sees it: requests are
 /// read through a buffer, and replies collect in `out` until the next read
@@ -217,19 +177,121 @@ impl Write for Link {
     }
 }
 
+/// The registry's entry for one named session: its [`CorpusSession`] —
+/// fresh, or recovered from the session's corpus log — behind a mutex.
+/// The connection thread serving a request locks it and runs the request
+/// itself; the janitor's eviction and the shutdown drain take the same
+/// lock, so a session is never drained under a running request.
+struct SessionHandle {
+    /// `None` once drained.  A request that panics outside the engine's
+    /// own containment poisons the lock, which stops the session too.
+    session: Mutex<Option<CorpusSession<'static>>>,
+    /// When the last request completed, written under the session lock:
+    /// the janitor's re-check under that lock sees every request that ran
+    /// since its scan.
+    last_used: Mutex<Instant>,
+    /// The session's corpus log, when the server has a state directory.
+    log: Option<PathBuf>,
+    /// How long requests wait for the session lock (`server.queue_ns`).
+    queue_ns: Arc<Histogram>,
+}
+
+/// What [`SessionHandle::drain`] did.
+#[derive(Debug, PartialEq, Eq)]
+enum Drain {
+    /// A request ran since the session went idle; it stays.
+    Busy,
+    /// Already stopped (drained or poisoned), or its log could not be
+    /// written: nothing was made durable.
+    Stopped,
+    /// Flushed and stopped, making this many commits durable.
+    Flushed(u64),
+}
+
+/// Where a session's corpus log lives in the state directory.
+fn log_path(state_dir: &Path, name: &str) -> PathBuf {
+    state_dir.join(format!("{name}.xicj"))
+}
+
+impl SessionHandle {
+    /// The session `name`, recovered from its log in the state directory
+    /// when that exists, so a restarted or evicted session comes back
+    /// editable.  Fails when the log does not recover.
+    fn open(shared: &Shared, name: &str) -> Result<SessionHandle, WireFault> {
+        let config = &shared.config;
+        let log = config.state_dir.as_deref().map(|dir| log_path(dir, name));
+        let (spec, registry) = (Arc::clone(&shared.spec), Arc::clone(&shared.registry));
+        let mut session = CorpusSession::with_registry_and_limits(spec, config.limits, registry);
+        if let Some(shards) = &config.scope {
+            // Validated against the shard plan at `Server::start`.
+            session.scope_to_shards(shards);
+        }
+        if let Some(path) = log.as_deref().filter(|path| path.exists()) {
+            session
+                .recover_from(path)
+                .map_err(|e| WireFault::new(2, "journal", format!("{}: {e}", path.display())))?;
+        }
+        Ok(SessionHandle {
+            session: Mutex::new(Some(session)),
+            last_used: Mutex::new(Instant::now()),
+            log,
+            queue_ns: shared.registry.histogram("server.queue_ns"),
+        })
+    }
+
+    /// Runs one request on the session under its lock; `None` when the
+    /// session is stopped (drained or poisoned).
+    fn run<T>(&self, f: impl FnOnce(&mut CorpusSession<'static>) -> T) -> Option<T> {
+        let waited = Instant::now();
+        let mut session = self.session.lock().ok()?;
+        self.queue_ns.record_elapsed(waited);
+        let out = f(session.as_mut()?);
+        *self.last_used.lock().unwrap() = Instant::now();
+        Some(out)
+    }
+
+    fn idle_for(&self) -> Duration {
+        self.last_used.lock().unwrap().elapsed()
+    }
+
+    /// Flushes the session into its corpus log and stops it, under the
+    /// session lock.  With `idle` (the janitor), only when the session is
+    /// still idle past it once the lock is held.  A drain is a flush:
+    /// every document, edit, close and commit the log lacks — acknowledged
+    /// or merely queued for the next commit — lands in it.
+    fn drain(&self, idle: Option<Duration>) -> Drain {
+        let Ok(mut session) = self.session.lock() else {
+            return Drain::Stopped;
+        };
+        if idle.is_some_and(|idle| self.idle_for() <= idle) {
+            return Drain::Busy;
+        }
+        let Some(mut session) = session.take() else {
+            return Drain::Stopped;
+        };
+        let Some(path) = &self.log else {
+            return Drain::Flushed(0);
+        };
+        match session.persist_to(path) {
+            Ok(receipt) => Drain::Flushed(receipt.commits_written as u64),
+            Err(e) => {
+                eprintln!("xic-server: corpus log not flushed: {e}");
+                Drain::Stopped
+            }
+        }
+    }
+}
+
 struct Shared {
     spec: Arc<CompiledSpec>,
-    // Holds the service-wide verdict cache: consistency of the hosted spec
-    // is memoized here once at startup, and `stats` snapshots include its
-    // cache counters.
-    #[allow(dead_code)]
-    engine: Engine,
     config: ServerConfig,
     registry: Arc<MetricsRegistry>,
     sessions: RwLock<HashMap<String, Arc<SessionHandle>>>,
     /// Serializes the slow steps of one session name — recovering it from
     /// its log, draining it into the log — without blocking the registry:
-    /// a name hashes to one stripe.
+    /// a name hashes to one stripe.  Lock order: name stripe, then session
+    /// lock, then registry lock; a request never holds its session lock
+    /// while it takes a registry lock.
     name_locks: [Mutex<()>; 16],
     shutdown: AtomicBool,
     instr: Instruments,
@@ -246,6 +308,18 @@ impl Shared {
         std::hash::Hash::hash(name, &mut hasher);
         let stripe = std::hash::Hasher::finish(&hasher) as usize % self.name_locks.len();
         self.name_locks[stripe].lock().unwrap()
+    }
+
+    /// Drops `handle`, found stopped, from the registry if it is still
+    /// there, so the next hello recovers `name` from its log.  Waits on the
+    /// name's lock, so a drain in progress finishes first.
+    fn forget(&self, name: &str, handle: &Arc<SessionHandle>) {
+        let _name = self.lock_name(name);
+        let mut sessions = self.sessions.write().unwrap();
+        if sessions.get(name).is_some_and(|h| Arc::ptr_eq(h, handle)) {
+            sessions.remove(name);
+            self.instr.sessions.set(sessions.len() as i64);
+        }
     }
 }
 
@@ -277,11 +351,10 @@ impl Server {
             .unwrap_or_else(|| Arc::clone(xic_telemetry::global()));
         crate::register_baseline(&registry);
         xic_engine::register_baseline(&registry);
-        let engine = Engine::with_registry(1024, Arc::clone(&registry));
         // Refuse to serve a spec whose constraints are unsatisfiable: every
-        // session would report violations forever.  The verdict lands in
-        // the shared cache either way.
-        let verdict = engine.consistency(&spec);
+        // session would report violations forever.  The verdict cache's
+        // instruments stay in the registry for `stats`.
+        let verdict = Engine::with_registry(1024, Arc::clone(&registry)).consistency(&spec);
         if verdict.decision() == Some(false) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -290,8 +363,8 @@ impl Server {
         }
 
         // Validate the shard scope up front: `scope_to_shards` panics on an
-        // out-of-range id, and it would do so inside a session actor thread
-        // long after startup succeeded.
+        // out-of-range id, and it would do so on a connection thread long
+        // after startup succeeded.
         if let Some(scope) = &config.scope {
             let num_shards = spec.shard_plan().num_shards();
             if let Some(&bad) = scope.iter().find(|&&s| (s as usize) >= num_shards) {
@@ -315,7 +388,6 @@ impl Server {
         instr.sessions.set(0);
         let shared = Arc::new(Shared {
             spec,
-            engine,
             config,
             registry,
             sessions: RwLock::new(HashMap::new()),
@@ -336,7 +408,19 @@ impl Server {
             threads.push(spawn_named("xic-accept-tcp", {
                 let shared = Arc::clone(&shared);
                 let conn_tx = conn_tx.clone();
-                move || accept_tcp(listener, &shared, &conn_tx)
+                move || {
+                    accept_loop(&shared, &conn_tx, || {
+                        let (stream, _) = listener.accept()?;
+                        stream.set_nonblocking(false)?;
+                        // Replies go out as soon as the server would wait for
+                        // the client; with Nagle on, a reply written while an
+                        // earlier one is unacknowledged waits for the peer's
+                        // delayed ACK.
+                        stream.set_nodelay(true)?;
+                        stream.set_read_timeout(Some(READ_POLL))?;
+                        Ok(Box::new(stream))
+                    })
+                }
             })?);
         }
         let mut unix_path = None;
@@ -350,7 +434,14 @@ impl Server {
             threads.push(spawn_named("xic-accept-unix", {
                 let shared = Arc::clone(&shared);
                 let conn_tx = conn_tx.clone();
-                move || accept_unix(listener, &shared, &conn_tx)
+                move || {
+                    accept_loop(&shared, &conn_tx, || {
+                        let (stream, _) = listener.accept()?;
+                        stream.set_nonblocking(false)?;
+                        stream.set_read_timeout(Some(READ_POLL))?;
+                        Ok(Box::new(stream))
+                    })
+                }
             })?);
         }
         #[cfg(not(unix))]
@@ -413,10 +504,10 @@ impl Server {
         }
         let mut drained = 0;
         let mut persisted = 0;
-        let sessions: Vec<(String, Arc<SessionHandle>)> =
-            self.shared.sessions.write().unwrap().drain().collect();
+        let sessions: Vec<_> = self.shared.sessions.write().unwrap().drain().collect();
         for (_, handle) in sessions {
-            if let Some(n) = handle.drain() {
+            // A poisoned session is skipped: its state cannot be trusted.
+            if let Drain::Flushed(n) = handle.drain(None) {
                 drained += 1;
                 persisted += n;
                 self.shared.instr.drains.inc();
@@ -443,45 +534,15 @@ fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> io::Result<Join
     std::thread::Builder::new().name(name.to_owned()).spawn(f)
 }
 
-fn accept_tcp(listener: TcpListener, shared: &Shared, conn_tx: &SyncSender<Conn>) {
-    loop {
-        if shared.is_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                // Replies go out as soon as the server would wait for the
-                // client; with Nagle on, a reply written while an earlier
-                // one is unacknowledged waits for the peer's delayed ACK.
-                let _ = stream.set_nodelay(true);
-                if conn_tx.send(Conn::Tcp(stream)).is_err() {
+/// Hands each connection `accept` yields to the worker pool until
+/// shutdown; `accept` fails with `WouldBlock` while no client waits.
+fn accept_loop(shared: &Shared, conn_tx: &SyncSender<Conn>, accept: impl Fn() -> io::Result<Conn>) {
+    while !shared.is_down() {
+        match accept() {
+            Ok(conn) => {
+                if conn_tx.send(conn).is_err() {
                     return;
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-}
-
-#[cfg(unix)]
-fn accept_unix(listener: UnixListener, shared: &Shared, conn_tx: &SyncSender<Conn>) {
-    loop {
-        if shared.is_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                if conn_tx.send(Conn::Unix(stream)).is_err() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
@@ -495,7 +556,11 @@ fn worker(shared: &Shared, conn_rx: &Arc<Mutex<Receiver<Conn>>>) {
             rx.recv_timeout(Duration::from_millis(100))
         };
         match next {
-            Ok(conn) => serve_conn(conn, shared),
+            // A panic outside the engine's containment ends its connection
+            // (poisoning the session it held), not the worker.
+            Ok(conn) => {
+                let _ = std::panic::catch_unwind(AssertUnwindSafe(|| serve_conn(conn, shared)));
+            }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.is_down() {
                     return;
@@ -520,87 +585,69 @@ fn janitor(shared: &Shared) {
             let sessions = shared.sessions.read().unwrap();
             sessions
                 .iter()
-                .filter(|(_, h)| h.evictable(idle))
+                .filter(|(_, h)| h.idle_for() > idle)
                 .map(|(name, _)| name.clone())
                 .collect()
         };
         for name in stale {
-            // The drain runs under the name's lock, so a request recreating
-            // the session recovers from the flushed log, never from the one
-            // the drain is extending.
-            let _name = shared.lock_name(&name);
-            // Re-check under the write lock: between the scan and here a
-            // worker may have started a request (bumping `last_used` and
-            // the in-flight count via `begin_request`), and draining the
-            // actor then would strand that request's reply.
-            let evicted = {
-                let mut sessions = shared.sessions.write().unwrap();
-                match sessions.get(&name) {
-                    Some(h) if h.evictable(idle) => sessions.remove(&name),
-                    _ => None,
-                }
-            };
-            if let Some(handle) = evicted {
-                // Drain flushes the corpus log (when configured) before the
-                // actor exits, so eviction never loses history.
-                let _ = handle.drain();
-                shared.instr.evictions.inc();
-            }
+            evict(shared, &name, idle);
         }
         let len = shared.sessions.read().unwrap().len();
         shared.instr.sessions.set(len as i64);
     }
 }
 
-/// Sends a command to a session actor and awaits the rendezvous reply,
-/// translating backpressure and eviction into wire faults.
-fn dispatch<T>(
-    handle: &SessionHandle,
-    make: impl FnOnce(SyncSender<Result<T, WireFault>>) -> Cmd,
-) -> Result<T, WireFault> {
-    // Held across offer → reply so the janitor cannot drain the actor out
-    // from under a request it has already admitted.
-    let _in_flight = handle.begin_request();
-    let (reply, rx) = sync_channel(1);
-    match handle.offer(make(reply)) {
-        Offer::Sent => {}
-        Offer::Backpressure => {
-            return Err(WireFault::new(
-                3,
-                "resource:session_backlog",
-                "session command channel is full; retry after in-flight requests finish",
-            ));
-        }
-        Offer::Gone => {
-            return Err(WireFault::new(
-                2,
-                "session",
-                "session was evicted or drained; reconnect to start a fresh one",
-            ));
-        }
+/// Drains and drops the session `name` if it is still idle past `idle`
+/// once its lock is held, and says whether it did.  The drain runs under
+/// the name's lock, so a hello recreating the session recovers from the
+/// flushed log, never from the one the drain is extending.  A poisoned
+/// session is dropped without a drain.
+fn evict(shared: &Shared, name: &str, idle: Duration) -> bool {
+    let _name = shared.lock_name(name);
+    let Some(handle) = shared.sessions.read().unwrap().get(name).cloned() else {
+        return false;
+    };
+    if handle.drain(Some(idle)) == Drain::Busy {
+        return false;
     }
-    rx.recv().map_err(|_| {
-        WireFault::new(
-            2,
-            "session",
-            "session actor stopped before answering; reconnect",
-        )
-    })?
+    shared.sessions.write().unwrap().remove(name);
+    shared.instr.evictions.inc();
+    true
 }
 
-fn session_meta(handle: &SessionHandle) -> Result<u64, WireFault> {
-    let _in_flight = handle.begin_request();
-    let (reply, rx) = sync_channel(1);
-    match handle.offer(Cmd::Meta { reply }) {
-        Offer::Sent => rx
-            .recv()
-            .map_err(|_| WireFault::new(2, "session", "session actor stopped during the hello")),
-        _ => Err(WireFault::new(
-            2,
-            "session",
-            "session unavailable during the hello; retry",
-        )),
+fn resource_fault(e: &ResourceError) -> WireFault {
+    WireFault::new(3, format!("resource:{}", e.limit.name()), e.to_string())
+}
+
+/// Maps a session error onto the wire taxonomy: resource rejections are
+/// code 3, contained faults code 4, everything else a code-2 document
+/// error.  The connection stays up in every case.
+fn session_fault(e: SessionError) -> WireFault {
+    match &e {
+        SessionError::Resource(r) => resource_fault(r),
+        SessionError::Poisoned { .. } => WireFault::new(4, "fault:poisoned", e.to_string()),
+        _ => WireFault::new(2, "document", e.to_string()),
     }
+}
+
+/// Runs one request on the connection's session under its lock, attaching
+/// the session first (creating it on first use).  A stopped session
+/// answers the code-2 `session` fault and leaves the registry.
+fn on_session<T>(
+    shared: &Shared,
+    name: &str,
+    slot: &mut Option<Arc<SessionHandle>>,
+    f: impl FnOnce(&mut CorpusSession<'static>) -> Result<T, WireFault>,
+) -> Result<T, WireFault> {
+    if slot.is_none() {
+        *slot = find_session(shared, name, true)?;
+    }
+    let handle = slot.as_ref().expect("created on demand");
+    handle.run(f).unwrap_or_else(|| {
+        shared.forget(name, handle);
+        let detail = "session stopped (evicted, drained or poisoned); reconnect";
+        Err(WireFault::new(2, "session", detail))
+    })
 }
 
 /// The running session `name`; else the one its corpus log holds,
@@ -622,7 +669,7 @@ fn find_session(
         return Ok(Some(handle));
     }
     let has_log =
-        (shared.config.state_dir.as_ref()).is_some_and(|dir| actor::log_path(dir, name).exists());
+        (shared.config.state_dir.as_ref()).is_some_and(|dir| log_path(dir, name).exists());
     if !create && !has_log {
         return Ok(None);
     }
@@ -650,21 +697,11 @@ fn find_session(
     if let Some(fault) = refusal(shared.sessions.read().unwrap().len()) {
         return Err(fault);
     }
-    let handle = Arc::new(actor::spawn_live(
-        name.to_owned(),
-        Arc::clone(&shared.spec),
-        shared.config.limits,
-        Arc::clone(&shared.registry),
-        shared.config.session_backlog,
-        shared.config.state_dir.clone(),
-        shared.config.scope.clone(),
-    )?);
+    let handle = Arc::new(SessionHandle::open(shared, name)?);
     let mut sessions = shared.sessions.write().unwrap();
     // Another name may have taken the last slot, or shutdown begun, while
-    // this one recovered: stop the new actor again.
+    // this one recovered: the new session is dropped again.
     if let Some(fault) = refusal(sessions.len()) {
-        drop(sessions);
-        let _ = handle.drain();
         return Err(fault);
     }
     sessions.insert(name.to_owned(), Arc::clone(&handle));
@@ -712,12 +749,6 @@ fn next_request(conn: &mut Link, shared: &Shared, last_seq: &mut u64) -> Option<
 
 fn serve_conn(conn: Conn, shared: &Shared) {
     shared.instr.connections.inc();
-    if conn
-        .set_read_timeout(Some(Duration::from_millis(250)))
-        .is_err()
-    {
-        return;
-    }
     let mut link = Link {
         conn: BufReader::new(conn),
         out: Vec::new(),
@@ -778,10 +809,19 @@ fn serve_link(conn: &mut Link, shared: &Shared) {
     // so a stats-only or shutdown-only connection never mints an empty
     // one.  A session with a corpus log is recovered at the hello, so the
     // ack reports its durable position; otherwise a fresh session is at 0.
+    // A session found stopped (a drain won the race for its lock) is
+    // forgotten — after the drain finishes — and looked up again, so the
+    // hello recovers the flushed log and never attaches a drained handle.
     let mut session = None;
-    let mut attach = || {
+    let mut attach = || loop {
         session = find_session(shared, &session_name, false)?;
-        session.as_deref().map_or(Ok(0), session_meta)
+        let Some(handle) = &session else {
+            return Ok(0);
+        };
+        match handle.run(|s| s.last_seq()) {
+            Some(last_seq) => return Ok(last_seq),
+            None => shared.forget(&session_name, handle),
+        }
     };
     let ack = match attach() {
         Ok(last_seq) => Response::Hello(xic_engine::wire::HelloAck {
@@ -831,14 +871,8 @@ fn handle_request(
         }
         write_response(conn, seq, resp).is_ok()
     };
-    // Lazily attaches (creating on first use) the connection's session.
-    let attach = |session: &mut Option<Arc<SessionHandle>>| match session {
-        Some(handle) => Ok(Arc::clone(handle)),
-        None => {
-            let handle = find_session(shared, session_name, true)?.expect("created on demand");
-            *session = Some(Arc::clone(&handle));
-            Ok(handle)
-        }
+    let answer = |conn: &mut Link, result: Result<Response, WireFault>| {
+        respond(conn, &result.unwrap_or_else(Response::Error))
     };
     match req {
         Request::Hello { .. } => {
@@ -846,34 +880,31 @@ fn handle_request(
             respond(conn, &Response::Error(fault))
         }
         Request::OpenDoc { label, source } => {
-            let resp = match attach(session).and_then(|s| {
-                dispatch(&s, |reply| Cmd::Open {
-                    label,
-                    source,
-                    reply,
+            let opened = on_session(shared, session_name, session, |s| {
+                let handle = s.open_source(&label, &source).map_err(session_fault)?;
+                Ok(Response::Opened {
+                    handle: handle.raw(),
                 })
-            }) {
-                Ok(handle) => Response::Opened { handle },
-                Err(fault) => Response::Error(fault),
-            };
-            respond(conn, &resp)
+            });
+            answer(conn, opened)
         }
         Request::Apply { handle, ops } => {
-            let resp = match attach(session)
-                .and_then(|s| dispatch(&s, |reply| Cmd::Apply { handle, ops, reply }))
-            {
-                Ok(queued_ops) => Response::Applied { queued_ops },
-                Err(fault) => Response::Error(fault),
-            };
-            respond(conn, &resp)
+            let applied = on_session(shared, session_name, session, |s| {
+                s.apply(DocHandle::from_raw(handle), &ops)
+                    .map_err(session_fault)?;
+                Ok(Response::Applied {
+                    queued_ops: s.queued_ops() as u64,
+                })
+            });
+            answer(conn, applied)
         }
         Request::Commit => {
-            let resp =
-                match attach(session).and_then(|s| dispatch(&s, |reply| Cmd::Commit { reply })) {
-                    Ok(delta) => Response::Delta(delta),
-                    Err(fault) => Response::Error(fault),
-                };
-            respond(conn, &resp)
+            let committed = on_session(shared, session_name, session, |s| {
+                s.try_commit()
+                    .map(Response::Delta)
+                    .map_err(|e| resource_fault(&e))
+            });
+            answer(conn, committed)
         }
         Request::Sync { after_seq, shard } => {
             if let Some(shard) = shard {
@@ -898,24 +929,30 @@ fn handle_request(
                     return respond(conn, &Response::Error(fault));
                 }
             }
-            match attach(session).and_then(|s| dispatch(&s, |reply| Cmd::Sync { after_seq, reply }))
-            {
+            // A shard subscription sees only deltas tagged with its shard,
+            // each projected down to the shard's constraints — monotone but
+            // non-contiguous sequence numbers, which a shard-filtered
+            // replica accepts by design.
+            let exported = on_session(shared, session_name, session, |s| {
+                let deltas = s
+                    .export_deltas(after_seq)
+                    .map_err(|e| WireFault::new(2, "journal", e.to_string()))?;
+                Ok(match shard {
+                    None => deltas.to_vec(),
+                    Some(shard) => {
+                        let plan = shared.spec.shard_plan();
+                        deltas
+                            .iter()
+                            .filter_map(|d| d.project(plan, shard))
+                            .collect::<Vec<BatchDelta>>()
+                    }
+                })
+            });
+            match exported {
                 Ok(deltas) => {
-                    // A shard subscription sees only deltas tagged with its
-                    // shard, each projected down to the shard's constraints
-                    // — monotone but non-contiguous sequence numbers, which
-                    // a shard-filtered replica accepts by design.
-                    let deltas: Vec<_> = match shard {
-                        None => deltas,
-                        Some(shard) => {
-                            shared.instr.shard_syncs.inc();
-                            let plan = shared.spec.shard_plan();
-                            deltas
-                                .iter()
-                                .filter_map(|d| d.project(plan, shard))
-                                .collect()
-                        }
-                    };
+                    if shard.is_some() {
+                        shared.instr.shard_syncs.inc();
+                    }
                     let count = deltas.len() as u64;
                     for delta in deltas {
                         if !respond(conn, &Response::Delta(delta)) {
@@ -928,13 +965,13 @@ fn handle_request(
             }
         }
         Request::CloseDoc { handle } => {
-            let resp = match attach(session)
-                .and_then(|s| dispatch(&s, |reply| Cmd::Close { handle, reply }))
-            {
-                Ok(label) => Response::Closed { label },
-                Err(fault) => Response::Error(fault),
-            };
-            respond(conn, &resp)
+            let closed = on_session(shared, session_name, session, |s| {
+                let handle = DocHandle::from_raw(handle);
+                let label = s.label(handle).map_err(session_fault)?.to_owned();
+                s.close(handle).map_err(session_fault)?;
+                Ok(Response::Closed { label })
+            });
+            answer(conn, closed)
         }
         Request::Stats => respond(conn, &Response::Stats(shared.registry.snapshot())),
         Request::Shutdown => {
@@ -943,5 +980,229 @@ fn handle_request(
             respond(conn, &Response::ShuttingDown { sessions });
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, ClientError};
+    use std::sync::mpsc::channel;
+    use xic_xml::{EditOp, NodeId};
+
+    const SOURCE: &str = "<school><teacher name=\"Joe\"/></school>";
+
+    /// A server on a fresh state directory, with a worker for every
+    /// connection a test holds open.
+    fn start(tag: &str, idle_timeout: Option<Duration>) -> Server {
+        let state_dir =
+            std::env::temp_dir().join(format!("xic-server-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&state_dir).ok();
+        let config = ServerConfig {
+            tcp: Some("127.0.0.1:0".parse().unwrap()),
+            state_dir: Some(state_dir),
+            idle_timeout,
+            workers: 5,
+            registry: Some(Arc::new(MetricsRegistry::new())),
+            ..ServerConfig::default()
+        };
+        let spec = CompiledSpec::from_sources(
+            "<!ELEMENT school (teacher*)>\n<!ELEMENT teacher EMPTY>\n\
+             <!ATTLIST teacher name CDATA #REQUIRED>",
+            Some("school"),
+            "teacher.name -> teacher",
+        );
+        Server::start(Arc::new(spec.unwrap()), config).unwrap()
+    }
+
+    fn stop(server: Server) -> ServerReport {
+        let state_dir = server.shared.config.state_dir.clone().unwrap();
+        let report = server.stop();
+        std::fs::remove_dir_all(state_dir).ok();
+        report
+    }
+
+    fn connect(server: &Server, session: &str) -> Client {
+        let (addr, spec) = (server.tcp_addr().unwrap(), server.shared.spec.id());
+        Client::connect_tcp(addr, spec, session).unwrap()
+    }
+
+    fn rename(server: &Server, value: &str) -> [EditOp; 1] {
+        let attr = server.shared.spec.dtd().attr_by_name("name").unwrap();
+        let value = value.into();
+        [EditOp::SetAttr {
+            element: NodeId(1),
+            attr,
+            value,
+        }]
+    }
+
+    /// Opens a document on session `s` and acknowledges two commits.
+    fn two_commits(server: &Server) -> (Client, u64, Vec<BatchDelta>) {
+        let mut client = connect(server, "s");
+        let doc = client.open_doc("a.xml", SOURCE).unwrap();
+        let first = client.commit().unwrap();
+        client.apply(doc, &rename(server, "Ann")).unwrap();
+        let acked = vec![first, client.commit().unwrap()];
+        (client, doc, acked)
+    }
+
+    fn is_stopped(err: ClientError) -> bool {
+        err.fault()
+            .is_some_and(|f| (f.code, f.kind.as_str()) == (2, "session"))
+    }
+
+    /// A session whose request is running is never drained, even when its
+    /// `last_used` is already past the idle timeout: the drain waits for
+    /// the lock, and the re-check under it sees the completion.
+    #[test]
+    fn eviction_race_running_request_is_never_drained() {
+        let server = start("running", None);
+        let _client = two_commits(&server);
+        let handle = Arc::clone(&server.shared.sessions.read().unwrap()["s"]);
+        let idle = Duration::from_millis(10);
+        let (started, finish) = (channel(), channel::<()>());
+        let request = std::thread::spawn({
+            let handle = Arc::clone(&handle);
+            move || {
+                handle.run(|s| {
+                    started.0.send(()).unwrap();
+                    finish.1.recv().unwrap();
+                    s.last_seq()
+                })
+            }
+        });
+        started.1.recv().unwrap();
+        let rewind = || *handle.last_used.lock().unwrap() = Instant::now() - idle * 100;
+        rewind();
+        let janitor = std::thread::spawn({
+            let handle = Arc::clone(&handle);
+            move || handle.drain(Some(idle))
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!janitor.is_finished(), "the drain waits for the request");
+        finish.0.send(()).unwrap();
+        assert_eq!(request.join().unwrap(), Some(2));
+        assert_eq!(janitor.join().unwrap(), Drain::Busy);
+        assert!(
+            handle.idle_for() < idle * 100,
+            "completion restarts the clock"
+        );
+
+        // Only idleness after the last completed request drains.
+        rewind();
+        assert_eq!(handle.drain(Some(idle)), Drain::Flushed(2));
+        assert_eq!(handle.run(|s| s.last_seq()), None);
+        stop(server);
+    }
+
+    /// A request whose connection attached the session before the janitor
+    /// drained it answers the code-2 `session` fault — every time, never a
+    /// panic or a hang — and a reconnect sees every acknowledged commit,
+    /// recovered from the flushed log.
+    #[test]
+    fn eviction_race_losing_request_gets_a_session_fault() {
+        let server = start("lose", None);
+        let (mut client, doc, acked) = two_commits(&server);
+        assert!(evict(&server.shared, "s", Duration::ZERO));
+        assert!(is_stopped(
+            client.apply(doc, &rename(&server, "Zoe")).unwrap_err()
+        ));
+        assert!(is_stopped(client.commit().unwrap_err()));
+
+        let mut client = connect(&server, "s");
+        assert_eq!(client.hello().last_seq, 2);
+        assert_eq!(client.sync(0).unwrap(), acked);
+        client.apply(doc, &rename(&server, "Zoe")).unwrap();
+        assert_eq!(client.commit().unwrap().seq, 3);
+        stop(server);
+    }
+
+    /// A hello that arrives while a drain runs waits for it and recovers
+    /// the flushed state; it never attaches the drained handle.
+    #[test]
+    fn eviction_race_hello_during_drain_recovers_the_log() {
+        let server = start("hello", None);
+        let (_, _, acked) = two_commits(&server);
+
+        // The janitor's steps, paused between the drain and the registry
+        // update: the name's lock is held and the handle still registered.
+        let shared = &server.shared;
+        let name_lock = shared.lock_name("s");
+        let handle = Arc::clone(&shared.sessions.read().unwrap()["s"]);
+        assert_eq!(handle.drain(None), Drain::Flushed(2));
+        let (addr, spec) = (server.tcp_addr().unwrap(), shared.spec.id());
+        let hello = std::thread::spawn(move || Client::connect_tcp(addr, spec, "s"));
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!hello.is_finished(), "the hello waits for the drain");
+        shared.sessions.write().unwrap().remove("s");
+        drop(name_lock);
+
+        let mut client = hello.join().unwrap().unwrap();
+        assert_eq!(client.hello().last_seq, 2);
+        assert_eq!(client.sync(0).unwrap(), acked);
+        stop(server);
+    }
+
+    /// The janitor racing live traffic: a request either succeeds or
+    /// answers the code-2 `session` fault, and every reconnect sees exactly
+    /// the acknowledged commits.
+    #[test]
+    fn eviction_race_under_load_loses_no_acknowledged_commit() {
+        let server = start("load", Some(Duration::from_millis(50)));
+        let mut client = connect(&server, "s");
+        let doc = client.open_doc("a.xml", SOURCE).unwrap();
+        let mut acked = 0;
+        for i in 0..40u64 {
+            // Pauses of 30–130 ms straddle the 50 ms timeout and the
+            // janitor's 50 ms tick.
+            std::thread::sleep(Duration::from_millis(30 + (i * 7919) % 101));
+            let edit = rename(&server, &format!("t{i}"));
+            match client.apply(doc, &edit).and_then(|_| client.commit()) {
+                Ok(delta) => {
+                    acked += 1;
+                    assert_eq!(delta.seq, acked);
+                }
+                Err(err) => {
+                    assert!(is_stopped(err));
+                    client = connect(&server, "s");
+                    assert_eq!(client.hello().last_seq, acked);
+                }
+            }
+        }
+        assert!(server.shared.instr.evictions.get() > 0);
+        let seqs: Vec<u64> = client.sync(0).unwrap().iter().map(|d| d.seq).collect();
+        assert_eq!(seqs, (1..=acked).collect::<Vec<_>>());
+        stop(server);
+    }
+
+    /// A request that panics outside the engine's containment poisons its
+    /// session: every later request on it answers the code-2 `session`
+    /// fault, the janitor and the shutdown drain skip it, and the other
+    /// sessions keep serving.
+    #[test]
+    fn poisoned_session_answers_a_fault_and_others_keep_serving() {
+        let server = start("poison", None);
+        let mut clients: Vec<Client> = ["a", "b", "c", "d"]
+            .map(|name| {
+                let mut client = connect(&server, name);
+                client.open_doc("a.xml", SOURCE).unwrap();
+                client
+            })
+            .into();
+        for name in ["a", "c", "d"] {
+            let handle = Arc::clone(&server.shared.sessions.read().unwrap()[name]);
+            let run = std::thread::spawn(move || handle.run(|_| panic!("a request panicked")));
+            assert!(run.join().is_err());
+        }
+
+        assert!(is_stopped(clients[0].commit().unwrap_err()));
+        assert!(is_stopped(clients[0].commit().unwrap_err()));
+        assert_eq!(clients[1].commit().unwrap().seq, 1, "b keeps serving");
+        assert!(evict(&server.shared, "c", Duration::ZERO));
+        assert_eq!(connect(&server, "a").hello().last_seq, 0, "a starts over");
+        assert_eq!(clients[1].commit().unwrap().seq, 2, "b keeps serving");
+        drop(clients);
+        assert_eq!(stop(server).drained_sessions, 1, "d is skipped");
     }
 }
