@@ -42,10 +42,13 @@
 //!   halves against cold [`crate::BatchEngine`] rebuilds;
 //! * **one durable log** — [`CorpusSession::persist_to`] appends to the
 //!   session's corpus log ([`crate::journal`]) everything it does not hold
-//!   yet — `open`, `apply`, `close` and `commit` records — and drops the
-//!   now-durable edits from memory; [`CorpusSession::recover_from`]
-//!   rebuilds a live, editable session from that log (under the same
-//!   limits as an open);
+//!   yet — `open`, `apply`, `close` and `commit` records.  Between persists
+//!   the session queues only the records the log will need: an edit of a
+//!   logged document as its `apply` record, the close of a document the
+//!   log or a commit knows.  A document no log holds keeps none of its
+//!   edits, since its first `open` snapshot folds them all.
+//!   [`CorpusSession::recover_from`] rebuilds a live, editable session
+//!   from that log (under the same limits as an open);
 //! * **panic containment** — a panic inside [`CorpusSession::apply`] or
 //!   inside a commit's re-check quarantines one document (its report
 //!   carries a [`DocFault::Panic`], never a wrong verdict); every other
@@ -65,7 +68,7 @@ use std::time::Instant;
 use xic_constraints::{IncrementalIndex, ShardPlan, VerdictChange, Violation};
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use xic_xml::budget::ParseError;
-use xic_xml::{EditError, EditJournal, EditOp, StructuralIndex, Validator, XmlError, XmlTree};
+use xic_xml::{EditError, EditOp, StructuralIndex, Validator, XmlError, XmlTree};
 
 use crate::batch::{BatchReport, DocFault, DocReport};
 use crate::journal::{
@@ -183,11 +186,12 @@ pub struct Recovery {
     pub truncated_tail: bool,
 }
 
-/// Applies a batch of ops to one document: each op is validated, applied,
-/// folded into both incremental indexes and journaled before the next op
-/// runs.  On rejection the applied prefix stays (the error's `index`
-/// reports its length) and the indexes remain exact.
-fn apply_ops(doc: &mut CorpusDoc, ops: &[EditOp]) -> Result<(), SessionError> {
+/// Applies a batch of ops to one document: each op is validated, applied
+/// and folded into both incremental indexes before the next op runs, and
+/// `applied` counts the ops done so — a panic mid-batch leaves the count
+/// of the ops before it.  On rejection the applied prefix stays (the
+/// error's `index` reports its length) and the indexes remain exact.
+fn apply_ops(doc: &mut CorpusDoc, ops: &[EditOp], applied: &mut usize) -> Result<(), SessionError> {
     for (i, op) in ops.iter().enumerate() {
         let effect = doc
             .tree
@@ -195,7 +199,7 @@ fn apply_ops(doc: &mut CorpusDoc, ops: &[EditOp]) -> Result<(), SessionError> {
             .map_err(|error| SessionError::Edit { index: i, error })?;
         doc.index.apply(&doc.tree, &effect);
         doc.structure.apply(&doc.tree, &effect);
-        doc.journal.record(op.clone());
+        *applied = i + 1;
     }
     Ok(())
 }
@@ -555,7 +559,6 @@ struct CorpusDoc {
     /// Per-element structural errors; built together with `index` (at
     /// open, recovery and a panic rebuild), by the first commit after.
     structure: StructuralIndex,
-    journal: EditJournal,
     /// Position in open order (recomputed only after a close).
     position: usize,
     /// Report as of the last commit; `None` before the first commit that
@@ -585,17 +588,6 @@ impl CorpusDoc {
             None => Ok(()),
         }
     }
-}
-
-/// A session call the corpus log must hold but does not yet, tagged (in
-/// [`CorpusSession::pending`]) with the number of commits before it.
-#[derive(Debug)]
-enum Unlogged {
-    /// The next `ops` edits in a logged document's journal.
-    Apply { raw: u64, ops: usize },
-    /// A close of a document the log or a commit knows, with the journal of
-    /// its edits the log lacks.
-    Close(Box<(ClosedDoc, EditJournal)>),
 }
 
 /// The dirty-set bound every admission shares: opens, edits of a clean
@@ -736,9 +728,10 @@ pub struct CorpusSession<'s> {
     log: Option<LogCursor>,
     /// The last commit the log holds.
     logged_seq: u64,
-    /// Edits of logged documents and closes the log lacks, in call order,
-    /// each after the given number of commits.
-    pending: Vec<(u64, Unlogged)>,
+    /// The `apply` records of logged documents' edits and the `close`
+    /// records the log lacks, in call order, each tagged with the number
+    /// of commits before its call.
+    pending: Vec<(u64, LogRecord)>,
 }
 
 /// A fixed shard scope: per-constraint keep mask derived from the spec's
@@ -941,7 +934,6 @@ impl<'s> CorpusSession<'s> {
                 tree,
                 index,
                 structure: StructuralIndex::new(),
-                journal: EditJournal::new(),
                 position,
                 report: None,
                 committed_clean: None,
@@ -980,15 +972,6 @@ impl<'s> CorpusSession<'s> {
             .iter()
             .find(|(_, d)| d.label == label)
             .map(|(&raw, _)| DocHandle::from_raw(raw))
-    }
-
-    /// The document's edits that the session's log does not hold yet (all
-    /// of them until a [`CorpusSession::persist_to`] folds them away).
-    pub fn journal(&self, handle: DocHandle) -> Result<&EditJournal, SessionError> {
-        self.docs
-            .get(&handle.raw())
-            .map(|d| &d.journal)
-            .ok_or(SessionError::UnknownHandle(handle))
     }
 
     /// Applies a batch of edits to one document; the document joins the
@@ -1030,36 +1013,37 @@ impl<'s> CorpusSession<'s> {
         // Timed per batch, not per op: one clock pair amortized over the
         // whole edit slice keeps instrumentation inside the overhead budget.
         let timer = self.instr.registry.start_timer();
-        let recorded_before = doc.journal.total_recorded();
+        let mut applied = 0;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if xic_telemetry::faults::hit("corpus.apply") {
                 panic!("injected fault: corpus.apply");
             }
-            apply_ops(doc, ops)
+            apply_ops(doc, ops, &mut applied)
         }))
         .unwrap_or_else(|payload| {
             // Contained panic mid-edit: quarantine the document.  Only
-            // fully recorded ops count as applied.
+            // fully applied ops count.
             crate::batch::resilience_instruments().0.inc();
             let cause = crate::batch::panic_cause(payload);
             doc.poisoned = Some(cause.clone());
             Err(SessionError::Poisoned { handle, cause })
         });
-        let applied = doc.journal.total_recorded() - recorded_before;
         if applied > 0 {
             doc.seen = None;
             // A logged document's edits reach the log as `apply` records in
             // call order; the batch of a contained panic never does.
             if doc.logged && doc.poisoned.is_none() {
-                let call = Unlogged::Apply {
-                    raw: handle.raw(),
-                    ops: applied as usize,
-                };
-                self.pending.push((self.commits, call));
+                for op in &ops[..applied] {
+                    let record = LogRecord::Apply {
+                        handle,
+                        op: op.clone(),
+                    };
+                    self.pending.push((self.commits, record));
+                }
             }
         }
-        self.instr.edits.add(applied);
-        self.queued_ops += applied as usize;
+        self.instr.edits.add(applied as u64);
+        self.queued_ops += applied;
         self.instr.queued_ops.add(applied as i64);
         if let Some(t) = timer {
             self.instr.apply_ns.record_elapsed(t);
@@ -1091,13 +1075,8 @@ impl<'s> CorpusSession<'s> {
         };
         let announced = doc.report.is_some() && !staged_open;
         if announced || doc.logged {
-            let journal = if doc.logged {
-                doc.journal
-            } else {
-                EditJournal::new()
-            };
-            let entry = Box::new((closed.clone(), journal));
-            self.pending.push((self.commits, Unlogged::Close(entry)));
+            let record = LogRecord::Close(closed.clone());
+            self.pending.push((self.commits, record));
         }
         if announced {
             self.closed.push(closed);
@@ -1449,7 +1428,8 @@ impl<'s> CorpusSession<'s> {
     /// the log recovers to.  The first persist creates the log (rewriting a
     /// torn first write); later ones append after truncating any torn tail,
     /// and the session is bound to that one path.  A successful persist
-    /// drops the now-durable edits from the in-memory journals.
+    /// empties the session's queue of records the log lacks; a failed one
+    /// keeps it for the next attempt.
     ///
     /// A quarantined document contributes nothing past its state before the
     /// panicking batch.  One the log never held has no such state: it is
@@ -1474,14 +1454,6 @@ impl<'s> CorpusSession<'s> {
         opens.sort_unstable();
         let mut opens = opens.into_iter().peekable();
         let mut calls = self.pending.iter().peekable();
-        let closed_journals: BTreeMap<u64, &EditJournal> = (self.pending.iter())
-            .filter_map(|(_, call)| match call {
-                Unlogged::Close(entry) => Some((entry.0.handle.raw(), &entry.1)),
-                Unlogged::Apply { .. } => None,
-            })
-            .collect();
-        // How many journaled ops of each logged document are written.
-        let mut written: BTreeMap<u64, usize> = BTreeMap::new();
         let mut records = Vec::new();
         for after in self.logged_seq..=self.commits {
             while let Some((_, raw)) = opens.next_if(|&(at, _)| at <= after) {
@@ -1492,22 +1464,8 @@ impl<'s> CorpusSession<'s> {
                     snapshot: doc.tree.snapshot(),
                 });
             }
-            while let Some((_, call)) = calls.next_if(|&&(at, _)| at <= after) {
-                match call {
-                    Unlogged::Apply { raw, ops } => {
-                        let journal = self.docs.get(raw).map(|d| &d.journal);
-                        let journal = journal.unwrap_or_else(|| closed_journals[raw]);
-                        let from = written.entry(*raw).or_default();
-                        for op in &journal.ops()[*from..*from + ops] {
-                            records.push(LogRecord::Apply {
-                                handle: DocHandle::from_raw(*raw),
-                                op: op.clone(),
-                            });
-                        }
-                        *from += ops;
-                    }
-                    Unlogged::Close(entry) => records.push(LogRecord::Close(entry.0.clone())),
-                }
+            while let Some((_, record)) = calls.next_if(|&&(at, _)| at <= after) {
+                records.push(record.clone());
             }
             if let Some(delta) = commits.get((after - self.logged_seq) as usize) {
                 records.push(LogRecord::Commit(delta.clone()));
@@ -1524,15 +1482,8 @@ impl<'s> CorpusSession<'s> {
         }
         let (receipt, cursor) =
             journal::append_log(path, self.spec.id(), self.log.as_ref(), &records)?;
-        // Everything written is durable now: fold it out of memory.
-        for (raw, doc) in &mut self.docs {
-            if doc.logged {
-                let durable = doc.journal.folded() + written.get(raw).map_or(0, |&n| n as u64);
-                doc.journal.compact(durable);
-            } else if doc.poisoned.is_none() {
-                doc.logged = true;
-                doc.journal.compact(doc.journal.total_recorded());
-            }
+        for doc in self.docs.values_mut() {
+            doc.logged |= doc.poisoned.is_none();
         }
         self.pending.clear();
         self.log = Some(cursor);
@@ -1657,8 +1608,7 @@ impl<'s> CorpusSession<'s> {
                     label: report.label.clone(),
                 };
                 closed.push(close.clone());
-                let entry = Box::new((close, EditJournal::new()));
-                pending.push((last_seq, Unlogged::Close(entry)));
+                pending.push((last_seq, LogRecord::Close(close)));
             }
         }
 
@@ -1687,7 +1637,6 @@ impl<'s> CorpusSession<'s> {
                 label,
                 tree,
                 structure: StructuralIndex::new(),
-                journal: EditJournal::new(),
                 position,
                 committed_clean: report.as_ref().map(DocReport::is_clean),
                 report,
@@ -1773,7 +1722,16 @@ impl<'s> CorpusSession<'s> {
     /// Drops retained deltas with sequence numbers `<= up_to_seq` (once
     /// every subscriber has durably consumed them), bounding the history a
     /// long-lived corpus keeps in memory.  Returns how many were dropped.
+    ///
+    /// A session bound to a log ([`CorpusSession::persist_to`],
+    /// [`CorpusSession::recover_from`]) is itself such a subscriber: it
+    /// keeps every delta the log does not hold yet, whatever `up_to_seq`
+    /// asks, so its next persist can still write them as `commit` records.
     pub fn prune_deltas(&mut self, up_to_seq: u64) -> usize {
+        let up_to_seq = match self.log {
+            Some(_) => up_to_seq.min(self.logged_seq),
+            None => up_to_seq,
+        };
         let droppable = (up_to_seq + 1).saturating_sub(self.history_base) as usize;
         let drop = droppable.min(self.history.len());
         self.history.drain(..drop);
@@ -2276,7 +2234,7 @@ mod tests {
         let spec = spec();
         let teacher = spec.dtd().type_by_name("teacher").unwrap();
         let name = spec.dtd().attr_by_name("name").unwrap();
-        let mut corpus = CorpusSession::new(&spec);
+        let mut corpus = CorpusSession::with_registry(&spec, Default::default());
         let doc = corpus
             .open_source("a.xml", "<school><teacher name=\"Joe\"/></school>")
             .unwrap();
@@ -2308,7 +2266,7 @@ mod tests {
             .unwrap();
         let violations = committed_violations(&mut corpus);
         assert!(!violations.is_empty());
-        assert_eq!(corpus.journal(doc).unwrap().total_recorded(), 2);
+        assert_eq!(corpus.registry().counter("corpus.edits").get(), 2);
 
         // Witness identity with a from-scratch reference check.
         let tree = corpus.tree(doc).unwrap();
@@ -2325,7 +2283,7 @@ mod tests {
     }
 
     #[test]
-    fn persist_recover_compact_round_trip() {
+    fn persist_recover_round_trip() {
         let spec = spec();
         let teacher = spec.dtd().type_by_name("teacher").unwrap();
         let name = spec.dtd().attr_by_name("name").unwrap();
@@ -2339,7 +2297,7 @@ mod tests {
         let receipt = corpus.persist_to(&path).unwrap();
         assert_eq!((receipt.records_written, receipt.total_records), (1, 1));
 
-        // Edits are logged as `apply` records and folded out of memory.
+        // Edits of a logged document are logged as `apply` records.
         let root = corpus.tree(doc).unwrap().root();
         let add = EditOp::AddElement {
             parent: root,
@@ -2348,8 +2306,6 @@ mod tests {
         corpus.apply(doc, &[add.clone(), add]).unwrap();
         let receipt = corpus.persist_to(&path).unwrap();
         assert_eq!(receipt.records_written, 2);
-        assert!(corpus.journal(doc).unwrap().is_empty());
-        assert_eq!(corpus.journal(doc).unwrap().total_recorded(), 2);
 
         // A commit, then an edit no commit has seen: both are logged.
         corpus.commit();
@@ -2563,7 +2519,7 @@ mod tests {
         assert_eq!(resource.rejected.len(), 2);
         assert_eq!(resource.rejected[0].op, ops[0]);
         assert_eq!(corpus.tree(doc).unwrap().ext_count(teacher), 1);
-        assert_eq!(corpus.journal(doc).unwrap().total_recorded(), 0);
+        assert_eq!(corpus.queued_ops(), 0);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! values and applied through [`XmlTree::apply_edit`], which validates the
 //! operation and returns an [`EditEffect`] — a *delta record* carrying
 //! exactly the before/after facts an incremental index needs (the displaced
-//! attribute value, the removed element list, …).  Sessions keep the ops
-//! of every applied edit in an [`EditJournal`].
+//! attribute value, the removed element list, …).  An op is also the unit
+//! of replay: applying the same ops in order to a copy of the original
+//! tree reproduces the edited tree node-for-node (the arena allocates ids
+//! deterministically), which is what the engine's corpus log rests on.
 //!
 //! Edits are point edits in the sense of the paper's checking problem: they
 //! change `att`/`ele`/`val` at one node (or remove one subtree), never the
@@ -135,82 +137,6 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-/// The ordered log of edits applied to one document.
-///
-/// The journal holds the document's edit history since it was opened,
-/// minus any prefix explicitly [`EditJournal::compact`]ed away *after it
-/// became durable elsewhere* (logged as `apply` records, or folded into a
-/// logged snapshot).  It stores the submitted [`EditOp`]s only — the
-/// [`EditEffect`] of each application goes to the incremental index that
-/// consumes it and is not kept.  Ops make the journal replayable: applying
-/// [`EditJournal::ops`] in order to a copy of the original tree reproduces
-/// the edited tree node-for-node (the arena allocates ids
-/// deterministically), which is what crash recovery from a persisted log
-/// and shipping a log to another replica (cf. distributed XML design) both
-/// rest on.
-#[derive(Debug, Clone, Default)]
-pub struct EditJournal {
-    ops: Vec<EditOp>,
-    /// Edits recorded before `ops[0]` that were compacted away: they are
-    /// durable in a log or folded into a logged snapshot, so the global
-    /// index of `ops[i]` is `folded + i`.
-    folded: u64,
-}
-
-impl EditJournal {
-    /// An empty journal.
-    pub fn new() -> EditJournal {
-        EditJournal::default()
-    }
-
-    /// Appends one applied edit.
-    pub fn record(&mut self, op: EditOp) {
-        self.ops.push(op);
-    }
-
-    /// Drops every retained op whose global index is below `durable_total`
-    /// — i.e. the edits already logged or folded into a logged snapshot —
-    /// and returns how many were dropped.  A persisting session calls this
-    /// so the in-memory journal holds only the not-yet-durable suffix
-    /// instead of growing without bound; recovery still round-trips
-    /// node-for-node because the log retains the full history.
-    pub fn compact(&mut self, durable_total: u64) -> usize {
-        let droppable = durable_total.saturating_sub(self.folded);
-        let drop = (droppable.min(self.ops.len() as u64)) as usize;
-        self.ops.drain(..drop);
-        self.folded += drop as u64;
-        drop
-    }
-
-    /// Edits dropped by [`EditJournal::compact`] (they precede
-    /// [`EditJournal::ops`] in the global numbering).
-    pub fn folded(&self) -> u64 {
-        self.folded
-    }
-
-    /// Total edits ever recorded: the compacted prefix plus the retained
-    /// ops.
-    pub fn total_recorded(&self) -> u64 {
-        self.folded + self.ops.len() as u64
-    }
-
-    /// Number of retained (not compacted) edits.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the journal retains no edits.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// The retained ops, oldest first (op `i` has global index
-    /// [`EditJournal::folded`]` + i`) — the replayable log.
-    pub fn ops(&self) -> &[EditOp] {
-        &self.ops
-    }
-}
-
 impl XmlTree {
     /// Requires `node` to be a live element, classifying the failure.
     fn expect_live_element(&self, node: NodeId) -> Result<ElemId, EditError> {
@@ -299,17 +225,16 @@ mod tests {
         let teacher = dtd.type_by_name("teacher").unwrap();
         let name = dtd.attr_by_name("name").unwrap();
         let mut t = XmlTree::new(teachers);
-        let mut journal = EditJournal::new();
 
-        let add_op = EditOp::AddElement {
-            parent: t.root(),
-            ty: teacher,
-        };
-        let added = t.apply_edit(&add_op).unwrap();
+        let added = t
+            .apply_edit(&EditOp::AddElement {
+                parent: t.root(),
+                ty: teacher,
+            })
+            .unwrap();
         let EditEffect::ElementAdded { element, .. } = added else {
             panic!("expected ElementAdded, got {added:?}");
         };
-        journal.record(add_op);
 
         let first = t
             .apply_edit(&EditOp::SetAttr {
@@ -340,48 +265,11 @@ mod tests {
         assert_eq!(t.resolve(old), "Joe");
         assert_eq!(t.resolve(new), "Sue");
 
-        let remove_op = EditOp::RemoveSubtree { element };
-        let removed = t.apply_edit(&remove_op).unwrap();
+        let removed = t.apply_edit(&EditOp::RemoveSubtree { element }).unwrap();
         assert!(
             matches!(&removed, EditEffect::SubtreeRemoved { elements, .. }
                 if elements == &vec![(element, teacher)])
         );
-        journal.record(remove_op);
-        assert_eq!(journal.len(), 2);
-        assert!(matches!(journal.ops()[0], EditOp::AddElement { .. }));
-        assert!(matches!(journal.ops()[1], EditOp::RemoveSubtree { .. }));
-    }
-
-    #[test]
-    fn compaction_drops_only_the_durable_prefix() {
-        let dtd = example_d1();
-        let teachers = dtd.type_by_name("teachers").unwrap();
-        let teacher = dtd.type_by_name("teacher").unwrap();
-        let mut t = XmlTree::new(teachers);
-        let mut journal = EditJournal::new();
-        for _ in 0..4 {
-            let op = EditOp::AddElement {
-                parent: t.root(),
-                ty: teacher,
-            };
-            t.apply_edit(&op).unwrap();
-            journal.record(op);
-        }
-        assert_eq!(journal.total_recorded(), 4);
-
-        // Only the durable prefix can go; the rest stays addressable.
-        assert_eq!(journal.compact(2), 2);
-        assert_eq!(journal.len(), 2);
-        assert_eq!(journal.folded(), 2);
-        assert_eq!(journal.total_recorded(), 4);
-        // Compacting below what is already folded is a no-op.
-        assert_eq!(journal.compact(1), 0);
-        // A durable watermark beyond the recorded history drains everything
-        // recorded, and no more.
-        assert_eq!(journal.compact(100), 2);
-        assert_eq!(journal.folded(), 4);
-        assert!(journal.is_empty());
-        assert_eq!(journal.total_recorded(), 4);
     }
 
     #[test]

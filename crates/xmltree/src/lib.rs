@@ -13,11 +13,12 @@
 //!   string-value equality of Section 2.2 is integer equality;
 //! * [`edit`] — typed point edits ([`edit::EditOp`]) applied through
 //!   [`tree::XmlTree::apply_edit`], which returns delta records
-//!   ([`edit::EditEffect`]) that incremental indexes consume; sessions keep
-//!   them in an [`edit::EditJournal`];
+//!   ([`edit::EditEffect`]) that incremental indexes consume; replaying
+//!   the same ops rebuilds the edited tree id-exactly, so the ops
+//!   themselves are what a durable log records;
 //! * [`snapshot`] — slot-for-slot arena snapshots ([`snapshot::TreeSnapshot`])
 //!   that rebuild a tree id-exactly ([`tree::XmlTree::from_snapshot`]), the
-//!   serialization hook durable edit journals persist base documents with;
+//!   serialization hook a durable log persists base documents with;
 //! * [`parser::parse_document`] / [`writer::write_document`] — a DTD-aware
 //!   XML parser and serializer (from scratch, no external XML crates);
 //! * [`mod@validate`] — the `T ⊨ D` validity test of Definition 2.2, with
@@ -41,7 +42,7 @@ pub mod validate;
 pub mod writer;
 
 pub use budget::{BudgetExceeded, ParseBudget, ParseError, ParseLimit};
-pub use edit::{EditEffect, EditError, EditJournal, EditOp};
+pub use edit::{EditEffect, EditError, EditOp};
 pub use error::XmlError;
 pub use parser::{parse_document, parse_document_budgeted};
 pub use pool::{ValueId, ValuePool};

@@ -1,5 +1,5 @@
 //! Arena snapshots of [`XmlTree`](crate::XmlTree) — the serialization hook
-//! of the durable edit journals.
+//! of the durable corpus log.
 //!
 //! A delta log persists a session document as *base snapshot + edit ops*
 //! (see `xic-engine::journal`).  The base cannot be stored as XML source:

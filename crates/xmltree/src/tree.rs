@@ -459,9 +459,9 @@ impl XmlTree {
     }
 
     /// Dumps the arena slot-for-slot into a [`TreeSnapshot`] — the
-    /// serialization hook of the durable edit journals.  The snapshot keeps
+    /// serialization hook of the durable corpus log.  The snapshot keeps
     /// tombstones, child/attribute orders and (implicitly, by position) node
-    /// ids, so a tree rebuilt by [`XmlTree::from_snapshot`] replays journaled
+    /// ids, so a tree rebuilt by [`XmlTree::from_snapshot`] replays logged
     /// [`crate::EditOp`]s id-exactly.  Values are resolved to strings: pool
     /// symbols are tree-local and re-interned on reconstruction.
     pub fn snapshot(&self) -> TreeSnapshot {

@@ -91,9 +91,8 @@ fn main() {
     session.apply(registrar, &[clash("db102")]).unwrap();
     let receipt = session.persist_to(&log).expect("appended");
     println!(
-        "appended {} records; the in-memory journal now holds {} edits",
-        receipt.records_written,
-        session.journal(registrar).unwrap().len()
+        "appended {} records ({} commit); the log now holds {}",
+        receipt.records_written, receipt.commits_written, receipt.total_records
     );
     replica
         .apply_deltas(session.export_deltas(replica.last_seq()).unwrap())

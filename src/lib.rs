@@ -22,4 +22,4 @@ pub use xic_engine::{
     BatchDelta, BatchDoc, BatchEngine, CompiledSpec, CorpusReplica, CorpusSession, DocHandle,
     Engine, JournalError, Recovery, SessionError, VerdictCache,
 };
-pub use xic_xml::{EditJournal, EditOp};
+pub use xic_xml::EditOp;

@@ -21,8 +21,8 @@
 //! specifications and session histories (opens, edits, commits and closes,
 //! persisted at random points; truncating at *every* byte boundary and
 //! flipping *every* byte), and the named `xic-gen` workload families.  A
-//! separate test proves recovery still round-trips node-for-node after
-//! persists folded the in-memory journals away.
+//! separate test proves recovery still round-trips node-for-node when
+//! only the log holds the edit history.
 
 use std::fs;
 use std::path::PathBuf;
@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml_integrity_constraints::dtd::Dtd;
-use xml_integrity_constraints::engine::journal::{inspect_log, read_log, JournalError};
+use xml_integrity_constraints::engine::journal::{inspect_log, read_log, JournalError, LogRecord};
 use xml_integrity_constraints::engine::{
     BatchReport, CompiledSpec, CorpusReplica, CorpusSession, SessionError,
 };
@@ -448,8 +448,8 @@ fn edits_land_before_the_first_commit_that_saw_them() {
     }
 }
 
-/// Satellite: persists fold the durable edits out of the in-memory journal
-/// without losing recoverability — after persist → edit → persist,
+/// Satellite: a session keeps no edit the log already holds, without
+/// losing recoverability — after persist → edit → persist,
 /// recovery reproduces the live document node-for-node, a torn tail
 /// written over the log is repaired by the next persist, and a log rewound
 /// below what the session made durable is refused.
@@ -484,14 +484,14 @@ fn recovery_after_compaction_round_trips_node_for_node() {
         }
         let receipt = session.persist_to(&path).unwrap();
         assert!(receipt.records_written >= 6, "round {round}");
-        assert!(session.journal(doc).unwrap().is_empty());
-        assert_eq!(
-            session.journal(doc).unwrap().total_recorded(),
-            6 * (round + 1) as u64
-        );
+        let log = read_log(&path, spec.id()).unwrap();
+        let applies = (log.records.iter())
+            .filter(|r| matches!(r, LogRecord::Apply { .. }))
+            .count();
+        assert_eq!(applies, 6 * (round + 1), "round {round}");
 
-        // Recovery from the log reproduces the live document exactly even
-        // though the in-memory journal no longer holds the history.
+        // Recovery from the log reproduces the live document exactly,
+        // though the session holds none of the history in memory.
         let mut recovered = CorpusSession::new(&spec);
         let recovery = recovered.recover_from(&path).unwrap();
         assert_eq!(recovery.ops_replayed, 6 * (round + 1) as u64);
@@ -541,4 +541,56 @@ fn recovery_after_compaction_round_trips_node_for_node() {
         "expected Diverged, got {err:?}"
     );
     fs::remove_file(&path).ok();
+}
+
+/// Pruning the delta history never outruns the log: a session bound to a
+/// log keeps every commit the log lacks, so persist → commit → prune to
+/// the last commit → persist still writes those commits, and the log
+/// recovers to the live report.
+#[test]
+fn pruning_past_the_log_keeps_persist_working() {
+    let spec = CompiledSpec::from_sources(
+        "<!ELEMENT school (teacher*)>\n\
+         <!ELEMENT teacher EMPTY>\n\
+         <!ATTLIST teacher name CDATA #REQUIRED>",
+        Some("school"),
+        "teacher.name -> teacher",
+    )
+    .unwrap();
+    let path = temp_path("prune");
+    fs::remove_file(&path).ok();
+    let mut session = CorpusSession::new(&spec);
+    let doc = session
+        .open_source(
+            "doc",
+            "<school><teacher name=\"Joe\"/><teacher name=\"Ann\"/></school>",
+        )
+        .unwrap();
+    session.commit();
+    session.persist_to(&path).unwrap();
+
+    let first = session.tree(doc).unwrap().elements().nth(1).unwrap();
+    let name = spec.dtd().attr_by_name("name").unwrap();
+    for value in ["Ann", "Joe"] {
+        let op = EditOp::SetAttr {
+            element: first,
+            attr: name,
+            value: value.to_string(),
+        };
+        session.apply(doc, &[op]).unwrap();
+        session.commit();
+    }
+    // Only the commit the log already holds can go.
+    assert_eq!(session.prune_deltas(session.last_seq()), 1);
+    let receipt = session.persist_to(&path).unwrap();
+    assert_eq!((receipt.records_written, receipt.commits_written), (4, 2));
+    // Once logged, the rest of the history can go too.
+    assert_eq!(session.prune_deltas(session.last_seq()), 2);
+    assert_eq!(session.persist_to(&path).unwrap().records_written, 0);
+
+    let mut recovered = CorpusSession::new(&spec);
+    let recovery = recovered.recover_from(&path).unwrap();
+    fs::remove_file(&path).ok();
+    assert_eq!((recovery.dirty, recovery.last_seq), (0, 3));
+    assert_eq!(recovered.report(), session.report());
 }

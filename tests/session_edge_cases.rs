@@ -1,5 +1,5 @@
 //! Edge cases of the edit layer, driven through a corpus session:
-//! close/re-open with journal replay, tombstoned-subtree reads after
+//! close/re-open with op replay, tombstoned-subtree reads after
 //! `RemoveSubtree`, and every `EditError` variant surfacing through
 //! `CorpusSession::apply`.
 
@@ -28,7 +28,7 @@ fn committed_violations(session: &mut CorpusSession<'_>) -> Vec<Violation> {
     session.report().reports()[0].violations.clone()
 }
 
-/// Close → re-open with journal replay: applying the journaled ops, in
+/// Close → re-open with op replay: applying the same ops, in
 /// order, to a copy of the pristine tree reproduces the edited document
 /// node-for-node (the arena allocates deterministically), and the replayed
 /// session's verdict — witnesses included — matches the original's.
@@ -52,6 +52,7 @@ fn journal_replay_reproduces_the_edited_document() {
     let mut session = CorpusSession::new(&spec);
     let doc = session.open("doc", pristine.clone()).unwrap();
     let mut rng = StdRng::seed_from_u64(42);
+    let mut applied = Vec::new();
     for step in 0..40 {
         let tree = session.tree(doc).unwrap();
         let elements: Vec<NodeId> = tree.elements().collect();
@@ -119,24 +120,20 @@ fn journal_replay_reproduces_the_edited_document() {
             }
         };
         session.apply(doc, std::slice::from_ref(&op)).unwrap();
+        applied.push(op);
     }
 
     let final_violations = committed_violations(&mut session);
-    let journal = session.journal(doc).unwrap().clone();
-    assert_eq!(journal.len(), 40);
     let edited = session.close(doc).unwrap();
 
     // Replay the ops onto the pristine copy in a fresh session.
     let mut replayed = CorpusSession::new(&spec);
     let doc = replayed.open("doc", pristine).unwrap();
-    for op in journal.ops() {
+    for op in &applied {
         replayed.apply(doc, std::slice::from_ref(op)).unwrap();
     }
     assert_eq!(committed_violations(&mut replayed), final_violations);
-    assert_eq!(replayed.journal(doc).unwrap().total_recorded(), 40);
-    // The replayed journal holds the same ops, and they rebuilt the same
-    // arena slot for slot.
-    assert_eq!(replayed.journal(doc).unwrap().ops(), journal.ops());
+    // The same ops rebuilt the same arena slot for slot.
     assert_eq!(replayed.tree(doc).unwrap().snapshot(), edited.snapshot());
     let replica = replayed.close(doc).unwrap();
     assert_eq!(replica.num_nodes(), edited.num_nodes());
@@ -327,8 +324,9 @@ fn every_edit_error_variant_surfaces_through_apply() {
         Err(SessionError::UnknownHandle(doc))
     );
 
-    // The journal on a fresh document records only *applied* ops: rejected
-    // ones never enter the log.
+    // Only the *applied* prefix of a rejected batch joins the queue the
+    // next commit drains: the rejected op never does.
+    session.commit();
     let doc = session
         .open_source("doc", "<school><teacher name=\"Joe\"/></school>")
         .unwrap();
@@ -345,5 +343,5 @@ fn every_edit_error_variant_surfaces_through_apply() {
             ],
         )
         .unwrap_err();
-    assert_eq!(session.journal(doc).unwrap().len(), 1);
+    assert_eq!(session.queued_ops(), 1);
 }
