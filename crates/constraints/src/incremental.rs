@@ -175,6 +175,17 @@ enum NodeSet {
 }
 
 impl NodeSet {
+    /// The set of `nodes`, which must be ascending and distinct, built in
+    /// one go rather than one insert at a time.
+    fn from_ascending(nodes: Vec<NodeId>) -> NodeSet {
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "not ascending");
+        match nodes[..] {
+            [] => NodeSet::Empty,
+            [only] => NodeSet::One(only),
+            _ => NodeSet::Many(BTreeSet::from_iter(nodes)),
+        }
+    }
+
     fn insert(&mut self, node: NodeId) {
         match self {
             NodeSet::Empty => *self = NodeSet::One(node),
@@ -763,27 +774,35 @@ impl IncrementalIndex {
                 }
             }
         }
-        // Then every source, against the now-complete target slots.
+        // Then every source, against the now-complete target slots.  Most
+        // sources of a violated inclusion dangle, so each source's
+        // `missing` and `dangling` nodes are collected in the ascending
+        // order they are visited and each set is built once at the end.
         if !layout.sources.is_empty() {
+            let mut missing = vec![Vec::new(); layout.sources.len()];
+            let mut dangling = vec![Vec::new(); layout.sources.len()];
             for node in tree.elements() {
                 let Some(ty) = tree.element_type(node) else {
                     continue;
                 };
                 for &qi in layout.sources_of(ty) {
                     let spec = &layout.sources[qi];
-                    let src = &mut index.sources[qi];
                     if !tree.attr_value_ids(node, &spec.from_attrs, &mut tuple) {
-                        src.missing.insert(node);
+                        missing[qi].push(node);
                         continue;
                     }
                     if !index.slots[spec.target]
                         .carriers
                         .contains_key(tuple.as_slice())
                     {
-                        src.dangling.insert(node);
+                        dangling[qi].push(node);
                     }
-                    set_of(&mut src.by_tuple, &tuple).insert(node);
+                    set_of(&mut index.sources[qi].by_tuple, &tuple).insert(node);
                 }
+            }
+            for ((src, missing), dangling) in index.sources.iter_mut().zip(missing).zip(dangling) {
+                src.missing = NodeSet::from_ascending(missing);
+                src.dangling = NodeSet::from_ascending(dangling);
             }
         }
         index

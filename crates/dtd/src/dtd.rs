@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::content::ContentModel;
 use crate::error::DtdError;
+use crate::names::NameTable;
 
 /// Identifier of an element type within a [`Dtd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,8 +43,9 @@ pub struct Dtd {
     content: Vec<ContentModel>,
     attrs_of: Vec<Vec<AttrId>>,
     root: ElemId,
-    type_index: HashMap<String, ElemId>,
-    attr_index: HashMap<String, AttrId>,
+    /// Compiled lookup tables over `type_names` and `attr_names`.
+    type_table: NameTable,
+    attr_table: NameTable,
 }
 
 impl Dtd {
@@ -89,12 +91,12 @@ impl Dtd {
 
     /// Looks up an element type by name.
     pub fn type_by_name(&self, name: &str) -> Option<ElemId> {
-        self.type_index.get(name).copied()
+        self.type_table.get(&self.type_names, name).map(ElemId)
     }
 
     /// Looks up an attribute by name.
     pub fn attr_by_name(&self, name: &str) -> Option<AttrId> {
-        self.attr_index.get(name).copied()
+        self.attr_table.get(&self.attr_names, name).map(AttrId)
     }
 
     /// Content model `P(τ)` of an element type.
@@ -255,13 +257,13 @@ impl DtdBuilder {
             }
         }
         Ok(Dtd {
+            type_table: NameTable::new(&self.type_names),
+            attr_table: NameTable::new(&self.attr_names),
             type_names: self.type_names,
             attr_names: self.attr_names,
             content,
             attrs_of: self.attrs_of,
             root: root_id,
-            type_index: self.type_index,
-            attr_index: self.attr_index,
         })
     }
 }

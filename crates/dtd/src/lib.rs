@@ -28,6 +28,7 @@ pub mod deriv;
 pub mod dtd;
 pub mod error;
 pub mod glushkov;
+mod names;
 pub mod parser;
 pub mod simplify;
 

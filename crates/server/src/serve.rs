@@ -1,12 +1,12 @@
-//! The server proper: non-blocking accept loops feeding a bounded worker
+//! The server proper: blocking accept loops feeding a bounded worker
 //! pool, the named-session registry, the janitor (idle eviction), and the
 //! graceful drain that flushes every session's corpus log.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -294,12 +294,33 @@ struct Shared {
     /// while it takes a registry lock.
     name_locks: [Mutex<()>; 16],
     shutdown: AtomicBool,
+    /// Where to connect to wake the TCP accept loop at shutdown: the bound
+    /// address, with loopback for an unspecified IP.
+    wake_tcp: Option<SocketAddr>,
+    /// The bound Unix-socket path, to wake that accept loop.
+    wake_unix: Option<PathBuf>,
     instr: Instruments,
 }
 
 impl Shared {
     fn is_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Requests shutdown and wakes the accept loops, which block in
+    /// `accept`, by connecting to each listener once; the loops see the
+    /// flag and drop that connection.
+    fn shut_down(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(addr) = self.wake_tcp {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
+        #[cfg(unix)]
+        if let Some(path) = &self.wake_unix {
+            let _ = UnixStream::connect(path);
+        }
     }
 
     /// The lock serializing recovery and drain of the session `name`.
@@ -384,6 +405,25 @@ impl Server {
             std::fs::create_dir_all(dir)?;
         }
 
+        let tcp_listener = config.tcp.map(TcpListener::bind).transpose()?;
+        let tcp_addr = tcp_listener
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()?;
+        #[cfg(unix)]
+        let unix_listener = match &config.unix {
+            Some(path) => {
+                // A stale socket file from a crashed run would fail the bind.
+                let _ = std::fs::remove_file(path);
+                Some(UnixListener::bind(path)?)
+            }
+            None => None,
+        };
+        #[cfg(unix)]
+        let unix_path = config.unix.clone();
+        #[cfg(not(unix))]
+        let unix_path = None;
+
         let instr = Instruments::on(&registry);
         instr.sessions.set(0);
         let shared = Arc::new(Shared {
@@ -393,6 +433,8 @@ impl Server {
             sessions: RwLock::new(HashMap::new()),
             name_locks: Default::default(),
             shutdown: AtomicBool::new(false),
+            wake_tcp: tcp_addr.map(wake_address),
+            wake_unix: unix_path.clone(),
             instr,
         });
 
@@ -400,18 +442,13 @@ impl Server {
         let (conn_tx, conn_rx) = sync_channel::<Conn>(shared.config.conn_backlog.max(1));
         let conn_rx = Arc::new(Mutex::new(conn_rx));
 
-        let mut tcp_addr = None;
-        if let Some(addr) = shared.config.tcp {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            tcp_addr = Some(listener.local_addr()?);
+        if let Some(listener) = tcp_listener {
             threads.push(spawn_named("xic-accept-tcp", {
                 let shared = Arc::clone(&shared);
                 let conn_tx = conn_tx.clone();
                 move || {
                     accept_loop(&shared, &conn_tx, || {
                         let (stream, _) = listener.accept()?;
-                        stream.set_nonblocking(false)?;
                         // Replies go out as soon as the server would wait for
                         // the client; with Nagle on, a reply written while an
                         // earlier one is unacknowledged waits for the peer's
@@ -423,30 +460,19 @@ impl Server {
                 }
             })?);
         }
-        let mut unix_path = None;
         #[cfg(unix)]
-        if let Some(path) = shared.config.unix.clone() {
-            // A stale socket file from a crashed run would fail the bind.
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path)?;
-            listener.set_nonblocking(true)?;
-            unix_path = Some(path);
+        if let Some(listener) = unix_listener {
             threads.push(spawn_named("xic-accept-unix", {
                 let shared = Arc::clone(&shared);
                 let conn_tx = conn_tx.clone();
                 move || {
                     accept_loop(&shared, &conn_tx, || {
                         let (stream, _) = listener.accept()?;
-                        stream.set_nonblocking(false)?;
                         stream.set_read_timeout(Some(READ_POLL))?;
                         Ok(Box::new(stream))
                     })
                 }
             })?);
-        }
-        #[cfg(not(unix))]
-        {
-            unix_path = None;
         }
         drop(conn_tx);
 
@@ -491,7 +517,7 @@ impl Server {
     /// workers finish their connections, flush every session's corpus log,
     /// join every thread.
     pub fn stop(self) -> ServerReport {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shut_down();
         self.wait()
     }
 
@@ -534,11 +560,30 @@ fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> io::Result<Join
     std::thread::Builder::new().name(name.to_owned()).spawn(f)
 }
 
+/// The address that reaches a listener bound to `bound`: itself, or
+/// loopback of the same family when the IP is unspecified.
+fn wake_address(mut bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => bound.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => bound.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    bound
+}
+
 /// Hands each connection `accept` yields to the worker pool until
-/// shutdown; `accept` fails with `WouldBlock` while no client waits.
+/// shutdown.  `accept` blocks until a client connects, so a connection
+/// reaches the pool as soon as it lands; [`Shared::shut_down`] wakes the
+/// loop with a connection of its own, which is dropped here.  A failed
+/// accept (a peer that reset first, an exhausted descriptor table) is
+/// retried after a pause, so a persistent failure does not spin.
 fn accept_loop(shared: &Shared, conn_tx: &SyncSender<Conn>, accept: impl Fn() -> io::Result<Conn>) {
-    while !shared.is_down() {
-        match accept() {
+    loop {
+        let accepted = accept();
+        if shared.is_down() {
+            return;
+        }
+        match accepted {
             Ok(conn) => {
                 if conn_tx.send(conn).is_err() {
                     return;
@@ -976,7 +1021,7 @@ fn handle_request(
         Request::Stats => respond(conn, &Response::Stats(shared.registry.snapshot())),
         Request::Shutdown => {
             let sessions = shared.sessions.read().unwrap().len() as u64;
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.shut_down();
             respond(conn, &Response::ShuttingDown { sessions });
             false
         }
@@ -1174,6 +1219,62 @@ mod tests {
         let seqs: Vec<u64> = client.sync(0).unwrap().iter().map(|d| d.seq).collect();
         assert_eq!(seqs, (1..=acked).collect::<Vec<_>>());
         stop(server);
+    }
+
+    /// A fresh connection reaches a worker as soon as it lands: the accept
+    /// loops block in `accept` rather than polling the listener, and `stop`
+    /// still wakes them.
+    #[test]
+    fn fresh_connections_are_served_without_an_accept_poll() {
+        let server = start("accept", None);
+        let mut waits: Vec<Duration> = (0..21)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(30));
+                let started = Instant::now();
+                drop(connect(&server, "s"));
+                started.elapsed()
+            })
+            .collect();
+        waits.sort();
+        assert!(
+            waits[10] < Duration::from_millis(5),
+            "median connect + hello took {:?}",
+            waits[10]
+        );
+        stop(server);
+    }
+
+    /// Both blocking listeners wake on shutdown, whether it comes from
+    /// `stop` or from a wire `shutdown` request.
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_wakes_tcp_and_unix_listeners() {
+        for wire in [false, true] {
+            let dir =
+                std::env::temp_dir().join(format!("xic-server-wake-{wire}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            let socket = dir.join("xic.sock");
+            let config = ServerConfig {
+                tcp: Some("0.0.0.0:0".parse().unwrap()),
+                unix: Some(socket.clone()),
+                registry: Some(Arc::new(MetricsRegistry::new())),
+                ..ServerConfig::default()
+            };
+            let spec =
+                Arc::new(CompiledSpec::from_sources("<!ELEMENT r EMPTY>", None, "").unwrap());
+            let server = Server::start(Arc::clone(&spec), config).unwrap();
+            let mut client = Client::connect_unix(&socket, spec.id(), "s").unwrap();
+            let report = if wire {
+                client.shutdown().unwrap();
+                server.wait()
+            } else {
+                server.stop()
+            };
+            assert_eq!(report.connections, 1, "wake-ups are never served");
+            assert!(!socket.exists());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// A request that panics outside the engine's containment poisons its

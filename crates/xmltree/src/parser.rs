@@ -48,9 +48,14 @@ fn instruments() -> &'static Instruments {
 
 /// The arena and pool sizes reserved before parsing, estimated from the
 /// input length for markup-dense documents (about 12 source bytes per
-/// node, one element per four nodes, a distinct value per two nodes and
-/// value text filling half the source).  A document that needs more grows
-/// as usual; one that needs less wastes a bounded multiple of its length.
+/// node, one element per four nodes, and value text filling half the
+/// source).  The pool reserves one value per non-element node, three of
+/// every four: only attribute and text nodes carry values, so a document
+/// of the estimated shape never rebuilds the pool's id table mid-parse
+/// (one value per two nodes fell short on catalogue documents, which
+/// intern a distinct value per ~1.5 nodes).  A document that needs more
+/// grows as usual; one that needs less wastes a bounded multiple of its
+/// length.
 /// The node count is capped by [`ParseBudget::max_nodes`], so a document
 /// the budget rejects never reserves more than the budget admits.
 struct Reservation {
@@ -68,7 +73,7 @@ impl Reservation {
         Reservation {
             nodes,
             elements: nodes / 4,
-            values: nodes / 2,
+            values: nodes * 3 / 4,
             value_bytes: nodes * Self::BYTES_PER_NODE / 2,
         }
     }

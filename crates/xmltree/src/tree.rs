@@ -63,8 +63,12 @@ struct Node {
 }
 
 /// The child and attribute lists of one element node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ElementLists {
+    /// The element the lists belong to.  Entries are pushed as elements
+    /// are created, so the table lists the tree's elements in ascending id
+    /// order, and [`XmlTree::elements`] walks it instead of the arena.
+    node: NodeId,
     /// Ordered subelement / text children (the `ele` function).
     children: Vec<NodeId>,
     /// Attribute children, identified by attribute id (the `att` function).
@@ -134,7 +138,11 @@ impl XmlTree {
         let mut lists = 0;
         if let NodeLabel::Element(_) = label {
             lists = self.lists.len() as u32;
-            self.lists.push(ElementLists::default());
+            self.lists.push(ElementLists {
+                node: id,
+                children: Vec::new(),
+                attrs: Vec::new(),
+            });
         }
         self.nodes.push(Node {
             label,
@@ -396,10 +404,14 @@ impl XmlTree {
     /// pre-order; after edits insert under earlier parents the two can
     /// diverge, and id order is the canonical traversal every checker in
     /// the workspace uses — witnesses are "first" in this order.
+    ///
+    /// Walks the element side table, so attribute and text slots cost
+    /// nothing.
     pub fn elements(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId).filter(move |&n| {
-            matches!(self.label(n), NodeLabel::Element(_)) && !self.is_detached(n)
-        })
+        self.lists
+            .iter()
+            .map(|lists| lists.node)
+            .filter(move |&n| !self.is_detached(n))
     }
 
     /// `ext(τ)`: the element nodes of type `ty`, in the order of
@@ -613,7 +625,8 @@ impl XmlTree {
         let nodes = snapshot
             .nodes
             .iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(i, s)| {
                 let mut node = Node {
                     label: s.label,
                     parent: s.parent,
@@ -624,6 +637,7 @@ impl XmlTree {
                 if let NodeLabel::Element(_) = s.label {
                     node.lists = lists.len() as u32;
                     lists.push(ElementLists {
+                        node: NodeId(i as u32),
                         children: s.children.clone(),
                         attrs: s.attrs.clone(),
                     });
@@ -882,6 +896,46 @@ mod tests {
         assert_eq!(
             a.add_element(a.root(), teacher),
             b.add_element(b.root(), teacher)
+        );
+    }
+
+    /// The live element slots of the arena, in ascending id order: the
+    /// order `elements()` promises, recomputed the slow way.
+    fn live_element_slots(t: &XmlTree) -> Vec<NodeId> {
+        (0..t.nodes.len() as u32)
+            .map(NodeId)
+            .filter(|&n| t.element_type(n).is_some() && !t.is_detached(n))
+            .collect()
+    }
+
+    #[test]
+    fn elements_stay_in_ascending_id_order_through_edits_and_snapshots() {
+        let dtd = example_d1();
+        let mut t = figure1_tree(&dtd);
+        let teacher = dtd.type_by_name("teacher").unwrap();
+        let research = dtd.type_by_name("research").unwrap();
+        // An element added under an earlier parent comes last in id order
+        // though not in document order.
+        let first_teacher = t.ext(teacher).next().unwrap();
+        let late = t.add_element(first_teacher, research);
+        // A middle subtree: the first teacher's `teach` and its subjects.
+        let middle = t.children(first_teacher)[0];
+        assert_eq!(t.remove_subtree(middle).unwrap().len(), 3);
+
+        let expected = live_element_slots(&t);
+        assert!(expected.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(t.elements().collect::<Vec<_>>(), expected);
+        assert_eq!(t.elements().last(), Some(late));
+        assert_eq!(t.ext(research).last(), Some(late));
+        assert!(t.elements().all(|n| n != middle));
+
+        let mut rebuilt = XmlTree::from_snapshot(&t.snapshot()).unwrap();
+        assert_eq!(rebuilt.elements().collect::<Vec<_>>(), expected);
+        let later = rebuilt.add_element(rebuilt.root(), teacher);
+        assert_eq!(rebuilt.elements().last(), Some(later));
+        assert_eq!(
+            rebuilt.elements().collect::<Vec<_>>(),
+            live_element_slots(&rebuilt)
         );
     }
 

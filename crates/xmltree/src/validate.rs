@@ -265,7 +265,7 @@ impl<'d> Validator<'d> {
         node: NodeId,
         errors: &mut Vec<ValidationError>,
     ) {
-        if tree.value(node).is_some() {
+        if tree.value_id(node).is_some() {
             errors.push(ValidationError::ValueShape {
                 path: tree.path_of(self.dtd, node),
                 message: "element node has a string value".to_string(),
@@ -312,7 +312,7 @@ impl<'d> Validator<'d> {
     ) {
         let path = || tree.path_of(self.dtd, node);
         for &required in self.dtd.attrs_of(ty) {
-            if tree.attr_value(node, required).is_none() {
+            if tree.attr_value_id(node, required).is_none() {
                 errors.push(ValidationError::MissingAttribute {
                     path: path(),
                     attribute: self.dtd.attr_name(required).to_string(),
@@ -326,7 +326,7 @@ impl<'d> Validator<'d> {
                     attribute: self.dtd.attr_name(attr).to_string(),
                 });
             }
-            if tree.value(attr_node).is_none() {
+            if tree.value_id(attr_node).is_none() {
                 errors.push(ValidationError::ValueShape {
                     path: path(),
                     message: format!(
@@ -350,7 +350,7 @@ impl<'d> Validator<'d> {
         if !matches!(tree.label(child), NodeLabel::Text) {
             return;
         }
-        if tree.value(child).is_none() {
+        if tree.value_id(child).is_none() {
             errors.push((
                 child,
                 ValidationError::ValueShape {

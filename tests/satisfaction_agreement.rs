@@ -222,3 +222,69 @@ proptest! {
         prop_assert_eq!(view(&direct), view(&round_tripped));
     }
 }
+
+/// The cold index build files each source's dangling and missing nodes in
+/// one go.  Two sources of `src` miss their `ref`, three dangle and one
+/// resolves, interleaved in id order.  The index must agree with the
+/// reference checker on the cold build and after each `SetAttr` that
+/// repairs a source, until only the last dangling source is left.
+#[test]
+fn bulk_built_dangling_and_missing_sets_agree_with_the_reference_checker() {
+    use xml_integrity_constraints::constraints::parse_constraint_set;
+    use xml_integrity_constraints::dtd::parse_dtd;
+    use xml_integrity_constraints::xml::XmlTree;
+
+    let dtd = parse_dtd(
+        "<!ELEMENT db (src*, tgt*)>\n<!ELEMENT src EMPTY>\n<!ELEMENT tgt EMPTY>\n\
+         <!ATTLIST src ref CDATA #REQUIRED>\n<!ATTLIST tgt id CDATA #REQUIRED>",
+        Some("db"),
+    )
+    .unwrap();
+    let sigma = parse_constraint_set("tgt.id -> tgt\nsrc.ref subset tgt.id", &dtd).unwrap();
+    let (src, tgt) = (
+        dtd.type_by_name("src").unwrap(),
+        dtd.type_by_name("tgt").unwrap(),
+    );
+    let (reference, id) = (
+        dtd.attr_by_name("ref").unwrap(),
+        dtd.attr_by_name("id").unwrap(),
+    );
+
+    let mut tree = XmlTree::new(dtd.root());
+    let mut sources = Vec::new();
+    for value in [None, Some("x"), Some("t"), None, Some("y"), Some("z")] {
+        let node = tree.add_element(tree.root(), src);
+        if let Some(value) = value {
+            tree.set_attr(node, reference, value);
+        }
+        sources.push(node);
+    }
+    let target = tree.add_element(tree.root(), tgt);
+    tree.set_attr(target, id, "t");
+
+    let agree = |tree: &XmlTree, index: &mut IncrementalIndex, when: &str| {
+        let expected = SatisfactionChecker::new(&dtd, tree).check_all(&sigma);
+        assert!(
+            !expected.is_empty(),
+            "{when}: the last source still dangles"
+        );
+        assert_eq!(index.check_all(tree), expected, "{when}: maintained index");
+        assert_eq!(
+            check_document(&dtd, tree, &sigma),
+            expected,
+            "{when}: cold build"
+        );
+    };
+    let mut index = IncrementalIndex::build(&dtd, &sigma, &tree);
+    agree(&tree, &mut index, "cold build");
+    for i in [1, 0, 3, 4] {
+        let op = EditOp::SetAttr {
+            element: sources[i],
+            attr: reference,
+            value: "t".into(),
+        };
+        let effect = tree.apply_edit(&op).unwrap();
+        index.apply(&tree, &effect);
+        agree(&tree, &mut index, &format!("source {i} repaired"));
+    }
+}
