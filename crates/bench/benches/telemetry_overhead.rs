@@ -11,7 +11,7 @@
 //!    into histograms, counters and gauges move;
 //! 2. **timing off** — `MetricsRegistry::set_timing(false)`: one relaxed
 //!    load short-circuits every clock, which is the documented cheap mode
-//!    (counters still move — `CacheStats` semantics depend on them).
+//!    (counters still move).
 //!
 //! `overhead = (t_on − t_off) / t_off`, asserted ≤ 5% (the CI
 //! `metrics-overhead` job runs this binary).  Building with

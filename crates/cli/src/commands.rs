@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xic_constraints::{
-    check_document, parse_constraint, parse_constraint_set, ConstraintClass, ConstraintSet,
+    parse_constraint, parse_constraint_set, ConstraintClass, ConstraintSet, IncrementalIndex,
 };
 use xic_coord::{CoordConfig, CoordError, Coordinator};
 use xic_core::{
@@ -23,7 +23,7 @@ use xic_dtd::{analyze, parse_dtd, Dtd};
 use xic_engine::journal::{inspect_log, read_log, FORMAT_VERSION};
 use xic_engine::{
     BatchDelta, BatchDoc, BatchEngine, BatchReport, CompiledSpec, CorpusReplica, CorpusSession,
-    DocHandle, Engine, EngineMetrics, Limits, SessionError, SpecId,
+    DocHandle, EngineMetrics, Limits, SessionError, SpecId,
 };
 use xic_server::{Client, ClientError, Server, ServerConfig};
 use xic_telemetry::RegistrySnapshot;
@@ -334,7 +334,7 @@ pub fn validate_doc(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let tree = parse_limited(&text, &dtd, &limits, doc_path)?;
 
     let structural = validate(&tree, &dtd);
-    let violations = check_document(&dtd, &tree, &sigma);
+    let violations = IncrementalIndex::build(&dtd, &sigma, &tree).check_all(&tree);
     if format == ReportFormat::Json {
         let ok = structural.is_empty() && violations.is_empty();
         let mut fields = vec![
@@ -1256,10 +1256,10 @@ fn journal_inspect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     Ok(CommandOutcome::new(report, i32::from(damaged)))
 }
 
-/// `xic stats` — compile the specification, exercise the verdict cache
-/// (one consistency miss, one hit — optionally validating `--doc` too) and
-/// print the engine's metrics registry: every counter, gauge and latency
-/// histogram, followed by the compile-phase trace timeline.
+/// `xic stats` — compile the specification, decide its consistency once
+/// (optionally validating `--doc` too) and print the engine's metrics
+/// registry: every counter, gauge and latency histogram, followed by the
+/// compile-phase trace timeline.
 pub fn stats(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let format = report_format(args)?;
     let (dtd, sigma) = spec_inputs(args)?;
@@ -1267,12 +1267,7 @@ pub fn stats(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     xic_coord::register_baseline(registry);
     let spec = CompiledSpec::compile_with(dtd, sigma, checker_config(args))
         .map_err(|e| CliError::Spec(e.to_string()))?;
-    let engine = Engine::with_registry(64, std::sync::Arc::clone(registry));
-    // Twice on purpose: the first call is a cache miss that runs the
-    // procedure, the second is served from the verdict cache — so the
-    // printed registry always shows both sides of the cache traffic.
-    let verdict = engine.consistency(&spec);
-    let _ = engine.consistency(&spec);
+    let outcome = spec.check_consistency();
     if let Some(doc_path) = args.get("doc") {
         let text = read_file(doc_path)?;
         let tree = spec
@@ -1288,9 +1283,10 @@ pub fn stats(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
             ("spec", JsonValue::string(spec.id().to_string())),
             (
                 "consistent",
-                match verdict.decision() {
-                    Some(b) => JsonValue::Bool(b),
-                    None => JsonValue::Null,
+                if outcome.is_unknown() {
+                    JsonValue::Null
+                } else {
+                    JsonValue::Bool(outcome.is_consistent())
                 },
             ),
             ("metrics", snapshot_json(&metrics.snapshot)),
@@ -1358,13 +1354,12 @@ pub fn serve(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     if let Some(n) = args.get_usize("max-sessions")? {
         config.max_sessions = n;
     }
-    if let Some(n) = args.get_usize("workers")? {
-        config.workers = n.max(1);
+    if let Some(n) = args.get_usize("max-connections")? {
+        config.max_connections = n.max(1);
     }
     if let Some(ms) = args.get_usize("idle-ms")? {
         config.idle_timeout = Some(Duration::from_millis(ms as u64));
     }
-    config.shards = args.has_flag("shards");
     if let Some(list) = args.get("scope-shards") {
         let mut scope = Vec::new();
         for part in list.split(',') {
@@ -2192,7 +2187,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_session_metrics_block_covers_cache_commit_and_journal() {
+    fn batch_session_metrics_block_covers_compile_commit_and_journal() {
         let dtd = temp_file("metr.dtd", SCHOOL_DTD);
         let sigma = temp_file("metr.xic", "teacher.name -> teacher");
         let a = temp_file("metr-a.xml", "<school><teacher name=\"Joe\"/></school>");
@@ -2225,11 +2220,12 @@ mod tests {
         let parsed = JsonValue::parse(out.report.trim()).expect("valid JSON");
         let metrics = parsed.get("metrics").expect("metrics block present");
         let counters = metrics.get("counters").expect("counters object");
-        // The baseline pins the full inventory: cache, corpus-commit and
-        // journal instruments all appear even if this run left some at 0.
+        // The baseline pins the full inventory: compile, solver,
+        // corpus-commit and journal instruments all appear even if this run
+        // left some at 0.
         for name in [
-            "cache.hits",
-            "cache.misses",
+            "compile.specs",
+            "ilp.lp_calls",
             "corpus.commits",
             "corpus.edits",
             "journal.bytes_written",
@@ -2245,7 +2241,11 @@ mod tests {
         };
         assert!(commits >= 2.0, "corpus.commits = {commits}");
         let histograms = metrics.get("histograms").expect("histograms object");
-        for name in ["corpus.commit_ns", "cache.insert_ns", "journal.persist_ns"] {
+        for name in [
+            "corpus.commit_ns",
+            "incremental.build_ns",
+            "journal.persist_ns",
+        ] {
             assert!(histograms.get(name).is_some(), "missing histogram {name}");
         }
         let commit_ns = histograms.get("corpus.commit_ns").unwrap();
@@ -2295,7 +2295,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_prints_the_instrument_inventory_and_cache_traffic() {
+    fn stats_prints_the_instrument_inventory_and_compile_traffic() {
         let dtd = temp_file("stats.dtd", SCHOOL_DTD);
         let sigma = temp_file("stats.xic", "teacher.name -> teacher");
         let out = run(
@@ -2311,7 +2311,7 @@ mod tests {
         assert_eq!(out.exit_code, 0, "{}", out.report);
         for needle in [
             "metrics:",
-            "cache.hits",
+            "ilp.lp_calls",
             "compile.specs",
             "corpus.nodes_revalidated",
             "ilp.presolve_rows_removed",
@@ -2348,11 +2348,11 @@ mod tests {
             .get("metrics")
             .and_then(|m| m.get("counters"))
             .expect("counters");
-        let hits = match counters.get("cache.hits") {
+        let specs = match counters.get("compile.specs") {
             Some(JsonValue::Number(n)) => *n,
-            other => panic!("cache.hits not a number: {other:?}"),
+            other => panic!("compile.specs not a number: {other:?}"),
         };
-        assert!(hits >= 1.0, "cache.hits = {hits}");
+        assert!(specs >= 1.0, "compile.specs = {specs}");
     }
 
     #[test]
@@ -2613,7 +2613,7 @@ mod tests {
             "127.0.0.1:0",
             "--addr-file",
             addr_file.to_str().unwrap(),
-            "--workers",
+            "--max-connections",
             "2",
         ]
         .iter()

@@ -72,6 +72,7 @@ pub const ARG_SPEC: ArgSpec = ArgSpec {
         "state-dir",
         "max-sessions",
         "idle-ms",
+        "max-connections",
         "workers",
         "spec-id",
         "addr-file",
@@ -87,7 +88,6 @@ pub const ARG_SPEC: ArgSpec = ArgSpec {
         "json",
         "stats",
         "shutdown",
-        "shards",
     ],
 };
 
@@ -109,14 +109,15 @@ COMMANDS:
     diagnose   explain an inconsistent specification (minimal inconsistent core)
     classify   report the constraint class and the complexity of its analyses
     explain    print the DTD analysis and the cardinality system Ψ(D,Σ)
-    stats      compile the spec, run a consistency check (twice — the second
-               hit is served from the verdict cache) and print the engine's
-               metrics registry: counters, gauges, latency histograms and
-               the compile-phase trace timeline (--json for machine output)
+    stats      compile the spec, run a consistency check and print the
+               engine's metrics registry: counters, gauges, latency
+               histograms and the compile-phase trace timeline (--json for
+               machine output)
     serve      run the validation service: host the compiled spec behind a
                TCP (--listen) and/or Unix-socket (--socket) listener speaking
-               the delta-log wire protocol; named corpus sessions, shared
-               verdict cache, graceful drain to --state-dir on shutdown
+               the delta-log wire protocol; named corpus sessions, one
+               thread per connection, graceful drain to --state-dir on
+               shutdown
     connect    talk to a running service (--addr or --socket): drive a
                --script against a named --session and print the replica's
                report, or fetch --stats / request --shutdown
@@ -148,7 +149,7 @@ OPTIONS:
                           verdicts and violation witnesses (validate/batch only)
     --witness-out FILE    write the witness document to FILE instead of stdout (check only)
     --no-witness          skip witness synthesis (faster; check/implies only)
-    --metrics             append the engine metrics block to the report: cache,
+    --metrics             append the engine metrics block to the report: solver,
                           session/corpus commit and journal instruments (validate,
                           batch and journal; included in --format json output)
     --max-nodes N         reject any document whose parsed tree (elements,
@@ -172,16 +173,15 @@ OPTIONS:
                           and eviction, and recover sessions from their logs
     --max-sessions N      serve: reject further named sessions past N (code 3)
     --idle-ms N           serve: drain and evict sessions idle longer than N ms
-    --workers N           serve: worker threads (= concurrent connections)
-    --shards              serve: enable shard-filtered sync subscriptions (the
-                          constraint set is partitioned into touch-graph
-                          components; subscribers can follow one component)
+    --max-connections N   serve: connections served at once, one thread each
+                          (default 64); a client past N is refused (code 3)
     --shard K             connect: subscribe the replica to shard K only —
                           receives and applies just shard-K deltas, and prints
-                          the shard-projected report (requires serve --shards)
+                          the shard-projected report
     --scope-shards LIST   serve: scope every live session to the comma-separated
                           shard ids (a coordinator's shard-group worker); Σ
                           violations outside the scope never surface
+    --workers N           coord: child `xic serve` processes (default 2)
     --max-restarts N      coord: per-worker crash-restart budget before the
                           coordinator rejects instead of recovering (default 2)
     --session NAME        connect: the named server session to attach to

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use xic_constraints::{IncrementalLayout, ShardPlan};
 use xic_engine::wire::{encode_request, read_response, write_response};
 use xic_engine::{
-    BatchDelta, BatchReport, CompiledSpec, DocHandle, Engine, ReportMerger, Request, Response,
+    BatchDelta, BatchReport, CompiledSpec, DocHandle, ReportMerger, Request, Response,
 };
 use xic_server::{Client, ClientError};
 use xic_telemetry::RegistrySnapshot;
@@ -146,7 +146,7 @@ impl Coordinator {
         // to host an inconsistent spec (every session would report
         // violations forever).  Check up front so the refusal is one clean
         // spec error instead of N identical worker-spawn failures.
-        if Engine::new().consistency(&spec).decision() == Some(false) {
+        if spec.check_consistency().is_inconsistent() {
             return Err(CoordError::Spec(format!(
                 "refusing to coordinate an inconsistent spec: {}",
                 spec.id()

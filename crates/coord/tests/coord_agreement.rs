@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use xic_coord::{CoordConfig, CoordError, Coordinator};
-use xic_engine::{CompiledSpec, CorpusReplica, CorpusSession, Engine};
+use xic_engine::{CompiledSpec, CorpusReplica, CorpusSession};
 use xic_gen::{
     fixed_dtd_growing_sigma, inconsistent_fanout_family, keys_only_family, negation_family,
     primary_key_family, random_document, unary_consistency_family, DocGenConfig, SpecInstance,
@@ -297,7 +297,7 @@ fn run_case(
     // An inconsistent spec cannot be hosted: `xic serve` refuses it, so
     // the coordinator must refuse it too — up front, as one clean spec
     // error, not a per-worker spawn failure.
-    if Engine::new().consistency(&spec).decision() == Some(false) {
+    if spec.check_consistency().is_inconsistent() {
         std::fs::create_dir_all(&scratch).expect("scratch dir");
         let dtd_path = scratch.join("spec.dtd");
         let sigma_path = scratch.join("spec.sigma");

@@ -9,9 +9,11 @@
 //! genuine witness of consistency.  Failure to find one proves nothing —
 //! exactly the asymmetry the undecidability result predicts.
 
-use xic_constraints::{ConstraintSet, SatisfactionChecker, Violation};
-use xic_dtd::{analyze, ContentModel, Dtd, DtdAnalysis, ElemId};
-use xic_xml::{NodeId, XmlTree};
+use std::sync::Arc;
+
+use xic_constraints::{ConstraintSet, IncrementalIndex, IncrementalLayout, Violation};
+use xic_dtd::{analyze, AttrId, ContentModel, Dtd, DtdAnalysis, ElemId};
+use xic_xml::{EditOp, NodeId, XmlTree};
 
 /// Configuration of the bounded search.
 #[derive(Debug, Clone)]
@@ -78,6 +80,7 @@ pub fn bounded_search(
     if !analysis.satisfiable() {
         return None;
     }
+    let layout = Arc::new(IncrementalLayout::new(dtd, sigma));
     let mut rng = XorShift::new(config.seed);
     for attempt in 0..config.attempts {
         // Early attempts stay tiny (the empty-ish document often suffices,
@@ -85,9 +88,7 @@ pub fn bounded_search(
         // grow richer.
         let richness = attempt % 4;
         let mut tree = generate_candidate(dtd, &analysis, &mut rng, config, richness);
-        assign_and_repair(dtd, sigma, &mut tree, &mut rng, config);
-        let mut checker = SatisfactionChecker::new(dtd, &tree);
-        if checker.satisfies_all(sigma) {
+        if assign_and_repair(dtd, sigma, &layout, &mut tree, &mut rng, config) {
             return Some(tree);
         }
     }
@@ -253,14 +254,35 @@ fn branch_productive(model: &ContentModel, analysis: &DtdAnalysis) -> bool {
     }
 }
 
-/// Assigns attribute values and runs a few repair rounds towards Σ.
+/// A candidate under repair: the tree and its `T ⊨ Σ` index, which every
+/// repair is fed to as it lands.
+struct Candidate<'t> {
+    tree: &'t mut XmlTree,
+    index: IncrementalIndex,
+}
+
+impl Candidate<'_> {
+    fn set_attr(&mut self, element: NodeId, attr: AttrId, value: String) {
+        let op = EditOp::SetAttr {
+            element,
+            attr,
+            value,
+        };
+        let effect = self.tree.apply_edit(&op).expect("a live element");
+        self.index.apply(self.tree, &effect);
+    }
+}
+
+/// Assigns attribute values and runs a few repair rounds towards Σ, then
+/// says whether the candidate satisfies Σ.
 fn assign_and_repair(
     dtd: &Dtd,
     sigma: &ConstraintSet,
+    layout: &Arc<IncrementalLayout>,
     tree: &mut XmlTree,
     rng: &mut XorShift,
     config: &BoundedSearchConfig,
-) {
+) -> bool {
     // Initial assignment: small shared pool, so foreign keys often hold by
     // accident and keys get repaired below.
     let elements: Vec<NodeId> = tree.elements().collect();
@@ -273,29 +295,28 @@ fn assign_and_repair(
             tree.set_attr(node, attr, v);
         }
     }
+    let index = IncrementalIndex::with_layout(Arc::clone(layout), tree);
+    let mut candidate = Candidate { tree, index };
     for round in 0..config.repair_rounds {
-        let violations = {
-            let mut checker = SatisfactionChecker::new(dtd, tree);
-            checker.check_all(sigma)
-        };
+        let violations = candidate.index.check_all(candidate.tree);
         if violations.is_empty() {
-            return;
+            return true;
         }
         for violation in violations {
             match violation {
                 Violation::KeyViolation { witnesses, .. } => {
                     // Perturb the second clashing element with fresh values.
                     let node = witnesses.1;
-                    if let Some(ty) = tree.element_type(node) {
+                    if let Some(ty) = candidate.tree.element_type(node) {
                         for &attr in dtd.attrs_of(ty) {
                             let v = format!("k{}_{}", round, rng.next() % 1_000);
-                            tree.set_attr(node, attr, v);
+                            candidate.set_attr(node, attr, v);
                         }
                     }
                 }
                 Violation::InclusionViolation { witness, .. }
                 | Violation::MissingAttributes { witness, .. } => {
-                    repair_inclusion(dtd, sigma, tree, rng, witness);
+                    repair_inclusion(sigma, &mut candidate, rng, witness);
                 }
                 Violation::NegationUnsatisfied { .. } => {
                     // Negations are not part of C_{K,FK}; nothing to repair.
@@ -303,17 +324,17 @@ fn assign_and_repair(
             }
         }
     }
+    candidate.index.satisfies_all(candidate.tree)
 }
 
 /// Points a dangling foreign-key source at some existing target tuple.
 fn repair_inclusion(
-    _dtd: &Dtd,
     sigma: &ConstraintSet,
-    tree: &mut XmlTree,
+    candidate: &mut Candidate<'_>,
     rng: &mut XorShift,
     witness: NodeId,
 ) {
-    let Some(source_ty) = tree.element_type(witness) else {
+    let Some(source_ty) = candidate.tree.element_type(witness) else {
         return;
     };
     for c in sigma.iter() {
@@ -323,14 +344,14 @@ fn repair_inclusion(
         if inc.from_ty != source_ty {
             continue;
         }
-        let targets: Vec<_> = tree.ext(inc.to_ty).collect();
+        let targets: Vec<_> = candidate.tree.ext(inc.to_ty).collect();
         if targets.is_empty() {
             continue;
         }
         let pick = targets[rng.below(targets.len())];
-        if let Some(values) = tree.attr_values(pick, &inc.to_attrs) {
+        if let Some(values) = candidate.tree.attr_values(pick, &inc.to_attrs) {
             for (attr, value) in inc.from_attrs.iter().zip(values) {
-                tree.set_attr(witness, *attr, value);
+                candidate.set_attr(witness, *attr, value);
             }
         }
     }

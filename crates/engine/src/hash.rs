@@ -1,10 +1,12 @@
-//! Content hashing for spec and query identities.
+//! Content hashing for spec identities.
 //!
 //! FNV-1a (64-bit) over canonical renderings: fast, dependency-free and
 //! stable across processes — unlike `std::collections`' `DefaultHasher`,
-//! whose output is explicitly not guaranteed between runs.  These hashes
-//! identify cache entries, so cross-process stability is what makes a warm
-//! cache meaningful for long-running services.
+//! whose output is explicitly not guaranteed between runs.  A [`SpecId`]
+//! travels in every wire hello and names the spec a corpus log was written
+//! against, so it must not change between processes.
+//!
+//! [`SpecId`]: crate::SpecId
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -19,11 +21,6 @@ fn step(hash: u64, byte: u8) -> u64 {
     (hash ^ u64::from(byte)).wrapping_mul(PRIME)
 }
 
-/// 64-bit FNV-1a of a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(OFFSET, |h, &b| step(h, b))
-}
-
 fn fold_parts(offset: u64, parts: &[&str]) -> u64 {
     parts.iter().fold(offset, |h, part| {
         // 0xFF never occurs in UTF-8, so it cleanly separates segments.
@@ -31,14 +28,9 @@ fn fold_parts(offset: u64, parts: &[&str]) -> u64 {
     })
 }
 
-/// FNV-1a over several segments with an unambiguous separator, so that
-/// `("ab", "c")` and `("a", "bc")` hash differently.
-pub fn fnv1a_parts(parts: &[&str]) -> u64 {
-    fold_parts(OFFSET, parts)
-}
-
-/// A 128-bit identity: the [`fnv1a_parts`] stream paired with a second
-/// stream from an independent offset basis.
+/// A 128-bit identity of several segments: FNV-1a with an unambiguous
+/// separator, so that `("ab", "c")` and `("a", "bc")` hash differently,
+/// paired with a second stream from an independent offset basis.
 pub fn fnv1a_parts_wide(parts: &[&str]) -> (u64, u64) {
     (fold_parts(OFFSET, parts), fold_parts(OFFSET2, parts))
 }
@@ -49,23 +41,25 @@ mod tests {
 
     #[test]
     fn known_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        // Standard FNV-1a test vectors, each followed by the separator.
+        assert_eq!(fnv1a_parts_wide(&[]), (OFFSET, OFFSET2));
+        let (a, _) = fnv1a_parts_wide(&["a"]);
+        assert_eq!(a, step(0xaf63_dc4c_8601_ec8c, 0xFF));
+        let (foobar, _) = fnv1a_parts_wide(&["foobar"]);
+        assert_eq!(foobar, step(0x8594_4171_f739_67e8, 0xFF));
     }
 
     #[test]
     fn wide_streams_are_independent() {
         let (a, b) = fnv1a_parts_wide(&["x", "y"]);
-        assert_eq!(a, fnv1a_parts(&["x", "y"]));
         assert_ne!(a, b);
     }
 
     #[test]
     fn parts_are_unambiguous() {
-        assert_ne!(fnv1a_parts(&["ab", "c"]), fnv1a_parts(&["a", "bc"]));
-        assert_ne!(fnv1a_parts(&["ab"]), fnv1a_parts(&["ab", ""]));
-        assert_eq!(fnv1a_parts(&["x", "y"]), fnv1a_parts(&["x", "y"]));
+        let wide = fnv1a_parts_wide;
+        assert_ne!(wide(&["ab", "c"]), wide(&["a", "bc"]));
+        assert_ne!(wide(&["ab"]), wide(&["ab", ""]));
+        assert_eq!(wide(&["x", "y"]), wide(&["x", "y"]));
     }
 }

@@ -10,10 +10,9 @@
 //!   Glushkov automata, the constraint-class classification, the layout of
 //!   the `T ⊨ Σ` index ([`xic_constraints::IncrementalLayout`]), and (for
 //!   the decidable unary classes) the cardinality system Ψ(D,Σ) — all
-//!   behind a cheap content-hash [`SpecId`];
-//! * [`VerdictCache`] — a thread-safe (RwLock + LRU, std-only) memo of
-//!   consistency and implication verdicts keyed by `(spec, query)` hashes,
-//!   with hit/miss statistics for benchmarks;
+//!   behind a cheap content-hash [`SpecId`] — and decides consistency
+//!   ([`CompiledSpec::check_consistency`]) and implication
+//!   ([`CompiledSpec::check_implication`]) over those artifacts;
 //! * [`BatchEngine`] — a `std::thread` worker pool that validates N
 //!   documents against one compiled spec in parallel and aggregates
 //!   per-document reports deterministically (ordered by input index, so a
@@ -36,8 +35,6 @@
 //!   from it, [`CorpusReplica`] replicas reconstruct corpus verdicts from
 //!   its [`BatchDelta`]s alone, and the `xic journal` CLI surface sits on
 //!   top;
-//! * [`Engine`] — the façade combining a cache with the checkers, exposing
-//!   memoized [`Engine::consistency`] and [`Engine::implication`];
 //! * [`metrics`] — the observability surface: every layer above records
 //!   counters, gauges and latency histograms into a
 //!   [`xic_telemetry::MetricsRegistry`] (the process-global one by default;
@@ -46,7 +43,7 @@
 //!   CLI's `--metrics` flag and `xic stats`.
 //!
 //! ```
-//! use xic_engine::{BatchDoc, BatchEngine, CompiledSpec, Engine};
+//! use xic_engine::{BatchDoc, BatchEngine, CompiledSpec};
 //!
 //! let spec = CompiledSpec::from_sources(
 //!     "<!ELEMENT school (teacher*)>\n\
@@ -57,13 +54,7 @@
 //! )
 //! .unwrap();
 //!
-//! let engine = Engine::new();
-//! let verdict = engine.consistency(&spec);
-//! assert_eq!(verdict.decision(), Some(true));
-//! // Second call is a cache hit — no ILP solve, no witness synthesis.
-//! let again = engine.consistency(&spec);
-//! assert_eq!(again, verdict);
-//! assert_eq!(engine.cache().stats().hits, 1);
+//! assert!(spec.check_consistency().is_consistent());
 //!
 //! let docs = vec![BatchDoc::new(
 //!     "doc-0",
@@ -77,7 +68,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod cache;
 pub mod corpus;
 pub mod hash;
 pub mod journal;
@@ -88,12 +78,11 @@ pub mod spec;
 pub mod wire;
 
 pub use batch::{BatchDoc, BatchEngine, BatchReport, DocFault, DocReport};
-pub use cache::{CacheKey, CacheStats, QueryHash, Verdict, VerdictCache};
 pub use corpus::{
     project_doc_report, project_report, BatchDelta, ClosedDoc, CorpusSession, DeltaSummary,
     DocChange, DocHandle, Recovery, SessionError, SpecRef, Transition,
 };
-pub use hash::{fnv1a, fnv1a_parts, fnv1a_parts_wide};
+pub use hash::fnv1a_parts_wide;
 pub use journal::{
     inspect_log, read_log, CorpusLog, CorpusReplica, JournalError, LogRecord, LogSummary,
     PersistReceipt, RecordSummary,
@@ -104,68 +93,3 @@ pub use metrics::{register_baseline, EngineMetrics};
 pub use spec::{CompileError, CompiledSpec, ParseSpecIdError, SpecId};
 pub use wire::{Request, Response, WireError, WireFault};
 pub use xic_constraints::ShardPlan;
-
-use std::sync::Arc;
-
-use xic_constraints::Constraint;
-use xic_telemetry::MetricsRegistry;
-
-/// The façade tying a [`VerdictCache`] to the decision procedures: every
-/// check is memoized under the spec's content hash, so repeat checks of the
-/// same specification cost one cache lookup.
-#[derive(Debug, Default)]
-pub struct Engine {
-    cache: VerdictCache,
-}
-
-impl Engine {
-    /// An engine with the default cache capacity.
-    pub fn new() -> Engine {
-        Engine::default()
-    }
-
-    /// An engine whose cache holds at most `capacity` verdicts.
-    pub fn with_cache_capacity(capacity: usize) -> Engine {
-        Engine {
-            cache: VerdictCache::with_capacity(capacity),
-        }
-    }
-
-    /// An engine whose cache records into `registry` (e.g.
-    /// [`EngineMetrics::global_registry`], so `xic stats` and `--metrics`
-    /// see cache traffic).  The default constructors use a private registry
-    /// instead, keeping each engine's statistics isolated.
-    pub fn with_registry(capacity: usize, registry: Arc<MetricsRegistry>) -> Engine {
-        Engine {
-            cache: VerdictCache::with_registry(capacity, registry),
-        }
-    }
-
-    /// The underlying cache (for statistics and explicit invalidation).
-    pub fn cache(&self) -> &VerdictCache {
-        &self.cache
-    }
-
-    /// Memoized consistency of the compiled specification.
-    pub fn consistency(&self, spec: &CompiledSpec) -> Verdict {
-        let key = CacheKey::consistency(spec.id());
-        self.cache
-            .get_or_compute(key, || Verdict::from_consistency(&spec.check_consistency()))
-    }
-
-    /// Memoized implication `(D, Σ) ⊢ φ`.
-    pub fn implication(&self, spec: &CompiledSpec, phi: &Constraint) -> Verdict {
-        // Validate before hashing: rendering a constraint built for another
-        // DTD would index out of bounds, and the uncached path only guards
-        // inside the checker.
-        if let Err(err) = phi.validate(spec.dtd()) {
-            return Verdict::error(err.to_string());
-        }
-        let key = CacheKey::implication(spec.id(), QueryHash::of_constraint(spec.dtd(), phi));
-        self.cache
-            .get_or_compute(key, || match spec.check_implication(phi) {
-                Ok(outcome) => Verdict::from_implication(&outcome),
-                Err(err) => Verdict::error(err.to_string()),
-            })
-    }
-}

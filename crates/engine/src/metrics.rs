@@ -15,17 +15,13 @@ use xic_telemetry::{MetricsRegistry, RegistrySnapshot};
 ///
 /// Instruments normally spring into existence on first use, which is right
 /// for per-spec breakdowns but wrong for a metrics *report*: a `--metrics`
-/// block from a run that never touched the verdict cache should still show
-/// `cache.hits 0`, not omit the cache section.  Calling this once against a
+/// block from a run that never decided anything should still show
+/// `ilp.lp_calls 0`, not omit the solver section.  Calling this once against a
 /// registry pins the canonical engine instruments at zero so every snapshot
 /// covers the full inventory.
 pub fn register_baseline(registry: &MetricsRegistry) {
     for counter in [
         "batch.docs",
-        "cache.evictions",
-        "cache.hits",
-        "cache.inserts",
-        "cache.misses",
         "compile.specs",
         "corpus.commits",
         "corpus.edits",
@@ -59,7 +55,6 @@ pub fn register_baseline(registry: &MetricsRegistry) {
         registry.counter(counter);
     }
     for gauge in [
-        "cache.entries",
         "corpus.dirty_docs",
         "corpus.open_docs",
         "corpus.queued_ops",
@@ -70,7 +65,6 @@ pub fn register_baseline(registry: &MetricsRegistry) {
     for histogram in [
         "batch.doc_ns",
         "batch.worker_docs",
-        "cache.insert_ns",
         "corpus.apply_ns",
         "corpus.commit_ns",
         "corpus.delta_changes",
@@ -131,7 +125,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let metrics = EngineMetrics::capture(&registry);
         for name in [
-            "cache.hits",
+            "ilp.lp_calls",
             "journal.bytes_written",
             "corpus.commits",
             "resilience.rejections",
@@ -160,6 +154,6 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-        assert!(metrics.render_text().contains("cache.hits"));
+        assert!(metrics.render_text().contains("ilp.lp_calls"));
     }
 }

@@ -143,7 +143,7 @@ impl CompiledSpec {
             .map_err(|e| CompileError::Constraints(e.to_string()))?;
         // The id covers the checker configuration too: two compilations of
         // the same (D, Σ) under different solver budgets or witness settings
-        // can reach different verdicts, so they must not share cache entries.
+        // can reach different verdicts, so they must not share an identity.
         let (lo, hi) =
             fnv1a_parts_wide(&[&dtd.render(), &sigma.render(&dtd), &format!("{config:?}")]);
         let id = SpecId(lo, hi);
@@ -319,7 +319,7 @@ impl CompiledSpec {
 
     /// Consistency of the compiled specification, dispatching to the
     /// procedure for its class and reusing every precomputed artifact.
-    /// Uncached — [`crate::Engine::consistency`] is the memoized entry point.
+    /// Each call runs the procedure; nothing is memoized.
     pub fn check_consistency(&self) -> ConsistencyOutcome {
         let checker = ConsistencyChecker::with_config(self.config.clone());
         if self.sigma.is_empty() || self.sigma.in_class(ConstraintClass::KeysOnly) {
@@ -336,8 +336,8 @@ impl CompiledSpec {
         checker.check_general(&self.dtd, &self.sigma)
     }
 
-    /// Implication `(D, Σ) ⊢ φ`.  Uncached — see
-    /// [`crate::Engine::implication`].
+    /// Implication `(D, Σ) ⊢ φ`, run on each call.  A `φ` built for
+    /// another DTD is an error, not a panic.
     pub fn check_implication(
         &self,
         phi: &xic_constraints::Constraint,

@@ -1,8 +1,8 @@
-//! Integration tests for the engine subsystem: cache semantics, spec-hash
-//! stability, and determinism of parallel batch validation.
+//! Integration tests for the engine subsystem: decisions over a compiled
+//! spec, spec-hash stability, and determinism of parallel batch validation.
 
 use xic_constraints::Constraint;
-use xic_engine::{BatchDoc, BatchEngine, CompiledSpec, Engine};
+use xic_engine::{BatchDoc, BatchEngine, CompiledSpec};
 use xic_gen::{random_document, random_dtd, DocGenConfig, DtdGenConfig};
 use xic_xml::write_document;
 
@@ -19,49 +19,7 @@ fn school_spec() -> CompiledSpec {
 }
 
 #[test]
-fn consistency_is_cached_per_spec() {
-    let engine = Engine::new();
-    let spec = school_spec();
-
-    let first = engine.consistency(&spec);
-    assert_eq!(first.decision(), Some(true), "{}", first.explanation());
-    let stats = engine.cache().stats();
-    assert_eq!((stats.hits, stats.misses), (0, 1));
-
-    let second = engine.consistency(&spec);
-    assert_eq!(second, first, "cached verdict must be identical");
-    let stats = engine.cache().stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
-    assert_eq!(stats.entries, 1);
-}
-
-#[test]
-fn implication_queries_are_cached_per_constraint() {
-    let engine = Engine::new();
-    let spec = school_spec();
-    let teacher = spec.dtd().type_by_name("teacher").unwrap();
-    let name = spec.dtd().attr_by_name("name").unwrap();
-    let phi = Constraint::unary_key(teacher, name);
-
-    let first = engine.implication(&spec, &phi);
-    assert_eq!(first.decision(), Some(true), "{}", first.explanation());
-    let second = engine.implication(&spec, &phi);
-    assert_eq!(second, first);
-    let stats = engine.cache().stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
-
-    // A different query about the same spec is a separate entry.
-    let subject = spec.dtd().type_by_name("subject").unwrap();
-    let taught_by = spec.dtd().attr_by_name("taught_by").unwrap();
-    let psi = Constraint::unary_key(subject, taught_by);
-    let third = engine.implication(&spec, &psi);
-    assert_eq!(third.decision(), Some(false), "{}", third.explanation());
-    assert_eq!(engine.cache().stats().entries, 2);
-}
-
-#[test]
 fn implication_of_foreign_constraint_is_an_error_not_a_panic() {
-    let engine = Engine::new();
     let spec = school_spec();
     // A constraint built against a different, larger DTD: its ids are out of
     // range for the school spec and must be rejected, not rendered.
@@ -69,9 +27,8 @@ fn implication_of_foreign_constraint_is_an_error_not_a_panic() {
     let student = d3.type_by_name("student").unwrap();
     let attr = d3.attrs_of(student)[0];
     let foreign = Constraint::unary_key(student, attr);
-    let verdict = engine.implication(&spec, &foreign);
-    assert_eq!(verdict.decision(), None);
-    assert!(!verdict.explanation().is_empty());
+    let err = spec.check_implication(&foreign).unwrap_err();
+    assert!(!err.to_string().is_empty());
 }
 
 #[test]
@@ -112,20 +69,8 @@ fn distinct_checker_configs_get_distinct_ids() {
     )
     .unwrap();
     // Different configurations can reach different verdicts (budgets,
-    // witness synthesis), so they must not share verdict-cache entries.
+    // witness synthesis), so they must not share an identity.
     assert_ne!(default.id(), no_witness.id());
-}
-
-#[test]
-fn distinct_specs_do_not_share_cache_entries() {
-    let engine = Engine::new();
-    let full = school_spec();
-    let weakened =
-        CompiledSpec::from_sources(SCHOOL_DTD, Some("school"), "teacher.name -> teacher").unwrap();
-    engine.consistency(&full);
-    engine.consistency(&weakened);
-    let stats = engine.cache().stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
 }
 
 #[test]

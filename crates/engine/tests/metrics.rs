@@ -1,5 +1,5 @@
-//! End-to-end metrics coverage: sessions, corpora, the cache and the
-//! journal all record into a shared registry, and [`EngineMetrics`]
+//! End-to-end metrics coverage: sessions, corpora, the decision procedures
+//! and the journal all record into a shared registry, and [`EngineMetrics`]
 //! snapshots cover the full instrument inventory.
 //!
 //! Everything here runs on **private** registries (or asserts only
@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use xic_engine::{
-    BatchDoc, BatchEngine, CompiledSpec, CorpusSession, Engine, EngineMetrics, Transition,
-};
+use xic_engine::{BatchDoc, BatchEngine, CompiledSpec, CorpusSession, EngineMetrics, Transition};
 use xic_telemetry::MetricsRegistry;
 use xic_xml::EditOp;
 
@@ -155,30 +153,6 @@ fn violation_counters_count_each_constraint_that_flips() {
 }
 
 #[test]
-fn engine_with_registry_exposes_cache_traffic() {
-    let spec = spec();
-    let registry = Arc::new(MetricsRegistry::new());
-    let engine = Engine::with_registry(16, Arc::clone(&registry));
-    let first = engine.consistency(&spec);
-    let again = engine.consistency(&spec);
-    assert_eq!(first, again);
-
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.counter("cache.hits"), Some(1));
-    assert_eq!(snapshot.counter("cache.misses"), Some(1));
-    assert_eq!(snapshot.counter("cache.inserts"), Some(1));
-    assert_eq!(snapshot.gauge("cache.entries"), Some(1));
-    // The per-spec breakdown names the spec id.
-    assert_eq!(
-        snapshot.counter(&format!("cache.hits.{}", spec.id())),
-        Some(1)
-    );
-    // The stats() shim reads the same instruments.
-    let stats = engine.cache().stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
-}
-
-#[test]
 fn journal_persist_and_read_record_global_counters() {
     // The journal records on the process-global registry (journals are
     // process-wide resources), so assert monotone deltas, not absolutes.
@@ -274,7 +248,7 @@ fn capture_covers_the_full_inventory_even_when_idle() {
     let registry = MetricsRegistry::new();
     let metrics = EngineMetrics::capture(&registry);
     for name in [
-        "cache.hits",
+        "compile.specs",
         "corpus.commits",
         "journal.bytes_written",
         "batch.docs",

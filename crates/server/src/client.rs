@@ -216,7 +216,8 @@ impl Client {
 
     /// Fetches the shard-filtered delta stream above `after_seq`: only
     /// deltas tagged with `shard`, each projected down to that shard's
-    /// constraints.  Requires the server to run with `--shards`.
+    /// constraints.  A shard the spec's plan lacks is a code-2
+    /// `protocol:shard-range` fault.
     pub fn sync_shard(
         &mut self,
         after_seq: u64,

@@ -1,27 +1,27 @@
 //! # xic-server — the long-running validation service
 //!
-//! A std-only TCP (and Unix-socket) server hosting one [`xic_engine::Engine`]
-//! with its shared verdict cache and a registry of named
-//! [`xic_engine::CorpusSession`]s, speaking the delta-log wire protocol of
-//! [`xic_engine::wire`]: length-framed PR 5 journal records in both
+//! A std-only TCP (and Unix-socket) server hosting one compiled spec and a
+//! registry of named [`xic_engine::CorpusSession`]s, speaking the delta-log
+//! wire protocol of [`xic_engine::wire`]: length-framed PR 5 journal records in both
 //! directions.  Clients ship edit-op batches up; the server ships
 //! [`xic_engine::BatchDelta`] records down, and a stock
 //! [`xic_engine::CorpusReplica`] consumes them to reconstruct
 //! `CorpusSession::report()` exactly.
 //!
 //! The workspace is network-free by design, so there is no async runtime:
-//! accept loops on non-blocking listeners feed a bounded worker pool of
-//! `std::thread`s.  Every named session sits behind its own mutex, and the
-//! connection thread serving a request locks it and runs the request
-//! itself, so one slow session never blocks another and the worker pool
-//! bounds how many requests wait on one session.  A request that panics
-//! outside the engine's containment poisons the lock: later requests on
-//! the session answer a code-2 `session` fault until a client reconnects.
+//! blocking accept loops serve each connection on a `std::thread` of its
+//! own, up to [`ServerConfig::max_connections`] at once.  Every named
+//! session sits behind its own mutex, and the connection thread serving a
+//! request locks it and runs the request itself, so one slow session never
+//! blocks another.  A request that panics outside the engine's containment
+//! ends its connection and poisons the lock: later requests on the session
+//! answer a code-2 `session` fault until a client reconnects.
 //!
 //! Resource governance and fault containment extend to the wire: admission
-//! limits ([`xic_engine::Limits`]) and the session-count bound reject with
-//! **structured error records** (code 3, `resource:*`), contained faults
-//! answer with code 4 (`fault:*`) — never a dropped connection.
+//! limits ([`xic_engine::Limits`]) and the session- and connection-count
+//! bounds reject with **structured error records** (code 3, `resource:*`),
+//! contained faults answer with code 4 (`fault:*`) — never a dropped
+//! connection.
 //! Graceful drain and idle eviction flush every session's corpus log to
 //! the state directory, and a restarted server recovers each session from
 //! its log — live and editable — the first time a client names it.

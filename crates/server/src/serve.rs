@@ -1,25 +1,25 @@
-//! The server proper: blocking accept loops feeding a bounded worker
-//! pool, the named-session registry, the janitor (idle eviction), and the
-//! graceful drain that flushes every session's corpus log.
+//! The server proper: blocking accept loops that serve each connection
+//! on a thread of its own, the named-session registry, the janitor (idle
+//! eviction), and the graceful drain that flushes every session's corpus
+//! log.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xic_engine::wire::{
-    read_request_monotonic, write_response, Request, Response, WireError, WireFault, WIRE_VERSION,
+    read_request, read_request_monotonic, write_response, Request, Response, WireError, WireFault,
+    WIRE_VERSION,
 };
 use xic_engine::{
-    journal, BatchDelta, CompiledSpec, CorpusSession, DocHandle, Engine, Limits, ResourceError,
+    journal, BatchDelta, CompiledSpec, CorpusSession, DocHandle, Limits, ResourceError,
     SessionError,
 };
 use xic_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -41,10 +41,10 @@ pub struct ServerConfig {
     /// Maximum number of named sessions; further hellos are rejected with
     /// a code-3 `resource:max_sessions` record.
     pub max_sessions: usize,
-    /// Bound of the accepted-connection queue feeding the worker pool.
-    pub conn_backlog: usize,
-    /// Worker threads (= concurrently served connections).
-    pub workers: usize,
+    /// Connections served at once, each on a thread of its own; a client
+    /// that connects past it is refused with a code-3
+    /// `resource:max_connections` record.
+    pub max_connections: usize,
     /// Sessions idle longer than this are drained and evicted by the
     /// janitor. `None` disables eviction.
     pub idle_timeout: Option<Duration>,
@@ -53,11 +53,6 @@ pub struct ServerConfig {
     /// live and editable — when a client first names it.  `None` disables
     /// persistence.
     pub state_dir: Option<PathBuf>,
-    /// Whether shard-filtered sync subscriptions are served (`xic serve
-    /// --shards`).  When disabled, a sync carrying a shard filter is
-    /// answered with a structured code-2 `protocol:shards-disabled`
-    /// record instead of a projected stream.
-    pub shards: bool,
     /// When set, every live session is scoped to these shards with
     /// [`xic_engine::CorpusSession::scope_to_shards`] (`xic serve
     /// --scope-shards 0,3`): commits recompute only the scoped constraints
@@ -76,11 +71,9 @@ impl Default for ServerConfig {
             unix: None,
             limits: Limits::UNLIMITED,
             max_sessions: 16,
-            conn_backlog: 64,
-            workers: 4,
+            max_connections: 64,
             idle_timeout: None,
             state_dir: None,
-            shards: false,
             scope: None,
             registry: None,
         }
@@ -299,6 +292,9 @@ struct Shared {
     wake_tcp: Option<SocketAddr>,
     /// The bound Unix-socket path, to wake that accept loop.
     wake_unix: Option<PathBuf>,
+    /// One thread per served connection.  The accept loops prune the
+    /// finished ones; [`Server::wait`] joins the rest.
+    conns: Mutex<Vec<JoinHandle<()>>>,
     instr: Instruments,
 }
 
@@ -355,8 +351,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured listeners and starts the accept loops, worker
-    /// pool and janitor.  Sessions with a corpus log in the state directory
+    /// Binds the configured listeners and starts the accept loops and the
+    /// janitor.  Sessions with a corpus log in the state directory
     /// are recovered lazily, when a client first names them.  Fails when no
     /// listener is configured or a bind fails.
     pub fn start(spec: Arc<CompiledSpec>, config: ServerConfig) -> io::Result<Server> {
@@ -373,10 +369,8 @@ impl Server {
         crate::register_baseline(&registry);
         xic_engine::register_baseline(&registry);
         // Refuse to serve a spec whose constraints are unsatisfiable: every
-        // session would report violations forever.  The verdict cache's
-        // instruments stay in the registry for `stats`.
-        let verdict = Engine::with_registry(1024, Arc::clone(&registry)).consistency(&spec);
-        if verdict.decision() == Some(false) {
+        // session would report violations forever.
+        if spec.check_consistency().is_inconsistent() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("refusing to serve an inconsistent spec: {}", spec.id()),
@@ -435,19 +429,17 @@ impl Server {
             shutdown: AtomicBool::new(false),
             wake_tcp: tcp_addr.map(wake_address),
             wake_unix: unix_path.clone(),
+            conns: Mutex::new(Vec::new()),
             instr,
         });
 
         let mut threads = Vec::new();
-        let (conn_tx, conn_rx) = sync_channel::<Conn>(shared.config.conn_backlog.max(1));
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
 
         if let Some(listener) = tcp_listener {
             threads.push(spawn_named("xic-accept-tcp", {
                 let shared = Arc::clone(&shared);
-                let conn_tx = conn_tx.clone();
                 move || {
-                    accept_loop(&shared, &conn_tx, || {
+                    accept_loop(&shared, || {
                         let (stream, _) = listener.accept()?;
                         // Replies go out as soon as the server would wait for
                         // the client; with Nagle on, a reply written while an
@@ -464,23 +456,13 @@ impl Server {
         if let Some(listener) = unix_listener {
             threads.push(spawn_named("xic-accept-unix", {
                 let shared = Arc::clone(&shared);
-                let conn_tx = conn_tx.clone();
                 move || {
-                    accept_loop(&shared, &conn_tx, || {
+                    accept_loop(&shared, || {
                         let (stream, _) = listener.accept()?;
                         stream.set_read_timeout(Some(READ_POLL))?;
                         Ok(Box::new(stream))
                     })
                 }
-            })?);
-        }
-        drop(conn_tx);
-
-        for i in 0..shared.config.workers.max(1) {
-            threads.push(spawn_named(&format!("xic-worker-{i}"), {
-                let shared = Arc::clone(&shared);
-                let conn_rx = Arc::clone(&conn_rx);
-                move || worker(&shared, &conn_rx)
             })?);
         }
         if shared.config.idle_timeout.is_some() {
@@ -514,8 +496,8 @@ impl Server {
     }
 
     /// Requests shutdown and runs the graceful drain: stop accepting, let
-    /// workers finish their connections, flush every session's corpus log,
-    /// join every thread.
+    /// every connection finish, flush every session's corpus log, join
+    /// every thread.
     pub fn stop(self) -> ServerReport {
         self.shared.shut_down();
         self.wait()
@@ -526,6 +508,11 @@ impl Server {
     /// `xic serve`.
     pub fn wait(self) -> ServerReport {
         for t in self.threads {
+            let _ = t.join();
+        }
+        // The accept loops are down, so no connection thread starts now.
+        let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
+        for t in conns {
             let _ = t.join();
         }
         let mut drained = 0;
@@ -571,49 +558,62 @@ fn wake_address(mut bound: SocketAddr) -> SocketAddr {
     bound
 }
 
-/// Hands each connection `accept` yields to the worker pool until
-/// shutdown.  `accept` blocks until a client connects, so a connection
-/// reaches the pool as soon as it lands; [`Shared::shut_down`] wakes the
-/// loop with a connection of its own, which is dropped here.  A failed
-/// accept (a peer that reset first, an exhausted descriptor table) is
-/// retried after a pause, so a persistent failure does not spin.
-fn accept_loop(shared: &Shared, conn_tx: &SyncSender<Conn>, accept: impl Fn() -> io::Result<Conn>) {
+/// Admits each connection `accept` yields until shutdown.  `accept`
+/// blocks until a client connects, so a connection is served as soon as it
+/// lands; [`Shared::shut_down`] wakes the loop with a connection of its
+/// own, which is dropped here.  A failed accept (a peer that reset first,
+/// an exhausted descriptor table) is retried after a pause, so a
+/// persistent failure does not spin.
+fn accept_loop(shared: &Arc<Shared>, accept: impl Fn() -> io::Result<Conn>) {
     loop {
         let accepted = accept();
         if shared.is_down() {
             return;
         }
         match accepted {
-            Ok(conn) => {
-                if conn_tx.send(conn).is_err() {
-                    return;
-                }
-            }
+            Ok(conn) => admit(shared, conn),
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
 }
 
-fn worker(shared: &Shared, conn_rx: &Arc<Mutex<Receiver<Conn>>>) {
-    loop {
-        let next = {
-            let rx = conn_rx.lock().unwrap();
-            rx.recv_timeout(Duration::from_millis(100))
-        };
-        match next {
-            // A panic outside the engine's containment ends its connection
-            // (poisoning the session it held), not the worker.
-            Ok(conn) => {
-                let _ = std::panic::catch_unwind(AssertUnwindSafe(|| serve_conn(conn, shared)));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.is_down() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+/// Serves `conn` on a thread of its own, or refuses it when
+/// `max_connections` are being served.  A panic outside the engine's
+/// containment ends its connection (poisoning the session it held) and
+/// nothing else.
+fn admit(shared: &Arc<Shared>, conn: Conn) {
+    let mut conns = shared.conns.lock().unwrap();
+    conns.retain(|t| !t.is_finished());
+    if conns.len() >= shared.config.max_connections {
+        drop(conns);
+        return refuse(shared, conn);
     }
+    let served = spawn_named("xic-conn", {
+        let shared = Arc::clone(shared);
+        move || serve_conn(conn, &shared)
+    });
+    if let Ok(thread) = served {
+        conns.push(thread);
+    }
+}
+
+/// Answers the client's hello with a code-3 `resource:max_connections`
+/// record and closes the connection.  The hello is read first (waiting at
+/// most one [`READ_POLL`]): a socket closed with unread bytes resets, and
+/// the reset could reach the client before the refusal.
+fn refuse(shared: &Shared, mut conn: Conn) {
+    shared.instr.rejected.inc();
+    let seq = read_request(&mut conn)
+        .ok()
+        .flatten()
+        .map_or(0, |(seq, _)| seq);
+    let limit = shared.config.max_connections;
+    let fault = WireFault::new(
+        3,
+        "resource:max_connections",
+        format!("connection limit of {limit} reached; retry later"),
+    );
+    let _ = write_response(&mut conn, seq, &Response::Error(fault));
 }
 
 fn janitor(shared: &Shared) {
@@ -953,14 +953,6 @@ fn handle_request(
         }
         Request::Sync { after_seq, shard } => {
             if let Some(shard) = shard {
-                if !shared.config.shards {
-                    let fault = WireFault::new(
-                        2,
-                        "protocol:shards-disabled",
-                        "this server does not serve shard-filtered sync (start it with --shards)",
-                    );
-                    return respond(conn, &Response::Error(fault));
-                }
                 let plan = shared.spec.shard_plan();
                 if shard as usize >= plan.num_shards() {
                     let fault = WireFault::new(
@@ -1037,19 +1029,16 @@ mod tests {
 
     const SOURCE: &str = "<school><teacher name=\"Joe\"/></school>";
 
-    /// A server on a fresh state directory, with a worker for every
-    /// connection a test holds open.
-    fn start(tag: &str, idle_timeout: Option<Duration>) -> Server {
+    /// A server for `config` on loopback and a fresh state directory.
+    fn start(tag: &str, config: ServerConfig) -> Server {
         let state_dir =
             std::env::temp_dir().join(format!("xic-server-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&state_dir).ok();
         let config = ServerConfig {
             tcp: Some("127.0.0.1:0".parse().unwrap()),
             state_dir: Some(state_dir),
-            idle_timeout,
-            workers: 5,
             registry: Some(Arc::new(MetricsRegistry::new())),
-            ..ServerConfig::default()
+            ..config
         };
         let spec = CompiledSpec::from_sources(
             "<!ELEMENT school (teacher*)>\n<!ELEMENT teacher EMPTY>\n\
@@ -1102,7 +1091,7 @@ mod tests {
     /// the lock, and the re-check under it sees the completion.
     #[test]
     fn eviction_race_running_request_is_never_drained() {
-        let server = start("running", None);
+        let server = start("running", ServerConfig::default());
         let _client = two_commits(&server);
         let handle = Arc::clone(&server.shared.sessions.read().unwrap()["s"]);
         let idle = Duration::from_millis(10);
@@ -1147,7 +1136,7 @@ mod tests {
     /// recovered from the flushed log.
     #[test]
     fn eviction_race_losing_request_gets_a_session_fault() {
-        let server = start("lose", None);
+        let server = start("lose", ServerConfig::default());
         let (mut client, doc, acked) = two_commits(&server);
         assert!(evict(&server.shared, "s", Duration::ZERO));
         assert!(is_stopped(
@@ -1167,7 +1156,7 @@ mod tests {
     /// the flushed state; it never attaches the drained handle.
     #[test]
     fn eviction_race_hello_during_drain_recovers_the_log() {
-        let server = start("hello", None);
+        let server = start("hello", ServerConfig::default());
         let (_, _, acked) = two_commits(&server);
 
         // The janitor's steps, paused between the drain and the registry
@@ -1194,7 +1183,13 @@ mod tests {
     /// the acknowledged commits.
     #[test]
     fn eviction_race_under_load_loses_no_acknowledged_commit() {
-        let server = start("load", Some(Duration::from_millis(50)));
+        let server = start(
+            "load",
+            ServerConfig {
+                idle_timeout: Some(Duration::from_millis(50)),
+                ..ServerConfig::default()
+            },
+        );
         let mut client = connect(&server, "s");
         let doc = client.open_doc("a.xml", SOURCE).unwrap();
         let mut acked = 0;
@@ -1226,7 +1221,7 @@ mod tests {
     /// still wakes them.
     #[test]
     fn fresh_connections_are_served_without_an_accept_poll() {
-        let server = start("accept", None);
+        let server = start("accept", ServerConfig::default());
         let mut waits: Vec<Duration> = (0..21)
             .map(|_| {
                 std::thread::sleep(Duration::from_millis(30));
@@ -1241,6 +1236,40 @@ mod tests {
             "median connect + hello took {:?}",
             waits[10]
         );
+        stop(server);
+    }
+
+    /// A client that connects while `max_connections` are served is
+    /// refused at its hello with a code-3 record, not left waiting, and a
+    /// connection that ends frees its slot.
+    #[test]
+    fn connections_past_the_cap_are_refused_not_starved() {
+        let config = ServerConfig {
+            max_connections: 2,
+            ..ServerConfig::default()
+        };
+        let server = start("cap", config);
+        let (first, _second) = (connect(&server, "a"), connect(&server, "b"));
+        let (addr, spec) = (server.tcp_addr().unwrap(), server.shared.spec.id());
+        let (tx, rx) = channel();
+        std::thread::spawn(move || tx.send(Client::connect_tcp(addr, spec, "c").err()));
+        let refused = rx.recv_timeout(Duration::from_secs(2));
+        let refused = refused.expect("a third client is answered within 2 s");
+        let fault = refused.as_ref().and_then(ClientError::fault);
+        let fault = fault.expect("a structured refusal, not a session");
+        assert_eq!(
+            (fault.code, fault.kind.as_str()),
+            (3, "resource:max_connections")
+        );
+        assert_eq!(server.shared.instr.rejected.get(), 1);
+
+        drop(first);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while let Err(err) = Client::connect_tcp(addr, spec, "c") {
+            assert!(err.fault().is_some_and(|f| f.code == 3), "{err}");
+            assert!(Instant::now() < deadline, "no slot freed within 1 s");
+            std::thread::sleep(Duration::from_millis(10));
+        }
         stop(server);
     }
 
@@ -1283,7 +1312,7 @@ mod tests {
     /// sessions keep serving.
     #[test]
     fn poisoned_session_answers_a_fault_and_others_keep_serving() {
-        let server = start("poison", None);
+        let server = start("poison", ServerConfig::default());
         let mut clients: Vec<Client> = ["a", "b", "c", "d"]
             .map(|name| {
                 let mut client = connect(&server, name);

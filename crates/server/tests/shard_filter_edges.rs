@@ -1,9 +1,9 @@
 //! Edge cases of the wire-v2 shard-filtered sync subscription: empty
 //! filter results, out-of-range shard ids, degenerate one-shard plans,
-//! shard replicas fed streams the filter dropped entirely, and servers
-//! started without `--shards` at all.  Every case must answer with either
-//! a well-formed (possibly empty) projected stream or a structured code-2
-//! protocol fault — never a torn connection or a wrong report.
+//! and shard replicas fed streams the filter dropped entirely.  Every
+//! case must answer with either a well-formed (possibly empty) projected
+//! stream or a structured code-2 protocol fault — never a torn connection
+//! or a wrong report.
 
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::Arc;
@@ -24,12 +24,11 @@ const DOC2: &str = "<r><a id=\"a1\"/><a id=\"a2\"/><b id=\"b1\"/><b id=\"b2\"/><
 /// One key → a one-shard plan.
 const SIGMA1: &str = "a[id] -> a\n";
 
-fn serve(spec: &Arc<CompiledSpec>, shards: bool) -> (Server, Client) {
+fn serve(spec: &Arc<CompiledSpec>) -> (Server, Client) {
     let server = Server::start(
         Arc::clone(spec),
         ServerConfig {
             tcp: Some(SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0)),
-            shards,
             ..ServerConfig::default()
         },
     )
@@ -62,7 +61,7 @@ fn edit_a(spec: &CompiledSpec, value: &str) -> (u64, EditOp) {
 #[test]
 fn empty_filter_result_is_a_well_formed_stream() {
     let spec = Arc::new(CompiledSpec::from_sources(DTD2, Some("r"), SIGMA2).unwrap());
-    let (server, mut client) = serve(&spec, true);
+    let (server, mut client) = serve(&spec);
 
     let handle = client.open_doc("doc", DOC2).expect("opens");
     let open_delta = client.commit().expect("open commit");
@@ -100,7 +99,7 @@ fn empty_filter_result_is_a_well_formed_stream() {
 #[test]
 fn out_of_range_shard_is_a_structured_fault() {
     let spec = Arc::new(CompiledSpec::from_sources(DTD2, Some("r"), SIGMA2).unwrap());
-    let (server, mut client) = serve(&spec, true);
+    let (server, mut client) = serve(&spec);
     client.open_doc("doc", DOC2).expect("opens");
     client.commit().expect("commits");
 
@@ -128,7 +127,7 @@ fn out_of_range_shard_is_a_structured_fault() {
 fn one_shard_plan_filter_is_total() {
     let spec = Arc::new(CompiledSpec::from_sources(DTD2, Some("r"), SIGMA1).unwrap());
     assert_eq!(spec.shard_plan().num_shards(), 1);
-    let (server, mut client) = serve(&spec, true);
+    let (server, mut client) = serve(&spec);
 
     let handle = client.open_doc("doc", DOC2).expect("opens");
     client.commit().expect("open commit");
@@ -163,7 +162,7 @@ fn one_shard_plan_filter_is_total() {
 #[test]
 fn all_filtered_out_stream_reports_clean() {
     let spec = Arc::new(CompiledSpec::from_sources(DTD2, Some("r"), SIGMA2).unwrap());
-    let (server, mut client) = serve(&spec, true);
+    let (server, mut client) = serve(&spec);
 
     // No commits yet: both subscriptions are empty.
     for shard in 0..spec.shard_plan().num_shards() as u32 {
@@ -207,28 +206,6 @@ fn all_filtered_out_stream_reports_clean() {
         late_report.total(),
         "untouched shard stays clean"
     );
-    drop(client);
-    server.stop();
-}
-
-/// Without `--shards` the filtered subscription is refused with the
-/// structured `protocol:shards-disabled` fault — same taxonomy, and plain
-/// syncs are unaffected.
-#[test]
-fn shards_disabled_server_refuses_filtered_sync() {
-    let spec = Arc::new(CompiledSpec::from_sources(DTD2, Some("r"), SIGMA2).unwrap());
-    let (server, mut client) = serve(&spec, false);
-    client.open_doc("doc", DOC2).expect("opens");
-    client.commit().expect("commits");
-
-    match client.sync_shard(0, 0) {
-        Err(ClientError::Fault(fault)) => {
-            assert_eq!(fault.code, 2);
-            assert_eq!(fault.kind, "protocol:shards-disabled");
-        }
-        other => panic!("expected a shards-disabled fault, got {other:?}"),
-    }
-    assert_eq!(client.sync(0).expect("plain sync still works").len(), 1);
     drop(client);
     server.stop();
 }

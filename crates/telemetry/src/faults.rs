@@ -1,7 +1,7 @@
 //! Deterministic named failpoints for injected-fault testing.
 //!
-//! A failpoint is a named site in the engine (journal writes, cache inserts,
-//! batch workers, commit rechecks) that asks this module "should I fail
+//! A failpoint is a named site in the engine (journal writes, batch
+//! workers, commit rechecks) that asks this module "should I fail
 //! now?" via [`hit`].  In ordinary builds the answer is a compile-time
 //! `false`: the whole module collapses to no-ops unless the `faults` cargo
 //! feature is enabled, so production binaries carry no branch, no lock and

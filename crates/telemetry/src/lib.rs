@@ -21,8 +21,7 @@
 //!   returns `None` when timing is disabled
 //!   ([`MetricsRegistry::set_timing`]) — so latency instrumentation costs a
 //!   single relaxed load when switched off.  Counters and gauges are *not*
-//!   gated: they are cheap and the engine's statistics APIs
-//!   (`VerdictCache::stats`) are defined in terms of them.
+//!   gated: they are cheap, and reports such as `xic stats` read them.
 //! * **A compile-time kill switch.** Building with the `off` feature turns
 //!   every instrument into a no-op (counters included) and every snapshot
 //!   empty; it exists solely as the control arm of the overhead benchmark.

@@ -20,6 +20,6 @@ pub use xic_xml as xml;
 // The production entry points, re-exported flat for discoverability.
 pub use xic_engine::{
     BatchDelta, BatchDoc, BatchEngine, CompiledSpec, CorpusReplica, CorpusSession, DocHandle,
-    Engine, JournalError, Recovery, SessionError, VerdictCache,
+    JournalError, Recovery, SessionError,
 };
 pub use xic_xml::EditOp;

@@ -149,10 +149,7 @@ fn edit_script(spec: &CompiledSpec, source: &str, seed: u64, rounds: usize) -> V
 fn concurrent_clients_agree_with_oracle() {
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 6;
-    let (spec, server) = tcp_server(ServerConfig {
-        workers: CLIENTS + 2,
-        ..ServerConfig::default()
-    });
+    let (spec, server) = tcp_server(ServerConfig::default());
     let addr = server.tcp_addr().unwrap();
 
     // Deterministic handle numbering: open every document from one setup
