@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xic_constraints::{
-    parse_constraint, parse_constraint_set, ConstraintClass, ConstraintSet, IncrementalIndex,
+    check_document, parse_constraint, parse_constraint_set, ConstraintClass, ConstraintSet,
 };
 use xic_coord::{CoordConfig, CoordError, Coordinator};
 use xic_core::{
@@ -334,7 +334,7 @@ pub fn validate_doc(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     let tree = parse_limited(&text, &dtd, &limits, doc_path)?;
 
     let structural = validate(&tree, &dtd);
-    let violations = IncrementalIndex::build(&dtd, &sigma, &tree).check_all(&tree);
+    let violations = check_document(&dtd, &tree, &sigma);
     if format == ReportFormat::Json {
         let ok = structural.is_empty() && violations.is_empty();
         let mut fields = vec![
@@ -1327,6 +1327,10 @@ pub fn stats(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
 /// blocking, so scripts can start the server with port 0 and discover the
 /// port.
 pub fn serve(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
+    if args.get("workers").is_some() {
+        let msg = "serve has no --workers (that is coord's); use --max-connections";
+        return Err(CliError::Usage(msg.into()));
+    }
     let (dtd, sigma) = spec_inputs(args)?;
     let spec = CompiledSpec::compile_with(dtd, sigma, checker_config(args))
         .map_err(|e| CliError::Spec(e.to_string()))?;
@@ -2413,6 +2417,23 @@ mod tests {
             assert!(err.contains(":2:"), "{err}");
             assert!(err.contains(needle), "{err}");
         }
+    }
+
+    #[test]
+    fn serve_rejects_the_coordinators_workers_option() {
+        let args = [
+            "serve",
+            "--dtd",
+            "x.dtd",
+            "--listen",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+        ];
+        let parsed = ParsedArgs::parse(args, &SPEC).unwrap();
+        let err = serve(&parsed).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--max-connections"), "{err}");
     }
 
     #[test]

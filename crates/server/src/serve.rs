@@ -15,8 +15,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xic_engine::wire::{
-    read_request, read_request_monotonic, write_response, Request, Response, WireError, WireFault,
-    WIRE_VERSION,
+    read_request_monotonic, write_response, Request, Response, WireError, WireFault, WIRE_VERSION,
 };
 use xic_engine::{
     journal, BatchDelta, CompiledSpec, CorpusSession, DocHandle, Limits, ResourceError,
@@ -356,11 +355,9 @@ impl Server {
     /// are recovered lazily, when a client first names them.  Fails when no
     /// listener is configured or a bind fails.
     pub fn start(spec: Arc<CompiledSpec>, config: ServerConfig) -> io::Result<Server> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         if config.tcp.is_none() && config.unix.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "server config names no listener (neither tcp nor unix)",
-            ));
+            return invalid("server config names no listener (neither tcp nor unix)".into());
         }
         let registry = config
             .registry
@@ -371,9 +368,9 @@ impl Server {
         // Refuse to serve a spec whose constraints are unsatisfiable: every
         // session would report violations forever.
         if spec.check_consistency().is_inconsistent() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("refusing to serve an inconsistent spec: {}", spec.id()),
+            return invalid(format!(
+                "refusing to serve an inconsistent spec: {}",
+                spec.id()
             ));
         }
 
@@ -383,12 +380,8 @@ impl Server {
         if let Some(scope) = &config.scope {
             let num_shards = spec.shard_plan().num_shards();
             if let Some(&bad) = scope.iter().find(|&&s| (s as usize) >= num_shards) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "scope shard {bad} out of range: the spec's plan has {num_shards} shards"
-                    ),
-                ));
+                let plan = format!("the spec's plan has {num_shards} shards");
+                return invalid(format!("scope shard {bad} out of range: {plan}"));
             }
         }
 
@@ -578,9 +571,9 @@ fn accept_loop(shared: &Arc<Shared>, accept: impl Fn() -> io::Result<Conn>) {
 }
 
 /// Serves `conn` on a thread of its own, or refuses it when
-/// `max_connections` are being served.  A panic outside the engine's
-/// containment ends its connection (poisoning the session it held) and
-/// nothing else.
+/// `max_connections` are being served or no thread can be started.  A
+/// panic outside the engine's containment ends its connection (poisoning
+/// the session it held) and nothing else.
 fn admit(shared: &Arc<Shared>, conn: Conn) {
     let mut conns = shared.conns.lock().unwrap();
     conns.retain(|t| !t.is_finished());
@@ -588,31 +581,48 @@ fn admit(shared: &Arc<Shared>, conn: Conn) {
         drop(conns);
         return refuse(shared, conn);
     }
-    let served = spawn_named("xic-conn", {
-        let shared = Arc::clone(shared);
-        move || serve_conn(conn, &shared)
+    // Handed over through a slot: a failed spawn drops its closure unrun
+    // and leaves the connection here to be refused.
+    let slot = Arc::new(Mutex::new(Some(conn)));
+    let (owner, thread_slot) = (Arc::clone(shared), Arc::clone(&slot));
+    let served = spawn_named("xic-conn", move || {
+        let conn = thread_slot.lock().unwrap().take();
+        serve_conn(conn.expect("handed over once"), &owner);
     });
-    if let Ok(thread) = served {
-        conns.push(thread);
+    match served {
+        Ok(thread) => conns.push(thread),
+        Err(_) => {
+            drop(conns);
+            refuse(shared, slot.lock().unwrap().take().expect("spawn failed"));
+        }
     }
 }
 
 /// Answers the client's hello with a code-3 `resource:max_connections`
-/// record and closes the connection.  The hello is read first (waiting at
-/// most one [`READ_POLL`]): a socket closed with unread bytes resets, and
-/// the reset could reach the client before the refusal.
+/// record, under the hello's seq (zero bytes where it did not arrive), and
+/// closes the connection.  The hello is read first: a socket closed with
+/// unread bytes resets, and the reset could reach the client before the
+/// refusal.  To hold the accept loop only briefly, it reads at most 512
+/// bytes and starts no read after one [`READ_POLL`].
 fn refuse(shared: &Shared, mut conn: Conn) {
     shared.instr.rejected.inc();
-    let seq = read_request(&mut conn)
-        .ok()
-        .flatten()
-        .map_or(0, |(seq, _)| seq);
+    let (mut hello, mut got, started) = ([0u8; 512], 0, Instant::now());
+    // Until the frame (13-byte prefix, payload, CRC) is in; a full buffer
+    // reads 0.
+    while started.elapsed() < READ_POLL {
+        let len = u32::from_le_bytes(hello[..4].try_into().unwrap()) as u64;
+        if got >= 4 && got as u64 >= len + 17 {
+            break;
+        }
+        match conn.read(&mut hello[got..]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => got += n,
+        }
+    }
+    let seq = u64::from_le_bytes(hello[4..12].try_into().unwrap());
     let limit = shared.config.max_connections;
-    let fault = WireFault::new(
-        3,
-        "resource:max_connections",
-        format!("connection limit of {limit} reached; retry later"),
-    );
+    let why = format!("no connection slot free (limit {limit}); retry later");
+    let fault = WireFault::new(3, "resource:max_connections", why);
     let _ = write_response(&mut conn, seq, &Response::Error(fault));
 }
 
@@ -774,17 +784,13 @@ fn next_request(conn: &mut Link, shared: &Shared, last_seq: &mut u64) -> Option<
                 return None;
             }
             Err(WireError::Io(_)) => return None,
-            Err(err @ WireError::NonMonotonicSeq { .. }) => {
-                shared.instr.errors.inc();
-                let fault = WireFault::new(2, "protocol:seq", err.to_string());
-                let _ = write_response(conn, 0, &Response::Error(fault));
-                return None;
-            }
             Err(err) => {
-                // Corrupt, malformed, oversized or unknown frames get a
-                // structured protocol error before the close.
+                // Replayed, corrupt, malformed, oversized or unknown frames
+                // get a structured protocol error before the close.
                 shared.instr.errors.inc();
-                let fault = WireFault::new(2, "protocol", err.to_string());
+                let seq = matches!(err, WireError::NonMonotonicSeq { .. });
+                let kind = if seq { "protocol:seq" } else { "protocol" };
+                let fault = WireFault::new(2, kind, err.to_string());
                 let _ = write_response(conn, 0, &Response::Error(fault));
                 return None;
             }
@@ -1271,6 +1277,56 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         stop(server);
+    }
+
+    /// A refused client that sends part of a hello and then idles holds
+    /// the accept loop for a bounded time: each still gets its refusal, a
+    /// slot that frees is taken within 1 s, and `stop` returns.
+    #[test]
+    fn a_stalled_refused_client_does_not_hold_the_accept_loop() {
+        let config = ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        };
+        let server = start("stall", config);
+        let first = connect(&server, "a");
+        let (addr, spec) = (server.tcp_addr().unwrap(), server.shared.spec.id());
+        let mut one_byte = TcpStream::connect(addr).unwrap();
+        one_byte.write_all(&[1]).unwrap();
+        // A whole prefix announcing a 64 MiB frame, and no body.
+        let mut prefix = TcpStream::connect(addr).unwrap();
+        let mut head = (64u32 << 20).to_le_bytes().to_vec();
+        head.extend([7, 0, 0, 0, 0, 0, 0, 0, 1]);
+        prefix.write_all(&head).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while server.shared.instr.rejected.get() < 2 {
+            assert!(Instant::now() < deadline, "the accept loop is held");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        drop(first);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while let Err(err) = Client::connect_tcp(addr, spec, "b") {
+            assert!(err.fault().is_some_and(|f| f.code == 3), "{err}");
+            assert!(Instant::now() < deadline, "no client served within 1 s");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for (stream, seq) in [(&mut one_byte, 0), (&mut prefix, 7)] {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .unwrap();
+            let (got, resp) = xic_engine::wire::read_response(stream).unwrap().unwrap();
+            let Response::Error(fault) = resp else {
+                panic!("expected a refusal, got {resp:?}");
+            };
+            assert_eq!((got, fault.code), (seq, 3));
+        }
+        assert_eq!(server.shared.instr.rejected.get(), 2);
+        let (tx, rx) = channel();
+        std::thread::spawn(move || tx.send(stop(server)));
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("stop returns with stalled clients still connected");
+        drop((one_byte, prefix));
     }
 
     /// Both blocking listeners wake on shutdown, whether it comes from
