@@ -11,9 +11,12 @@
 //! Names, attribute values and character data are borrowed as slices of the
 //! input and interned straight into the new tree's own value pool; a value
 //! is copied to a temporary buffer only when it contains an entity
-//! reference (`&`).  The node arena and the pool are reserved up front
-//! from the input length, capped by the node budget, so a typical
-//! document parses without regrowing either.
+//! reference (`&`).  Every vector of the tree and the pool is reserved up
+//! front from a count of the input's markup, capped by the node budget, so
+//! a typical document parses in a fixed number of heap allocations,
+//! whatever its size.  An open element's children are staged on one shared
+//! stack and copied into the tree's child vector at its end tag, so each
+//! element's child list is one packed range.
 
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -46,37 +49,67 @@ fn instruments() -> &'static Instruments {
     })
 }
 
-/// The arena and pool sizes reserved before parsing, estimated from the
-/// input length for markup-dense documents (about 12 source bytes per
-/// node, one element per four nodes, and value text filling half the
-/// source).  The pool reserves one value per non-element node, three of
-/// every four: only attribute and text nodes carry values, so a document
-/// of the estimated shape never rebuilds the pool's id table mid-parse
-/// (one value per two nodes fell short on catalogue documents, which
-/// intern a distinct value per ~1.5 nodes).  A document that needs more
-/// grows as usual; one that needs less wastes a bounded multiple of its
-/// length.
-/// The node count is capped by [`ParseBudget::max_nodes`], so a document
-/// the budget rejects never reserves more than the budget admits.
+/// The tree and pool sizes reserved before parsing, counted from the
+/// input's markup in one pass.  Every `<` opens an element or closes one
+/// (`</`), and every `="` or `='` starts an attribute value.  A text node
+/// is counted once per end tag: a data-centric document's text sits alone
+/// in a leaf element.  So a document without mixed content, comments or
+/// processing instructions reserves exactly the nodes it has, give or take
+/// its prolog.  Mixed content under-counts text, and the vectors then grow
+/// as usual.
+/// Every count is capped by [`ParseBudget::max_nodes`], so a document the
+/// budget rejects never reserves more than the budget admits.
 struct Reservation {
     nodes: usize,
     elements: usize,
+    /// Element and text nodes: the entries of every child list together.
+    children: usize,
+    attrs: usize,
+    /// Attribute and text values, before the pool folds duplicates.
     values: usize,
     value_bytes: usize,
 }
 
 impl Reservation {
-    const BYTES_PER_NODE: usize = 12;
-
-    fn for_input(len: usize, budget: &ParseBudget) -> Reservation {
-        let nodes = (len / Self::BYTES_PER_NODE).min(budget.max_nodes.unwrap_or(usize::MAX));
+    fn for_input(input: &str, budget: &ParseBudget) -> Reservation {
+        let [tags, end_tags, attrs] = markup_counts(input.as_bytes());
+        let cap = |n: usize| n.min(budget.max_nodes.unwrap_or(usize::MAX));
+        // `tags - end_tags` elements plus `end_tags` texts.
+        let children = cap(tags);
         Reservation {
-            nodes,
-            elements: nodes / 4,
-            values: nodes * 3 / 4,
-            value_bytes: nodes * Self::BYTES_PER_NODE / 2,
+            nodes: cap(tags + attrs),
+            elements: cap(tags - end_tags),
+            children,
+            attrs: cap(attrs),
+            values: cap(end_tags + attrs),
+            // Values are slices of the input, so this is a guess, not a
+            // count; the byte budget has already bounded the input.
+            value_bytes: input.len() / 2,
         }
     }
+}
+
+/// Counts `<`, `</` and `="`/`='` in `bytes`.  Each 255-byte block is
+/// tallied in `u8` counters with branch-free compares, which the compiler
+/// turns into wide vector code: the pass costs a few percent of a parse.
+fn markup_counts(bytes: &[u8]) -> [usize; 3] {
+    let mut totals = [0usize; 3];
+    let Some(pairs) = bytes.len().checked_sub(1) else {
+        return totals;
+    };
+    for (firsts, seconds) in bytes[..pairs].chunks(255).zip(bytes[1..].chunks(255)) {
+        let mut block = [0u8; 3];
+        for (&a, &b) in firsts.iter().zip(seconds) {
+            let open = a == b'<';
+            block[0] += u8::from(open);
+            block[1] += u8::from(open & (b == b'/'));
+            block[2] += u8::from((a == b'=') & ((b == b'"') | (b == b'\'')));
+        }
+        for (total, count) in totals.iter_mut().zip(block) {
+            *total += usize::from(count);
+        }
+    }
+    totals
 }
 
 /// Parses an XML document against a DTD.
@@ -271,11 +304,15 @@ impl<'a> Parser<'a> {
             .type_by_name(name)
             .ok_or_else(|| XmlError::UnknownElement(name.to_string()))?;
         self.check_depth(1)?;
-        let reserve = Reservation::for_input(self.input.len(), self.budget);
+        let reserve = Reservation::for_input(self.input, self.budget);
         let mut tree = XmlTree::with_capacity(
             ty,
-            reserve.nodes,
-            reserve.elements,
+            [
+                reserve.nodes,
+                reserve.elements,
+                reserve.children,
+                reserve.attrs,
+            ],
             ValuePool::with_capacity(reserve.values, reserve.value_bytes),
         );
         let root = tree.root();
@@ -284,7 +321,8 @@ impl<'a> Parser<'a> {
         // Attributes are arena nodes too; re-check after parsing them.
         self.check_nodes(&tree)?;
         if !self_closing {
-            self.parse_children(&mut tree, root, name)?;
+            let mut staged = Vec::with_capacity(reserve.children);
+            self.parse_children(&mut tree, root, name, &mut staged)?;
         }
         Ok(tree)
     }
@@ -314,12 +352,17 @@ impl<'a> Parser<'a> {
     }
 
     /// Takes the character data from the cursor up to the next `<` and adds
-    /// it as a text node unless it is only whitespace, then re-checks the
-    /// node budget (comments and PIs can split one element's text into
-    /// arbitrarily many nodes, so text creation must count too).  Text that
-    /// runs to the end of input is left for the caller's "unterminated
-    /// element" error.
-    fn text(&mut self, tree: &mut XmlTree, parent: NodeId) -> Result<(), BudgetExceeded> {
+    /// it as a text node under `parent` (staged for its child list) unless
+    /// it is only whitespace, then re-checks the node budget (comments and
+    /// PIs can split one element's text into arbitrarily many nodes, so
+    /// text creation must count too).  Text that runs to the end of input
+    /// is left for the caller's "unterminated element" error.
+    fn text(
+        &mut self,
+        tree: &mut XmlTree,
+        parent: NodeId,
+        staged: &mut Vec<NodeId>,
+    ) -> Result<(), BudgetExceeded> {
         let Some(text) = self.scan_to(b'<') else {
             return Ok(());
         };
@@ -327,7 +370,7 @@ impl<'a> Parser<'a> {
         if text.is_empty() {
             return Ok(());
         }
-        tree.add_text(parent, unescape(text));
+        staged.push(tree.new_text(parent, &unescape(text)));
         self.check_nodes(tree)
     }
 
@@ -399,23 +442,29 @@ impl<'a> Parser<'a> {
     /// bounded only by [`ParseBudget::max_depth`] policy (or the heap),
     /// never by stack overflow.  A 100k-deep document parses fine; see the
     /// `deeply_nested_document_parses_without_recursion` regression test.
+    ///
+    /// The children of every open element are staged on `staged`, the
+    /// innermost element's on top, and copied into the tree as one packed
+    /// list at the element's end tag.
     fn parse_children(
         &mut self,
         tree: &mut XmlTree,
         parent: NodeId,
         parent_name: &'a str,
+        staged: &mut Vec<NodeId>,
     ) -> Result<(), ParseError> {
-        // One open element: its node and its tag name (for end-tag
-        // matching).
-        let mut stack: Vec<(NodeId, &'a str)> = vec![(parent, parent_name)];
-        while let Some(&(node, open_name)) = stack.last() {
+        // One open element: its node, its tag name (for end-tag matching)
+        // and where its children start on `staged`.
+        let mut stack: Vec<(NodeId, &'a str, usize)> = Vec::with_capacity(16);
+        stack.push((parent, parent_name, staged.len()));
+        while let Some(&(node, open_name, first_child)) = stack.last() {
             if self.eof() {
                 return Err(self
                     .error(&format!("unterminated element `{open_name}`"))
                     .into());
             }
             if self.peek() != Some(b'<') {
-                self.text(tree, node)?;
+                self.text(tree, node, staged)?;
             } else if self.starts_with("<!--") {
                 self.skip_until("-->")?;
             } else if self.starts_with("<?") {
@@ -435,6 +484,8 @@ impl<'a> Parser<'a> {
                     return Err(self.error("expected `>` in end tag").into());
                 }
                 self.pos += 1;
+                tree.link_children(node, &staged[first_child..]);
+                staged.truncate(first_child);
                 stack.pop();
             } else {
                 self.pos += 1;
@@ -447,13 +498,14 @@ impl<'a> Parser<'a> {
                 // or not it self-closes, so depth is checked before it is
                 // even allocated.
                 self.check_depth(stack.len() + 1)?;
-                let child = tree.add_element(node, ty);
+                let child = tree.new_element(Some(node), ty);
+                staged.push(child);
                 self.check_nodes(tree)?;
                 let self_closing = self.parse_attributes(tree, child, name)?;
                 // Attributes are arena nodes too; re-check after parsing them.
                 self.check_nodes(tree)?;
                 if !self_closing {
-                    stack.push((child, name));
+                    stack.push((child, name, staged.len()));
                 }
             }
         }
@@ -696,21 +748,42 @@ mod tests {
     #[test]
     fn reservation_scales_with_input_and_stops_at_the_node_budget() {
         use crate::budget::ParseBudget;
-        let open = Reservation::for_input(1 << 20, &ParseBudget::UNLIMITED);
-        assert_eq!(open.nodes, (1 << 20) / Reservation::BYTES_PER_NODE);
-        assert!(open.elements <= open.nodes && open.values <= open.nodes);
-        assert!(open.value_bytes <= 1 << 20);
+        let mut b = xic_dtd::Dtd::builder();
+        let r = b.elem("r");
+        let item = b.elem("item");
+        b.content(
+            r,
+            xic_dtd::ContentModel::star(xic_dtd::ContentModel::Element(item)),
+        );
+        b.content(item, xic_dtd::ContentModel::Text);
+        b.attr(item, "id");
+        b.attr(item, "kind");
+        let dtd = b.build("r").unwrap();
+        let record = "<item id=\"1\" kind='a'>x &lt; y</item>\n";
+        for records in [1, 10, 1000] {
+            let doc = format!("<r>\n{}</r>", record.repeat(records));
+            let tree = parse_document(&doc, &dtd).unwrap();
+            let open = Reservation::for_input(&doc, &ParseBudget::UNLIMITED);
+            // Exact but for the root's end tag, which is counted as a text.
+            assert_eq!(open.nodes, tree.num_nodes() + 1);
+            assert_eq!(open.elements, tree.elements().count());
+            assert_eq!(open.attrs, 2 * records);
+            assert_eq!(open.children, 2 * records + 2);
+            assert_eq!(open.values, 3 * records + 1);
+            assert!(open.value_bytes <= doc.len());
+        }
+        let doc = format!("<r>{}</r>", record.repeat(100));
         let capped = Reservation::for_input(
-            1 << 20,
+            &doc,
             &ParseBudget {
                 max_nodes: Some(10),
                 ..ParseBudget::UNLIMITED
             },
         );
         assert_eq!(capped.nodes, 10);
-        assert!(capped.elements <= 10 && capped.values <= 10);
-        assert!(capped.value_bytes <= 10 * Reservation::BYTES_PER_NODE);
-        let empty = Reservation::for_input(0, &ParseBudget::UNLIMITED);
+        assert!(capped.elements <= 10 && capped.children <= 10);
+        assert!(capped.attrs <= 10 && capped.values <= 10);
+        let empty = Reservation::for_input("", &ParseBudget::UNLIMITED);
         assert_eq!(
             (empty.nodes, empty.elements, empty.values, empty.value_bytes),
             (0, 0, 0, 0)

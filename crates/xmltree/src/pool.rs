@@ -42,14 +42,15 @@ const EMPTY: u32 = u32::MAX;
 /// An append-only string interner: each distinct string is stored once and
 /// addressed by a dense [`ValueId`], in first-occurrence order.
 ///
-/// Value `i` is `bytes[ends[i - 1]..ends[i]]` (`ends[-1]` reading as 0).
+/// Value `i` is `bytes[ends[i - 1]..ends[i]]` (`ends[-1]` reading as 0),
+/// where `ends[i]` is the first field of `entries[i]` and its hash the second.
 /// The lookup table holds ids at their hash's probe position (linear
 /// probing, power-of-two size, at most three quarters full).
 #[derive(Debug, Clone, Default)]
 pub struct ValuePool {
     bytes: String,
-    ends: Vec<usize>,
-    hashes: Vec<u64>,
+    /// Per id, the end offset of its value in `bytes` and its hash.
+    entries: Vec<(usize, u64)>,
     table: Vec<u32>,
     hasher: RandomState,
 }
@@ -65,8 +66,7 @@ impl ValuePool {
     pub(crate) fn with_capacity(values: usize, bytes: usize) -> ValuePool {
         let mut pool = ValuePool {
             bytes: String::with_capacity(bytes),
-            ends: Vec::with_capacity(values),
-            hashes: Vec::with_capacity(values),
+            entries: Vec::with_capacity(values),
             ..ValuePool::default()
         };
         if values > 0 {
@@ -81,11 +81,10 @@ impl ValuePool {
         if let Some(id) = self.find(value, hash) {
             return id;
         }
-        let id = ValueId(self.ends.len() as u32);
+        let id = ValueId(self.entries.len() as u32);
         self.bytes.push_str(value);
-        self.ends.push(self.bytes.len());
-        self.hashes.push(hash);
-        if table_size(self.ends.len()) > self.table.len() {
+        self.entries.push((self.bytes.len(), hash));
+        if table_size(self.entries.len()) > self.table.len() {
             self.grow();
         } else {
             let slot = self.probe(hash, |_| false);
@@ -106,23 +105,23 @@ impl ValuePool {
     /// and is out of range.
     pub fn resolve(&self, id: ValueId) -> &str {
         let i = id.index();
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bytes[start..self.ends[i]]
+        let start = if i == 0 { 0 } else { self.entries[i - 1].0 };
+        &self.bytes[start..self.entries[i].0]
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.entries.len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterates over `(id, value)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueId, &str)> + '_ {
-        (0..self.ends.len() as u32).map(|i| (ValueId(i), self.resolve(ValueId(i))))
+        (0..self.entries.len() as u32).map(|i| (ValueId(i), self.resolve(ValueId(i))))
     }
 
     fn find(&self, value: &str, hash: u64) -> Option<ValueId> {
@@ -130,7 +129,7 @@ impl ValuePool {
             return None;
         }
         let slot = self.probe(hash, |id| {
-            self.hashes[id.index()] == hash && self.resolve(id) == value
+            self.entries[id.index()].1 == hash && self.resolve(id) == value
         });
         match self.table[slot] {
             EMPTY => None,
@@ -156,8 +155,8 @@ impl ValuePool {
     /// Rebuilds the lookup table at the size the current id count needs,
     /// placing every id by its stored hash.
     fn grow(&mut self) {
-        self.table = vec![EMPTY; table_size(self.ends.len())];
-        for (id, &hash) in self.hashes.iter().enumerate() {
+        self.table = vec![EMPTY; table_size(self.entries.len())];
+        for (id, &(_, hash)) in self.entries.iter().enumerate() {
             let slot = self.probe(hash, |_| false);
             self.table[slot] = id as u32;
         }
@@ -176,7 +175,13 @@ impl PartialEq for ValuePool {
     /// Two pools are equal when they hold the same values under the same
     /// ids: the arena and its offsets together spell out that sequence.
     fn eq(&self, other: &ValuePool) -> bool {
-        self.ends == other.ends && self.bytes == other.bytes
+        // Hashes are keyed per pool, so only the offsets are compared.
+        self.bytes == other.bytes
+            && self
+                .entries
+                .iter()
+                .map(|v| v.0)
+                .eq(other.entries.iter().map(|v| v.0))
     }
 }
 

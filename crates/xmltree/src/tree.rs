@@ -14,6 +14,7 @@
 //! enforce validity — that is the job of [`mod@crate::validate`].
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use xic_dtd::{AttrId, Dtd, ElemId};
 
@@ -26,6 +27,7 @@ pub struct NodeId(pub u32);
 
 impl NodeId {
     /// Index into the tree's node arena.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -42,146 +44,252 @@ pub enum NodeLabel {
     Text,
 }
 
-/// A single arena slot of the tree: label, parent, value and tombstone
-/// flag.  Only element nodes have child and attribute lists; those live in
-/// the tree's side table ([`ElementLists`]) at index `lists`, so an
-/// attribute or text node carries no list headers at all.
-#[derive(Debug, Clone)]
+/// The `parent` field of the root's slot.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The least room a full list gets when an append moves it to the end of
+/// its flat vector.
+const MIN_ROOM: u32 = 4;
+
+/// A single arena slot of the tree: label, parent, and one `u32` whose
+/// meaning the label decides.  An element's `slot` indexes its [`Element`]
+/// entry (lists and tombstone flag); an attribute or text node's `slot` is
+/// its [`ValueId`].  No node needs both.
+#[derive(Debug, Clone, Copy)]
 struct Node {
     label: NodeLabel,
-    parent: Option<NodeId>,
-    /// Interned string value; `Some` exactly for attribute and text nodes.
-    value: Option<ValueId>,
-    /// For an element node, the index of its [`ElementLists`] entry;
-    /// unused (0) for attribute and text nodes.
-    lists: u32,
-    /// Whether the node has been removed from the document.  The arena slot
-    /// is kept (ids stay stable and the node's values stay readable, which
-    /// incremental index maintenance relies on), but detached nodes are
-    /// invisible to every document-level accessor.
-    detached: bool,
+    /// The parent's id, or [`NO_PARENT`] for the root.
+    parent: u32,
+    slot: u32,
 }
 
-/// The child and attribute lists of one element node.
+/// One element's list inside a tree-wide vector: `len` entries in use at
+/// `start`, in a block of `cap` entries that the list owns.  The default is
+/// an empty list with no room.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    /// Appends `list` to the end of `items` as a list with no spare room.
+    fn packed<T: Copy>(items: &mut Vec<T>, list: &[T]) -> Span {
+        let start = to_u32(items.len());
+        items.extend_from_slice(list);
+        let len = to_u32(list.len());
+        Span {
+            start,
+            len,
+            cap: len,
+        }
+    }
+
+    /// The list's entries as a range of its vector.
+    #[inline]
+    fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+
+    /// Appends `item` to this list of `items`.  The item goes in place when
+    /// the block has spare room, or when the block ends the vector (which
+    /// then grows by one).  Otherwise the list moves to the end of the
+    /// vector with room for twice its length, so a list that keeps growing
+    /// moves O(log n) times and appends stay amortized O(1).  An empty list
+    /// without room restarts at the vector's end and leaves nothing behind.
+    fn push<T: Copy>(&mut self, items: &mut Vec<T>, item: T) {
+        if self.len == self.cap {
+            if self.len == 0 {
+                self.start = to_u32(items.len());
+            } else if self.start as usize + self.cap as usize != items.len() {
+                let start = items.len();
+                self.cap = self.len.saturating_mul(2).max(MIN_ROOM);
+                items.extend_from_within(self.range());
+                items.resize(start + self.cap as usize, item);
+                self.start = to_u32(start);
+            }
+        }
+        let at = self.start as usize + self.len as usize;
+        if self.len < self.cap {
+            items[at] = item;
+        } else {
+            items.push(item);
+            self.cap += 1;
+        }
+        self.len += 1;
+    }
+
+    /// Removes the entry at `pos`, closing the gap; the block keeps its
+    /// room.
+    fn remove<T: Copy>(&mut self, items: &mut [T], pos: usize) {
+        let range = self.range();
+        items.copy_within(range.start + pos + 1..range.end, range.start + pos);
+        self.len -= 1;
+    }
+}
+
+/// Narrows a vector index to the `u32` the node slots store.
+fn to_u32(index: usize) -> u32 {
+    u32::try_from(index).expect("tree vectors stay within u32 indexes")
+}
+
+/// The side-table entry of one element node: its child and attribute lists
+/// and its tombstone flag.
 #[derive(Debug, Clone)]
-struct ElementLists {
-    /// The element the lists belong to.  Entries are pushed as elements
+struct Element {
+    /// The element the entry belongs to.  Entries are pushed as elements
     /// are created, so the table lists the tree's elements in ascending id
     /// order, and [`XmlTree::elements`] walks it instead of the arena.
     node: NodeId,
-    /// Ordered subelement / text children (the `ele` function).
-    children: Vec<NodeId>,
-    /// Attribute children, identified by attribute id (the `att` function).
-    attrs: Vec<(AttrId, NodeId)>,
+    /// Ordered subelement / text children (the `ele` function), a list of
+    /// the tree's `children` vector.
+    children: Span,
+    /// Attribute children, identified by attribute id (the `att` function),
+    /// a list of the tree's `attrs` vector.
+    attrs: Span,
+    /// Whether the element has been removed from the document.  The arena
+    /// slots are kept (ids stay stable and the values stay readable, which
+    /// incremental index maintenance relies on), but detached nodes are
+    /// invisible to every document-level accessor.  Only
+    /// [`XmlTree::remove_subtree`] detaches, and always a whole subtree, so
+    /// an attribute or text node reads its tombstone from its parent's
+    /// entry.
+    detached: bool,
 }
 
 /// An XML tree (Definition 2.2).
 ///
-/// The arena is a vector of 32-byte node slots indexed by [`NodeId`];
-/// element nodes additionally own one entry of a side table holding their
-/// ordered children and their attributes.  Attribute and text values are
-/// interned in the tree's [`ValuePool`]: nodes store dense [`ValueId`]
-/// symbols, and the string-value equality the paper's constraints are built
-/// on becomes integer equality.  The string accessors ([`XmlTree::value`],
-/// [`XmlTree::attr_value`], …) resolve through the pool, so the external
-/// API is unchanged.
+/// The arena is a vector of 16-byte node slots indexed by [`NodeId`].  Each
+/// element node also has an entry in a side table, and its ordered
+/// children and its attributes are ranges of two tree-wide vectors, so a
+/// tree is a fixed number of heap blocks whatever its size.  Attribute and
+/// text values are interned in the tree's [`ValuePool`]: nodes store dense
+/// [`ValueId`] symbols, and the string-value equality the paper's
+/// constraints are built on becomes integer equality.  The string accessors
+/// ([`XmlTree::value`], [`XmlTree::attr_value`], …) resolve through the
+/// pool, so the external API is unchanged.
+///
+/// An edit that grows a list appends in place when it can, and otherwise
+/// moves the list to the end of its vector, abandoning the old block;
+/// [`XmlTree::from_snapshot`] rebuilds both vectors without gaps.
 #[derive(Debug, Clone)]
 pub struct XmlTree {
     nodes: Vec<Node>,
     /// One entry per element node, in creation order.
-    lists: Vec<ElementLists>,
+    entries: Vec<Element>,
+    /// Every element's child list.
+    children: Vec<NodeId>,
+    /// Every element's attribute list.
+    attrs: Vec<(AttrId, NodeId)>,
     root: NodeId,
     pool: ValuePool,
     /// Number of nodes that are not detached (arena slots of removed
     /// subtrees are tombstoned, not reclaimed).
-    live: usize,
+    live: u32,
 }
 
 impl XmlTree {
     /// Creates a tree consisting of a single root element of type `root_type`,
     /// with an empty value pool of its own.
     pub fn new(root_type: ElemId) -> XmlTree {
-        XmlTree::with_capacity(root_type, 1, 1, ValuePool::new())
+        XmlTree::with_capacity(root_type, [1, 1, 0, 0], ValuePool::new())
     }
 
-    /// [`XmlTree::new`] with room for `nodes` arena slots and `elements`
-    /// element list entries before either grows, over the given (empty)
-    /// pool.
-    pub(crate) fn with_capacity(
-        root_type: ElemId,
-        nodes: usize,
-        elements: usize,
-        pool: ValuePool,
-    ) -> XmlTree {
+    /// [`XmlTree::new`] with room for `[nodes, elements, children,
+    /// attributes]` before the arena, the side table or either list vector
+    /// grows, over the given (empty) pool.
+    pub(crate) fn with_capacity(root_type: ElemId, room: [usize; 4], pool: ValuePool) -> XmlTree {
         debug_assert!(pool.is_empty());
+        let [nodes, elements, children, attrs] = room;
         let mut tree = XmlTree {
             nodes: Vec::with_capacity(nodes.max(1)),
-            lists: Vec::with_capacity(elements.max(1)),
+            entries: Vec::with_capacity(elements.max(1)),
+            children: Vec::with_capacity(children),
+            attrs: Vec::with_capacity(attrs),
             root: NodeId(0),
             pool,
             live: 0,
         };
-        tree.push_node(NodeLabel::Element(root_type), None, None);
+        tree.new_element(None, root_type);
         tree
     }
 
-    /// Appends a live arena slot (and, for an element, its empty list
-    /// entry) and returns its id.  Linking it into the parent is the
-    /// caller's job.
-    fn push_node(
-        &mut self,
-        label: NodeLabel,
-        parent: Option<NodeId>,
-        value: Option<ValueId>,
-    ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        let mut lists = 0;
-        if let NodeLabel::Element(_) = label {
-            lists = self.lists.len() as u32;
-            self.lists.push(ElementLists {
-                node: id,
-                children: Vec::new(),
-                attrs: Vec::new(),
-            });
-        }
+    /// Appends an element slot and its entry under `parent` (`None` for the
+    /// root) and returns its id.  Linking it into the parent's child list is
+    /// the caller's job.  An element created under a removed element is
+    /// removed too.
+    pub(crate) fn new_element(&mut self, parent: Option<NodeId>, ty: ElemId) -> NodeId {
+        let id = NodeId(to_u32(self.nodes.len()));
+        let detached = parent.is_some_and(|p| self.entries[self.entry_index(p)].detached);
         self.nodes.push(Node {
-            label,
-            parent,
-            value,
-            lists,
-            detached: false,
+            label: NodeLabel::Element(ty),
+            parent: parent.map_or(NO_PARENT, |p| p.0),
+            slot: to_u32(self.entries.len()),
         });
-        self.live += 1;
+        self.entries.push(Element {
+            node: id,
+            children: Span::default(),
+            attrs: Span::default(),
+            detached,
+        });
+        self.live += u32::from(!detached);
         id
     }
 
-    /// The list entry of an element node; `None` for attribute and text
-    /// nodes, which have neither children nor attributes.
-    fn lists(&self, node: NodeId) -> Option<&ElementLists> {
-        let slot = &self.nodes[node.index()];
-        match slot.label {
-            NodeLabel::Element(_) => Some(&self.lists[slot.lists as usize]),
-            _ => None,
-        }
+    /// Appends a text slot with the given value under element `parent`,
+    /// not yet linked into its child list.
+    pub(crate) fn new_text(&mut self, parent: NodeId, value: &str) -> NodeId {
+        let value = self.pool.intern(value);
+        self.new_leaf(NodeLabel::Text, parent, value)
     }
 
-    /// Panics unless `node` is an element node: attribute and text nodes
-    /// have neither children nor attributes.
-    fn assert_element(&self, node: NodeId) {
-        assert!(
-            matches!(self.label(node), NodeLabel::Element(_)),
-            "only element nodes have children and attributes"
-        );
+    /// Appends an attribute or text slot under element `parent`.
+    fn new_leaf(&mut self, label: NodeLabel, parent: NodeId, value: ValueId) -> NodeId {
+        let id = NodeId(to_u32(self.nodes.len()));
+        let detached = self.entries[self.entry_index(parent)].detached;
+        self.nodes.push(Node {
+            label,
+            parent: parent.0,
+            slot: value.0,
+        });
+        self.live += u32::from(!detached);
+        id
     }
 
-    /// The list entry of an element node, for linking a new child in.
+    /// Sets the (empty) child list of `parent` to `children`, copied to the
+    /// end of the child vector with no spare room: the parser links each
+    /// element's children this way at its end tag.
+    pub(crate) fn link_children(&mut self, parent: NodeId, children: &[NodeId]) {
+        let entry = self.entry_index(parent);
+        debug_assert_eq!(self.entries[entry].children.len, 0);
+        self.entries[entry].children = Span::packed(&mut self.children, children);
+    }
+
+    /// The side-table index of an element node.
     ///
     /// # Panics
-    /// Panics if `node` is an attribute or text node.
-    fn lists_mut(&mut self, node: NodeId) -> &mut ElementLists {
-        self.assert_element(node);
-        let index = self.nodes[node.index()].lists as usize;
-        &mut self.lists[index]
+    /// Panics if `node` is an attribute or text node: those have neither
+    /// children nor attributes.
+    fn entry_index(&self, node: NodeId) -> usize {
+        let slot = &self.nodes[node.index()];
+        assert!(
+            matches!(slot.label, NodeLabel::Element(_)),
+            "only element nodes have children and attributes"
+        );
+        slot.slot as usize
+    }
+
+    /// The entry of an element node; `None` for attribute and text nodes,
+    /// which have neither children nor attributes.
+    #[inline]
+    fn entry(&self, node: NodeId) -> Option<&Element> {
+        let slot = &self.nodes[node.index()];
+        match slot.label {
+            NodeLabel::Element(_) => Some(&self.entries[slot.slot as usize]),
+            _ => None,
+        }
     }
 
     /// The tree's own value pool: the values its parse and edits interned,
@@ -191,6 +299,7 @@ impl XmlTree {
     }
 
     /// The root node.
+    #[inline]
     pub fn root(&self) -> NodeId {
         self.root
     }
@@ -198,10 +307,11 @@ impl XmlTree {
     /// Total number of live nodes (elements, attributes and text nodes;
     /// detached subtrees are not counted).
     pub fn num_nodes(&self) -> usize {
-        self.live
+        self.live as usize
     }
 
     /// Whether the id names a node of this tree (live or detached).
+    #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
         node.index() < self.nodes.len()
     }
@@ -210,16 +320,25 @@ impl XmlTree {
     /// [`XmlTree::remove_subtree`].  Detached nodes keep their label, value
     /// and attributes readable (index maintenance needs the old state) but
     /// no longer appear in [`XmlTree::elements`] or any extension.
+    #[inline]
     pub fn is_detached(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].detached
+        let slot = &self.nodes[node.index()];
+        let entry = match slot.label {
+            NodeLabel::Element(_) => slot.slot,
+            // A leaf's parent is always an element.
+            _ => self.nodes[slot.parent as usize].slot,
+        };
+        self.entries[entry as usize].detached
     }
 
     /// Label of a node.
+    #[inline]
     pub fn label(&self, node: NodeId) -> NodeLabel {
         self.nodes[node.index()].label
     }
 
     /// Element type of a node, if it is an element.
+    #[inline]
     pub fn element_type(&self, node: NodeId) -> Option<ElemId> {
         match self.label(node) {
             NodeLabel::Element(e) => Some(e),
@@ -228,20 +347,25 @@ impl XmlTree {
     }
 
     /// Parent of a node (`None` for the root).
+    #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes[node.index()].parent
+        let parent = self.nodes[node.index()].parent;
+        (parent != NO_PARENT).then_some(NodeId(parent))
     }
 
     /// String value of a node (`Some` for attribute and text nodes).
     pub fn value(&self, node: NodeId) -> Option<&str> {
-        self.nodes[node.index()]
-            .value
-            .map(|id| self.pool.resolve(id))
+        self.value_id(node).map(|id| self.pool.resolve(id))
     }
 
     /// Interned value of a node (`Some` for attribute and text nodes).
+    #[inline]
     pub fn value_id(&self, node: NodeId) -> Option<ValueId> {
-        self.nodes[node.index()].value
+        let slot = &self.nodes[node.index()];
+        match slot.label {
+            NodeLabel::Element(_) => None,
+            _ => Some(ValueId(slot.slot)),
+        }
     }
 
     /// Resolves an interned value back to its string.
@@ -251,14 +375,18 @@ impl XmlTree {
 
     /// Ordered subelement/text children of an element (the `ele` function).
     /// Empty for attribute and text nodes.
+    #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        self.lists(node).map_or(&[], |l| &l.children)
+        self.entry(node)
+            .map_or(&[], |e| &self.children[e.children.range()])
     }
 
     /// Attribute nodes of an element (the `att` function).
     /// Empty for attribute and text nodes.
+    #[inline]
     pub fn attributes(&self, node: NodeId) -> &[(AttrId, NodeId)] {
-        self.lists(node).map_or(&[], |l| &l.attrs)
+        self.entry(node)
+            .map_or(&[], |e| &self.attrs[e.attrs.range()])
     }
 
     /// The value of attribute `attr` of element `node` (the `x.l` notation).
@@ -268,6 +396,7 @@ impl XmlTree {
     }
 
     /// The interned value of attribute `attr` of element `node`.
+    #[inline]
     pub fn attr_value_id(&self, node: NodeId, attr: AttrId) -> Option<ValueId> {
         self.attributes(node)
             .iter()
@@ -289,6 +418,7 @@ impl XmlTree {
     /// attribute is missing.  This is the zero-allocation probe the
     /// constraint indexes are built on: `out` is a caller-owned scratch
     /// buffer reused across nodes.
+    #[inline]
     pub fn attr_value_ids(&self, node: NodeId, attrs: &[AttrId], out: &mut Vec<ValueId>) -> bool {
         out.clear();
         for &a in attrs {
@@ -305,9 +435,9 @@ impl XmlTree {
     /// # Panics
     /// Panics if `parent` is not an element node.
     pub fn add_element(&mut self, parent: NodeId, ty: ElemId) -> NodeId {
-        self.assert_element(parent);
-        let id = self.push_node(NodeLabel::Element(ty), Some(parent), None);
-        self.lists_mut(parent).children.push(id);
+        let entry = self.entry_index(parent);
+        let id = self.new_element(Some(parent), ty);
+        self.entries[entry].children.push(&mut self.children, id);
         id
     }
 
@@ -316,10 +446,9 @@ impl XmlTree {
     /// # Panics
     /// Panics if `parent` is not an element node.
     pub fn add_text(&mut self, parent: NodeId, value: impl AsRef<str>) -> NodeId {
-        self.assert_element(parent);
-        let value = self.pool.intern(value.as_ref());
-        let id = self.push_node(NodeLabel::Text, Some(parent), Some(value));
-        self.lists_mut(parent).children.push(id);
+        let entry = self.entry_index(parent);
+        let id = self.new_text(parent, value.as_ref());
+        self.entries[entry].children.push(&mut self.children, id);
         id
     }
 
@@ -329,19 +458,18 @@ impl XmlTree {
     /// # Panics
     /// Panics if `node` is not an element node.
     pub fn set_attr(&mut self, node: NodeId, attr: AttrId, value: impl AsRef<str>) -> NodeId {
-        let existing = self
-            .lists_mut(node)
-            .attrs
+        let entry = self.entry_index(node);
+        let existing = self.attrs[self.entries[entry].attrs.range()]
             .iter()
             .find(|(a, _)| *a == attr)
             .map(|&(_, n)| n);
         let value = self.pool.intern(value.as_ref());
         if let Some(existing) = existing {
-            self.nodes[existing.index()].value = Some(value);
+            self.nodes[existing.index()].slot = value.0;
             return existing;
         }
-        let id = self.push_node(NodeLabel::Attribute(attr), Some(node), Some(value));
-        self.lists_mut(node).attrs.push((attr, id));
+        let id = self.new_leaf(NodeLabel::Attribute(attr), node, value);
+        self.entries[entry].attrs.push(&mut self.attrs, (attr, id));
         id
     }
 
@@ -372,28 +500,28 @@ impl XmlTree {
         {
             return None;
         }
-        let parent = self.nodes[element.index()].parent.expect("non-root");
-        let siblings = &mut self.lists_mut(parent).children;
-        let pos = siblings.iter().position(|&c| c == element)?;
-        siblings.remove(pos);
+        let parent = self.parent(element).expect("non-root");
+        let siblings = &mut self.entries[self.nodes[parent.index()].slot as usize].children;
+        let pos = self.children[siblings.range()]
+            .iter()
+            .position(|&c| c == element)?;
+        siblings.remove(&mut self.children, pos);
 
         let mut removed = Vec::new();
         let mut stack = vec![element];
         while let Some(n) = stack.pop() {
-            let node = &mut self.nodes[n.index()];
-            debug_assert!(!node.detached, "subtrees never share nodes");
-            node.detached = true;
-            self.live -= 1;
+            let node = self.nodes[n.index()];
             let NodeLabel::Element(ty) = node.label else {
+                // A text child: its tombstone is its parent's.
+                self.live -= 1;
                 continue;
             };
+            let entry = &mut self.entries[node.slot as usize];
+            debug_assert!(!entry.detached, "subtrees never share nodes");
+            entry.detached = true;
+            self.live -= 1 + entry.attrs.len;
             removed.push((n, ty));
-            let lists = &self.lists[node.lists as usize];
-            stack.extend(lists.children.iter().copied());
-            for &(_, attr_node) in &lists.attrs {
-                self.nodes[attr_node.index()].detached = true;
-                self.live -= 1;
-            }
+            stack.extend_from_slice(&self.children[entry.children.range()]);
         }
         removed.sort();
         Some((pos, removed))
@@ -408,10 +536,10 @@ impl XmlTree {
     /// Walks the element side table, so attribute and text slots cost
     /// nothing.
     pub fn elements(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.lists
+        self.entries
             .iter()
-            .map(|lists| lists.node)
-            .filter(move |&n| !self.is_detached(n))
+            .filter(|entry| !entry.detached)
+            .map(|entry| entry.node)
     }
 
     /// `ext(τ)`: the element nodes of type `ty`, in the order of
@@ -455,17 +583,12 @@ impl XmlTree {
     }
 
     /// Per-type element counts (used by the Lemma 4.3 preservation tests).
-    /// One walk over the arena, matching each node's label exactly once;
-    /// detached nodes are skipped, so the counts agree with [`XmlTree::ext`].
+    /// One walk over [`XmlTree::elements`], so the counts agree with
+    /// [`XmlTree::ext`] and attribute and text slots cost nothing.
     pub fn type_histogram(&self) -> HashMap<ElemId, usize> {
         let mut hist = HashMap::new();
-        for node in &self.nodes {
-            if node.detached {
-                continue;
-            }
-            if let NodeLabel::Element(ty) = node.label {
-                *hist.entry(ty).or_insert(0) += 1;
-            }
+        for ty in self.elements().filter_map(|n| self.element_type(n)) {
+            *hist.entry(ty).or_insert(0) += 1;
         }
         hist
     }
@@ -475,20 +598,18 @@ impl XmlTree {
     /// tombstones, child/attribute orders and (implicitly, by position) node
     /// ids, so a tree rebuilt by [`XmlTree::from_snapshot`] replays logged
     /// [`crate::EditOp`]s id-exactly.  Values are resolved to strings: pool
-    /// symbols are tree-local and re-interned on reconstruction.
+    /// symbols are tree-local and re-interned on reconstruction.  The room
+    /// and abandoned blocks of the list vectors are not part of it.
     pub fn snapshot(&self) -> TreeSnapshot {
         let nodes = (0..self.nodes.len() as u32)
             .map(NodeId)
-            .map(|id| {
-                let node = &self.nodes[id.index()];
-                NodeSnapshot {
-                    label: node.label,
-                    parent: node.parent,
-                    value: node.value.map(|v| self.pool.resolve(v).to_string()),
-                    detached: node.detached,
-                    children: self.children(id).to_vec(),
-                    attrs: self.attributes(id).to_vec(),
-                }
+            .map(|id| NodeSnapshot {
+                label: self.label(id),
+                parent: self.parent(id),
+                value: self.value(id).map(str::to_string),
+                detached: self.is_detached(id),
+                children: self.children(id).to_vec(),
+                attrs: self.attributes(id).to_vec(),
             })
             .collect();
         TreeSnapshot {
@@ -500,8 +621,9 @@ impl XmlTree {
     /// Rebuilds a tree from a [`TreeSnapshot`], re-validating every arena
     /// invariant first — snapshots arrive from persistence formats and must
     /// be treated as hostile.  On success the arena (ids, orders,
-    /// tombstones, values) is indistinguishable from the snapshotted one;
-    /// on any inconsistency a structured [`SnapshotError`] is returned and
+    /// tombstones, values) is indistinguishable from the snapshotted one,
+    /// and every list is packed into its vector without room or gaps; on
+    /// any inconsistency a structured [`SnapshotError`] is returned and
     /// nothing is built.  Values are interned into a fresh pool (symbol
     /// numbering may differ from the original tree's; string values, which
     /// are what constraints compare at the edges, are identical).
@@ -510,7 +632,7 @@ impl XmlTree {
         if n == 0 {
             return Err(SnapshotError::global("empty arena"));
         }
-        if n > u32::MAX as usize {
+        if n >= NO_PARENT as usize {
             return Err(SnapshotError::global("arena exceeds u32 ids"));
         }
         let in_range = |id: NodeId| (id.index() < n).then_some(id);
@@ -531,7 +653,9 @@ impl XmlTree {
         }
 
         // Per-slot invariants: reference ranges, label/value coherence,
-        // leaf-ness of attribute and text nodes.
+        // leaf-ness of attribute and text nodes, element parents, and a
+        // leaf's tombstone agreeing with its element's (the tree stores
+        // only the element's).
         for (i, node) in snapshot.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
             let is_element = matches!(node.label, NodeLabel::Element(_));
@@ -548,8 +672,17 @@ impl XmlTree {
                 return Err(SnapshotError::at(id, "non-root node without a parent"));
             }
             if let Some(p) = node.parent {
-                if in_range(p).is_none() {
-                    return Err(SnapshotError::at(id, "parent out of range"));
+                let parent = in_range(p)
+                    .map(slot)
+                    .ok_or_else(|| SnapshotError::at(id, "parent out of range"))?;
+                if !matches!(parent.label, NodeLabel::Element(_)) {
+                    return Err(SnapshotError::at(id, "parent is not an element"));
+                }
+                if !is_element && node.detached != parent.detached {
+                    return Err(SnapshotError::at(
+                        id,
+                        "leaf detached flag differs from its element's",
+                    ));
                 }
             }
             for &c in node
@@ -619,39 +752,45 @@ impl XmlTree {
             )));
         }
 
-        // All invariants hold: rebuild the arena slot-for-slot.
-        let mut pool = ValuePool::new();
-        let mut lists = Vec::new();
-        let nodes = snapshot
+        // All invariants hold: rebuild the arena slot-for-slot, packing
+        // every list into its vector in element order.
+        let elements = snapshot
             .nodes
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut node = Node {
-                    label: s.label,
-                    parent: s.parent,
-                    value: s.value.as_deref().map(|v| pool.intern(v)),
-                    lists: 0,
-                    detached: s.detached,
-                };
-                if let NodeLabel::Element(_) = s.label {
-                    node.lists = lists.len() as u32;
-                    lists.push(ElementLists {
-                        node: NodeId(i as u32),
-                        children: s.children.clone(),
-                        attrs: s.attrs.clone(),
-                    });
-                }
-                node
-            })
-            .collect();
-        Ok(XmlTree {
-            nodes,
-            lists,
+            .filter(|s| matches!(s.label, NodeLabel::Element(_)))
+            .count();
+        let (children, attrs) = snapshot.nodes.iter().fold((0, 0), |(c, a), s| {
+            (c + s.children.len(), a + s.attrs.len())
+        });
+        let mut tree = XmlTree {
+            nodes: Vec::with_capacity(n),
+            entries: Vec::with_capacity(elements),
+            children: Vec::with_capacity(children),
+            attrs: Vec::with_capacity(attrs),
             root,
-            pool,
-            live,
-        })
+            pool: ValuePool::new(),
+            live: to_u32(live),
+        };
+        for (i, s) in snapshot.nodes.iter().enumerate() {
+            let slot = match &s.value {
+                Some(value) => tree.pool.intern(value).0,
+                None => {
+                    tree.entries.push(Element {
+                        node: NodeId(i as u32),
+                        children: Span::packed(&mut tree.children, &s.children),
+                        attrs: Span::packed(&mut tree.attrs, &s.attrs),
+                        detached: s.detached,
+                    });
+                    to_u32(tree.entries.len() - 1)
+                }
+            };
+            tree.nodes.push(Node {
+                label: s.label,
+                parent: s.parent.map_or(NO_PARENT, |p| p.0),
+                slot,
+            });
+        }
+        Ok(tree)
     }
 
     /// Renders a node path like `teachers/teacher[2]` for diagnostics.
@@ -720,9 +859,118 @@ mod tests {
 
     #[test]
     fn leaf_nodes_stay_small() {
-        // Attribute and text nodes carry no list headers: one arena slot
-        // is label, parent, value, list index and tombstone flag.
-        assert!(std::mem::size_of::<Node>() <= 32);
+        // One arena slot is label, parent, and a value or entry index.
+        assert!(std::mem::size_of::<Node>() <= 16);
+    }
+
+    #[test]
+    fn element_entries_stay_small() {
+        // Node id, two list ranges and the tombstone flag.
+        assert!(std::mem::size_of::<Element>() <= 32);
+    }
+
+    /// Entries in use across every element's child and attribute lists.
+    fn live_list_entries(t: &XmlTree) -> (usize, usize) {
+        t.entries.iter().fold((0, 0), |(c, a), e| {
+            (c + e.children.len as usize, a + e.attrs.len as usize)
+        })
+    }
+
+    #[test]
+    fn alternating_appends_keep_the_flat_vectors_bounded() {
+        let dtd = example_d1();
+        let teachers = dtd.type_by_name("teachers").unwrap();
+        let teacher = dtd.type_by_name("teacher").unwrap();
+        let name = dtd.attr_by_name("name").unwrap();
+        let mut t = XmlTree::new(teachers);
+        let wide: Vec<NodeId> = (0..4000)
+            .map(|_| t.add_element(t.root(), teacher))
+            .collect();
+        // Attributes set after the fact: each empty list restarts at the
+        // vector's end, so none leaves a block behind.
+        for &w in &wide {
+            t.set_attr(w, name, "Joe");
+        }
+        assert_eq!(t.attrs.len(), wide.len());
+        // Two lists that keep displacing each other from the vector's end.
+        let parents = [wide[1000], wide[3000]];
+        let mut expected = [Vec::new(), Vec::new()];
+        for i in 0..10_000 {
+            let side = i % 2;
+            expected[side].push(t.add_text(parents[side], "x"));
+        }
+        for side in 0..2 {
+            assert_eq!(t.children(parents[side]), &expected[side][..]);
+        }
+        assert_eq!(t.children(t.root()), &wide[..]);
+        let (children, attrs) = live_list_entries(&t);
+        assert_eq!(children, 4000 + 10_000);
+        let block = MIN_ROOM as usize * t.entries.len();
+        assert!(
+            t.children.len() <= 2 * children + block,
+            "{} child slots for {children} children",
+            t.children.len()
+        );
+        assert!(t.attrs.len() <= 2 * attrs + block);
+    }
+
+    #[test]
+    fn removal_from_a_moved_list_closes_the_gap_and_keeps_the_room() {
+        let dtd = example_d1();
+        let teachers = dtd.type_by_name("teachers").unwrap();
+        let teacher = dtd.type_by_name("teacher").unwrap();
+        let teach = dtd.type_by_name("teach").unwrap();
+        let mut t = XmlTree::new(teachers);
+        let a = t.add_element(t.root(), teacher);
+        let b = t.add_element(t.root(), teacher);
+        let mut kids = Vec::new();
+        for _ in 0..6 {
+            kids.push(t.add_element(a, teach));
+            t.add_element(b, teach);
+        }
+        let moved = t.entries[t.nodes[a.index()].slot as usize].children;
+        assert!(moved.cap > moved.len, "the list was moved with room");
+        let victim = kids.remove(2);
+        assert_eq!(t.remove_subtree(victim), Some(vec![(victim, teach)]));
+        assert_eq!(t.children(a), &kids[..]);
+        assert_eq!(t.parent(victim), Some(a));
+        // The next append reuses the freed slot in place.
+        let slots = t.children.len();
+        kids.push(t.add_element(a, teach));
+        assert_eq!(t.children(a), &kids[..]);
+        assert_eq!(t.children.len(), slots);
+        assert_eq!(t.elements().collect::<Vec<_>>(), live_element_slots(&t));
+    }
+
+    #[test]
+    fn snapshot_round_trip_compacts_the_flat_vectors() {
+        let dtd = example_d1();
+        let mut t = figure1_tree(&dtd);
+        let teacher = dtd.type_by_name("teacher").unwrap();
+        let subject = dtd.type_by_name("subject").unwrap();
+        let taught_by = dtd.attr_by_name("taught_by").unwrap();
+        // Grow lists out of place, then remove a subtree.
+        let teachers: Vec<NodeId> = t.ext(teacher).collect();
+        for _ in 0..5 {
+            for &te in &teachers {
+                let s = t.add_element(te, subject);
+                t.set_attr(s, taught_by, "Sue");
+            }
+        }
+        t.remove_subtree(t.children(teachers[1])[2]).unwrap();
+        let (children, attrs) = live_list_entries(&t);
+        assert!(t.children.len() > children);
+
+        let snap = t.snapshot();
+        let rebuilt = XmlTree::from_snapshot(&snap).unwrap();
+        assert_eq!(rebuilt.snapshot(), snap);
+        assert_eq!(live_list_entries(&rebuilt), (children, attrs));
+        assert_eq!(rebuilt.children.len(), children);
+        assert_eq!(rebuilt.attrs.len(), attrs);
+        assert!(rebuilt
+            .entries
+            .iter()
+            .all(|e| e.children.cap == e.children.len && e.attrs.cap == e.attrs.len));
     }
 
     #[test]
@@ -975,10 +1223,34 @@ mod tests {
         assert!(XmlTree::from_snapshot(&bad).is_err());
 
         // A live node referenced twice (shared subtree).
-        let mut bad = good;
+        let mut bad = good.clone();
         let shared = bad.nodes[0].children[0];
         bad.nodes[0].children.push(shared);
         assert!(XmlTree::from_snapshot(&bad).is_err());
+
+        // A detached text node under a live element, unlisted: the live
+        // structure is intact, but the tree keeps one tombstone per
+        // element and could not represent it.
+        let mut bad = good.clone();
+        let text = (0..bad.nodes.len())
+            .map(|i| NodeId(i as u32))
+            .find(|&id| bad.nodes[id.index()].label == NodeLabel::Text)
+            .unwrap();
+        let parent = bad.nodes[text.index()].parent.unwrap();
+        bad.nodes[text.index()].detached = true;
+        bad.nodes[parent.index()].children.retain(|&c| c != text);
+        let err = XmlTree::from_snapshot(&bad).unwrap_err();
+        assert_eq!(err.node, Some(text));
+        assert!(err.detail.contains("detached"), "{err}");
+
+        // A detached node whose parent is a text node.
+        let mut bad = good;
+        let teacher = bad.nodes[0].children[0];
+        bad.nodes[teacher.index()].parent = Some(text);
+        bad.nodes[teacher.index()].detached = true;
+        bad.nodes[0].children.retain(|&c| c != teacher);
+        let err = XmlTree::from_snapshot(&bad).unwrap_err();
+        assert_eq!(err.node, Some(teacher));
     }
 
     #[test]
