@@ -57,8 +57,19 @@ fn instruments() -> &'static Instruments {
 /// processing instructions reserves exactly the nodes it has, give or take
 /// its prolog.  Mixed content under-counts text, and the vectors then grow
 /// as usual.
-/// Every count is capped by [`ParseBudget::max_nodes`], so a document the
-/// budget rejects never reserves more than the budget admits.
+///
+/// The counts trust the input's `<` and `="` bytes, which need not be
+/// markup, so each is clamped by the source bytes its construct takes at
+/// the least, the bytes of different constructs being disjoint: an element
+/// takes 4 (`<a/>`), an end tag 3 more (`<a></a>`), and an attribute 5
+/// (` a=""`).  Any well-formed document meets these bounds, so they never
+/// cut its count.  An input of nothing but `<`, `</` or `="` reserves at
+/// most about 18 heap bytes per input byte (an end tag's text node, value
+/// and list entries take ~51 bytes for its 3), where the densest
+/// well-formed document, all `<a/>`, needs 14.
+/// Every count, and the value bytes, is also capped by
+/// [`ParseBudget::max_nodes`], so a document the budget rejects never
+/// reserves more than the budget admits.
 struct Reservation {
     nodes: usize,
     elements: usize,
@@ -71,20 +82,28 @@ struct Reservation {
 }
 
 impl Reservation {
+    /// Value bytes reserved per admitted node under a node budget.
+    const VALUE_BYTES_PER_NODE: usize = 6;
+
     fn for_input(input: &str, budget: &ParseBudget) -> Reservation {
+        let len = input.len();
         let [tags, end_tags, attrs] = markup_counts(input.as_bytes());
-        let cap = |n: usize| n.min(budget.max_nodes.unwrap_or(usize::MAX));
-        // `tags - end_tags` elements plus `end_tags` texts.
-        let children = cap(tags);
+        let elements = (tags - end_tags).min(len / 4);
+        let end_tags = end_tags.min((len - 4 * elements) / 3);
+        let attrs = attrs.min((len - 4 * elements - 3 * end_tags) / 5);
+        let max_nodes = budget.max_nodes.unwrap_or(usize::MAX);
+        let cap = |n: usize| n.min(max_nodes);
+        // `elements` elements plus `end_tags` texts.
+        let children = cap(elements + end_tags);
         Reservation {
-            nodes: cap(tags + attrs),
-            elements: cap(tags - end_tags),
+            nodes: cap(elements + end_tags + attrs),
+            elements: cap(elements),
             children,
             attrs: cap(attrs),
             values: cap(end_tags + attrs),
             // Values are slices of the input, so this is a guess, not a
             // count; the byte budget has already bounded the input.
-            value_bytes: input.len() / 2,
+            value_bytes: (len / 2).min(max_nodes.saturating_mul(Self::VALUE_BYTES_PER_NODE)),
         }
     }
 }
@@ -783,11 +802,56 @@ mod tests {
         assert_eq!(capped.nodes, 10);
         assert!(capped.elements <= 10 && capped.children <= 10);
         assert!(capped.attrs <= 10 && capped.values <= 10);
+        assert_eq!(capped.value_bytes, 10 * Reservation::VALUE_BYTES_PER_NODE);
+        // The densest well-formed markup meets every clamp exactly.
+        let doc = format!("<r>{}</r>", "<item/>".repeat(100));
+        let dense = Reservation::for_input(&doc, &ParseBudget::UNLIMITED);
+        let tree = parse_document(&doc, &dtd).unwrap();
+        assert_eq!(dense.elements, tree.elements().count());
+        assert_eq!(dense.nodes, tree.num_nodes() + 1);
         let empty = Reservation::for_input("", &ParseBudget::UNLIMITED);
         assert_eq!(
             (empty.nodes, empty.elements, empty.values, empty.value_bytes),
             (0, 0, 0, 0)
         );
+    }
+
+    /// Upper bound on the heap bytes a parse reserves for `r`: 16-byte
+    /// node slots, 32-byte element entries (see the size tests in
+    /// `tree.rs`), 4-byte child entries twice (the lists and the parser's
+    /// staging stack), 8-byte attribute entries, and per value a 16-byte
+    /// pool entry and at most 8/3 slots of the pool's `u32` table.
+    fn reserved_bytes(r: &Reservation) -> usize {
+        16 * r.nodes
+            + 32 * r.elements
+            + 8 * r.children
+            + 8 * r.attrs
+            + 16 * r.values
+            + 4 * (r.values * 8 / 3 + 8)
+            + r.value_bytes
+    }
+
+    #[test]
+    fn reservation_stays_within_a_multiple_of_the_input() {
+        use crate::budget::ParseBudget;
+        let n = 30_000;
+        for input in [
+            format!("<r{}", "<".repeat(n)),
+            format!("<r>{}", "</".repeat(n)),
+            format!("<r {}", "a=\"".repeat(n)),
+            format!("<r{}", "<=\"".repeat(n)),
+            format!("<r>{}", "<a></a>".repeat(n)),
+        ] {
+            let r = Reservation::for_input(&input, &ParseBudget::UNLIMITED);
+            let bytes = reserved_bytes(&r);
+            assert!(
+                bytes <= 18 * input.len(),
+                "{} reserved bytes for a {}-byte input starting {:?}",
+                bytes,
+                input.len(),
+                &input[..8]
+            );
+        }
     }
 
     #[test]
