@@ -1600,6 +1600,16 @@ pub fn connect(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
     ))
 }
 
+/// The coordinator's scratch directory (its workers' sockets), removed
+/// on every exit path.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 /// `xic coord` — multi-process sharded validation: spawn one scoped
 /// `xic serve` child per shard group, drive the shared `--script` grammar
 /// through the routing/merge layer, and print the merged delta stream —
@@ -1622,13 +1632,17 @@ pub fn coord(args: &ParsedArgs) -> Result<CommandOutcome, CliError> {
         path: "current executable".to_string(),
         source,
     })?;
+    // Declared before the coordinator, so it is dropped after it: the
+    // workers are reaped before their directory goes.
+    let scratch =
+        ScratchDir(std::env::temp_dir().join(format!("xic-coord-{}", std::process::id())));
     let config = CoordConfig {
         xic_bin,
         dtd: PathBuf::from(args.require("dtd")?),
         root: args.get("root").map(String::from),
         constraints: args.get("constraints").map(PathBuf::from),
         workers: args.get_usize("workers")?.unwrap_or(2).max(1),
-        scratch: std::env::temp_dir().join(format!("xic-coord-{}", std::process::id())),
+        scratch: scratch.0.clone(),
         session: args.get("session").unwrap_or("coord").to_string(),
         max_restarts: args.get_usize("max-restarts")?.unwrap_or(2),
     };
@@ -2446,6 +2460,57 @@ mod tests {
     const SCHOOL_DTD: &str = "<!ELEMENT school (teacher*)>\n\
         <!ELEMENT teacher EMPTY>\n\
         <!ATTLIST teacher name CDATA #REQUIRED>";
+
+    /// `xic coord` removes its scratch directory, where its workers'
+    /// sockets live, whether the script succeeds or fails once the
+    /// workers are up.  The binary runs as a child process, so the
+    /// directory's name (it carries the process id) is known.
+    #[test]
+    fn coord_removes_its_scratch_directory() {
+        let exe = std::env::current_exe().expect("test executable path");
+        let xic = exe
+            .ancestors()
+            .skip(1)
+            .map(|dir| dir.join(format!("xic{}", std::env::consts::EXE_SUFFIX)))
+            .find(|path| path.is_file())
+            .expect("cannot locate the `xic` binary; build `xic-cli`");
+        let dtd = temp_file("coord.dtd", SCHOOL_DTD);
+        let sigma = temp_file("coord.xic", "teacher.name -> teacher");
+        let doc = temp_file("coord-a.xml", "<school><teacher name=\"Joe\"/></school>");
+        let doc_name = doc.file_name().unwrap().to_str().unwrap();
+        for (name, script, code) in [
+            ("ok", format!("open a {doc_name}\ncommit\n"), 0),
+            (
+                "bad",
+                format!("open a {doc_name}\ncommit\nfrobnicate a 0\n"),
+                2,
+            ),
+        ] {
+            let script = temp_file(&format!("coord-{name}.txt"), &script);
+            let child = std::process::Command::new(&xic)
+                .args(["coord", "--dtd", dtd.to_str().unwrap()])
+                .args(["--constraints", sigma.to_str().unwrap()])
+                .args(["--script", script.to_str().unwrap()])
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("xic coord starts");
+            let scratch = std::env::temp_dir().join(format!("xic-coord-{}", child.id()));
+            let out = child.wait_with_output().expect("xic coord runs");
+            assert_eq!(
+                out.status.code(),
+                Some(code),
+                "{name}: {}{}",
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                !scratch.exists(),
+                "{name}: {} left behind",
+                scratch.display()
+            );
+        }
+    }
 
     #[test]
     fn batch_validates_a_manifest_and_orders_reports() {

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use xic_constraints::{IncrementalLayout, ShardPlan};
-use xic_engine::wire::{encode_request, read_response, write_response};
+use xic_engine::wire::{encode_request, read_response, write_response, REQ_APPLY, REQ_OPEN};
 use xic_engine::{
     BatchDelta, BatchReport, CompiledSpec, DocHandle, ReportMerger, Request, Response,
 };
@@ -35,7 +35,7 @@ pub struct CoordConfig {
     /// Worker processes to spread the shard plan over (clamped to the
     /// number of shards; at least one process always runs).
     pub workers: usize,
-    /// Scratch directory for the `--addr-file` handshake.
+    /// Scratch directory for the workers' sockets.
     pub scratch: PathBuf,
     /// The session name hosted on every worker.
     pub session: String,
@@ -51,12 +51,24 @@ pub struct CoordConfig {
 /// still writing, and neither side can wait on the other.
 const MAX_IN_FLIGHT: usize = 256;
 
-/// One routed request (an open, an apply or a close): its wire tag, where
-/// its payload ends in the log's bytes, and what its reply must be.
+/// The routing log: every open, apply and close, in order, each encoded
+/// once.  Each group receives it up to its `delivered` mark; it is also
+/// the resync source.
+#[derive(Default)]
+struct RoutingLog {
+    entries: Vec<Entry>,
+    /// The entries' payloads, back to back.
+    bytes: Vec<u8>,
+    /// The handle each open minted, keyed by its entry's index (opens are
+    /// rare, so no entry pays for a handle field).
+    opens: BTreeMap<usize, u64>,
+}
+
+/// One routed request (an open, an apply or a close): where its payload
+/// ends in the log's bytes, and its wire tag.
 struct Entry {
-    tag: u8,
     end: usize,
-    kind: Kind,
+    tag: u8,
 }
 
 /// What an entry's reply must be; an open's must mint the given handle.
@@ -65,6 +77,33 @@ enum Kind {
     Open(u64),
     Apply,
     Close,
+}
+
+impl RoutingLog {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Appends one request, encoded once.
+    fn push(&mut self, request: &Request) {
+        let (tag, payload) = encode_request(request);
+        self.bytes.extend_from_slice(&payload);
+        let end = self.bytes.len();
+        self.entries.push(Entry { end, tag });
+        xic_telemetry::global()
+            .gauge("coord.log_bytes")
+            .set(end as i64);
+    }
+
+    /// What entry `index`'s reply must be (the log holds nothing but
+    /// opens, applies and closes).
+    fn kind(&self, index: usize) -> Kind {
+        match self.entries[index].tag {
+            REQ_OPEN => Kind::Open(self.opens[&index]),
+            REQ_APPLY => Kind::Apply,
+            _ => Kind::Close,
+        }
+    }
 }
 
 /// The coordinator's own copy of one open document: the tree it routes
@@ -103,11 +142,7 @@ pub struct Coordinator {
     /// Shards per group; `groups.len()` == number of workers.
     groups: Vec<Vec<u32>>,
     workers: Vec<Worker>,
-    /// The routing log: every open, apply and close, in order.  Each group
-    /// receives it up to its `delivered` mark; it is also the resync source.
-    log: Vec<Entry>,
-    /// The log entries' payloads, back to back, each encoded once.
-    log_bytes: Vec<u8>,
+    log: RoutingLog,
     docs: BTreeMap<u64, MirrorDoc>,
     merger: ReportMerger,
     round: Round,
@@ -115,7 +150,7 @@ pub struct Coordinator {
     deltas: Vec<u8>,
     /// The merged delta stream decoded so far, in `seq` order.
     decoded: Vec<BatchDelta>,
-    /// Monotonic spawn counter (unique address files across respawns).
+    /// Monotonic spawn counter (unique socket paths across respawns).
     generation: usize,
 }
 
@@ -197,8 +232,7 @@ impl Coordinator {
             max_restarts: config.max_restarts,
             groups,
             workers,
-            log: Vec::new(),
-            log_bytes: Vec::new(),
+            log: RoutingLog::default(),
             docs: BTreeMap::new(),
             merger,
             round: Round::default(),
@@ -238,13 +272,11 @@ impl Coordinator {
         // this open, at once.
         self.wave(&[0], false)?;
         let handle = self.call_worker(0, |client| client.open_doc(label, source))?;
-        self.push(
-            Kind::Open(handle),
-            &Request::OpenDoc {
-                label: label.to_owned(),
-                source: source.to_owned(),
-            },
-        );
+        self.log.opens.insert(self.log.len(), handle);
+        self.log.push(&Request::OpenDoc {
+            label: label.to_owned(),
+            source: source.to_owned(),
+        });
         self.workers[0].delivered = self.log.len();
 
         self.docs.insert(
@@ -309,13 +341,10 @@ impl Coordinator {
         self.round
             .participants
             .extend(batch_shards.iter().map(|&s| s as usize % groups));
-        self.push(
-            Kind::Apply,
-            &Request::Apply {
-                handle,
-                ops: delivered_ops.to_vec(),
-            },
-        );
+        self.log.push(&Request::Apply {
+            handle,
+            ops: delivered_ops.to_vec(),
+        });
 
         match failed {
             Some((index, message)) => Err(CoordError::Document(format!(
@@ -334,7 +363,7 @@ impl Coordinator {
         let doc = self.docs.remove(&handle).ok_or_else(|| {
             CoordError::Document(format!("close: no open document with handle {handle}"))
         })?;
-        self.push(Kind::Close, &Request::CloseDoc { handle });
+        self.log.push(&Request::CloseDoc { handle });
         self.merger.close(DocHandle::from_raw(handle));
         self.round.dirty_docs.remove(&handle);
         self.round.dirty_shards.remove(&handle);
@@ -439,17 +468,6 @@ impl Coordinator {
     // The routing log, waves, supervision, resync
     // ------------------------------------------------------------------
 
-    /// Appends one request to the routing log, encoded once.
-    fn push(&mut self, kind: Kind, request: &Request) {
-        let (tag, payload) = encode_request(request);
-        self.log_bytes.extend_from_slice(&payload);
-        let end = self.log_bytes.len();
-        self.log.push(Entry { tag, end, kind });
-        xic_telemetry::global()
-            .gauge("coord.log_bytes")
-            .set(end as i64);
-    }
-
     /// One wave: each group in `groups` is written its undelivered log
     /// entries, plus the commit when `commit`, in one write — every group
     /// before any reply is read.  Then each group's replies are read in
@@ -478,13 +496,7 @@ impl Coordinator {
         let end = self.log.len().min(worker.delivered + MAX_IN_FLIGHT);
         let commit = commit && end == self.log.len();
         let window = worker.delivered..end;
-        write_window(
-            &mut worker.client,
-            &self.log,
-            &self.log_bytes,
-            window,
-            commit,
-        )?;
+        write_window(&mut worker.client, &self.log, window, commit)?;
         Ok(end)
     }
 
@@ -526,7 +538,7 @@ impl Coordinator {
             .chain(commit.then_some(None))
         {
             let checked = match worker.client.receive() {
-                Ok(reply) => check_reply(step.map(|i| self.log[i].kind), reply)
+                Ok(reply) => check_reply(step.map(|i| self.log.kind(i)), reply)
                     .map_err(|detail| CoordError::Protocol(format!("worker {group}: {detail}"))),
                 Err(ClientError::Fault(f)) => Err(CoordError::Fault(f)),
                 Err(transport) => return Err(transport),
@@ -594,9 +606,12 @@ impl Coordinator {
                 &self.groups[group],
                 self.generation,
             )?;
-            // `fresh` takes the dead process and its client, and reaps them.
-            std::mem::swap(&mut self.workers[group].child, &mut fresh.child);
-            std::mem::swap(&mut self.workers[group].client, &mut fresh.client);
+            // `fresh` takes the dead process, its client and its socket
+            // path, and reaps them.
+            let worker = &mut self.workers[group];
+            std::mem::swap(&mut worker.child, &mut fresh.child);
+            std::mem::swap(&mut worker.client, &mut fresh.client);
+            std::mem::swap(&mut worker.socket, &mut fresh.socket);
             match self.replay(group) {
                 Ok(()) => return Ok(()),
                 // The respawned worker died during replay too: another
@@ -625,16 +640,10 @@ impl Coordinator {
             loop {
                 let stop = end.min(start + MAX_IN_FLIGHT);
                 let commit = commit && stop == end;
-                write_window(
-                    &mut worker.client,
-                    &self.log,
-                    &self.log_bytes,
-                    start..stop,
-                    commit,
-                )
-                .map_err(|_| ReplayFailure::Transport)?;
+                write_window(&mut worker.client, &self.log, start..stop, commit)
+                    .map_err(|_| ReplayFailure::Transport)?;
                 for step in (start..stop).map(Some).chain(commit.then_some(None)) {
-                    let kind = step.map(|i| self.log[i].kind);
+                    let kind = step.map(|i| self.log.kind(i));
                     match worker.client.receive() {
                         Ok(reply) => {
                             check_reply(kind, reply).map_err(ReplayFailure::Diverged)?;
@@ -676,8 +685,7 @@ fn count(name: &str, n: u64) {
 /// them in one write.
 fn write_window(
     client: &mut Client,
-    log: &[Entry],
-    bytes: &[u8],
+    log: &RoutingLog,
     window: Range<usize>,
     commit: bool,
 ) -> Result<(), ClientError> {
@@ -686,9 +694,12 @@ fn write_window(
         (window.len() + usize::from(commit)) as u64,
     );
     let mut frames = Vec::new();
-    let mut start = window.start.checked_sub(1).map_or(0, |i| log[i].end);
-    for entry in &log[window] {
-        client.frame(&mut frames, entry.tag, &bytes[start..entry.end]);
+    let mut start = window
+        .start
+        .checked_sub(1)
+        .map_or(0, |i| log.entries[i].end);
+    for entry in &log.entries[window] {
+        client.frame(&mut frames, entry.tag, &log.bytes[start..entry.end]);
         start = entry.end;
     }
     if commit {
@@ -747,5 +758,17 @@ fn shards_of_effect(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Entry;
+
+    /// The routing log keeps one entry per routed request, for the
+    /// coordinator's whole life: an entry holds only its end and its tag.
+    #[test]
+    fn a_log_entry_takes_16_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 16);
     }
 }

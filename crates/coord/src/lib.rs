@@ -35,10 +35,19 @@
 //! reports equal to a monolithic [`xic_engine::CorpusSession`]'s, held to
 //! that by the `coord_agreement` differential suite.
 //!
+//! **Links.** The coordinator and its workers are a parent and its
+//! children on one host, so each worker listens on a Unix socket in the
+//! coordinator's scratch directory
+//! (`coord-worker-{group}-gen{generation}.sock`), which no other local
+//! user reaches through a loopback port.  A worker is ready once the
+//! wire hello on that socket succeeds; killing it removes the file.
+//! Without Unix sockets the worker listens on an ephemeral loopback port
+//! and announces it through an `--addr-file` instead.
+//!
 //! **Supervision.** The routing log is the resync source.  A worker whose
-//! transport dies is killed, respawned (fresh `--addr-file` handshake) and
-//! replayed the log entries it had answered, with its commits at the same
-//! points — identical bytes, deterministic sessions — before the rest of
+//! transport dies is killed, respawned (on a fresh socket) and replayed
+//! the log entries it had answered, with its commits at the same points —
+//! identical bytes, deterministic sessions — before the rest of
 //! its wave is re-sent; the restart budget (`max_restarts`) exhausted, the
 //! coordinator rejects with [`CoordError::WorkerLost`] instead of
 //! acknowledging a partial verdict (recover-or-reject).  The `coord.*`
@@ -94,8 +103,9 @@ pub enum CoordError {
     /// A worker answered, but not with what the protocol (or determinism)
     /// requires — e.g. a resync replay diverging from the original run.
     Protocol(String),
-    /// A shard worker could not be spawned or never completed the
-    /// `--addr-file` handshake.
+    /// A shard worker could not be spawned, or never answered the wire
+    /// hello on its socket; also a socket path too long for a Unix socket
+    /// address (a scratch directory nested too deep).
     WorkerSpawn(String),
     /// A worker crashed more times than the restart budget allows; the
     /// coordinator rejects rather than risk a wrong or partial verdict.

@@ -1,20 +1,28 @@
 //! Shard-worker child processes: spawn `xic serve` scoped to a shard
-//! group, discover its ephemeral port through the `--addr-file`
-//! handshake, and connect a wire client to it.
+//! group, listening on a Unix socket in the scratch directory, and connect
+//! a wire client to it once it answers.  Where there are no Unix sockets,
+//! the worker listens on an ephemeral loopback port instead and announces
+//! it through the `--addr-file` handshake.
 
+#[cfg(not(unix))]
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use xic_engine::SpecId;
-use xic_server::Client;
+use xic_server::{Client, ClientError};
 
 use crate::CoordError;
 
 /// How long a freshly spawned `xic serve` gets to bind its listener and
-/// write the address file before the spawn is declared dead.
+/// answer the hello before the spawn is declared dead.
 const SPAWN_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// The longest path a Unix socket address holds: Linux's 108-byte
+/// `sun_path`, less the terminating NUL.
+#[cfg(unix)]
+const MAX_SOCKET_PATH: usize = 107;
 
 /// The inputs a (re)spawn needs; owned by the coordinator so a crashed
 /// worker can be relaunched with the same spec arguments at any time.
@@ -28,7 +36,7 @@ pub(crate) struct WorkerSpec {
     pub root: Option<String>,
     /// `--constraints` file path, when constraints exist.
     pub constraints: Option<PathBuf>,
-    /// Scratch directory for address files.
+    /// Scratch directory for the workers' sockets.
     pub scratch: PathBuf,
     /// The session name every worker hosts.
     pub session: String,
@@ -42,6 +50,9 @@ pub(crate) struct Worker {
     pub child: Child,
     /// The connected wire client.
     pub client: Client,
+    /// The child's socket file (its address file where there are no Unix
+    /// sockets).
+    pub socket: PathBuf,
     /// How many times this worker has been restarted after a crash.
     pub restarts: usize,
     /// How many routing-log entries this worker has answered.
@@ -52,11 +63,14 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// Kills the child outright — the crash-injection hook the chaos tests
-    /// use, and the cleanup path on drop/teardown.
+    /// Kills the child outright and removes its socket file — the
+    /// crash-injection hook the chaos tests use, and the cleanup path on
+    /// drop/teardown.  The server removes its socket only when it stops
+    /// gracefully, so a killed one would leave the file behind.
     pub fn kill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.socket);
     }
 }
 
@@ -73,20 +87,15 @@ fn io_err(context: &str, source: std::io::Error) -> CoordError {
     }
 }
 
-/// Spawns one `xic serve` child scoped to `shards`, waits for the
-/// `--addr-file` handshake, and connects.  `generation` makes the address
-/// file unique per (group, respawn), so a stale file from a killed child
-/// can never be mistaken for the new one.
+/// Spawns one `xic serve` child scoped to `shards` and connects to it.
+/// `generation` makes the socket path unique per (group, respawn), so a
+/// stale file from a killed child can never be mistaken for the new one.
 pub(crate) fn spawn_worker(
     spec: &WorkerSpec,
     group: usize,
     shards: &[u32],
     generation: usize,
 ) -> Result<Worker, CoordError> {
-    let addr_file = spec
-        .scratch
-        .join(format!("coord-worker-{group}-gen{generation}.addr"));
-    let _ = std::fs::remove_file(&addr_file);
     std::fs::create_dir_all(&spec.scratch)
         .map_err(|e| io_err(&spec.scratch.display().to_string(), e))?;
 
@@ -95,13 +104,10 @@ pub(crate) fn spawn_worker(
         .arg("serve")
         .arg("--dtd")
         .arg(&spec.dtd)
-        .arg("--listen")
-        .arg("127.0.0.1:0")
-        .arg("--addr-file")
-        .arg(&addr_file)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null());
+    let socket = listen_on(&mut command, spec, group, generation)?;
     if let Some(root) = &spec.root {
         command.arg("--root").arg(root);
     }
@@ -121,19 +127,11 @@ pub(crate) fn spawn_worker(
         .spawn()
         .map_err(|e| io_err(&spec.xic_bin.display().to_string(), e))?;
 
-    let addr = match await_addr(&addr_file, &mut child) {
-        Ok(addr) => addr,
-        Err(err) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(err);
-        }
-    };
-
-    match connect(addr, spec) {
+    match connect(spec, &socket, &mut child) {
         Ok(client) => Ok(Worker {
             child,
             client,
+            socket,
             restarts: 0,
             delivered: 0,
             commits: Vec::new(),
@@ -141,20 +139,91 @@ pub(crate) fn spawn_worker(
         Err(err) => {
             let _ = child.kill();
             let _ = child.wait();
+            let _ = std::fs::remove_file(&socket);
             Err(err)
         }
     }
 }
 
-/// Polls the address file until the child has written a parseable socket
-/// address (the write is a single small `fs::write`, so a partial read
-/// fails to parse and the poll retries).
-fn await_addr(addr_file: &Path, child: &mut Child) -> Result<SocketAddr, CoordError> {
+/// Points the child at its socket, `coord-worker-{group}-gen{generation}.sock`
+/// in the scratch directory, and returns the path.  A path too long for a
+/// socket address fails here, before anything is spawned.
+#[cfg(unix)]
+fn listen_on(
+    command: &mut Command,
+    spec: &WorkerSpec,
+    group: usize,
+    generation: usize,
+) -> Result<PathBuf, CoordError> {
+    let socket = spec
+        .scratch
+        .join(format!("coord-worker-{group}-gen{generation}.sock"));
+    let len = socket.as_os_str().len();
+    if len > MAX_SOCKET_PATH {
+        return Err(CoordError::WorkerSpawn(format!(
+            "socket path {} is {len} bytes, longer than the {MAX_SOCKET_PATH} a Unix socket \
+             address holds; use a shorter scratch directory",
+            socket.display()
+        )));
+    }
+    command.arg("--socket").arg(&socket);
+    Ok(socket)
+}
+
+/// Without Unix sockets the child listens on an ephemeral loopback port
+/// and writes it to `coord-worker-{group}-gen{generation}.addr`.
+#[cfg(not(unix))]
+fn listen_on(
+    command: &mut Command,
+    spec: &WorkerSpec,
+    group: usize,
+    generation: usize,
+) -> Result<PathBuf, CoordError> {
+    let addr_file = spec
+        .scratch
+        .join(format!("coord-worker-{group}-gen{generation}.addr"));
+    let _ = std::fs::remove_file(&addr_file);
+    command
+        .arg("--listen")
+        .arg("127.0.0.1:0")
+        .arg("--addr-file")
+        .arg(&addr_file);
+    Ok(addr_file)
+}
+
+/// Dials the worker's socket and runs the hello handshake.
+#[cfg(unix)]
+fn dial(spec: &WorkerSpec, socket: &Path) -> Result<Client, ClientError> {
+    Client::connect_unix(socket, spec.spec_id, &spec.session)
+}
+
+/// Reads the worker's address file and dials it.  The write is a single
+/// small `fs::write`, so a partial read fails to parse and the poll
+/// retries.
+#[cfg(not(unix))]
+fn dial(spec: &WorkerSpec, addr_file: &Path) -> Result<Client, ClientError> {
+    let addr = std::fs::read_to_string(addr_file)?
+        .trim()
+        .parse::<SocketAddr>()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Client::connect_tcp(addr, spec.spec_id, &spec.session)
+}
+
+/// Polls until the freshly spawned worker answers the hello.  An I/O
+/// error means it is not listening yet (it compiles the spec first); a
+/// fault or a wrong answer is final, as is the child exiting or
+/// [`SPAWN_TIMEOUT`] passing.
+fn connect(spec: &WorkerSpec, socket: &Path, child: &mut Child) -> Result<Client, CoordError> {
     let start = Instant::now();
     loop {
-        if let Ok(text) = std::fs::read_to_string(addr_file) {
-            if let Ok(addr) = text.trim().parse::<SocketAddr>() {
-                return Ok(addr);
+        match dial(spec, socket) {
+            Ok(client) => return Ok(client),
+            Err(ClientError::Io(_)) => {}
+            Err(err) => {
+                return Err(CoordError::WorkerSpawn(format!(
+                    "shard worker at {} refused the handshake: {err}",
+                    socket.display()
+                )))
             }
         }
         if let Ok(Some(status)) = child.try_wait() {
@@ -164,30 +233,10 @@ fn await_addr(addr_file: &Path, child: &mut Child) -> Result<SocketAddr, CoordEr
         }
         if start.elapsed() > SPAWN_TIMEOUT {
             return Err(CoordError::WorkerSpawn(format!(
-                "shard worker wrote no address to {} within {SPAWN_TIMEOUT:?}",
-                addr_file.display()
+                "shard worker at {} did not answer within {SPAWN_TIMEOUT:?}",
+                socket.display()
             )));
         }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Connects to a freshly announced worker.  The server binds before it
-/// writes the address file, so one attempt normally suffices; a short
-/// retry loop absorbs scheduler hiccups on loaded machines.
-fn connect(addr: SocketAddr, spec: &WorkerSpec) -> Result<Client, CoordError> {
-    let start = Instant::now();
-    loop {
-        match Client::connect_tcp(addr, spec.spec_id, &spec.session) {
-            Ok(client) => return Ok(client),
-            Err(err) => {
-                if start.elapsed() > SPAWN_TIMEOUT {
-                    return Err(CoordError::WorkerSpawn(format!(
-                        "cannot connect to shard worker at {addr}: {err}"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }

@@ -289,9 +289,12 @@ fn run_case(
         return Ok(());
     };
 
+    // Family labels such as `chain/4` contain `/`; a nested scratch path
+    // would leave its parent behind when the leaf is removed.
     let scratch = std::env::temp_dir().join(format!(
-        "xic-coord-agree-{}-{seed}-{label}",
-        std::process::id()
+        "xic-coord-agree-{}-{seed}-{}",
+        std::process::id(),
+        label.replace('/', "-")
     ));
 
     // An inconsistent spec cannot be hosted: `xic serve` refuses it, so

@@ -39,6 +39,10 @@ fn xic_bin() -> PathBuf {
 }
 
 fn launch(scratch: &Path, max_restarts: usize) -> Coordinator {
+    try_launch(scratch, max_restarts).expect("coordinator launches")
+}
+
+fn try_launch(scratch: &Path, max_restarts: usize) -> Result<Coordinator, CoordError> {
     std::fs::create_dir_all(scratch).expect("scratch dir");
     let dtd_path = scratch.join("spec.dtd");
     let sigma_path = scratch.join("spec.sigma");
@@ -54,7 +58,19 @@ fn launch(scratch: &Path, max_restarts: usize) -> Coordinator {
         session: "chaos".to_string(),
         max_restarts,
     })
-    .expect("coordinator launches")
+}
+
+/// The worker sockets in `scratch` (address files where there are no
+/// Unix sockets).
+fn sockets(scratch: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(scratch)
+        .expect("scratch dir lists")
+        .map(|entry| entry.expect("scratch entry").path())
+        .filter(|path| {
+            path.file_name()
+                .is_some_and(|name| name.to_string_lossy().starts_with("coord-worker-"))
+        })
+        .collect()
 }
 
 fn spec() -> CompiledSpec {
@@ -159,8 +175,47 @@ fn killed_workers_recover_and_agree() {
     }
     assert_eq!(replica.report(), oracle_report);
 
+    // Every kill removed its socket: only the live workers' remain.
+    assert_eq!(
+        sockets(&scratch).len(),
+        coordinator.num_groups(),
+        "sockets of dead generations left behind: {:?}",
+        sockets(&scratch)
+    );
+
     coordinator.shutdown();
+    assert_eq!(sockets(&scratch), Vec::<PathBuf>::new());
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// A scratch directory nested too deep for a Unix socket address fails
+/// the launch at once, naming the socket path, instead of waiting out the
+/// spawn timeout on a worker that can never bind.
+#[cfg(unix)]
+#[test]
+fn a_socket_path_too_long_fails_the_launch_at_once() {
+    use std::time::{Duration, Instant};
+
+    let root = std::env::temp_dir().join(format!("xic-coord-deep-{}", std::process::id()));
+    let scratch = root.join("d".repeat(120));
+    let started = Instant::now();
+    let Err(err) = try_launch(&scratch, 0) else {
+        panic!("a socket path longer than a socket address must not launch");
+    };
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "took {:?}",
+        started.elapsed()
+    );
+    let CoordError::WorkerSpawn(message) = &err else {
+        panic!("expected a worker-spawn error, got: {err}");
+    };
+    assert!(
+        message.contains(&scratch.display().to_string()),
+        "the error names no socket path: {message}"
+    );
+    assert_eq!(err.exit_code(), 2);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A worker killed *between* commits (idle) is just as recoverable: the

@@ -48,8 +48,10 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 // Request tags (client → server).  The journal's own record tags (1–4)
 // stay reserved so a delta record is unambiguous in either direction.
 const REQ_HELLO: u8 = 0x10;
-const REQ_OPEN: u8 = 0x11;
-const REQ_APPLY: u8 = 0x12;
+/// The tag of an [`Request::OpenDoc`] frame.
+pub const REQ_OPEN: u8 = 0x11;
+/// The tag of an [`Request::Apply`] frame.
+pub const REQ_APPLY: u8 = 0x12;
 const REQ_COMMIT: u8 = 0x13;
 const REQ_SYNC: u8 = 0x14;
 const REQ_CLOSE: u8 = 0x15;

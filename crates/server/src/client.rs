@@ -3,7 +3,7 @@
 //! structured error records as [`ClientError::Fault`].
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -83,7 +83,10 @@ impl ClientError {
 /// A blocking connection to an `xic serve` instance, attached to one named
 /// session by the hello handshake.
 pub struct Client {
-    conn: Box<dyn Stream>,
+    /// Replies are read through the buffer, so a pipelined wave answered
+    /// in one server write costs about one read; requests are written to
+    /// the stream underneath it.
+    conn: BufReader<Box<dyn Stream>>,
     hello: HelloAck,
     seq: u64,
 }
@@ -112,11 +115,12 @@ impl Client {
     }
 
     fn handshake(
-        mut conn: Box<dyn Stream>,
+        stream: Box<dyn Stream>,
         spec: SpecId,
         session: &str,
     ) -> Result<Client, ClientError> {
-        write_request(&mut conn, 1, &Request::hello(spec, session))?;
+        let mut conn = BufReader::new(stream);
+        write_request(conn.get_mut(), 1, &Request::hello(spec, session))?;
         match read_response(&mut conn)? {
             Some((_, Response::Hello(hello))) => Ok(Client {
                 conn,
@@ -139,7 +143,7 @@ impl Client {
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         self.seq += 1;
-        write_request(&mut self.conn, self.seq, req)?;
+        write_request(self.conn.get_mut(), self.seq, req)?;
         self.receive()
     }
 
@@ -154,8 +158,9 @@ impl Client {
 
     /// Writes a buffer of [`Client::frame`]d requests in one write.
     pub fn send(&mut self, frames: &[u8]) -> Result<(), ClientError> {
-        self.conn.write_all(frames)?;
-        self.conn.flush()?;
+        let stream = self.conn.get_mut();
+        stream.write_all(frames)?;
+        stream.flush()?;
         Ok(())
     }
 
@@ -233,7 +238,7 @@ impl Client {
     ) -> Result<Vec<BatchDelta>, ClientError> {
         self.seq += 1;
         write_request(
-            &mut self.conn,
+            self.conn.get_mut(),
             self.seq,
             &Request::Sync { after_seq, shard },
         )?;
